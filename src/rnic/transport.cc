@@ -100,8 +100,10 @@ std::uint64_t RdmaConnection::enqueue_message(std::uint64_t bytes,
     // analytic demand; anything else (SEND/READ) zooms the region back to
     // packet mode, which thaws this connection and re-runs send_more.
     if (kind == PacketKind::kWrite) {
+      fluid_write_bytes_ += bytes;
       hybrid_driver()->on_fluid_post(this);
     } else {
+      fluid_non_write_queued_ = true;
       hybrid_driver()->on_ineligible_post(this);
     }
     return msg_id;
@@ -508,6 +510,7 @@ FluidFlowDesc RdmaConnection::fluid_freeze() {
     }
   }
   fluid_ = true;
+  recount_fluid_demand();
 
   // Footprint on the link graph: the selector's long-run path weights
   // mapped over each path's route, links merged in first-encounter order
@@ -573,6 +576,7 @@ std::uint64_t RdmaConnection::fluid_serve(std::uint64_t bytes) {
     msg.acked += take;
     msg.sent = msg.acked;  // nothing is ever in flight under fluid
     served += take;
+    fluid_write_bytes_ -= take;
     if (msg.acked >= msg.total) {
       unsent_queue_.pop_front();
       fluid_complete_message(msg);  // erases msg from messages_
@@ -603,7 +607,23 @@ void RdmaConnection::fluid_complete_message(Message& msg) {
   if (cb) cb();
 }
 
+void RdmaConnection::recount_fluid_demand() {
+  fluid_write_bytes_ = 0;
+  fluid_non_write_queued_ = false;
+  for (const std::uint64_t msg_id : unsent_queue_) {
+    const Message& msg = messages_.at(msg_id);
+    if (msg.kind == PacketKind::kWrite) {
+      fluid_write_bytes_ += msg.total - msg.acked;
+    } else {
+      fluid_non_write_queued_ = true;
+    }
+  }
+}
+
 std::uint64_t RdmaConnection::fluid_remaining() const {
+  if (fluid_ && !fluid_non_write_queued_) return fluid_write_bytes_;
+  // WRITE demand ahead of the first non-WRITE: the rest waits for the
+  // zoom that post triggered.
   std::uint64_t remaining = 0;
   for (const std::uint64_t msg_id : unsent_queue_) {
     const Message& msg = messages_.at(msg_id);

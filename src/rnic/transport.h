@@ -229,6 +229,8 @@ class RdmaConnection : public FluidClient {
   /// Complete one message under fluid service: receiver delivery first,
   /// then the sender completion — the same order packet mode produces.
   void fluid_complete_message(Message& msg);
+  /// Recompute fluid_write_bytes_ / fluid_non_write_queued_ from the queue.
+  void recount_fluid_demand();
 
   /// Checkpoint/restore of the full sender-side QP context (config, PSN
   /// space, unacked packets, queued messages, CC state, blacklists).
@@ -302,6 +304,12 @@ class RdmaConnection : public FluidClient {
   /// True while this connection's region is in fluid mode (set by
   /// fluid_freeze, cleared by fluid_thaw / enter_error).
   bool fluid_ = false;
+  /// While fluid_: unacked bytes of the queued WRITEs, kept current by
+  /// fluid_freeze, enqueue_message and fluid_serve so fluid_remaining()
+  /// is O(1). Meaningful only while no non-WRITE is queued — such a post
+  /// zooms the region, and fluid_remaining() walks the queue until then.
+  std::uint64_t fluid_write_bytes_ = 0;
+  bool fluid_non_write_queued_ = false;
 };
 
 /// Message observed complete at the receiver (all payload bytes placed).

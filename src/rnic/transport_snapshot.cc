@@ -222,6 +222,7 @@ void RdmaConnection::restore_state(SnapshotReader& r) {
     m.posted_at = r.time();
     messages_.emplace(m.id, std::move(m));
   }
+  recount_fluid_demand();
 
   outstanding_.clear();
   const std::uint32_t n_out = r.u32();

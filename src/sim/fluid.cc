@@ -1,33 +1,66 @@
 #include "sim/fluid.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace stellar {
 
-std::uint32_t FluidSolver::add_flow(std::vector<LinkShare> shares) {
+void FluidSolver::mark_dirty(std::uint32_t link) {
+  Link& l = links_[link];
+  if (l.dirty) return;
+  l.dirty = true;
+  dirty_links_.push_back(link);
+}
+
+void FluidSolver::set_capacity(std::uint32_t link,
+                               double capacity_bytes_per_sec) {
+  Link& l = links_.at(link);
+  if (l.capacity == capacity_bytes_per_sec) return;
+  l.capacity = capacity_bytes_per_sec;
+  mark_dirty(link);
+}
+
+std::uint32_t FluidSolver::add_flow(const std::vector<LinkShare>& shares) {
   STELLAR_CHECK(!shares.empty(), "fluid flow must cross at least one link");
   for (const LinkShare& s : shares) {
     STELLAR_CHECK(s.link < links_.size(), "fluid flow references unknown link");
     STELLAR_CHECK(s.weight > 0.0, "fluid link share weight must be positive");
   }
   ++active_count_;
+  auto id = static_cast<std::uint32_t>(flows_.size());
   if (!free_ids_.empty()) {
-    const std::uint32_t id = free_ids_.back();
+    id = free_ids_.back();
     free_ids_.pop_back();
-    flows_[id] = Flow{std::move(shares), 0.0, true};
-    return id;
+  } else {
+    flows_.emplace_back();
   }
-  flows_.push_back(Flow{std::move(shares), 0.0, true});
-  return static_cast<std::uint32_t>(flows_.size() - 1);
+  Flow& f = flows_[id];
+  f.shares.assign(shares.begin(), shares.end());
+  f.rate = 0.0;
+  f.active = true;
+  for (const LinkShare& s : shares) {
+    std::vector<std::uint32_t>& crossing = links_[s.link].crossing;
+    crossing.insert(std::upper_bound(crossing.begin(), crossing.end(), id),
+                    id);
+    mark_dirty(s.link);
+  }
+  return id;
 }
 
 void FluidSolver::remove_flow(std::uint32_t flow) {
   Flow& f = flows_.at(flow);
   STELLAR_CHECK(f.active, "removing an inactive fluid flow");
+  for (const LinkShare& s : f.shares) {
+    std::vector<std::uint32_t>& crossing = links_[s.link].crossing;
+    const auto at = std::lower_bound(crossing.begin(), crossing.end(), flow);
+    STELLAR_DCHECK(at != crossing.end() && *at == flow,
+                   "fluid crossing index lost a flow");
+    crossing.erase(at);
+    mark_dirty(s.link);
+  }
   f.active = false;
   f.rate = 0.0;
-  f.shares.clear();
-  f.shares.shrink_to_fit();
+  f.shares.clear();  // keeps capacity for the slot's next flow
   --active_count_;
   free_ids_.push_back(flow);
 }
@@ -48,63 +81,75 @@ std::vector<std::uint32_t> FluidSolver::flow_ids() const {
 }
 
 void FluidSolver::solve() {
-  const std::size_t nl = links_.size();
-  for (Link& l : links_) l.load = 0.0;
-  if (active_count_ == 0) return;
-
-  // Per-link residual capacity and total unfrozen weight. Iteration order
-  // is strictly by index, so the floating-point accumulation order — and
-  // therefore every derived rate — is identical across runs.
-  std::vector<double> residual(nl);
-  std::vector<double> unfrozen_weight(nl, 0.0);
-  // Integer crossing counts decide whether a link still constrains anyone:
-  // the float weight sum can retain a tiny residue after its last flow
-  // froze (subtractive cancellation), which would otherwise let a spent
-  // link masquerade as the bottleneck that nobody crosses.
-  std::vector<std::uint32_t> unfrozen_count(nl, 0);
-  for (std::size_t l = 0; l < nl; ++l) residual[l] = links_[l].capacity;
-
-  std::vector<std::uint32_t> active_flows;
-  active_flows.reserve(active_count_);
-  std::size_t total_shares = 0;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    if (!flows_[i].active) continue;
-    active_flows.push_back(static_cast<std::uint32_t>(i));
-    total_shares += flows_[i].shares.size();
-    for (const LinkShare& s : flows_[i].shares) {
-      unfrozen_weight[s.link] += s.weight;
-      ++unfrozen_count[s.link];
-    }
-  }
-
-  // Inverted index (CSR): for each link, the flows crossing it in flow-index
-  // order. Freezing then walks only the bottleneck links' crossing lists
-  // instead of rescanning every unfrozen flow's shares each round, which
-  // turns the per-solve cost from O(rounds * flows * shares) into
-  // O(flows * shares + rounds * active_links).
-  std::vector<std::size_t> csr_pos(nl + 1, 0);
-  for (std::uint32_t fid : active_flows) {
-    for (const LinkShare& s : flows_[fid].shares) ++csr_pos[s.link + 1];
-  }
-  for (std::size_t l = 0; l < nl; ++l) csr_pos[l + 1] += csr_pos[l];
-  std::vector<std::uint32_t> csr_flows(total_shares);
-  {
-    std::vector<std::size_t> fill(csr_pos.begin(), csr_pos.end() - 1);
-    for (std::uint32_t fid : active_flows) {
-      for (const LinkShare& s : flows_[fid].shares) {
-        csr_flows[fill[s.link]++] = fid;
+  solved_links_.clear();
+  solved_flows_.clear();
+  // Each not-yet-reached dirty link seeds one connected component: a
+  // breadth-first walk over link -> crossing flows -> their links collects
+  // it, and progressive filling runs on it alone.
+  for (const std::uint32_t seed : dirty_links_) {
+    links_[seed].dirty = false;
+    if (links_[seed].visited) continue;
+    const std::size_t link_begin = solved_links_.size();
+    const std::size_t flow_begin = solved_flows_.size();
+    links_[seed].visited = true;
+    solved_links_.push_back(seed);
+    for (std::size_t i = link_begin; i < solved_links_.size(); ++i) {
+      for (const std::uint32_t fid : links_[solved_links_[i]].crossing) {
+        Flow& f = flows_[fid];
+        if (f.visited) continue;
+        f.visited = true;
+        solved_flows_.push_back(fid);
+        for (const LinkShare& s : f.shares) {
+          if (links_[s.link].visited) continue;
+          links_[s.link].visited = true;
+          solved_links_.push_back(s.link);
+        }
       }
     }
+    solve_component(link_begin, flow_begin);
   }
+  dirty_links_.clear();
+  for (const std::uint32_t l : solved_links_) links_[l].visited = false;
+  for (const std::uint32_t f : solved_flows_) flows_[f].visited = false;
+}
 
+void FluidSolver::solve_component(std::size_t link_begin,
+                                  std::size_t flow_begin) {
+  // Links in index order and flows in id order, whatever order the walk
+  // found them in: the link order decides the order bottleneck links charge
+  // residuals in, the flow order the order weights and loads accumulate in,
+  // and together they fix every derived rate bit for bit.
+  const auto links = solved_links_.begin() +
+                     static_cast<std::ptrdiff_t>(link_begin);
+  const auto flows = solved_flows_.begin() +
+                     static_cast<std::ptrdiff_t>(flow_begin);
+  std::sort(links, solved_links_.end());
+  std::sort(flows, solved_flows_.end());
+
+  // Per-link residual capacity and total unfrozen weight. Integer crossing
+  // counts decide whether a link still constrains anyone: the float weight
+  // sum can retain a tiny residue after its last flow froze (subtractive
+  // cancellation), which would otherwise let a spent link masquerade as
+  // the bottleneck that nobody crosses.
+  for (auto it = links; it != solved_links_.end(); ++it) {
+    Link& link = links_[*it];
+    link.residual = link.capacity;
+    link.unfrozen_weight = 0.0;
+    link.unfrozen_count = 0;
+  }
+  for (auto it = flows; it != solved_flows_.end(); ++it) {
+    Flow& f = flows_[*it];
+    f.frozen = false;
+    for (const LinkShare& s : f.shares) {
+      links_[s.link].unfrozen_weight += s.weight;
+      ++links_[s.link].unfrozen_count;
+    }
+  }
   // Links with any unfrozen flow, in index order; compacted as they drain
   // so later rounds scan progressively fewer links.
-  std::vector<std::uint32_t> active_links;
-  active_links.reserve(nl);
-  for (std::size_t l = 0; l < nl; ++l) {
-    if (unfrozen_count[l] > 0) {
-      active_links.push_back(static_cast<std::uint32_t>(l));
-    }
+  active_links_.clear();
+  for (auto it = links; it != solved_links_.end(); ++it) {
+    if (links_[*it].unfrozen_count > 0) active_links_.push_back(*it);
   }
 
   // Bottleneck matching uses a relative tolerance: links that are equal
@@ -113,26 +158,28 @@ void FluidSolver::solve() {
   // then freeze those symmetric groups one link per round instead of all
   // at once. The tolerance is deterministic (same arithmetic every run)
   // and the rate perturbation it admits is ~1e-12 relative — far inside
-  // the fluid approximation itself.
+  // the fluid approximation itself. It groups links of this component
+  // only.
   constexpr double kBottleneckTol = 1e-12;
 
   // Progressive filling. Each round picks the link(s) with the smallest
   // attainable common rate, freezes every flow crossing them, and charges
   // the frozen bandwidth against the residual network.
-  std::vector<char> frozen(flows_.size(), 0);
-  std::size_t remaining = active_flows.size();
+  std::size_t remaining = solved_flows_.size() - flow_begin;
   while (remaining > 0) {
     double rmin = std::numeric_limits<double>::infinity();
     std::size_t keep = 0;
-    for (std::size_t k = 0; k < active_links.size(); ++k) {
-      const std::uint32_t l = active_links[k];
-      if (unfrozen_count[l] == 0 || unfrozen_weight[l] <= 0.0) continue;
-      active_links[keep++] = l;
-      const double r =
-          residual[l] > 0.0 ? residual[l] / unfrozen_weight[l] : 0.0;
+    for (std::size_t k = 0; k < active_links_.size(); ++k) {
+      const std::uint32_t l = active_links_[k];
+      const Link& link = links_[l];
+      if (link.unfrozen_count == 0 || link.unfrozen_weight <= 0.0) continue;
+      active_links_[keep++] = l;
+      const double r = link.residual > 0.0
+                           ? link.residual / link.unfrozen_weight
+                           : 0.0;
       if (r < rmin) rmin = r;
     }
-    active_links.resize(keep);
+    active_links_.resize(keep);
     // Every unfrozen flow crosses at least one weighted link, so some link
     // had unfrozen_weight > 0 and rmin is finite.
     STELLAR_CHECK(rmin < std::numeric_limits<double>::infinity(),
@@ -140,34 +187,39 @@ void FluidSolver::solve() {
 
     const double cutoff = rmin + rmin * kBottleneckTol;
     bool froze_any = false;
-    for (const std::uint32_t l : active_links) {
-      if (unfrozen_count[l] == 0 || unfrozen_weight[l] <= 0.0) continue;
-      const double r =
-          residual[l] > 0.0 ? residual[l] / unfrozen_weight[l] : 0.0;
+    for (const std::uint32_t l : active_links_) {
+      const Link& link = links_[l];
+      if (link.unfrozen_count == 0 || link.unfrozen_weight <= 0.0) continue;
+      const double r = link.residual > 0.0
+                           ? link.residual / link.unfrozen_weight
+                           : 0.0;
       if (r > cutoff) continue;
       // Bottleneck link: freeze its unfrozen crossing flows at rmin.
-      for (std::size_t i = csr_pos[l]; i < csr_pos[l + 1]; ++i) {
-        const std::uint32_t fid = csr_flows[i];
-        if (frozen[fid]) continue;
-        frozen[fid] = 1;
+      for (const std::uint32_t fid : link.crossing) {
+        Flow& f = flows_[fid];
+        if (f.frozen) continue;
+        f.frozen = true;
         froze_any = true;
         --remaining;
-        Flow& f = flows_[fid];
         f.rate = rmin;
         for (const LinkShare& s : f.shares) {
-          unfrozen_weight[s.link] -= s.weight;
-          --unfrozen_count[s.link];
-          residual[s.link] -= s.weight * rmin;
-          if (residual[s.link] < 0.0) residual[s.link] = 0.0;
-          if (unfrozen_weight[s.link] < 0.0) unfrozen_weight[s.link] = 0.0;
+          Link& sl = links_[s.link];
+          sl.unfrozen_weight -= s.weight;
+          --sl.unfrozen_count;
+          sl.residual -= s.weight * rmin;
+          if (sl.residual < 0.0) sl.residual = 0.0;
+          if (sl.unfrozen_weight < 0.0) sl.unfrozen_weight = 0.0;
         }
       }
     }
     STELLAR_CHECK(froze_any, "fluid solve made no progress");
   }
 
-  for (const Flow& f : flows_) {
-    if (!f.active) continue;
+  for (auto it = links; it != solved_links_.end(); ++it) {
+    links_[*it].load = 0.0;
+  }
+  for (auto it = flows; it != solved_flows_.end(); ++it) {
+    const Flow& f = flows_[*it];
     for (const LinkShare& s : f.shares) {
       links_[s.link].load += s.weight * f.rate;
     }

@@ -46,12 +46,12 @@ HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric,
 HybridDriver::~HybridDriver() {
   for (std::uint32_t r = 0; r < regions_.size(); ++r) {
     Region& rg = regions_[r];
-    if (rg.advance_event.valid()) {
-      sim_->cancel(rg.advance_event);
-      rg.advance_event = EventHandle{};
-    }
+    sim_->cancel(rg.advance_event);
+    sim_->cancel(rg.kick_event);
     emit_span(r, rg, rg.mode);
   }
+  sim_->cancel(tick_event_);
+  for (const EventHandle handle : zoom_window_events_) sim_->cancel(handle);
   fabric_->set_hybrid_driver(nullptr);
 }
 
@@ -250,10 +250,9 @@ void HybridDriver::schedule_next(std::uint32_t region) {
 
 void HybridDriver::schedule_kick(std::uint32_t region) {
   Region& rg = regions_[region];
-  if (rg.kick_scheduled) return;
-  rg.kick_scheduled = true;
-  sim_->schedule_at(sim_->now(), [this, region] {
-    regions_[region].kick_scheduled = false;
+  if (rg.kick_event.valid()) return;
+  rg.kick_event = sim_->schedule_at(sim_->now(), [this, region] {
+    regions_[region].kick_event = EventHandle{};
     service_region(region);
   });
 }
@@ -376,10 +375,10 @@ void HybridDriver::request_zoom_window(SimTime start, SimTime end) {
     force_packet(SimTime::zero(), "zoom-window");
     return;
   }
-  sim_->schedule_at(start, [this, end] {
+  zoom_window_events_.push_back(sim_->schedule_at(start, [this, end] {
     if (end > hold_until_) hold_until_ = end;
     force_packet(SimTime::zero(), "zoom-window");
-  });
+  }));
 }
 
 // ---------------------------------------------------------------------------
@@ -431,7 +430,7 @@ void HybridDriver::on_client_error(FluidClient* client) {
 // ---------------------------------------------------------------------------
 
 void HybridDriver::arm_tick() {
-  if (tick_armed_) return;
+  if (tick_event_.valid()) return;
   bool needed = false;
   for (const Region& rg : regions_) {
     if (rg.mode != RegionMode::kPacket) continue;
@@ -447,12 +446,11 @@ void HybridDriver::arm_tick() {
   // Never keep an otherwise-drained simulator alive just to poll: when
   // traffic stops, the tick stops with it.
   if (sim_->pending_events() == 0) return;
-  tick_armed_ = true;
-  sim_->schedule_after(config_.epoch, [this] { tick(); });
+  tick_event_ = sim_->schedule_after(config_.epoch, [this] { tick(); });
 }
 
 void HybridDriver::tick() {
-  tick_armed_ = false;
+  tick_event_ = EventHandle{};
   const SimTime now = sim_->now();
   for (std::uint32_t r = 0; r < regions_.size(); ++r) {
     Region& rg = regions_[r];

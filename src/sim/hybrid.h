@@ -212,9 +212,9 @@ class HybridDriver {
     std::unordered_map<const NetLink*, std::uint32_t> link_index;  // lookup
     std::vector<ClientInfo*> clients;  // registration order
     EventHandle advance_event;
+    EventHandle kick_event;
     SimTime last_advance = SimTime::zero();
     bool solve_needed = false;
-    bool kick_scheduled = false;
     bool pending_zoom = false;
     const char* pending_zoom_reason = "";
     std::uint32_t quiet_epochs = 0;
@@ -246,7 +246,12 @@ class HybridDriver {
   std::unordered_map<EndpointId, FluidReceiver*> receivers_;
   SpanHook span_hook_;
   SimTime hold_until_ = SimTime::zero();
-  bool tick_armed_ = false;
+  // Every event the driver schedules captures `this`; the destructor
+  // cancels whatever is still pending so a simulator that outlives the
+  // driver never calls into it. Handles are generation-tagged, so
+  // cancelling one that already ran is a no-op.
+  EventHandle tick_event_;
+  std::vector<EventHandle> zoom_window_events_;  // one per future window
   bool in_advance_ = false;
   std::uint64_t transitions_ = 0;
   std::uint64_t absorbed_packets_ = 0;

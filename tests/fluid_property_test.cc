@@ -8,11 +8,15 @@
 //   * determinism: re-running the identical call sequence reproduces
 //     bitwise-identical rates;
 //   * conservation: integrating rates over a rate-change schedule serves
-//     exactly the demand the flows brought (no bytes created or lost).
+//     exactly the demand the flows brought (no bytes created or lost);
+//   * incrementality: re-solving only the touched components is bitwise
+//     equal to a fresh solve, and leaves untouched components alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -269,7 +273,223 @@ TEST(FluidSolverTest, CapacityChangeReflowsRates) {
   EXPECT_DOUBLE_EQ(solver.rate(f2), 4e9);
 }
 
+// Incremental re-solve. A churned solver only re-solves the components its
+// changes touched; the result must still be bitwise what a fresh solver
+// computes from scratch for the same links and the same active flows added
+// in id order (so the fresh solver sees the same flow order).
+class IncrementalSolveTest : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  static constexpr std::uint32_t kHalf = 8;  // links [0,8) = A, [8,16) = B
+
+  void SetUp() override {
+    for (std::uint32_t l = 0; l < kHalf; ++l) {
+      caps_.push_back(1e9 * (1.0 + static_cast<double>(l % 3)));
+    }
+    // Side B mirrors side A link for link: identical capacities, so
+    // mirrored flows give two symmetric components whose bottlenecks tie
+    // exactly.
+    for (std::uint32_t l = 0; l < kHalf; ++l) caps_.push_back(caps_[l]);
+    for (const double cap : caps_) solver_.add_link(cap);
+  }
+
+  void add(const std::vector<FluidSolver::LinkShare>& shares) {
+    const std::uint32_t id = solver_.add_flow(shares);
+    if (shares_.size() <= id) shares_.resize(id + 1);
+    shares_[id] = shares;
+  }
+
+  /// 1..3 links on one side (`base` = 0 or kHalf), occasionally listing a
+  /// link twice (the solver accepts repeated links).
+  std::vector<FluidSolver::LinkShare> random_shares(Rng& rng,
+                                                    std::uint32_t base) {
+    std::vector<FluidSolver::LinkShare> shares;
+    const std::uint32_t span = 1 + static_cast<std::uint32_t>(rng.below(3));
+    for (std::uint32_t k = 0; k < span; ++k) {
+      shares.push_back({base + static_cast<std::uint32_t>(rng.below(kHalf)),
+                        0.1 + 0.9 * rng.uniform()});
+    }
+    return shares;
+  }
+
+  static std::vector<FluidSolver::LinkShare> mirrored(
+      std::vector<FluidSolver::LinkShare> shares) {
+    for (auto& s : shares) s.link += kHalf;
+    return shares;
+  }
+
+  void solve_and_compare(const char* step) {
+    solver_.solve();
+    FluidSolver fresh;
+    for (const double cap : caps_) fresh.add_link(cap);
+    const std::vector<std::uint32_t> ids = solver_.flow_ids();
+    for (const std::uint32_t id : ids) fresh.add_flow(shares_[id]);
+    fresh.solve();
+    for (std::uint32_t k = 0; k < ids.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(solver_.rate(ids[k])),
+                std::bit_cast<std::uint64_t>(fresh.rate(k)))
+          << step << ": flow " << ids[k] << " rate " << solver_.rate(ids[k])
+          << " vs fresh " << fresh.rate(k);
+    }
+    for (std::uint32_t l = 0; l < caps_.size(); ++l) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(solver_.link_load(l)),
+                std::bit_cast<std::uint64_t>(fresh.link_load(l)))
+          << step << ": link " << l << " load " << solver_.link_load(l)
+          << " vs fresh " << fresh.link_load(l);
+    }
+  }
+
+  FluidSolver solver_;
+  std::vector<double> caps_;
+  std::vector<std::vector<FluidSolver::LinkShare>> shares_;  // by flow id
+};
+
+TEST_P(IncrementalSolveTest, IncrementalMatchesFreshSolve) {
+  Rng rng(GetParam() ^ 0x1ac5u);
+  // Two symmetric disjoint components to start.
+  for (int k = 0; k < 6; ++k) {
+    const auto shares = random_shares(rng, 0);
+    add(shares);
+    add(mirrored(shares));
+  }
+  solve_and_compare("symmetric start");
+
+  for (int step = 0; step < 300; ++step) {
+    // A few changes per solve, so one solve sees several dirty components.
+    const int changes = 1 + static_cast<int>(rng.below(3));
+    for (int c = 0; c < changes; ++c) {
+      const std::vector<std::uint32_t> ids = solver_.flow_ids();
+      // Past 40 flows, only remove: the table stays small enough for the
+      // two halves to keep splitting apart.
+      switch (ids.size() > 40 ? 5 : rng.below(10)) {
+        case 0:
+        case 1:
+        case 2:
+          add(random_shares(rng, rng.below(2) == 0 ? 0 : kHalf));
+          break;
+        case 3: {
+          // A bridge across the halves merges their components; removing
+          // it later splits them again.
+          auto shares = random_shares(rng, 0);
+          shares.push_back({kHalf + static_cast<std::uint32_t>(
+                                        rng.below(kHalf)),
+                            0.5});
+          add(shares);
+          break;
+        }
+        case 4: {
+          const auto shares = random_shares(rng, 0);
+          add(shares);
+          add(mirrored(shares));
+          break;
+        }
+        case 5:
+        case 6:
+        case 7:
+          if (!ids.empty()) {
+            solver_.remove_flow(ids[rng.below(ids.size())]);
+          }
+          break;
+        case 8: {
+          const auto l = static_cast<std::uint32_t>(rng.below(caps_.size()));
+          caps_[l] = 1e9 * (0.5 + 3.0 * rng.uniform());
+          solver_.set_capacity(l, caps_[l]);
+          break;
+        }
+        default: {
+          // Re-setting a capacity to its current value is not a change.
+          const auto l = static_cast<std::uint32_t>(rng.below(caps_.size()));
+          solver_.set_capacity(l, caps_[l]);
+          break;
+        }
+      }
+    }
+    solve_and_compare("churn");
+  }
+}
+
+TEST(FluidSolverTest, ChangeReSolvesOnlyItsComponent) {
+  FluidSolver solver;
+  const std::uint32_t a0 = solver.add_link(1e9);
+  const std::uint32_t a1 = solver.add_link(2e9);
+  const std::uint32_t b0 = solver.add_link(1e9);
+  const std::uint32_t b1 = solver.add_link(2e9);
+  const auto fa1 = solver.add_flow({{a0, 1.0}, {a1, 1.0}});
+  const auto fa2 = solver.add_flow({{a1, 1.0}});
+  const auto fb1 = solver.add_flow({{b0, 1.0}, {b1, 1.0}});
+  const auto fb2 = solver.add_flow({{b1, 1.0}});
+  solver.solve();
+  const auto sorted_solved = [&] {
+    std::vector<std::uint32_t> v = solver.last_solved_flows();
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  EXPECT_EQ(sorted_solved(),
+            (std::vector<std::uint32_t>{fa1, fa2, fb1, fb2}));
+  const double rb1 = solver.rate(fb1);
+  const double rb2 = solver.rate(fb2);
+  const double load_b1 = solver.link_load(b1);
+
+  // A new flow in component A re-solves A alone; B keeps its rates.
+  const auto fa3 = solver.add_flow({{a0, 1.0}});
+  solver.solve();
+  EXPECT_EQ(sorted_solved(), (std::vector<std::uint32_t>{fa1, fa2, fa3}));
+  EXPECT_DOUBLE_EQ(solver.rate(fa3), 0.5e9);
+  EXPECT_EQ(solver.rate(fb1), rb1);
+  EXPECT_EQ(solver.rate(fb2), rb2);
+  EXPECT_EQ(solver.link_load(b1), load_b1);
+
+  // An unchanged capacity touches nothing; a changed one its component.
+  solver.set_capacity(b0, 1e9);
+  solver.solve();
+  EXPECT_TRUE(solver.last_solved_flows().empty());
+  solver.set_capacity(b0, 4e9);
+  solver.solve();
+  EXPECT_EQ(sorted_solved(), (std::vector<std::uint32_t>{fb1, fb2}));
+  EXPECT_DOUBLE_EQ(solver.rate(fb1), 1e9);
+
+  // A bridge merges the components; removing it splits them again.
+  const auto bridge = solver.add_flow({{a1, 1.0}, {b1, 1.0}});
+  solver.solve();
+  EXPECT_EQ(solver.last_solved_flows().size(), 6u);
+  solver.remove_flow(bridge);
+  solver.solve();
+  EXPECT_EQ(solver.last_solved_flows().size(), 5u);
+  solver.remove_flow(fa2);
+  solver.solve();
+  EXPECT_EQ(sorted_solved(), (std::vector<std::uint32_t>{fa1, fa3}));
+  EXPECT_EQ(solver.rate(fb1), 1e9);
+}
+
+TEST(FluidSolverTest, TiedBottlenecksFreezeInLinkIndexOrder) {
+  // l0 and l1 tie as bottlenecks; the flows they freeze both cross x, so
+  // the order they freeze in decides how x's residual rounds (with these
+  // weights the two orders differ in the last bit) and so fc's rate. A
+  // change touching only l1 reaches l0 last in the component walk; the
+  // re-solve must still freeze l0 first, as a fresh solve does.
+  const auto build = [](FluidSolver& s, double l1_cap) {
+    const std::uint32_t l0 = s.add_link(0.1);
+    const std::uint32_t l1 = s.add_link(l1_cap);
+    const std::uint32_t x = s.add_link(1.0);
+    s.add_flow({{l0, 1.0}, {x, 0.1}});
+    s.add_flow({{l1, 1.0}, {x, 0.4}});
+    return s.add_flow({{x, 1.0}});
+  };
+  FluidSolver incremental;
+  const std::uint32_t fc = build(incremental, 0.2);
+  incremental.solve();
+  incremental.set_capacity(1, 0.1);
+  incremental.solve();
+  FluidSolver fresh;
+  build(fresh, 0.1);
+  fresh.solve();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(incremental.rate(fc)),
+            std::bit_cast<std::uint64_t>(fresh.rate(fc)));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidPropertyTest,
+                         ::testing::Values(1u, 2u, 3u, 17u, 42u, 1234u,
+                                           0xdeadbeefu, 0xfeedfaceu));
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSolveTest,
                          ::testing::Values(1u, 2u, 3u, 17u, 42u, 1234u,
                                            0xdeadbeefu, 0xfeedfaceu));
 

@@ -266,6 +266,43 @@ TEST(HybridFaultTest, SenderResetErrorsFrozenClientWithoutWedgingRegion) {
   EXPECT_EQ(audits.total_findings(), 0u);
 }
 
+// Every event the driver schedules captures it. A driver destroyed while a
+// kick, a promotion tick and a zoom window are pending must cancel all
+// three, so a simulator that keeps running afterwards never calls into
+// freed memory (ASan reports the use-after-free if one survives).
+TEST(HybridFaultTest, DestroyedDriverCancelsItsPendingEvents) {
+  Simulator sim;
+  FabricConfig fc = small_fabric();
+  fc.planes = 2;  // region 0 stays fluid, region 1 zooms
+  ClosFabric fabric(sim, fc);
+  auto driver = std::make_unique<HybridDriver>(sim, fabric, HybridConfig{});
+  EngineFleet fleet(sim, fabric);
+
+  auto fluid_conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
+                                  fabric.endpoint(1, 0, 0, 0), {});
+  auto packet_conn = fleet.connect(fabric.endpoint(0, 0, 0, 1),
+                                   fabric.endpoint(1, 0, 0, 1), {});
+  ASSERT_TRUE(fluid_conn.is_ok());
+  ASSERT_TRUE(packet_conn.is_ok());
+
+  driver->request_zoom_window(SimTime::micros(50), SimTime::micros(60));
+  // A WRITE on a fluid connection activates its flow: a kick is pending.
+  fluid_conn.value()->post_write(1_MiB);
+  // A SEND zooms region 1; its live client arms the promotion tick.
+  bool sent = false;
+  packet_conn.value()->post_send(64_KiB, [&] { sent = true; });
+  ASSERT_EQ(driver->region_mode(0), RegionMode::kFluid);
+  ASSERT_EQ(driver->region_mode(1), RegionMode::kPacket);
+
+  const std::uint64_t pending = sim.pending_events();
+  driver.reset();
+  EXPECT_EQ(sim.pending_events(), pending - 3)
+      << "kick, tick and zoom window must all be cancelled";
+  sim.run();
+  EXPECT_TRUE(sim.empty());
+  EXPECT_TRUE(sent) << "packet traffic must still drain without the driver";
+}
+
 // Mini chaos soak under hybrid fidelity: a scripted all-data-plane plan
 // (link flap, switch bounce, degradation window, receiver reset) against a
 // continuously restarting ring AllReduce. Every fault forces a transition;

@@ -1,10 +1,27 @@
 // Transport corner cases: tiny and huge messages, tag propagation, Swift
-// CC end-to-end, flowlet transport, engine statistics resets.
+// CC end-to-end, flowlet transport, engine statistics resets, and the
+// fluid-demand counter behind RdmaConnection::fluid_remaining().
 #include <gtest/gtest.h>
 
 #include "collective/fleet.h"
+#include "sim/hybrid.h"
 
 namespace stellar {
+
+// Reference for the O(1) fluid-demand counter: the queue walk it replaces —
+// unacked bytes of the queued WRITEs ahead of the first non-WRITE.
+struct TransportTestPeer {
+  static std::uint64_t queued_write_bytes(const RdmaConnection& conn) {
+    std::uint64_t bytes = 0;
+    for (const std::uint64_t id : conn.unsent_queue_) {
+      const RdmaConnection::Message& msg = conn.messages_.at(id);
+      if (msg.kind != PacketKind::kWrite) break;
+      bytes += msg.total - msg.acked;
+    }
+    return bytes;
+  }
+};
+
 namespace {
 
 FabricConfig fabric_config() {
@@ -187,6 +204,69 @@ TEST_F(TransportEdgeTest, ErrorHandlerBeforeErrorFiresExactlyOnce) {
   EXPECT_TRUE(conn.value()->in_error());
   EXPECT_EQ(fired, 1);  // one QP transition, one callback
   EXPECT_TRUE(sim_.empty());  // no orphan timers survive the error
+}
+
+TEST(TransportFluidTest, RemainingCounterMatchesQueueWalk) {
+  Simulator sim;
+  ClosFabric fabric(sim, fabric_config());
+  HybridDriver driver(sim, fabric, HybridConfig{});  // regions start fluid
+  EngineFleet fleet(sim, fabric);
+  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
+                            fabric.endpoint(1, 0, 0, 0), {});
+  ASSERT_TRUE(conn.is_ok());
+  RdmaConnection& c = *conn.value();
+  // While fluid, nothing is in flight: the counter, the queue walk and the
+  // test's own tally of unacked WRITE bytes must all agree.
+  const auto expect_remaining = [&](std::uint64_t expected, const char* step) {
+    ASSERT_EQ(driver.region_mode(0), RegionMode::kFluid) << step;
+    EXPECT_EQ(c.fluid_remaining(), TransportTestPeer::queued_write_bytes(c))
+        << step;
+    EXPECT_EQ(c.fluid_remaining(), expected) << step;
+  };
+
+  int completions = 0;
+  const auto done = [&] { ++completions; };
+  expect_remaining(0, "born fluid");
+  c.post_write(0, done);
+  expect_remaining(0, "zero-length write");
+  c.post_write(10000, done);
+  c.post_write(0, done);
+  c.post_write(5000, done);
+  expect_remaining(15000, "three writes");
+
+  EXPECT_EQ(c.fluid_serve(4000), 4000u);
+  expect_remaining(11000, "partial serve");
+  EXPECT_EQ(c.fluid_serve(6000), 6000u);
+  expect_remaining(5000, "first write complete");
+  EXPECT_EQ(c.fluid_serve(5000), 5000u);
+  expect_remaining(0, "all served");
+  EXPECT_EQ(completions, 4);
+
+  c.post_write(8000, done);
+  EXPECT_EQ(c.fluid_serve(3000), 3000u);
+  expect_remaining(5000, "partly served write");
+
+  // A SEND is not fluid-servable: it zooms the region and the connection
+  // thaws into packet mode, where fluid_remaining() is the walk again.
+  bool sent = false;
+  c.post_send(2000, [&] { sent = true; });
+  ASSERT_EQ(driver.region_mode(0), RegionMode::kPacket);
+  EXPECT_EQ(c.fluid_remaining(), TransportTestPeer::queued_write_bytes(c));
+
+  // Packet mode drains the queue; quiet epochs then promote the region
+  // and freeze the connection again, recounting its (empty) demand. The
+  // promotion tick stops once the simulator drains, so a marker event
+  // keeps it polling.
+  sim.schedule_at(SimTime::micros(200), [] {});
+  sim.run_until(SimTime::micros(200));
+  EXPECT_TRUE(sent);
+  EXPECT_EQ(completions, 5);
+  expect_remaining(0, "refrozen");
+  c.post_write(7000, done);
+  c.post_write(0, done);
+  expect_remaining(7000, "writes after refreeze");
+  EXPECT_EQ(c.fluid_serve(2500), 2500u);
+  expect_remaining(4500, "partial serve after refreeze");
 }
 
 TEST_F(TransportEdgeTest, ErrorStateAfterPeerUnreachable) {

@@ -24,6 +24,9 @@
 #      (tools/check_hybrid_equivalence.py), a run-twice hybrid BENCH JSON
 #      byte-determinism check, and a hybrid trace smoke asserting
 #      trace_summarize reports fluid fast-forward spans
+#   6d. the perf golden smoke: one allreduce_hybrid pass of the repo
+#      benchmark (perf/run.py), whose final JSON line must say
+#      "correct": true — the hybrid goldens hold within 1 %
 #   7. a fig09 mini trace dump + trace_summarize smoke (the tracer's
 #      byte-determinism and the summarizer's parser, end to end)
 #   7b. the parallel-engine determinism gate: fig09-mini at --threads=1
@@ -147,6 +150,24 @@ hyb_trace_dir="$(mktemp -d)"
   "$repo_root/build/tools/trace_summarize" hyb_trace.json \
     | grep '^\[fluid\]')
 rm -rf "$hyb_trace_dir"
+
+step "perf golden smoke (allreduce_hybrid: one pass, goldens within 1 %)"
+# A fluid-solver change that drifts the hybrid benchmark goldens fails here.
+perf_log="$(mktemp)"
+python3 perf/run.py --workload allreduce_hybrid --seconds 0.001 | tee "$perf_log"
+python3 - "$perf_log" << 'EOF'
+import json
+import sys
+
+lines = [line for line in open(sys.argv[1]) if line.strip()]
+try:
+    result = json.loads(lines[-1])
+except (IndexError, ValueError):
+    result = {}
+if result.get("correct") is not True:
+    sys.exit('ci_checks: perf golden smoke: final line lacks "correct": true')
+EOF
+rm -f "$perf_log"
 
 step "chaos-soak smoke (fixed seed 0xC0FFEE, >=100 events, audits ON)"
 build/tests/stellar_migrate_tests \
