@@ -108,17 +108,17 @@ void PinAccountingAuditor::audit(AuditReport& report) const {
       report.fail(name(), "Map Cache block " + hex(block.value()) +
                               " resident with zero users");
     }
-    for (std::uint64_t off = 0; off < block_size; off += kPage4K) {
-      const Gpa page = block + off;
-      if (!ept_->translate(page).is_ok()) continue;  // never registered
+    // EPT-unmapped pages were never registered, so only the runs count.
+    ept_->for_each_run(block, block_size, [&](Gpa gpa, Hpa, std::uint64_t len) {
       report.note_check();
-      if (!iommu_->is_mapped(IoVa{pvdma_->iova_base() + page.value()})) {
-        report.fail(name(), "pinned block " + hex(block.value()) +
-                                " lost its IOMMU mapping at GPA " +
-                                hex(page.value()));
-        break;  // one finding per block is enough
+      if (iommu_->covers(IoVa{pvdma_->iova_base() + gpa.value()}, len)) {
+        return true;
       }
-    }
+      report.fail(name(), "pinned block " + hex(block.value()) +
+                              " lost IOMMU coverage in the EPT run at GPA " +
+                              hex(gpa.value()));
+      return false;  // one finding per block is enough
+    });
   });
 
   // Conversely, no IOMMU range may outlive its block: anything mapped

@@ -7,6 +7,7 @@
 // 4 KiB EPT register mapping and a 2 MiB PVDMA IOMMU block.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/snapshot.h"
@@ -57,6 +58,40 @@ class Ept {
   }
 
   StatusOr<Hpa> translate(Gpa gpa) const { return table_.translate(gpa); }
+
+  /// Visit the EPT-mapped 4 KiB pages of [gpa, gpa+len) as runs, one per
+  /// EPT range, in ascending order: fn(run_gpa, run_hpa, run_len) returns
+  /// false to stop the walk. A page counts as mapped iff its first byte
+  /// translates, and its HPA is that byte's translation, so the runs hold
+  /// exactly the pages a page-by-page translate() walk would find — at one
+  /// range lookup per run instead of one per page. `gpa` and `len` must be
+  /// page-aligned.
+  template <typename Fn>
+  void for_each_run(Gpa gpa, std::uint64_t len, Fn&& fn) const {
+    const std::uint64_t end = gpa.value() + len;
+    std::uint64_t cur = gpa.value();
+    while (cur < end) {
+      const auto range = table_.range_at_or_after(Gpa{cur});
+      if (!range) return;
+      const std::uint64_t first =
+          std::max(cur, range->start.align_up(kPage4K).value());
+      if (first >= end) return;
+      const std::uint64_t stop =
+          std::min(range->start.value() + range->len, end);
+      if (first < stop) {
+        // Round up: a range ending mid-page still owns that page's start.
+        const std::uint64_t run_len =
+            (stop - first + kPage4K - 1) & ~(kPage4K - 1);
+        if (!fn(Gpa{first}, range->dst + (first - range->start.value()),
+                run_len)) {
+          return;
+        }
+        cur = first + run_len;
+      } else {
+        cur = first;  // the range holds no page start: skip past it
+      }
+    }
+  }
 
   bool contains(Gpa gpa) const { return table_.contains(gpa); }
 

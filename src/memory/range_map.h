@@ -87,10 +87,29 @@ class RangeMap {
 
   /// Translate a single address.
   StatusOr<Dst> translate(Src src) const {
-    const Entry* e = find(src);
-    if (e == nullptr) return not_found("RangeMap::translate: unmapped");
-    const std::uint64_t base = owning_start(src);
-    return e->dst + (src.value() - base);
+    auto it = find_containing(src.value());
+    if (it == ranges_.end()) return not_found("RangeMap::translate: unmapped");
+    return it->second.dst + (src.value() - it->first);
+  }
+
+  /// One mapped range: [start, start+len) -> [dst, dst+len).
+  struct Range {
+    Src start;
+    std::uint64_t len = 0;
+    Dst dst;
+  };
+
+  /// The range containing `src`, or else the lowest range starting above
+  /// it; nullopt when nothing is mapped at or above `src`. Lets callers
+  /// walk a window one range at a time instead of one address at a time.
+  std::optional<Range> range_at_or_after(Src src) const {
+    auto it = ranges_.upper_bound(src.value());
+    if (it != ranges_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->first + prev->second.len > src.value()) it = prev;
+    }
+    if (it == ranges_.end()) return std::nullopt;
+    return Range{Src{it->first}, it->second.len, it->second.dst};
   }
 
   /// True iff the whole of [src, src+len) is covered (possibly by several
@@ -106,7 +125,9 @@ class RangeMap {
     return true;
   }
 
-  bool contains(Src src) const { return find(src) != nullptr; }
+  bool contains(Src src) const {
+    return find_containing(src.value()) != ranges_.end();
+  }
 
   bool overlaps(Src src, std::uint64_t len) const {
     if (len == 0) return false;
@@ -162,16 +183,6 @@ class RangeMap {
     --it;
     if (it->first + it->second.len <= v) return ranges_.end();
     return it;
-  }
-
-  const Entry* find(Src src) const {
-    auto it = find_containing(src.value());
-    return it == ranges_.end() ? nullptr : &it->second;
-  }
-
-  std::uint64_t owning_start(Src src) const {
-    auto it = find_containing(src.value());
-    return it->first;
   }
 
   Map ranges_;

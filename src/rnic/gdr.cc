@@ -51,39 +51,37 @@ GdrTransfer GdrEngine::transfer(IoVa iova, std::uint64_t len) {
   }
 
   std::int64_t total_ps = 0;
-  for (std::uint64_t i = 0; i < pages; ++i) {
-    const IoVa addr = iova.align_down(page) + i * page;
-    switch (mode_) {
-      case GdrMode::kEmtt:
-        // Final HPA comes from the eMTT at line rate; the switch routes
-        // P2P. If ACS/LUT forces an RC detour, the RC cap applies.
-        total_ps += emtt_via_rc
-                        ? std::max(page_wire.ps(), rc_page_wire.ps())
-                        : page_wire.ps();
-        break;
-      case GdrMode::kRcRouted:
-        total_ps += std::max(page_wire.ps(), rc_page_wire.ps());
-        break;
-      case GdrMode::kAtsAtc: {
-        std::int64_t stall_ps = 0;
-        auto lookup = atc_->translate(addr);
-        if (lookup.is_ok() && !lookup.value().hit) {
-          ++out.atc_misses;
-          // ATS round trip amortized over the NIC's translation pipeline.
-          stall_ps = lookup.value().latency.ps() /
-                     static_cast<std::int64_t>(config_.ats_pipeline_depth);
-          if (!lookup.value().iotlb_hit) {
-            ++out.iotlb_misses;
-            // The IOMMU serializes page walks much harder than the NIC
-            // pipelines ATS requests — this is the second Figure-8 cliff.
-            stall_ps += fabric_->iommu().config().page_walk_latency.ps() /
-                        static_cast<std::int64_t>(config_.iommu_walk_depth);
-          }
+  if (mode_ == GdrMode::kAtsAtc) {
+    // Every page goes through the real ATC (and, on a miss, the IOTLB), so
+    // this walk is page by page.
+    for (std::uint64_t i = 0; i < pages; ++i) {
+      std::int64_t stall_ps = 0;
+      auto lookup = atc_->translate(iova.align_down(page) + i * page);
+      if (lookup.is_ok() && !lookup.value().hit) {
+        ++out.atc_misses;
+        // ATS round trip amortized over the NIC's translation pipeline.
+        stall_ps = lookup.value().latency.ps() /
+                   static_cast<std::int64_t>(config_.ats_pipeline_depth);
+        if (!lookup.value().iotlb_hit) {
+          ++out.iotlb_misses;
+          // The IOMMU serializes page walks much harder than the NIC
+          // pipelines ATS requests — this is the second Figure-8 cliff.
+          stall_ps += fabric_->iommu().config().page_walk_latency.ps() /
+                      static_cast<std::int64_t>(config_.iommu_walk_depth);
         }
-        total_ps += page_wire.ps() + stall_ps;
-        break;
       }
+      total_ps += page_wire.ps() + stall_ps;
     }
+  } else {
+    // eMTT: the final HPA comes from the eMTT at line rate and the switch
+    // routes P2P; an ACS/LUT-forced RC detour (and RC-routed mode always)
+    // is capped by the RC forwarding rate. No per-page state: every page
+    // costs the same.
+    const std::int64_t per_page_ps =
+        mode_ == GdrMode::kEmtt && !emtt_via_rc
+            ? page_wire.ps()
+            : std::max(page_wire.ps(), rc_page_wire.ps());
+    total_ps = per_page_ps * static_cast<std::int64_t>(pages);
   }
 
   out.duration = SimTime::picos(total_ps);

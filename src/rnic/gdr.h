@@ -9,9 +9,11 @@
 //   kRcRouted  - HyV/MasQ: untranslated TLPs detour through the Root
 //                Complex, whose P2P forwarding bandwidth caps throughput.
 //
-// The engine walks a message page-by-page against the *real* ATC/IOTLB
-// LRU state, so the throughput cliffs emerge from cache capacities and the
-// access pattern, not from hard-coded breakpoints.
+// Only kAtsAtc walks a message page by page, against the *real* ATC/IOTLB
+// LRU state, so its throughput cliffs emerge from cache capacities and the
+// access pattern, not from hard-coded breakpoints. kEmtt and kRcRouted
+// carry no per-page state: every page costs the same, so their duration is
+// pages × per-page time.
 #pragma once
 
 #include <cstdint>

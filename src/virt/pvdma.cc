@@ -9,6 +9,33 @@ namespace {
 // The MMIO window of pcie/host_pcie.cc: any HPA at or above this belongs to
 // a device BAR, not DRAM. Used to classify stale-mapping destinations.
 constexpr std::uint64_t kBarWindowBase = 1ull << 46;
+
+// Visit the IOMMU ranges a registration of [start, start+len) programs:
+// the EPT runs, each merged into the previous one when it continues it in
+// both GPA and HPA; a gap or an HPA break starts a new range. Unmapped
+// guest pages are skipped (they fault if the device ever touches them). A
+// vDB register hole is its own EPT range pointing into a BAR, so it stays
+// its own IOMMU range. fn(gpa, hpa, len) returns false to stop.
+template <typename Fn>
+void for_each_iommu_range(const Ept& ept, Gpa start, std::uint64_t len,
+                          Fn&& fn) {
+  Gpa run_gpa;
+  Hpa run_hpa;
+  std::uint64_t run_len = 0;
+  bool more = true;
+  ept.for_each_run(start, len, [&](Gpa gpa, Hpa hpa, std::uint64_t n) {
+    if (run_len > 0 && run_gpa + run_len == gpa && run_hpa + run_len == hpa) {
+      run_len += n;
+      return true;
+    }
+    if (run_len > 0 && !(more = fn(run_gpa, run_hpa, run_len))) return false;
+    run_gpa = gpa;
+    run_hpa = hpa;
+    run_len = n;
+    return true;
+  });
+  if (more && run_len > 0) fn(run_gpa, run_hpa, run_len);
+}
 }  // namespace
 
 StatusOr<Pvdma::MapResult> Pvdma::prepare_dma(Gpa gpa, std::uint64_t len) {
@@ -34,29 +61,19 @@ StatusOr<Pvdma::MapResult> Pvdma::prepare_dma(Gpa gpa, std::uint64_t len) {
     }
     STELLAR_TRACE_ONLY(obs::count("pvdma/map_cache_misses");)
     out.cache_hit = false;
-    if (pin_budget_bytes_ != 0 && pinned_bytes_ + bs > pin_budget_bytes_) {
-      ++budget_rejections_;
-      STELLAR_TRACE_ONLY(obs::count("pvdma/budget_rejections");)
-      return failed_precondition(
-          "Pvdma::prepare_dma: tenant pin budget exceeded");
+    Status s = pin_block(block);
+    if (!s.is_ok()) {
+      // All or nothing: the caller records no MR for a failed call, so it
+      // never releases the earlier blocks — give back their users and pins
+      // here, newest first.
+      for (Gpa b = block; b > first;) {
+        b = b - bs;
+        drop_user(b);
+      }
+      return s;
     }
-    if (!iommu_->pin_capacity_available(bs)) {
-      ++capacity_rejections_;
-      STELLAR_TRACE_ONLY(obs::count("pvdma/capacity_rejections");)
-      return resource_exhausted(
-          "Pvdma::prepare_dma: host pin capacity exhausted");
-    }
-    Status s = register_block(block);
-    if (!s.is_ok()) return s;
-    cache_.insert(block);
-    ++blocks_registered_;
     out.cost += iommu_->pin_cost(bs);
-    iommu_->note_pinned(bs, tenant_);
-    pinned_bytes_ += bs;
     out.pinned_bytes += bs;
-    STELLAR_TRACE_ONLY(obs::count("pvdma/blocks_pinned");
-                       obs::gauge_add("pvdma/pinned_bytes",
-                                      static_cast<std::int64_t>(bs));)
   }
   STELLAR_TRACE_ONLY(
       obs::count("pvdma/prepares");
@@ -86,18 +103,48 @@ void Pvdma::release_dma(Gpa gpa, std::uint64_t len) {
                static_cast<unsigned long long>(block.value()));
       continue;
     }
-    if (cache_.release_user(block)) {
-      unregister_block(block);
-      cache_.erase(block);
-      iommu_->note_unpinned(bs, tenant_);
-      pinned_bytes_ -= bs < pinned_bytes_ ? bs : pinned_bytes_;
-      STELLAR_TRACE_ONLY(obs::count("pvdma/blocks_unpinned");
-                         obs::gauge_add("pvdma/pinned_bytes",
-                                        -static_cast<std::int64_t>(bs));)
-    }
-    // else: other users keep the block alive — including any stale device-
-    // register sub-mappings it may contain (Figure 5d).
+    drop_user(block);
   }
+}
+
+Status Pvdma::pin_block(Gpa block) {
+  const std::uint64_t bs = config_.block_size;
+  if (pin_budget_bytes_ != 0 && pinned_bytes_ + bs > pin_budget_bytes_) {
+    ++budget_rejections_;
+    STELLAR_TRACE_ONLY(obs::count("pvdma/budget_rejections");)
+    return failed_precondition(
+        "Pvdma::prepare_dma: tenant pin budget exceeded");
+  }
+  if (!iommu_->pin_capacity_available(bs)) {
+    ++capacity_rejections_;
+    STELLAR_TRACE_ONLY(obs::count("pvdma/capacity_rejections");)
+    return resource_exhausted(
+        "Pvdma::prepare_dma: host pin capacity exhausted");
+  }
+  Status s = register_block(block);
+  if (!s.is_ok()) return s;
+  cache_.insert(block);
+  ++blocks_registered_;
+  iommu_->note_pinned(bs, tenant_);
+  pinned_bytes_ += bs;
+  STELLAR_TRACE_ONLY(obs::count("pvdma/blocks_pinned");
+                     obs::gauge_add("pvdma/pinned_bytes",
+                                    static_cast<std::int64_t>(bs));)
+  return Status::ok();
+}
+
+void Pvdma::drop_user(Gpa block) {
+  // Other users keep the block alive — including any stale device-register
+  // sub-mappings it may contain (Figure 5d).
+  if (!cache_.release_user(block)) return;
+  const std::uint64_t bs = config_.block_size;
+  unregister_block(block);
+  cache_.erase(block);
+  iommu_->note_unpinned(bs, tenant_);
+  pinned_bytes_ -= bs < pinned_bytes_ ? bs : pinned_bytes_;
+  STELLAR_TRACE_ONLY(obs::count("pvdma/blocks_unpinned");
+                     obs::gauge_add("pvdma/pinned_bytes",
+                                    -static_cast<std::int64_t>(bs));)
 }
 
 std::uint64_t Pvdma::release_all() {
@@ -121,43 +168,26 @@ std::uint64_t Pvdma::release_all() {
 }
 
 Status Pvdma::register_block(Gpa block_start) {
-  const std::uint64_t bs = config_.block_size;
-  const std::uint64_t pages = bs / kPage4K;
-
-  // Walk the block's 4 KiB pages through the EPT and coalesce contiguous
-  // HPA runs into IOMMU ranges. Unmapped guest pages are simply skipped
-  // (they fault if the device ever touches them).
-  std::uint64_t run_start_gpa = 0;
-  std::uint64_t run_start_hpa = 0;
-  std::uint64_t run_len = 0;
-
-  auto flush_run = [&]() -> Status {
-    if (run_len == 0) return Status::ok();
-    Status s = iommu_->map(IoVa{iova_base_ + run_start_gpa},
-                           Hpa{run_start_hpa}, run_len);
-    run_len = 0;
-    return s;
-  };
-
-  for (std::uint64_t i = 0; i < pages; ++i) {
-    const Gpa page = block_start + i * kPage4K;
-    auto hpa = ept_->translate(page);
-    if (!hpa.is_ok()) {
-      Status s = flush_run();
-      if (!s.is_ok()) return s;
-      continue;
-    }
-    if (run_len > 0 && run_start_hpa + run_len == hpa.value().value() ) {
-      run_len += kPage4K;
-      continue;
-    }
-    Status s = flush_run();
-    if (!s.is_ok()) return s;
-    run_start_gpa = page.value();
-    run_start_hpa = hpa.value().value();
-    run_len = kPage4K;
-  }
-  return flush_run();
+  Status status;
+  std::size_t mapped = 0;
+  for_each_iommu_range(*ept_, block_start, config_.block_size,
+                       [&](Gpa gpa, Hpa hpa, std::uint64_t len) {
+                         status = iommu_->map(IoVa{iova_base_ + gpa.value()},
+                                              hpa, len);
+                         mapped += status.is_ok() ? 1 : 0;
+                         return status.is_ok();
+                       });
+  if (status.is_ok()) return status;
+  // A half-registered block is not resident. The EPT has not changed, so
+  // the same walk's first `mapped` ranges are exactly what this call mapped.
+  for_each_iommu_range(*ept_, block_start, config_.block_size,
+                       [&](Gpa gpa, Hpa, std::uint64_t) {
+                         if (mapped == 0) return false;
+                         --mapped;
+                         (void)iommu_->unmap(IoVa{iova_base_ + gpa.value()});
+                         return true;
+                       });
+  return status;
 }
 
 void Pvdma::unregister_block(Gpa block_start) {

@@ -2,8 +2,9 @@
 //
 // Instead of pinning all guest memory at boot, the hypervisor intercepts
 // the first DMA touching each 2 MiB guest-physical block, registers the
-// block's GPA->HPA mapping in the IOMMU (resolved page-by-page through the
-// EPT) and pins it. A Map Cache makes repeat accesses free.
+// block's GPA->HPA mapping in the IOMMU (resolved one EPT range at a time,
+// with 4 KiB-page granularity) and pins it. A Map Cache makes repeat
+// accesses free.
 //
 // The model faithfully includes the Figure-5 hazard: a 2 MiB block may
 // cover a 4 KiB EPT *device-register* mapping (the vDB). The block then
@@ -57,6 +58,8 @@ class Pvdma {
   ///  * kResourceExhausted — host-wide pin capacity (or injected pressure).
   ///    Transient: lifts when any tenant unpins, so the hypervisor retry
   ///    path backs off and retries.
+  /// All or nothing: a failed call leaves no user reference, pin or IOMMU
+  /// range behind on any block, so a retry starts from the same state.
   StatusOr<MapResult> prepare_dma(Gpa gpa, std::uint64_t len);
 
   /// Attribute this VM's IOMMU usage (pins, IOTLB entries) to `tenant`.
@@ -129,8 +132,15 @@ class Pvdma {
   Status restore_state(SnapshotReader& r, bool adopt_pins);
 
  private:
-  /// Register one block in the IOMMU by walking the EPT 4 KiB pages and
-  /// coalescing contiguous HPA runs.
+  /// Admit (tenant budget, host capacity), register and pin one block that
+  /// missed the Map Cache; on failure nothing of it stays behind.
+  Status pin_block(Gpa block);
+  /// Drop one user of a resident block; the last one unmaps and unpins it.
+  void drop_user(Gpa block);
+  /// Register one block in the IOMMU by walking its EPT runs (one range
+  /// lookup per run) and coalescing runs contiguous in GPA and HPA. Issues
+  /// the same IOMMU ranges as a 4 KiB page-by-page walk would. On an IOMMU
+  /// error, unmaps the ranges it already mapped.
   Status register_block(Gpa block_start);
   void unregister_block(Gpa block_start);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "pcie/atc.h"
 
 namespace stellar {
@@ -83,6 +86,56 @@ TEST_F(GdrEngineTest, AtcModeDroopsWhenWorkingSetExceedsCapacity) {
   const GdrTransfer thrash = engine.transfer(window_, 16_MiB);
   EXPECT_GT(thrash.atc_misses, 3000u);
   EXPECT_LT(thrash.gbps, fit.gbps - 10.0);
+}
+
+TEST_F(GdrEngineTest, EmttAndRcDurationsEqualPerPageSum) {
+  // The per-page reference: walk every page the message touches, from the
+  // page holding its first byte, and add that page's cost.
+  auto per_page_sum = [](IoVa iova, std::uint64_t len, std::uint32_t page,
+                         std::int64_t page_ps) {
+    std::int64_t total = 0;
+    for (std::uint64_t addr = iova.align_down(page).value();
+         addr < iova.value() + len; addr += page) {
+      total += page_ps;
+    }
+    return total;
+  };
+  const std::uint64_t offsets[] = {0, 1, 4095, 4097, 123457};
+  const std::uint64_t lengths[] = {1, 4095, 4096, 4097, 1_MiB + 3, 16_MiB - 1};
+  for (const double gbps : {100.0, 400.0}) {
+    const GdrEngineConfig cfg = engine_config(gbps);
+    const std::uint32_t tlp = cfg.page_size + cfg.wire_overhead;
+    const std::int64_t wire_ps = cfg.nic_rate.transmit_time(tlp).ps();
+    const std::int64_t rc_ps = std::max(
+        wire_ps, pcie_.config().rc_p2p_bandwidth.transmit_time(tlp).ps());
+    for (const bool direct : {true, false}) {
+      if (direct) {
+        if (!pcie_.p2p_enabled(rnic_)) {
+          ASSERT_TRUE(pcie_.enable_p2p(rnic_).is_ok());
+        }
+      } else {
+        pcie_.disable_p2p(rnic_);  // ACS detours eMTT TLPs via the RC
+      }
+      GdrEngine emtt(pcie_, cfg, GdrMode::kEmtt, nullptr);
+      GdrEngine rc(pcie_, cfg, GdrMode::kRcRouted, nullptr);
+      for (const std::uint64_t off : offsets) {
+        for (const std::uint64_t len : lengths) {
+          SCOPED_TRACE(std::to_string(gbps) + " Gb/s, direct=" +
+                       std::to_string(direct) + ", off=" +
+                       std::to_string(off) + ", len=" + std::to_string(len));
+          const IoVa bar{gpu_bar_.base.value() + off};
+          const std::uint64_t p2p_before = pcie_.direct_p2p_tlps();
+          EXPECT_EQ(emtt.transfer(bar, len).duration.ps(),
+                    per_page_sum(bar, len, cfg.page_size,
+                                 direct ? wire_ps : rc_ps));
+          EXPECT_EQ(pcie_.direct_p2p_tlps() > p2p_before, direct);
+          const IoVa untranslated{window_.value() + off};
+          EXPECT_EQ(rc.transfer(untranslated, len).duration.ps(),
+                    per_page_sum(untranslated, len, cfg.page_size, rc_ps));
+        }
+      }
+    }
+  }
 }
 
 TEST_F(GdrEngineTest, ZeroLengthIsNoop) {

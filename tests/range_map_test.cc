@@ -104,6 +104,25 @@ TEST(RangeMapTest, CarveErrors) {
   EXPECT_EQ(map.carve(Gpa{0x2800}, 0x1000).code(), StatusCode::kOutOfRange);
 }
 
+TEST(RangeMapTest, RangeAtOrAfter) {
+  GpaMap map;
+  ASSERT_TRUE(map.map(Gpa{0x1000}, Hpa{0x80000}, 0x2000).is_ok());
+  ASSERT_TRUE(map.map(Gpa{0x5000}, Hpa{0x90000}, 0x1000).is_ok());
+  auto containing = map.range_at_or_after(Gpa{0x2FFF});  // last byte
+  ASSERT_TRUE(containing.has_value());
+  EXPECT_EQ(containing->start, Gpa{0x1000});
+  EXPECT_EQ(containing->len, 0x2000u);
+  EXPECT_EQ(containing->dst, Hpa{0x80000});
+  auto below = map.range_at_or_after(Gpa{0x0});
+  ASSERT_TRUE(below.has_value());
+  EXPECT_EQ(below->start, Gpa{0x1000});
+  auto in_gap = map.range_at_or_after(Gpa{0x3000});  // one past the end
+  ASSERT_TRUE(in_gap.has_value());
+  EXPECT_EQ(in_gap->start, Gpa{0x5000});
+  EXPECT_EQ(in_gap->dst, Hpa{0x90000});
+  EXPECT_FALSE(map.range_at_or_after(Gpa{0x6000}).has_value());
+}
+
 TEST(RangeMapTest, MappedBytesAccounting) {
   GpaMap map;
   ASSERT_TRUE(map.map(Gpa{0x0}, Hpa{0}, 0x1000).is_ok());

@@ -24,9 +24,10 @@
 #      (tools/check_hybrid_equivalence.py), a run-twice hybrid BENCH JSON
 #      byte-determinism check, and a hybrid trace smoke asserting
 #      trace_summarize reports fluid fast-forward spans
-#   6d. the perf golden smoke: one allreduce_hybrid pass of the repo
-#      benchmark (perf/run.py), whose final JSON line must say
-#      "correct": true — the hybrid goldens hold within 1 %
+#   6d. the perf golden smoke: one allreduce_hybrid pass and one
+#      vstellar_translation pass of the repo benchmark (perf/run.py), whose
+#      final JSON lines must say "correct": true — the hybrid goldens hold
+#      within 1 %, the translation goldens exactly
 #   7. a fig09 mini trace dump + trace_summarize smoke (the tracer's
 #      byte-determinism and the summarizer's parser, end to end)
 #   7b. the parallel-engine determinism gate: fig09-mini at --threads=1
@@ -151,11 +152,13 @@ hyb_trace_dir="$(mktemp -d)"
     | grep '^\[fluid\]')
 rm -rf "$hyb_trace_dir"
 
-step "perf golden smoke (allreduce_hybrid: one pass, goldens within 1 %)"
-# A fluid-solver change that drifts the hybrid benchmark goldens fails here.
-perf_log="$(mktemp)"
-python3 perf/run.py --workload allreduce_hybrid --seconds 0.001 | tee "$perf_log"
-python3 - "$perf_log" << 'EOF'
+step "perf golden smoke (one pass each: allreduce_hybrid within 1 %, vstellar_translation exact)"
+# A fluid-solver change that drifts the hybrid benchmark goldens, or a
+# translation-layer change that moves any vStellar golden, fails here.
+for workload in allreduce_hybrid vstellar_translation; do
+  perf_log="$(mktemp)"
+  python3 perf/run.py --workload "$workload" --seconds 0.001 | tee "$perf_log"
+  python3 - "$perf_log" "$workload" << 'EOF'
 import json
 import sys
 
@@ -165,9 +168,11 @@ try:
 except (IndexError, ValueError):
     result = {}
 if result.get("correct") is not True:
-    sys.exit('ci_checks: perf golden smoke: final line lacks "correct": true')
+    sys.exit('ci_checks: perf golden smoke (%s): final line lacks '
+             '"correct": true' % sys.argv[2])
 EOF
-rm -f "$perf_log"
+  rm -f "$perf_log"
+done
 
 step "chaos-soak smoke (fixed seed 0xC0FFEE, >=100 events, audits ON)"
 build/tests/stellar_migrate_tests \
