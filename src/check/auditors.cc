@@ -352,15 +352,15 @@ void audit_one_simulator(const Simulator& sim, const char* auditor,
                              std::to_string(stats.pending_ids +
                                             stats.tombstones));
   }
-  // Every pool record in use backs exactly one queued entry (pending or
-  // tombstoned) — a leak or double-free in the record pool breaks this.
+  // Every pool record in use backs exactly one pending event; cancel() frees
+  // the record, so tombstones hold none — a leak or double-free in the
+  // record pool breaks this.
   report.note_check();
-  if (stats.allocated_records != stats.pending_ids + stats.tombstones) {
+  if (stats.allocated_records != stats.pending_ids) {
     report.fail(auditor, tag + "record pool has " +
                              std::to_string(stats.allocated_records) +
-                             " records in use but pending+tombstones = " +
-                             std::to_string(stats.pending_ids +
-                                            stats.tombstones));
+                             " records in use but pending = " +
+                             std::to_string(stats.pending_ids));
   }
 }
 

@@ -1,5 +1,7 @@
 #include "rnic/transport.h"
 
+#include <algorithm>
+
 #include "check/check.h"
 #include "common/ordered.h"
 #include "obs/obs.h"
@@ -256,6 +258,7 @@ void RdmaConnection::send_more() {
 
     const std::uint64_t psn = next_psn_++;
     outstanding_.emplace(psn, meta);
+    note_send(psn, meta.sent_at);
     inflight_bytes_ += chunk;
     if (config_.per_path_cc) per_path_inflight_[path] += chunk;
     msg.sent = msg.kind == PacketKind::kReadRequest ? msg.total
@@ -354,8 +357,28 @@ void RdmaConnection::handle_ack(const NetPacket& ack) {
     }
   }
 
-  arm_rto();
-  send_more();
+  send_more();  // re-arms the RTO once the freed window is refilled
+}
+
+void RdmaConnection::note_send(std::uint64_t psn, SimTime at) {
+  // Sends are stamped with the simulator's clock, and restored stamps were
+  // taken on it before the snapshot, so appending keeps the FIFO in order.
+  STELLAR_DCHECK(send_fifo_.empty() || send_fifo_.back().sent_at <= at,
+                 "send at %lld ps behind the send FIFO's back",
+                 static_cast<long long>(at.ps()));
+  send_fifo_.push_back(SendStamp{at, psn});
+}
+
+void RdmaConnection::rebuild_send_fifo() {
+  clear_send_fifo();
+  send_fifo_.reserve(outstanding_.size());
+  for (const auto& [psn, meta] : outstanding_) {
+    send_fifo_.push_back(SendStamp{meta.sent_at, psn});
+  }
+  std::stable_sort(send_fifo_.begin(), send_fifo_.end(),
+                   [](const SendStamp& a, const SendStamp& b) {
+                     return a.sent_at < b.sent_at;
+                   });
 }
 
 void RdmaConnection::arm_rto() {
@@ -364,13 +387,30 @@ void RdmaConnection::arm_rto() {
     sim.cancel(rto_event_);
     rto_event_ = EventHandle{};
   }
-  if (outstanding_.empty()) return;
-  SimTime oldest = SimTime::max();
-  for (const auto& [psn, meta] : outstanding_) {
-    if (meta.sent_at < oldest) oldest = meta.sent_at;
+  if (outstanding_.empty()) {
+    clear_send_fifo();  // every pair is stale
+    return;
   }
-  SimTime deadline = oldest + config_.rto;
+  // Pop pairs whose PSN was acked or re-sent since. Every unacked PSN has a
+  // live pair at or behind the head, so the loop stops inside the FIFO.
+  for (;; ++send_fifo_head_) {
+    STELLAR_DCHECK(send_fifo_head_ < send_fifo_.size(),
+                   "send FIFO lost an unacked PSN");
+    const SendStamp& s = send_fifo_[send_fifo_head_];
+    const auto it = outstanding_.find(s.psn);
+    if (it != outstanding_.end() && it->second.sent_at == s.sent_at) break;
+  }
+  SimTime deadline = send_fifo_[send_fifo_head_].sent_at + config_.rto;
+  // Drop the popped prefix once it is at least as long as the rest, so
+  // each pair is moved O(1) times on average.
+  if (2 * send_fifo_head_ >= send_fifo_.size()) {
+    send_fifo_.erase(send_fifo_.begin(),
+                     send_fifo_.begin() +
+                         static_cast<std::ptrdiff_t>(send_fifo_head_));
+    send_fifo_head_ = 0;
+  }
   if (deadline < sim.now()) deadline = sim.now();
+  rto_deadline_ = deadline;
   rto_event_ = sim.schedule_at(deadline, [this] {
     rto_event_ = EventHandle{};
     on_rto_fire();
@@ -401,6 +441,7 @@ void RdmaConnection::on_rto_fire() {
     meta.path = pick_path();
     if (config_.per_path_cc) per_path_inflight_[meta.path] += meta.bytes;
     meta.sent_at = now;
+    note_send(psn, now);
     ++retransmits_;
     STELLAR_TRACE_ONLY(obs::count("transport/retransmits");)
     fired = true;
@@ -435,6 +476,7 @@ void RdmaConnection::enter_error(Status reason) {
   // Flush all state; pending messages never complete (QP error) — the
   // on_error callback is the failure signal that replaces them.
   outstanding_.clear();
+  clear_send_fifo();
   inflight_bytes_ = 0;
   if (config_.per_path_cc) {
     per_path_inflight_.assign(config_.num_paths, 0);
@@ -497,6 +539,7 @@ FluidFlowDesc RdmaConnection::fluid_freeze() {
   // loss-free and the conservation ledger closes (absorbed is a terminal
   // packet outcome, the payload lives on in the flow).
   outstanding_.clear();
+  clear_send_fifo();
   inflight_bytes_ = 0;
   if (config_.per_path_cc) per_path_inflight_.assign(config_.num_paths, 0);
   unsent_queue_.clear();

@@ -209,8 +209,20 @@ class RdmaConnection : public FluidClient {
   void send_more();
   void transmit(std::uint64_t psn, const Outstanding& meta);
   void handle_ack(const NetPacket& ack);
+  /// (Re-)arm the RTO at the oldest unacked send + rto, read off the
+  /// send FIFO without walking the window; cancels it when nothing is
+  /// unacked.
   void arm_rto();
   void on_rto_fire();
+  /// Record a send or retransmit of `psn` at `at` in the send FIFO.
+  void note_send(std::uint64_t psn, SimTime at);
+  /// Rebuild the send FIFO from outstanding_ (after restore_state): sorted
+  /// by sent_at, ties in PSN order.
+  void rebuild_send_fifo();
+  void clear_send_fifo() {
+    send_fifo_.clear();
+    send_fifo_head_ = 0;
+  }
 
   /// Terminal transition to the error state: flush all in-flight state,
   /// fail (drop) pending messages, cancel timers/probes, fire on_error.
@@ -278,6 +290,19 @@ class RdmaConnection : public FluidClient {
   std::deque<std::uint64_t> unsent_queue_;            // msg ids with unsent data
   std::unordered_map<std::uint64_t, Message> messages_;
   std::map<std::uint64_t, Outstanding> outstanding_;  // psn -> in-flight meta
+  // Send FIFO behind arm_rto(): one (sent_at, psn) pair per send and per
+  // retransmit, in send order, so sent_at never decreases from the head to
+  // the back. A pair is stale once its PSN is acked or re-sent later;
+  // arm_rto() pops stale pairs at the head, so the first live pair is the
+  // oldest unacked send. A vector with a head index rather than a deque:
+  // an empty vector allocates nothing per connection.
+  struct SendStamp {
+    SimTime sent_at;
+    std::uint64_t psn = 0;
+  };
+  std::vector<SendStamp> send_fifo_;
+  std::size_t send_fifo_head_ = 0;
+  SimTime rto_deadline_;     // when rto_event_ fires, while it is armed
   SimTime stack_next_free_;  // pacing point of the (optional) encap engine
 
   // Failure mitigation: consecutive timeouts per path and hold-down expiry.

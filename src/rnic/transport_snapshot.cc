@@ -240,6 +240,9 @@ void RdmaConnection::restore_state(SnapshotReader& r) {
     o.retries = r.u32();
     outstanding_.emplace(psn, o);
   }
+  // The snapshot holds PSN order; a retransmitted low PSN can be newer than
+  // higher ones, so the send FIFO is re-sorted by send time.
+  rebuild_send_fifo();
 
   path_timeout_streak_.clear();
   const std::uint32_t n_streak = r.u32();

@@ -38,9 +38,11 @@ std::uint32_t Simulator::alloc_record() {
 
 void Simulator::free_record(std::uint32_t idx) {
   EventRecord& r = record(idx);
-  r.action.reset();
   r.state = RecState::kFree;
   ++r.gen;  // invalidate any outstanding handle to this slot
+  // Destroying the captures may re-enter the scheduler: the slot is dead
+  // to handles already and joins the free list only afterwards.
+  r.action.reset();
   r.next_free = free_head_;
   free_head_ = idx;
   --allocated_records_;
@@ -174,10 +176,8 @@ void Simulator::cascade(int level, std::int64_t level_tick) {
   }
 
   for (const Entry& e : moved) {
-    if (tombstones_ != 0 &&
-        record(entry_idx(e)).state == RecState::kCancelled) {
+    if (tombstones_ != 0 && is_tombstone(e)) {
       // Sweep tombstones on the way down instead of carrying them along.
-      free_record(entry_idx(e));
       --tombstones_;
       continue;
     }
@@ -243,8 +243,7 @@ std::uint32_t Simulator::peek_live() {
         // next peek); overlap its load with this event's work.
         __builtin_prefetch(&record(entry_idx(bucket_[bucket_pos_ + 1])));
       }
-      if (tombstones_ != 0 && record(idx).state == RecState::kCancelled) {
-        free_record(idx);
+      if (tombstones_ != 0 && is_tombstone(e)) {
         --tombstones_;
         ++bucket_pos_;
         continue;
@@ -297,7 +296,7 @@ EventHandle Simulator::schedule_with_key(SimTime at, std::uint64_t seq,
   }
   const std::uint32_t idx = alloc_record();
   EventRecord& r = record(idx);
-  r.at_ps = at.ps();
+  r.seq = seq;
   r.state = RecState::kPending;
   r.action = std::move(action);
   const Entry e{at.ps(), seq << kIdxBits | idx};
@@ -332,8 +331,10 @@ bool Simulator::cancel(EventHandle handle) {
       r.gen != static_cast<std::uint32_t>(id)) {
     return false;
   }
-  r.state = RecState::kCancelled;
-  r.action.reset();  // release captures now; the entry sweeps lazily
+  // Release the record (and its captures) now: the queued entry stays behind
+  // as a tombstone holding no record and is swept lazily, while the record
+  // can serve the very next schedule — typically the timer's re-arm.
+  free_record(idx);
   --live_events_;
   --pending_count_;
   ++tombstones_;
@@ -341,13 +342,14 @@ bool Simulator::cancel(EventHandle handle) {
 }
 
 void Simulator::consume_and_run(std::uint32_t idx) {
-  EventRecord& r = record(idx);
-  STELLAR_CHECK(r.at_ps >= now_.ps(),
+  const std::int64_t at_ps = bucket_[bucket_pos_].at_ps;
+  STELLAR_CHECK(at_ps >= now_.ps(),
                 "event scheduled at %lld ps would run before now=%lld ps",
-                static_cast<long long>(r.at_ps),
+                static_cast<long long>(at_ps),
                 static_cast<long long>(now_.ps()));
-  now_ = SimTime::picos(r.at_ps);
+  now_ = SimTime::picos(at_ps);
   ++bucket_pos_;
+  EventRecord& r = record(idx);
   // Retire the record before invoking: the generation bump kills any
   // outstanding handle (a self-cancel from inside the action must fail,
   // as it did when events were popped off the old heap), but the record
@@ -390,7 +392,7 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
     if (idx == kNone) break;
     // Live event beyond the horizon: leave it queued — peeking never pops,
     // so there is nothing to re-push.
-    if (record(idx).at_ps > deadline.ps()) break;
+    if (bucket_[bucket_pos_].at_ps > deadline.ps()) break;
     consume_and_run(idx);
     ++n;
   }

@@ -160,18 +160,19 @@ class Simulator {
   // Records live in fixed chunks (stable addresses) and are recycled
   // through a free list. A handle id packs (index+1) << 32 | generation;
   // generation bumps on every recycle, so stale handles can never cancel
-  // a reused slot.
+  // a reused slot. cancel() frees the record at once; its queued entry
+  // stays behind as a tombstone that no longer owns a record.
 
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-  enum class RecState : std::uint8_t { kFree, kPending, kCancelled };
+  enum class RecState : std::uint8_t { kFree, kPending };
 
   struct EventRecord {
     InlineAction action;
-    // `at` is only meaningful while pending/cancelled and `next_free` only
-    // while free, so they share storage: the record stays ≤ 96 bytes.
+    // `seq` is only meaningful while pending and `next_free` only while
+    // free, so they share storage: the record stays ≤ 96 bytes.
     union {
-      std::int64_t at_ps;  // pending/cancelled (SimTime is non-trivial)
+      std::uint64_t seq;  // pending: the seq field of its one live entry
       std::uint32_t next_free;
     };
     std::uint32_t gen = 0;
@@ -201,6 +202,12 @@ class Simulator {
   };
   static constexpr std::uint32_t entry_idx(const Entry& e) {
     return static_cast<std::uint32_t>(e.key & kIdxMask);
+  }
+  /// A tombstone: the entry's event was cancelled, so its record is free
+  /// or already re-used by an event with a different seq.
+  bool is_tombstone(const Entry& e) const STELLAR_REQUIRES(owner_) {
+    const EventRecord& r = record(entry_idx(e));
+    return r.state != RecState::kPending || r.seq != e.key >> kIdxBits;
   }
   /// Inline comparator (std::sort with a function pointer cannot inline the
   /// compare, which dominated bucket sorting before this).

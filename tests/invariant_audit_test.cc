@@ -19,6 +19,9 @@ struct SimulatorTestPeer {
   static void skew_live_events(Simulator& sim, std::uint64_t delta) {
     sim.live_events_ += delta;
   }
+  static void set_allocated_records(Simulator& sim, std::size_t n) {
+    sim.allocated_records_ = n;
+  }
 };
 
 struct FabricTestPeer {
@@ -64,7 +67,9 @@ TEST(SimulatorAuditorTest, CleanOnHealthyHeapCorruptFlagged) {
   Simulator sim;
   sim.schedule_after(SimTime::nanos(10), [] {});
   EventHandle cancelled = sim.schedule_after(SimTime::nanos(20), [] {});
-  sim.cancel(cancelled);  // leaves a tombstone in the queue
+  sim.cancel(cancelled);  // leaves a tombstone (holding no record) queued
+  ASSERT_EQ(sim.heap_stats().tombstones, 1u);
+  ASSERT_EQ(sim.heap_stats().allocated_records, 1u);
 
   AuditRegistry registry;
   registry.add(std::make_unique<SimulatorAuditor>(sim));
@@ -74,11 +79,24 @@ TEST(SimulatorAuditorTest, CleanOnHealthyHeapCorruptFlagged) {
   EXPECT_TRUE(healthy.clean()) << healthy.to_string();
   EXPECT_GT(healthy.checks_performed(), 0u);
 
+  // A record still pinned by the tombstone (the pool accounting before
+  // cancel() freed records) breaks allocated_records == pending_ids, and
+  // only that identity.
+  SimulatorTestPeer::set_allocated_records(sim, 2);
+  AuditReport leaked = registry.run_all();
+  ASSERT_EQ(leaked.findings().size(), 1u) << leaked.to_string();
+  EXPECT_EQ(leaked.findings()[0].auditor, "simulator-heap");
+  EXPECT_NE(leaked.findings()[0].detail.find("record pool"),
+            std::string::npos)
+      << leaked.to_string();
+  SimulatorTestPeer::set_allocated_records(sim, 1);
+
   SimulatorTestPeer::skew_live_events(sim, 3);
   AuditReport corrupt = registry.run_all();
   EXPECT_TRUE(has_finding_from(corrupt, "simulator-heap"))
       << corrupt.to_string();
-  EXPECT_EQ(registry.total_findings(), corrupt.findings().size());
+  EXPECT_EQ(registry.total_findings(),
+            leaked.findings().size() + corrupt.findings().size());
 }
 
 // ---------------------------------------------------------------------------

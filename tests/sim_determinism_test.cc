@@ -9,6 +9,8 @@
 // far-future timers that overflow the ~137 ms wheel horizon into the heap.
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,17 +179,19 @@ TEST(SimSchedulerStressTest, CancelHeavyChurnDrainsClean) {
     const SimTime at = SimTime::nanos(1 + mix64(rng) % 2'000'000);  // ≤2 ms
     handles.push_back(sim.schedule_at(at, [&fired] { ++fired; }));
   }
-  // Cancel well over half; double-cancel must report false.
+  // Cancel well over half; double-cancel must report false. A cancel frees
+  // its record at once: only pending events hold records.
   std::uint64_t cancelled = 0;
   for (int i = 0; i < kEvents; ++i) {
     if (mix64(rng) % 100 < 60) {
       EXPECT_TRUE(sim.cancel(handles[i]));
+      EXPECT_EQ(sim.heap_stats().allocated_records, sim.pending_events());
       EXPECT_FALSE(sim.cancel(handles[i]));
       ++cancelled;
     }
   }
   EXPECT_GT(cancelled, kEvents / 2u);
-  EXPECT_GT(sim.heap_stats().tombstones, 0u);
+  EXPECT_EQ(sim.heap_stats().tombstones, cancelled);
 
   const std::uint64_t executed = sim.run();
   EXPECT_EQ(executed, kEvents - cancelled);
@@ -198,6 +202,96 @@ TEST(SimSchedulerStressTest, CancelHeavyChurnDrainsClean) {
   EXPECT_EQ(s.tombstones, 0u);
   EXPECT_EQ(s.live_events, 0u);
   EXPECT_EQ(s.allocated_records, 0u) << "record pool leak";
+}
+
+TEST(SimSchedulerStressTest, CancelRescheduleChurnReusesOneChunk) {
+  // The RTO pattern: every event re-arms a timer far ahead of it, cancelling
+  // the previous arm. Each cancel frees its record, so the re-arm reuses it
+  // and the pool stays at one chunk even though ~25k tombstones of cancelled
+  // arms sit in the wheel at once.
+  Simulator sim;
+  constexpr std::uint64_t kPairs = 1'000'000;
+  const SimTime step = SimTime::nanos(10);
+  const SimTime timeout = SimTime::micros(250);
+  EventHandle timer;
+  std::uint64_t pairs = 0;
+  std::uint64_t timer_fired = 0;
+  std::size_t max_tombstones = 0;
+  std::function<void()> tick = [&] {
+    EXPECT_TRUE(sim.cancel(timer));
+    timer = sim.schedule_after(timeout, [&] { ++timer_fired; });
+    if (++pairs % 4096 == 0) {
+      max_tombstones = std::max(max_tombstones, sim.heap_stats().tombstones);
+    }
+    if (pairs < kPairs) sim.schedule_after(step, [&] { tick(); });
+  };
+  timer = sim.schedule_after(timeout, [&] { ++timer_fired; });
+  sim.schedule_after(step, [&] { tick(); });
+  sim.run();
+
+  EXPECT_EQ(pairs, kPairs);
+  EXPECT_EQ(timer_fired, 1u);  // only the last arm survives
+  EXPECT_GT(max_tombstones, 20'000u);
+  const Simulator::HeapStats s = sim.heap_stats();
+  EXPECT_EQ(s.pool_capacity, 512u);
+  EXPECT_EQ(s.queued, 0u);
+  EXPECT_EQ(s.tombstones, 0u);
+  EXPECT_EQ(s.allocated_records, 0u);
+}
+
+TEST(SimSchedulerStressTest, TombstoneOfReusedRecordNeverFires) {
+  // A cancelled event's record goes straight back to the pool, so the next
+  // schedule re-uses it while the cancelled entry is still queued. The
+  // entry must be recognised as a tombstone by its seq, in the re-used
+  // event's own slot and in any other, and the old handle must not reach
+  // the new event.
+  Simulator sim;
+  std::vector<std::pair<int, SimTime>> fired;
+  const auto fire = [&](int id) {
+    return [&fired, &sim, id] { fired.emplace_back(id, sim.now()); };
+  };
+  const auto record_index = [](EventHandle h) { return h.id() >> 32; };
+  const SimTime t1 = SimTime::micros(10);
+  const SimTime t2 = SimTime::micros(20);
+  const SimTime t3 = SimTime::micros(30);
+  const SimTime t4 = SimTime::micros(40);
+  const SimTime t5 = SimTime::micros(50);
+
+  // Same slot: the tombstone and the re-used record's live entry share t1.
+  const EventHandle a = sim.schedule_at(t1, fire(-1));
+  ASSERT_TRUE(sim.cancel(a));
+  EXPECT_EQ(sim.heap_stats().allocated_records, sim.pending_events());
+  const EventHandle b = sim.schedule_at(t1, fire(1));
+  ASSERT_EQ(record_index(b), record_index(a));
+  EXPECT_FALSE(sim.cancel(a)) << "pre-cancel handle cancelled the re-used record";
+
+  // Later slot: the tombstone at t2 is reached while its record is pending
+  // again for an event at t3 — it must not run that event early.
+  const EventHandle c = sim.schedule_at(t2, fire(-2));
+  ASSERT_TRUE(sim.cancel(c));
+  const EventHandle d = sim.schedule_at(t3, fire(2));
+  ASSERT_EQ(record_index(d), record_index(c));
+  EXPECT_FALSE(sim.cancel(c));
+
+  // Earlier slot: the re-used record has run and is free again by the time
+  // the tombstone at t5 is reached.
+  const EventHandle e = sim.schedule_at(t5, fire(-3));
+  ASSERT_TRUE(sim.cancel(e));
+  const EventHandle f = sim.schedule_at(t4, fire(3));
+  ASSERT_EQ(record_index(f), record_index(e));
+  EXPECT_FALSE(sim.cancel(e));
+
+  EXPECT_EQ(sim.heap_stats().tombstones, 3u);
+  EXPECT_EQ(sim.run(), 3u);
+  const std::vector<std::pair<int, SimTime>> expected = {
+      {1, t1}, {2, t3}, {3, t4}};
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.now(), t4);
+  const Simulator::HeapStats s = sim.heap_stats();
+  EXPECT_EQ(s.queued, 0u);
+  EXPECT_EQ(s.tombstones, 0u);
+  EXPECT_EQ(s.allocated_records, 0u);
+  EXPECT_FALSE(sim.cancel(b));  // ran: its handle is dead too
 }
 
 TEST(SimSchedulerStressTest, FarFutureEventsOverflowAndMergeInOrder) {

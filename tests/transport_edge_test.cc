@@ -1,16 +1,21 @@
 // Transport corner cases: tiny and huge messages, tag propagation, Swift
-// CC end-to-end, flowlet transport, engine statistics resets, and the
-// fluid-demand counter behind RdmaConnection::fluid_remaining().
+// CC end-to-end, flowlet transport, engine statistics resets, the
+// fluid-demand counter behind RdmaConnection::fluid_remaining(), and the
+// send FIFO behind the RTO deadline.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
 
 #include "collective/fleet.h"
 #include "sim/hybrid.h"
 
 namespace stellar {
 
-// Reference for the O(1) fluid-demand counter: the queue walk it replaces —
-// unacked bytes of the queued WRITEs ahead of the first non-WRITE.
 struct TransportTestPeer {
+  // Reference for the O(1) fluid-demand counter: the queue walk it
+  // replaces — unacked bytes of the queued WRITEs ahead of the first
+  // non-WRITE.
   static std::uint64_t queued_write_bytes(const RdmaConnection& conn) {
     std::uint64_t bytes = 0;
     for (const std::uint64_t id : conn.unsent_queue_) {
@@ -19,6 +24,32 @@ struct TransportTestPeer {
       bytes += msg.total - msg.acked;
     }
     return bytes;
+  }
+
+  static bool rto_armed(const RdmaConnection& conn) {
+    return conn.rto_event_.valid();
+  }
+  static SimTime rto_deadline(const RdmaConnection& conn) {
+    return conn.rto_deadline_;
+  }
+  // Reference for the send FIFO: the full outstanding-table scan arm_rto()
+  // used to do — the oldest unacked send plus the RTO.
+  static SimTime scanned_deadline(const RdmaConnection& conn) {
+    SimTime oldest = SimTime::max();
+    for (const auto& [psn, meta] : conn.outstanding_) {
+      oldest = std::min(oldest, meta.sent_at);
+    }
+    return oldest + conn.config_.rto;
+  }
+  // True when some unacked PSN was (re)sent later than a higher unacked
+  // PSN — the state a PSN-ordered send FIFO gets wrong.
+  static bool low_psn_resent_after_higher(const RdmaConnection& conn) {
+    SimTime newest = SimTime::zero();
+    for (const auto& [psn, meta] : conn.outstanding_) {
+      if (meta.sent_at < newest) return true;
+      newest = meta.sent_at;
+    }
+    return false;
   }
 };
 
@@ -267,6 +298,73 @@ TEST(TransportFluidTest, RemainingCounterMatchesQueueWalk) {
   expect_remaining(7000, "writes after refreeze");
   EXPECT_EQ(c.fluid_serve(2500), 2500u);
   expect_remaining(4500, "partial serve after refreeze");
+}
+
+TEST(TransportRtoTest, DeadlineMatchesFullScan) {
+  // Seeded churn through every path that arms the RTO — sends, ACKs,
+  // losses, RTO retransmits and hot restarts — with the armed deadline
+  // checked against a full scan of the unacked packets after every event.
+  Simulator sim;
+  ClosFabric fabric(sim, fabric_config());
+  EngineFleet fleet(sim, fabric);
+  const EndpointId a = fabric.endpoint(0, 0, 0, 0);
+  const EndpointId b = fabric.endpoint(1, 0, 0, 0);
+  for (NetLink* l : fabric.all_tor_uplinks()) l->set_drop_probability(0.05);
+  TransportConfig t;
+  t.num_paths = 16;
+  t.rto = SimTime::micros(20);
+  auto conn = fleet.connect(a, b, t);
+  ASSERT_TRUE(conn.is_ok());
+  RdmaConnection& c = *conn.value();
+  RdmaEngine& sender = fleet.at(a);
+
+  std::uint64_t rng = 0x5eed;
+  const auto next_size = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return 1 + (rng >> 33) % 256_KiB;
+  };
+  constexpr int kMessages = 60;
+  int posted = 0;
+  int completed = 0;
+  std::function<void()> post = [&] {
+    ++posted;
+    c.post_write(next_size(), [&] {
+      ++completed;
+      if (posted < kMessages) post();
+    });
+  };
+  for (int i = 0; i < 4; ++i) post();
+
+  std::uint64_t steps = 0;
+  std::uint64_t checked = 0;
+  std::uint64_t reordered_restarts = 0;
+  const auto expect_scanned_deadline = [&](const char* after) {
+    if (!TransportTestPeer::rto_armed(c)) return;
+    ++checked;
+    EXPECT_EQ(TransportTestPeer::rto_deadline(c),
+              TransportTestPeer::scanned_deadline(c))
+        << "after " << after << " at step " << steps;
+  };
+  expect_scanned_deadline("first posts");
+  while (sim.step()) {
+    ++steps;
+    expect_scanned_deadline("event");
+    // Restart the backend periodically, and whenever a retransmitted low
+    // PSN is newer than a higher one: restore must rebuild the FIFO in
+    // send-time order, not in the snapshot's PSN order.
+    const bool reordered = TransportTestPeer::low_psn_resent_after_higher(c);
+    if ((reordered && reordered_restarts < 20) || steps % 997 == 0) {
+      ASSERT_TRUE(sender.hot_restart().is_ok());
+      if (reordered) ++reordered_restarts;
+      expect_scanned_deadline("hot_restart");
+    }
+  }
+  EXPECT_EQ(completed, kMessages);
+  EXPECT_GT(c.timeouts(), 0u);
+  EXPECT_GT(c.retransmits(), 0u);
+  EXPECT_GE(reordered_restarts, 20u);
+  EXPECT_GT(checked, 1000u);
+  EXPECT_FALSE(TransportTestPeer::rto_armed(c));
 }
 
 TEST_F(TransportEdgeTest, ErrorStateAfterPeerUnreachable) {

@@ -24,10 +24,11 @@
 #      (tools/check_hybrid_equivalence.py), a run-twice hybrid BENCH JSON
 #      byte-determinism check, and a hybrid trace smoke asserting
 #      trace_summarize reports fluid fast-forward spans
-#   6d. the perf golden smoke: one allreduce_hybrid pass and one
-#      vstellar_translation pass of the repo benchmark (perf/run.py), whose
-#      final JSON lines must say "correct": true — the hybrid goldens hold
-#      within 1 %, the translation goldens exactly
+#   6d. the perf golden smoke: one pass of each repo benchmark workload
+#      (perf/run.py: permutation_packet, allreduce_hybrid, allreduce_faults,
+#      vstellar_translation), whose final JSON lines must say
+#      "correct": true — the hybrid goldens hold within 1 %, the others
+#      exactly
 #   7. a fig09 mini trace dump + trace_summarize smoke (the tracer's
 #      byte-determinism and the summarizer's parser, end to end)
 #   7b. the parallel-engine determinism gate: fig09-mini at --threads=1
@@ -152,10 +153,13 @@ hyb_trace_dir="$(mktemp -d)"
     | grep '^\[fluid\]')
 rm -rf "$hyb_trace_dir"
 
-step "perf golden smoke (one pass each: allreduce_hybrid within 1 %, vstellar_translation exact)"
-# A fluid-solver change that drifts the hybrid benchmark goldens, or a
-# translation-layer change that moves any vStellar golden, fails here.
-for workload in allreduce_hybrid vstellar_translation; do
+step "perf golden smoke (one pass each: allreduce_hybrid within 1 %, the others exact)"
+# A fluid-solver change that drifts the hybrid benchmark goldens, a
+# transport or engine change that moves a packet-path golden (spray or
+# loss recovery), or a translation-layer change that moves any vStellar
+# golden, fails here.
+for workload in permutation_packet allreduce_hybrid allreduce_faults \
+    vstellar_translation; do
   perf_log="$(mktemp)"
   python3 perf/run.py --workload "$workload" --seconds 0.001 | tee "$perf_log"
   python3 - "$perf_log" "$workload" << 'EOF'
