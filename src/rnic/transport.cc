@@ -609,13 +609,17 @@ void RdmaConnection::fluid_thaw(double rate_bytes_per_sec) {
 
 std::uint64_t RdmaConnection::fluid_serve(std::uint64_t bytes) {
   std::uint64_t served = 0;
-  while (served < bytes && !unsent_queue_.empty()) {
+  while (!unsent_queue_.empty()) {
     Message& msg = messages_.at(unsent_queue_.front());
     // A non-WRITE at the head means a zoom is already pending for this
     // region (on_ineligible_post); stop serving at the boundary.
     if (msg.kind != PacketKind::kWrite) break;
     const std::uint64_t take =
         std::min(msg.total - msg.acked, bytes - served);
+    // Out of budget — but a zero-length WRITE the serve reached needs no
+    // bytes and completes too, or it would leave the flow with demand and
+    // no next completion.
+    if (take == 0 && msg.acked < msg.total) break;
     msg.acked += take;
     msg.sent = msg.acked;  // nothing is ever in flight under fluid
     served += take;

@@ -450,6 +450,9 @@ class RdmaEngine : public FluidReceiver {
   /// Application callbacks (message handlers, completions, posted receive
   /// WRs) are never serialized: across a hot restart they stay live in
   /// place, across a migration the application re-registers them.
+  /// STELLAR_CHECK-fails if a connection is under fluid service (hybrid
+  /// fidelity): fluid progress is not in the snapshot, so the region must
+  /// zoom to packet mode first.
   std::string save_state() const;
 
   /// Restore a snapshot produced by save_state(). Works on the engine that
@@ -463,8 +466,10 @@ class RdmaEngine : public FluidReceiver {
   /// Backend hot-upgrade of this engine: snapshot, tear down the mutable
   /// runtime (timers, probes), reconstruct from the snapshot, verify the
   /// round trip re-serializes byte-identically, and resume. Message
-  /// completion callbacks are preserved across the restart. Returns the
-  /// snapshot taken, for digest/size reporting.
+  /// completion callbacks are preserved across the restart. With a hybrid
+  /// driver attached it first drops the fabric to packet mode
+  /// (HybridDriver::force_packet). Returns the snapshot taken, for
+  /// digest/size reporting.
   StatusOr<std::string> hot_restart();
   std::uint64_t hot_restarts() const { return hot_restarts_; }
 

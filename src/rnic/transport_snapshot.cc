@@ -293,6 +293,16 @@ void RdmaConnection::resume_after_restore() {
 // ---------------------------------------------------------------------------
 
 std::string RdmaEngine::save_state() const {
+  // The snapshot carries no fluid state: a connection under fluid service
+  // keeps its progress in the hybrid driver (its messages' `acked` lags the
+  // served bytes by up to a message). Its region must zoom first, as
+  // hot_restart() and the fault injector's restart/migrate events do.
+  for (const auto& conn : connections_) {
+    STELLAR_CHECK(!conn->fluid_,
+                  "RdmaEngine::save_state: connection %llu is under fluid "
+                  "service; zoom its region to packet mode first",
+                  static_cast<unsigned long long>(conn->id()));
+  }
   SnapshotWriter w;
   w.section(kEngineTag);
   w.u32(self_);
@@ -479,6 +489,13 @@ Status RdmaEngine::restore_state(const std::string& bytes) {
 }
 
 StatusOr<std::string> RdmaEngine::hot_restart() {
+  // Drop the fabric to packet mode before serializing: the zoom thaws every
+  // frozen connection and syncs its served prefix to the receiver, so the
+  // snapshot sees real packet-mode state. (Called from inside a fluid
+  // completion callback, the zoom is deferred and save_state() traps.)
+  if (HybridDriver* driver = fabric_->hybrid_driver()) {
+    driver->force_packet(SimTime::zero(), "hot-restart");
+  }
   ++hot_restarts_;  // counted in the snapshot: survives the restart
   std::string snapshot = save_state();
 

@@ -94,7 +94,9 @@ class FluidSolver {
   std::vector<std::uint32_t> flow_ids() const;
 
   /// Flows whose rates the last solve() recomputed: one id-sorted run per
-  /// re-solved component (read-only; for tests and diagnostics).
+  /// re-solved component. Every other active flow kept its rate bit for
+  /// bit, so HybridDriver serves and re-anchors only these (those whose
+  /// rate actually changed) after a solve.
   const std::vector<std::uint32_t>& last_solved_flows() const {
     return solved_flows_;
   }

@@ -37,7 +37,6 @@ HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric,
                       8.0));
       }
       rg.span_start = sim.now();
-      rg.last_advance = sim.now();
       if (config_.start_fluid) rg.mode = RegionMode::kFluid;
     }
   }
@@ -81,6 +80,24 @@ SimTime HybridDriver::fluid_time() const {
   return total;
 }
 
+std::uint64_t HybridDriver::fluid_bytes_served() const {
+  std::uint64_t total = fluid_bytes_served_;
+  const SimTime now = sim_->now();
+  for (const Region& rg : regions_) {
+    if (rg.mode != RegionMode::kFluid) continue;
+    for (const ClientInfo* ci : rg.clients) {
+      if (!ci->in_fluid || ci->dead || ci->flow < 0) continue;
+      const double earned = ci->rate * (now - ci->anchor).sec() + ci->carry;
+      if (earned < 1.0) continue;
+      // A flow whose due event is still pending at now may have accrued a
+      // hair past its demand; serving would stop at the demand too.
+      total += std::min(static_cast<std::uint64_t>(earned),
+                        ci->client->fluid_remaining());
+    }
+  }
+  return total;
+}
+
 // ---------------------------------------------------------------------------
 // Registration
 // ---------------------------------------------------------------------------
@@ -89,6 +106,7 @@ void HybridDriver::register_client(FluidClient* client) {
   auto info = std::make_unique<ClientInfo>();
   ClientInfo* ci = info.get();
   ci->client = client;
+  ci->seq = next_seq_++;
   ci->region = region_of(client->fluid_endpoint());
   Region& rg = regions_[ci->region];
   rg.clients.push_back(ci);
@@ -106,9 +124,8 @@ void HybridDriver::register_client(FluidClient* client) {
     }
     ci->in_fluid = true;
     if (desc.remaining > 0) {
-      ci->flow = rg.solver.add_flow(ci->shares);
-      rg.solve_needed = true;
-      if (!in_advance_) schedule_kick(ci->region);
+      add_flow(rg, ci);
+      if (serving_ != ci->region) schedule_kick(ci->region);
     }
   } else {
     arm_tick();
@@ -120,11 +137,11 @@ void HybridDriver::unregister_client(FluidClient* client) {
   if (it == info_.end()) return;
   ClientInfo* ci = it->second.get();
   Region& rg = regions_[ci->region];
-  if (ci->flow >= 0) {
-    rg.solver.remove_flow(static_cast<std::uint32_t>(ci->flow));
-    rg.solve_needed = true;
-  }
+  if (ci->flow >= 0) remove_flow(rg, ci);
   rg.clients.erase(std::find(rg.clients.begin(), rg.clients.end(), ci));
+  std::erase(rg.touched, ci);
+  std::erase_if(rg.due, [ci](const DueEntry& e) { return e.client == ci; });
+  std::make_heap(rg.due.begin(), rg.due.end(), due_later);
   info_.erase(it);
 }
 
@@ -146,54 +163,156 @@ FluidReceiver* HybridDriver::receiver(EndpointId endpoint) const {
 // Fluid service
 // ---------------------------------------------------------------------------
 
-void HybridDriver::advance_to_now(Region& rg) {
+void HybridDriver::add_flow(Region& rg, ClientInfo* ci) {
+  ci->flow = rg.solver.add_flow(ci->shares);
+  const auto id = static_cast<std::size_t>(ci->flow);
+  if (rg.flow_owner.size() <= id) rg.flow_owner.resize(id + 1, nullptr);
+  rg.flow_owner[id] = ci;
+  // Rate 0 until the next solve anchors it at its max-min share.
+  ci->rate = 0.0;
+  ci->anchor = sim_->now();
+  ci->carry = 0.0;
+  rg.solve_needed = true;
+}
+
+void HybridDriver::remove_flow(Region& rg, ClientInfo* ci) {
+  const auto id = static_cast<std::uint32_t>(ci->flow);
+  rg.solver.remove_flow(id);
+  rg.flow_owner[id] = nullptr;
+  ci->flow = -1;
+  ci->rate = 0.0;
+  ci->carry = 0.0;
+  ++ci->version;
+  rg.solve_needed = true;
+}
+
+bool HybridDriver::serve(ClientInfo* ci, bool due) {
   const SimTime now = sim_->now();
-  if (now <= rg.last_advance) return;
-  const double dt = (now - rg.last_advance).sec();
-  rg.last_advance = now;
-  in_advance_ = true;
-  for (ClientInfo* ci : rg.clients) {
-    if (!ci->in_fluid || ci->dead || ci->flow < 0) continue;
-    const double rate = rg.solver.rate(static_cast<std::uint32_t>(ci->flow));
-    if (rate <= 0.0) continue;
-    // Integrate rate over the elapsed interval with a fractional-byte
-    // carry, so bytes are conserved exactly across rate-change events.
-    const double earned = rate * dt + ci->carry;
-    const auto want = static_cast<std::uint64_t>(earned);
-    if (want == 0) {
-      ci->carry = earned;
-      continue;
+  // Integrate the rate since the anchor with a fractional-byte carry, so
+  // bytes are conserved exactly across rate changes.
+  const double earned = ci->rate * (now - ci->anchor).sec() + ci->carry;
+  ci->anchor = now;
+  std::uint64_t want = earned > 0.0 ? static_cast<std::uint64_t>(earned) : 0;
+  std::uint64_t upcoming = 0;
+  if (due) {
+    // Due-time snap: the due time is the first picosecond by which the
+    // in-service message has accrued, but rate * dt can round to a hair
+    // under it. Complete it anyway and carry the shortfall, rather than
+    // finishing it at a second event one picosecond later.
+    upcoming = ci->client->fluid_next_completion_bytes();
+    if (want < upcoming) {
+      STELLAR_DCHECK(static_cast<double>(upcoming) - earned < 1.0,
+                     "fluid due event is more than a byte short");
+      want = upcoming;
     }
-    const std::uint64_t served = ci->client->fluid_serve(want);
-    fluid_bytes_served_ += served;
-    ci->carry = served == want ? earned - static_cast<double>(want) : 0.0;
   }
-  in_advance_ = false;
+  if (want == 0) {
+    ci->carry = earned;
+    return false;
+  }
+  if (!due) upcoming = ci->client->fluid_next_completion_bytes();
+  const std::uint64_t served = ci->client->fluid_serve(want);
+  fluid_bytes_served_ += served;
+  ci->carry = served == want ? earned - static_cast<double>(want) : 0.0;
+  return upcoming > 0 && served >= upcoming;
+}
+
+void HybridDriver::push_due(Region& rg, ClientInfo* ci) {
+  ++ci->version;  // supersedes any entry already queued
+  if (ci->rate <= 0.0) return;
+  const std::uint64_t upcoming = ci->client->fluid_next_completion_bytes();
+  if (upcoming == 0) return;
+  double need = static_cast<double>(upcoming) - ci->carry;
+  if (need < 0.0) need = 0.0;
+  auto dt_ps = static_cast<std::uint64_t>(std::ceil(need * 1e12 / ci->rate));
+  if (dt_ps == 0) dt_ps = 1;
+  rg.due.push_back(DueEntry{ci->anchor + SimTime::picos(dt_ps), ci->seq, ci,
+                            ci->version});
+  std::push_heap(rg.due.begin(), rg.due.end(), due_later);
+}
+
+void HybridDriver::serve_due(std::uint32_t region) {
+  Region& rg = regions_[region];
+  const SimTime now = sim_->now();
+  serving_ = region;
+  while (!rg.due.empty() && rg.due.front().at <= now) {
+    const DueEntry top = rg.due.front();
+    std::pop_heap(rg.due.begin(), rg.due.end(), due_later);
+    rg.due.pop_back();
+    if (top.version != top.client->version) continue;  // superseded
+    serve(top.client, /*due=*/true);
+    rg.touched.push_back(top.client);
+  }
+  serving_ = kNoRegion;
+}
+
+void HybridDriver::retire_touched(Region& rg) {
+  if (rg.touched.empty()) return;
+  // Registration order, as a sweep over the region's clients would visit
+  // them: retirement order decides which solver ids get recycled.
+  std::sort(rg.touched.begin(), rg.touched.end(),
+            [](const ClientInfo* a, const ClientInfo* b) {
+              return a->seq < b->seq;
+            });
+  rg.touched.erase(std::unique(rg.touched.begin(), rg.touched.end()),
+                   rg.touched.end());
+  for (ClientInfo* ci : rg.touched) {
+    if (ci->flow < 0) continue;
+    if (ci->dead || ci->client->fluid_remaining() == 0) {
+      if (!ci->dead) ++fluid_completions_;
+      remove_flow(rg, ci);
+    } else {
+      push_due(rg, ci);
+    }
+  }
+  rg.touched.clear();
+}
+
+void HybridDriver::solve_region(std::uint32_t region) {
+  Region& rg = regions_[region];
+  rg.solver.solve();
+  rg.solve_needed = false;
+  serving_ = region;
+  for (const std::uint32_t id : rg.solver.last_solved_flows()) {
+    ClientInfo* ci = rg.flow_owner[id];
+    if (ci == nullptr) continue;  // unregistered by a completion callback
+    const double rate = rg.solver.rate(id);
+    if (rate == ci->rate) continue;
+    // Bytes earned at the old rate through now; the new rate runs from here.
+    if (serve(ci, /*due=*/false)) rg.touched.push_back(ci);
+    ci->rate = rate;
+    push_due(rg, ci);
+  }
+  serving_ = kNoRegion;
+}
+
+void HybridDriver::advance_to_now(std::uint32_t region) {
+  Region& rg = regions_[region];
+  serving_ = region;
+  // By index: a completion callback may register a client.
+  for (std::size_t i = 0; i < rg.clients.size(); ++i) {
+    ClientInfo* ci = rg.clients[i];
+    if (!ci->in_fluid || ci->dead || ci->flow < 0) continue;
+    serve(ci, /*due=*/false);
+  }
+  serving_ = kNoRegion;
 }
 
 void HybridDriver::service_region(std::uint32_t region) {
   Region& rg = regions_[region];
   if (rg.mode != RegionMode::kFluid) return;
-  advance_to_now(rg);
-  if (rg.pending_zoom) {
-    rg.pending_zoom = false;
-    zoom_region(region, rg.pending_zoom_reason);
-    return;
-  }
-  // Retire drained (or errored) flows.
-  for (ClientInfo* ci : rg.clients) {
-    if (ci->flow < 0) continue;
-    if (ci->dead || ci->client->fluid_remaining() == 0) {
-      rg.solver.remove_flow(static_cast<std::uint32_t>(ci->flow));
-      ci->flow = -1;
-      ci->carry = 0.0;
-      if (!ci->dead) ++fluid_completions_;
-      rg.solve_needed = true;
+  serve_due(region);
+  // A re-solve can complete a message of a re-rated flow (when rounding
+  // lands it exactly on the boundary), which needs its own retire pass.
+  for (;;) {
+    if (rg.pending_zoom) {
+      rg.pending_zoom = false;
+      zoom_region(region, rg.pending_zoom_reason);
+      return;
     }
-  }
-  if (rg.solve_needed) {
-    rg.solver.solve();
-    rg.solve_needed = false;
+    retire_touched(rg);
+    if (!rg.solve_needed) break;
+    solve_region(region);
     if (config_.zoom_on_saturation) {
       bool saturated = false;
       for (std::uint32_t l = 0; l < rg.links.size(); ++l) {
@@ -222,27 +341,21 @@ void HybridDriver::schedule_next(std::uint32_t region) {
     sim_->cancel(rg.advance_event);
     rg.advance_event = EventHandle{};
   }
-  const SimTime now = sim_->now();
-  SimTime best = SimTime::max();
-  bool found = false;
-  for (ClientInfo* ci : rg.clients) {
-    if (ci->flow < 0) continue;
-    const double rate = rg.solver.rate(static_cast<std::uint32_t>(ci->flow));
-    if (rate <= 0.0) continue;
-    const std::uint64_t upcoming = ci->client->fluid_next_completion_bytes();
-    if (upcoming == 0) continue;
-    double need = static_cast<double>(upcoming) - ci->carry;
-    if (need < 0.0) need = 0.0;
-    auto dt_ps = static_cast<std::uint64_t>(std::ceil(need * 1e12 / rate));
-    if (dt_ps == 0) dt_ps = 1;
-    const SimTime at = now + SimTime::picos(dt_ps);
-    if (at < best) {
-      best = at;
-      found = true;
-    }
+  const auto stale = [](const DueEntry& e) {
+    return e.version != e.client->version;
+  };
+  // Every re-rate leaves a superseded entry behind; compact once they
+  // outnumber the live ones (at most one per active flow).
+  if (rg.due.size() > 2 * rg.solver.active_flows() + 64) {
+    std::erase_if(rg.due, stale);
+    std::make_heap(rg.due.begin(), rg.due.end(), due_later);
   }
-  if (!found) return;
-  rg.advance_event = sim_->schedule_at(best, [this, region] {
+  while (!rg.due.empty() && stale(rg.due.front())) {
+    std::pop_heap(rg.due.begin(), rg.due.end(), due_later);
+    rg.due.pop_back();
+  }
+  if (rg.due.empty()) return;
+  rg.advance_event = sim_->schedule_at(rg.due.front().at, [this, region] {
     regions_[region].advance_event = EventHandle{};
     service_region(region);
   });
@@ -298,23 +411,20 @@ void HybridDriver::enter_fluid(std::uint32_t region) {
       ci->shares.push_back(FluidSolver::LinkShare{it->second, weight});
     }
     ci->in_fluid = true;
-    ci->carry = 0.0;
-    if (desc.remaining > 0) ci->flow = rg.solver.add_flow(ci->shares);
+    if (desc.remaining > 0) add_flow(rg, ci);
   }
   emit_span(region, rg, RegionMode::kPacket);
   rg.mode = RegionMode::kFluid;
-  rg.last_advance = now;
   rg.saturated_solves = 0;
   ++transitions_;
-  rg.solver.solve();
-  rg.solve_needed = false;
+  solve_region(region);
   schedule_next(region);
 }
 
 void HybridDriver::zoom_region(std::uint32_t region, const char* reason) {
   Region& rg = regions_[region];
   if (rg.mode != RegionMode::kFluid) return;
-  if (in_advance_) {
+  if (serving_ != kNoRegion) {
     // Mid-serve (a completion callback triggered the zoom): finish the
     // serve loop first, then zoom at the same timestamp via the kick.
     rg.pending_zoom = true;
@@ -322,7 +432,7 @@ void HybridDriver::zoom_region(std::uint32_t region, const char* reason) {
     schedule_kick(region);
     return;
   }
-  advance_to_now(rg);
+  advance_to_now(region);
   if (rg.advance_event.valid()) {
     sim_->cancel(rg.advance_event);
     rg.advance_event = EventHandle{};
@@ -332,13 +442,8 @@ void HybridDriver::zoom_region(std::uint32_t region, const char* reason) {
   rg.mode = RegionMode::kPacket;
   ++transitions_;
   for (ClientInfo* ci : rg.clients) {
-    double rate = 0.0;
-    if (ci->flow >= 0) {
-      rate = rg.solver.rate(static_cast<std::uint32_t>(ci->flow));
-      rg.solver.remove_flow(static_cast<std::uint32_t>(ci->flow));
-      ci->flow = -1;
-    }
-    ci->carry = 0.0;
+    const double rate = ci->rate;
+    if (ci->flow >= 0) remove_flow(rg, ci);
     if (ci->in_fluid) {
       ci->in_fluid = false;
       // Thaw seeds the congestion window from the fluid rate and calls
@@ -346,6 +451,8 @@ void HybridDriver::zoom_region(std::uint32_t region, const char* reason) {
       ci->client->fluid_thaw(rate);
     }
   }
+  rg.due.clear();
+  rg.touched.clear();
   rg.solve_needed = false;
   rg.quiet_epochs = 0;
   // Promotion baselines: only *new* ECN marks / retransmits after the zoom
@@ -390,12 +497,10 @@ void HybridDriver::on_fluid_post(FluidClient* client) {
   if (it == info_.end()) return;
   ClientInfo* ci = it->second.get();
   if (!ci->in_fluid || ci->dead) return;
-  Region& rg = regions_[ci->region];
   if (ci->flow < 0 && ci->client->fluid_remaining() > 0) {
-    ci->flow = rg.solver.add_flow(ci->shares);
-    ci->carry = 0.0;
-    rg.solve_needed = true;
-    if (!in_advance_) schedule_kick(ci->region);
+    add_flow(regions_[ci->region], ci);
+    // The region being served re-solves before its pass ends.
+    if (serving_ != ci->region) schedule_kick(ci->region);
   }
   // A post behind an already-active flow queues after the in-service
   // message: rates and the next completion event are unchanged.
@@ -418,10 +523,12 @@ void HybridDriver::on_client_error(FluidClient* client) {
   ci->in_fluid = false;
   Region& rg = regions_[ci->region];
   if (ci->flow >= 0) {
-    rg.solve_needed = true;
     // The flow itself is retired by the next service_region pass — it may
-    // currently be mid-iteration in advance_to_now().
-    if (!in_advance_) schedule_kick(ci->region);
+    // currently be mid-serve. Its queued due entry is void already.
+    ++ci->version;
+    rg.touched.push_back(ci);
+    rg.solve_needed = true;
+    if (serving_ != ci->region) schedule_kick(ci->region);
   }
 }
 

@@ -10,6 +10,15 @@
 //     the max-min fair rate of FluidSolver over the real link graph, and
 //     the simulator jumps straight between flow-completion events.
 //
+// Fluid service is lazy. A flow keeps the rate it is served at, an anchor
+// time and a fractional-byte carry; between anchors its bytes accrue
+// analytically and nobody serves them. Bytes are materialized only when
+// the flow reaches its projected message completion (a per-region due
+// heap), when a solve changes its rate, when its region zooms, or —
+// without serving — when fluid_bytes_served() reads it. A fluid event
+// therefore touches only the flows it completes and the flows whose rates
+// its re-solve changes, never every connection of the region.
+//
 // Transitions are loss-free and deterministic in both directions:
 //
 //   packet -> fluid (freeze): every link absorb()s the packets it owns
@@ -30,9 +39,10 @@
 // (queues under threshold, no new ECN marks or retransmits).
 //
 // Everything is deterministic: regions, links, and clients are iterated in
-// construction/registration order, rates come from the deterministic
-// solver, and event times are integer picoseconds derived from the same
-// arithmetic on every run.
+// construction/registration order, flows due at the same picosecond are
+// served in registration order, rates come from the deterministic solver,
+// and event times are integer picoseconds derived from the same arithmetic
+// on every run.
 #pragma once
 
 #include <cstdint>
@@ -188,7 +198,11 @@ class HybridDriver {
 
   std::uint64_t transitions() const { return transitions_; }
   std::uint64_t absorbed_packets() const { return absorbed_packets_; }
-  std::uint64_t fluid_bytes_served() const { return fluid_bytes_served_; }
+  /// Bytes served under fluid through now(): the materialized bytes plus
+  /// what every active flow has accrued since its anchor (computed, not
+  /// served — reading the count changes no state).
+  std::uint64_t fluid_bytes_served() const;
+  /// Flows retired because they drained (errored flows do not count).
   std::uint64_t fluid_completions() const { return fluid_completions_; }
   /// Simulated time spent in fluid mode, summed over regions (open spans
   /// included up to now()).
@@ -197,13 +211,34 @@ class HybridDriver {
  private:
   struct ClientInfo {
     FluidClient* client = nullptr;
+    std::uint64_t seq = 0;  // registration order; breaks due-time ties
     std::uint32_t region = 0;
     bool in_fluid = false;
     bool dead = false;  // QP error while frozen; never re-frozen
     std::int64_t flow = -1;
-    double carry = 0.0;  // fractional bytes carried between advances
+    // Lazy service: the flow was served through `anchor` and has accrued
+    // rate * (now - anchor) + carry bytes since. `carry` is the fractional
+    // byte left over by the last serve (negative after a due-time snap).
+    double rate = 0.0;  // bytes/sec it is served at (0 = not yet solved)
+    SimTime anchor = SimTime::zero();
+    double carry = 0.0;
+    std::uint64_t version = 0;  // bumped to invalidate queued due entries
     std::vector<FluidSolver::LinkShare> shares;  // resolved at freeze
   };
+
+  /// A flow's projected message completion. An entry is live while its
+  /// version matches the client's; stale entries are dropped when they
+  /// surface.
+  struct DueEntry {
+    SimTime at;
+    std::uint64_t seq = 0;
+    ClientInfo* client = nullptr;
+    std::uint64_t version = 0;
+  };
+  /// Heap order: the earliest (at, seq) surfaces first.
+  static bool due_later(const DueEntry& a, const DueEntry& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
 
   struct Region {
     RegionMode mode = RegionMode::kPacket;
@@ -211,9 +246,13 @@ class HybridDriver {
     std::vector<NetLink*> links;  // deterministic fabric order
     std::unordered_map<const NetLink*, std::uint32_t> link_index;  // lookup
     std::vector<ClientInfo*> clients;  // registration order
+    std::vector<ClientInfo*> flow_owner;  // by solver flow id
+    std::vector<DueEntry> due;  // min-heap on (at, seq)
+    // Flows served at a due event or errored since the last retire pass:
+    // the only ones that can have drained.
+    std::vector<ClientInfo*> touched;
     EventHandle advance_event;
     EventHandle kick_event;
-    SimTime last_advance = SimTime::zero();
     bool solve_needed = false;
     bool pending_zoom = false;
     const char* pending_zoom_reason = "";
@@ -225,13 +264,34 @@ class HybridDriver {
     std::uint64_t last_retx = 0;
   };
 
+  static constexpr std::uint32_t kNoRegion = ~std::uint32_t{0};
+
   std::uint32_t region_of(EndpointId endpoint) const;
   void enter_fluid(std::uint32_t region);
   void zoom_region(std::uint32_t region, const char* reason);
-  /// Serve elapsed time, prune finished flows, re-solve, schedule the next
-  /// completion — the single advance path every event funnels through.
+  /// Serve the flows due now, retire drained ones, re-solve, schedule the
+  /// next completion — the single path every fluid event funnels through.
   void service_region(std::uint32_t region);
-  void advance_to_now(Region& rg);
+  /// Materialize every active flow of the region (zoom only).
+  void advance_to_now(std::uint32_t region);
+  void add_flow(Region& rg, ClientInfo* ci);
+  void remove_flow(Region& rg, ClientInfo* ci);
+  /// Serve the bytes `ci` accrued since its anchor and re-anchor it at
+  /// now. At a due event (`due`) the in-service message completes even
+  /// when rounding leaves it a byte short. Returns true if a message
+  /// completed.
+  bool serve(ClientInfo* ci, bool due);
+  /// Project `ci`'s next completion from its anchor and queue it.
+  void push_due(Region& rg, ClientInfo* ci);
+  /// Serve every flow whose due time has come, in (due, registration)
+  /// order.
+  void serve_due(std::uint32_t region);
+  /// Retire drained or errored flows among the touched ones; re-queue the
+  /// rest.
+  void retire_touched(Region& rg);
+  /// Solve, then serve each flow whose rate changed up to now at its old
+  /// rate and re-anchor it at the new one.
+  void solve_region(std::uint32_t region);
   void schedule_next(std::uint32_t region);
   void schedule_kick(std::uint32_t region);
   void emit_span(std::uint32_t region, Region& rg, RegionMode ended);
@@ -252,7 +312,10 @@ class HybridDriver {
   // cancelling one that already ran is a no-op.
   EventHandle tick_event_;
   std::vector<EventHandle> zoom_window_events_;  // one per future window
-  bool in_advance_ = false;
+  // Region whose flows are being served (completion callbacks are running),
+  // or kNoRegion. Zooms requested meanwhile are deferred to a kick.
+  std::uint32_t serving_ = kNoRegion;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t transitions_ = 0;
   std::uint64_t absorbed_packets_ = 0;
   std::uint64_t fluid_bytes_served_ = 0;

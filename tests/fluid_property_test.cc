@@ -11,16 +11,27 @@
 //     exactly the demand the flows brought (no bytes created or lost);
 //   * incrementality: re-solving only the touched components is bitwise
 //     equal to a fresh solve, and leaves untouched components alone.
+//
+// The HybridServiceTest cases drive HybridDriver's lazy fluid service over
+// real fabric links: a fluid event touches only the flows it completes or
+// re-rates, completion times follow the piecewise rates to the picosecond,
+// every service event completes a message, and reading the byte count
+// serves nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "collective/fleet.h"
 #include "common/rng.h"
 #include "sim/fluid.h"
+#include "sim/hybrid.h"
 
 namespace stellar {
 namespace {
@@ -484,6 +495,338 @@ TEST(FluidSolverTest, TiedBottlenecksFreezeInLinkIndexOrder) {
   fresh.solve();
   EXPECT_EQ(std::bit_cast<std::uint64_t>(incremental.rate(fc)),
             std::bit_cast<std::uint64_t>(fresh.rate(fc)));
+}
+
+// ---------------------------------------------------------------------------
+// Lazy fluid service (HybridDriver)
+// ---------------------------------------------------------------------------
+
+/// One rail, one plane: a single fluid region of 2 x 8 hosts.
+FabricConfig service_fabric(double host_gbps) {
+  FabricConfig fc;
+  fc.segments = 2;
+  fc.hosts_per_segment = 8;
+  fc.rails = 1;
+  fc.planes = 1;
+  fc.aggs_per_plane = 2;
+  fc.host_link.bandwidth = Bandwidth::gbps(host_gbps);
+  return fc;
+}
+
+/// A fluid client with a scripted WRITE queue whose footprint is its source
+/// host's uplink and its destination host's downlink. It counts the calls
+/// the driver makes and records when each message completes, so a test can
+/// see exactly which flows a fluid event touched.
+class ScriptedFlow : public FluidClient {
+ public:
+  ScriptedFlow(Simulator& sim, ClosFabric& fabric, HybridDriver& driver,
+               EndpointId src, EndpointId dst)
+      : sim_(sim), fabric_(fabric), driver_(driver), src_(src), dst_(dst) {
+    driver_.register_client(this);
+  }
+  ~ScriptedFlow() override { driver_.unregister_client(this); }
+  ScriptedFlow(const ScriptedFlow&) = delete;
+  ScriptedFlow& operator=(const ScriptedFlow&) = delete;
+
+  void post(std::uint64_t bytes) {
+    queue_.push_back(bytes);
+    remaining_ += bytes;
+    driver_.on_fluid_post(this);
+  }
+  void reset_counts() {
+    serve_calls = 0;
+    next_calls = 0;
+  }
+
+  std::uint64_t fluid_conn_id() const override { return src_; }
+  EndpointId fluid_endpoint() const override { return src_; }
+  bool fluid_eligible() const override { return true; }
+  bool fluid_errored() const override { return false; }
+  FluidFlowDesc fluid_freeze() override {
+    const ClosFabric::EndpointCoords s = fabric_.coords(src_);
+    const ClosFabric::EndpointCoords d = fabric_.coords(dst_);
+    FluidFlowDesc desc;
+    desc.remaining = remaining_;
+    desc.shares.emplace_back(
+        &fabric_.host_uplink(s.segment, s.host, s.rail, s.plane), 1.0);
+    desc.shares.emplace_back(
+        &fabric_.tor_downlink(d.segment, d.host, d.rail, d.plane), 1.0);
+    return desc;
+  }
+  void fluid_thaw(double) override {}
+  std::uint64_t fluid_serve(std::uint64_t bytes) override {
+    ++serve_calls;
+    std::uint64_t served = 0;
+    while (served < bytes && !queue_.empty()) {
+      const std::uint64_t take =
+          std::min(queue_.front() - head_served_, bytes - served);
+      head_served_ += take;
+      served += take;
+      remaining_ -= take;
+      if (head_served_ == queue_.front()) {
+        queue_.pop_front();
+        head_served_ = 0;
+        completions.push_back(sim_.now());
+        if (on_complete) on_complete();
+      }
+    }
+    total_served += served;
+    return served;
+  }
+  std::uint64_t fluid_remaining() const override { return remaining_; }
+  std::uint64_t fluid_next_completion_bytes() const override {
+    ++next_calls;
+    return queue_.empty() ? 0 : queue_.front() - head_served_;
+  }
+  std::uint64_t fluid_retransmit_count() const override { return 0; }
+
+  std::vector<SimTime> completions;
+  std::function<void()> on_complete;
+  std::uint64_t serve_calls = 0;
+  mutable std::uint64_t next_calls = 0;
+  std::uint64_t total_served = 0;
+
+ private:
+  Simulator& sim_;
+  ClosFabric& fabric_;
+  HybridDriver& driver_;
+  EndpointId src_;
+  EndpointId dst_;
+  std::deque<std::uint64_t> queue_;
+  std::uint64_t head_served_ = 0;
+  std::uint64_t remaining_ = 0;
+};
+
+TEST(HybridServiceTest, CompletionTouchesOnlyItsComponent) {
+  Simulator sim;
+  ClosFabric fabric(sim, service_fabric(200));
+  HybridDriver driver(sim, fabric, HybridConfig{});
+  const auto ep = [&](std::uint32_t host) {
+    return fabric.endpoint(0, host, 0, 0);
+  };
+  // Three link-disjoint groups: {0->1, 2->1} share host 1's downlink,
+  // {3->4, 5->4} host 4's, and {6->7} stands alone.
+  ScriptedFlow a(sim, fabric, driver, ep(0), ep(1));
+  ScriptedFlow b(sim, fabric, driver, ep(2), ep(1));
+  ScriptedFlow c(sim, fabric, driver, ep(3), ep(4));
+  ScriptedFlow d(sim, fabric, driver, ep(5), ep(4));
+  ScriptedFlow e(sim, fabric, driver, ep(6), ep(7));
+  a.post(64_KiB);  // the first completion anywhere
+  for (ScriptedFlow* f : {&b, &c, &d, &e}) f->post(16_MiB);
+  ASSERT_TRUE(sim.step());  // the kick: one solve anchors every flow
+  ASSERT_TRUE(a.completions.empty());
+
+  for (ScriptedFlow* f : {&a, &b, &c, &d, &e}) f->reset_counts();
+  while (a.completions.empty()) ASSERT_TRUE(sim.step());
+  // a completed and drained; the re-solve re-rated b, its only neighbour.
+  EXPECT_GT(a.serve_calls, 0u);
+  EXPECT_GT(b.serve_calls, 0u);
+  for (const ScriptedFlow* f : {&c, &d, &e}) {
+    EXPECT_EQ(f->serve_calls, 0u) << "a completion served another group";
+    EXPECT_EQ(f->next_calls, 0u) << "a completion rescheduled another group";
+  }
+}
+
+TEST(HybridServiceTest, CompletionTimesFollowPiecewiseRates) {
+  // 300G host links: 80/3 ps per byte at a full-link rate, so completion
+  // times fall between picoseconds.
+  constexpr double kRate = 300e9 / 8;  // bytes/s
+  Simulator sim;
+  ClosFabric fabric(sim, service_fabric(300));
+  HybridDriver driver(sim, fabric, HybridConfig{});
+  const auto ep = [&](std::uint32_t host) {
+    return fabric.endpoint(0, host, 0, 0);
+  };
+  ScriptedFlow lone(sim, fabric, driver, ep(0), ep(1));
+  ScriptedFlow first(sim, fabric, driver, ep(2), ep(3));
+  ScriptedFlow joiner(sim, fabric, driver, ep(4), ep(3));
+
+  // A lone flow completes B bytes at t0 + ceil(B * 1e12 / R) ps, which at
+  // R = 37.5 GB/s is ceil(B * 80 / 3).
+  constexpr std::uint64_t kLone = 1'000'003;
+  constexpr std::uint64_t kFirst = 1'000'000;
+  const SimTime t0 = SimTime::micros(1);
+  const SimTime t1 = t0 + SimTime::micros(10);
+  sim.schedule_at(t0, [&] {
+    lone.post(kLone);
+    first.post(kFirst);
+  });
+  // `first` runs alone at R for 10 us, then shares host 3's downlink with
+  // `joiner` at R / 2.
+  sim.schedule_at(t1, [&] { joiner.post(64_MiB); });
+  sim.run_until(t0 + SimTime::micros(100));
+
+  ASSERT_EQ(lone.completions.size(), 1u);
+  EXPECT_EQ(lone.completions[0].ps(),
+            t0.ps() + static_cast<std::int64_t>((kLone * 80 + 2) / 3));
+  ASSERT_EQ(first.completions.size(), 1u);
+  const double before_join = kRate * 10e-6;
+  const double expected_ps =
+      static_cast<double>(t1.ps()) +
+      (static_cast<double>(kFirst) - before_join) / (kRate / 2) * 1e12;
+  EXPECT_NEAR(static_cast<double>(first.completions[0].ps()), expected_ps,
+              1.0);
+
+  // A zoom mid-message materializes the accrued prefix and syncs exactly
+  // that to the receiver; packet mode then delivers the rest once.
+  Simulator zsim;
+  ClosFabric zfabric(zsim, service_fabric(300));
+  HybridDriver zdriver(zsim, zfabric, HybridConfig{});
+  EngineFleet fleet(zsim, zfabric);
+  const EndpointId src = zfabric.endpoint(0, 0, 0, 0);
+  const EndpointId dst = zfabric.endpoint(0, 1, 0, 0);
+  auto conn = fleet.connect(src, dst, {});
+  ASSERT_TRUE(conn.is_ok());
+  bool done = false;
+  conn.value()->post_write(4_MiB, [&] { done = true; });
+  std::uint64_t accrued = 0;
+  std::uint64_t synced = 0;
+  std::uint64_t materialized = 0;
+  zsim.schedule_at(SimTime::micros(10), [&] {
+    accrued = zdriver.fluid_bytes_served();
+    zdriver.force_packet(SimTime::zero(), "test");
+    synced = fleet.at(dst).rx_goodput_bytes();
+    materialized = zdriver.fluid_bytes_served();
+  });
+  zsim.run_until(SimTime::micros(10));
+  EXPECT_EQ(zdriver.region_mode(0), RegionMode::kPacket);
+  EXPECT_NEAR(static_cast<double>(accrued), kRate * 10e-6, 1.0);
+  EXPECT_EQ(materialized, accrued);
+  EXPECT_EQ(synced, accrued);
+  zsim.run_until(SimTime::millis(2));
+  EXPECT_TRUE(done);
+  EXPECT_EQ(fleet.at(dst).rx_goodput_bytes(), 4_MiB);
+}
+
+TEST(HybridServiceTest, DueEventAlwaysCompletes) {
+  // 200G host links: 40 ps per byte at a full-link rate (120 at a third),
+  // so due times land exactly on byte boundaries, where rate * dt rounds
+  // either way. Rates change whenever a flow drains.
+  Simulator sim;
+  ClosFabric fabric(sim, service_fabric(200));
+  HybridDriver driver(sim, fabric, HybridConfig{});
+  std::vector<std::unique_ptr<ScriptedFlow>> flows;
+  for (std::uint32_t h = 0; h < 6; ++h) {
+    flows.push_back(std::make_unique<ScriptedFlow>(
+        sim, fabric, driver, fabric.endpoint(0, h, 0, 0),
+        fabric.endpoint(0, 6 + h % 2, 0, 0)));
+  }
+  Rng rng(7);
+  std::uint64_t posted = 0;
+  for (auto& f : flows) {
+    for (int m = 0; m < 40; ++m) {
+      f->post(1 + rng.below(256_KiB));
+      ++posted;
+    }
+  }
+  const auto completed = [&] {
+    std::uint64_t n = 0;
+    for (const auto& f : flows) n += f->completions.size();
+    return n;
+  };
+  ASSERT_TRUE(sim.step());  // the kick
+  std::uint64_t events = 0;
+  for (;;) {
+    const std::uint64_t before = completed();
+    if (!sim.step()) break;
+    ++events;
+    EXPECT_GT(completed(), before)
+        << "service event " << events << " at " << sim.now().ps()
+        << " ps completed no message";
+  }
+  EXPECT_EQ(completed(), posted);
+  EXPECT_GT(events, 100u);
+}
+
+TEST(HybridServiceTest, SameTimeCompletionsRunInRegistrationOrder) {
+  Simulator sim;
+  ClosFabric fabric(sim, service_fabric(200));
+  HybridDriver driver(sim, fabric, HybridConfig{});
+  // Eight link-disjoint flows at one rate, with one equal message each:
+  // all complete in the same picosecond.
+  std::vector<std::unique_ptr<ScriptedFlow>> flows;
+  std::vector<int> order;
+  for (std::uint32_t h = 0; h < 8; ++h) {
+    flows.push_back(std::make_unique<ScriptedFlow>(
+        sim, fabric, driver, fabric.endpoint(0, h, 0, 0),
+        fabric.endpoint(1, h, 0, 0)));
+    flows.back()->on_complete = [&order, h] {
+      order.push_back(static_cast<int>(h));
+    };
+  }
+  // Posted in reverse, so solver ids (and due-heap insertion) run backwards.
+  for (auto it = flows.rbegin(); it != flows.rend(); ++it) (*it)->post(64_KiB);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  for (const auto& f : flows) {
+    ASSERT_EQ(f->completions.size(), 1u);
+    EXPECT_EQ(f->completions[0], flows[0]->completions[0]);
+  }
+}
+
+TEST(HybridServiceTest, BytesServedCountsAccrualWithoutServing) {
+  constexpr double kRate = 300e9 / 8;
+  Simulator sim;
+  ClosFabric fabric(sim, service_fabric(300));
+  HybridDriver driver(sim, fabric, HybridConfig{});
+  ScriptedFlow f(sim, fabric, driver, fabric.endpoint(0, 0, 0, 0),
+                 fabric.endpoint(0, 1, 0, 0));
+  f.post(1_MiB);
+  sim.run_until(SimTime::micros(10));
+  const std::uint64_t mid = driver.fluid_bytes_served();
+  EXPECT_NEAR(static_cast<double>(mid), kRate * 10e-6, 1.0);
+  EXPECT_EQ(f.serve_calls, 0u) << "reading the count must not serve";
+  EXPECT_EQ(driver.fluid_bytes_served(), mid);
+  sim.run_until(SimTime::micros(100));
+  ASSERT_EQ(f.completions.size(), 1u);
+  EXPECT_EQ(f.total_served, 1_MiB);
+  EXPECT_EQ(driver.fluid_bytes_served(), 1_MiB);
+
+  // Several flows whose rates changed mid-message: the count read through
+  // now is exactly what a zoom then materializes.
+  std::vector<std::unique_ptr<ScriptedFlow>> flows;
+  for (std::uint32_t h = 2; h < 6; ++h) {
+    flows.push_back(std::make_unique<ScriptedFlow>(
+        sim, fabric, driver, fabric.endpoint(0, h, 0, 0),
+        fabric.endpoint(0, 6 + h % 2, 0, 0)));
+  }
+  std::uint64_t posted = 0;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (std::uint64_t m = 0; m < 5; ++m) {
+      flows[i]->post(100'003 * (i + 1) + 7'919 * m);
+      posted += 100'003 * (i + 1) + 7'919 * m;
+    }
+  }
+  sim.run_until(SimTime::micros(137));
+  const std::uint64_t accrued = driver.fluid_bytes_served();
+  driver.force_packet(SimTime::zero(), "test");
+  std::uint64_t materialized = 1_MiB;
+  for (const auto& g : flows) materialized += g->total_served;
+  EXPECT_GT(materialized, 1_MiB);
+  EXPECT_LT(materialized, 1_MiB + posted);
+  EXPECT_EQ(driver.fluid_bytes_served(), materialized);
+  EXPECT_EQ(accrued, materialized);
+}
+
+TEST(HybridServiceTest, ZeroLengthWriteBehindAMessageCompletesWithIt) {
+  // The serve that completes a message also completes a zero-length WRITE
+  // queued behind it; otherwise the flow keeps demand but has no next
+  // completion to schedule, and its last message never completes.
+  Simulator sim;
+  ClosFabric fabric(sim, service_fabric(200));
+  HybridDriver driver(sim, fabric, HybridConfig{});
+  EngineFleet fleet(sim, fabric);
+  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
+                            fabric.endpoint(0, 1, 0, 0), {});
+  ASSERT_TRUE(conn.is_ok());
+  int done = 0;
+  const auto count = [&] { ++done; };
+  conn.value()->post_write(64_KiB, count);
+  conn.value()->post_write(0, count);
+  conn.value()->post_write(64_KiB, count);
+  sim.run_until(SimTime::millis(1));
+  EXPECT_EQ(done, 3);
+  EXPECT_EQ(driver.region_mode(0), RegionMode::kFluid);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidPropertyTest,

@@ -303,6 +303,78 @@ TEST(HybridFaultTest, DestroyedDriverCancelsItsPendingEvents) {
   EXPECT_TRUE(sent) << "packet traffic must still drain without the driver";
 }
 
+// A snapshot carries no fluid state (a frozen connection's `acked` lags
+// its served bytes by up to a message), so hot_restart() with a hybrid
+// driver attached must zoom the fabric before it serializes. The ring then
+// completes with exactly the bytes a run without the restart delivers.
+TEST(HybridFaultTest, HotRestartMidFluidEpochZoomsFirst) {
+  struct Outcome {
+    bool done = false;
+    std::uint64_t delivered = 0;
+    RegionMode before = RegionMode::kPacket;
+    RegionMode after = RegionMode::kFluid;
+    bool restarted = false;
+  };
+  const auto run = [](bool restart) {
+    Outcome out;
+    Simulator sim;
+    ClosFabric fabric(sim, small_fabric());
+    HybridDriver driver(sim, fabric, HybridConfig{});
+    EngineFleet fleet(sim, fabric);
+    std::vector<EndpointId> ranks;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
+    }
+    AllReduceConfig cfg;
+    cfg.data_bytes = 8_MiB;
+    cfg.transport.algo = MultipathAlgo::kObs;
+    cfg.transport.num_paths = 8;
+    RingAllReduce ring(fleet, ranks, cfg);
+    ring.start([&] { out.done = ring.status().is_ok(); });
+    if (restart) {
+      sim.schedule_at(SimTime::micros(200), [&] {
+        out.before = driver.region_mode(0);
+        out.restarted = fleet.at(ranks[1]).hot_restart().is_ok();
+        out.after = driver.region_mode(0);
+      });
+    }
+    AuditRegistry audits;
+    add_audits(audits, sim, fabric, fleet);
+    audits.attach_periodic(sim, SimTime::micros(50));
+    sim.run_until(SimTime::millis(20));
+    fleet.for_each_engine(
+        [&](RdmaEngine& e) { out.delivered += e.rx_goodput_bytes(); });
+    const AuditReport report = audits.run_all();
+    EXPECT_TRUE(report.clean()) << report.to_string();
+    EXPECT_EQ(audits.total_findings(), 0u);
+    return out;
+  };
+  const Outcome plain = run(false);
+  const Outcome restarted = run(true);
+  ASSERT_TRUE(plain.done);
+  EXPECT_EQ(restarted.before, RegionMode::kFluid)
+      << "the restart did not land mid-fluid-epoch";
+  EXPECT_TRUE(restarted.restarted);
+  EXPECT_EQ(restarted.after, RegionMode::kPacket)
+      << "hot_restart serialized without zooming";
+  EXPECT_TRUE(restarted.done);
+  EXPECT_EQ(restarted.delivered, plain.delivered);
+}
+
+TEST(HybridFaultDeathTest, SaveStateOfFrozenConnectionDies) {
+  Simulator sim;
+  ClosFabric fabric(sim, small_fabric());
+  HybridDriver driver(sim, fabric, HybridConfig{});
+  EngineFleet fleet(sim, fabric);
+  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
+  auto conn = fleet.connect(src, fabric.endpoint(1, 0, 0, 0), {});
+  ASSERT_TRUE(conn.is_ok());
+  conn.value()->post_write(1_MiB);
+  sim.run_until(SimTime::micros(5));
+  ASSERT_EQ(driver.region_mode(0), RegionMode::kFluid);
+  EXPECT_DEATH(fleet.at(src).save_state(), "under fluid service");
+}
+
 // Mini chaos soak under hybrid fidelity: a scripted all-data-plane plan
 // (link flap, switch bounce, degradation window, receiver reset) against a
 // continuously restarting ring AllReduce. Every fault forces a transition;

@@ -22,8 +22,10 @@
 #      golden-equivalence harness, mode-transition fault regressions), plus
 #      the fig09-mini packet-vs-hybrid tolerance gate
 #      (tools/check_hybrid_equivalence.py), a run-twice hybrid BENCH JSON
-#      byte-determinism check, and a hybrid trace smoke asserting
-#      trace_summarize reports fluid fast-forward spans
+#      byte-determinism check, a hybrid trace smoke asserting
+#      trace_summarize reports fluid fast-forward spans, and a run-twice
+#      byte comparison of fig15_16 --endpoints=128 --fidelity=hybrid
+#      stdout (the pure-fluid ring path)
 #   6d. the perf golden smoke: one pass of each repo benchmark workload
 #      (perf/run.py: permutation_packet, allreduce_hybrid, allreduce_faults,
 #      vstellar_translation), whose final JSON lines must say
@@ -152,6 +154,21 @@ hyb_trace_dir="$(mktemp -d)"
   "$repo_root/build/tools/trace_summarize" hyb_trace.json \
     | grep '^\[fluid\]')
 rm -rf "$hyb_trace_dir"
+
+step "fluid ring determinism (fig15_16 --endpoints=128 --fidelity=hybrid, run twice)"
+# The rings run pure fluid end to end (lazy service, the due heap, the
+# re-solve/re-anchor path); the fig09-mini gate above barely reaches it.
+f15_dir="$(mktemp -d)"
+(cd "$f15_dir" &&
+  mkdir run1 run2 &&
+  (cd run1 && "$repo_root/build/bench/fig15_16_training" --endpoints=128 \
+    --fidelity=hybrid > fig15_16.log) &&
+  (cd run2 && "$repo_root/build/bench/fig15_16_training" --endpoints=128 \
+    --fidelity=hybrid > fig15_16.log) &&
+  diff <(grep -v '^\[engine\]' run1/fig15_16.log) \
+       <(grep -v '^\[engine\]' run2/fig15_16.log) &&
+  echo "fig15_16 --endpoints=128 hybrid byte-identical across runs")
+rm -rf "$f15_dir"
 
 step "perf golden smoke (one pass each: allreduce_hybrid within 1 %, the others exact)"
 # A fluid-solver change that drifts the hybrid benchmark goldens, a
