@@ -289,33 +289,27 @@ void TransportAuditor::audit(AuditReport& report) const {
     }
   }
 
-  // Receiver-side PSN tracking: the floor is fully compacted (nothing at or
-  // below it is still stored) and the recorded high-water mark is sane.
+  // Receiver-side PSN tracking: the floor is fully compacted (its own bit,
+  // and every bit below it in its word, is clear — a stored bit there means
+  // the floor stopped short of a received PSN, or a stale bit would alias a
+  // PSN one bitmap span higher) and the recorded high-water mark is sane.
   // rx_ is a hash map; findings must emit in a deterministic order, so
   // walk the connection ids sorted.
   for (const std::uint64_t conn_id : sorted_keys(engine_->rx_)) {
     const auto& rx = engine_->rx_.at(conn_id);
     const std::string tag = "rx conn " + std::to_string(conn_id);
+    const std::uint64_t floor = rx.psns.floor();
     report.note_check();
-    bool below_floor = false;
-    // stellar-lint: allow(unordered-iter) order-insensitive: computes one
-    // any-below-floor boolean; no per-element emission or scheduling.
-    for (std::uint64_t psn : rx.psns_above_floor) {
-      if (psn <= rx.psn_floor) {
-        below_floor = true;
-        break;
-      }
-    }
-    if (below_floor) {
-      report.fail(name(), tag + ": PSN set holds entries at or below floor " +
-                              std::to_string(rx.psn_floor));
+    if (!rx.psns.compacted()) {
+      report.fail(name(), tag + ": PSN bitmap holds entries at or below "
+                                "floor " + std::to_string(floor));
     }
     report.note_check();
-    if (rx.any && rx.highest_psn + 1 < rx.psn_floor) {
+    if (rx.any && rx.highest_psn + 1 < floor) {
       report.fail(name(), tag + ": highest_psn " +
                               std::to_string(rx.highest_psn) +
                               " inconsistent with floor " +
-                              std::to_string(rx.psn_floor));
+                              std::to_string(floor));
     }
   }
 }

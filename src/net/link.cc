@@ -1,6 +1,5 @@
 #include "net/link.h"
 
-#include <iterator>
 #include <utility>
 
 #include "obs/obs.h"
@@ -51,9 +50,9 @@ void NetLink::enqueue(NetPacket&& p) {
   // Strict priority: control packets (ACKs) bypass queued data, as RoCE
   // deployments configure for CNP/ACK traffic classes.
   if (p.is_ack) {
-    control_queue_.push_back(std::move(p));
+    control_queue_.push_back(p);
   } else {
-    queue_.push_back(std::move(p));
+    queue_.push_back(p);
   }
   if (!busy_) start_transmission();
 }
@@ -64,7 +63,8 @@ void NetLink::start_transmission() {
                 name_.c_str());
   busy_ = true;
   tx_from_control_ = !control_queue_.empty();
-  const std::deque<NetPacket>& q = tx_from_control_ ? control_queue_ : queue_;
+  const RingQueue<NetPacket>& q =
+      tx_from_control_ ? control_queue_ : queue_;
   tx_wire_bytes_ = q.front().wire_bytes();
   const SimTime tx = config_.bandwidth.transmit_time(tx_wire_bytes_);
   auto fire = [this] { complete_transmission(); };
@@ -79,7 +79,7 @@ void NetLink::complete_transmission() {
   // pointer captured at schedule time; a drain/set_down in between would
   // have cancelled this event, and if anything else ever empties the queue
   // the checks below trip instead of popping the wrong packet.
-  std::deque<NetPacket>& q = tx_from_control_ ? control_queue_ : queue_;
+  RingQueue<NetPacket>& q = tx_from_control_ ? control_queue_ : queue_;
   STELLAR_CHECK(!q.empty(),
                 "link %s finished serializing from an empty %s queue",
                 name_.c_str(), tx_from_control_ ? "control" : "data");
@@ -87,7 +87,7 @@ void NetLink::complete_transmission() {
                 "link %s wire packet changed mid-serialization "
                 "(%u bytes committed, %u at head)",
                 name_.c_str(), tx_wire_bytes_, q.front().wire_bytes());
-  NetPacket p = std::move(q.front());
+  const NetPacket p = q.front();
   q.pop_front();
   const std::uint32_t wire_done = p.wire_bytes();
   account_queue_change(queue_bytes_ - wire_done);
@@ -100,11 +100,11 @@ void NetLink::complete_transmission() {
   const SimTime arrival = sim_->now() + config_.propagation;
   const std::uint64_t seq = sim_->reserve_seq();
   if (!inflight_.empty() && arrival < inflight_.back().arrival) {
-    auto it = inflight_.end();
-    while (it != inflight_.begin() && arrival < std::prev(it)->arrival) --it;
-    inflight_.insert(it, InFlight{std::move(p), arrival, seq});
+    std::size_t at = inflight_.size();
+    while (at > 0 && arrival < inflight_[at - 1].arrival) --at;
+    inflight_.insert(at, InFlight{p, arrival, seq});
   } else {
-    inflight_.push_back(InFlight{std::move(p), arrival, seq});
+    inflight_.push_back(InFlight{p, arrival, seq});
   }
   schedule_delivery();
   if (!queue_.empty() || !control_queue_.empty()) {
@@ -136,7 +136,7 @@ void NetLink::deliver_due() {
   STELLAR_CHECK(!inflight_.empty() &&
                     inflight_.front().arrival == sim_->now(),
                 "link %s delivery fired with no due packet", name_.c_str());
-  NetPacket p = std::move(inflight_.front().pkt);
+  NetPacket p = inflight_.front().pkt;
   inflight_.pop_front();
   STELLAR_AUDIT_ONLY(deliver_ ? ++audit_released_ : ++audit_sink_drops_;)
   if (deliver_) deliver_(std::move(p));

@@ -12,10 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "check/check.h"
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "net/packet.h"
@@ -160,8 +160,10 @@ class NetLink {
   Rng rng_;
   DeliverFn deliver_;
 
-  std::deque<NetPacket> queue_;       // data class
-  std::deque<NetPacket> control_queue_;  // strict-priority (ACK/CNP) class
+  // Ring buffers, not deques: a queue that cycles packets in steady state
+  // never allocates (common/ring_queue.h).
+  RingQueue<NetPacket> queue_;          // data class
+  RingQueue<NetPacket> control_queue_;  // strict-priority (ACK/CNP) class
   bool busy_ = false;
   bool up_ = true;
   EventHandle tx_event_;  // pending serialization-complete, for kVoid abort
@@ -184,7 +186,7 @@ class NetLink {
     SimTime arrival;
     std::uint64_t seq;  // reserved at serialization end
   };
-  std::deque<InFlight> inflight_;
+  RingQueue<InFlight> inflight_;
   EventHandle delivery_event_;
   SimTime delivery_at_ = SimTime::zero();  // fire time of delivery_event_
 

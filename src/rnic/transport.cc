@@ -154,7 +154,7 @@ std::uint16_t RdmaConnection::pick_path() {
     // (note_path_ack) reinstates it.
     if (!config_.blacklist_probe && it->second <= now) {
       blacklist_.erase(it);
-      path_timeout_streak_[path] = 0;
+      streak(path).count = 0;
       return path;
     }
     path = selector_->pick_at(now);
@@ -162,10 +162,20 @@ std::uint16_t RdmaConnection::pick_path() {
   return path;  // everything looks dead: send anyway, RTO will sort it out
 }
 
+RdmaConnection::PathStreak& RdmaConnection::streak(std::uint16_t path) {
+  if (path >= path_timeout_streak_.size()) {
+    path_timeout_streak_.resize(
+        std::max<std::size_t>(path + std::size_t{1}, config_.num_paths));
+  }
+  PathStreak& s = path_timeout_streak_[path];
+  s.seen = true;
+  return s;
+}
+
 void RdmaConnection::note_path_timeout(std::uint16_t path) {
   selector_->on_timeout(path);
   if (config_.blacklist_threshold == 0) return;
-  if (++path_timeout_streak_[path] >= config_.blacklist_threshold) {
+  if (++streak(path).count >= config_.blacklist_threshold) {
     blacklist_[path] =
         engine_.simulator().now() + config_.blacklist_hold;
     STELLAR_TRACE_ONLY(
@@ -182,7 +192,7 @@ void RdmaConnection::note_path_timeout(std::uint16_t path) {
 
 void RdmaConnection::note_path_ack(std::uint16_t path) {
   if (config_.blacklist_threshold == 0) return;
-  path_timeout_streak_[path] = 0;
+  streak(path).count = 0;
   if (blacklist_.erase(path) != 0) {
     ++paths_reinstated_;
     auto probe = probe_events_.find(path);
@@ -257,7 +267,7 @@ void RdmaConnection::send_more() {
     meta.kind = msg.kind;
 
     const std::uint64_t psn = next_psn_++;
-    outstanding_.emplace(psn, meta);
+    outstanding_.insert(psn, meta);
     note_send(psn, meta.sent_at);
     inflight_bytes_ += chunk;
     if (config_.per_path_cc) per_path_inflight_[path] += chunk;
@@ -319,10 +329,10 @@ void RdmaConnection::handle_ack(const NetPacket& ack) {
     send_more();  // the reinstated path may unblock stalled work
     return;
   }
-  auto it = outstanding_.find(ack.ack_psn);
-  if (it == outstanding_.end()) return;  // ack for a superseded copy
-  const Outstanding meta = it->second;
-  outstanding_.erase(it);
+  const Outstanding* live = outstanding_.find(ack.ack_psn);
+  if (live == nullptr) return;  // ack for a superseded copy
+  const Outstanding meta = *live;
+  outstanding_.erase(ack.ack_psn);
 
   const SimTime rtt = engine_.simulator().now() - meta.sent_at;
   STELLAR_TRACE_ONLY(obs::count("transport/acks");
@@ -397,8 +407,8 @@ void RdmaConnection::arm_rto() {
     STELLAR_DCHECK(send_fifo_head_ < send_fifo_.size(),
                    "send FIFO lost an unacked PSN");
     const SendStamp& s = send_fifo_[send_fifo_head_];
-    const auto it = outstanding_.find(s.psn);
-    if (it != outstanding_.end() && it->second.sent_at == s.sent_at) break;
+    const Outstanding* live = outstanding_.find(s.psn);
+    if (live != nullptr && live->sent_at == s.sent_at) break;
   }
   SimTime deadline = send_fifo_[send_fifo_head_].sent_at + config_.rto;
   // Drop the popped prefix once it is at least as long as the rest, so
@@ -422,7 +432,7 @@ void RdmaConnection::on_rto_fire() {
   const SimTime now = sim.now();
   bool fired = false;
   bool exhausted = false;
-  for (auto& [psn, meta] : outstanding_) {
+  for (auto [psn, meta] : outstanding_) {  // meta refers into the window
     if (now - meta.sent_at < config_.rto) continue;
     if (meta.retries >= config_.max_retries) {
       // Retry budget exhausted: the peer (or every path to it) is gone.
@@ -752,6 +762,16 @@ void RdmaEngine::reset_device(SimTime down_for) {
   }
 }
 
+std::map<std::uint16_t, std::uint64_t> RdmaEngine::rx_path_histogram() const {
+  std::map<std::uint16_t, std::uint64_t> out;
+  for (std::size_t path = 0; path < rx_path_histogram_.size(); ++path) {
+    if (rx_path_histogram_[path] != 0) {
+      out.emplace(static_cast<std::uint16_t>(path), rx_path_histogram_[path]);
+    }
+  }
+  return out;
+}
+
 void RdmaEngine::post_recv(std::uint64_t conn_id, RecvHandler on_recv) {
   RecvQueue& q = recv_queues_[conn_id];
   if (!q.unexpected.empty()) {
@@ -800,7 +820,7 @@ void RdmaEngine::handle_data(NetPacket&& p) {
   }
   RxState& state = rx_[p.conn_id];
 
-  const bool fresh = state.record(p.psn);
+  const bool fresh = state.psns.record(p.psn);
   if (!fresh) {
     ++rx_duplicates_;
     STELLAR_TRACE_ONLY(obs::count("transport/rx_duplicates");)
@@ -817,6 +837,9 @@ void RdmaEngine::handle_data(NetPacket&& p) {
   }
   state.highest_psn = std::max(state.highest_psn, p.psn);
   state.any = true;
+  if (p.path_id >= rx_path_histogram_.size()) {
+    rx_path_histogram_.resize(p.path_id + std::size_t{1});
+  }
   ++rx_path_histogram_[p.path_id];
 
   if (p.kind == PacketKind::kReadRequest) {

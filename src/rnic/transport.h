@@ -30,6 +30,7 @@
 #include "net/fabric.h"
 #include "rnic/congestion.h"
 #include "rnic/multipath.h"
+#include "rnic/psn_window.h"
 #include "sim/hybrid.h"
 #include "sim/simulator.h"
 
@@ -289,7 +290,9 @@ class RdmaConnection : public FluidClient {
 
   std::deque<std::uint64_t> unsent_queue_;            // msg ids with unsent data
   std::unordered_map<std::uint64_t, Message> messages_;
-  std::map<std::uint64_t, Outstanding> outstanding_;  // psn -> in-flight meta
+  // psn -> in-flight meta: a PSN-indexed ring of indices into a slab of
+  // live records (rnic/psn_window.h), iterated in PSN order.
+  SendWindow<Outstanding> outstanding_;
   // Send FIFO behind arm_rto(): one (sent_at, psn) pair per send and per
   // retransmit, in send order, so sent_at never decreases from the head to
   // the back. A pair is stale once its PSN is acked or re-sent later;
@@ -306,7 +309,17 @@ class RdmaConnection : public FluidClient {
   SimTime stack_next_free_;  // pacing point of the (optional) encap engine
 
   // Failure mitigation: consecutive timeouts per path and hold-down expiry.
-  std::unordered_map<std::uint16_t, std::uint32_t> path_timeout_streak_;
+  // The streak is indexed by path id; `seen` marks the paths the streak
+  // logic has touched (ACKed or timed out), which are the entries the
+  // snapshot carries — a path ACKed but never timed out is saved as 0.
+  struct PathStreak {
+    std::uint32_t count = 0;
+    bool seen = false;
+  };
+  std::vector<PathStreak> path_timeout_streak_;
+  /// The streak entry of `path`, marked seen (sized to the paths on first
+  /// use).
+  PathStreak& streak(std::uint16_t path);
   std::unordered_map<std::uint16_t, SimTime> blacklist_;
   // One pending probe event per blacklisted path (probe mode only). Probes
   // go dormant while the connection is idle so the simulator can drain.
@@ -418,11 +431,9 @@ class RdmaEngine : public FluidReceiver {
 
   /// Per-path packet counts observed at this receiver — the path-level
   /// observability that RNIC-side spraying preserves and switch-side
-  /// adaptive routing destroys (§7.1's monitoring argument).
-  const std::unordered_map<std::uint16_t, std::uint64_t>& rx_path_histogram()
-      const {
-    return rx_path_histogram_;
-  }
+  /// adaptive routing destroys (§7.1's monitoring argument). One entry per
+  /// path that received at least one packet, ascending by path.
+  std::map<std::uint16_t, std::uint64_t> rx_path_histogram() const;
 
   const std::vector<std::unique_ptr<RdmaConnection>>& connections() const {
     return connections_;
@@ -508,22 +519,14 @@ class RdmaEngine : public FluidReceiver {
     std::uint64_t received = 0;
   };
 
-  // PSN tracking with a compacting floor: everything below `psn_floor` has
-  // been received, only the (bounded, ~one window) set above it is stored.
+  // PSN tracking with a compacting floor: everything below the floor has
+  // been received, only the (bounded, ~one window) set above it is stored,
+  // as a bitmap (rnic/psn_window.h).
   struct RxState {
-    std::uint64_t psn_floor = 0;
-    std::unordered_set<std::uint64_t> psns_above_floor;
+    ReceiveWindow psns;
     std::unordered_map<std::uint64_t, RxMessageState> messages;
     std::uint64_t highest_psn = 0;
     bool any = false;
-
-    /// Returns false (duplicate) or true (fresh, recorded).
-    bool record(std::uint64_t psn) {
-      if (psn < psn_floor) return false;
-      if (!psns_above_floor.insert(psn).second) return false;
-      while (psns_above_floor.erase(psn_floor) != 0) ++psn_floor;
-      return true;
-    }
   };
 
   struct RecvQueue {
@@ -594,7 +597,8 @@ class RdmaEngine : public FluidReceiver {
   std::uint64_t rx_duplicates_ = 0;
   std::uint64_t rx_out_of_order_ = 0;
   std::uint64_t unexpected_sends_ = 0;
-  std::unordered_map<std::uint16_t, std::uint64_t> rx_path_histogram_;
+  // Packets received per path, indexed by path id (zero: none yet).
+  std::vector<std::uint64_t> rx_path_histogram_;
 
   // Device-reset fault window: packets arriving before reset_until_ are
   // discarded at the device (the fabric already counted them delivered).

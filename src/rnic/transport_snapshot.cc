@@ -149,7 +149,7 @@ void RdmaConnection::save_state(SnapshotWriter& w) const {
     w.time(m.posted_at);
   }
 
-  // outstanding_ is an ordered map: PSN order is already deterministic.
+  // outstanding_ iterates in PSN order: already deterministic.
   w.u32(static_cast<std::uint32_t>(outstanding_.size()));
   for (const auto& [psn, o] : outstanding_) {
     w.u64(psn);
@@ -164,10 +164,15 @@ void RdmaConnection::save_state(SnapshotWriter& w) const {
     w.u32(o.retries);
   }
 
-  w.u32(static_cast<std::uint32_t>(path_timeout_streak_.size()));
-  for (std::uint16_t path : sorted_keys(path_timeout_streak_)) {
-    w.u16(path);
-    w.u32(path_timeout_streak_.at(path));
+  // Every path the streak logic touched, ascending — including the ones
+  // whose streak an ACK reset to zero.
+  std::uint32_t n_streak = 0;
+  for (const PathStreak& s : path_timeout_streak_) n_streak += s.seen ? 1 : 0;
+  w.u32(n_streak);
+  for (std::size_t path = 0; path < path_timeout_streak_.size(); ++path) {
+    if (!path_timeout_streak_[path].seen) continue;
+    w.u16(static_cast<std::uint16_t>(path));
+    w.u32(path_timeout_streak_[path].count);
   }
   w.u32(static_cast<std::uint32_t>(blacklist_.size()));
   for (std::uint16_t path : sorted_keys(blacklist_)) {
@@ -238,7 +243,8 @@ void RdmaConnection::restore_state(SnapshotReader& r) {
     o.msg_tag = r.u32();
     o.kind = static_cast<PacketKind>(r.u8());
     o.retries = r.u32();
-    outstanding_.emplace(psn, o);
+    if (!r.ok()) break;  // truncated: restore_core reports it
+    outstanding_.insert(psn, o);
   }
   // The snapshot holds PSN order; a retransmitted low PSN can be newer than
   // higher ones, so the send FIFO is re-sorted by send time.
@@ -248,7 +254,7 @@ void RdmaConnection::restore_state(SnapshotReader& r) {
   const std::uint32_t n_streak = r.u32();
   for (std::uint32_t i = 0; i < n_streak; ++i) {
     const std::uint16_t path = r.u16();
-    path_timeout_streak_[path] = r.u32();
+    streak(path).count = r.u32();
   }
   blacklist_.clear();
   const std::uint32_t n_black = r.u32();
@@ -321,10 +327,11 @@ std::string RdmaEngine::save_state() const {
   w.time(reset_until_);
   w.time(quiesce_until_);
 
-  w.u32(static_cast<std::uint32_t>(rx_path_histogram_.size()));
-  for (std::uint16_t path : sorted_keys(rx_path_histogram_)) {
+  const std::map<std::uint16_t, std::uint64_t> histogram = rx_path_histogram();
+  w.u32(static_cast<std::uint32_t>(histogram.size()));
+  for (const auto& [path, count] : histogram) {
     w.u16(path);
-    w.u64(rx_path_histogram_.at(path));
+    w.u64(count);
   }
 
   // Receiver PSN floors + partial messages, sorted by (remote) conn id.
@@ -333,14 +340,11 @@ std::string RdmaEngine::save_state() const {
   for (std::uint64_t conn : sorted_keys(rx_)) {
     const RxState& st = rx_.at(conn);
     w.u64(conn);
-    w.u64(st.psn_floor);
+    w.u64(st.psns.floor());
     w.u64(st.highest_psn);
     w.b(st.any);
-    std::vector<std::uint64_t> psns(st.psns_above_floor.begin(),
-                                    st.psns_above_floor.end());
-    std::sort(psns.begin(), psns.end());
-    w.u32(static_cast<std::uint32_t>(psns.size()));
-    for (std::uint64_t psn : psns) w.u64(psn);
+    w.u32(static_cast<std::uint32_t>(st.psns.above_floor_count()));
+    st.psns.for_each_above_floor([&w](std::uint64_t psn) { w.u64(psn); });
     w.u32(static_cast<std::uint32_t>(st.messages.size()));
     for (std::uint64_t msg : sorted_keys(st.messages)) {
       w.u64(msg);
@@ -404,7 +408,12 @@ Status RdmaEngine::restore_core(SnapshotReader& r) {
   const std::uint32_t n_hist = r.u32();
   for (std::uint32_t i = 0; i < n_hist; ++i) {
     const std::uint16_t path = r.u16();
-    rx_path_histogram_[path] = r.u64();
+    const std::uint64_t count = r.u64();
+    if (!r.ok()) break;
+    if (path >= rx_path_histogram_.size()) {
+      rx_path_histogram_.resize(path + std::size_t{1});
+    }
+    rx_path_histogram_[path] = count;
   }
 
   if (Status s = r.expect_section(kRxTag); !s.is_ok()) return s;
@@ -413,11 +422,20 @@ Status RdmaEngine::restore_core(SnapshotReader& r) {
   for (std::uint32_t i = 0; i < n_rx; ++i) {
     const std::uint64_t conn = r.u64();
     RxState st;
-    st.psn_floor = r.u64();
+    st.psns.reset(r.u64());
     st.highest_psn = r.u64();
     st.any = r.b();
     const std::uint32_t n_psn = r.u32();
-    for (std::uint32_t j = 0; j < n_psn; ++j) st.psns_above_floor.insert(r.u64());
+    for (std::uint32_t j = 0; j < n_psn; ++j) {
+      const std::uint64_t psn = r.u64();
+      if (!r.ok()) break;
+      if (psn < st.psns.floor()) {
+        return invalid_argument("RdmaEngine::restore: received PSN " +
+                                std::to_string(psn) + " below floor " +
+                                std::to_string(st.psns.floor()));
+      }
+      st.psns.mark(psn);
+    }
     const std::uint32_t n_msg = r.u32();
     for (std::uint32_t j = 0; j < n_msg; ++j) {
       const std::uint64_t msg = r.u64();

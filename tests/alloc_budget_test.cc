@@ -1,0 +1,127 @@
+// Allocation budget of the packet path. Every hop of every packet pushes
+// and pops a link queue, every send inserts into the sender's unacked
+// window and every arrival records a PSN at the receiver; none of these
+// may touch the heap once the structures reached their working size. A
+// small packet-mode permutation warms up for one revolution of the timing
+// wheel, then must stay under one heap allocation per 100 delivered
+// packets. What remains is per message (the sender's and the receiver's
+// message tables, about 4 allocations per 1 MiB message of 256 packets)
+// and the outer wheel level, whose slot vectors are released at every
+// cascade and regrow (a few allocations per 33.6 us slot, however many
+// packets it carries).
+//
+// This binary replaces the global operator new to count allocations, so it
+// is kept apart from the other test binaries.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "collective/fleet.h"
+#include "collective/traffic.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t n, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_aligned_alloc(n, a);
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_aligned_alloc(n, a);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace stellar {
+namespace {
+
+// One revolution of the timing wheel (sim/simulator.h): its outer level
+// has 4096 slots of 2^25 ps, ~137 ms in all. Each wheel slot keeps its own
+// entry vector, which grows the first few times the slot is used; after
+// one revolution every slot of both levels has been through that, so the
+// allocations measured afterwards are the packet path's own.
+constexpr SimTime kWheelRevolution = SimTime::picos(std::int64_t{4096} << 25);
+
+TEST(AllocBudgetTest, PacketPermutationUnderOneAllocationPer100Packets) {
+  Simulator sim;
+  FabricConfig fc;
+  fc.segments = 2;
+  fc.hosts_per_segment = 4;
+  fc.rails = 1;
+  fc.planes = 1;
+  fc.aggs_per_plane = 4;
+  ClosFabric fabric(sim, fc);
+  EngineFleet fleet(sim, fabric);
+  std::vector<EndpointId> hosts;
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    for (std::uint32_t h = 0; h < 4; ++h) {
+      hosts.push_back(fabric.endpoint(s, h, 0, 0));
+    }
+  }
+
+  // Stellar's production setting: OBS spraying over 128 paths, so every
+  // packet is out of order somewhere and the receive bitmap is exercised.
+  PermutationConfig pc;
+  pc.message_bytes = 1_MiB;
+  pc.transport.algo = MultipathAlgo::kObs;
+  pc.transport.num_paths = 128;
+  pc.seed = 5;
+  PermutationTraffic traffic(fleet, hosts, {}, pc);
+  traffic.start();
+
+  sim.run_until(sim.now() + kWheelRevolution);
+  const std::uint64_t allocs_before = g_allocations.load();
+  const std::uint64_t delivered_before = fabric.delivered_packets();
+  const std::uint64_t bytes_before = traffic.completed_bytes();
+
+  sim.run_until(sim.now() + SimTime::micros(400));
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
+  const std::uint64_t delivered =
+      fabric.delivered_packets() - delivered_before;
+  traffic.stop();
+
+  std::printf("%llu heap allocations for %llu delivered packets\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(delivered));
+  ASSERT_TRUE(traffic.status().is_ok()) << traffic.status().to_string();
+  ASSERT_GT(traffic.completed_bytes(), bytes_before);  // messages complete
+  ASSERT_GT(delivered, 10000u);
+  EXPECT_LT(allocs * 100, delivered)
+      << allocs << " heap allocations for " << delivered
+      << " delivered packets";
+}
+
+}  // namespace
+}  // namespace stellar

@@ -43,8 +43,8 @@ struct TransportTestPeer {
   }
   static void corrupt_rx_floor(RdmaEngine& engine, std::uint64_t conn_id) {
     auto& rx = engine.rx_[conn_id];
-    rx.psn_floor = 5;
-    rx.psns_above_floor.insert(2);  // at/below the floor: must be compacted
+    rx.psns.reset(5);
+    rx.psns.mark(5);  // the floor's own bit, uncompacted
     rx.highest_psn = 10;
     rx.any = true;
   }
@@ -173,10 +173,14 @@ TEST(TransportAuditorTest, LegalityHoldsAfterTrafficAndCatchesCorruption) {
   TransportTestPeer::skew_inflight(*conn.value(),
                                    static_cast<std::uint64_t>(-4096));
 
-  // Receiver-side: a PSN parked at/below the compaction floor.
+  // Receiver-side: the floor's own bit left set, the floor not compacted
+  // past it. The compaction check, and only it, must fire.
   TransportTestPeer::corrupt_rx_floor(receiver, conn.value()->id());
   AuditReport rx_corrupt = registry.run_all();
-  EXPECT_TRUE(has_finding_from(rx_corrupt, "transport-legality"))
+  ASSERT_EQ(rx_corrupt.findings().size(), 1u) << rx_corrupt.to_string();
+  EXPECT_EQ(rx_corrupt.findings()[0].auditor, "transport-legality");
+  EXPECT_NE(rx_corrupt.findings()[0].detail.find("at or below floor 5"),
+            std::string::npos)
       << rx_corrupt.to_string();
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace stellar {
@@ -45,6 +47,38 @@ TEST_F(LinkTest, FifoQueueingBacklog) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], SimTime::micros(1));
   EXPECT_EQ(arrivals[1], SimTime::micros(3));  // waits for the first
+}
+
+TEST_F(LinkTest, PropagationShrinkDeliversInArrivalOrder) {
+  // Packets past serialization wait in the in-flight FIFO in arrival
+  // order. A runtime propagation cut makes later packets arrive before
+  // earlier ones, so they are inserted ahead of them; the FIFO must come
+  // out sorted by arrival (ties in serialization order) and lose nothing,
+  // also while it grows.
+  LinkConfig cfg;
+  cfg.bandwidth = Bandwidth::gbps(8);  // 1 byte/ns: 1 us per packet
+  cfg.propagation = SimTime::micros(10);
+  NetLink link(sim_, "l", cfg);
+  std::vector<std::pair<SimTime, std::uint64_t>> got;
+  link.set_deliver(
+      [&](NetPacket&& p) { got.emplace_back(sim_.now(), p.psn); });
+  constexpr std::uint64_t kPackets = 20;
+  for (std::uint64_t i = 1; i <= kPackets; ++i) {
+    NetPacket p = make_packet(936);  // 1000 B wire
+    p.psn = i;  // serialization ends at i us
+    link.enqueue(std::move(p));
+  }
+  sim_.schedule_at(SimTime::nanos(5500),
+                   [&] { link.set_propagation(SimTime::micros(1)); });
+  sim_.run();
+
+  std::vector<std::pair<SimTime, std::uint64_t>> want;
+  for (std::uint64_t i = 1; i <= kPackets; ++i) {
+    const std::int64_t done_us = static_cast<std::int64_t>(i);
+    want.emplace_back(SimTime::micros(done_us + (i <= 5 ? 10 : 1)), i);
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
 }
 
 TEST_F(LinkTest, EcnMarkAboveThreshold) {

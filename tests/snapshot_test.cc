@@ -200,6 +200,49 @@ TEST(TransportSnapshotTest, IdenticalRunsProduceIdenticalBytes) {
   EXPECT_EQ(snapshot_digest(a), snapshot_digest(b));
 }
 
+TEST(TransportSnapshotTest, PathAckedButNeverTimedOutIsSavedWithZeroStreak) {
+  // Every ACK resets its path's timeout streak, and a reset path is part of
+  // the snapshot with a zero streak — the encoding the per-path streak
+  // table must keep byte for byte. Round-robin over 4 loss-free paths: each
+  // path is ACKed, none ever times out.
+  Simulator sim;
+  ClosFabric fabric(sim, tiny_fabric());
+  EngineFleet fleet(sim, fabric);
+  TransportConfig tc;
+  tc.num_paths = 4;
+  tc.algo = MultipathAlgo::kRoundRobin;
+  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
+                            fabric.endpoint(1, 0, 0, 0), tc);
+  ASSERT_TRUE(conn.is_ok());
+  conn.value()->post_write(64_KiB, {});
+  sim.run();
+  ASSERT_TRUE(conn.value()->idle());
+  ASSERT_EQ(conn.value()->timeouts(), 0u);
+
+  // The connection is the snapshot's last record; it ends with the empty
+  // outstanding table, the streak table, the empty blacklist and the CC
+  // context.
+  SnapshotWriter tail;
+  tail.u32(0);  // outstanding packets
+  tail.u32(4);  // streak entries: every path, ascending
+  for (std::uint16_t path = 0; path < 4; ++path) {
+    tail.u16(path);
+    tail.u32(0);
+  }
+  tail.u32(0);  // blacklisted paths
+  conn.value()->cc().save(tail);
+  const std::string snap = fleet.at(fabric.endpoint(0, 0, 0, 0)).save_state();
+  ASSERT_GE(snap.size(), tail.bytes().size());
+  EXPECT_EQ(snap.substr(snap.size() - tail.bytes().size()), tail.bytes());
+
+  // And the zero streaks survive a restore byte for byte.
+  RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0, 0, 0));
+  auto restarted = engine.hot_restart();
+  ASSERT_TRUE(restarted.is_ok()) << restarted.status().to_string();
+  EXPECT_EQ(engine.save_state().substr(snap.size() - tail.bytes().size()),
+            tail.bytes());
+}
+
 TEST(TransportSnapshotTest, RestoreRejectsForeignEngine) {
   Simulator sim;
   ClosFabric fabric(sim, tiny_fabric());

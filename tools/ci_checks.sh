@@ -4,6 +4,9 @@
 #      full tree; tools/lint/stellar_lint.py, dependency-free python)
 #   1. default build (STELLAR_AUDIT=ON) + the complete test suite
 #   2. the audit-labelled invariant tests on their own (fast signal)
+#   2b. the alloc-labelled allocation budget of the packet path (its own
+#      binary: it replaces the global operator new), here and again in the
+#      bench build of step 12
 #   3. the fault-labelled fault-injection/recovery tests on their own
 #   4. the sim-labelled engine determinism/stress tests, run once per
 #      engine mode (STELLAR_TEST_THREADS=1 and =4 — the threaded tests
@@ -48,7 +51,7 @@
 #  12. STELLAR_AUDIT=OFF + STELLAR_TRACE=OFF build of the bench binaries —
 #      proves both instrumentation layers compile out of hot paths
 #      entirely — plus a sim_core smoke run (wheel-vs-heap cross-check at
-#      reduced scale)
+#      reduced scale) and the allocation budget in that build
 #
 #   tools/ci_checks.sh [--skip-san] [--lint-only]
 #
@@ -97,6 +100,9 @@ ctest --test-dir build --output-on-failure -j"$jobs"
 
 step "invariant audit suite (ctest -L audit)"
 ctest --test-dir build --output-on-failure -L audit
+
+step "packet-path allocation budget (ctest -L alloc)"
+ctest --test-dir build --output-on-failure -L alloc
 
 step "fault injection suite (ctest -L fault)"
 ctest --test-dir build --output-on-failure -L fault
@@ -301,6 +307,9 @@ cmake --build build-bench -j"$jobs"
 
 step "sim_core engine smoke run (wheel vs heap cross-check)"
 build-bench/bench/sim_core 0.05
+
+step "packet-path allocation budget, bench build (ctest -L alloc)"
+ctest --test-dir build-bench --output-on-failure -L alloc
 
 echo
 echo "ci_checks: all gates passed"
