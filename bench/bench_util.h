@@ -15,8 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/run_shard.h"
 #include "sim/hybrid.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 
 namespace stellar::bench {
@@ -73,10 +73,9 @@ inline std::unique_ptr<HybridDriver> make_fidelity_driver(Simulator& sim,
 }
 
 /// --threads=N flag shared by every simulator-driving bench: the worker
-/// count for run-level sharding (core/run_shard.h) or the parallel engine
-/// (sim/parallel.h). 1 (the default) is the single-threaded reference
-/// path; any N must produce byte-identical BENCH JSON and traces
-/// (tools/ci_checks.sh diffs fig09-mini at 1 vs 4).
+/// count for run-level sharding (core/run_shard.h). 1 (the default) is the
+/// single-threaded reference path; any N must produce byte-identical BENCH
+/// JSON and traces (tools/ci_checks.sh diffs fig09-mini at 1 vs 4).
 inline std::uint32_t threads_arg(int argc, char** argv,
                                  std::uint32_t def = 1) {
   for (int i = 1; i < argc; ++i) {
@@ -115,9 +114,8 @@ inline std::string fmt(double v, int decimals = 2) {
 
 class EngineMeter {
  public:
-  /// Per-shard attribution slots: RunSet workers land on their worker id,
-  /// ShardedEngine shards on their shard id; slot 0 doubles as "no shard"
-  /// for plain single-threaded runs.
+  /// Per-shard attribution slots: RunSet workers land on their worker id;
+  /// slot 0 doubles as "no shard" for plain single-threaded runs.
   static constexpr std::size_t kMaxSlots = 64;
 
   EngineMeter() : start_(std::chrono::steady_clock::now()) {}
@@ -127,26 +125,13 @@ class EngineMeter {
   /// events are attributed to the calling worker's shard slot.
   void add(const Simulator& sim) {
     const int w = RunSet::current_worker();
-    add_shard(w > 0 ? static_cast<std::uint32_t>(w) : 0,
-              sim.executed_events());
+    const std::size_t slot = w > 0 ? static_cast<std::size_t>(w) : 0;
+    const std::uint64_t events = sim.executed_events();
+    events_.fetch_add(events, std::memory_order_relaxed);
+    shard_events_[slot < kMaxSlots ? slot : kMaxSlots - 1].fetch_add(
+        events, std::memory_order_relaxed);
     runs_.fetch_add(1, std::memory_order_relaxed);
     if (w > 0) sharded_.store(true, std::memory_order_relaxed);
-  }
-
-  /// Fold a ShardedEngine run with per-shard attribution.
-  void add(const ShardedEngine& engine) {
-    for (std::uint32_t s = 0; s < engine.shards(); ++s) {
-      add_shard(s, engine.shard_executed(s));
-    }
-    runs_.fetch_add(1, std::memory_order_relaxed);
-    if (engine.shards() > 1) sharded_.store(true, std::memory_order_relaxed);
-  }
-
-  /// Attribute `events` executed events to `shard`.
-  void add_shard(std::uint32_t shard, std::uint64_t events) {
-    events_.fetch_add(events, std::memory_order_relaxed);
-    shard_events_[shard < kMaxSlots ? shard : kMaxSlots - 1].fetch_add(
-        events, std::memory_order_relaxed);
   }
 
   std::uint64_t events() const {

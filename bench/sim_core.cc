@@ -23,19 +23,13 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <unordered_set>
 #include <vector>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
 #include "bench/bench_util.h"
 #include "check/check.h"
 #include "collective/fleet.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 
 using namespace stellar;
@@ -263,142 +257,6 @@ MixResult run_spray_3tier(double scale) {
   return out;
 }
 
-// -- Parallel engine scaling (sharded conservative PDES) ----------------------
-//
-// The schedule_fire hold model homed on the 8 shards of a ShardedEngine:
-// 8192 actors per shard keep the 65536-pending working set of the
-// single-threaded mix, and every ~16th firing hands an event to the next
-// shard at >= lookahead — enough cross-shard traffic to exercise the
-// conservative windows without serializing on them. The per-shard XOR
-// accumulators are a pure function of the workload, so comparing their
-// fold across thread counts is the bench's own determinism check.
-
-struct PdesActor {
-  ShardedEngine* eng = nullptr;
-  std::uint64_t* accs = nullptr;  // per-shard accumulators (shard-private)
-  std::uint32_t shard = 0;
-  std::uint32_t shards = 0;
-  std::uint64_t rng = 0;
-  std::uint32_t rounds_left = 0;
-  std::int64_t lookahead_ps = 0;
-
-  void fire() {
-    accs[shard] ^= lcg(rng + rounds_left);
-    if (rounds_left == 0) return;
-    --rounds_left;
-    rng = lcg(rng);
-    Simulator& sim = eng->shard(shard);
-    if ((rng >> 20) % 16 == 0) {
-      const std::uint32_t to = (shard + 1) % shards;
-      const std::uint64_t tag = rng;
-      std::uint64_t* dst = &accs[to];
-      eng->post(shard, to,
-                sim.now() + SimTime::picos(lookahead_ps) +
-                    SimTime::nanos((rng >> 8) % 400),
-                [dst, tag] { *dst ^= tag; });
-    }
-    PdesActor* self = this;
-    sim.schedule_after(SimTime::nanos(1 + (rng >> 33) % 32000),
-                      [self] { self->fire(); });
-  }
-};
-
-struct ShardedMixResult {
-  std::uint64_t events = 0;
-  double wall_s = 0;
-  double events_per_sec = 0;
-  std::uint64_t hash = 0;  // workload fingerprint; thread-count invariant
-};
-
-ShardedMixResult run_pdes_scaling(std::uint32_t shards, std::uint32_t threads,
-                                  std::size_t actors_total,
-                                  std::uint32_t rounds) {
-  PdesConfig cfg;
-  cfg.shards = shards;
-  cfg.threads = threads;
-  cfg.lookahead = SimTime::nanos(600);
-  ShardedEngine eng(cfg);
-  std::vector<std::uint64_t> accs(shards, 0);
-  std::vector<PdesActor> pool(actors_total);
-  for (std::size_t i = 0; i < actors_total; ++i) {
-    const std::uint32_t s = static_cast<std::uint32_t>(i % shards);
-    pool[i] = {&eng,  accs.data(), s, shards, lcg(i + 0x5eed),
-               rounds, cfg.lookahead.ps()};
-    PdesActor* self = &pool[i];
-    eng.shard(s).schedule_at(SimTime::nanos(1 + (i / shards) % 4096),
-                             [self] { self->fire(); });
-  }
-  // stellar-lint: allow(wall-clock) host-side wall timing of the run
-  // itself (events/sec); never feeds simulation state.
-  const auto t0 = std::chrono::steady_clock::now();
-  eng.run_until(SimTime::millis(40));
-  // stellar-lint: allow(wall-clock) host-side wall timing (see t0).
-  const auto t1 = std::chrono::steady_clock::now();
-
-  ShardedMixResult out;
-  out.events = eng.executed_events();
-  out.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  out.events_per_sec =
-      out.wall_s > 0 ? static_cast<double>(out.events) / out.wall_s : 0;
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    h = lcg(h ^ accs[s]);
-    h = lcg(h ^ eng.shard_executed(s));
-  }
-  out.hash = h;
-  const ShardedEngine::EngineStats st = eng.stats();
-  STELLAR_CHECK(st.in_flight == 0 && st.posted == st.drained,
-                "handoff leak: posted=%llu drained=%llu in_flight=%llu",
-                static_cast<unsigned long long>(st.posted),
-                static_cast<unsigned long long>(st.drained),
-                static_cast<unsigned long long>(st.in_flight));
-  engine_meter().add(eng);
-  return out;
-}
-
-// CPUs actually available to this process. hardware_concurrency() reports
-// host logical CPUs even under a container CPU quota or a restricted
-// affinity mask (shared CI runners), which would arm the 4-thread scaling
-// bar on machines that cannot run 4 threads — so take the minimum of the
-// affinity mask and the cgroup (v2 then v1) quota as well.
-unsigned effective_cpus() {
-  unsigned n = std::thread::hardware_concurrency();
-  if (n == 0) n = 1;
-#if defined(__linux__)
-  cpu_set_t mask;
-  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
-    const unsigned affinity = static_cast<unsigned>(CPU_COUNT(&mask));
-    if (affinity > 0 && affinity < n) n = affinity;
-  }
-  long long quota = 0, period = 0;
-  bool have_quota = false;
-  if (std::FILE* f = std::fopen("/sys/fs/cgroup/cpu.max", "r")) {
-    // cgroup v2: "<quota> <period>", or "max <period>" when unlimited
-    // (which %lld rejects, leaving have_quota false).
-    have_quota = std::fscanf(f, "%lld %lld", &quota, &period) == 2;
-    std::fclose(f);
-  } else if (std::FILE* q =
-                 std::fopen("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "r")) {
-    // cgroup v1: quota of -1 means unlimited.
-    have_quota = std::fscanf(q, "%lld", &quota) == 1;
-    std::fclose(q);
-    if (std::FILE* p =
-            std::fopen("/sys/fs/cgroup/cpu/cpu.cfs_period_us", "r")) {
-      have_quota = have_quota && std::fscanf(p, "%lld", &period) == 1;
-      std::fclose(p);
-    } else {
-      have_quota = false;
-    }
-  }
-  if (have_quota && quota > 0 && period > 0) {
-    const long long budget = quota / period;
-    const unsigned eff = budget < 1 ? 1u : static_cast<unsigned>(budget);
-    if (eff < n) n = eff;
-  }
-#endif
-  return n;
-}
-
 const char* mix_name(Mix mix) {
   switch (mix) {
     case Mix::kScheduleFire: return "schedule_fire";
@@ -432,7 +290,6 @@ int main(int argc, char** argv) {
   };
 
   double schedule_fire_speedup = 0;
-  double schedule_fire_wheel_eps = 0;
   const struct {
     Mix mix;
     std::uint32_t full_rounds;
@@ -457,10 +314,7 @@ int main(int argc, char** argv) {
     const double speedup = heap.events_per_sec > 0
                                ? wheel.events_per_sec / heap.events_per_sec
                                : 0;
-    if (m.mix == Mix::kScheduleFire) {
-      schedule_fire_speedup = speedup;
-      schedule_fire_wheel_eps = wheel.events_per_sec;
-    }
+    if (m.mix == Mix::kScheduleFire) schedule_fire_speedup = speedup;
     print_row({mix_name(m.mix), "wheel", std::to_string(wheel.events),
                fmt(wheel.wall_s, 3), fmt(wheel.events_per_sec / 1e6, 2),
                fmt(speedup, 2) + "x"});
@@ -477,55 +331,6 @@ int main(int argc, char** argv) {
                   {"events", jint(static_cast<long long>(heap.events))},
                   {"wall_s", jnum(heap.wall_s, 4)},
                   {"events_per_sec", jnum(heap.events_per_sec, 0)}});
-  }
-
-  // -- Multi-thread scaling: sharded conservative PDES over 8 shards ------
-  // Events/s is aggregate across shards; merge_overhead_pct (threads=1 row)
-  // is the cost of the PDES machinery itself — sharded engine at one
-  // thread vs the plain wheel on the same schedule_fire working set.
-  std::printf("\n--- parallel engine: 8 shards, 65536 pending, "
-              "--threads sweep ---\n");
-  print_row({"threads", "events", "wall s", "M events/s", "speedup",
-             "overhead"});
-  const std::uint32_t pdes_rounds = rounds(30);
-  const unsigned cpus = effective_cpus();
-  double pdes_eps1 = 0, pdes_eps4 = 0;
-  std::uint64_t pdes_hash_ref = 0;
-  for (std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    const ShardedMixResult r =
-        run_pdes_scaling(8, threads, actors, pdes_rounds);
-    if (threads == 1) {
-      pdes_eps1 = r.events_per_sec;
-      pdes_hash_ref = r.hash;
-    }
-    STELLAR_CHECK(r.hash == pdes_hash_ref,
-                  "parallel engine diverged at %u threads "
-                  "(hash %llx vs reference %llx)",
-                  threads, static_cast<unsigned long long>(r.hash),
-                  static_cast<unsigned long long>(pdes_hash_ref));
-    if (threads == 4) pdes_eps4 = r.events_per_sec;
-    const double speedup = pdes_eps1 > 0 ? r.events_per_sec / pdes_eps1 : 0;
-    const double overhead_pct =
-        threads == 1 && schedule_fire_wheel_eps > 0
-            ? (1.0 - r.events_per_sec / schedule_fire_wheel_eps) * 100.0
-            : 0;
-    print_row({std::to_string(threads), std::to_string(r.events),
-               fmt(r.wall_s, 3), fmt(r.events_per_sec / 1e6, 2),
-               fmt(speedup, 2) + "x",
-               threads == 1 ? fmt(overhead_pct, 1) + "%" : "-"});
-    JsonResult::Row row = {
-        {"mix", jstr("pdes_scaling")},
-        {"scheduler", jstr("sharded_wheel")},
-        {"threads", jint(threads)},
-        {"shards", jint(8)},
-        {"events", jint(static_cast<long long>(r.events))},
-        {"wall_s", jnum(r.wall_s, 4)},
-        {"events_per_sec", jnum(r.events_per_sec, 0)},
-        {"speedup_vs_1thread", jnum(speedup, 2)}};
-    if (threads == 1) {
-      row.push_back({"merge_overhead_pct", jnum(overhead_pct, 1)});
-    }
-    json.add_row(std::move(row));
   }
 
   const MixResult spray = run_spray_3tier(scale);
@@ -551,35 +356,6 @@ int main(int argc, char** argv) {
                  "warning: smoke-scale speedup %.2fx below 3.0x bar "
                  "(not enforced at scale %.2f)\n",
                  schedule_fire_speedup, scale);
-  }
-
-  // Parallel-engine bar: >=2x aggregate throughput at 4 threads on the
-  // 65536-pending mix. Only meaningful with real cores underneath — with
-  // fewer than 4 effective CPUs (affinity mask and cgroup quota included,
-  // see effective_cpus()) the sweep still runs (and still must be
-  // deterministic, checked above), but the bar is reported rather than
-  // enforced. STELLAR_PERF_ENFORCE=1 forces enforcement on dedicated perf
-  // runners; =0 demotes the bar to a warning everywhere.
-  const double pdes_scaling = pdes_eps1 > 0 ? pdes_eps4 / pdes_eps1 : 0;
-  const char* enforce_env = std::getenv("STELLAR_PERF_ENFORCE");
-  const bool enforce_bar =
-      enforce_env ? enforce_env[0] == '1' : cpus >= 4;
-  if (!enforce_bar) {
-    std::fprintf(stderr,
-                 "note: 4-thread scaling %.2fx not enforced "
-                 "(effective cpus=%u%s)\n",
-                 pdes_scaling, cpus,
-                 enforce_env ? ", STELLAR_PERF_ENFORCE=0" : " < 4");
-  } else if (scale >= 1.0 && pdes_scaling < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: parallel engine 4-thread scaling %.2fx < 2.0x bar\n",
-                 pdes_scaling);
-    return 1;
-  } else if (scale < 1.0 && pdes_scaling < 2.0) {
-    std::fprintf(stderr,
-                 "warning: smoke-scale 4-thread scaling %.2fx below 2.0x "
-                 "bar (not enforced at scale %.2f)\n",
-                 pdes_scaling, scale);
   }
   return 0;
 }

@@ -318,75 +318,36 @@ void TransportAuditor::audit(AuditReport& report) const {
 // (e) Simulator event-heap sanity.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// The scheduler-bookkeeping walk shared by SimulatorAuditor (one engine)
-/// and ShardedEngineAuditor (each shard, tagged).
-void audit_one_simulator(const Simulator& sim, const char* auditor,
-                         const std::string& tag, AuditReport& report) {
-  const Simulator::HeapStats stats = sim.heap_stats();
+void SimulatorAuditor::audit(AuditReport& report) const {
+  const Simulator::HeapStats stats = sim_->heap_stats();
   report.note_check();
   if (stats.pending_ids != stats.live_events) {
-    report.fail(auditor, tag + "live_events=" +
-                             std::to_string(stats.live_events) +
-                             " != pending entry count " +
-                             std::to_string(stats.pending_ids));
+    report.fail(name(), "live_events=" + std::to_string(stats.live_events) +
+                            " != pending entry count " +
+                            std::to_string(stats.pending_ids));
   }
   // `queued` is ground truth: the wheel slots, overflow heap, and active
   // bucket are walked, so a counter that drifts from the structures (or an
   // entry lost between them) shows up here.
   report.note_check();
   if (stats.queued != stats.pending_ids + stats.tombstones) {
-    report.fail(auditor, tag + "scheduler holds " +
-                             std::to_string(stats.queued) +
-                             " entries but pending=" +
-                             std::to_string(stats.pending_ids) +
-                             " + tombstones=" +
-                             std::to_string(stats.tombstones) + " = " +
-                             std::to_string(stats.pending_ids +
-                                            stats.tombstones));
+    report.fail(name(), "scheduler holds " + std::to_string(stats.queued) +
+                            " entries but pending=" +
+                            std::to_string(stats.pending_ids) +
+                            " + tombstones=" +
+                            std::to_string(stats.tombstones) + " = " +
+                            std::to_string(stats.pending_ids +
+                                           stats.tombstones));
   }
   // Every pool record in use backs exactly one pending event; cancel() frees
   // the record, so tombstones hold none — a leak or double-free in the
   // record pool breaks this.
   report.note_check();
   if (stats.allocated_records != stats.pending_ids) {
-    report.fail(auditor, tag + "record pool has " +
-                             std::to_string(stats.allocated_records) +
-                             " records in use but pending = " +
-                             std::to_string(stats.pending_ids));
-  }
-}
-
-}  // namespace
-
-void SimulatorAuditor::audit(AuditReport& report) const {
-  audit_one_simulator(*sim_, name(), "", report);
-}
-
-// ---------------------------------------------------------------------------
-// (e') Parallel engine: per-shard heap sanity + handoff conservation.
-// ---------------------------------------------------------------------------
-
-void ShardedEngineAuditor::audit(AuditReport& report) const {
-  for (std::uint32_t s = 0; s < engine_->shards(); ++s) {
-    audit_one_simulator(engine_->shard(s), name(),
-                        "shard " + std::to_string(s) + ": ", report);
-  }
-  const ShardedEngine::EngineStats st = engine_->stats();
-  // At a merged barrier every posted handoff has been folded into its
-  // target wheel: nothing rides a channel across a barrier.
-  report.note_check();
-  if (st.in_flight != 0) {
-    report.fail(name(), "handoffs still in flight at a merged barrier: " +
-                            std::to_string(st.in_flight));
-  }
-  report.note_check();
-  if (st.posted != st.drained + st.in_flight) {
-    report.fail(name(), "handoff conservation broken: posted=" +
-                            std::to_string(st.posted) + " != drained=" +
-                            std::to_string(st.drained) + " + in_flight=" +
-                            std::to_string(st.in_flight));
+    report.fail(name(), "record pool has " +
+                            std::to_string(stats.allocated_records) +
+                            " records in use but pending = " +
+                            std::to_string(stats.pending_ids));
   }
 }
 

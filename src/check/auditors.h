@@ -18,7 +18,6 @@
 #include "memory/iommu.h"
 #include "net/fabric.h"
 #include "rnic/transport.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "virt/pvdma.h"
 
@@ -122,23 +121,6 @@ class SimulatorAuditor final : public InvariantAuditor {
 
  private:
   const Simulator* sim_;
-};
-
-/// (e') Parallel-engine sanity: the SimulatorAuditor walk applied to every
-/// shard of a ShardedEngine, plus handoff-channel conservation — every
-/// posted cross-shard event has been drained into its target wheel (no
-/// event parked forever in an SPSC channel). Must run at a merged barrier
-/// (after ShardedEngine::run_until returned), when the driving thread may
-/// claim each shard's SingleOwner capability for the walk.
-class ShardedEngineAuditor final : public InvariantAuditor {
- public:
-  explicit ShardedEngineAuditor(const ShardedEngine& engine)
-      : engine_(&engine) {}
-  const char* name() const override { return "sharded-engine"; }
-  void audit(AuditReport& report) const override;
-
- private:
-  const ShardedEngine* engine_;
 };
 
 }  // namespace stellar

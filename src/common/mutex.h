@@ -1,5 +1,6 @@
-// Annotated synchronization primitives for state the parallel (PDES)
-// engine will share across shards.
+// Annotated synchronization primitives for state that worker threads may
+// share (run-level sharding, core/run_shard.h, runs whole simulations on
+// concurrent workers).
 //
 //  * Mutex / MutexLock — std::mutex wrapped with the clang thread-safety
 //    capability annotations, so `STELLAR_GUARDED_BY(mu_)` members are
@@ -8,11 +9,11 @@
 //    threads in the threaded TSan smoke.
 //
 //  * SingleOwner — a *virtual* capability for state that is deliberately
-//    NOT locked: one shard (today: the one simulation thread) owns it
-//    outright. `assert_held()` tells the static analysis the capability is
-//    held, and in audit builds additionally enforces the discipline at
-//    runtime: the first thread to touch the object claims it, and any
-//    access from another thread aborts with a diagnostic. This is how the
+//    NOT locked: the one thread driving a simulation owns it outright.
+//    `assert_held()` tells the static analysis the capability is held,
+//    and in audit builds additionally enforces the discipline at runtime:
+//    the first thread to touch the object claims it, and any access from
+//    another thread aborts with a diagnostic. This is how the
 //    Simulator, AuditRegistry, FaultInjector and FaultTelemetry document
 //    "shard-local, no locks" in a way TSan and -Wthread-safety can check.
 //
@@ -62,9 +63,9 @@ class STELLAR_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// Virtual capability: exactly one thread (shard) may touch the guarded
-/// state, and it never blocks — there is no lock to take. Annotate members
-/// with STELLAR_GUARDED_BY(owner_), private helpers with
+/// Virtual capability: exactly one thread may touch the guarded state,
+/// and it never blocks — there is no lock to take. Annotate members with
+/// STELLAR_GUARDED_BY(owner_), private helpers with
 /// STELLAR_REQUIRES(owner_), and open every public entry point with
 /// owner_.assert_held().
 ///
@@ -91,18 +92,11 @@ class STELLAR_CAPABILITY("single-owner") SingleOwner {
     if (owner != self &&
         owner_.load(std::memory_order_acquire) != self) {
       std::fprintf(stderr,
-                   "stellar: SingleOwner violation — state owned by another "
-                   "thread was accessed without a hand-off (release()).\n");
+                   "stellar: SingleOwner violation — state owned by one "
+                   "thread was accessed from another (single-owner state "
+                   "never moves between threads).\n");
       std::abort();
     }
-#endif
-  }
-
-  /// Explicit ownership hand-off (e.g. live migration moving a shard to a
-  /// new worker): the current owner renounces, the next toucher claims.
-  void release() const STELLAR_RELEASE() {
-#if STELLAR_AUDIT_ENABLED
-    owner_.store(std::thread::id{}, std::memory_order_release);
 #endif
   }
 

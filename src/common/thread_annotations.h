@@ -7,10 +7,11 @@
 // every macro expands to nothing, so annotations are free to apply
 // everywhere.
 //
-// Today the engine is single-threaded; the annotations document which
-// state the planned parallel (PDES) engine will share across shards and
-// under which capability — so the locking discipline is machine-checked
-// *before* the parallel scheduler lands, not debugged after a flaky soak.
+// Each simulation runs on one thread; run-level sharding
+// (core/run_shard.h) runs whole simulations on concurrent workers. The
+// annotations document which state those threads may share and under which
+// capability, so the locking discipline is machine-checked rather than
+// debugged after a flaky soak.
 // docs/STATIC_ANALYSIS.md covers the conventions; src/common/mutex.h has
 // the annotated Mutex / MutexLock / SingleOwner capability types.
 #pragma once

@@ -6,9 +6,8 @@
 // the *run*, not the packet. ShardedRunSet combines the two pieces built
 // for that:
 //
-//   * sim/parallel.h RunSet — index-deterministic job placement across
-//     worker threads (job i on worker i % threads, each worker in index
-//     order);
+//   * RunSet (below) — index-deterministic job placement across worker
+//     threads (job i on worker i % threads, each worker in index order);
 //   * obs/run_capture.h RunCaptureSet — a private ObsHub per run,
 //     installed thread-locally for the job's duration and merged into the
 //     base hub in run-index order at the end.
@@ -23,13 +22,44 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "check/check.h"
 #include "obs/obs.h"
 #include "obs/run_capture.h"
-#include "sim/parallel.h"
+#include "sim/inline_action.h"
 
 namespace stellar {
+
+/// Deterministic executor for independent run-jobs (whole fig-bench
+/// runs). Job i is assigned to worker (i % threads) and every worker
+/// executes its jobs in ascending index order, so each job sees an
+/// identical schedule for any thread count. Jobs must be mutually
+/// independent and write results into index-addressed slots; callers emit
+/// output after execute() returns, in index order, making it
+/// byte-identical by construction.
+class RunSet {
+ public:
+  using Job = InlineFunction<void()>;
+
+  /// Returns the job's index.
+  std::size_t add(Job job);
+  std::size_t size() const { return jobs_.size(); }
+
+  /// Runs all jobs and returns when the last one finishes. threads <= 1
+  /// executes inline on the caller. A RunSet is single-use.
+  void execute(std::uint32_t threads);
+
+  /// Worker slot executing the innermost current job on this thread
+  /// (0..threads-1 during execute(), 0 for inline execution), or -1
+  /// outside any job. Lets shared sinks (bench EngineMeter) attribute
+  /// work to shards without threading a handle through every call site.
+  static int current_worker();
+
+ private:
+  std::vector<Job> jobs_;
+  bool executed_ = false;
+};
 
 class ShardedRunSet {
  public:

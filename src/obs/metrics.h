@@ -15,9 +15,9 @@
 //    floating-point formatting is ever emitted;
 //  - nothing here reads wall-clock time.
 //
-// Shard-safety (PDES readiness): counter/gauge updates are relaxed atomics
-// and the name->series maps are guarded by an internal Mutex, so shards may
-// bump shared series concurrently (tests/tsan_smoke_test.cc runs this under
+// Thread-safety: counter/gauge updates are relaxed atomics and the
+// name->series maps are guarded by an internal Mutex, so threads may bump
+// shared series concurrently (tests/tsan_smoke_test.cc runs this under
 // TSan). Histograms stay shard-local by convention: record() is NOT
 // thread-safe and concurrent recording must go through per-shard series.
 #pragma once

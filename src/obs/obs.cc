@@ -5,7 +5,7 @@
 namespace stellar::obs {
 
 namespace {
-// Atomic so worker threads (TSan smoke; future PDES shards) can read the
+// Atomic so worker threads (TSan smoke; RunSet workers) can read the
 // installed hub while another thread installs/uninstalls one. Release on
 // install pairs with acquire on read, so a thread that sees the pointer
 // also sees the fully constructed hub behind it.

@@ -1,6 +1,6 @@
 // Per-run observability capture for parallel independent runs.
 //
-// When a RunSet (sim/parallel.h) executes fig-bench runs on worker
+// When a RunSet (core/run_shard.h) executes fig-bench runs on worker
 // threads, probes from different runs would interleave nondeterministically
 // in one shared hub. RunCaptureSet gives every run its own ObsHub —
 // installed as the worker's thread-local hub for the job's duration — and

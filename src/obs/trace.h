@@ -89,10 +89,10 @@ struct TraceArgs {
 };
 
 /// Thread safety: every public entry point takes mu_, so concurrent
-/// producers (the threaded TSan smoke; eventually PDES worker shards
-/// funnelling into a shared tracer) serialize on emission. On the
-/// deterministic single-threaded engine the mutex is uncontended and
-/// byte-determinism is unchanged: event order is call order.
+/// producers (the threaded TSan smoke; any threads funnelling into a
+/// shared tracer) serialize on emission. On the deterministic
+/// single-threaded engine the mutex is uncontended and byte-determinism is
+/// unchanged: event order is call order.
 class Tracer {
  public:
   Tracer();

@@ -269,37 +269,17 @@ EventHandle Simulator::schedule_at_seq(SimTime at, std::uint64_t reserved_seq,
                  "seq %llu was never reserved (next is %llu)",
                  static_cast<unsigned long long>(reserved_seq),
                  static_cast<unsigned long long>(next_seq_));
-  STELLAR_CHECK(reserved_seq < (std::uint64_t{1} << kRemoteStampBits),
-                "local event seq space exhausted");
-  return schedule_with_key(at, reserved_seq, std::move(action));
-}
-
-EventHandle Simulator::schedule_remote(SimTime at, std::uint64_t stamp,
-                                       Action action) {
-  owner_.assert_held();
-  // Remote stamps are allocated on the *sending* shard, so they are
-  // unrelated to (and routinely numerically ahead of) this shard's
-  // next_seq_ — they get their own tier instead of the reserved-seq
-  // validation above. The rewind machinery below is shared: an inbound
-  // handoff can land behind a cursor that run_until() parked on a
-  // far-future slot, exactly like outside-run local scheduling.
-  STELLAR_CHECK(stamp < (std::uint64_t{1} << kRemoteStampBits),
-                "remote event stamp space exhausted");
-  return schedule_with_key(at, (std::uint64_t{1} << kRemoteStampBits) | stamp,
-                           std::move(action));
-}
-
-EventHandle Simulator::schedule_with_key(SimTime at, std::uint64_t seq,
-                                         Action action) {
+  STELLAR_CHECK(reserved_seq < (std::uint64_t{1} << kSeqBits),
+                "event seq space exhausted");
   if (at < now_) {
     throw std::invalid_argument("Simulator::schedule_at: time in the past");
   }
   const std::uint32_t idx = alloc_record();
   EventRecord& r = record(idx);
-  r.seq = seq;
+  r.seq = reserved_seq;
   r.state = RecState::kPending;
   r.action = std::move(action);
-  const Entry e{at.ps(), seq << kIdxBits | idx};
+  const Entry e{at.ps(), reserved_seq << kIdxBits | idx};
   const std::int64_t t0 = at.ps() >> kGranularityShift;
   if (t0 < cur_tick_) rewind_to(t0);
   if (t0 == cur_tick_) {

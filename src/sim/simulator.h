@@ -83,31 +83,6 @@ class Simulator {
   EventHandle schedule_at_seq(SimTime at, std::uint64_t reserved_seq,
                               Action action);
 
-  /// Remote-tier tie-break stamps. The 40-bit sequence space is split in
-  /// two: locally allocated seqs (schedule_at / reserve_seq) stay below
-  /// 2^kRemoteStampBits, and cross-shard handoffs delivered by the parallel
-  /// engine (sim/parallel.h) carry a sender-allocated `stamp` that lands in
-  /// the top half as seq' = 2^kRemoteStampBits | stamp. At equal
-  /// timestamps every local event therefore sorts before every inbound
-  /// remote, and because each stamp encodes (src_seq, src_shard) — both
-  /// allocated deterministically on the sending shard — the merged
-  /// (time, seq) execution order is a pure function of the workload,
-  /// independent of channel drain timing or thread count.
-  static constexpr unsigned kRemoteStampBits = 39;
-
-  /// Schedule an inbound cross-shard event. `stamp` must be unique per
-  /// sender (the parallel engine packs (src_seq << shard_bits | src_shard))
-  /// and `at` must satisfy the conservative lookahead bound, i.e. lie at or
-  /// beyond every horizon this shard has already run to.
-  EventHandle schedule_remote(SimTime at, std::uint64_t stamp, Action action);
-
-  /// Renounce the SingleOwner claim on the whole scheduler so another
-  /// thread can claim it: the parallel engine hands each shard to its
-  /// worker at window start and back to the driving thread (for auditors
-  /// and emitters) at the merged barrier. Call only at quiescent hand-off
-  /// points — never while events are executing.
-  void release_owner() const { owner_.release(); }
-
   /// Cancel a pending event. Returns false if it already ran / was cancelled.
   bool cancel(EventHandle handle);
 
@@ -146,8 +121,10 @@ class Simulator {
  private:
   friend struct SimulatorTestPeer;  // corruption injection in audit tests
 
-  // Shard-safety contract: the whole scheduler is single-owner state — one
-  // shard (today: the one simulation thread) drives it without locks. The
+  // Thread-safety contract: the whole scheduler is single-owner state — the
+  // one thread that drives the simulation runs it without locks, and a
+  // Simulator never moves between threads (run-level sharding,
+  // core/run_shard.h, builds and runs each simulation on one worker). The
   // deep scheduler structures are STELLAR_GUARDED_BY(owner_); every public
   // mutating entry point opens with owner_.assert_held(), which the clang
   // thread-safety analysis treats as acquiring the capability and audit
@@ -192,9 +169,7 @@ class Simulator {
   /// events — both checked, neither reachable in practice.
   static constexpr unsigned kIdxBits = 24;
   static constexpr std::uint64_t kIdxMask = (std::uint64_t{1} << kIdxBits) - 1;
-  // The remote tier is the top bit of the seq field; locals get the rest.
-  static_assert(kRemoteStampBits + 1 == 64 - kIdxBits,
-                "remote stamp tier must exactly fill the seq field");
+  static constexpr unsigned kSeqBits = 64 - kIdxBits;
 
   struct Entry {
     std::int64_t at_ps;
@@ -268,12 +243,6 @@ class Simulator {
   void cascade(int level, std::int64_t level_tick) STELLAR_REQUIRES(owner_);
   /// Load the next non-empty slot into bucket_ (sorted). False if drained.
   bool advance_to_next_bucket() STELLAR_REQUIRES(owner_);
-  /// Shared body of schedule_at_seq / schedule_remote: place an entry
-  /// keyed (at, seq << kIdxBits | idx), rewinding a parked cursor when the
-  /// event lands behind it. `seq` is a full 40-bit key tier (local or
-  /// remote) already validated by the caller.
-  EventHandle schedule_with_key(SimTime at, std::uint64_t seq, Action action)
-      STELLAR_REQUIRES(owner_);
   /// Index of the next live event without consuming it, or kNone.
   /// Sweeps tombstones and advances the wheel cursor as needed.
   std::uint32_t peek_live() STELLAR_REQUIRES(owner_);

@@ -1,7 +1,8 @@
 // Fixture: shard-shared — mutable file-scope/static state in the
-// shard-homed modules (src/sim, src/net, src/core). The parallel engine
-// (sim/parallel.h) runs shards on concurrent worker threads, so any
-// mutable static is both a data race and a cross-shard determinism leak.
+// shard-homed modules (src/sim, src/net, src/core). Run-level sharding
+// (core/run_shard.h) runs whole simulations on concurrent worker threads,
+// so any mutable static is both a data race and a cross-run determinism
+// leak.
 #include <atomic>
 #include <cstdint>
 #include <vector>

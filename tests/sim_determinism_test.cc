@@ -345,53 +345,35 @@ TEST(SimSchedulerStressTest, SchedulingEarlierThanParkedCursorRewinds) {
 }
 
 TEST(SimSchedulerStressTest, RemoteHandoffBehindParkedCursorRewinds) {
-  // Regression: a cross-shard handoff (remote-tier stamp, sim/parallel.h)
-  // that lands *behind* a parked wheel cursor must rewind it exactly like
-  // a local schedule does. Before schedule_remote shared the rewind path,
-  // an inbound handoff could fire after later-timestamped local events.
+  // Regression: a handoff armed with a previously reserved seq (the way a
+  // link hands a pipelined delivery to its shared event) that lands
+  // *behind* a parked wheel cursor must rewind it exactly like a plain
+  // schedule does, and equal-time handoffs must fire in seq order, not
+  // arming order.
   Simulator sim;
   std::vector<int> fired;
   sim.schedule_at(SimTime::millis(1), [&] { fired.push_back(4); });
+  // Seqs are reserved before the cursor parks; the later handoff gets the
+  // smallest one.
+  const std::uint64_t later = sim.reserve_seq();
+  const std::uint64_t first = sim.reserve_seq();
+  const std::uint64_t second = sim.reserve_seq();
   // run_until parks the cursor on the far slot it peeked at...
   sim.run_until(SimTime::micros(500));
   EXPECT_TRUE(fired.empty());
-  // ...then an inbound handoff lands behind it. Stamps are sender-side
-  // (src_seq << kShardIdBits | src_shard) values as ShardedEngine::post
-  // allocates them.
-  sim.schedule_remote(SimTime::micros(600), (7ull << 5) | 1,
+  // ...then a handoff lands behind it. The first arming rewinds, the
+  // second lands in the rewound bucket with a smaller seq and must fire
+  // first...
+  sim.schedule_at_seq(SimTime::micros(600), second,
                       [&] { fired.push_back(2); });
-  // A second handoff with a smaller sender stamp at the same instant must
-  // fire first, regardless of arming order...
-  sim.schedule_remote(SimTime::micros(600), (3ull << 5) | 2,
+  sim.schedule_at_seq(SimTime::micros(600), first,
                       [&] { fired.push_back(1); });
-  // ...and a later handoff sorts by time as usual.
-  sim.schedule_remote(SimTime::micros(700), (1ull << 5) | 0,
+  // ...and a later handoff sorts by time, whatever its seq.
+  sim.schedule_at_seq(SimTime::micros(700), later,
                       [&] { fired.push_back(3); });
   sim.run();
-  ASSERT_EQ(fired.size(), 4u);
-  EXPECT_EQ(fired[0], 1);
-  EXPECT_EQ(fired[1], 2);
-  EXPECT_EQ(fired[2], 3);
-  EXPECT_EQ(fired[3], 4);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(sim.now(), SimTime::millis(1));
-}
-
-TEST(SimSchedulerStressTest, LocalEventsSortBeforeRemoteAtEqualTime) {
-  // The merge rule's tie-break: local seqs live below 2^kRemoteStampBits,
-  // remote stamps above — at an equal timestamp every local event fires
-  // before any inbound handoff, independent of arming order.
-  Simulator sim;
-  const SimTime at = SimTime::micros(10);
-  std::vector<int> fired;
-  sim.schedule_remote(at, /*stamp=*/0, [&] { fired.push_back(2); });
-  sim.schedule_at(at, [&] { fired.push_back(1); });
-  sim.schedule_remote(at, /*stamp=*/(1ull << 5) | 3,
-                      [&] { fired.push_back(3); });
-  sim.run();
-  ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[0], 1);
-  EXPECT_EQ(fired[1], 2);
-  EXPECT_EQ(fired[2], 3);
 }
 
 TEST(SimSchedulerStressTest, ReentrantSchedulingFromActionsKeepsOrder) {

@@ -1,10 +1,10 @@
 // Deliberate data race — the negative control for the TSan wiring.
 //
-// The pattern is an *unprotected* copy of the parallel engine's shard
-// handoff channel (sim/spsc.h): one producer shard pushing events while a
-// consumer shard drains, but with plain (non-atomic) cursors and no
-// release/acquire pairing — exactly the bug the real SpscChannel's memory
-// ordering exists to prevent. tools/ci_checks.sh runs this binary in the
+// The pattern is an *unprotected* single-producer/single-consumer event
+// channel: one producer thread pushing events while a consumer thread
+// drains, but with plain (non-atomic) cursors and no release/acquire
+// pairing — exactly the bug a real SPSC queue's memory ordering exists to
+// prevent. tools/ci_checks.sh runs this binary in the
 // -DSTELLAR_SANITIZE=thread build and requires it to FAIL (TSan's default
 // exit code on a detected race is 66). If it ever runs clean under TSan,
 // the sanitizer gate itself is broken — misconfigured flags would
@@ -27,8 +27,8 @@ struct Event {
   std::uint64_t stamp = 0;
 };
 
-// What SpscChannel would be without its atomics: plain cursors, plain slot
-// writes, no ordering. The producer's slot write can race the consumer's
+// An SPSC ring without its atomics: plain cursors, plain slot writes, no
+// ordering. The producer's slot write can race the consumer's
 // slot read, and the cursor loads/stores tear freely.
 struct UnprotectedChannel {
   static constexpr std::size_t kSlots = 1024;

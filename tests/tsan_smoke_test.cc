@@ -1,7 +1,7 @@
 // Threaded shard-safety smoke for the observability layer.
 //
-// The PDES plan (ROADMAP open item 1) has worker shards funnelling metrics
-// and trace events into one shared ObsHub. This test drives that exact
+// The ObsHub is internally synchronized so that several threads may funnel
+// metrics and trace events into one shared hub. This test drives that
 // sharing pattern from real std::threads so a ThreadSanitizer build
 // (-DSTELLAR_SANITIZE=thread, run by tools/ci_checks.sh) certifies the
 // synchronization for real: atomic Counter/Gauge hot paths, Mutex-serialized

@@ -8,9 +8,8 @@
 #      binary: it replaces the global operator new), here and again in the
 #      bench build of step 12
 #   3. the fault-labelled fault-injection/recovery tests on their own
-#   4. the sim-labelled engine determinism/stress tests, run once per
-#      engine mode (STELLAR_TEST_THREADS=1 and =4 — the threaded tests
-#      compare the parallel engine against that thread count)
+#   4. the sim-labelled engine determinism/stress tests (timing-wheel
+#      replay and stress, RunSet placement) on their own
 #   5. the obs-labelled observability golden/property tests on their own
 #   6. the migrate-labelled control-plane robustness tests (snapshots,
 #      hot-upgrade, live migration, chaos soak) on their own, plus an
@@ -36,10 +35,10 @@
 #      exactly
 #   7. a fig09 mini trace dump + trace_summarize smoke (the tracer's
 #      byte-determinism and the summarizer's parser, end to end)
-#   7b. the parallel-engine determinism gate: fig09-mini at --threads=1
-#      vs --threads=4 — stdout (minus wall-clock [engine] lines), the
-#      BENCH JSON, the metrics snapshot and the trace must all be
-#      byte-identical between engine modes
+#   7b. the run-level sharding determinism gate: fig09-mini at
+#      --threads=1 vs --threads=4 — stdout (minus wall-clock [engine]
+#      lines), the BENCH JSON, the metrics snapshot and the trace must all
+#      be byte-identical between thread counts
 #   8. ASan+UBSan build + the complete test suite + the fault, sim, obs,
 #      migrate and tenant suites
 #   9. TSan build (-DSTELLAR_SANITIZE=thread) + the threaded shard-safety
@@ -107,9 +106,8 @@ ctest --test-dir build --output-on-failure -L alloc
 step "fault injection suite (ctest -L fault)"
 ctest --test-dir build --output-on-failure -L fault
 
-step "engine determinism/stress suite (ctest -L sim, both engine modes)"
-STELLAR_TEST_THREADS=1 ctest --test-dir build --output-on-failure -L sim
-STELLAR_TEST_THREADS=4 ctest --test-dir build --output-on-failure -L sim
+step "engine determinism/stress suite (ctest -L sim)"
+ctest --test-dir build --output-on-failure -L sim
 
 step "observability golden/property suite (ctest -L obs)"
 ctest --test-dir build --output-on-failure -L obs
@@ -226,7 +224,7 @@ obs_smoke_dir="$(mktemp -d)"
   "$repo_root/build/tools/trace_summarize" mini_trace.json | head -n 5)
 rm -rf "$obs_smoke_dir"
 
-step "parallel engine determinism (fig09 mini, --threads=1 vs --threads=4)"
+step "run-level sharding determinism (fig09 mini, --threads=1 vs --threads=4)"
 par_det_dir="$(mktemp -d)"
 (cd "$par_det_dir" &&
   mkdir t1 t4 &&
@@ -234,14 +232,14 @@ par_det_dir="$(mktemp -d)"
     --trace=mini_trace.json --trace-sample=256 > fig09.log) &&
   (cd t4 && "$repo_root/build/bench/fig09_permutation" 0.02 --threads=4 \
     --trace=mini_trace.json --trace-sample=256 > fig09.log) &&
-  # [engine] lines report wall-clock (and per-shard splits that exist
+  # [engine] lines report wall-clock (and per-worker splits that exist
   # only when threaded); everything else must match byte-for-byte.
   diff <(grep -v '^\[engine\]' t1/fig09.log) \
        <(grep -v '^\[engine\]' t4/fig09.log) &&
   cmp t1/BENCH_fig09.json t4/BENCH_fig09.json &&
   cmp t1/BENCH_fig09_obs.json t4/BENCH_fig09_obs.json &&
   cmp t1/mini_trace.json t4/mini_trace.json &&
-  echo "fig09 mini byte-identical across engine modes")
+  echo "fig09 mini byte-identical across thread counts")
 rm -rf "$par_det_dir"
 
 if [ "$skip_san" -eq 0 ]; then
@@ -251,9 +249,8 @@ if [ "$skip_san" -eq 0 ]; then
   ctest --test-dir build-san --output-on-failure -j"$jobs"
   step "fault injection suite under sanitizers (ctest -L fault)"
   ctest --test-dir build-san --output-on-failure -L fault
-  step "engine determinism/stress suite under sanitizers (ctest -L sim, both engine modes)"
-  STELLAR_TEST_THREADS=1 ctest --test-dir build-san --output-on-failure -L sim
-  STELLAR_TEST_THREADS=4 ctest --test-dir build-san --output-on-failure -L sim
+  step "engine determinism/stress suite under sanitizers (ctest -L sim)"
+  ctest --test-dir build-san --output-on-failure -L sim
   step "observability suite under sanitizers (ctest -L obs)"
   ctest --test-dir build-san --output-on-failure -L obs
   step "control-plane robustness suite under sanitizers (ctest -L migrate)"

@@ -29,10 +29,11 @@ on the offending line or the line above):
                         src/ emitters: float text is locale/libc-dependent.
                         Serialize scaled integers (ps, ppm, bytes) instead.
   shard-shared          No mutable file-scope or static-storage state in the
-                        shard-homed modules (src/sim, src/net, src/core): the
-                        parallel engine (sim/parallel.h) runs shards on
-                        concurrent workers, so a mutable static is a data
-                        race *and* a determinism leak between shards.
+                        shard-homed modules (src/sim, src/net, src/core):
+                        run-level sharding (core/run_shard.h) runs whole
+                        simulations on concurrent workers, so a mutable
+                        static is a data race *and* a determinism leak
+                        between runs.
                         const/constexpr and thread_local (shard-private by
                         construction) are exempt.
   layering              #includes must follow the declared module DAG below
@@ -69,7 +70,7 @@ LAYERING: dict[str, set[str]] = {
     "check": {"common", "core", "memory", "net", "rnic", "sim", "virt"},
     # sim -> net is the hybrid fidelity driver (sim/hybrid.* maps fluid
     # flows onto real ClosFabric links); the core engine (simulator.*,
-    # parallel.*, fluid.*) stays net-free via the stellar_hybrid target.
+    # fluid.*) stays net-free via the stellar_hybrid target.
     "sim": {"common", "check", "net"},
     "obs": {"common", "check", "sim"},
     "memory": {"common", "check"},
@@ -133,8 +134,8 @@ FLOAT_FMT_STREAM_RE = re.compile(
 
 STD_FUNCTION_RE = re.compile(r"\bstd::function\s*<")
 
-# Modules whose state is homed on engine shards: mutable statics there are
-# cross-shard shared state (sim/parallel.h runs shards concurrently).
+# Modules whose state is homed on one simulation run: mutable statics there
+# are shared between runs (core/run_shard.h runs them concurrently).
 SHARD_SHARED_PREFIXES = ("src/sim/", "src/net/", "src/core/")
 SHARD_SHARED_EXEMPT_RE = re.compile(
     r"\b(thread_local|constexpr|constinit)\b|\bstatic_assert\b")
@@ -510,9 +511,9 @@ class Linter:
                     self.report(
                         sf, i, "shard-shared",
                         "mutable static-storage state in a shard-homed "
-                        "module: shards run on concurrent workers "
-                        "(sim/parallel.h), so this is shared across shards; "
-                        "home it on the shard's object graph, make it "
+                        "module: runs execute on concurrent workers "
+                        "(core/run_shard.h), so this is shared across runs; "
+                        "home it on the run's object graph, make it "
                         "const/constexpr, or use thread_local")
                 continue
             # File/namespace-scope variable definitions without the static
@@ -529,8 +530,8 @@ class Linter:
                 self.report(
                     sf, i, "shard-shared",
                     "mutable file-scope state in a shard-homed module: "
-                    "shards run on concurrent workers (sim/parallel.h), so "
-                    "this is shared across shards; home it on the shard's "
+                    "runs execute on concurrent workers (core/run_shard.h), "
+                    "so this is shared across runs; home it on the run's "
                     "object graph, make it const/constexpr, or use "
                     "thread_local")
 
