@@ -12,6 +12,18 @@ void FluidSolver::mark_dirty(std::uint32_t link) {
   dirty_links_.push_back(link);
 }
 
+std::uint32_t FluidSolver::add_link(double capacity_bytes_per_sec) {
+  links_.push_back(Link{});
+  links_.back().capacity = capacity_bytes_per_sec;
+  // Solve scratch holds at most every link (and every flow, below), so it
+  // never allocates once the tables stop growing.
+  link_bits_.resize(links_.size());
+  dirty_links_.reserve(links_.capacity());
+  walk_.reserve(links_.capacity());
+  active_links_.reserve(links_.capacity());
+  return static_cast<std::uint32_t>(links_.size() - 1);
+}
+
 void FluidSolver::set_capacity(std::uint32_t link,
                                double capacity_bytes_per_sec) {
   Link& l = links_.at(link);
@@ -33,16 +45,28 @@ std::uint32_t FluidSolver::add_flow(const std::vector<LinkShare>& shares) {
     free_ids_.pop_back();
   } else {
     flows_.emplace_back();
+    flow_bits_.resize(flows_.size());
+    solved_flows_.reserve(flows_.capacity());
   }
   Flow& f = flows_[id];
-  f.shares.assign(shares.begin(), shares.end());
+  const auto count = static_cast<std::uint32_t>(shares.size());
+  if (f.share_capacity < count) {
+    // Outgrown: take a fresh range at the end of the table (rounded up, so
+    // a slot moves a bounded number of times) and abandon the old one.
+    f.share_begin = static_cast<std::uint32_t>(shares_.size());
+    f.share_capacity = std::bit_ceil(count);
+    shares_.resize(shares_.size() + f.share_capacity);
+  }
+  f.share_count = count;
   f.rate = 0.0;
   f.active = true;
-  for (const LinkShare& s : shares) {
-    std::vector<std::uint32_t>& crossing = links_[s.link].crossing;
-    crossing.insert(std::upper_bound(crossing.begin(), crossing.end(), id),
-                    id);
-    mark_dirty(s.link);
+  for (std::uint32_t k = 0; k < count; ++k) {
+    const std::uint32_t at = f.share_begin + k;
+    std::vector<Crossing>& crossing = links_[shares[k].link].crossing;
+    shares_[at] = Share{shares[k].weight, shares[k].link,
+                        static_cast<std::uint32_t>(crossing.size())};
+    crossing.push_back(Crossing{id, at});
+    mark_dirty(shares[k].link);
   }
   return id;
 }
@@ -50,17 +74,24 @@ std::uint32_t FluidSolver::add_flow(const std::vector<LinkShare>& shares) {
 void FluidSolver::remove_flow(std::uint32_t flow) {
   Flow& f = flows_.at(flow);
   STELLAR_CHECK(f.active, "removing an inactive fluid flow");
-  for (const LinkShare& s : f.shares) {
-    std::vector<std::uint32_t>& crossing = links_[s.link].crossing;
-    const auto at = std::lower_bound(crossing.begin(), crossing.end(), flow);
-    STELLAR_DCHECK(at != crossing.end() && *at == flow,
-                   "fluid crossing index lost a flow");
-    crossing.erase(at);
-    mark_dirty(s.link);
+  for (std::uint32_t at = f.share_begin; at < f.share_begin + f.share_count;
+       ++at) {
+    const std::uint32_t link = shares_[at].link;
+    const std::uint32_t pos = shares_[at].pos;
+    std::vector<Crossing>& crossing = links_[link].crossing;
+    STELLAR_DCHECK(pos < crossing.size() && crossing[pos].flow == flow &&
+                       crossing[pos].share == at,
+                   "fluid crossing entry does not name its flow");
+    // Swap-remove: the last entry takes this one's place.
+    const Crossing last = crossing.back();
+    crossing[pos] = last;
+    shares_[last.share].pos = pos;
+    crossing.pop_back();
+    mark_dirty(link);
   }
   f.active = false;
   f.rate = 0.0;
-  f.shares.clear();  // keeps capacity for the slot's next flow
+  f.share_count = 0;  // the slot keeps its share range for its next flow
   --active_count_;
   free_ids_.push_back(flow);
 }
@@ -69,6 +100,21 @@ double FluidSolver::rate(std::uint32_t flow) const {
   const Flow& f = flows_.at(flow);
   STELLAR_CHECK(f.active, "querying rate of an inactive fluid flow");
   return f.rate;
+}
+
+double FluidSolver::link_load(std::uint32_t link) const {
+  // In (flow id, share) order, the order a solve accumulates in, so the
+  // sum is the same bits whenever it is taken.
+  std::vector<Crossing> entries = links_.at(link).crossing;
+  std::sort(entries.begin(), entries.end(),
+            [](const Crossing& a, const Crossing& b) {
+              return a.flow != b.flow ? a.flow < b.flow : a.share < b.share;
+            });
+  double load = 0.0;
+  for (const Crossing& e : entries) {
+    load += shares_[e.share].weight * flows_[e.flow].rate;
+  }
+  return load;
 }
 
 std::vector<std::uint32_t> FluidSolver::flow_ids() const {
@@ -81,77 +127,99 @@ std::vector<std::uint32_t> FluidSolver::flow_ids() const {
 }
 
 void FluidSolver::solve() {
-  solved_links_.clear();
   solved_flows_.clear();
-  // Each not-yet-reached dirty link seeds one connected component: a
-  // breadth-first walk over link -> crossing flows -> their links collects
-  // it, and progressive filling runs on it alone.
+  // Each dirty link not yet re-solved seeds one connected component, and
+  // progressive filling runs on that component alone. A link's dirty flag
+  // is cleared when a component re-solves it, so a later seed in the same
+  // component is skipped.
   for (const std::uint32_t seed : dirty_links_) {
-    links_[seed].dirty = false;
-    if (links_[seed].visited) continue;
-    const std::size_t link_begin = solved_links_.size();
+    Link& first = links_[seed];
+    if (!first.dirty) continue;
+    first.dirty = false;
+    // The last flow left this link: it constrains nobody, and its load
+    // reads zero.
+    if (first.crossing.empty()) continue;
     const std::size_t flow_begin = solved_flows_.size();
-    links_[seed].visited = true;
-    solved_links_.push_back(seed);
-    for (std::size_t i = link_begin; i < solved_links_.size(); ++i) {
-      for (const std::uint32_t fid : links_[solved_links_[i]].crossing) {
-        Flow& f = flows_[fid];
-        if (f.visited) continue;
-        f.visited = true;
-        solved_flows_.push_back(fid);
-        for (const LinkShare& s : f.shares) {
-          if (links_[s.link].visited) continue;
-          links_[s.link].visited = true;
-          solved_links_.push_back(s.link);
-        }
-      }
-    }
-    solve_component(link_begin, flow_begin);
+    collect_component(seed);
+    solve_component(flow_begin);
   }
   dirty_links_.clear();
-  for (const std::uint32_t l : solved_links_) links_[l].visited = false;
-  for (const std::uint32_t f : solved_flows_) flows_[f].visited = false;
 }
 
-void FluidSolver::solve_component(std::size_t link_begin,
-                                  std::size_t flow_begin) {
-  // Links in index order and flows in id order, whatever order the walk
-  // found them in: the link order decides the order bottleneck links charge
-  // residuals in, the flow order the order weights and loads accumulate in,
-  // and together they fix every derived rate bit for bit.
-  const auto links = solved_links_.begin() +
-                     static_cast<std::ptrdiff_t>(link_begin);
-  const auto flows = solved_flows_.begin() +
-                     static_cast<std::ptrdiff_t>(flow_begin);
-  std::sort(links, solved_links_.end());
-  std::sort(flows, solved_flows_.end());
+void FluidSolver::start_link(std::uint32_t l) {
+  Link& link = links_[l];
+  link.residual = link.capacity;
+  link.unfrozen_weight = 0.0;
+  link.unfrozen_count = 0;
+  walk_.push_back(l);
+}
 
-  // Per-link residual capacity and total unfrozen weight. Integer crossing
-  // counts decide whether a link still constrains anyone: the float weight
-  // sum can retain a tiny residue after its last flow froze (subtractive
-  // cancellation), which would otherwise let a spent link masquerade as
-  // the bottleneck that nobody crosses.
-  for (auto it = links; it != solved_links_.end(); ++it) {
-    Link& link = links_[*it];
-    link.residual = link.capacity;
-    link.unfrozen_weight = 0.0;
-    link.unfrozen_count = 0;
-  }
-  for (auto it = flows; it != solved_flows_.end(); ++it) {
-    Flow& f = flows_[*it];
-    f.frozen = false;
-    for (const LinkShare& s : f.shares) {
-      links_[s.link].unfrozen_weight += s.weight;
-      ++links_[s.link].unfrozen_count;
+void FluidSolver::collect_component(std::uint32_t seed) {
+  // Breadth-first walk over link -> crossing flows -> their links, marking
+  // each member in its bitmap; every link's filling scratch starts at its
+  // full capacity with no unfrozen weight.
+  walk_.clear();
+  link_bits_.insert(seed);
+  start_link(seed);
+  for (std::size_t i = 0; i < walk_.size(); ++i) {
+    for (const Crossing& c : links_[walk_[i]].crossing) {
+      if (!flow_bits_.insert(c.flow)) continue;
+      const Flow& f = flows_[c.flow];
+      for (std::uint32_t at = f.share_begin;
+           at < f.share_begin + f.share_count; ++at) {
+        if (link_bits_.insert(shares_[at].link)) start_link(shares_[at].link);
+      }
     }
   }
-  // Links with any unfrozen flow, in index order; compacted as they drain
-  // so later rounds scan progressively fewer links.
+  // Flows in id order: each link's unfrozen weight accumulates in this
+  // order. Integer counts decide whether a link still constrains anyone:
+  // the float weight sum can retain a tiny residue after its last flow
+  // froze (subtractive cancellation), which would otherwise let a spent
+  // link masquerade as the bottleneck that nobody crosses.
+  flow_bits_.drain([this](std::uint32_t id) {
+    solved_flows_.push_back(id);
+    Flow& f = flows_[id];
+    f.frozen = false;
+    for (std::uint32_t at = f.share_begin;
+         at < f.share_begin + f.share_count; ++at) {
+      Link& link = links_[shares_[at].link];
+      link.unfrozen_weight += shares_[at].weight;
+      ++link.unfrozen_count;
+    }
+  });
+  // Links in index order: every link of the component has an unfrozen
+  // flow, since the walk reached it through one.
   active_links_.clear();
-  for (auto it = links; it != solved_links_.end(); ++it) {
-    if (links_[*it].unfrozen_count > 0) active_links_.push_back(*it);
-  }
+  link_bits_.drain([this](std::uint32_t l) {
+    links_[l].dirty = false;
+    active_links_.push_back(l);
+  });
+}
 
+inline void FluidSolver::freeze(std::uint32_t flow, double rate) {
+  Flow& f = flows_[flow];
+  f.frozen = true;
+  f.rate = rate;
+  for (std::uint32_t at = f.share_begin; at < f.share_begin + f.share_count;
+       ++at) {
+    const Share& s = shares_[at];
+    Link& sl = links_[s.link];
+    sl.unfrozen_weight -= s.weight;
+    --sl.unfrozen_count;
+    sl.residual -= s.weight * rate;
+    if (sl.residual < 0.0) sl.residual = 0.0;
+    if (sl.unfrozen_weight < 0.0) sl.unfrozen_weight = 0.0;
+  }
+}
+
+void FluidSolver::solve_component(std::size_t flow_begin) {
+  // Links in index order and flows in id order, whatever order the walk
+  // found them in: the link order decides the order bottleneck links charge
+  // residuals in, the flow order the order weights accumulate in, and
+  // together they fix every derived rate bit for bit. active_links_ holds
+  // the links with any unfrozen flow, compacted as they drain so later
+  // rounds scan progressively fewer links.
+  //
   // Bottleneck matching uses a relative tolerance: links that are equal
   // bottlenecks in exact arithmetic can differ in the last few ulps once
   // residuals are updated in different orders, and exact comparison would
@@ -174,9 +242,7 @@ void FluidSolver::solve_component(std::size_t link_begin,
       const Link& link = links_[l];
       if (link.unfrozen_count == 0 || link.unfrozen_weight <= 0.0) continue;
       active_links_[keep++] = l;
-      const double r = link.residual > 0.0
-                           ? link.residual / link.unfrozen_weight
-                           : 0.0;
+      const double r = level(link);
       if (r < rmin) rmin = r;
     }
     active_links_.resize(keep);
@@ -190,39 +256,20 @@ void FluidSolver::solve_component(std::size_t link_begin,
     for (const std::uint32_t l : active_links_) {
       const Link& link = links_[l];
       if (link.unfrozen_count == 0 || link.unfrozen_weight <= 0.0) continue;
-      const double r = link.residual > 0.0
-                           ? link.residual / link.unfrozen_weight
-                           : 0.0;
-      if (r > cutoff) continue;
-      // Bottleneck link: freeze its unfrozen crossing flows at rmin.
-      for (const std::uint32_t fid : link.crossing) {
-        Flow& f = flows_[fid];
-        if (f.frozen) continue;
-        f.frozen = true;
+      // A freeze earlier in this pass may have changed the link.
+      if (level(link) > cutoff) continue;
+      // Bottleneck link: freeze its unfrozen crossing flows at rmin, in id
+      // order.
+      for (const Crossing& c : link.crossing) {
+        if (!flows_[c.flow].frozen) flow_bits_.insert(c.flow);
+      }
+      flow_bits_.drain([&](std::uint32_t flow) {
+        freeze(flow, rmin);
         froze_any = true;
         --remaining;
-        f.rate = rmin;
-        for (const LinkShare& s : f.shares) {
-          Link& sl = links_[s.link];
-          sl.unfrozen_weight -= s.weight;
-          --sl.unfrozen_count;
-          sl.residual -= s.weight * rmin;
-          if (sl.residual < 0.0) sl.residual = 0.0;
-          if (sl.unfrozen_weight < 0.0) sl.unfrozen_weight = 0.0;
-        }
-      }
+      });
     }
     STELLAR_CHECK(froze_any, "fluid solve made no progress");
-  }
-
-  for (auto it = links; it != solved_links_.end(); ++it) {
-    links_[*it].load = 0.0;
-  }
-  for (auto it = flows; it != solved_flows_.end(); ++it) {
-    const Flow& f = flows_[*it];
-    for (const LinkShare& s : f.shares) {
-      links_[s.link].load += s.weight * f.rate;
-    }
   }
 }
 

@@ -313,24 +313,6 @@ void HybridDriver::service_region(std::uint32_t region) {
     retire_touched(rg);
     if (!rg.solve_needed) break;
     solve_region(region);
-    if (config_.zoom_on_saturation) {
-      bool saturated = false;
-      for (std::uint32_t l = 0; l < rg.links.size(); ++l) {
-        const double cap = rg.solver.capacity(l);
-        if (cap > 0.0 && rg.solver.link_load(l) >= 0.999 * cap) {
-          saturated = true;
-          break;
-        }
-      }
-      if (saturated) {
-        if (++rg.saturated_solves >= config_.saturation_solves) {
-          zoom_region(region, "saturated-bottleneck");
-          return;
-        }
-      } else {
-        rg.saturated_solves = 0;
-      }
-    }
   }
   schedule_next(region);
 }
@@ -415,7 +397,6 @@ void HybridDriver::enter_fluid(std::uint32_t region) {
   }
   emit_span(region, rg, RegionMode::kPacket);
   rg.mode = RegionMode::kFluid;
-  rg.saturated_solves = 0;
   ++transitions_;
   solve_region(region);
   schedule_next(region);

@@ -33,8 +33,8 @@
 //
 // Drop-to-packet triggers: any FaultInjector event touching the fabric, a
 // connection posting work the fluid model cannot serve (SEND/READ, QP
-// error), an explicit zoom window (benches use this to cover measurement
-// or --trace windows), and optionally a persistently saturated bottleneck.
+// error), and an explicit zoom window (benches use this to cover
+// measurement or --trace windows).
 // Promotion back to fluid requires N consecutive quiet trigger epochs
 // (queues under threshold, no new ECN marks or retransmits).
 //
@@ -133,12 +133,6 @@ struct HybridConfig {
   std::uint64_t zoom_queue_bytes = 256u << 10;
   /// Consecutive quiet epochs required before promotion.
   std::uint32_t promote_quiet_epochs = 3;
-  /// Optionally zoom when the solver reports a saturated bottleneck for
-  /// this many consecutive solves (off by default: a max-min bottleneck is
-  /// *stable* congestion, which fluid models exactly; benches zoom via
-  /// explicit windows instead).
-  bool zoom_on_saturation = false;
-  std::uint32_t saturation_solves = 4;
 };
 
 class HybridDriver {
@@ -257,7 +251,6 @@ class HybridDriver {
     bool pending_zoom = false;
     const char* pending_zoom_reason = "";
     std::uint32_t quiet_epochs = 0;
-    std::uint32_t saturated_solves = 0;
     SimTime span_start = SimTime::zero();
     SimTime fluid_total = SimTime::zero();
     std::uint64_t last_ecn = 0;

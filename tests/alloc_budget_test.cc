@@ -10,6 +10,10 @@
 // cascade and regrow (a few allocations per 33.6 us slot, however many
 // packets it carries).
 //
+// The fluid solver has a stricter budget: once a region's flow table, share
+// table and crossing lists have reached their working size, removing flows,
+// adding them back and re-solving allocate nothing at all.
+//
 // This binary replaces the global operator new to count allocations, so it
 // is kept apart from the other test binaries.
 #include <gtest/gtest.h>
@@ -23,6 +27,7 @@
 
 #include "collective/fleet.h"
 #include "collective/traffic.h"
+#include "fluid_churn.h"
 
 namespace {
 
@@ -121,6 +126,32 @@ TEST(AllocBudgetTest, PacketPermutationUnderOneAllocationPer100Packets) {
   EXPECT_LT(allocs * 100, delivered)
       << allocs << " heap allocations for " << delivered
       << " delivered packets";
+}
+
+TEST(AllocBudgetTest, FluidSolverRemoveAddSolveCyclesAllocateNothing) {
+  // A hybrid-sized region (tests/fluid_churn.h) warmed up by seeded churn,
+  // then by remove/add/solve cycles; the measured cycles remove 16 random
+  // flows, solve, add them back and solve again. They exercise every
+  // structure a solve and a swap-remove touch: the crossing entries and
+  // their stored positions, the flat share table, both bitmaps and the
+  // walk, component and result scratch.
+  constexpr std::uint32_t kCycleFlows = 16;
+  FluidChurn churn(0xa110cu);
+  for (int step = 0; step < 500; ++step) {
+    churn.step();
+    churn.solver().solve();
+  }
+  for (int cycle = 0; cycle < 20; ++cycle) churn.remove_add_cycle(kCycleFlows);
+
+  const std::uint64_t allocs_before = g_allocations.load();
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    churn.remove_add_cycle(kCycleFlows);
+  }
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
+  std::printf("%llu heap allocations in 200 fluid remove/add/solve cycles\n",
+              static_cast<unsigned long long>(allocs));
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(churn.solver().active_flows(), churn.live().size());
 }
 
 }  // namespace

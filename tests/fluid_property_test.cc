@@ -30,6 +30,7 @@
 
 #include "collective/fleet.h"
 #include "common/rng.h"
+#include "fluid_churn.h"
 #include "sim/fluid.h"
 #include "sim/hybrid.h"
 
@@ -284,6 +285,36 @@ TEST(FluidSolverTest, CapacityChangeReflowsRates) {
   EXPECT_DOUBLE_EQ(solver.rate(f2), 4e9);
 }
 
+TEST(FluidSolverTest, RejectedFlowLeavesSolverUnchanged) {
+  // A bad share anywhere in the list trips add_flow's check before the
+  // solver changes: with a throwing fail handler the caller can go on, and
+  // the solver behaves as if the call never happened.
+  FluidSolver solver;
+  const std::uint32_t l0 = solver.add_link(2e9);
+  const std::uint32_t l1 = solver.add_link(3e9);
+  const auto fa = solver.add_flow({{l0, 1.0}, {l1, 1.0}});
+  const auto fb = solver.add_flow({{l1, 1.0}});
+  solver.remove_flow(fb);  // leave a recyclable slot behind
+  solver.solve();
+  CheckFailHandler previous =
+      set_check_fail_handler([](const CheckFailure& f) { throw f; });
+  EXPECT_THROW(solver.add_flow({{l0, 1.0}, {l1, 1.0}, {7, 1.0}}),
+               CheckFailure);
+  EXPECT_THROW(solver.add_flow({{l1, 1.0}, {l0, 0.0}}), CheckFailure);
+  set_check_fail_handler(std::move(previous));
+  EXPECT_EQ(solver.active_flows(), 1u);
+  // The rejected calls took no slot and left no entry on l0 or l1.
+  EXPECT_EQ(solver.add_flow({{l1, 1.0}}), fb);
+  solver.solve();
+  EXPECT_DOUBLE_EQ(solver.rate(fa), 1.5e9);
+  EXPECT_DOUBLE_EQ(solver.rate(fb), 1.5e9);
+  solver.remove_flow(fa);
+  solver.solve();
+  EXPECT_DOUBLE_EQ(solver.rate(fb), 3e9);
+  EXPECT_DOUBLE_EQ(solver.link_load(l0), 0.0);
+  EXPECT_DOUBLE_EQ(solver.link_load(l1), 3e9);
+}
+
 // Incremental re-solve. A churned solver only re-solves the components its
 // changes touched; the result must still be bitwise what a fresh solver
 // computes from scratch for the same links and the same active flows added
@@ -416,6 +447,99 @@ TEST_P(IncrementalSolveTest, IncrementalMatchesFreshSolve) {
     }
     solve_and_compare("churn");
   }
+}
+
+TEST_P(IncrementalSolveTest, LongCrossingListsMatchFreshSolve) {
+  // Over 100 flows on the 16 links: every crossing list holds dozens of
+  // entries, so most removals take an entry out of the middle of several
+  // lists at once.
+  Rng rng(GetParam() ^ 0x1096u);
+  const auto add_one = [&] {
+    switch (rng.below(4)) {
+      case 0: {
+        auto shares = random_shares(rng, 0);
+        shares.push_back({kHalf + static_cast<std::uint32_t>(
+                                      rng.below(kHalf)),
+                          0.5});
+        add(shares);
+        break;
+      }
+      case 1: {
+        const auto shares = random_shares(rng, 0);
+        add(shares);
+        add(mirrored(shares));
+        break;
+      }
+      default:
+        add(random_shares(rng, rng.below(2) == 0 ? 0 : kHalf));
+        break;
+    }
+  };
+  while (solver_.active_flows() < 120) add_one();
+  solve_and_compare("long lists");
+
+  for (int step = 0; step < 200; ++step) {
+    const int changes = 1 + static_cast<int>(rng.below(4));
+    for (int c = 0; c < changes; ++c) {
+      const std::vector<std::uint32_t> ids = solver_.flow_ids();
+      const std::uint64_t op =
+          ids.size() < 110 ? 0 : ids.size() > 140 ? 1 : rng.below(5);
+      if (op == 0 || op == 2) {
+        add_one();
+      } else if (op == 4) {
+        const auto l = static_cast<std::uint32_t>(rng.below(caps_.size()));
+        caps_[l] = 1e9 * (0.5 + 3.0 * rng.uniform());
+        solver_.set_capacity(l, caps_[l]);
+      } else {
+        solver_.remove_flow(ids[rng.below(ids.size())]);
+      }
+    }
+    ASSERT_GE(solver_.active_flows(), 100u);
+    solve_and_compare("long churn");
+  }
+}
+
+/// FNV-1a over the bytes of 64-bit words, low byte first.
+struct Fnv1a {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  void fold(std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (word >> (8 * b)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  }
+};
+
+TEST(FluidSolverTest, ChurnMatchesParentDigest) {
+  // A seeded churn over a hybrid-sized region (tests/fluid_churn.h): after
+  // every solve, the re-solved flow runs, every active flow's id and rate
+  // bits and every link's load bits go into one digest. The expected value
+  // was recorded from the solver that kept each crossing list sorted by
+  // flow id and each component sorted with std::sort; a change in any
+  // operation order that moves one rate or load by one bit changes it.
+  FluidChurn churn(0x5eed0c4u);
+  FluidSolver& solver = churn.solver();
+  Fnv1a digest;
+  const auto fold_solve = [&] {
+    for (const std::uint32_t id : solver.last_solved_flows()) {
+      digest.fold(id);
+    }
+    for (const std::uint32_t id : solver.flow_ids()) {
+      digest.fold(id);
+      digest.fold(std::bit_cast<std::uint64_t>(solver.rate(id)));
+    }
+    for (std::uint32_t l = 0; l < solver.link_count(); ++l) {
+      digest.fold(std::bit_cast<std::uint64_t>(solver.link_load(l)));
+    }
+  };
+  fold_solve();
+  for (int step = 0; step < 2000; ++step) {
+    churn.step();
+    solver.solve();
+    fold_solve();
+  }
+  EXPECT_EQ(solver.active_flows(), churn.live().size());
+  EXPECT_EQ(digest.hash, 0x568509ce223561cfull);
 }
 
 TEST(FluidSolverTest, ChangeReSolvesOnlyItsComponent) {

@@ -29,9 +29,9 @@
 #      byte comparison of fig15_16 --endpoints=128 --fidelity=hybrid
 #      stdout (the pure-fluid ring path)
 #   6d. the perf golden smoke: one pass of each repo benchmark workload
-#      (perf/run.py: permutation_packet, allreduce_hybrid, allreduce_faults,
-#      vstellar_translation), whose final JSON lines must say
-#      "correct": true — the hybrid goldens hold within 1 %, the others
+#      (perf/run.py: permutation_packet, allreduce_hybrid at seeds 1 and 2,
+#      allreduce_faults, vstellar_translation), whose final JSON lines must
+#      say "correct": true — the hybrid goldens hold within 1 %, the others
 #      exactly
 #   7. a fig09 mini trace dump + trace_summarize smoke (the tracer's
 #      byte-determinism and the summarizer's parser, end to end)
@@ -174,16 +174,20 @@ f15_dir="$(mktemp -d)"
   echo "fig15_16 --endpoints=128 hybrid byte-identical across runs")
 rm -rf "$f15_dir"
 
-step "perf golden smoke (one pass each: allreduce_hybrid within 1 %, the others exact)"
+step "perf golden smoke (one pass each: allreduce_hybrid within 1 % at seeds 1 and 2, the others exact)"
 # A fluid-solver change that drifts the hybrid benchmark goldens, a
 # transport or engine change that moves a packet-path golden (spray or
 # loss recovery), or a translation-layer change that moves any vStellar
-# golden, fails here.
-for workload in permutation_packet allreduce_hybrid allreduce_faults \
-    vstellar_translation; do
+# golden, fails here. The hybrid workload runs at both seeds it has
+# goldens for.
+for run in permutation_packet:1 allreduce_hybrid:1 allreduce_hybrid:2 \
+    allreduce_faults:1 vstellar_translation:1; do
+  workload="${run%:*}"
+  seed="${run#*:}"
   perf_log="$(mktemp)"
-  python3 perf/run.py --workload "$workload" --seconds 0.001 | tee "$perf_log"
-  python3 - "$perf_log" "$workload" << 'EOF'
+  python3 perf/run.py --workload "$workload" --seed "$seed" --seconds 0.001 \
+    | tee "$perf_log"
+  python3 - "$perf_log" "$workload (seed $seed)" << 'EOF'
 import json
 import sys
 
