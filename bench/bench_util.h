@@ -23,24 +23,19 @@ namespace stellar::bench {
 
 // -- Fidelity selection -------------------------------------------------------
 //
-// --fidelity={packet,fluid,hybrid} picks the simulation engine for benches
-// that support the hybrid fidelity driver (fig09/fig12/fig15_16):
+// --fidelity={packet,hybrid} picks the simulation engine for benches that
+// support the hybrid fidelity driver (fig09/fig12/fig15_16):
 //   packet  per-packet reference engine (the default; byte-identical to
 //           builds without the driver attached)
 //   hybrid  fluid fast-forward of stable epochs with packet-level zoom over
 //           the measured window (docs/HYBRID.md)
-//   fluid   flow-level everywhere triggers allow; forced zooms promote back
-//           after one epoch
+// Any other value is rejected: the accepted values go to stderr and the
+// bench exits with status 2.
 
-enum class Fidelity { kPacket, kFluid, kHybrid };
+enum class Fidelity { kPacket, kHybrid };
 
 inline const char* fidelity_name(Fidelity f) {
-  switch (f) {
-    case Fidelity::kPacket: return "packet";
-    case Fidelity::kFluid: return "fluid";
-    case Fidelity::kHybrid: return "hybrid";
-  }
-  return "?";
+  return f == Fidelity::kHybrid ? "hybrid" : "packet";
 }
 
 inline Fidelity fidelity_arg(int argc, char** argv,
@@ -49,12 +44,11 @@ inline Fidelity fidelity_arg(int argc, char** argv,
     if (std::strncmp(argv[i], "--fidelity=", 11) == 0) {
       const char* v = argv[i] + 11;
       if (std::strcmp(v, "packet") == 0) return Fidelity::kPacket;
-      if (std::strcmp(v, "fluid") == 0) return Fidelity::kFluid;
       if (std::strcmp(v, "hybrid") == 0) return Fidelity::kHybrid;
       std::fprintf(stderr,
-                   "warning: unknown --fidelity=%s "
-                   "(want packet|fluid|hybrid); using packet\n",
+                   "error: unknown --fidelity=%s (accepted: packet, hybrid)\n",
                    v);
+      std::exit(2);
     }
   }
   return def;
@@ -67,9 +61,7 @@ inline std::unique_ptr<HybridDriver> make_fidelity_driver(Simulator& sim,
                                                           ClosFabric& fabric,
                                                           Fidelity f) {
   if (f == Fidelity::kPacket) return nullptr;
-  HybridConfig hc;
-  if (f == Fidelity::kFluid) hc.poll_triggers = false;
-  return std::make_unique<HybridDriver>(sim, fabric, hc);
+  return std::make_unique<HybridDriver>(sim, fabric);
 }
 
 /// --threads=N flag shared by every simulator-driving bench: the worker

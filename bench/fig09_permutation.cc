@@ -72,7 +72,7 @@ QueueStats run_permutation(MultipathAlgo algo, std::uint16_t paths,
   // Hybrid: fast-forward the first half of the warmup flow-level, then zoom
   // to packets for the second half (CC re-converges from the fluid rates)
   // and the entire measured window — queue depths are real packet-mode
-  // observations. Pure fluid runs flow-level throughout (queues stay ~0).
+  // observations (a flow-level run has no queues to measure).
   if (fidelity == Fidelity::kHybrid) {
     hybrid->request_zoom_window(SimTime::picos(warmup.ps() / 2),
                                 warmup + window);

@@ -98,16 +98,16 @@ Imbalance run(std::uint16_t paths, Fidelity fidelity) {
 int main(int argc, char** argv) {
   ObsScope obs_scope(argc, argv, "fig12");
   engine_meter();  // start the engine wall clock
-  print_header(
-      "Figure 12 - ToR uplink imbalance vs paths per connection\n"
-      "2 RNICs, 16 connections, 16 aggregation switches\n"
-      "paper: balance becomes ideal only at >=128 paths");
-  print_row({"paths", "max-min delta %", "load CoV %"});
   // Independent sweep points shard across --threads=N workers
   // (core/run_shard.h); printing happens after the merge, in sweep order,
   // so output is byte-identical for every thread count.
   const std::uint32_t threads = threads_arg(argc, argv);
   const Fidelity fidelity = fidelity_arg(argc, argv);
+  print_header(
+      "Figure 12 - ToR uplink imbalance vs paths per connection\n"
+      "2 RNICs, 16 connections, 16 aggregation switches\n"
+      "paper: balance becomes ideal only at >=128 paths");
+  print_row({"paths", "max-min delta %", "load CoV %"});
   std::printf("fidelity: %s\n", fidelity_name(fidelity));
   const std::vector<std::uint16_t> sweep = {4, 8, 16, 32, 64, 128, 256};
   std::vector<Imbalance> results(sweep.size());

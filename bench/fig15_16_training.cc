@@ -55,7 +55,7 @@ double measure_allreduce_bw(Placement placement, MultipathAlgo algo,
 
   // Two concurrent rings model co-scheduled tenants fighting for the
   // aggregation layer. Ring AllReduce is pure WRITE traffic, so under
-  // --fidelity=hybrid/fluid the whole run fast-forwards flow-level: no
+  // --fidelity=hybrid the whole run fast-forwards flow-level: no
   // trigger ever forces a packet zoom, which is what buys the scale-up
   // wall-clock headroom (docs/HYBRID.md).
   auto ring_ranks = [&](std::uint32_t base) {

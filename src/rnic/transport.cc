@@ -493,14 +493,7 @@ void RdmaConnection::enter_error(Status reason) {
   }
   unsent_queue_.clear();
   messages_.clear();
-
-  Simulator& sim = engine_.simulator();
-  if (rto_event_.valid()) {
-    sim.cancel(rto_event_);
-    rto_event_ = EventHandle{};
-  }
-  for (auto& [path, handle] : probe_events_) sim.cancel(handle);
-  probe_events_.clear();
+  cancel_timers();
 
   // A frozen QP dying takes its flow out of the solver; the driver never
   // re-freezes it (dead clients are skipped at every future freeze).
@@ -534,14 +527,8 @@ bool RdmaConnection::fluid_eligible() const {
 
 FluidFlowDesc RdmaConnection::fluid_freeze() {
   // No packets exist under fluid service: nothing can time out, so timers
-  // and probes go quiet (the same teardown a hot restart performs).
-  Simulator& sim = engine_.simulator();
-  if (rto_event_.valid()) {
-    sim.cancel(rto_event_);
-    rto_event_ = EventHandle{};
-  }
-  for (auto& [path, handle] : probe_events_) sim.cancel(handle);
-  probe_events_.clear();
+  // and probes go quiet.
+  cancel_timers();
 
   // Rewind unacked wire bytes into unsent demand. The packets the links
   // absorbed carried exactly the bytes in [acked, sent) of each message;

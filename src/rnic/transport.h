@@ -161,7 +161,6 @@ class RdmaConnection : public FluidClient {
 
   // -- FluidClient (hybrid fidelity; called by HybridDriver) ----------------
 
-  std::uint64_t fluid_conn_id() const override { return id_; }
   EndpointId fluid_endpoint() const override { return local_; }
   bool fluid_eligible() const override;
   bool fluid_errored() const override { return error_; }
@@ -261,7 +260,8 @@ class RdmaConnection : public FluidClient {
   /// Re-arm timers/probes and resume transmission after restore_state.
   void resume_after_restore();
   /// Cancel every pending timer/probe without touching logical state —
-  /// the pre-restore half of a hot restart.
+  /// the pre-restore half of a hot restart, and part of a QP error and of
+  /// a fluid freeze.
   void cancel_timers();
 
   /// Path choice honoring the blacklist.

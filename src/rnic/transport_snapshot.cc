@@ -189,7 +189,10 @@ void RdmaConnection::save_state(SnapshotWriter& w) const {
 
 void RdmaConnection::restore_state(SnapshotReader& r) {
   // Caller (the engine) already consumed the section tag, id, local, remote
-  // and the config, and guaranteed this object matches them.
+  // and the config, and guaranteed this object matches them. A snapshot is
+  // never taken under fluid service (save_state traps), so the fluid demand
+  // counters, read only while fluid_ is set, need no rebuild here.
+  STELLAR_DCHECK(!fluid_, "restoring a connection under fluid service");
   next_psn_ = r.u64();
   next_msg_id_ = r.u64();
   inflight_bytes_ = r.u64();
@@ -227,7 +230,6 @@ void RdmaConnection::restore_state(SnapshotReader& r) {
     m.posted_at = r.time();
     messages_.emplace(m.id, std::move(m));
   }
-  recount_fluid_demand();
 
   outstanding_.clear();
   const std::uint32_t n_out = r.u32();

@@ -5,9 +5,19 @@
 
 namespace stellar {
 
-HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric,
-                           HybridConfig config)
-    : sim_(&sim), fabric_(&fabric), config_(config) {
+namespace {
+
+/// Trigger-poll period while any region is in packet mode.
+constexpr SimTime kEpoch = SimTime::micros(5);
+/// Promotion requires every region link's queue at or below this.
+constexpr std::uint64_t kZoomQueueBytes = 256u << 10;
+/// Consecutive quiet epochs required before promotion.
+constexpr std::uint32_t kPromoteQuietEpochs = 3;
+
+}  // namespace
+
+HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric)
+    : sim_(&sim), fabric_(&fabric) {
   STELLAR_CHECK(fabric.hybrid_driver() == nullptr,
                 "fabric already has a hybrid driver attached");
   fabric.set_hybrid_driver(this);
@@ -37,7 +47,6 @@ HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric,
                       8.0));
       }
       rg.span_start = sim.now();
-      if (config_.start_fluid) rg.mode = RegionMode::kFluid;
     }
   }
 }
@@ -114,19 +123,7 @@ void HybridDriver::register_client(FluidClient* client) {
   if (rg.mode == RegionMode::kFluid) {
     // Born in fluid: a fresh connection has no packet state, so its freeze
     // is trivial — it only resolves the link shares its spray would use.
-    FluidFlowDesc desc = client->fluid_freeze();
-    ci->shares.clear();
-    for (const auto& [link, weight] : desc.shares) {
-      auto it = rg.link_index.find(link);
-      STELLAR_CHECK(it != rg.link_index.end(),
-                    "fluid flow references a link outside its region");
-      ci->shares.push_back(FluidSolver::LinkShare{it->second, weight});
-    }
-    ci->in_fluid = true;
-    if (desc.remaining > 0) {
-      add_flow(rg, ci);
-      if (serving_ != ci->region) schedule_kick(ci->region);
-    }
+    if (freeze(rg, ci) && serving_ != ci->region) schedule_kick(ci->region);
   } else {
     arm_tick();
   }
@@ -162,6 +159,21 @@ FluidReceiver* HybridDriver::receiver(EndpointId endpoint) const {
 // ---------------------------------------------------------------------------
 // Fluid service
 // ---------------------------------------------------------------------------
+
+bool HybridDriver::freeze(Region& rg, ClientInfo* ci) {
+  FluidFlowDesc desc = ci->client->fluid_freeze();
+  ci->shares.clear();
+  for (const auto& [link, weight] : desc.shares) {
+    auto it = rg.link_index.find(link);
+    STELLAR_CHECK(it != rg.link_index.end(),
+                  "fluid flow references a link outside its region");
+    ci->shares.push_back(FluidSolver::LinkShare{it->second, weight});
+  }
+  ci->in_fluid = true;
+  if (desc.remaining == 0) return false;
+  add_flow(rg, ci);
+  return true;
+}
 
 void HybridDriver::add_flow(Region& rg, ClientInfo* ci) {
   ci->flow = rg.solver.add_flow(ci->shares);
@@ -384,16 +396,7 @@ void HybridDriver::enter_fluid(std::uint32_t region) {
       ci->dead = true;
       continue;
     }
-    FluidFlowDesc desc = ci->client->fluid_freeze();
-    ci->shares.clear();
-    for (const auto& [link, weight] : desc.shares) {
-      auto it = rg.link_index.find(link);
-      STELLAR_CHECK(it != rg.link_index.end(),
-                    "fluid flow references a link outside its region");
-      ci->shares.push_back(FluidSolver::LinkShare{it->second, weight});
-    }
-    ci->in_fluid = true;
-    if (desc.remaining > 0) add_flow(rg, ci);
+    freeze(rg, ci);
   }
   emit_span(region, rg, RegionMode::kPacket);
   rg.mode = RegionMode::kFluid;
@@ -534,7 +537,7 @@ void HybridDriver::arm_tick() {
   // Never keep an otherwise-drained simulator alive just to poll: when
   // traffic stops, the tick stops with it.
   if (sim_->pending_events() == 0) return;
-  tick_event_ = sim_->schedule_after(config_.epoch, [this] { tick(); });
+  tick_event_ = sim_->schedule_after(kEpoch, [this] { tick(); });
 }
 
 void HybridDriver::tick() {
@@ -558,15 +561,13 @@ void HybridDriver::tick() {
       if (!ci->dead) retx += ci->client->fluid_retransmit_count();
     }
     bool quiet = true;
-    if (config_.poll_triggers) {
-      for (const NetLink* link : rg.links) {
-        if (link->queue_bytes() > config_.zoom_queue_bytes) {
-          quiet = false;
-          break;
-        }
+    for (const NetLink* link : rg.links) {
+      if (link->queue_bytes() > kZoomQueueBytes) {
+        quiet = false;
+        break;
       }
-      if (ecn != rg.last_ecn || retx != rg.last_retx) quiet = false;
     }
+    if (ecn != rg.last_ecn || retx != rg.last_retx) quiet = false;
     rg.last_ecn = ecn;
     rg.last_retx = retx;
     if (now < hold_until_) quiet = false;
@@ -575,9 +576,7 @@ void HybridDriver::tick() {
     } else {
       rg.quiet_epochs = 0;
     }
-    const std::uint32_t need =
-        config_.poll_triggers ? config_.promote_quiet_epochs : 1;
-    if (rg.quiet_epochs >= need) enter_fluid(r);
+    if (rg.quiet_epochs >= kPromoteQuietEpochs) enter_fluid(r);
   }
   arm_tick();
 }

@@ -31,12 +31,13 @@
 //     is seeded from its fluid rate (rate * base RTT), and send_more()
 //     repopulates real queues.
 //
-// Drop-to-packet triggers: any FaultInjector event touching the fabric, a
-// connection posting work the fluid model cannot serve (SEND/READ, QP
-// error), and an explicit zoom window (benches use this to cover
-// measurement or --trace windows).
-// Promotion back to fluid requires N consecutive quiet trigger epochs
-// (queues under threshold, no new ECN marks or retransmits).
+// Every region starts in fluid mode. Drop-to-packet triggers: any
+// FaultInjector event touching the fabric, a connection posting work the
+// fluid model cannot serve (SEND/READ, QP error), and an explicit zoom
+// window (benches use this to cover measurement or --trace windows).
+// While a region is in packet mode the driver polls its triggers every
+// 5 us; promotion back to fluid requires 3 consecutive quiet epochs (every
+// region link's queue at most 256 KiB, no new ECN marks or retransmits).
 //
 // Everything is deterministic: regions, links, and clients are iterated in
 // construction/registration order, flows due at the same picosecond are
@@ -74,7 +75,6 @@ struct FluidFlowDesc {
 class FluidClient {
  public:
   virtual ~FluidClient() = default;
-  virtual std::uint64_t fluid_conn_id() const = 0;
   /// Local endpoint; the driver derives the region from its coordinates.
   virtual EndpointId fluid_endpoint() const = 0;
   /// True if every queued message is fluid-servable (WRITE) and the QP is
@@ -120,21 +120,6 @@ class FluidReceiver {
   virtual void fluid_advance(const FluidDelivery& delivery) = 0;
 };
 
-struct HybridConfig {
-  /// Regions start in fluid mode (connections created under a fluid region
-  /// are born fluid; their first post never builds packet state).
-  bool start_fluid = true;
-  /// Poll promotion triggers (hybrid fidelity). false = pure fluid
-  /// fidelity: a forced zoom promotes back after one epoch, unconditionally.
-  bool poll_triggers = true;
-  /// Trigger-poll period while any region is in packet mode.
-  SimTime epoch = SimTime::micros(5);
-  /// Promotion requires every region link's queue below this.
-  std::uint64_t zoom_queue_bytes = 256u << 10;
-  /// Consecutive quiet epochs required before promotion.
-  std::uint32_t promote_quiet_epochs = 3;
-};
-
 class HybridDriver {
  public:
   /// Mode-span observation hook, fired when a region leaves a mode (and at
@@ -143,7 +128,7 @@ class HybridDriver {
   using SpanHook = InlineFunction<void(std::uint32_t region, RegionMode mode,
                                        SimTime begin, SimTime end)>;
 
-  HybridDriver(Simulator& sim, ClosFabric& fabric, HybridConfig config = {});
+  HybridDriver(Simulator& sim, ClosFabric& fabric);
   ~HybridDriver();
   HybridDriver(const HybridDriver&) = delete;
   HybridDriver& operator=(const HybridDriver&) = delete;
@@ -163,9 +148,6 @@ class HybridDriver {
   }
   RegionMode region_mode(std::uint32_t region) const {
     return regions_[region].mode;
-  }
-  RegionMode mode_of(std::uint32_t rail, std::uint32_t plane) const {
-    return regions_[rail * fabric_->config().planes + plane].mode;
   }
 
   /// Drop every region to packet mode now and hold promotion off for at
@@ -235,7 +217,7 @@ class HybridDriver {
   }
 
   struct Region {
-    RegionMode mode = RegionMode::kPacket;
+    RegionMode mode = RegionMode::kFluid;  // every region starts fluid
     FluidSolver solver;
     std::vector<NetLink*> links;  // deterministic fabric order
     std::unordered_map<const NetLink*, std::uint32_t> link_index;  // lookup
@@ -267,6 +249,9 @@ class HybridDriver {
   void service_region(std::uint32_t region);
   /// Materialize every active flow of the region (zoom only).
   void advance_to_now(std::uint32_t region);
+  /// Freeze `ci`'s connection, resolve its link shares to solver ids and
+  /// mark it fluid. Returns true if it has demand (its flow was added).
+  bool freeze(Region& rg, ClientInfo* ci);
   void add_flow(Region& rg, ClientInfo* ci);
   void remove_flow(Region& rg, ClientInfo* ci);
   /// Serve the bytes `ci` accrued since its anchor and re-anchor it at
@@ -293,7 +278,6 @@ class HybridDriver {
 
   Simulator* sim_;
   ClosFabric* fabric_;
-  HybridConfig config_;
   std::vector<Region> regions_;
   std::unordered_map<FluidClient*, std::unique_ptr<ClientInfo>> info_;
   std::unordered_map<EndpointId, FluidReceiver*> receivers_;

@@ -16,7 +16,8 @@
 // real fabric links: a fluid event touches only the flows it completes or
 // re-rates, completion times follow the piecewise rates to the picosecond,
 // every service event completes a message, and reading the byte count
-// serves nothing.
+// serves nothing. HybridPromotionTest pins when a zoomed region promotes
+// back to fluid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -662,7 +663,6 @@ class ScriptedFlow : public FluidClient {
     next_calls = 0;
   }
 
-  std::uint64_t fluid_conn_id() const override { return src_; }
   EndpointId fluid_endpoint() const override { return src_; }
   bool fluid_eligible() const override { return true; }
   bool fluid_errored() const override { return false; }
@@ -724,7 +724,7 @@ class ScriptedFlow : public FluidClient {
 TEST(HybridServiceTest, CompletionTouchesOnlyItsComponent) {
   Simulator sim;
   ClosFabric fabric(sim, service_fabric(200));
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   const auto ep = [&](std::uint32_t host) {
     return fabric.endpoint(0, host, 0, 0);
   };
@@ -757,7 +757,7 @@ TEST(HybridServiceTest, CompletionTimesFollowPiecewiseRates) {
   constexpr double kRate = 300e9 / 8;  // bytes/s
   Simulator sim;
   ClosFabric fabric(sim, service_fabric(300));
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   const auto ep = [&](std::uint32_t host) {
     return fabric.endpoint(0, host, 0, 0);
   };
@@ -795,7 +795,7 @@ TEST(HybridServiceTest, CompletionTimesFollowPiecewiseRates) {
   // that to the receiver; packet mode then delivers the rest once.
   Simulator zsim;
   ClosFabric zfabric(zsim, service_fabric(300));
-  HybridDriver zdriver(zsim, zfabric, HybridConfig{});
+  HybridDriver zdriver(zsim, zfabric);
   EngineFleet fleet(zsim, zfabric);
   const EndpointId src = zfabric.endpoint(0, 0, 0, 0);
   const EndpointId dst = zfabric.endpoint(0, 1, 0, 0);
@@ -828,7 +828,7 @@ TEST(HybridServiceTest, DueEventAlwaysCompletes) {
   // either way. Rates change whenever a flow drains.
   Simulator sim;
   ClosFabric fabric(sim, service_fabric(200));
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   std::vector<std::unique_ptr<ScriptedFlow>> flows;
   for (std::uint32_t h = 0; h < 6; ++h) {
     flows.push_back(std::make_unique<ScriptedFlow>(
@@ -865,7 +865,7 @@ TEST(HybridServiceTest, DueEventAlwaysCompletes) {
 TEST(HybridServiceTest, SameTimeCompletionsRunInRegistrationOrder) {
   Simulator sim;
   ClosFabric fabric(sim, service_fabric(200));
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   // Eight link-disjoint flows at one rate, with one equal message each:
   // all complete in the same picosecond.
   std::vector<std::unique_ptr<ScriptedFlow>> flows;
@@ -892,7 +892,7 @@ TEST(HybridServiceTest, BytesServedCountsAccrualWithoutServing) {
   constexpr double kRate = 300e9 / 8;
   Simulator sim;
   ClosFabric fabric(sim, service_fabric(300));
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   ScriptedFlow f(sim, fabric, driver, fabric.endpoint(0, 0, 0, 0),
                  fabric.endpoint(0, 1, 0, 0));
   f.post(1_MiB);
@@ -938,7 +938,7 @@ TEST(HybridServiceTest, ZeroLengthWriteBehindAMessageCompletesWithIt) {
   // completion to schedule, and its last message never completes.
   Simulator sim;
   ClosFabric fabric(sim, service_fabric(200));
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
   auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
                             fabric.endpoint(0, 1, 0, 0), {});
@@ -951,6 +951,38 @@ TEST(HybridServiceTest, ZeroLengthWriteBehindAMessageCompletesWithIt) {
   sim.run_until(SimTime::millis(1));
   EXPECT_EQ(done, 3);
   EXPECT_EQ(driver.region_mode(0), RegionMode::kFluid);
+}
+
+TEST(HybridPromotionTest, PromotesOnThirdQuietEpochAfterZoomWindow) {
+  // Pins the promotion constants: triggers are polled every 5 us while a
+  // region is in packet mode, and 3 consecutive quiet epochs promote it.
+  // A scripted flow sends no packets, so once the window's hold ends every
+  // epoch is quiet. Window [10, 16) us: the zoom at 10 arms polls at 15
+  // (held), 20, 25 and 30 us (quiet epochs 1, 2, 3). The window end sits
+  // off the poll grid so that another period or count moves the promotion
+  // off 30 us.
+  Simulator sim;
+  ClosFabric fabric(sim, service_fabric(200));
+  HybridDriver driver(sim, fabric);
+  ScriptedFlow flow(sim, fabric, driver, fabric.endpoint(0, 0, 0, 0),
+                    fabric.endpoint(1, 0, 0, 0));
+  flow.post(64_MiB);  // outlasts the test: the flow is live throughout
+  // Keep the simulator busy: the driver stops polling once nothing else is
+  // pending.
+  sim.schedule_at(SimTime::millis(1), [] {});
+  driver.request_zoom_window(SimTime::micros(10), SimTime::micros(16));
+
+  sim.run_until(SimTime::micros(10));
+  EXPECT_EQ(driver.region_mode(0), RegionMode::kPacket);
+  sim.run_until(SimTime::micros(25));
+  EXPECT_EQ(driver.region_mode(0), RegionMode::kPacket)
+      << "promoted before the third quiet epoch";
+  sim.run_until(SimTime::micros(30) - SimTime::picos(1));
+  EXPECT_EQ(driver.region_mode(0), RegionMode::kPacket);
+  sim.run_until(SimTime::micros(30));
+  EXPECT_EQ(driver.region_mode(0), RegionMode::kFluid)
+      << "not promoted on the third quiet epoch";
+  EXPECT_EQ(driver.transitions(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidPropertyTest,

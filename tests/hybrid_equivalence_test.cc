@@ -34,6 +34,8 @@
 namespace stellar {
 namespace {
 
+// kFluid is unzoomed hybrid (all fluid): the default driver with no zoom
+// window, so every region stays fluid for the whole run.
 enum class Fidelity { kPacket, kFluid, kHybrid };
 
 const char* fidelity_name(Fidelity f) {
@@ -48,15 +50,13 @@ const char* fidelity_name(Fidelity f) {
 std::unique_ptr<HybridDriver> make_driver(Simulator& sim, ClosFabric& fabric,
                                           Fidelity f) {
   if (f == Fidelity::kPacket) return nullptr;
-  HybridConfig hc;
-  if (f == Fidelity::kFluid) hc.poll_triggers = false;
-  return std::make_unique<HybridDriver>(sim, fabric, hc);
+  return std::make_unique<HybridDriver>(sim, fabric);
 }
 
 /// Declared packet-vs-hybrid tolerance for completion times (fraction).
 constexpr double kHybridTol = 0.15;
-/// Pure fluid skips CC ramp-up entirely, so it runs a bounded amount
-/// faster than packet; the band is one-sided wider.
+/// Unzoomed hybrid (all fluid) skips CC ramp-up entirely, so it runs a
+/// bounded amount faster than packet; the band is one-sided wider.
 constexpr double kFluidTol = 0.35;
 /// Goldens pin exact deterministic runs; the band only absorbs platform
 /// libm differences, not behavior changes.

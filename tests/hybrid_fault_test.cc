@@ -48,7 +48,7 @@ void add_audits(AuditRegistry& audits, Simulator& sim, ClosFabric& fabric,
 TEST(HybridFaultTest, LinkDownMidFluidEpochForcesPacketZoom) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
 
   TransportConfig t;
@@ -114,7 +114,7 @@ TEST(HybridFaultTest, LinkDownMidFluidEpochForcesPacketZoom) {
 TEST(HybridFaultTest, SwitchDeathMidFluidEpochForcesPacketZoom) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
 
   TransportConfig t;
@@ -164,7 +164,7 @@ TEST(HybridFaultTest, SwitchDeathMidFluidEpochForcesPacketZoom) {
 TEST(HybridFaultTest, ReceiverRnicResetMidFluidRidesRetransmits) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
 
   TransportConfig t;
@@ -217,7 +217,7 @@ TEST(HybridFaultTest, ReceiverRnicResetMidFluidRidesRetransmits) {
 TEST(HybridFaultTest, SenderResetErrorsFrozenClientWithoutWedgingRegion) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
 
   TransportConfig t;
@@ -275,7 +275,7 @@ TEST(HybridFaultTest, DestroyedDriverCancelsItsPendingEvents) {
   FabricConfig fc = small_fabric();
   fc.planes = 2;  // region 0 stays fluid, region 1 zooms
   ClosFabric fabric(sim, fc);
-  auto driver = std::make_unique<HybridDriver>(sim, fabric, HybridConfig{});
+  auto driver = std::make_unique<HybridDriver>(sim, fabric);
   EngineFleet fleet(sim, fabric);
 
   auto fluid_conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
@@ -319,7 +319,7 @@ TEST(HybridFaultTest, HotRestartMidFluidEpochZoomsFirst) {
     Outcome out;
     Simulator sim;
     ClosFabric fabric(sim, small_fabric());
-    HybridDriver driver(sim, fabric, HybridConfig{});
+    HybridDriver driver(sim, fabric);
     EngineFleet fleet(sim, fabric);
     std::vector<EndpointId> ranks;
     for (std::uint32_t i = 0; i < 4; ++i) {
@@ -364,7 +364,7 @@ TEST(HybridFaultTest, HotRestartMidFluidEpochZoomsFirst) {
 TEST(HybridFaultDeathTest, SaveStateOfFrozenConnectionDies) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
   const EndpointId src = fabric.endpoint(0, 0, 0, 0);
   auto conn = fleet.connect(src, fabric.endpoint(1, 0, 0, 0), {});
@@ -385,7 +385,7 @@ TEST(HybridFaultDeathTest, SaveStateOfFrozenConnectionDies) {
 TEST(HybridFaultTest, MiniChaosSoakTransitionsStayConservative) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
 
   std::vector<EndpointId> ranks;

@@ -240,7 +240,7 @@ TEST_F(TransportEdgeTest, ErrorHandlerBeforeErrorFiresExactlyOnce) {
 TEST(TransportFluidTest, RemainingCounterMatchesQueueWalk) {
   Simulator sim;
   ClosFabric fabric(sim, fabric_config());
-  HybridDriver driver(sim, fabric, HybridConfig{});  // regions start fluid
+  HybridDriver driver(sim, fabric);  // regions start fluid
   EngineFleet fleet(sim, fabric);
   auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
                             fabric.endpoint(1, 0, 0, 0), {});

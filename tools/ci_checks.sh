@@ -27,7 +27,8 @@
 #      byte-determinism check, a hybrid trace smoke asserting
 #      trace_summarize reports fluid fast-forward spans, and a run-twice
 #      byte comparison of fig15_16 --endpoints=128 --fidelity=hybrid
-#      stdout (the pure-fluid ring path)
+#      stdout (the pure-fluid ring path), and a check that an unknown
+#      --fidelity value (the removed `fluid`) makes a bench exit non-zero
 #   6d. the perf golden smoke: one pass of each repo benchmark workload
 #      (perf/run.py: permutation_packet, allreduce_hybrid at seeds 1 and 2,
 #      allreduce_faults, vstellar_translation), whose final JSON lines must
@@ -173,6 +174,15 @@ f15_dir="$(mktemp -d)"
        <(grep -v '^\[engine\]' run2/fig15_16.log) &&
   echo "fig15_16 --endpoints=128 hybrid byte-identical across runs")
 rm -rf "$f15_dir"
+
+step "unknown --fidelity is rejected (fig12_pathcount --fidelity=fluid exits non-zero)"
+if build/bench/fig12_pathcount --fidelity=fluid > /dev/null 2>&1; then
+  echo "ci_checks: FATAL: fig12_pathcount --fidelity=fluid exited 0;" >&2
+  echo "an unknown fidelity must be rejected, not run at packet fidelity" >&2
+  exit 1
+else
+  echo "fig12_pathcount rejected --fidelity=fluid as required"
+fi
 
 step "perf golden smoke (one pass each: allreduce_hybrid within 1 % at seeds 1 and 2, the others exact)"
 # A fluid-solver change that drifts the hybrid benchmark goldens, a
