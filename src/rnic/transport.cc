@@ -24,7 +24,9 @@ RdmaConnection::RdmaConnection(RdmaEngine& engine, std::uint64_t id,
   // Hybrid fidelity: connections created while a driver is attached are
   // fluid clients from birth — if the region is already in fluid mode the
   // driver freezes them immediately (a trivial freeze: nothing in flight).
-  if (HybridDriver* driver = hybrid_driver()) driver->register_client(this);
+  if (HybridDriver* driver = hybrid_driver()) {
+    driver->register_client(this, local_);
+  }
 }
 
 RdmaConnection::~RdmaConnection() {
@@ -102,10 +104,8 @@ std::uint64_t RdmaConnection::enqueue_message(std::uint64_t bytes,
     // analytic demand; anything else (SEND/READ) zooms the region back to
     // packet mode, which thaws this connection and re-runs send_more.
     if (kind == PacketKind::kWrite) {
-      fluid_write_bytes_ += bytes;
-      hybrid_driver()->on_fluid_post(this);
+      hybrid_driver()->on_fluid_post(this, bytes);
     } else {
-      fluid_non_write_queued_ = true;
       hybrid_driver()->on_ineligible_post(this);
     }
     return msg_id;
@@ -348,26 +348,28 @@ void RdmaConnection::handle_ack(const NetPacket& ack) {
     Message& msg = msg_it->second;
     msg.acked += meta.kind == PacketKind::kReadRequest ? msg.total
                                                        : meta.bytes;
-    if (msg.acked >= msg.total) {
-      completed_bytes_ += msg.total;
-      ++completed_messages_;
-      STELLAR_TRACE_ONLY(
-          const SimTime now = engine_.simulator().now();
-          obs::count("transport/messages_completed");
-          obs::record_time("transport/msg_latency_ps", now - msg.posted_at);
-          obs::complete(obs::TraceCat::kTransport, "message", msg.posted_at,
-                        now - msg.posted_at,
-                        obs::TraceArgs{
-                            "conn", static_cast<std::int64_t>(id_), "msg",
-                            static_cast<std::int64_t>(msg.id), "bytes",
-                            static_cast<std::int64_t>(msg.total)});)
-      Completion cb = std::move(msg.on_complete);
-      messages_.erase(msg_it);
-      if (cb) cb();
-    }
+    if (msg.acked >= msg.total) complete_message(msg);
   }
 
   send_more();  // re-arms the RTO once the freed window is refilled
+}
+
+void RdmaConnection::complete_message(Message& msg) {
+  completed_bytes_ += msg.total;
+  ++completed_messages_;
+  STELLAR_TRACE_ONLY(
+      const SimTime now = engine_.simulator().now();
+      obs::count("transport/messages_completed");
+      obs::record_time("transport/msg_latency_ps", now - msg.posted_at);
+      obs::complete(obs::TraceCat::kTransport, "message", msg.posted_at,
+                    now - msg.posted_at,
+                    obs::TraceArgs{
+                        "conn", static_cast<std::int64_t>(id_), "msg",
+                        static_cast<std::int64_t>(msg.id), "bytes",
+                        static_cast<std::int64_t>(msg.total)});)
+  Completion cb = std::move(msg.on_complete);
+  messages_.erase(msg.id);  // invalidates msg
+  if (cb) cb();
 }
 
 void RdmaConnection::note_send(std::uint64_t psn, SimTime at) {
@@ -550,7 +552,6 @@ FluidFlowDesc RdmaConnection::fluid_freeze() {
     }
   }
   fluid_ = true;
-  recount_fluid_demand();
 
   // Footprint on the link graph: the selector's long-run path weights
   // mapped over each path's route, links merged in first-encounter order
@@ -584,8 +585,8 @@ void RdmaConnection::fluid_thaw(double rate_bytes_per_sec) {
     const Message& msg = messages_.at(msg_id);
     if (msg.acked == 0) continue;
     engine_.fluid_deliver_remote(
-        remote_, FluidDelivery{id_, msg.id, msg.acked, msg.tag, local_},
-        /*advance=*/true);
+        remote_,
+        FluidDelivery{id_, msg.id, msg.acked, msg.total, msg.tag, local_});
   }
   if (rate_bytes_per_sec > 0.0) {
     // Seed the window at the fluid operating point: rate * base RTT is the
@@ -620,61 +621,17 @@ std::uint64_t RdmaConnection::fluid_serve(std::uint64_t bytes) {
     msg.acked += take;
     msg.sent = msg.acked;  // nothing is ever in flight under fluid
     served += take;
-    fluid_write_bytes_ -= take;
     if (msg.acked >= msg.total) {
       unsent_queue_.pop_front();
-      fluid_complete_message(msg);  // erases msg from messages_
+      // Receiver first, then the sender completion — the order packet
+      // mode produces (the final ACK departs after the final payload).
+      engine_.fluid_deliver_remote(
+          remote_,
+          FluidDelivery{id_, msg.id, msg.total, msg.total, msg.tag, local_});
+      complete_message(msg);
     }
   }
   return served;
-}
-
-void RdmaConnection::fluid_complete_message(Message& msg) {
-  completed_bytes_ += msg.total;
-  ++completed_messages_;
-  STELLAR_TRACE_ONLY(
-      const SimTime now = engine_.simulator().now();
-      obs::count("transport/messages_completed");
-      obs::record_time("transport/msg_latency_ps", now - msg.posted_at);
-      obs::complete(obs::TraceCat::kTransport, "message", msg.posted_at,
-                    now - msg.posted_at,
-                    obs::TraceArgs{
-                        "conn", static_cast<std::int64_t>(id_), "msg",
-                        static_cast<std::int64_t>(msg.id), "bytes",
-                        static_cast<std::int64_t>(msg.total)});)
-  // Receiver first, then the sender completion — the order packet mode
-  // produces (the final ACK only departs after the final payload landed).
-  engine_.fluid_deliver_remote(
-      remote_, FluidDelivery{id_, msg.id, msg.total, msg.tag, local_});
-  Completion cb = std::move(msg.on_complete);
-  messages_.erase(msg.id);  // invalidates msg
-  if (cb) cb();
-}
-
-void RdmaConnection::recount_fluid_demand() {
-  fluid_write_bytes_ = 0;
-  fluid_non_write_queued_ = false;
-  for (const std::uint64_t msg_id : unsent_queue_) {
-    const Message& msg = messages_.at(msg_id);
-    if (msg.kind == PacketKind::kWrite) {
-      fluid_write_bytes_ += msg.total - msg.acked;
-    } else {
-      fluid_non_write_queued_ = true;
-    }
-  }
-}
-
-std::uint64_t RdmaConnection::fluid_remaining() const {
-  if (fluid_ && !fluid_non_write_queued_) return fluid_write_bytes_;
-  // WRITE demand ahead of the first non-WRITE: the rest waits for the
-  // zoom that post triggered.
-  std::uint64_t remaining = 0;
-  for (const std::uint64_t msg_id : unsent_queue_) {
-    const Message& msg = messages_.at(msg_id);
-    if (msg.kind != PacketKind::kWrite) break;
-    remaining += msg.total - msg.acked;
-  }
-  return remaining;
 }
 
 std::uint64_t RdmaConnection::fluid_next_completion_bytes() const {
@@ -904,8 +861,7 @@ void RdmaEngine::deliver_message(const RxMessage& rx) {
 }
 
 void RdmaEngine::fluid_deliver_remote(EndpointId remote,
-                                      const FluidDelivery& delivery,
-                                      bool advance) {
+                                      const FluidDelivery& delivery) {
   HybridDriver* driver = fabric_->hybrid_driver();
   FluidReceiver* rx = driver == nullptr ? nullptr : driver->receiver(remote);
   if (rx == nullptr) {
@@ -914,24 +870,7 @@ void RdmaEngine::fluid_deliver_remote(EndpointId remote,
     ++fluid_undeliverable_;
     return;
   }
-  if (advance) {
-    rx->fluid_advance(delivery);
-  } else {
-    rx->fluid_deliver(delivery);
-  }
-}
-
-void RdmaEngine::fluid_advance(const FluidDelivery& delivery) {
-  if (rx_completed_[delivery.conn_id].contains(delivery.msg_id)) {
-    // Completed here in packet mode pre-freeze; the sender's view lags.
-    return;
-  }
-  RxMessageState& msg = rx_[delivery.conn_id].messages[delivery.msg_id];
-  if (delivery.bytes <= msg.received) return;  // receiver is already ahead
-  const std::uint64_t fresh = delivery.bytes - msg.received;
-  msg.received = delivery.bytes;
-  rx_goodput_bytes_ += fresh;
-  STELLAR_TRACE_ONLY(obs::count("transport/rx_goodput_bytes", fresh);)
+  rx->fluid_deliver(delivery);
 }
 
 void RdmaEngine::fluid_deliver(const FluidDelivery& delivery) {
@@ -941,23 +880,29 @@ void RdmaEngine::fluid_deliver(const FluidDelivery& delivery) {
     // mid-flight); the fluid re-serve is the duplicate, not the original.
     return;
   }
-  ledger.mark(delivery.msg_id);
-
-  // Goodput compensation: credit only the bytes packet mode had not yet
-  // placed, and retire the partial reassembly state the placed bytes left.
-  std::uint64_t already = 0;
-  auto rx_it = rx_.find(delivery.conn_id);
-  if (rx_it != rx_.end()) {
+  const bool whole = delivery.bytes >= delivery.total;
+  // Reassembly state: a partial delivery keeps (or creates) it for the
+  // packet-mode tail; a whole one retires whatever packet mode placed.
+  RxMessageState* state = nullptr;
+  if (!whole) {
+    state = &rx_[delivery.conn_id].messages[delivery.msg_id];
+  } else if (auto rx_it = rx_.find(delivery.conn_id); rx_it != rx_.end()) {
     auto partial = rx_it->second.messages.find(delivery.msg_id);
-    if (partial != rx_it->second.messages.end()) {
-      already = partial->second.received;
-      rx_it->second.messages.erase(partial);
-    }
+    if (partial != rx_it->second.messages.end()) state = &partial->second;
   }
+  const std::uint64_t already = state == nullptr ? 0 : state->received;
+  if (!whole && delivery.bytes <= already) return;  // receiver is ahead
+  // Goodput compensation: credit only the bytes packet mode had not placed.
   const std::uint64_t fresh =
       delivery.bytes > already ? delivery.bytes - already : 0;
   rx_goodput_bytes_ += fresh;
   STELLAR_TRACE_ONLY(obs::count("transport/rx_goodput_bytes", fresh);)
+  if (!whole) {
+    state->received = delivery.bytes;
+    return;
+  }
+  if (state != nullptr) rx_[delivery.conn_id].messages.erase(delivery.msg_id);
+  ledger.mark(delivery.msg_id);
   deliver_message(RxMessage{delivery.conn_id, delivery.msg_id, delivery.bytes,
                             delivery.tag, delivery.src, PacketKind::kWrite});
 }

@@ -86,7 +86,9 @@ class RdmaEngine;
 /// region is in fluid mode, posted WRITEs are served analytically at the
 /// max-min rate instead of being packetized — freeze rewinds unacked wire
 /// bytes into unsent demand, thaw seeds the congestion window from the
-/// fluid rate and resumes packet transmission.
+/// fluid rate and resumes packet transmission. The connection reports each
+/// post to the driver, which keeps the flow's demand; a fluid-served
+/// message completes through the same path an ACK-completed one does.
 class RdmaConnection : public FluidClient {
  public:
   using Completion = std::function<void()>;
@@ -161,13 +163,11 @@ class RdmaConnection : public FluidClient {
 
   // -- FluidClient (hybrid fidelity; called by HybridDriver) ----------------
 
-  EndpointId fluid_endpoint() const override { return local_; }
   bool fluid_eligible() const override;
   bool fluid_errored() const override { return error_; }
   FluidFlowDesc fluid_freeze() override;
   void fluid_thaw(double rate_bytes_per_sec) override;
   std::uint64_t fluid_serve(std::uint64_t bytes) override;
-  std::uint64_t fluid_remaining() const override;
   std::uint64_t fluid_next_completion_bytes() const override;
   std::uint64_t fluid_retransmit_count() const override {
     return retransmits_;
@@ -236,13 +236,12 @@ class RdmaConnection : public FluidClient {
   std::uint64_t enqueue_message(std::uint64_t bytes, PacketKind kind,
                                 std::uint32_t tag, Completion on_complete);
 
+  /// Sender-side completion of a fully acknowledged (or fluid-served)
+  /// message: counters, trace span, then its callback. Erases `msg`.
+  void complete_message(Message& msg);
+
   /// The hybrid driver attached to the fabric, or nullptr (pure packet).
   HybridDriver* hybrid_driver() const;
-  /// Complete one message under fluid service: receiver delivery first,
-  /// then the sender completion — the same order packet mode produces.
-  void fluid_complete_message(Message& msg);
-  /// Recompute fluid_write_bytes_ / fluid_non_write_queued_ from the queue.
-  void recount_fluid_demand();
 
   /// Checkpoint/restore of the full sender-side QP context (config, PSN
   /// space, unacked packets, queued messages, CC state, blacklists).
@@ -342,12 +341,6 @@ class RdmaConnection : public FluidClient {
   /// True while this connection's region is in fluid mode (set by
   /// fluid_freeze, cleared by fluid_thaw / enter_error).
   bool fluid_ = false;
-  /// While fluid_: unacked bytes of the queued WRITEs, kept current by
-  /// fluid_freeze, enqueue_message and fluid_serve so fluid_remaining()
-  /// is O(1). Meaningful only while no non-WRITE is queued — such a post
-  /// zooms the region, and fluid_remaining() walks the queue until then.
-  std::uint64_t fluid_write_bytes_ = 0;
-  bool fluid_non_write_queued_ = false;
 };
 
 /// Message observed complete at the receiver (all payload bytes placed).
@@ -363,10 +356,10 @@ struct RxMessage {
 /// Per-endpoint transport engine: owns sender connections and all
 /// receiver-side state, and is registered as the endpoint's packet handler.
 ///
-/// Implements FluidReceiver: whole-message fluid deliveries land through
-/// the same deliver_message() path packet completions use, with goodput
-/// compensation for partially received messages and a completed-message
-/// ledger that suppresses double delivery across mode boundaries.
+/// Implements FluidReceiver: a fluid delivery raises a message's reassembly
+/// watermark as packet payloads do, and a whole message lands through the
+/// same deliver_message() path packet completions use; a completed-message
+/// ledger suppresses double delivery across mode boundaries.
 class RdmaEngine : public FluidReceiver {
  public:
   using MessageHandler = std::function<void(const RxMessage&)>;
@@ -493,16 +486,10 @@ class RdmaEngine : public FluidReceiver {
 
   // -- FluidReceiver (hybrid fidelity) --------------------------------------
 
-  /// Whole-message delivery from a fluid-served sender. Skipped if the
-  /// message already completed in packet mode (its ACKs were mid-flight at
-  /// freeze); otherwise credits only the not-yet-received bytes as goodput
-  /// and fires the normal receiver completion path.
+  /// See FluidDelivery. Ignored if the message already completed in packet
+  /// mode (its ACKs were mid-flight at freeze); otherwise credits only the
+  /// bytes not yet placed as goodput.
   void fluid_deliver(const FluidDelivery& delivery) override;
-  /// Thaw-time sync of a fluid-served prefix: raises the message's
-  /// reassembly watermark to the sender's served byte count and credits the
-  /// delta as goodput, so a message that straddles a fluid epoch still
-  /// completes when its packet-mode tail lands.
-  void fluid_advance(const FluidDelivery& delivery) override;
   /// Fluid deliveries dropped because the destination endpoint has no
   /// registered engine (the fluid analogue of dropped_no_handler).
   std::uint64_t fluid_undeliverable() const { return fluid_undeliverable_; }
@@ -555,10 +542,8 @@ class RdmaEngine : public FluidReceiver {
     }
   };
 
-  /// Route a fluid delivery (or, with `advance`, a thaw-time partial
-  /// progress sync) to the remote endpoint's engine.
-  void fluid_deliver_remote(EndpointId remote, const FluidDelivery& delivery,
-                            bool advance = false);
+  /// Route a fluid delivery to the remote endpoint's engine.
+  void fluid_deliver_remote(EndpointId remote, const FluidDelivery& delivery);
 
   void on_packet(NetPacket&& p);
   void handle_data(NetPacket&& p);

@@ -190,8 +190,8 @@ void RdmaConnection::save_state(SnapshotWriter& w) const {
 void RdmaConnection::restore_state(SnapshotReader& r) {
   // Caller (the engine) already consumed the section tag, id, local, remote
   // and the config, and guaranteed this object matches them. A snapshot is
-  // never taken under fluid service (save_state traps), so the fluid demand
-  // counters, read only while fluid_ is set, need no rebuild here.
+  // never taken under fluid service (save_state traps); a flow's fluid
+  // demand lives in the hybrid driver, which takes it from the next freeze.
   STELLAR_DCHECK(!fluid_, "restoring a connection under fluid service");
   next_psn_ = r.u64();
   next_msg_id_ = r.u64();

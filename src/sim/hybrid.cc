@@ -100,8 +100,7 @@ std::uint64_t HybridDriver::fluid_bytes_served() const {
       if (earned < 1.0) continue;
       // A flow whose due event is still pending at now may have accrued a
       // hair past its demand; serving would stop at the demand too.
-      total += std::min(static_cast<std::uint64_t>(earned),
-                        ci->client->fluid_remaining());
+      total += std::min(static_cast<std::uint64_t>(earned), ci->demand);
     }
   }
   return total;
@@ -111,12 +110,12 @@ std::uint64_t HybridDriver::fluid_bytes_served() const {
 // Registration
 // ---------------------------------------------------------------------------
 
-void HybridDriver::register_client(FluidClient* client) {
+void HybridDriver::register_client(FluidClient* client, EndpointId endpoint) {
   auto info = std::make_unique<ClientInfo>();
   ClientInfo* ci = info.get();
   ci->client = client;
   ci->seq = next_seq_++;
-  ci->region = region_of(client->fluid_endpoint());
+  ci->region = region_of(endpoint);
   Region& rg = regions_[ci->region];
   rg.clients.push_back(ci);
   info_.emplace(client, std::move(info));
@@ -170,6 +169,8 @@ bool HybridDriver::freeze(Region& rg, ClientInfo* ci) {
     ci->shares.push_back(FluidSolver::LinkShare{it->second, weight});
   }
   ci->in_fluid = true;
+  ci->demand = desc.remaining;
+  ci->blocked = false;
   if (desc.remaining == 0) return false;
   add_flow(rg, ci);
   return true;
@@ -224,6 +225,11 @@ bool HybridDriver::serve(ClientInfo* ci, bool due) {
   }
   if (!due) upcoming = ci->client->fluid_next_completion_bytes();
   const std::uint64_t served = ci->client->fluid_serve(want);
+  STELLAR_DCHECK(served <= ci->demand,
+                 "fluid serve of %llu bytes exceeds the flow's demand %llu",
+                 static_cast<unsigned long long>(served),
+                 static_cast<unsigned long long>(ci->demand));
+  ci->demand -= served;
   fluid_bytes_served_ += served;
   ci->carry = served == want ? earned - static_cast<double>(want) : 0.0;
   return upcoming > 0 && served >= upcoming;
@@ -270,7 +276,7 @@ void HybridDriver::retire_touched(Region& rg) {
                    rg.touched.end());
   for (ClientInfo* ci : rg.touched) {
     if (ci->flow < 0) continue;
-    if (ci->dead || ci->client->fluid_remaining() == 0) {
+    if (ci->dead || ci->demand == 0) {
       if (!ci->dead) ++fluid_completions_;
       remove_flow(rg, ci);
     } else {
@@ -476,12 +482,14 @@ void HybridDriver::request_zoom_window(SimTime start, SimTime end) {
 // Client notifications
 // ---------------------------------------------------------------------------
 
-void HybridDriver::on_fluid_post(FluidClient* client) {
+void HybridDriver::on_fluid_post(FluidClient* client, std::uint64_t bytes) {
   auto it = info_.find(client);
   if (it == info_.end()) return;
   ClientInfo* ci = it->second.get();
-  if (!ci->in_fluid || ci->dead) return;
-  if (ci->flow < 0 && ci->client->fluid_remaining() > 0) {
+  // Behind a queued non-WRITE the WRITE waits for the pending zoom.
+  if (!ci->in_fluid || ci->dead || ci->blocked) return;
+  ci->demand += bytes;
+  if (ci->flow < 0 && ci->demand > 0) {
     add_flow(regions_[ci->region], ci);
     // The region being served re-solves before its pass ends.
     if (serving_ != ci->region) schedule_kick(ci->region);
@@ -495,6 +503,7 @@ void HybridDriver::on_ineligible_post(FluidClient* client) {
   if (it == info_.end()) return;
   ClientInfo* ci = it->second.get();
   if (!ci->in_fluid) return;
+  ci->blocked = true;
   zoom_region(ci->region, "ineligible-post");
 }
 

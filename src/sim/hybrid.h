@@ -24,12 +24,14 @@
 //   packet -> fluid (freeze): every link absorb()s the packets it owns
 //     (counted by the conservation auditor as their own terminal outcome),
 //     and each transport rewinds unacked wire bytes into unsent demand —
-//     the same bytes continue as fluid flow state. A receiver-side
-//     completion ledger suppresses the double delivery this re-serve
-//     could otherwise cause for messages whose ACKs were mid-flight.
-//   fluid -> packet (thaw): flows stop, each transport's congestion window
-//     is seeded from its fluid rate (rate * base RTT), and send_more()
-//     repopulates real queues.
+//     the same bytes continue as fluid flow state, whose demand the driver
+//     keeps from then on. A receiver-side completion ledger suppresses the
+//     double delivery this re-serve could otherwise cause for messages
+//     whose ACKs were mid-flight.
+//   fluid -> packet (thaw): flows stop, each transport syncs the served
+//     prefix of every unfinished message to its receiver, its congestion
+//     window is seeded from its fluid rate (rate * base RTT), and
+//     send_more() repopulates real queues.
 //
 // Every region starts in fluid mode. Drop-to-packet triggers: any
 // FaultInjector event touching the fabric, a connection posting work the
@@ -71,12 +73,11 @@ struct FluidFlowDesc {
   std::vector<std::pair<const NetLink*, double>> shares;
 };
 
-/// Sender side of a connection under fluid service (RdmaConnection).
+/// Sender side of a connection under fluid service (RdmaConnection). The
+/// driver keeps the flow's demand itself; the client only serves it.
 class FluidClient {
  public:
   virtual ~FluidClient() = default;
-  /// Local endpoint; the driver derives the region from its coordinates.
-  virtual EndpointId fluid_endpoint() const = 0;
   /// True if every queued message is fluid-servable (WRITE) and the QP is
   /// healthy. A false answer keeps (or drops) the region in packet mode.
   virtual bool fluid_eligible() const = 0;
@@ -89,22 +90,26 @@ class FluidClient {
   /// Convert back: seed the congestion window from the last fluid rate
   /// (bytes/sec; 0 = no assigned rate) and resume packet transmission.
   virtual void fluid_thaw(double rate_bytes_per_sec) = 0;
-  /// Serve up to `bytes` of queued demand, firing receiver-then-sender
-  /// completions exactly as packet mode would. Returns bytes consumed.
+  /// Serve up to `bytes` of the queued WRITEs ahead of the first
+  /// non-WRITE, firing receiver-then-sender completions exactly as packet
+  /// mode would. Returns bytes consumed.
   virtual std::uint64_t fluid_serve(std::uint64_t bytes) = 0;
-  /// Unserved fluid demand in bytes (0 = flow inactive).
-  virtual std::uint64_t fluid_remaining() const = 0;
   /// Bytes until the in-service message completes (0 = no demand).
   virtual std::uint64_t fluid_next_completion_bytes() const = 0;
   /// Cumulative retransmit count — a promotion quietness signal.
   virtual std::uint64_t fluid_retransmit_count() const = 0;
 };
 
-/// Receiver side (RdmaEngine): accepts a whole-message fluid delivery.
+/// Receiver side (RdmaEngine): `bytes` of a `total`-byte message were
+/// served under fluid. They never travel as packets, so the receiver raises
+/// the message's reassembly watermark to `bytes` — a thaw-time sync of a
+/// straddling message's prefix, which its packet-mode tail then completes —
+/// and completes the message when `bytes == total`.
 struct FluidDelivery {
   std::uint64_t conn_id = 0;
   std::uint64_t msg_id = 0;
   std::uint64_t bytes = 0;
+  std::uint64_t total = 0;
   std::uint32_t tag = 0;
   EndpointId src = 0;
 };
@@ -112,12 +117,6 @@ class FluidReceiver {
  public:
   virtual ~FluidReceiver() = default;
   virtual void fluid_deliver(const FluidDelivery& delivery) = 0;
-  /// Partial-progress sync at thaw. `bytes` is the sender's cumulative
-  /// served prefix of a still-incomplete message: those bytes never travel
-  /// as packets, so the receiver must fold them into its reassembly state
-  /// before the packet-mode tail arrives or the message never completes on
-  /// the receive side.
-  virtual void fluid_advance(const FluidDelivery& delivery) = 0;
 };
 
 class HybridDriver {
@@ -135,7 +134,8 @@ class HybridDriver {
 
   // -- Registration (called by RdmaEngine) ----------------------------------
 
-  void register_client(FluidClient* client);
+  /// `endpoint` is the client's local endpoint; it fixes the region.
+  void register_client(FluidClient* client, EndpointId endpoint);
   void unregister_client(FluidClient* client);
   void register_receiver(EndpointId endpoint, FluidReceiver* receiver);
   void unregister_receiver(EndpointId endpoint);
@@ -161,9 +161,11 @@ class HybridDriver {
 
   // -- Client notifications (called by the transport) -----------------------
 
-  /// New fluid-servable demand was queued on a frozen connection.
-  void on_fluid_post(FluidClient* client);
+  /// A frozen connection queued a WRITE of `bytes`.
+  void on_fluid_post(FluidClient* client, std::uint64_t bytes);
   /// A frozen connection queued work fluid cannot serve — zoom its region.
+  /// Until the zoom the client's demand stops growing: WRITEs queued behind
+  /// that work wait for packet mode.
   void on_ineligible_post(FluidClient* client);
   /// A frozen connection entered QP error; its flow leaves the solver.
   void on_client_error(FluidClient* client);
@@ -185,12 +187,20 @@ class HybridDriver {
   SimTime fluid_time() const;
 
  private:
+  friend struct HybridDriverTestPeer;  // reads demand counters in tests
+
   struct ClientInfo {
     FluidClient* client = nullptr;
     std::uint64_t seq = 0;  // registration order; breaks due-time ties
     std::uint32_t region = 0;
     bool in_fluid = false;
     bool dead = false;  // QP error while frozen; never re-frozen
+    // While in_fluid: unserved bytes of the queued WRITEs ahead of the
+    // first non-WRITE (0 = flow inactive). Set at freeze, raised by posts,
+    // lowered by every serve; a non-WRITE post stops the raises until the
+    // zoom it triggers (`blocked`).
+    std::uint64_t demand = 0;
+    bool blocked = false;
     std::int64_t flow = -1;
     // Lazy service: the flow was served through `anchor` and has accrued
     // rate * (now - anchor) + carry bytes since. `carry` is the fractional

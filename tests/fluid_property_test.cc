@@ -647,7 +647,7 @@ class ScriptedFlow : public FluidClient {
   ScriptedFlow(Simulator& sim, ClosFabric& fabric, HybridDriver& driver,
                EndpointId src, EndpointId dst)
       : sim_(sim), fabric_(fabric), driver_(driver), src_(src), dst_(dst) {
-    driver_.register_client(this);
+    driver_.register_client(this, src_);
   }
   ~ScriptedFlow() override { driver_.unregister_client(this); }
   ScriptedFlow(const ScriptedFlow&) = delete;
@@ -656,14 +656,13 @@ class ScriptedFlow : public FluidClient {
   void post(std::uint64_t bytes) {
     queue_.push_back(bytes);
     remaining_ += bytes;
-    driver_.on_fluid_post(this);
+    driver_.on_fluid_post(this, bytes);
   }
   void reset_counts() {
     serve_calls = 0;
     next_calls = 0;
   }
 
-  EndpointId fluid_endpoint() const override { return src_; }
   bool fluid_eligible() const override { return true; }
   bool fluid_errored() const override { return false; }
   FluidFlowDesc fluid_freeze() override {
@@ -697,7 +696,6 @@ class ScriptedFlow : public FluidClient {
     total_served += served;
     return served;
   }
-  std::uint64_t fluid_remaining() const override { return remaining_; }
   std::uint64_t fluid_next_completion_bytes() const override {
     ++next_calls;
     return queue_.empty() ? 0 : queue_.front() - head_served_;

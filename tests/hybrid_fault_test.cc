@@ -8,10 +8,21 @@
 // failures, whole-switch death, and RNIC resets, plus a mini chaos soak
 // (scripted data-plane plan against a continuously restarting AllReduce
 // under hybrid fidelity) — the transition-path arm of the chaos plan.
+//
+// HybridReceiverTest covers receiver reconciliation across a transition
+// in each direction: a message served partly in fluid and then thawed
+// (the thaw syncs the served prefix into reassembly, the packet tail
+// completes it), and a message completed at the receiver in packet mode
+// whose ACKs were on the wire when the region froze (the sender re-serves
+// it in fluid, and the completion ledger swallows that second delivery).
+// Either way the message completes exactly once, with goodput equal to
+// its size.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "check/auditors.h"
@@ -479,6 +490,102 @@ TEST(HybridFaultTest, MiniChaosSoakTransitionsStayConservative) {
   const AuditReport report = audits.run_all();
   EXPECT_TRUE(report.clean()) << report.to_string();
   EXPECT_EQ(audits.total_findings(), 0u);
+}
+
+TEST(HybridReceiverTest, StraddlingMessageCompletesOnceWithFullGoodput) {
+  Simulator sim;
+  ClosFabric fabric(sim, small_fabric());
+  HybridDriver driver(sim, fabric);  // regions start fluid
+  EngineFleet fleet(sim, fabric);
+  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
+  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  auto conn = fleet.connect(src, dst, {});
+  ASSERT_TRUE(conn.is_ok());
+  std::vector<RxMessage> received;
+  fleet.at(dst).set_message_handler(
+      [&](const RxMessage& m) { received.push_back(m); });
+
+  // Fluid until 10 us, packet mode for the rest of the run.
+  constexpr std::uint64_t kBytes = 4_MiB;
+  const SimTime zoom_at = SimTime::micros(10);
+  driver.request_zoom_window(zoom_at, SimTime::millis(100));
+  int sender_done = 0;
+  const std::uint64_t msg_id =
+      conn.value()->post_write(kBytes, [&] { ++sender_done; });
+  std::uint64_t synced = 0;
+  RegionMode after_zoom = RegionMode::kFluid;
+  sim.schedule_at(zoom_at, [&] {
+    after_zoom = driver.region_mode(0);
+    synced = fleet.at(dst).rx_goodput_bytes();
+  });
+  sim.run_until(SimTime::millis(5));
+
+  ASSERT_EQ(after_zoom, RegionMode::kPacket);
+  EXPECT_GT(synced, 0u) << "no fluid prefix was synced at the thaw";
+  EXPECT_LT(synced, kBytes) << "the message did not straddle the zoom";
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0].msg_id, msg_id);
+  EXPECT_EQ(received[0].bytes, kBytes);
+  EXPECT_EQ(sender_done, 1);
+  EXPECT_EQ(fleet.at(dst).rx_goodput_bytes(), kBytes);
+  EXPECT_EQ(fleet.at(dst).rx_duplicate_packets(), 0u);
+}
+
+TEST(HybridReceiverTest, AbsorbedAcksDoNotDeliverTwice) {
+  Simulator sim;
+  ClosFabric fabric(sim, small_fabric());
+  HybridDriver driver(sim, fabric);
+  EngineFleet fleet(sim, fabric);
+  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
+  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  auto conn = fleet.connect(src, dst, {});
+  ASSERT_TRUE(conn.is_ok());
+
+  // Packet mode from the start; quiet epochs promote the region back to
+  // fluid mid-stream, with the ACKs of messages the receiver already
+  // completed still on the wire. The promotion tick only polls while other
+  // events are pending, so a marker event keeps it alive.
+  const SimTime end = SimTime::millis(5);
+  sim.schedule_at(end, [] {});
+  driver.request_zoom_window(SimTime::zero(), SimTime::micros(5));
+  ASSERT_EQ(driver.region_mode(0), RegionMode::kPacket);
+
+  constexpr int kMessages = 1000;
+  constexpr std::uint64_t kBytes = 6000;  // two packets each
+  std::map<std::uint64_t, int> rx_count;
+  std::set<std::uint64_t> tx_done;
+  fleet.at(dst).set_message_handler(
+      [&](const RxMessage& m) { ++rx_count[m.msg_id]; });
+  std::vector<std::uint64_t> ids(kMessages);
+  for (int i = 0; i < kMessages; ++i) {
+    ids[i] = conn.value()->post_write(
+        kBytes, [&tx_done, &ids, i] { tx_done.insert(ids[i]); });
+  }
+
+  // At each freeze (a packet span ends): messages the receiver completed
+  // whose sender has not seen the final ACK — their ACKs were absorbed.
+  std::size_t absorbed_completions = 0;
+  driver.set_span_hook(
+      [&](std::uint32_t, RegionMode mode, SimTime, SimTime) {
+        if (mode != RegionMode::kPacket) return;
+        for (const auto& [id, count] : rx_count) {
+          if (!tx_done.contains(id)) ++absorbed_completions;
+        }
+      });
+  sim.run_until(end);
+
+  ASSERT_GT(driver.transitions(), 1u) << "the region never froze";
+  ASSERT_GT(absorbed_completions, 0u)
+      << "no freeze caught a receiver completion with its ACK in flight";
+  EXPECT_GT(driver.absorbed_packets(), 0u);
+  EXPECT_EQ(tx_done.size(), static_cast<std::size_t>(kMessages));
+  ASSERT_EQ(rx_count.size(), static_cast<std::size_t>(kMessages));
+  for (const auto& [id, count] : rx_count) {
+    EXPECT_EQ(count, 1) << "message " << id << " delivered " << count
+                        << " times";
+  }
+  EXPECT_EQ(fleet.at(dst).rx_goodput_bytes(), kMessages * kBytes);
+  driver.set_span_hook({});  // the driver outlives the state it captures
 }
 
 }  // namespace

@@ -1,21 +1,32 @@
 // Transport corner cases: tiny and huge messages, tag propagation, Swift
 // CC end-to-end, flowlet transport, engine statistics resets, the
-// fluid-demand counter behind RdmaConnection::fluid_remaining(), and the
+// hybrid driver's fluid-demand counter against the queue walk, and the
 // send FIFO behind the RTO deadline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "collective/fleet.h"
 #include "sim/hybrid.h"
 
 namespace stellar {
 
+struct HybridDriverTestPeer {
+  // The driver's unserved-demand counter for `conn`'s fluid flow.
+  static std::uint64_t demand(const HybridDriver& driver,
+                              RdmaConnection& conn) {
+    return driver.info_.at(&conn)->demand;
+  }
+  static bool has_flow(const HybridDriver& driver, RdmaConnection& conn) {
+    return driver.info_.at(&conn)->flow >= 0;
+  }
+};
+
 struct TransportTestPeer {
-  // Reference for the O(1) fluid-demand counter: the queue walk it
-  // replaces — unacked bytes of the queued WRITEs ahead of the first
-  // non-WRITE.
+  // Reference for the driver's fluid-demand counter: the queue walk —
+  // unacked bytes of the queued WRITEs ahead of the first non-WRITE.
   static std::uint64_t queued_write_bytes(const RdmaConnection& conn) {
     std::uint64_t bytes = 0;
     for (const std::uint64_t id : conn.unsent_queue_) {
@@ -242,62 +253,105 @@ TEST(TransportFluidTest, RemainingCounterMatchesQueueWalk) {
   ClosFabric fabric(sim, fabric_config());
   HybridDriver driver(sim, fabric);  // regions start fluid
   EngineFleet fleet(sim, fabric);
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), {});
+  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0), dst, {});
+  // A second flow into the same host: each of its posts re-rates `c`,
+  // which serves c's accrued bytes mid-message.
+  auto other = fleet.connect(fabric.endpoint(0, 1, 0, 0), dst, {});
   ASSERT_TRUE(conn.is_ok());
+  ASSERT_TRUE(other.is_ok());
   RdmaConnection& c = *conn.value();
-  // While fluid, nothing is in flight: the counter, the queue walk and the
-  // test's own tally of unacked WRITE bytes must all agree.
-  const auto expect_remaining = [&](std::uint64_t expected, const char* step) {
+  RdmaConnection& d = *other.value();
+  const auto demand = [&] { return HybridDriverTestPeer::demand(driver, c); };
+  // While fluid, nothing is in flight: between fluid events the driver's
+  // counter and the queue walk must agree.
+  const auto expect_walk = [&](const char* step) {
     ASSERT_EQ(driver.region_mode(0), RegionMode::kFluid) << step;
-    EXPECT_EQ(c.fluid_remaining(), TransportTestPeer::queued_write_bytes(c))
-        << step;
-    EXPECT_EQ(c.fluid_remaining(), expected) << step;
+    EXPECT_EQ(demand(), TransportTestPeer::queued_write_bytes(c)) << step;
   };
+  std::vector<SimTime> zooms;  // ends of fluid spans
+  driver.set_span_hook(
+      [&](std::uint32_t, RegionMode mode, SimTime, SimTime end) {
+        if (mode == RegionMode::kFluid) zooms.push_back(end);
+      });
+
+  // The promotion tick only polls while other events are pending.
+  sim.schedule_at(SimTime::micros(200), [] {});
 
   int completions = 0;
   const auto done = [&] { ++completions; };
-  expect_remaining(0, "born fluid");
-  c.post_write(0, done);
-  expect_remaining(0, "zero-length write");
+  expect_walk("born fluid");
+  EXPECT_EQ(demand(), 0u);
   c.post_write(10000, done);
   c.post_write(0, done);
   c.post_write(5000, done);
-  expect_remaining(15000, "three writes");
+  expect_walk("three writes");
+  EXPECT_EQ(demand(), 15000u);
 
-  EXPECT_EQ(c.fluid_serve(4000), 4000u);
-  expect_remaining(11000, "partial serve");
-  EXPECT_EQ(c.fluid_serve(6000), 6000u);
-  expect_remaining(5000, "first write complete");
-  EXPECT_EQ(c.fluid_serve(5000), 5000u);
-  expect_remaining(0, "all served");
-  EXPECT_EQ(completions, 4);
-
-  c.post_write(8000, done);
-  EXPECT_EQ(c.fluid_serve(3000), 3000u);
-  expect_remaining(5000, "partly served write");
-
-  // A SEND is not fluid-servable: it zooms the region and the connection
-  // thaws into packet mode, where fluid_remaining() is the walk again.
+  // Deferred zoom: when `d` completes, its callback (run while the driver
+  // is serving the region) posts a SEND and then a WRITE on the drained
+  // `c`. The SEND zooms the region once the serve pass ends; the WRITE
+  // queued behind it must not become demand, let alone a fluid flow.
+  struct {
+    SimTime at;
+    RegionMode mode = RegionMode::kPacket;
+    std::uint64_t demand = 1;
+    std::uint64_t walk = 1;
+    bool flow = true;
+  } in_cb;
   bool sent = false;
-  c.post_send(2000, [&] { sent = true; });
-  ASSERT_EQ(driver.region_mode(0), RegionMode::kPacket);
-  EXPECT_EQ(c.fluid_remaining(), TransportTestPeer::queued_write_bytes(c));
+  sim.schedule_at(SimTime::nanos(100), [&] {
+    d.post_write(64_KiB, [&] {
+      c.post_send(2000, [&] { sent = true; });
+      c.post_write(7000, done);
+      in_cb.at = sim.now();
+      in_cb.mode = driver.region_mode(0);
+      in_cb.demand = demand();
+      in_cb.walk = TransportTestPeer::queued_write_bytes(c);
+      in_cb.flow = HybridDriverTestPeer::has_flow(driver, c);
+    });
+  });
+  sim.run_until(SimTime::nanos(100));
+  expect_walk("partial serve");
+  EXPECT_GT(demand(), 0u);
+  EXPECT_LT(demand(), 15000u) << "d's post did not serve c's prefix";
+  sim.run_until(SimTime::micros(2));
+  expect_walk("c drained");
+  EXPECT_EQ(demand(), 0u);
+  EXPECT_FALSE(HybridDriverTestPeer::has_flow(driver, c));
+  EXPECT_EQ(completions, 3);
+
+  sim.run_until(SimTime::micros(20));
+  ASSERT_EQ(zooms.size(), 1u) << "the SEND did not zoom the region";
+  EXPECT_EQ(zooms[0], in_cb.at) << "the zoom was not at the SEND's time";
+  EXPECT_EQ(in_cb.mode, RegionMode::kFluid) << "zoom inside a serve pass";
+  EXPECT_EQ(in_cb.walk, 0u);
+  EXPECT_EQ(in_cb.demand, 0u) << "a WRITE behind a SEND accrued demand";
+  EXPECT_FALSE(in_cb.flow) << "a WRITE behind a SEND became a fluid flow";
 
   // Packet mode drains the queue; quiet epochs then promote the region
-  // and freeze the connection again, recounting its (empty) demand. The
-  // promotion tick stops once the simulator drains, so a marker event
-  // keeps it polling.
-  sim.schedule_at(SimTime::micros(200), [] {});
+  // and freeze the connection again, which resets its demand. The
+  // marker event above keeps the promotion tick polling.
   sim.run_until(SimTime::micros(200));
   EXPECT_TRUE(sent);
-  EXPECT_EQ(completions, 5);
-  expect_remaining(0, "refrozen");
+  EXPECT_EQ(completions, 4);
+  expect_walk("refrozen");
+  EXPECT_EQ(demand(), 0u);
   c.post_write(7000, done);
   c.post_write(0, done);
-  expect_remaining(7000, "writes after refreeze");
-  EXPECT_EQ(c.fluid_serve(2500), 2500u);
-  expect_remaining(4500, "partial serve after refreeze");
+  expect_walk("writes after refreeze");
+  EXPECT_EQ(demand(), 7000u);
+  sim.schedule_at(SimTime::micros(200) + SimTime::nanos(100),
+                  [&] { d.post_write(64_KiB); });
+  sim.run_until(SimTime::micros(200) + SimTime::nanos(100));
+  expect_walk("partial serve after refreeze");
+  EXPECT_GT(demand(), 0u);
+  EXPECT_LT(demand(), 7000u);
+  sim.run_until(SimTime::micros(201));
+  expect_walk("all served");
+  EXPECT_EQ(demand(), 0u);
+  EXPECT_EQ(completions, 6);
+  driver.set_span_hook({});  // the driver outlives `zooms`
 }
 
 TEST(TransportRtoTest, DeadlineMatchesFullScan) {

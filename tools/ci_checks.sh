@@ -28,7 +28,10 @@
 #      trace_summarize reports fluid fast-forward spans, and a run-twice
 #      byte comparison of fig15_16 --endpoints=128 --fidelity=hybrid
 #      stdout (the pure-fluid ring path), and a check that an unknown
-#      --fidelity value (the removed `fluid`) makes a bench exit non-zero
+#      --fidelity value (the removed `fluid`) makes a bench exit non-zero.
+#      The fig09-mini BENCH JSON at both fidelities and that fig15_16
+#      stdout (minus [engine] lines) must also equal the committed goldens
+#      in tests/golden/ byte for byte
 #   6d. the perf golden smoke: one pass of each repo benchmark workload
 #      (perf/run.py: permutation_packet, allreduce_hybrid at seeds 1 and 2,
 #      allreduce_faults, vstellar_translation), whose final JSON lines must
@@ -132,7 +135,7 @@ rm -rf "$ten_smoke_dir"
 step "hybrid fidelity suite (ctest -L hybrid)"
 ctest --test-dir build --output-on-failure -L hybrid
 
-step "hybrid equivalence gate (fig09 mini: packet vs hybrid, run-twice determinism)"
+step "hybrid equivalence gate (fig09 mini: packet vs hybrid, run-twice determinism, goldens)"
 hyb_dir="$(mktemp -d)"
 (cd "$hyb_dir" &&
   mkdir packet hybrid1 hybrid2 &&
@@ -142,8 +145,11 @@ hyb_dir="$(mktemp -d)"
     --fidelity=hybrid > fig09.log) &&
   (cd hybrid2 && "$repo_root/build/bench/fig09_permutation" 0.02 \
     --fidelity=hybrid > fig09.log) &&
-  # Hybrid fidelity must be byte-deterministic run-to-run...
+  # Hybrid fidelity must be byte-deterministic run-to-run, and both
+  # fidelities must reproduce the committed goldens...
   cmp hybrid1/BENCH_fig09.json hybrid2/BENCH_fig09.json &&
+  cmp packet/BENCH_fig09.json "$repo_root/tests/golden/fig09_mini_packet.json" &&
+  cmp hybrid1/BENCH_fig09.json "$repo_root/tests/golden/fig09_mini_hybrid.json" &&
   # ...and agree with packet fidelity per row within the declared tolerance
   # (docs/HYBRID.md; the mini scale uses a wider band than the unit tests
   # because its measurement window is only ~40 us of sim time).
@@ -160,7 +166,7 @@ hyb_trace_dir="$(mktemp -d)"
     | grep '^\[fluid\]')
 rm -rf "$hyb_trace_dir"
 
-step "fluid ring determinism (fig15_16 --endpoints=128 --fidelity=hybrid, run twice)"
+step "fluid ring determinism (fig15_16 --endpoints=128 --fidelity=hybrid, run twice, golden)"
 # The rings run pure fluid end to end (lazy service, the due heap, the
 # re-solve/re-anchor path); the fig09-mini gate above barely reaches it.
 f15_dir="$(mktemp -d)"
@@ -172,7 +178,9 @@ f15_dir="$(mktemp -d)"
     --fidelity=hybrid > fig15_16.log) &&
   diff <(grep -v '^\[engine\]' run1/fig15_16.log) \
        <(grep -v '^\[engine\]' run2/fig15_16.log) &&
-  echo "fig15_16 --endpoints=128 hybrid byte-identical across runs")
+  diff <(grep -v '^\[engine\]' run1/fig15_16.log) \
+       "$repo_root/tests/golden/fig15_16_e128_hybrid.txt" &&
+  echo "fig15_16 --endpoints=128 hybrid byte-identical across runs and to the golden")
 rm -rf "$f15_dir"
 
 step "unknown --fidelity is rejected (fig12_pathcount --fidelity=fluid exits non-zero)"
