@@ -8,8 +8,8 @@
 
 #include "bench/bench_util.h"
 #include "bench/obs_util.h"
+#include "rnic/device.h"
 #include "virt/hypervisor.h"
-#include "virt/runtime.h"
 
 using namespace stellar;
 using namespace stellar::bench;

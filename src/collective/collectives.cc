@@ -145,176 +145,10 @@ double RingCollective::bus_bandwidth_gbps() const {
          last_duration_.sec() / 1e9;
 }
 
-double RingCollective::algo_bandwidth_gbps() const {
-  if (last_duration_ <= SimTime::zero()) return 0.0;
-  return static_cast<double>(config_.data_bytes) * 8.0 /
-         last_duration_.sec() / 1e9;
-}
-
 std::uint64_t RingCollective::total_retransmits() const {
   std::uint64_t total = 0;
   for (const RdmaConnection* c : to_next_) total += c->retransmits();
   return total;
-}
-
-// ---------------------------------------------------------------------------
-// ChainBroadcast
-// ---------------------------------------------------------------------------
-
-ChainBroadcast::ChainBroadcast(EngineFleet& fleet,
-                               std::vector<EndpointId> ranks,
-                               CollectiveConfig config)
-    : fleet_(&fleet), ranks_(std::move(ranks)), config_(config) {
-  const std::size_t n = ranks_.size();
-  if (n < 2) throw std::invalid_argument("ChainBroadcast: need >= 2 ranks");
-  if (config_.slices == 0) {
-    throw std::invalid_argument("ChainBroadcast: slices must be >= 1");
-  }
-  slice_bytes_ = (config_.data_bytes + config_.slices - 1) / config_.slices;
-  slices_total_ = config_.slices;
-
-  to_next_.assign(n, nullptr);
-  received_.assign(n, 0);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    auto conn = fleet_->connect(ranks_[i], ranks_[i + 1], config_.transport);
-    if (!conn.is_ok()) {
-      throw std::invalid_argument("ChainBroadcast: " +
-                                  conn.status().to_string());
-    }
-    to_next_[i] = conn.value();
-    to_next_[i]->set_on_error(
-        [this](const Status& reason) { abort_with(reason); });
-    const std::size_t next = i + 1;
-    fleet_->at(ranks_[next])
-        .set_conn_message_handler(conn.value()->id(),
-                                  [this, next](const RxMessage& m) {
-                                    on_slice_received(next, m.tag);
-                                  });
-  }
-}
-
-void ChainBroadcast::start(std::function<void()> on_complete) {
-  STELLAR_CHECK(!running_, "collective started while already running");
-  running_ = true;
-  status_ = Status::ok();
-  on_complete_ = std::move(on_complete);
-  std::fill(received_.begin(), received_.end(), 0);
-  started_at_ = fleet_->simulator().now();
-  // The root pushes every slice; downstream ranks forward on receipt.
-  for (std::uint32_t lane = 0; lane < slices_total_; ++lane) {
-    to_next_[0]->post_write(slice_bytes_, {}, lane);
-  }
-}
-
-void ChainBroadcast::on_slice_received(std::size_t rank, std::uint32_t lane) {
-  if (!running_) return;
-  ++received_[rank];
-  // Forward the slice down the chain (cut-through at slice granularity).
-  if (to_next_[rank] != nullptr) {
-    to_next_[rank]->post_write(slice_bytes_, {}, lane);
-  }
-  // Done when the tail of the chain has the full payload.
-  if (rank == ranks_.size() - 1 && received_[rank] == slices_total_) {
-    running_ = false;
-    last_duration_ = fleet_->simulator().now() - started_at_;
-    STELLAR_TRACE_ONLY(
-        obs::count("collective/broadcast_ops");
-        obs::complete(obs::TraceCat::kCollective, "broadcast", started_at_,
-                      last_duration_,
-                      obs::TraceArgs{"bytes", static_cast<std::int64_t>(
-                                                  config_.data_bytes)});)
-    if (on_complete_) {
-      auto cb = std::move(on_complete_);
-      on_complete_ = {};
-      cb();
-    }
-  }
-}
-
-void ChainBroadcast::abort_with(const Status& reason) {
-  if (!status_.is_ok()) return;
-  status_ = reason;
-  if (!running_) return;
-  running_ = false;
-  last_duration_ = fleet_->simulator().now() - started_at_;
-  if (on_complete_) {
-    auto cb = std::move(on_complete_);
-    on_complete_ = {};
-    cb();
-  }
-}
-
-double ChainBroadcast::algo_bandwidth_gbps() const {
-  if (last_duration_ <= SimTime::zero()) return 0.0;
-  return static_cast<double>(config_.data_bytes) * 8.0 /
-         last_duration_.sec() / 1e9;
-}
-
-// ---------------------------------------------------------------------------
-// RingBarrier
-// ---------------------------------------------------------------------------
-
-namespace {
-CollectiveConfig barrier_config(TransportConfig transport) {
-  CollectiveConfig cfg;
-  cfg.data_bytes = 64;  // token-sized chunks
-  cfg.slices = 1;
-  cfg.transport = transport;
-  return cfg;
-}
-}  // namespace
-
-RingBarrier::RingBarrier(EngineFleet& fleet, std::vector<EndpointId> ranks,
-                         TransportConfig transport)
-    : RingCollective(fleet, std::move(ranks), barrier_config(transport),
-                     /*phases=*/2) {}
-
-// ---------------------------------------------------------------------------
-// HierarchicalAllReduce
-// ---------------------------------------------------------------------------
-
-HierarchicalAllReduce::HierarchicalAllReduce(
-    EngineFleet& fleet, std::vector<EndpointId> host_leaders, Config config)
-    : fleet_(&fleet), config_(config) {
-  CollectiveConfig ring;
-  // Each rail ring carries 1/gpus_per_host of the gradient.
-  ring.data_bytes =
-      (config_.data_bytes + config_.gpus_per_host - 1) / config_.gpus_per_host;
-  ring.slices = config_.slices;
-  ring.transport = config_.transport;
-  inter_host_ = std::make_unique<RingCollective>(fleet, std::move(host_leaders),
-                                                 ring, /*phases=*/2);
-}
-
-void HierarchicalAllReduce::start(std::function<void()> on_complete) {
-  on_complete_ = std::move(on_complete);
-  started_at_ = fleet_->simulator().now();
-  // Intra-host NVLink reduce, then the inter-host rail rings, then the
-  // intra-host broadcast.
-  fleet_->simulator().schedule_after(config_.nvlink_stage, [this] {
-    inter_host_->start([this] {
-      fleet_->simulator().schedule_after(config_.nvlink_stage, [this] {
-        last_duration_ = fleet_->simulator().now() - started_at_;
-        if (on_complete_) {
-          auto cb = std::move(on_complete_);
-          on_complete_ = {};
-          cb();
-        }
-      });
-    });
-  });
-}
-
-Status HierarchicalAllReduce::status() const { return inter_host_->status(); }
-
-double HierarchicalAllReduce::bus_bandwidth_gbps() const {
-  if (last_duration_ <= SimTime::zero()) return 0.0;
-  // NCCL accounting for the full (un-split) gradient across all GPUs.
-  const double n = static_cast<double>(inter_host_->world_size()) *
-                   config_.gpus_per_host;
-  const double factor = 2.0 * (n - 1.0) / n;
-  return factor * static_cast<double>(config_.data_bytes) * 8.0 /
-         last_duration_.sec() / 1e9;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 // direct-exchange machinery:
 //   RingReduceScatter — N-1 ring steps, each rank ends with one reduced
 //                       data/N chunk;
-//   RingAllGather     — N-1 ring steps, each rank ends with all chunks;
 //   AllToAll          — direct exchange, every rank sends data/N to every
 //                       other rank (expert-parallel dispatch/combine, §9's
 //                       MoE discussion).
@@ -10,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "collective/fleet.h"
@@ -46,9 +44,6 @@ class RingCollective {
 
   /// NCCL bus bandwidth: phases*(N-1)/N * S / t.
   double bus_bandwidth_gbps() const;
-
-  /// Algorithmic bandwidth: S / t.
-  double algo_bandwidth_gbps() const;
 
   std::uint64_t total_retransmits() const;
 
@@ -100,97 +95,6 @@ class RingReduceScatter : public RingCollective {
   RingReduceScatter(EngineFleet& fleet, std::vector<EndpointId> ranks,
                     CollectiveConfig config)
       : RingCollective(fleet, std::move(ranks), config, /*phases=*/1) {}
-};
-
-class RingAllGather : public RingCollective {
- public:
-  RingAllGather(EngineFleet& fleet, std::vector<EndpointId> ranks,
-                CollectiveConfig config)
-      : RingCollective(fleet, std::move(ranks), config, /*phases=*/1) {}
-};
-
-/// Pipeline-chain broadcast: rank 0's payload flows down the chain
-/// 0 -> 1 -> ... -> N-1, slice-pipelined (a rank forwards each slice as
-/// soon as it arrives). Every non-root rank ends with the full payload.
-class ChainBroadcast {
- public:
-  ChainBroadcast(EngineFleet& fleet, std::vector<EndpointId> ranks,
-                 CollectiveConfig config);
-
-  void start(std::function<void()> on_complete = {});
-
-  bool running() const { return running_; }
-  /// OK while healthy/finished; the first connection error otherwise.
-  Status status() const { return status_; }
-  SimTime last_duration() const { return last_duration_; }
-  std::uint64_t slice_bytes() const { return slice_bytes_; }
-
-  /// Payload bandwidth: S / t.
-  double algo_bandwidth_gbps() const;
-
- private:
-  void on_slice_received(std::size_t rank, std::uint32_t lane);
-  void abort_with(const Status& reason);
-
-  EngineFleet* fleet_;
-  std::vector<EndpointId> ranks_;
-  CollectiveConfig config_;
-  std::uint64_t slice_bytes_;
-  std::uint32_t slices_total_;
-
-  std::vector<RdmaConnection*> to_next_;  // conn i -> i+1 (none for last)
-  std::vector<std::uint32_t> received_;
-
-  bool running_ = false;
-  SimTime started_at_;
-  SimTime last_duration_;
-  Status status_;
-  std::function<void()> on_complete_;
-};
-
-/// Barrier: a minimal (one MTU per chunk) two-phase ring — completes when
-/// every rank has transitively heard from every other rank.
-class RingBarrier : public RingCollective {
- public:
-  RingBarrier(EngineFleet& fleet, std::vector<EndpointId> ranks,
-              TransportConfig transport);
-};
-
-/// Hierarchical AllReduce, as rail-optimized NCCL runs it in production:
-/// an intra-host NVLink reduce (modelled as a fixed-latency local stage,
-/// no fabric traffic), one inter-host ring per rail carrying 1/gpus_per_host
-/// of the data on that rail's NIC, then an intra-host broadcast. This is
-/// the mechanism behind the rail-share term in the workload model.
-class HierarchicalAllReduce {
- public:
-  struct Config {
-    std::uint64_t data_bytes = 64ull << 20;
-    std::uint32_t gpus_per_host = 8;
-    SimTime nvlink_stage = SimTime::micros(40);  // intra-host reduce/bcast
-    std::uint32_t slices = 4;
-    TransportConfig transport;
-  };
-
-  /// `host_leaders` is one endpoint per host (a rail's NIC); each carries
-  /// its rail's 1/gpus_per_host shard of the inter-host ring.
-  HierarchicalAllReduce(EngineFleet& fleet,
-                        std::vector<EndpointId> host_leaders, Config config);
-
-  void start(std::function<void()> on_complete = {});
-
-  /// Status of the inter-host ring (the only fabric-touching stage).
-  Status status() const;
-  SimTime last_duration() const { return last_duration_; }
-  /// Bus bandwidth per GPU as NCCL reports it.
-  double bus_bandwidth_gbps() const;
-
- private:
-  EngineFleet* fleet_;
-  Config config_;
-  std::unique_ptr<RingCollective> inter_host_;
-  SimTime started_at_;
-  SimTime last_duration_;
-  std::function<void()> on_complete_;
 };
 
 /// Direct all-to-all exchange: rank i sends data/N to every rank j != i on

@@ -30,7 +30,6 @@
 #include "rnic/vswitch.h"
 #include "virt/container.h"
 #include "virt/hypervisor.h"
-#include "virt/runtime.h"
 
 namespace stellar {
 

@@ -1,6 +1,7 @@
 #include "core/tenant.h"
 
 #include <algorithm>
+#include <string>
 
 #include "core/stellar.h"
 
@@ -18,18 +19,6 @@ const char* to_string(DegradeLevel level) {
 Status TenantManager::register_tenant(TenantId tenant, TenantBudgets budgets) {
   budgets_[tenant] = budgets;
   apply(tenant);
-  return Status::ok();
-}
-
-Status TenantManager::deregister_tenant(TenantId tenant) {
-  auto it = budgets_.find(tenant);
-  if (it == budgets_.end()) {
-    return not_found("TenantManager: tenant not registered");
-  }
-  // Lift every cap before forgetting the contract.
-  push(tenant, TenantBudgets{});
-  host_->vswitch().clear_qos(tenant);
-  budgets_.erase(it);
   return Status::ok();
 }
 
@@ -84,14 +73,12 @@ void TenantManager::push(TenantId tenant, const TenantBudgets& b) {
 }
 
 Status TenantManager::gate(TenantId tenant, std::uint64_t used,
-                           std::uint64_t cap, const char* what) {
+                           std::uint64_t cap, const char* what) const {
   if (enforce_ && cap != 0 && used >= cap) {
-    ++sheds_[tenant];
     return failed_precondition(std::string("TenantManager: ") + what +
                                " budget exceeded for tenant " +
                                std::to_string(tenant));
   }
-  ++admits_[tenant];
   return Status::ok();
 }
 
@@ -148,41 +135,6 @@ DegradeLevel TenantManager::level(TenantId tenant) const {
   if (worst >= 100) return DegradeLevel::kShed;
   if (worst >= 80) return DegradeLevel::kThrottled;
   return DegradeLevel::kGreen;
-}
-
-std::uint64_t TenantManager::admitted(TenantId tenant) const {
-  auto it = admits_.find(tenant);
-  return it == admits_.end() ? 0 : it->second;
-}
-
-std::uint64_t TenantManager::shed(TenantId tenant) const {
-  auto it = sheds_.find(tenant);
-  return it == sheds_.end() ? 0 : it->second;
-}
-
-std::string TenantManager::to_json() const {
-  std::string out = "{\"enforcement\":";
-  out += enforce_ ? "1" : "0";
-  out += ",\"tenants\":[";
-  bool first = true;
-  for (const auto& [tenant, b] : budgets_) {
-    if (!first) out += ",";
-    first = false;
-    const Usage u = usage(tenant);
-    out += "{\"tenant\":" + std::to_string(tenant);
-    out += ",\"level\":\"" + std::string(to_string(level(tenant))) + "\"";
-    out += ",\"devices\":" + std::to_string(u.devices);
-    out += ",\"qps\":" + std::to_string(u.qps);
-    out += ",\"mrs\":" + std::to_string(u.mrs);
-    out += ",\"pinned_bytes\":" + std::to_string(u.pinned_bytes);
-    out += ",\"mtt_pages\":" + std::to_string(u.mtt_pages);
-    out += ",\"iotlb_entries\":" + std::to_string(u.iotlb_entries);
-    out += ",\"admitted\":" + std::to_string(admitted(tenant));
-    out += ",\"shed\":" + std::to_string(shed(tenant));
-    out += "}";
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace stellar

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -61,8 +60,6 @@ class TenantManager {
   /// Declare (or replace) a tenant's contract and push the caps into every
   /// owning resource. Call again after boot to (re)apply the PVDMA budget.
   Status register_tenant(TenantId tenant, TenantBudgets budgets);
-  /// Drop the contract and lift the tenant's caps everywhere.
-  Status deregister_tenant(TenantId tenant);
   const TenantBudgets* budgets(TenantId tenant) const;
   /// Registered tenants in sorted order (deterministic iteration).
   std::vector<TenantId> registered() const;
@@ -100,23 +97,15 @@ class TenantManager {
 
   DegradeLevel level(TenantId tenant) const;
 
-  std::uint64_t admitted(TenantId tenant) const;
-  std::uint64_t shed(TenantId tenant) const;
-
-  /// Deterministic (sorted keys, integer-only) JSON for emitters.
-  std::string to_json() const;
-
  private:
   /// Push `budgets` (or lifted caps when !enforce_) into the resources.
   void push(TenantId tenant, const TenantBudgets& budgets);
   Status gate(TenantId tenant, std::uint64_t used, std::uint64_t cap,
-              const char* what);
+              const char* what) const;
 
   StellarHost* host_;
   bool enforce_ = true;
   std::map<TenantId, TenantBudgets> budgets_;
-  std::map<TenantId, std::uint64_t> admits_;
-  std::map<TenantId, std::uint64_t> sheds_;
 };
 
 }  // namespace stellar

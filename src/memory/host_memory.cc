@@ -26,30 +26,6 @@ StatusOr<Hpa> HostMemory::allocate(std::uint64_t len, std::uint64_t align) {
   return resource_exhausted("HostMemory::allocate: out of physical memory");
 }
 
-Status HostMemory::reserve(Hpa addr, std::uint64_t len) {
-  if (len == 0) return invalid_argument("HostMemory::reserve: zero length");
-  const std::uint64_t want = addr.value();
-  // Find the free block containing [want, want+len).
-  auto it = free_.upper_bound(want);
-  if (it == free_.begin()) {
-    return already_exists("HostMemory::reserve: range not free");
-  }
-  --it;
-  const std::uint64_t start = it->first;
-  const std::uint64_t flen = it->second;
-  if (want < start || want + len > start + flen) {
-    return already_exists("HostMemory::reserve: range not free");
-  }
-  free_.erase(it);
-  if (want > start) free_.emplace(start, want - start);
-  if (start + flen > want + len) {
-    free_.emplace(want + len, start + flen - want - len);
-  }
-  allocated_.emplace(want, len);
-  used_ += len;
-  return Status::ok();
-}
-
 Status HostMemory::release(Hpa addr) {
   auto it = allocated_.find(addr.value());
   if (it == allocated_.end()) {

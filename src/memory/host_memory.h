@@ -19,10 +19,7 @@ class HostMemory {
   /// First-fit allocation, aligned to `align` (power of two).
   StatusOr<Hpa> allocate(std::uint64_t len, std::uint64_t align = kPage4K);
 
-  /// Reserve an exact range (e.g. a BAR window). Fails if any byte is taken.
-  Status reserve(Hpa addr, std::uint64_t len);
-
-  /// Release a previously allocated/reserved range starting at `addr`.
+  /// Release a previously allocated range starting at `addr`.
   Status release(Hpa addr);
 
   std::uint64_t total_bytes() const { return size_; }

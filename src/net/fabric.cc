@@ -173,13 +173,6 @@ std::vector<const NetLink*> ClosFabric::all_links() const {
   return out;
 }
 
-std::vector<NetLink*> ClosFabric::all_host_links() {
-  std::vector<NetLink*> out;
-  out.reserve(host_up_.size());
-  for (auto& l : host_up_) out.push_back(l.get());
-  return out;
-}
-
 std::vector<NetLink*> ClosFabric::agg_switch_ports(std::uint32_t agg) {
   const auto& c = config_;
   STELLAR_CHECK(agg < c.aggs_per_plane, "agg_switch_ports(%u): only %u aggs",

@@ -103,8 +103,6 @@ class ClosFabric {
                                     std::uint32_t plane);
   /// Every ToR uplink in the fabric.
   std::vector<NetLink*> all_tor_uplinks();
-  /// Every host->ToR ingress port (host NIC egress).
-  std::vector<NetLink*> all_host_links();
 
   NetLink& tor_uplink(std::uint32_t segment, std::uint32_t rail,
                       std::uint32_t plane, std::uint32_t agg);

@@ -139,34 +139,4 @@ std::string MetricsRegistry::to_json() const {
   return out;
 }
 
-std::string MetricsRegistry::to_table() const {
-  MutexLock lock(mu_);
-  std::string out;
-  std::size_t width = 0;
-  for (const auto& [name, c] : counters_) width = std::max(width, name.size());
-  for (const auto& [name, g] : gauges_) width = std::max(width, name.size());
-  for (const auto& [name, h] : histograms_) {
-    width = std::max(width, name.size());
-  }
-  const int w = static_cast<int>(width);
-  for (const auto& [name, c] : counters_) {
-    append_kv(out, "  %-*s  %llu\n", w, name.c_str(),
-              static_cast<unsigned long long>(c.value()));
-  }
-  for (const auto& [name, g] : gauges_) {
-    append_kv(out, "  %-*s  %lld\n", w, name.c_str(),
-              static_cast<long long>(g.value()));
-  }
-  for (const auto& [name, h] : histograms_) {
-    append_kv(out,
-              "  %-*s  n=%llu mean=%llu p50=%llu p99=%llu max=%llu\n", w,
-              name.c_str(), static_cast<unsigned long long>(h.count()),
-              static_cast<unsigned long long>(h.mean()),
-              static_cast<unsigned long long>(h.quantile(0.50)),
-              static_cast<unsigned long long>(h.quantile(0.99)),
-              static_cast<unsigned long long>(h.max()));
-  }
-  return out;
-}
-
 }  // namespace stellar::obs

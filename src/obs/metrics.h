@@ -4,9 +4,9 @@
 // The paper's evaluation (§7) is built on per-layer telemetry — ATC miss
 // rates, pin latency, RTO counts, per-path PSN trajectories. This registry
 // is the simulation-side equivalent: every layer increments named series,
-// and `to_json()` / `to_table()` render a byte-deterministic snapshot so
-// tests can golden the output (see docs/OBSERVABILITY.md for the naming
-// scheme and the determinism contract).
+// and `to_json()` renders a byte-deterministic snapshot so tests can golden
+// the output (see docs/OBSERVABILITY.md for the naming scheme and the
+// determinism contract).
 //
 // Determinism rules:
 //  - names are stored in a std::map, so dump order is lexicographic and
@@ -183,19 +183,6 @@ class MetricsRegistry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  /// Visit every counter/gauge in lexicographic name order (used by the
-  /// periodic sampler to mirror levels onto trace counter tracks).
-  template <typename Fn>
-  void for_each_counter(Fn&& fn) const STELLAR_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    for (const auto& [name, c] : counters_) fn(name, c.value());
-  }
-  template <typename Fn>
-  void for_each_gauge(Fn&& fn) const STELLAR_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    for (const auto& [name, g] : gauges_) fn(name, g.value());
-  }
-
   /// Fold another registry into this one: counters and gauges add their
   /// values, histograms merge bucket-wise (all exact). Merging per-run
   /// registries in run-index order yields the same lexicographic dump for
@@ -206,9 +193,6 @@ class MetricsRegistry {
   /// values only. Histograms dump count/sum/min/max/p50/p99 (quantiles
   /// rendered as integer picoseconds via truncation).
   std::string to_json() const STELLAR_EXCLUDES(mu_);
-
-  /// Human-readable aligned table (same order/content as to_json).
-  std::string to_table() const STELLAR_EXCLUDES(mu_);
 
  private:
   /// Serializes registration and dumps; series values are atomics.

@@ -31,38 +31,4 @@ ObsHub* install_thread_hub(ObsHub* h) {
   return prev;
 }
 
-void ObsHub::attach_periodic(Simulator& sim, SimTime period) {
-  owner_.assert_held();
-  detach_periodic();
-  periodic_sim_ = &sim;
-  period_ = period;
-  pending_ = sim.schedule_after(period, [this] { fire_periodic(); });
-}
-
-void ObsHub::detach_periodic() {
-  owner_.assert_held();
-  if (periodic_sim_ != nullptr && pending_.valid()) {
-    periodic_sim_->cancel(pending_);
-  }
-  pending_ = EventHandle{};
-  periodic_sim_ = nullptr;
-}
-
-void ObsHub::fire_periodic() {
-  owner_.assert_held();
-  pending_ = EventHandle{};
-  const SimTime at = periodic_sim_->now();
-  metrics_.for_each_gauge([&](const std::string& name, std::int64_t v) {
-    tracer_.counter(TraceCat::kSim, name, at, v);
-  });
-  // Re-arm only while other work is queued (same pattern as AuditRegistry /
-  // FaultTelemetry): the firing that observes an empty queue recorded the
-  // drained end state, and run() must be allowed to terminate.
-  if (!periodic_sim_->empty()) {
-    pending_ = periodic_sim_->schedule_after(period_, [this] {
-      fire_periodic();
-    });
-  }
-}
-
 }  // namespace stellar::obs

@@ -12,17 +12,13 @@
 // hub clock installed via set_clock() (and returns t=0 when none is set —
 // metrics are unaffected, only trace timestamps degrade).
 //
-// Determinism contract: a hub never perturbs the simulation. Installing
-// one adds no events except via attach_periodic(), whose sampler re-arms
-// only while the simulator still has other work queued (the same pattern
-// as AuditRegistry / FaultTelemetry), so run() termination is unchanged.
+// Determinism contract: a hub never perturbs the simulation. It is
+// passive: installing one schedules no events at all.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
@@ -53,30 +49,12 @@ class ObsHub {
     return clock_ != nullptr ? clock_->now() : SimTime::zero();
   }
 
-  /// Periodically mirror every gauge onto a "C" counter track (category
-  /// kSim) so levels show up as area charts in Perfetto. Re-arms only
-  /// while the simulator has other pending work, so it never keeps a
-  /// drained simulation alive.
-  void attach_periodic(Simulator& sim, SimTime period);
-  void detach_periodic();
-
  private:
-  // Runs as a simulator event, i.e. on the owning shard's thread; it
-  // asserts ownership itself rather than REQUIRES so the scheduling lambda
-  // needs no annotation.
-  void fire_periodic();
-
   // Shard-safety contract: metrics_ and tracer_ are internally synchronized
-  // (atomic counters / Mutex) and safe to probe from any thread. The
-  // periodic-sampler state below belongs to the thread driving the
-  // simulator — it is SingleOwner like the Simulator itself, not locked.
+  // (atomic counters / Mutex) and safe to probe from any thread.
   MetricsRegistry metrics_;
   Tracer tracer_;
   const Simulator* clock_ = nullptr;  // set once at setup, then read-only
-  SingleOwner owner_;
-  Simulator* periodic_sim_ STELLAR_GUARDED_BY(owner_) = nullptr;
-  SimTime period_ STELLAR_GUARDED_BY(owner_) = SimTime::zero();
-  EventHandle pending_ STELLAR_GUARDED_BY(owner_){};
 };
 
 /// The hub probes resolve to: this thread's override when one is set

@@ -4,7 +4,6 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "memory/address.h"
 
@@ -34,8 +33,6 @@ class Bdf {
   constexpr std::uint16_t packed() const { return packed_; }
 
   constexpr auto operator<=>(const Bdf&) const = default;
-
-  std::string to_string() const;
 
  private:
   std::uint16_t packed_ = 0;

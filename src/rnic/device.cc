@@ -58,11 +58,6 @@ StatusOr<SimTime> Rnic::set_num_vfs(std::uint32_t count) {
   return cost;
 }
 
-StatusOr<Bdf> Rnic::vf_bdf(std::uint32_t index) const {
-  if (index >= vfs_.size()) return out_of_range("Rnic: VF index");
-  return vfs_[index].bdf;
-}
-
 Status Rnic::enable_vf_gdr(std::uint32_t index) {
   if (index >= vfs_.size()) return out_of_range("Rnic: VF index");
   return pcie_->enable_p2p(vfs_[index].bdf);

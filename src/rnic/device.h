@@ -60,7 +60,6 @@ class Rnic {
   std::uint64_t vf_memory_bytes() const {
     return vfs_.size() * config_.vf_memory_overhead;
   }
-  StatusOr<Bdf> vf_bdf(std::uint32_t index) const;
 
   /// Register a VF for GDR: claims a slot in the PCIe switch LUT.
   Status enable_vf_gdr(std::uint32_t index);

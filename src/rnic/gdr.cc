@@ -6,18 +6,6 @@
 
 namespace stellar {
 
-const char* gdr_mode_name(GdrMode mode) {
-  switch (mode) {
-    case GdrMode::kEmtt:
-      return "eMTT";
-    case GdrMode::kAtsAtc:
-      return "ATS/ATC";
-    case GdrMode::kRcRouted:
-      return "RC-routed";
-  }
-  return "?";
-}
-
 GdrTransfer GdrEngine::transfer(IoVa iova, std::uint64_t len) {
   GdrTransfer out;
   if (len == 0) return out;

@@ -27,8 +27,6 @@ namespace stellar {
 
 enum class GdrMode { kEmtt, kAtsAtc, kRcRouted };
 
-const char* gdr_mode_name(GdrMode mode);
-
 struct GdrEngineConfig {
   Bandwidth nic_rate = Bandwidth::gbps(400);
   /// The issuing NIC function; used to classify the PCIe route (direct P2P

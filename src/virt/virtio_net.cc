@@ -2,26 +2,6 @@
 
 namespace stellar {
 
-const char* iommu_mode_name(IommuMode mode) {
-  switch (mode) {
-    case IommuMode::kPassthrough:
-      return "pt";
-    case IommuMode::kNoPassthrough:
-      return "nopt";
-  }
-  return "?";
-}
-
-const char* tcp_stack_name(TcpStack stack) {
-  switch (stack) {
-    case TcpStack::kVfioVf:
-      return "VFIO/VF";
-    case TcpStack::kVirtioSfVdpa:
-      return "virtio/SF/vDPA";
-  }
-  return "?";
-}
-
 Status validate_platform(const HostPlatformConfig& config) {
   if (config.ats_requires_nopt && config.ats_enabled &&
       config.iommu_mode == IommuMode::kPassthrough) {
@@ -38,27 +18,6 @@ Bandwidth host_tcp_throughput(const HostPlatformConfig& config) {
     // Kernel TCP must map every skb through the IOMMU (IOVA as the DMA
     // address): measured ~40% throughput loss on the affected hosts.
     factor = 0.6;
-  }
-  return Bandwidth::bits_per_sec(static_cast<std::int64_t>(
-      static_cast<double>(config.nic_line_rate.bps()) * factor));
-}
-
-Bandwidth tenant_tcp_throughput(TcpStack stack,
-                                const HostPlatformConfig& config) {
-  double factor = 1.0;
-  switch (stack) {
-    case TcpStack::kVfioVf:
-      factor = 1.0;
-      break;
-    case TcpStack::kVirtioSfVdpa:
-      factor = 0.95;  // the ~5% virtio/SF/VxLAN penalty (§4)
-      break;
-  }
-  // Tenant traffic DMAs through the same platform IOMMU path as the host.
-  if (config.iommu_mode == IommuMode::kNoPassthrough &&
-      stack == TcpStack::kVfioVf) {
-    // The VF's kernel driver inside the guest suffers the same IOVA cost.
-    factor *= 0.9;
   }
   return Bandwidth::bits_per_sec(static_cast<std::int64_t>(
       static_cast<double>(config.nic_line_rate.bps()) * factor));

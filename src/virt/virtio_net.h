@@ -1,9 +1,5 @@
-// The non-RDMA half of Figure 3: virtio-net / vDPA / SF / VxLAN for TCP,
-// and the Problem-4 interaction between PCIe ATS and the host IOMMU mode.
-//
-// Stellar routes all non-RDMA traffic through this stack. It costs ~5%
-// versus the VFIO/VF path (§4) — acceptable because TCP in AI jobs is
-// control-plane chatter. The model also carries the §3.1(4) operational
+// The Problem-4 interaction between PCIe ATS and the host IOMMU mode, the
+// platform side of Figure 3's non-RDMA path. The §3.1(4) operational
 // constraint: on the affected server model ATS cannot be enabled with
 // iommu=pt, and running nopt to keep GDR working degrades the host kernel's
 // TCP stack (the kernel must then use IOVAs as DMA addresses).
@@ -17,8 +13,6 @@
 namespace stellar {
 
 enum class IommuMode : std::uint8_t { kPassthrough, kNoPassthrough };
-
-const char* iommu_mode_name(IommuMode mode);
 
 struct HostPlatformConfig {
   IommuMode iommu_mode = IommuMode::kNoPassthrough;
@@ -36,18 +30,6 @@ Status validate_platform(const HostPlatformConfig& config);
 /// customer-visible regression that motivated splitting RDMA away from
 /// the shared PCIe settings.
 Bandwidth host_tcp_throughput(const HostPlatformConfig& config);
-
-/// Tenant TCP throughput through a given virtualization stack.
-enum class TcpStack : std::uint8_t {
-  kVfioVf,       // VF passthrough (the baseline; needs a VF + BDF)
-  kVirtioSfVdpa, // Stellar: virtio-net over an SF with vDPA + VxLAN
-};
-
-const char* tcp_stack_name(TcpStack stack);
-
-/// §4: the virtio/SF/VxLAN path costs ~5% vs VF passthrough.
-Bandwidth tenant_tcp_throughput(TcpStack stack,
-                                const HostPlatformConfig& config);
 
 /// Can the platform support GDR for secure containers? (Requires ATS under
 /// the VFIO baseline; Stellar's eMTT removes the dependency entirely.)

@@ -111,10 +111,6 @@ CommRatios comm_ratios(const TrainJob& job, double bw_gbps) {
   return out;
 }
 
-double iteration_seconds(const TrainJob& job, double bw_gbps) {
-  return iteration_seconds_split(job, bw_gbps, bw_gbps);
-}
-
 double iteration_seconds_split(const TrainJob& job, double intra_bw_gbps,
                                double cross_bw_gbps) {
   const double kNvlinkGbps = 2400.0;

@@ -94,11 +94,9 @@ struct CommRatios {
 };
 CommRatios comm_ratios(const TrainJob& job, double bw_gbps);
 
-/// End-to-end iteration time with partial overlap: compute + residual comm.
-double iteration_seconds(const TrainJob& job, double bw_gbps);
-
-/// Same, but with a distinct bandwidth for DP traffic (the class that
-/// crosses segments in the Figure-16 placements).
+/// End-to-end iteration time with partial overlap: compute + residual comm,
+/// with a distinct bandwidth for DP traffic (the class that crosses
+/// segments in the Figure-16 placements).
 double iteration_seconds_split(const TrainJob& job, double intra_bw_gbps,
                                double cross_bw_gbps);
 

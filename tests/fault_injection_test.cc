@@ -14,7 +14,6 @@
 #include "check/auditors.h"
 #include "collective/allreduce.h"
 #include "virt/hypervisor.h"
-#include "virt/runtime.h"
 
 namespace stellar {
 namespace {

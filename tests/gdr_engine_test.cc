@@ -145,11 +145,5 @@ TEST_F(GdrEngineTest, ZeroLengthIsNoop) {
   EXPECT_EQ(t.gbps, 0.0);
 }
 
-TEST_F(GdrEngineTest, ModeNames) {
-  EXPECT_STREQ(gdr_mode_name(GdrMode::kEmtt), "eMTT");
-  EXPECT_STREQ(gdr_mode_name(GdrMode::kAtsAtc), "ATS/ATC");
-  EXPECT_STREQ(gdr_mode_name(GdrMode::kRcRouted), "RC-routed");
-}
-
 }  // namespace
 }  // namespace stellar

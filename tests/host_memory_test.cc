@@ -36,17 +36,6 @@ TEST(HostMemoryTest, ZeroLengthRejected) {
   EXPECT_EQ(mem.allocate(0).status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(HostMemoryTest, ReserveExactRange) {
-  HostMemory mem(Hpa{0}, 1_MiB);
-  ASSERT_TRUE(mem.reserve(Hpa{0x10000}, 0x1000).is_ok());
-  EXPECT_EQ(mem.used_bytes(), 0x1000u);
-  // Overlapping reserve fails.
-  EXPECT_FALSE(mem.reserve(Hpa{0x10800}, 0x1000).is_ok());
-  // Allocation steers around the reservation.
-  auto a = mem.allocate(1_MiB - 0x1000, 1);
-  EXPECT_FALSE(a.is_ok());  // fragmented: no single free block that large
-}
-
 TEST(HostMemoryTest, ReleaseCoalescesNeighbors) {
   HostMemory mem(Hpa{0}, 64_KiB);
   auto a = mem.allocate(16_KiB);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "virt/runtime.h"
-
 namespace stellar {
 namespace {
 
@@ -193,46 +191,6 @@ TEST(VirtioTest, ShmExhaustion) {
   ASSERT_TRUE(shm.map(Hpa{0}, kPage4K).is_ok());
   EXPECT_EQ(shm.map(Hpa{0}, kPage4K).status().code(),
             StatusCode::kResourceExhausted);
-}
-
-TEST(RuntimeTest, StartupOrderingAcrossModes) {
-  RnicConfig rnic;
-  IommuConfig iommu;
-  HypervisorConfig hyp;
-  const std::uint64_t mem = 256_GiB;
-  const auto vfio =
-      container_startup_cost(VirtMode::kSriovVfio, mem, rnic, iommu, hyp);
-  const auto masq =
-      container_startup_cost(VirtMode::kHyvMasq, mem, rnic, iommu, hyp);
-  const auto vstellar =
-      container_startup_cost(VirtMode::kVStellar, mem, rnic, iommu, hyp);
-  const auto bare =
-      container_startup_cost(VirtMode::kBareMetal, mem, rnic, iommu, hyp);
-
-  // vStellar: no pin, cheap device; HyV/MasQ still pin; VFIO pins too.
-  EXPECT_EQ(vstellar.memory_pin, SimTime::zero());
-  EXPECT_GT(masq.memory_pin.sec(), 50.0);
-  EXPECT_GT(vfio.memory_pin.sec(), 50.0);
-  EXPECT_LT(vstellar.total().sec(), masq.total().sec() / 3);
-  EXPECT_LT(vstellar.total().sec(), vfio.total().sec() / 3);
-  EXPECT_EQ(bare.total(), SimTime::zero());
-  // Device provisioning: vStellar matches MasQ (~1.5 s, §4).
-  EXPECT_EQ(vstellar.device_provision, masq.device_provision);
-  EXPECT_NEAR(vstellar.device_provision.sec(), 1.5, 0.01);
-}
-
-TEST(RuntimeTest, GdrModeMapping) {
-  EXPECT_EQ(gdr_mode_for(VirtMode::kSriovVfio), GdrMode::kAtsAtc);
-  EXPECT_EQ(gdr_mode_for(VirtMode::kHyvMasq), GdrMode::kRcRouted);
-  EXPECT_EQ(gdr_mode_for(VirtMode::kVStellar), GdrMode::kEmtt);
-  EXPECT_EQ(gdr_mode_for(VirtMode::kBareMetal), GdrMode::kEmtt);
-}
-
-TEST(RuntimeTest, ModeNames) {
-  EXPECT_STREQ(virt_mode_name(VirtMode::kSriovVfio), "SR-IOV/VFIO");
-  EXPECT_STREQ(virt_mode_name(VirtMode::kHyvMasq), "HyV/MasQ");
-  EXPECT_STREQ(virt_mode_name(VirtMode::kVStellar), "vStellar");
-  EXPECT_STREQ(virt_mode_name(VirtMode::kBareMetal), "bare-metal");
 }
 
 }  // namespace

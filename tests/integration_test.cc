@@ -94,7 +94,8 @@ TEST(IntegrationTest, PlacedCollectiveOverCluster) {
 
   // Feed the measured bandwidth into the training model end to end.
   TrainJob job = table1_llama33b();
-  const double it_s = iteration_seconds(job, ar.bus_bandwidth_gbps());
+  const double bw = ar.bus_bandwidth_gbps();
+  const double it_s = iteration_seconds_split(job, bw, bw);
   EXPECT_GT(it_s, compute_seconds(job));
   EXPECT_LT(it_s, compute_seconds(job) * 2.0);
 }

@@ -81,11 +81,11 @@ TEST(LlmModelTest, Table1RatiosQualitativeShape) {
 
 TEST(LlmModelTest, IterationTimeMonotoneInBandwidth) {
   TrainJob job = table1_llama33b();
-  const double slow = iteration_seconds(job, 100.0);
-  const double fast = iteration_seconds(job, 800.0);
+  const double slow = iteration_seconds_split(job, 100.0, 100.0);
+  const double fast = iteration_seconds_split(job, 800.0, 800.0);
   EXPECT_LT(fast, slow);
   // At infinite bandwidth, only compute remains.
-  EXPECT_NEAR(iteration_seconds(job, 1e12), compute_seconds(job),
+  EXPECT_NEAR(iteration_seconds_split(job, 1e12, 1e12), compute_seconds(job),
               compute_seconds(job) * 0.01);
 }
 
@@ -95,12 +95,12 @@ TEST(LlmModelTest, OverlapReducesIterationTime) {
   no_overlap.overlap = 0.0;
   TrainJob full_overlap = job;
   full_overlap.overlap = 1.0;
-  EXPECT_LT(iteration_seconds(full_overlap, 400.0),
-            iteration_seconds(job, 400.0));
-  EXPECT_LT(iteration_seconds(job, 400.0),
-            iteration_seconds(no_overlap, 400.0));
-  EXPECT_NEAR(iteration_seconds(full_overlap, 400.0), compute_seconds(job),
-              1e-12);
+  EXPECT_LT(iteration_seconds_split(full_overlap, 400.0, 400.0),
+            iteration_seconds_split(job, 400.0, 400.0));
+  EXPECT_LT(iteration_seconds_split(job, 400.0, 400.0),
+            iteration_seconds_split(no_overlap, 400.0, 400.0));
+  EXPECT_NEAR(iteration_seconds_split(full_overlap, 400.0, 400.0),
+              compute_seconds(job), 1e-12);
 }
 
 TEST(LlmModelTest, SplitBandwidthOnlyDpUsesCrossLink) {

@@ -2,11 +2,11 @@
 // byte-deterministic and inert.
 //
 // Contract (docs/OBSERVABILITY.md): two seeded replays of the same workload
-// produce byte-identical trace JSON and metrics JSON — including with the
-// periodic gauge sampler armed and with periodic invariant audits running,
-// whose extra events consume sequence numbers but must not perturb the
-// workload or anything the probes observe. Installing a hub must not change
-// the simulation itself: same executed-event count, same final time.
+// produce byte-identical trace JSON and metrics JSON — including with
+// periodic invariant audits running, whose extra events consume sequence
+// numbers but must not perturb the workload or anything the probes observe.
+// Installing a hub must not change the simulation itself: same
+// executed-event count, same final time.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -34,8 +34,7 @@ struct ObsRun {
 
 /// The mini fig09 permutation from sim_determinism_test, run under an
 /// installed ObsHub: 8 endpoints, 256 KiB messages, OBS spraying over 16
-/// paths, seed 11. The hub's periodic sampler mirrors gauges every 50 us;
-/// an optional AuditRegistry fires every 100 us on top.
+/// paths, seed 11. An optional AuditRegistry fires every 100 us.
 ObsRun run_mini_permutation(bool with_hub, bool with_audit,
                             std::uint32_t sample_period) {
   auto hub = std::make_unique<obs::ObsHub>();
@@ -52,10 +51,7 @@ ObsRun run_mini_permutation(bool with_hub, bool with_audit,
 
   Simulator sim;
   AuditRegistry registry;
-  if (with_hub) {
-    hub->set_clock(&sim);
-    hub->attach_periodic(sim, SimTime::micros(50));
-  }
+  if (with_hub) hub->set_clock(&sim);
 
   FabricConfig fc;
   fc.segments = 2;
@@ -93,7 +89,6 @@ ObsRun run_mini_permutation(bool with_hub, bool with_audit,
   out.executed = sim.executed_events();
   out.final_ps = sim.now().ps();
   if (with_hub) {
-    hub->detach_periodic();
     hub->set_clock(nullptr);
     obs::install_hub(prev);
     out.trace_json = hub->tracer().to_json();
@@ -135,19 +130,18 @@ TEST(ObsDeterminismTest, PeriodicAuditDoesNotPerturbObservedOutput) {
                                               /*with_audit=*/true,
                                               /*sample_period=*/1);
   // Audit firings add executed events but everything the probes see —
-  // packet order, latencies, gauge levels at the sampling instants — must
-  // be unchanged, so both JSON dumps stay byte-identical.
+  // packet order, latencies, gauge levels — must be unchanged, so both
+  // JSON dumps stay byte-identical.
   EXPECT_EQ(plain.trace_json, audited.trace_json);
   EXPECT_EQ(plain.metrics_json, audited.metrics_json);
   EXPECT_GT(audited.executed, plain.executed);
 }
 
 TEST(ObsDeterminismTest, InstallingHubDoesNotPerturbSimulation) {
-  // Determinism contract half two: observation is passive. With the
-  // periodic sampler detached before the comparison point, a run with a
-  // hub and a run without one agree on executed events... except the
-  // sampler's own firings, so compare a hubless run against a hubless run
-  // first (control), then check the hubbed run's workload-visible state.
+  // Determinism contract half two: observation is passive. A hub
+  // schedules no events, so a run with a hub and a run without one agree
+  // on executed events and final time. A hubless run against a hubless run
+  // first is the control.
   const ObsRun bare_a = run_mini_permutation(/*with_hub=*/false,
                                              /*with_audit=*/false,
                                              /*sample_period=*/1);
@@ -160,10 +154,8 @@ TEST(ObsDeterminismTest, InstallingHubDoesNotPerturbSimulation) {
   const ObsRun hubbed = run_mini_permutation(/*with_hub=*/true,
                                              /*with_audit=*/false,
                                              /*sample_period=*/1);
-  // The sampler adds its own events but must not stretch the run: the
-  // workload drains at the same sim time.
   EXPECT_EQ(hubbed.final_ps, bare_a.final_ps);
-  EXPECT_GE(hubbed.executed, bare_a.executed);
+  EXPECT_EQ(hubbed.executed, bare_a.executed);
 }
 
 TEST(ObsDeterminismTest, SamplingIsDeterministicAndShrinksTrace) {

@@ -38,6 +38,17 @@ TEST_F(RnicDeviceTest, VfProvisioningIsSlow) {
   EXPECT_GT(t.value().sec(), 10.0);
 }
 
+TEST_F(RnicDeviceTest, VirtualDeviceCreationMatchesMasqAndBeatsVfReset) {
+  Rnic rnic(*pcie_, Bdf{0x10, 0, 0}, sw_);
+  // vStellar device provisioning matches MasQ (~1.5 s, §4)...
+  const SimTime vdev = rnic.config().sf_create_time;
+  EXPECT_NEAR(vdev.sec(), 1.5, 0.01);
+  // ...and is far below even one VF's function reset plus creation.
+  auto vf = rnic.set_num_vfs(1);
+  ASSERT_TRUE(vf.is_ok());
+  EXPECT_LT(vdev.sec(), vf.value().sec() / 3);
+}
+
 TEST_F(RnicDeviceTest, VfMemoryOverheadAccumulates) {
   Rnic rnic(*pcie_, Bdf{0x10, 0, 0}, sw_);
   ASSERT_TRUE(rnic.set_num_vfs(8).is_ok());

@@ -39,37 +39,5 @@ TEST(PlatformTest, Problem4TradeoffIsLoseLose) {
   EXPECT_DOUBLE_EQ(host_tcp_throughput(tcp_config).as_gbps(), 200.0);
 }
 
-TEST(PlatformTest, VirtioStackCostsAboutFivePercent) {
-  HostPlatformConfig cfg;
-  cfg.iommu_mode = IommuMode::kPassthrough;
-  cfg.ats_enabled = false;
-  const double vf = tenant_tcp_throughput(TcpStack::kVfioVf, cfg).as_gbps();
-  const double virtio =
-      tenant_tcp_throughput(TcpStack::kVirtioSfVdpa, cfg).as_gbps();
-  EXPECT_NEAR(virtio / vf, 0.95, 0.001);
-}
-
-TEST(PlatformTest, VirtioStackIsInsensitiveToIommuMode) {
-  // The Stellar architecture point: the SF/vDPA data path does not depend
-  // on the fragile ATS/IOMMU settings, so the Problem-4 dilemma vanishes.
-  HostPlatformConfig nopt;
-  nopt.iommu_mode = IommuMode::kNoPassthrough;
-  HostPlatformConfig pt;
-  pt.iommu_mode = IommuMode::kPassthrough;
-  pt.ats_enabled = false;
-  EXPECT_EQ(tenant_tcp_throughput(TcpStack::kVirtioSfVdpa, nopt).bps(),
-            tenant_tcp_throughput(TcpStack::kVirtioSfVdpa, pt).bps());
-  // While the VF path degrades under nopt:
-  EXPECT_LT(tenant_tcp_throughput(TcpStack::kVfioVf, nopt).bps(),
-            tenant_tcp_throughput(TcpStack::kVfioVf, pt).bps());
-}
-
-TEST(PlatformTest, Names) {
-  EXPECT_STREQ(iommu_mode_name(IommuMode::kPassthrough), "pt");
-  EXPECT_STREQ(iommu_mode_name(IommuMode::kNoPassthrough), "nopt");
-  EXPECT_STREQ(tcp_stack_name(TcpStack::kVfioVf), "VFIO/VF");
-  EXPECT_STREQ(tcp_stack_name(TcpStack::kVirtioSfVdpa), "virtio/SF/vDPA");
-}
-
 }  // namespace
 }  // namespace stellar

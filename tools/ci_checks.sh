@@ -31,7 +31,8 @@
 #      --fidelity value (the removed `fluid`) makes a bench exit non-zero.
 #      The fig09-mini BENCH JSON at both fidelities and that fig15_16
 #      stdout (minus [engine] lines) must also equal the committed goldens
-#      in tests/golden/ byte for byte
+#      in tests/golden/ byte for byte, as must the virt-layer tables
+#      (fig06_startup and aux_operations stdout, minus [engine] lines)
 #   6d. the perf golden smoke: one pass of each repo benchmark workload
 #      (perf/run.py: permutation_packet, allreduce_hybrid at seeds 1 and 2,
 #      allreduce_faults, vstellar_translation), whose final JSON lines must
@@ -182,6 +183,18 @@ f15_dir="$(mktemp -d)"
        "$repo_root/tests/golden/fig15_16_e128_hybrid.txt" &&
   echo "fig15_16 --endpoints=128 hybrid byte-identical across runs and to the golden")
 rm -rf "$f15_dir"
+
+step "virt-layer tables (fig06_startup, aux_operations stdout vs goldens)"
+virt_dir="$(mktemp -d)"
+(cd "$virt_dir" &&
+  "$repo_root/build/bench/fig06_startup" > fig06.log &&
+  "$repo_root/build/bench/aux_operations" > aux.log &&
+  diff <(grep -v '^\[engine\]' fig06.log) \
+       "$repo_root/tests/golden/fig06_startup.txt" &&
+  diff <(grep -v '^\[engine\]' aux.log) \
+       "$repo_root/tests/golden/aux_operations.txt" &&
+  echo "fig06_startup and aux_operations byte-identical to their goldens")
+rm -rf "$virt_dir"
 
 step "unknown --fidelity is rejected (fig12_pathcount --fidelity=fluid exits non-zero)"
 if build/bench/fig12_pathcount --fidelity=fluid > /dev/null 2>&1; then
