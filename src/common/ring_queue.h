@@ -32,6 +32,9 @@ class RingQueue {
   T& back() { return (*this)[size_ - 1]; }
   /// The i-th element from the front.
   T& operator[](std::size_t i) { return buf_[(head_ + i) & mask_]; }
+  const T& operator[](std::size_t i) const {
+    return buf_[(head_ + i) & mask_];
+  }
 
   /// `v` must not refer into this queue: a push may reallocate it.
   void push_back(const T& v) {

@@ -10,13 +10,16 @@
 // sent; the records live in a slab of live entries recycled through a
 // free list. The ring costs 4 bytes per PSN of span, the slab one record
 // per packet in flight. Lookup, insert and erase are O(1); iteration
-// walks the span in PSN order.
+// walks the span in PSN order. Any per-connection sequence number works
+// as the key: the sender's message table is a SendWindow keyed by
+// message id, whose holes are messages that completed out of order.
 //
 // ReceiveWindow: the receiver's duplicate filter. A compacting floor
 // (every PSN below it was received) plus a ring bitmap of the PSNs
 // received above it, indexed by absolute PSN. An in-order receiver only
 // moves the floor and never allocates; a PSN further above the floor than
-// the bitmap spans grows the bitmap instead of aliasing a stored bit.
+// the bitmap spans grows the bitmap instead of aliasing a stored bit. The
+// receiver's completed-message ledger is a ReceiveWindow of message ids.
 #pragma once
 
 #include <algorithm>
@@ -25,6 +28,7 @@
 #include <cstdint>
 #include <limits>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "check/check.h"
@@ -82,35 +86,27 @@ class SendWindow {
     const std::uint32_t idx = lookup(psn);
     return idx == kNone ? nullptr : &slab_[idx];
   }
+  /// The record of a live `psn`.
+  Rec& at(std::uint64_t psn) {
+    const std::uint32_t idx = lookup(psn);
+    STELLAR_DCHECK(idx != kNone, "SendWindow: PSN %llu not live",
+                   static_cast<unsigned long long>(psn));
+    return slab_[idx];
+  }
+  const Rec& at(std::uint64_t psn) const {
+    return const_cast<SendWindow*>(this)->at(psn);
+  }
 
   /// Add `psn`, which must lie above every live PSN (senders issue PSNs
   /// monotonically; a restore inserts them in ascending order). An empty
   /// window restarts at `psn`.
-  void insert(std::uint64_t psn, const Rec& rec) {
-    if (empty()) {
-      base_ = psn;
-      end_ = psn;
-    }
-    STELLAR_CHECK(psn >= end_, "SendWindow: PSN %llu inserted below end %llu",
-                  static_cast<unsigned long long>(psn),
-                  static_cast<unsigned long long>(end_));
-    if (psn - base_ >= ring_.size()) grow(psn - base_ + 1);
-    std::uint32_t idx;
-    if (!free_.empty()) {
-      idx = free_.back();
-      free_.pop_back();
-      slab_[idx] = rec;
-    } else {
-      STELLAR_CHECK(slab_.size() < kNone, "SendWindow: slab index overflow");
-      idx = static_cast<std::uint32_t>(slab_.size());
-      slab_.push_back(rec);
-    }
-    ring_[psn & mask_] = idx;
-    end_ = psn + 1;
-  }
+  void insert(std::uint64_t psn, const Rec& rec) { put(psn, rec); }
+  void insert(std::uint64_t psn, Rec&& rec) { put(psn, std::move(rec)); }
 
   /// Remove a live `psn`. Erasing the oldest advances the base past the
-  /// gap of already-acked PSNs behind it (each PSN is passed once).
+  /// gap of already-acked PSNs behind it (each PSN is passed once). The
+  /// record stays in the slab until an insert reuses its slot or clear()
+  /// runs, so move out of it whatever it must not keep alive.
   void erase(std::uint64_t psn) {
     const std::uint32_t idx = lookup(psn);
     STELLAR_DCHECK(idx != kNone, "SendWindow: erase of PSN %llu not live",
@@ -136,6 +132,30 @@ class SendWindow {
   Iterator<true> end() const { return {this, end_}; }
 
  private:
+  template <typename R>
+  void put(std::uint64_t psn, R&& rec) {
+    if (empty()) {
+      base_ = psn;
+      end_ = psn;
+    }
+    STELLAR_CHECK(psn >= end_, "SendWindow: PSN %llu inserted below end %llu",
+                  static_cast<unsigned long long>(psn),
+                  static_cast<unsigned long long>(end_));
+    if (psn - base_ >= ring_.size()) grow(psn - base_ + 1);
+    std::uint32_t idx;
+    if (!free_.empty()) {
+      idx = free_.back();
+      free_.pop_back();
+      slab_[idx] = std::forward<R>(rec);
+    } else {
+      STELLAR_CHECK(slab_.size() < kNone, "SendWindow: slab index overflow");
+      idx = static_cast<std::uint32_t>(slab_.size());
+      slab_.push_back(std::forward<R>(rec));
+    }
+    ring_[psn & mask_] = idx;
+    end_ = psn + 1;
+  }
+
   std::uint32_t lookup(std::uint64_t psn) const {
     if (psn < base_ || psn >= end_) return kNone;
     return ring_[psn & mask_];
@@ -188,6 +208,13 @@ class ReceiveWindow {
     if ((w & bit) != 0) return false;
     w |= bit;
     return true;
+  }
+
+  /// True if `psn` was recorded: it lies below the floor or is stored.
+  bool contains(std::uint64_t psn) const {
+    if (psn < floor_) return true;
+    if (!spans(psn)) return false;
+    return ((word(psn) >> (psn & 63)) & 1) != 0;
   }
 
   /// PSNs stored above the floor.

@@ -97,7 +97,7 @@ std::uint64_t RdmaConnection::enqueue_message(std::uint64_t bytes,
   msg.on_complete = std::move(on_complete);
   STELLAR_TRACE_ONLY(obs::count("transport/messages_posted");
                      obs::count("transport/bytes_posted", bytes);)
-  messages_.emplace(msg_id, std::move(msg));
+  messages_.insert(msg_id, std::move(msg));
   unsent_queue_.push_back(msg_id);
   if (fluid_) {
     // Under fluid service no packet is built. A WRITE joins the flow's
@@ -343,12 +343,10 @@ void RdmaConnection::handle_ack(const NetPacket& ack) {
   inflight_bytes_ -= meta.bytes;
   if (config_.per_path_cc) per_path_inflight_[meta.path] -= meta.bytes;
 
-  auto msg_it = messages_.find(meta.msg_id);
-  if (msg_it != messages_.end()) {
-    Message& msg = msg_it->second;
-    msg.acked += meta.kind == PacketKind::kReadRequest ? msg.total
-                                                       : meta.bytes;
-    if (msg.acked >= msg.total) complete_message(msg);
+  if (Message* msg = messages_.find(meta.msg_id)) {
+    msg->acked += meta.kind == PacketKind::kReadRequest ? msg->total
+                                                        : meta.bytes;
+    if (msg->acked >= msg->total) complete_message(*msg);
   }
 
   send_more();  // re-arms the RTO once the freed window is refilled
@@ -368,7 +366,7 @@ void RdmaConnection::complete_message(Message& msg) {
                         static_cast<std::int64_t>(msg.id), "bytes",
                         static_cast<std::int64_t>(msg.total)});)
   Completion cb = std::move(msg.on_complete);
-  messages_.erase(msg.id);  // invalidates msg
+  messages_.erase(msg.id);  // msg's slot is free for the callback's posts
   if (cb) cb();
 }
 
@@ -519,8 +517,6 @@ void RdmaConnection::enter_error(Status reason) {
 
 bool RdmaConnection::fluid_eligible() const {
   if (error_) return false;
-  // stellar-lint: allow(unordered-iter) order-insensitive: computes one
-  // all-WRITEs boolean; no per-element emission or scheduling.
   for (const auto& [id, msg] : messages_) {
     if (msg.kind != PacketKind::kWrite) return false;
   }
@@ -543,8 +539,7 @@ FluidFlowDesc RdmaConnection::fluid_freeze() {
   if (config_.per_path_cc) per_path_inflight_.assign(config_.num_paths, 0);
   unsent_queue_.clear();
   FluidFlowDesc desc;
-  for (const std::uint64_t msg_id : sorted_keys(messages_)) {
-    Message& msg = messages_.at(msg_id);
+  for (auto [msg_id, msg] : messages_) {  // ascending id
     msg.sent = msg.acked;
     if (msg.sent < msg.total) {
       unsent_queue_.push_back(msg_id);
@@ -581,8 +576,8 @@ void RdmaConnection::fluid_thaw(double rate_bytes_per_sec) {
   // never travel as packets, so a message that straddles the epoch would
   // otherwise stall at the receiver: its packet-mode tail alone can never
   // reach msg_bytes, and both the completion and the goodput would vanish.
-  for (const std::uint64_t msg_id : unsent_queue_) {
-    const Message& msg = messages_.at(msg_id);
+  for (std::size_t i = 0; i < unsent_queue_.size(); ++i) {
+    const Message& msg = messages_.at(unsent_queue_[i]);
     if (msg.acked == 0) continue;
     engine_.fluid_deliver_remote(
         remote_,
@@ -605,7 +600,7 @@ void RdmaConnection::fluid_thaw(double rate_bytes_per_sec) {
   send_more();
 }
 
-std::uint64_t RdmaConnection::fluid_serve(std::uint64_t bytes) {
+FluidServe RdmaConnection::fluid_serve(std::uint64_t bytes) {
   std::uint64_t served = 0;
   while (!unsent_queue_.empty()) {
     Message& msg = messages_.at(unsent_queue_.front());
@@ -625,16 +620,24 @@ std::uint64_t RdmaConnection::fluid_serve(std::uint64_t bytes) {
       unsent_queue_.pop_front();
       // Receiver first, then the sender completion — the order packet
       // mode produces (the final ACK departs after the final payload).
+      const std::uint64_t msg_id = msg.id;
       engine_.fluid_deliver_remote(
           remote_,
-          FluidDelivery{id_, msg.id, msg.total, msg.total, msg.tag, local_});
-      complete_message(msg);
+          FluidDelivery{id_, msg_id, msg.total, msg.total, msg.tag, local_});
+      // The receiver's handlers may have posted here (a post can move the
+      // table's slab) or errored the QP (which drops the message).
+      if (Message* done = messages_.find(msg_id)) complete_message(*done);
     }
   }
-  return served;
+  // The head now, after any posts the completion callbacks made.
+  return FluidServe{served, head_completion_bytes()};
 }
 
 std::uint64_t RdmaConnection::fluid_next_completion_bytes() const {
+  return head_completion_bytes();
+}
+
+std::uint64_t RdmaConnection::head_completion_bytes() const {
   if (unsent_queue_.empty()) return 0;
   const Message& msg = messages_.at(unsent_queue_.front());
   if (msg.kind != PacketKind::kWrite) return 0;
@@ -788,6 +791,12 @@ void RdmaEngine::handle_data(NetPacket&& p) {
 
   if (p.kind == PacketKind::kReadRequest) {
     send_ack(p);
+    // A served request is a completed message: without the mark the
+    // ledger's floor would stop at its id for the rest of the run. No fluid
+    // delivery asks about it (READs are never fluid-served).
+    if (fabric_->hybrid_driver() != nullptr) {
+      rx_completed_[p.conn_id].record(p.msg_id);
+    }
     serve_read_request(p);
     return;
   }
@@ -820,7 +829,7 @@ void RdmaEngine::handle_data(NetPacket&& p) {
       // Ledger for cross-mode double-delivery suppression: if this
       // message's ACKs are absorbed at a future freeze, the sender's fluid
       // re-serve must not complete it at the receiver a second time.
-      rx_completed_[p.conn_id].mark(p.msg_id);
+      rx_completed_[p.conn_id].record(p.msg_id);
     }
     deliver_message(
         RxMessage{p.conn_id, p.msg_id, p.msg_bytes, p.msg_tag, p.src, p.kind});
@@ -874,7 +883,7 @@ void RdmaEngine::fluid_deliver_remote(EndpointId remote,
 }
 
 void RdmaEngine::fluid_deliver(const FluidDelivery& delivery) {
-  RxCompleted& ledger = rx_completed_[delivery.conn_id];
+  ReceiveWindow& ledger = rx_completed_[delivery.conn_id];
   if (ledger.contains(delivery.msg_id)) {
     // Completed in packet mode before the freeze (its ACKs were absorbed
     // mid-flight); the fluid re-serve is the duplicate, not the original.
@@ -902,7 +911,7 @@ void RdmaEngine::fluid_deliver(const FluidDelivery& delivery) {
     return;
   }
   if (state != nullptr) rx_[delivery.conn_id].messages.erase(delivery.msg_id);
-  ledger.mark(delivery.msg_id);
+  ledger.record(delivery.msg_id);
   deliver_message(RxMessage{delivery.conn_id, delivery.msg_id, delivery.bytes,
                             delivery.tag, delivery.src, PacketKind::kWrite});
 }

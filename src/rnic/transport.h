@@ -21,9 +21,9 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "common/snapshot.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -89,6 +89,15 @@ class RdmaEngine;
 /// fluid rate and resumes packet transmission. The connection reports each
 /// post to the driver, which keeps the flow's demand; a fluid-served
 /// message completes through the same path an ACK-completed one does.
+///
+/// Per-message state lives in rings indexed by message id, the way an
+/// RNIC keeps WQEs in per-QP rings: ids are per-connection and monotonic,
+/// so the message table is a SendWindow keyed by id (a READ or a sprayed
+/// small WRITE that completes early leaves a hole, as does an id consumed
+/// by a post to an errored QP) and the unsent queue is a RingQueue of ids.
+/// Once both reached their working size, posting and completing a message
+/// touches no hash table and, when its completion fits std::function's
+/// inline buffer, no heap.
 class RdmaConnection : public FluidClient {
  public:
   using Completion = std::function<void()>;
@@ -167,7 +176,7 @@ class RdmaConnection : public FluidClient {
   bool fluid_errored() const override { return error_; }
   FluidFlowDesc fluid_freeze() override;
   void fluid_thaw(double rate_bytes_per_sec) override;
-  std::uint64_t fluid_serve(std::uint64_t bytes) override;
+  FluidServe fluid_serve(std::uint64_t bytes) override;
   std::uint64_t fluid_next_completion_bytes() const override;
   std::uint64_t fluid_retransmit_count() const override {
     return retransmits_;
@@ -239,6 +248,9 @@ class RdmaConnection : public FluidClient {
   /// Sender-side completion of a fully acknowledged (or fluid-served)
   /// message: counters, trace span, then its callback. Erases `msg`.
   void complete_message(Message& msg);
+  /// Unacked bytes of the queued WRITE at the head of the unsent queue (0
+  /// if the queue is empty or headed by a SEND/READ).
+  std::uint64_t head_completion_bytes() const;
 
   /// The hybrid driver attached to the fabric, or nullptr (pure packet).
   HybridDriver* hybrid_driver() const;
@@ -287,8 +299,8 @@ class RdmaConnection : public FluidClient {
   std::uint64_t next_msg_id_ = 0;
   std::uint64_t inflight_bytes_ = 0;
 
-  std::deque<std::uint64_t> unsent_queue_;            // msg ids with unsent data
-  std::unordered_map<std::uint64_t, Message> messages_;
+  RingQueue<std::uint64_t> unsent_queue_;  // msg ids with unsent data
+  SendWindow<Message> messages_;           // by msg id, ascending
   // psn -> in-flight meta: a PSN-indexed ring of indices into a slab of
   // live records (rnic/psn_window.h), iterated in PSN order.
   SendWindow<Outstanding> outstanding_;
@@ -521,26 +533,6 @@ class RdmaEngine : public FluidReceiver {
     std::deque<RxMessage> unexpected;
   };
 
-  // Receiver-side ledger of completed message ids per connection, with a
-  // compacting floor (message ids are per-connection monotonic and complete
-  // near-in-order, so the above-floor set stays tiny). Consulted by
-  // fluid_deliver to suppress double delivery of a message that completed
-  // in packet mode but whose ACKs were absorbed at freeze — the sender
-  // re-serves its unacked bytes in fluid, and without the ledger the
-  // receiver completion (and goodput) would fire twice. Maintained only
-  // while a hybrid driver is attached.
-  struct RxCompleted {
-    std::uint64_t floor = 0;
-    std::unordered_set<std::uint64_t> above;
-    void mark(std::uint64_t id) {
-      if (id < floor) return;
-      above.insert(id);
-      while (above.erase(floor) != 0) ++floor;
-    }
-    bool contains(std::uint64_t id) const {
-      return id < floor || above.count(id) != 0;
-    }
-  };
 
   /// Route a fluid delivery to the remote endpoint's engine.
   void fluid_deliver_remote(EndpointId remote, const FluidDelivery& delivery);
@@ -565,7 +557,16 @@ class RdmaEngine : public FluidReceiver {
   std::vector<std::unique_ptr<RdmaConnection>> connections_;
   std::unordered_map<std::uint64_t, RdmaConnection*> by_id_;
   std::unordered_map<std::uint64_t, RxState> rx_;
-  std::unordered_map<std::uint64_t, RxCompleted> rx_completed_;
+  // Receiver-side ledger of completed message ids per connection: a
+  // compacting floor plus a bitmap (message ids are per-connection
+  // monotonic and complete near-in-order, so an in-order completion only
+  // moves the floor). READ requests are marked when served. Consulted by
+  // fluid_deliver to suppress double delivery of a message that completed
+  // in packet mode but whose ACKs were absorbed at freeze — the sender
+  // re-serves its unacked bytes in fluid, and without the ledger the
+  // receiver completion (and goodput) would fire twice. Maintained only
+  // while a hybrid driver is attached.
+  std::unordered_map<std::uint64_t, ReceiveWindow> rx_completed_;
   std::uint64_t fluid_undeliverable_ = 0;
   MessageHandler message_handler_;
   std::unordered_map<std::uint64_t, MessageHandler> conn_handlers_;

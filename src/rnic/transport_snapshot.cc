@@ -133,13 +133,14 @@ void RdmaConnection::save_state(SnapshotWriter& w) const {
   w.str(error_status_.message());
 
   w.u32(static_cast<std::uint32_t>(unsent_queue_.size()));
-  for (std::uint64_t id : unsent_queue_) w.u64(id);
+  for (std::size_t i = 0; i < unsent_queue_.size(); ++i) {
+    w.u64(unsent_queue_[i]);
+  }
 
-  // Messages in sorted id order (unordered container). Completion
+  // Messages in ascending id order (the table iterates so). Completion
   // callbacks are deliberately absent — see the class comment.
   w.u32(static_cast<std::uint32_t>(messages_.size()));
-  for (std::uint64_t id : sorted_keys(messages_)) {
-    const Message& m = messages_.at(id);
+  for (const auto& [id, m] : messages_) {
     w.u64(m.id);
     w.u64(m.total);
     w.u64(m.sent);
@@ -228,7 +229,8 @@ void RdmaConnection::restore_state(SnapshotReader& r) {
     m.tag = r.u32();
     m.kind = static_cast<PacketKind>(r.u8());
     m.posted_at = r.time();
-    messages_.emplace(m.id, std::move(m));
+    if (!r.ok()) break;  // truncated: restore_core reports it
+    messages_.insert(m.id, std::move(m));
   }
 
   outstanding_.clear();
@@ -520,16 +522,20 @@ StatusOr<std::string> RdmaEngine::hot_restart() {
   std::string snapshot = save_state();
 
   // Harvest the volatile runtime the snapshot cannot carry: message
-  // completion callbacks, keyed (conn id, msg id). The new backend
-  // re-attaches them after reconstructing the QP tables.
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<std::uint64_t, RdmaConnection::Completion>>
-      completions;
+  // completion callbacks, by (connection, msg id). The new backend
+  // re-attaches them after reconstructing the QP tables in place.
+  struct Harvested {
+    RdmaConnection* conn;
+    std::uint64_t msg_id;
+    RdmaConnection::Completion on_complete;
+  };
+  std::vector<Harvested> completions;
   for (auto& conn : connections_) {
     conn->cancel_timers();
-    for (auto& [msg_id, msg] : conn->messages_) {
+    for (auto [msg_id, msg] : conn->messages_) {
       if (msg.on_complete) {
-        completions[conn->id()][msg_id] = std::move(msg.on_complete);
+        completions.push_back(
+            Harvested{conn.get(), msg_id, std::move(msg.on_complete)});
       }
     }
   }
@@ -546,12 +552,9 @@ StatusOr<std::string> RdmaEngine::hot_restart() {
         "RdmaEngine::hot_restart: snapshot round trip not byte-identical");
   }
 
-  for (auto& [conn_id, by_msg] : completions) {
-    RdmaConnection* conn = connection(conn_id);
-    if (conn == nullptr) continue;
-    for (auto& [msg_id, cb] : by_msg) {
-      auto it = conn->messages_.find(msg_id);
-      if (it != conn->messages_.end()) it->second.on_complete = std::move(cb);
+  for (Harvested& h : completions) {
+    if (RdmaConnection::Message* msg = h.conn->messages_.find(h.msg_id)) {
+      msg->on_complete = std::move(h.on_complete);
     }
   }
   for (auto& conn : connections_) conn->resume_after_restore();

@@ -17,7 +17,7 @@ constexpr std::uint32_t kPromoteQuietEpochs = 3;
 }  // namespace
 
 HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric)
-    : sim_(&sim), fabric_(&fabric) {
+    : sim_(&sim), fabric_(&fabric), receivers_(fabric.endpoint_count()) {
   STELLAR_CHECK(fabric.hybrid_driver() == nullptr,
                 "fabric already has a hybrid driver attached");
   fabric.set_hybrid_driver(this);
@@ -54,6 +54,8 @@ HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric)
 HybridDriver::~HybridDriver() {
   for (std::uint32_t r = 0; r < regions_.size(); ++r) {
     Region& rg = regions_[r];
+    // Clients outliving the driver must not keep pointing at its records.
+    for (ClientInfo* ci : rg.clients) ci->client->fluid_info_ = nullptr;
     sim_->cancel(rg.advance_event);
     sim_->cancel(rg.kick_event);
     emit_span(r, rg, rg.mode);
@@ -118,6 +120,7 @@ void HybridDriver::register_client(FluidClient* client, EndpointId endpoint) {
   ci->region = region_of(endpoint);
   Region& rg = regions_[ci->region];
   rg.clients.push_back(ci);
+  client->fluid_info_ = ci;
   info_.emplace(client, std::move(info));
   if (rg.mode == RegionMode::kFluid) {
     // Born in fluid: a fresh connection has no packet state, so its freeze
@@ -129,30 +132,29 @@ void HybridDriver::register_client(FluidClient* client, EndpointId endpoint) {
 }
 
 void HybridDriver::unregister_client(FluidClient* client) {
-  auto it = info_.find(client);
-  if (it == info_.end()) return;
-  ClientInfo* ci = it->second.get();
+  ClientInfo* ci = info_of(client);
+  if (ci == nullptr) return;
+  client->fluid_info_ = nullptr;
   Region& rg = regions_[ci->region];
   if (ci->flow >= 0) remove_flow(rg, ci);
   rg.clients.erase(std::find(rg.clients.begin(), rg.clients.end(), ci));
   std::erase(rg.touched, ci);
   std::erase_if(rg.due, [ci](const DueEntry& e) { return e.client == ci; });
   std::make_heap(rg.due.begin(), rg.due.end(), due_later);
-  info_.erase(it);
+  info_.erase(client);
 }
 
 void HybridDriver::register_receiver(EndpointId endpoint,
                                      FluidReceiver* receiver) {
-  receivers_[endpoint] = receiver;
+  receivers_.at(endpoint) = receiver;
 }
 
 void HybridDriver::unregister_receiver(EndpointId endpoint) {
-  receivers_.erase(endpoint);
+  receivers_.at(endpoint) = nullptr;
 }
 
 FluidReceiver* HybridDriver::receiver(EndpointId endpoint) const {
-  auto it = receivers_.find(endpoint);
-  return it == receivers_.end() ? nullptr : it->second;
+  return endpoint < receivers_.size() ? receivers_[endpoint] : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -171,6 +173,7 @@ bool HybridDriver::freeze(Region& rg, ClientInfo* ci) {
   ci->in_fluid = true;
   ci->demand = desc.remaining;
   ci->blocked = false;
+  ci->next = ci->client->fluid_next_completion_bytes();
   if (desc.remaining == 0) return false;
   add_flow(rg, ci);
   return true;
@@ -206,25 +209,25 @@ bool HybridDriver::serve(ClientInfo* ci, bool due) {
   const double earned = ci->rate * (now - ci->anchor).sec() + ci->carry;
   ci->anchor = now;
   std::uint64_t want = earned > 0.0 ? static_cast<std::uint64_t>(earned) : 0;
-  std::uint64_t upcoming = 0;
-  if (due) {
+  const std::uint64_t upcoming = ci->next;
+  STELLAR_DCHECK(upcoming == ci->client->fluid_next_completion_bytes(),
+                 "cached next completion %llu is stale",
+                 static_cast<unsigned long long>(upcoming));
+  if (due && want < upcoming) {
     // Due-time snap: the due time is the first picosecond by which the
     // in-service message has accrued, but rate * dt can round to a hair
     // under it. Complete it anyway and carry the shortfall, rather than
     // finishing it at a second event one picosecond later.
-    upcoming = ci->client->fluid_next_completion_bytes();
-    if (want < upcoming) {
-      STELLAR_DCHECK(static_cast<double>(upcoming) - earned < 1.0,
-                     "fluid due event is more than a byte short");
-      want = upcoming;
-    }
+    STELLAR_DCHECK(static_cast<double>(upcoming) - earned < 1.0,
+                   "fluid due event is more than a byte short");
+    want = upcoming;
   }
   if (want == 0) {
     ci->carry = earned;
     return false;
   }
-  if (!due) upcoming = ci->client->fluid_next_completion_bytes();
-  const std::uint64_t served = ci->client->fluid_serve(want);
+  const auto [served, next] = ci->client->fluid_serve(want);
+  ci->next = next;
   STELLAR_DCHECK(served <= ci->demand,
                  "fluid serve of %llu bytes exceeds the flow's demand %llu",
                  static_cast<unsigned long long>(served),
@@ -238,7 +241,10 @@ bool HybridDriver::serve(ClientInfo* ci, bool due) {
 void HybridDriver::push_due(Region& rg, ClientInfo* ci) {
   ++ci->version;  // supersedes any entry already queued
   if (ci->rate <= 0.0) return;
-  const std::uint64_t upcoming = ci->client->fluid_next_completion_bytes();
+  const std::uint64_t upcoming = ci->next;
+  STELLAR_DCHECK(upcoming == ci->client->fluid_next_completion_bytes(),
+                 "cached next completion %llu is stale",
+                 static_cast<unsigned long long>(upcoming));
   if (upcoming == 0) return;
   double need = static_cast<double>(upcoming) - ci->carry;
   if (need < 0.0) need = 0.0;
@@ -483,12 +489,15 @@ void HybridDriver::request_zoom_window(SimTime start, SimTime end) {
 // ---------------------------------------------------------------------------
 
 void HybridDriver::on_fluid_post(FluidClient* client, std::uint64_t bytes) {
-  auto it = info_.find(client);
-  if (it == info_.end()) return;
-  ClientInfo* ci = it->second.get();
+  ClientInfo* ci = info_of(client);
+  if (ci == nullptr) return;
   // Behind a queued non-WRITE the WRITE waits for the pending zoom.
   if (!ci->in_fluid || ci->dead || ci->blocked) return;
   ci->demand += bytes;
+  // A flow with no cached head (drained, or never started) may have just
+  // got one. Otherwise the post queues behind the head, or lands inside
+  // the client's own serve, whose FluidServe::next then covers it.
+  if (ci->next == 0) ci->next = client->fluid_next_completion_bytes();
   if (ci->flow < 0 && ci->demand > 0) {
     add_flow(regions_[ci->region], ci);
     // The region being served re-solves before its pass ends.
@@ -499,19 +508,19 @@ void HybridDriver::on_fluid_post(FluidClient* client, std::uint64_t bytes) {
 }
 
 void HybridDriver::on_ineligible_post(FluidClient* client) {
-  auto it = info_.find(client);
-  if (it == info_.end()) return;
-  ClientInfo* ci = it->second.get();
-  if (!ci->in_fluid) return;
+  ClientInfo* ci = info_of(client);
+  if (ci == nullptr || !ci->in_fluid) return;
+  // The cached head stays right: a non-WRITE queues behind it, or heads
+  // an empty queue, where the next completion reads 0 either way.
   ci->blocked = true;
   zoom_region(ci->region, "ineligible-post");
 }
 
 void HybridDriver::on_client_error(FluidClient* client) {
-  auto it = info_.find(client);
-  if (it == info_.end()) return;
-  ClientInfo* ci = it->second.get();
+  ClientInfo* ci = info_of(client);
+  if (ci == nullptr) return;
   ci->dead = true;
+  ci->next = 0;  // the error dropped every queued message
   if (!ci->in_fluid) return;
   ci->in_fluid = false;
   Region& rg = regions_[ci->region];

@@ -24,10 +24,10 @@
 //   packet -> fluid (freeze): every link absorb()s the packets it owns
 //     (counted by the conservation auditor as their own terminal outcome),
 //     and each transport rewinds unacked wire bytes into unsent demand —
-//     the same bytes continue as fluid flow state, whose demand the driver
-//     keeps from then on. A receiver-side completion ledger suppresses the
-//     double delivery this re-serve could otherwise cause for messages
-//     whose ACKs were mid-flight.
+//     the same bytes continue as fluid flow state, whose demand and next
+//     completion size the driver keeps from then on. A receiver-side
+//     completion ledger suppresses the double delivery this re-serve could
+//     otherwise cause for messages whose ACKs were mid-flight.
 //   fluid -> packet (thaw): flows stop, each transport syncs the served
 //     prefix of every unfinished message to its receiver, its congestion
 //     window is seeded from its fluid rate (rate * base RTT), and
@@ -40,6 +40,12 @@
 // While a region is in packet mode the driver polls its triggers every
 // 5 us; promotion back to fluid requires 3 consecutive quiet epochs (every
 // region link's queue at most 256 KiB, no new ECN marks or retransmits).
+//
+// Per served message the driver does no lookup and no allocation: a
+// client's record hangs off the client itself, a receiver is found by
+// endpoint index, and each flow's next completion size is cached — taken
+// at freeze, returned by every serve, and re-read from the client only
+// when a post lands on a flow with no cached head.
 //
 // Everything is deterministic: regions, links, and clients are iterated in
 // construction/registration order, flows due at the same picosecond are
@@ -73,8 +79,19 @@ struct FluidFlowDesc {
   std::vector<std::pair<const NetLink*, double>> shares;
 };
 
+/// What FluidClient::fluid_serve() did: the bytes it consumed, and the
+/// bytes until the message then at the head completes (0 = none), i.e.
+/// fluid_next_completion_bytes() after the serve.
+struct FluidServe {
+  std::uint64_t served = 0;
+  std::uint64_t next = 0;
+};
+
+struct FluidClientInfo;
+
 /// Sender side of a connection under fluid service (RdmaConnection). The
-/// driver keeps the flow's demand itself; the client only serves it.
+/// driver keeps the flow's demand and next completion size itself; the
+/// client only serves it.
 class FluidClient {
  public:
   virtual ~FluidClient() = default;
@@ -92,12 +109,20 @@ class FluidClient {
   virtual void fluid_thaw(double rate_bytes_per_sec) = 0;
   /// Serve up to `bytes` of the queued WRITEs ahead of the first
   /// non-WRITE, firing receiver-then-sender completions exactly as packet
-  /// mode would. Returns bytes consumed.
-  virtual std::uint64_t fluid_serve(std::uint64_t bytes) = 0;
-  /// Bytes until the in-service message completes (0 = no demand).
+  /// mode would. Returns the bytes consumed and the next completion size.
+  virtual FluidServe fluid_serve(std::uint64_t bytes) = 0;
+  /// Bytes until the in-service message completes (0 = no demand). The
+  /// driver asks at freeze and when a post lands on a flow with no cached
+  /// head; otherwise it uses what fluid_serve() returned.
   virtual std::uint64_t fluid_next_completion_bytes() const = 0;
   /// Cumulative retransmit count — a promotion quietness signal.
   virtual std::uint64_t fluid_retransmit_count() const = 0;
+
+ private:
+  friend class HybridDriver;
+  /// The driver's record of this client while registered, so a transport
+  /// notification reaches the flow without a lookup.
+  FluidClientInfo* fluid_info_ = nullptr;
 };
 
 /// Receiver side (RdmaEngine): `bytes` of a `total`-byte message were
@@ -117,6 +142,35 @@ class FluidReceiver {
  public:
   virtual ~FluidReceiver() = default;
   virtual void fluid_deliver(const FluidDelivery& delivery) = 0;
+};
+
+/// HybridDriver's record of one registered FluidClient (private to the
+/// driver; namespace-scope only so that FluidClient can point at it).
+struct FluidClientInfo {
+  FluidClient* client = nullptr;
+  std::uint64_t seq = 0;  // registration order; breaks due-time ties
+  std::uint32_t region = 0;
+  bool in_fluid = false;
+  bool dead = false;  // QP error while frozen; never re-frozen
+  // While in_fluid: unserved bytes of the queued WRITEs ahead of the
+  // first non-WRITE (0 = flow inactive). Set at freeze, raised by posts,
+  // lowered by every serve; a non-WRITE post stops the raises until the
+  // zoom it triggers (`blocked`).
+  std::uint64_t demand = 0;
+  bool blocked = false;
+  // While in_fluid: the client's fluid_next_completion_bytes(), cached.
+  // Taken at freeze, replaced by every serve's FluidServe::next, re-read
+  // when a post lands while it is 0 (the post may be the new head).
+  std::uint64_t next = 0;
+  std::int64_t flow = -1;
+  // Lazy service: the flow was served through `anchor` and has accrued
+  // rate * (now - anchor) + carry bytes since. `carry` is the fractional
+  // byte left over by the last serve (negative after a due-time snap).
+  double rate = 0.0;  // bytes/sec it is served at (0 = not yet solved)
+  SimTime anchor = SimTime::zero();
+  double carry = 0.0;
+  std::uint64_t version = 0;  // bumped to invalidate queued due entries
+  std::vector<FluidSolver::LinkShare> shares;  // resolved at freeze
 };
 
 class HybridDriver {
@@ -189,28 +243,12 @@ class HybridDriver {
  private:
   friend struct HybridDriverTestPeer;  // reads demand counters in tests
 
-  struct ClientInfo {
-    FluidClient* client = nullptr;
-    std::uint64_t seq = 0;  // registration order; breaks due-time ties
-    std::uint32_t region = 0;
-    bool in_fluid = false;
-    bool dead = false;  // QP error while frozen; never re-frozen
-    // While in_fluid: unserved bytes of the queued WRITEs ahead of the
-    // first non-WRITE (0 = flow inactive). Set at freeze, raised by posts,
-    // lowered by every serve; a non-WRITE post stops the raises until the
-    // zoom it triggers (`blocked`).
-    std::uint64_t demand = 0;
-    bool blocked = false;
-    std::int64_t flow = -1;
-    // Lazy service: the flow was served through `anchor` and has accrued
-    // rate * (now - anchor) + carry bytes since. `carry` is the fractional
-    // byte left over by the last serve (negative after a due-time snap).
-    double rate = 0.0;  // bytes/sec it is served at (0 = not yet solved)
-    SimTime anchor = SimTime::zero();
-    double carry = 0.0;
-    std::uint64_t version = 0;  // bumped to invalidate queued due entries
-    std::vector<FluidSolver::LinkShare> shares;  // resolved at freeze
-  };
+  using ClientInfo = FluidClientInfo;
+
+  /// The record of a registered client (null once unregistered).
+  static ClientInfo* info_of(const FluidClient* client) {
+    return client->fluid_info_;
+  }
 
   /// A flow's projected message completion. An entry is live while its
   /// version matches the client's; stale entries are dropped when they
@@ -289,8 +327,10 @@ class HybridDriver {
   Simulator* sim_;
   ClosFabric* fabric_;
   std::vector<Region> regions_;
+  // Owns the client records; consulted only to register and unregister
+  // (notifications reach a record through FluidClient::fluid_info_).
   std::unordered_map<FluidClient*, std::unique_ptr<ClientInfo>> info_;
-  std::unordered_map<EndpointId, FluidReceiver*> receivers_;
+  std::vector<FluidReceiver*> receivers_;  // by endpoint id; null = none
   SpanHook span_hook_;
   SimTime hold_until_ = SimTime::zero();
   // Every event the driver schedules captures `this`; the destructor

@@ -12,7 +12,10 @@
 //
 // The fluid solver has a stricter budget: once a region's flow table, share
 // table and crossing lists have reached their working size, removing flows,
-// adding them back and re-solving allocate nothing at all.
+// adding them back and re-solving allocate nothing at all. So does a
+// fluid-served message end to end: the post, the sender's message table and
+// unsent queue, the driver's serve and due event, the receiver's
+// completed-message ledger and the completion callback.
 //
 // This binary replaces the global operator new to count allocations, so it
 // is kept apart from the other test binaries.
@@ -28,6 +31,7 @@
 #include "collective/fleet.h"
 #include "collective/traffic.h"
 #include "fluid_churn.h"
+#include "sim/hybrid.h"
 
 namespace {
 
@@ -152,6 +156,73 @@ TEST(AllocBudgetTest, FluidSolverRemoveAddSolveCyclesAllocateNothing) {
               static_cast<unsigned long long>(allocs));
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(churn.solver().active_flows(), churn.live().size());
+}
+
+TEST(AllocBudgetTest, FluidRingMessagesAllocateNothing) {
+  // A ring of 8 hosts in fluid mode throughout: each connection keeps one
+  // 64 KiB WRITE queued behind the one in service, and each completion
+  // posts the next (its callback captures one pointer, so it fits
+  // std::function's inline buffer). After a warm-up that sizes every
+  // table, serving and completing messages allocates nothing.
+  Simulator sim;
+  FabricConfig fc;
+  fc.segments = 2;
+  fc.hosts_per_segment = 4;
+  fc.rails = 1;
+  fc.planes = 1;
+  fc.aggs_per_plane = 4;
+  ClosFabric fabric(sim, fc);
+  HybridDriver driver(sim, fabric);  // regions start fluid
+  EngineFleet fleet(sim, fabric);
+  std::vector<EndpointId> hosts;
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    for (std::uint32_t h = 0; h < 4; ++h) {
+      hosts.push_back(fabric.endpoint(s, h, 0, 0));
+    }
+  }
+  struct Link {
+    RdmaConnection* conn = nullptr;
+    bool stop = false;
+    void post() {
+      conn->post_write(64_KiB, [this] {
+        if (!stop) post();
+      });
+    }
+  };
+  std::vector<Link> ring(hosts.size());
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    auto conn = fleet.connect(hosts[i], hosts[(i + 1) % hosts.size()], {});
+    ASSERT_TRUE(conn.is_ok());
+    ring[i].conn = conn.value();
+  }
+  for (Link& l : ring) {
+    l.post();
+    l.post();
+  }
+  const auto completed = [&] {
+    std::uint64_t n = 0;
+    for (const Link& l : ring) n += l.conn->completed_messages();
+    return n;
+  };
+
+  sim.run_until(sim.now() + SimTime::micros(200));
+  const std::uint64_t allocs_before = g_allocations.load();
+  const std::uint64_t messages_before = completed();
+
+  sim.run_until(sim.now() + SimTime::micros(400));
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
+  const std::uint64_t messages = completed() - messages_before;
+  for (Link& l : ring) l.stop = true;
+  sim.run();
+
+  std::printf("%llu heap allocations for %llu fluid-served messages\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(messages));
+  EXPECT_EQ(driver.transitions(), 0u) << "the ring left fluid mode";
+  EXPECT_EQ(driver.region_mode(0), RegionMode::kFluid);
+  ASSERT_GE(messages, 1000u);
+  EXPECT_EQ(allocs, 0u) << allocs << " heap allocations for " << messages
+                        << " fluid-served messages";
 }
 
 }  // namespace

@@ -677,7 +677,7 @@ class ScriptedFlow : public FluidClient {
     return desc;
   }
   void fluid_thaw(double) override {}
-  std::uint64_t fluid_serve(std::uint64_t bytes) override {
+  FluidServe fluid_serve(std::uint64_t bytes) override {
     ++serve_calls;
     std::uint64_t served = 0;
     while (served < bytes && !queue_.empty()) {
@@ -694,11 +694,11 @@ class ScriptedFlow : public FluidClient {
       }
     }
     total_served += served;
-    return served;
+    return FluidServe{served, head_bytes()};
   }
   std::uint64_t fluid_next_completion_bytes() const override {
     ++next_calls;
-    return queue_.empty() ? 0 : queue_.front() - head_served_;
+    return head_bytes();
   }
   std::uint64_t fluid_retransmit_count() const override { return 0; }
 
@@ -714,6 +714,10 @@ class ScriptedFlow : public FluidClient {
   HybridDriver& driver_;
   EndpointId src_;
   EndpointId dst_;
+  std::uint64_t head_bytes() const {
+    return queue_.empty() ? 0 : queue_.front() - head_served_;
+  }
+
   std::deque<std::uint64_t> queue_;
   std::uint64_t head_served_ = 0;
   std::uint64_t remaining_ = 0;

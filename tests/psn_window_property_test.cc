@@ -4,12 +4,14 @@
 // ReceiveWindow against a floor plus a std::set of PSNs above it. Seeded
 // send / ACK / retransmit sequences, plus the corners a ring gets wrong:
 // one PSN stuck while many newer ones pass, growth while the ring is
-// wrapped, clear, restore with gaps, and a PSN further above the floor
-// than the bitmap spans.
+// wrapped, clear, restore with gaps, ids skipped by the sender and records
+// that own heap state, and a PSN further above the floor than the bitmap
+// spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
@@ -237,6 +239,55 @@ TEST(SendWindowPropertyTest, RestoreWithGapsKeepsPsnOrder) {
   expect_same(w, ref, 900, 9100);
 }
 
+TEST(SendWindowPropertyTest, MessageTableSkipsIdsAndMovesRecords) {
+  // The transport's message table: keyed by message id, a record owning a
+  // callback. An id consumed without an insert (a post to an errored QP)
+  // is a hole later inserts step over; out-of-order completion (a READ or
+  // a small sprayed WRITE finishing first) erases above the base; a record
+  // is moved in, never copied.
+  struct Msg {
+    std::uint64_t bytes = 0;
+    std::function<void()> on_complete;
+  };
+  SendWindow<Msg> w;
+  int fired = 0;
+  const auto insert = [&](std::uint64_t id) {
+    Msg m{id * 100, [&fired] { ++fired; }};
+    w.insert(id, std::move(m));
+    EXPECT_FALSE(m.on_complete) << "the record was copied, not moved";
+  };
+  insert(0);
+  insert(1);
+  insert(3);  // id 2 was consumed without an insert
+  insert(4);
+  std::vector<std::uint64_t> ids;
+  for (const auto& [id, m] : w) ids.push_back(id);
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 3, 4}));
+  EXPECT_EQ(w.find(2), nullptr);
+
+  // Complete 3 before 0 and 1, as callers do: move the callback out, erase,
+  // then run it (the callback may post, reusing the freed slot).
+  const auto complete = [&](std::uint64_t id) {
+    std::function<void()> cb = std::move(w.at(id).on_complete);
+    w.erase(id);
+    cb();
+  };
+  complete(3);
+  insert(5);  // reuses 3's slot
+  ids.clear();
+  for (const auto& [id, m] : w) ids.push_back(id);
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 4, 5}));
+  EXPECT_EQ(w.at(5).bytes, 500u);
+  complete(0);
+  complete(1);
+  complete(4);
+  complete(5);
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(fired, 5);
+  insert(9);  // an empty table restarts at any id
+  EXPECT_EQ(w.at(9).bytes, 900u);
+}
+
 // ---------------------------------------------------------------------------
 // ReceiveWindow against a floor + std::set reference.
 // ---------------------------------------------------------------------------
@@ -261,6 +312,15 @@ void expect_same(const ReceiveWindow& w, const RefReceive& ref) {
   ASSERT_EQ(got,
             std::vector<std::uint64_t>(ref.above.begin(), ref.above.end()));
   ASSERT_EQ(w.above_floor_count(), ref.above.size());
+  // contains() agrees on every PSN up to well past the highest stored one
+  // (past what the bitmap spans, too).
+  const std::uint64_t top =
+      (ref.above.empty() ? ref.floor : *ref.above.rbegin()) +
+      64 * w.capacity_words() + 64;
+  for (std::uint64_t psn = 0; psn <= top; ++psn) {
+    ASSERT_EQ(w.contains(psn), psn < ref.floor || ref.above.count(psn) != 0)
+        << "psn " << psn;
+  }
 }
 
 TEST(ReceiveWindowPropertyTest, SeededArrivalsMatchSetReference) {

@@ -1,11 +1,14 @@
 // Transport corner cases: tiny and huge messages, tag propagation, Swift
 // CC end-to-end, flowlet transport, engine statistics resets, the
-// hybrid driver's fluid-demand counter against the queue walk, and the
-// send FIFO behind the RTO deadline.
+// hybrid driver's fluid-demand counter against the queue walk, its cached
+// next-completion size against the connection's answer, the receiver's
+// completed-message ledger under READs, out-of-order completion in the
+// id-indexed message table, and the send FIFO behind the RTO deadline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "collective/fleet.h"
@@ -15,12 +18,16 @@ namespace stellar {
 
 struct HybridDriverTestPeer {
   // The driver's unserved-demand counter for `conn`'s fluid flow.
-  static std::uint64_t demand(const HybridDriver& driver,
-                              RdmaConnection& conn) {
-    return driver.info_.at(&conn)->demand;
+  static std::uint64_t demand(const HybridDriver&, RdmaConnection& conn) {
+    return HybridDriver::info_of(&conn)->demand;
   }
-  static bool has_flow(const HybridDriver& driver, RdmaConnection& conn) {
-    return driver.info_.at(&conn)->flow >= 0;
+  static bool has_flow(const HybridDriver&, RdmaConnection& conn) {
+    return HybridDriver::info_of(&conn)->flow >= 0;
+  }
+  // The driver's cached next-completion size for `conn`'s flow.
+  static std::uint64_t cached_next(const HybridDriver&,
+                                   RdmaConnection& conn) {
+    return HybridDriver::info_of(&conn)->next;
   }
 };
 
@@ -29,12 +36,30 @@ struct TransportTestPeer {
   // unacked bytes of the queued WRITEs ahead of the first non-WRITE.
   static std::uint64_t queued_write_bytes(const RdmaConnection& conn) {
     std::uint64_t bytes = 0;
-    for (const std::uint64_t id : conn.unsent_queue_) {
-      const RdmaConnection::Message& msg = conn.messages_.at(id);
+    for (std::size_t i = 0; i < conn.unsent_queue_.size(); ++i) {
+      const RdmaConnection::Message& msg =
+          conn.messages_.at(conn.unsent_queue_[i]);
       if (msg.kind != PacketKind::kWrite) break;
       bytes += msg.total - msg.acked;
     }
     return bytes;
+  }
+
+  // Message ids in the sender's table, in its (ascending) iteration order.
+  static std::vector<std::uint64_t> live_message_ids(
+      const RdmaConnection& conn) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& [id, msg] : conn.messages_) ids.push_back(id);
+    return ids;
+  }
+  // The receiver's completed-message ledger for `conn_id`.
+  static std::uint64_t ledger_floor(const RdmaEngine& rx,
+                                    std::uint64_t conn_id) {
+    return rx.rx_completed_.at(conn_id).floor();
+  }
+  static std::size_t ledger_above_floor(const RdmaEngine& rx,
+                                        std::uint64_t conn_id) {
+    return rx.rx_completed_.at(conn_id).above_floor_count();
   }
 
   static bool rto_armed(const RdmaConnection& conn) {
@@ -352,6 +377,264 @@ TEST(TransportFluidTest, RemainingCounterMatchesQueueWalk) {
   EXPECT_EQ(demand(), 0u);
   EXPECT_EQ(completions, 6);
   driver.set_span_hook({});  // the driver outlives `zooms`
+}
+
+TEST(TransportFluidTest, CachedNextCompletionMatchesClient) {
+  // The driver caches each flow's next completion size instead of asking
+  // the connection at every serve. Between fluid events the cache must
+  // equal fluid_next_completion_bytes() through every way the head moves.
+  Simulator sim;
+  ClosFabric fabric(sim, fabric_config());
+  HybridDriver driver(sim, fabric);  // regions start fluid
+  EngineFleet fleet(sim, fabric);
+  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0), dst, {});
+  auto other = fleet.connect(fabric.endpoint(0, 1, 0, 0), dst, {});
+  ASSERT_TRUE(conn.is_ok());
+  ASSERT_TRUE(other.is_ok());
+  RdmaConnection& c = *conn.value();
+  RdmaConnection& d = *other.value();
+  const auto cached = [&](RdmaConnection& x) {
+    return HybridDriverTestPeer::cached_next(driver, x);
+  };
+  const auto expect_cache = [&](const char* step) {
+    ASSERT_EQ(driver.region_mode(0), RegionMode::kFluid) << step;
+    EXPECT_EQ(cached(c), c.fluid_next_completion_bytes()) << step << " (c)";
+    EXPECT_EQ(cached(d), d.fluid_next_completion_bytes()) << step << " (d)";
+  };
+  std::vector<SimTime> zooms;  // ends of fluid spans
+  driver.set_span_hook(
+      [&](std::uint32_t, RegionMode mode, SimTime, SimTime end) {
+        if (mode == RegionMode::kFluid) zooms.push_back(end);
+      });
+  // The promotion tick only polls while other events are pending.
+  sim.schedule_at(SimTime::micros(200), [] {});
+
+  int completions = 0;
+  const auto done = [&] { ++completions; };
+
+  // Born fluid: the freeze at registration caches an empty head.
+  expect_cache("born fluid");
+  EXPECT_EQ(cached(c), 0u);
+  c.post_write(10000, done);
+  c.post_write(5000, done);
+  expect_cache("two writes");
+  EXPECT_EQ(cached(c), 10000u);
+
+  // Partial serve: d's flow starts at 100 ns and re-rates c, which serves
+  // c's accrued prefix of the in-service message.
+  sim.schedule_at(SimTime::nanos(100), [&] { d.post_write(64_KiB, done); });
+  sim.run_until(SimTime::nanos(100));
+  expect_cache("partial serve");
+  EXPECT_GT(cached(c), 0u);
+  EXPECT_LT(cached(c), 10000u) << "d's post did not serve c's prefix";
+  sim.run_until(SimTime::micros(10));
+  expect_cache("both drained");
+  EXPECT_EQ(completions, 3);
+  EXPECT_EQ(cached(c), 0u);
+
+  // A completion callback posts on its own connection, which it has just
+  // drained, in the same event: the post lands inside c's serve, and the
+  // serve's returned next size must cover it.
+  int reposted = 0;
+  const std::uint64_t c_completed = c.completed_messages();
+  sim.schedule_at(SimTime::micros(11), [&] {
+    c.post_write(6000, [&] {
+      c.post_write(3000, [&] { ++reposted; });
+      EXPECT_EQ(c.fluid_next_completion_bytes(), 3000u);
+    });
+  });
+  sim.run_until(SimTime::micros(11));
+  expect_cache("write with a re-posting callback");
+  EXPECT_EQ(cached(c), 6000u);
+  while (c.completed_messages() == c_completed) ASSERT_TRUE(sim.step());
+  expect_cache("re-posted in the callback");
+  EXPECT_GT(cached(c), 0u);
+  EXPECT_LE(cached(c), 3000u);
+  sim.run_until(SimTime::micros(20));
+  EXPECT_EQ(reposted, 1);
+  expect_cache("re-post served");
+
+  // Two flows due in the same event: c drains first (registration order),
+  // then d's completion posts on c before the driver retires c's flow. The
+  // post must refresh c's empty cached head, or c's flow keeps its demand
+  // and never gets a due event.
+  SimTime c_done;
+  SimTime d_done;
+  SimTime late_done;
+  std::uint64_t in_cb_cache = 0;
+  std::uint64_t in_cb_next = 0;
+  sim.schedule_at(SimTime::micros(21), [&] {
+    c.post_write(20000, [&] { c_done = sim.now(); });
+    d.post_write(20000, [&] {
+      d_done = sim.now();
+      c.post_write(4000, [&] { late_done = sim.now(); });
+      in_cb_cache = cached(c);
+      in_cb_next = c.fluid_next_completion_bytes();
+    });
+  });
+  sim.run_until(SimTime::micros(40));
+  ASSERT_GT(c_done, SimTime::zero());
+  ASSERT_EQ(c_done, d_done) << "the two flows were not due in one event";
+  EXPECT_EQ(in_cb_next, 4000u);
+  EXPECT_EQ(in_cb_cache, 4000u) << "a post onto a drained flow kept a stale "
+                                   "cached head";
+  EXPECT_GT(late_done, d_done) << "the post onto the drained flow stalled";
+  expect_cache("post onto a drained flow in the same event");
+
+  // A WRITE behind a SEND (deferred zoom): d's completion callback, run
+  // while the driver serves the region, posts a SEND and then a WRITE on
+  // the drained c. The SEND heads c's queue, so the next completion reads
+  // 0, and the blocked WRITE behind it must not change that.
+  std::uint64_t blocked_cache = 1;
+  std::uint64_t blocked_next = 1;
+  RegionMode blocked_mode = RegionMode::kPacket;
+  bool sent = false;
+  sim.schedule_at(SimTime::micros(41), [&] {
+    d.post_write(64_KiB, [&] {
+      c.post_send(2000, [&] { sent = true; });
+      c.post_write(7000, done);
+      blocked_mode = driver.region_mode(0);
+      blocked_cache = cached(c);
+      blocked_next = c.fluid_next_completion_bytes();
+    });
+  });
+  sim.run_until(SimTime::micros(60));
+  ASSERT_EQ(zooms.size(), 1u) << "the SEND did not zoom the region";
+  EXPECT_EQ(blocked_mode, RegionMode::kFluid) << "zoom inside a serve pass";
+  EXPECT_EQ(blocked_next, 0u);
+  EXPECT_EQ(blocked_cache, 0u);
+
+  // Packet mode drains the queue; quiet epochs then promote the region,
+  // and the freeze re-reads the (empty) head.
+  sim.run_until(SimTime::micros(200));
+  EXPECT_TRUE(sent);
+  expect_cache("refrozen");
+  EXPECT_EQ(cached(c), 0u);
+
+  // Zero-length WRITE (the stall kept as it is, see ROADMAP): posted to the
+  // drained c it adds no demand and starts no flow; a WRITE posted behind
+  // it starts a flow whose next completion is the zero-length message, so
+  // no due event is ever queued for it. The cache must agree (0), and the
+  // stall holds until the region's next zoom.
+  const int before = completions;
+  c.post_write(0, done);
+  expect_cache("zero-length write");
+  EXPECT_EQ(HybridDriverTestPeer::demand(driver, c), 0u);
+  EXPECT_FALSE(HybridDriverTestPeer::has_flow(driver, c));
+  c.post_write(6000, done);
+  expect_cache("write behind a zero-length write");
+  EXPECT_EQ(cached(c), 0u);
+  EXPECT_TRUE(HybridDriverTestPeer::has_flow(driver, c));
+  sim.schedule_at(SimTime::micros(250), [] {});
+  sim.run_until(SimTime::micros(250));
+  expect_cache("stalled");
+  EXPECT_EQ(completions, before) << "the zero-length stall changed";
+  EXPECT_EQ(HybridDriverTestPeer::demand(driver, c), 6000u);
+  driver.force_packet(SimTime::zero(), "test");
+  sim.run();
+  EXPECT_EQ(completions, before + 2);
+  driver.set_span_hook({});  // the driver outlives `zooms`
+}
+
+TEST(TransportFluidTest, ReadRequestsDoNotStallTheCompletedLedger) {
+  // With a hybrid driver attached the receiver keeps a ledger of completed
+  // message ids per connection. A READ request is a message id too: unless
+  // it is marked when served, the ledger's floor stops at it and every
+  // later id stays stored above the floor for the rest of the run.
+  Simulator sim;
+  ClosFabric fabric(sim, fabric_config());
+  HybridDriver driver(sim, fabric);
+  driver.force_packet(SimTime::seconds(1), "test");  // packet mode only
+  EngineFleet fleet(sim, fabric);
+  const EndpointId a = fabric.endpoint(0, 0, 0, 0);
+  const EndpointId b = fabric.endpoint(1, 0, 0, 0);
+  auto conn = fleet.connect(a, b, {});
+  ASSERT_TRUE(conn.is_ok());
+  RdmaConnection& c = *conn.value();
+  int reads = 0;
+  int writes = 0;
+  for (int i = 0; i < 20; ++i) {
+    c.post_read(8_KiB, [&] { ++reads; });
+    for (int j = 0; j < 10; ++j) c.post_write(4_KiB, [&] { ++writes; });
+  }
+  sim.run();
+  EXPECT_EQ(reads, 20);
+  EXPECT_EQ(writes, 200);
+  EXPECT_EQ(driver.region_mode(0), RegionMode::kPacket);
+  EXPECT_EQ(TransportTestPeer::ledger_floor(fleet.at(b), c.id()), 220u);
+  EXPECT_EQ(TransportTestPeer::ledger_above_floor(fleet.at(b), c.id()), 0u);
+}
+
+TEST_F(TransportEdgeTest, OutOfOrderCompletionInIdIndexedTable) {
+  // Message ids complete out of order: a READ request completes on its one
+  // ACK, and single-packet WRITEs overtake a 1 MiB WRITE sprayed over 128
+  // paths, part of which a dead aggregation uplink holds back until the
+  // RTO. The id-indexed message table then has holes; every completion
+  // must still fire exactly once, and a snapshot taken with holes must list
+  // the live ids ascending and round-trip byte-identically.
+  NetLink* dead = fabric_.all_tor_uplinks().front();
+  dead->set_drop_probability(1.0);
+  sim_.schedule_at(SimTime::micros(100),
+                   [dead] { dead->set_drop_probability(0.0); });
+  TransportConfig t;  // OBS over 128 paths
+  auto conn = fleet_.connect(a_, b_, t);
+  ASSERT_TRUE(conn.is_ok());
+  RdmaConnection& c = *conn.value();
+  RdmaEngine& sender = fleet_.at(a_);
+
+  std::vector<int> fired(12, 0);  // by message id; [1] is the READ's data
+  EXPECT_EQ(c.post_write(1_MiB, [&] { ++fired[0]; }), 0u);
+  EXPECT_EQ(c.post_read(4_KiB, [&] { ++fired[1]; }), 1u);
+  for (std::uint64_t id = 2; id < fired.size(); ++id) {
+    EXPECT_EQ(c.post_write(4_KiB, [&fired, id] { ++fired[id]; }), id);
+  }
+
+  bool snapshotted = false;
+  std::uint64_t holes_seen = 0;
+  while (sim_.step()) {
+    const std::vector<std::uint64_t> ids =
+        TransportTestPeer::live_message_ids(c);
+    ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    if (ids.empty() || ids.back() - ids.front() + 1 == ids.size()) continue;
+    ++holes_seen;
+    if (snapshotted) continue;
+    snapshotted = true;
+    // A fresh engine for the same endpoint inserts the snapshot's ids in
+    // order (the table traps on a descending one) and must re-serialize
+    // the exact bytes.
+    const std::string snap = sender.save_state();
+    {
+      Simulator sim2;
+      ClosFabric fabric2(sim2, fabric_config());
+      RdmaEngine fresh(sim2, fabric2, a_);
+      ASSERT_TRUE(fresh.restore_state(snap).is_ok());
+      EXPECT_EQ(fresh.save_state(), snap);
+      ASSERT_EQ(fresh.connections().size(), 1u);
+      EXPECT_EQ(TransportTestPeer::live_message_ids(*fresh.connections()[0]),
+                ids);
+    }
+    // In place: the completions harvested across the restart still fire.
+    ASSERT_TRUE(sender.hot_restart().is_ok());
+    EXPECT_EQ(TransportTestPeer::live_message_ids(c), ids);
+  }
+  EXPECT_TRUE(snapshotted) << "no message completed out of order";
+  EXPECT_GT(holes_seen, 0u);
+  EXPECT_EQ(fired, std::vector<int>(fired.size(), 1));
+  EXPECT_EQ(c.completed_messages(), fired.size());
+  EXPECT_GT(c.retransmits(), 0u);
+
+  // A post to an errored QP consumes its id without a table entry: the
+  // gap is never filled and nothing completes.
+  sender.reset_device(SimTime::micros(1));
+  ASSERT_TRUE(c.in_error());
+  EXPECT_EQ(c.post_write(4_KiB, [&] { ++fired[0]; }), fired.size());
+  EXPECT_EQ(c.post_write(4_KiB, [&] { ++fired[0]; }), fired.size() + 1);
+  EXPECT_TRUE(TransportTestPeer::live_message_ids(c).empty());
+  EXPECT_TRUE(c.idle());
+  sim_.run();
+  EXPECT_EQ(fired[0], 1);
+  EXPECT_EQ(c.completed_messages(), fired.size());
 }
 
 TEST(TransportRtoTest, DeadlineMatchesFullScan) {

@@ -1,0 +1,123 @@
+#!/usr/bin/env bash
+# Pinned A/B wall-clock comparison of perf_driver between two revisions.
+#
+#   tools/perf_ab.sh BASE NEW [--workload W] [--seed S] [--pairs N]
+#                    [--cpu C] [--out DIR]
+#
+# BASE and NEW are git revisions; NEW may also be WORKTREE, the working
+# tree with its uncommitted changes. Each side is exported into
+# DIR/src-<side> and its perf_driver built there with `cmake -S perf`
+# (untraced RelWithDebInfo, the benchmark's own settings); nothing is
+# written under perf/ or the repository's build directories. It then runs
+# N pairs of one pass each of workload W at seed S, alternating which
+# side goes first, every run pinned to CPU C with `taskset -c`.
+#
+# Prints the median and quartiles of run_s, setup_s and peak_rss_mib of
+# each side, the NEW/BASE ratio of the medians, how many pairs NEW won on
+# run_s, and whether every run of both sides reported the same counts and
+# outputs (a pure host-time change must leave them identical).
+#
+# Defaults: --workload allreduce_hybrid --seed 1 --pairs 10 --cpu 2
+#           --out ${TMPDIR:-/tmp}/perf_ab. Not a CI step.
+set -euo pipefail
+
+usage() {
+  sed -n '2,/^set -euo/p' "$0" | sed '$d' | sed 's/^# \{0,1\}//'
+  exit 2
+}
+
+[[ $# -ge 2 ]] || usage
+base_rev=$1
+new_rev=$2
+shift 2
+workload=allreduce_hybrid
+seed=1
+pairs=10
+cpu=2
+out=${TMPDIR:-/tmp}/perf_ab
+while [[ $# -gt 0 ]]; do
+  case $1 in
+    --workload) workload=$2; shift 2 ;;
+    --seed) seed=$2; shift 2 ;;
+    --pairs) pairs=$2; shift 2 ;;
+    --cpu) cpu=$2; shift 2 ;;
+    --out) out=$2; shift 2 ;;
+    *) usage ;;
+  esac
+done
+
+root=$(git rev-parse --show-toplevel)
+mkdir -p "$out"
+
+# export REV DIR: the tree of REV (or the working tree) into DIR.
+export_tree() {
+  local rev=$1 dir=$2
+  rm -rf "$dir"
+  mkdir -p "$dir"
+  if [[ $rev == WORKTREE ]]; then
+    (cd "$root" && git ls-files -co --exclude-standard -z |
+       tar --null -cf - -T -) | tar -xf - -C "$dir"
+  else
+    git -C "$root" archive "$rev" | tar -xf - -C "$dir"
+  fi
+}
+
+build_side() {
+  local side=$1 rev=$2
+  export_tree "$rev" "$out/src-$side"
+  cmake -S "$out/src-$side/perf" -B "$out/build-$side" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSTELLAR_TRACE=OFF >/dev/null
+  cmake --build "$out/build-$side" --target perf_driver \
+    -j"$(nproc)" >/dev/null
+  echo "built $side ($rev): $out/build-$side/perf_driver" >&2
+}
+
+build_side base "$base_rev"
+build_side new "$new_rev"
+
+runs=$out/runs.jsonl
+: >"$runs"
+for ((i = 0; i < pairs; ++i)); do
+  if ((i % 2 == 0)); then order="base new"; else order="new base"; fi
+  for side in $order; do
+    line=$(taskset -c "$cpu" "$out/build-$side/perf_driver" \
+             --workload "$workload" --seed "$seed" --seconds 0.001 | tail -n 1)
+    printf '{"pair": %d, "side": "%s", "run": %s}\n' "$i" "$side" "$line" \
+      >>"$runs"
+  done
+done
+
+python3 - "$runs" "$base_rev" "$new_rev" "$workload" "$seed" <<'EOF'
+import json
+import statistics
+import sys
+
+path, base_rev, new_rev, workload, seed = sys.argv[1:]
+runs = {"base": {}, "new": {}}
+for line in open(path):
+    r = json.loads(line)
+    runs[r["side"]][r["pair"]] = r["run"]
+
+def quartiles(side, key):
+    vals = [r[key] for r in runs[side].values()]
+    vals = [v[0] if isinstance(v, list) else v for v in vals]
+    return statistics.quantiles(vals, n=4)  # q1, median, q3
+
+print(f"{workload} seed {seed}: {len(runs['base'])} pinned pairs, "
+      f"base {base_rev}, new {new_rev}; median (q1-q3)")
+for key in ("run_s", "setup_s", "peak_rss_mib"):
+    b, n = quartiles("base", key), quartiles("new", key)
+    print(f"  {key:13s} base {b[1]:.4g} ({b[0]:.4g}-{b[2]:.4g})  "
+          f"new {n[1]:.4g} ({n[0]:.4g}-{n[2]:.4g})  "
+          f"new/base {n[1] / b[1]:.3f}")
+wins = sum(runs["new"][p]["run_s"][0] < runs["base"][p]["run_s"][0]
+           for p in runs["base"])
+print(f"  run_s wins    {wins}/{len(runs['base'])}")
+ref = runs["base"][0]
+same = all(r["counts"] == ref["counts"] and r["outputs"] == ref["outputs"]
+           for side in runs.values() for r in side.values())
+failed = sum(r["failed"] for side in runs.values() for r in side.values())
+print(f"  counts and outputs identical: {'yes' if same else 'NO'}; "
+      f"failed ops: {failed}")
+sys.exit(0 if same else 1)
+EOF
