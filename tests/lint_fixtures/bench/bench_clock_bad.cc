@@ -1,5 +1,5 @@
 // Fixture: other bench files must route timing through bench_util.h (or
-// carry a justified suppression, as bench/sim_core.cc does).
+// carry a justified suppression, like the second call below).
 #include <chrono>
 
 namespace stellar {

@@ -7,9 +7,17 @@
 // The stress half drives the scheduler through the regimes the fabric
 // benches rely on: equal-timestamp FIFO bursts, cancel-heavy churn, and
 // far-future timers that overflow the ~137 ms wheel horizon into the heap.
+// The firing-order half runs three self-rescheduling hold-model mixes on
+// the wheel and on a reference binary heap, and requires the same firing
+// log and the same cancel() results from both.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <ostream>
+#include <queue>
+#include <string>
+#include <type_traits>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -399,5 +407,276 @@ TEST(SimSchedulerStressTest, ReentrantSchedulingFromActionsKeepsOrder) {
   EXPECT_EQ(fired.size(), executed);
   EXPECT_EQ(sim.heap_stats().allocated_records, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Firing order against a reference heap.
+// ---------------------------------------------------------------------------
+
+/// The seed engine's ordering rule and nothing else: a binary heap keyed on
+/// (time, schedule order), and the set of ids still pending, so a cancel()
+/// of an event that ran or was cancelled already reports false.
+class ReferenceHeap {
+ public:
+  using Handle = std::uint64_t;  // the event's schedule order
+
+  SimTime now() const { return now_; }
+
+  Handle schedule_at(SimTime at, std::function<void()> action) {
+    const Handle id = next_seq_++;
+    queue_.push(Event{at.ps(), id, std::move(action)});
+    pending_.insert(id);
+    return id;
+  }
+  Handle schedule_after(SimTime delay, std::function<void()> action) {
+    return schedule_at(now_ + delay, std::move(action));
+  }
+  bool cancel(Handle id) { return pending_.erase(id) > 0; }
+
+  /// Time of the next event that will run, or -1 when none is pending.
+  std::int64_t next_ps() {
+    while (!queue_.empty() && !pending_.contains(queue_.top().seq)) {
+      queue_.pop();  // cancelled
+    }
+    return queue_.empty() ? -1 : queue_.top().at_ps;
+  }
+
+  void run_until(SimTime deadline) {
+    for (std::int64_t at = next_ps(); at >= 0 && at <= deadline.ps();
+         at = next_ps()) {
+      fire_top();
+    }
+    if (now_ < deadline) now_ = deadline;
+  }
+  void run() {
+    while (next_ps() >= 0) fire_top();
+  }
+
+ private:
+  struct Event {
+    std::int64_t at_ps;
+    std::uint64_t seq;
+    std::function<void()> action;
+    bool operator>(const Event& o) const {
+      if (at_ps != o.at_ps) return at_ps > o.at_ps;
+      return seq > o.seq;
+    }
+  };
+
+  void fire_top() {
+    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    queue_.pop();
+    pending_.erase(ev.seq);
+    now_ = SimTime::picos(ev.at_ps);
+    ev.action();
+  }
+
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  std::unordered_set<std::uint64_t> pending_;
+  SimTime now_ = SimTime::zero();
+  std::uint64_t next_seq_ = 1;
+};
+
+enum class Mix { kScheduleFire, kCancelHeavy, kFarFuture };
+
+struct MixCase {
+  Mix mix;
+  const char* name;
+  std::uint32_t rounds;  // firings per actor after its first
+  SimTime slice;         // run_until step before the final run()
+};
+
+void PrintTo(const MixCase& c, std::ostream* os) { *os << c.name; }
+
+constexpr std::uint64_t lcg(std::uint64_t x) {
+  return x * 6364136223846793005ull + 1442695040888963407ull;
+}
+
+/// Per-mix delta distribution. schedule_fire and cancel_heavy stay inside
+/// the level-0 wheel (1 ns .. 32 us, the link/transport event scale), on a
+/// 1 ns grid so equal timestamps are common; far_future sends ~15 % of
+/// deltas to the outer wheel and ~5 % beyond the ~137 ms horizon into the
+/// overflow heap.
+SimTime delta_for(Mix mix, std::uint64_t r) {
+  if (mix == Mix::kFarFuture) {
+    const std::uint64_t pick = (r >> 32) % 100;
+    if (pick >= 95) return SimTime::millis(200 + (r >> 40) % 800);
+    if (pick >= 80) return SimTime::micros(100 + (r >> 40) % 900);
+  }
+  return SimTime::nanos(1 + (r >> 33) % 32000);
+}
+
+/// One firing: the actor's own event (kind 0), a victim it armed in
+/// `round` (kind 1), or the probe scheduled from outside the run after
+/// slice `round` (kind 2, actor = number of actors).
+struct Firing {
+  std::int64_t at_ps;
+  std::uint32_t actor;
+  std::uint32_t round;
+  std::uint8_t kind;
+  bool operator==(const Firing&) const = default;
+};
+
+struct FiringTrace {
+  std::vector<Firing> firings;
+  std::vector<bool> cancels;  // every cancel() result, in call order
+  // Simulator only: the regime each mix is named for, sampled per slice.
+  std::size_t max_overflow = 0;
+  std::size_t max_tombstones = 0;
+  // Reference only: probes that landed a whole level-0 slot (8.192 ns)
+  // before the next pending event, i.e. behind the cursor run_until()
+  // parked on it, so scheduling them rewinds the wheel.
+  std::uint32_t probes_behind_cursor = 0;
+};
+
+template <class Engine>
+using HandleOf =
+    decltype(std::declval<Engine&>().schedule_at(SimTime::zero(),
+                                                std::function<void()>{}));
+
+/// A self-rescheduling actor: fires `rounds` more times, each firing
+/// drawing its next delta from a private LCG stream. In cancel_heavy each
+/// firing also arms two victims: it cancels one at once (a tombstone) and
+/// keeps the other's handle until its next firing, by which time the
+/// victim may have run (cancel() false, and its record may serve another
+/// event by then) or not (true).
+template <class Engine>
+struct Actor {
+  Engine* eng = nullptr;
+  FiringTrace* trace = nullptr;
+  std::uint32_t id = 0;
+  std::uint64_t rng = 0;
+  std::uint32_t rounds_left = 0;
+  std::uint32_t round = 0;
+  Mix mix = Mix::kScheduleFire;
+  HandleOf<Engine> held{};
+
+  void fire() {
+    trace->firings.push_back({eng->now().ps(), id, round, 0});
+    if (rounds_left == 0) return;
+    --rounds_left;
+    ++round;
+    rng = lcg(rng);
+    Actor* self = this;
+    if (mix == Mix::kCancelHeavy) {
+      const std::uint32_t r = round;
+      const auto victim = [self, r] {
+        self->trace->firings.push_back({self->eng->now().ps(), self->id, r, 1});
+      };
+      if (r > 1) trace->cancels.push_back(eng->cancel(held));
+      const auto now_victim =
+          eng->schedule_after(delta_for(mix, lcg(rng ^ 1)), victim);
+      held = eng->schedule_after(delta_for(mix, lcg(rng ^ 2)), victim);
+      trace->cancels.push_back(eng->cancel(now_victim));
+    }
+    eng->schedule_after(delta_for(mix, rng), [self] { self->fire(); });
+  }
+};
+
+constexpr std::uint32_t kActors = 4096;
+constexpr std::uint32_t kSlices = 64;
+
+template <class Engine>
+FiringTrace run_mix(const MixCase& c) {
+  Engine eng;
+  FiringTrace trace;
+  std::vector<Actor<Engine>> pool(kActors);
+  for (std::uint32_t i = 0; i < kActors; ++i) {
+    Actor<Engine>& a = pool[i];
+    a = {&eng, &trace, i, lcg(i + 1), c.rounds, 0, c.mix, {}};
+    Actor<Engine>* self = &a;
+    eng.schedule_after(delta_for(c.mix, a.rng), [self] { self->fire(); });
+  }
+  for (std::uint32_t s = 1; s <= kSlices; ++s) {
+    eng.run_until(SimTime::picos(c.slice.ps() * s));
+    if constexpr (std::is_same_v<Engine, Simulator>) {
+      const Simulator::HeapStats st = eng.heap_stats();
+      trace.max_overflow = std::max(trace.max_overflow, st.overflow_entries);
+      trace.max_tombstones = std::max(trace.max_tombstones, st.tombstones);
+    }
+    // Work posted between slices, as a fig bench posts the next phase:
+    // one picosecond after the deadline, off the 1 ns grid, so it ties
+    // with nothing.
+    const SimTime probe = eng.now() + SimTime::picos(1);
+    if constexpr (std::is_same_v<Engine, ReferenceHeap>) {
+      const std::int64_t next = eng.next_ps();
+      if (next >= 0 && next - probe.ps() >= 8192) ++trace.probes_behind_cursor;
+    }
+    FiringTrace* t = &trace;
+    eng.schedule_at(probe, [t, probe, s] {
+      t->firings.push_back({probe.ps(), kActors, s, 2});
+    });
+  }
+  eng.run();
+  if constexpr (std::is_same_v<Engine, Simulator>) {
+    const Simulator::HeapStats st = eng.heap_stats();
+    EXPECT_EQ(st.queued, 0u);
+    EXPECT_EQ(st.tombstones, 0u);
+    EXPECT_EQ(st.allocated_records, 0u) << "record pool leak";
+  }
+  EXPECT_EQ(std::count_if(pool.begin(), pool.end(),
+                          [](const Actor<Engine>& a) {
+                            return a.rounds_left != 0;
+                          }),
+            0)
+      << "actors that stopped before their last round";
+  return trace;
+}
+
+class SimFiringOrderTest : public ::testing::TestWithParam<MixCase> {};
+
+TEST_P(SimFiringOrderTest, MatchesReferenceHeap) {
+  const MixCase& c = GetParam();
+  const FiringTrace wheel = run_mix<Simulator>(c);
+  const FiringTrace ref = run_mix<ReferenceHeap>(c);
+
+  const std::size_t own = std::size_t{kActors} * (c.rounds + 1);
+  ASSERT_GE(ref.firings.size(), own + kSlices);
+  ASSERT_EQ(wheel.firings.size(), ref.firings.size());
+  const auto diverged = std::mismatch(wheel.firings.begin(),
+                                      wheel.firings.end(),
+                                      ref.firings.begin());
+  if (diverged.first != wheel.firings.end()) {
+    const Firing& w = *diverged.first;
+    const Firing& r = *diverged.second;
+    FAIL() << "firing " << (diverged.first - wheel.firings.begin())
+           << " differs: wheel ran (" << w.at_ps << " ps, actor " << w.actor
+           << ", round " << w.round << ", kind " << int{w.kind}
+           << "), the reference heap (" << r.at_ps << " ps, actor "
+           << r.actor << ", round " << r.round << ", kind " << int{r.kind}
+           << ")";
+  }
+  EXPECT_EQ(wheel.cancels, ref.cancels);
+  EXPECT_GT(ref.probes_behind_cursor, 0u)
+      << "no probe was scheduled behind a parked wheel cursor";
+
+  switch (c.mix) {
+    case Mix::kScheduleFire:
+      EXPECT_EQ(wheel.max_overflow, 0u);
+      EXPECT_EQ(wheel.max_tombstones, 0u);
+      break;
+    case Mix::kCancelHeavy: {
+      EXPECT_GT(wheel.max_tombstones, kActors / 4);
+      const auto refused = std::count(ref.cancels.begin(), ref.cancels.end(),
+                                      false);
+      EXPECT_GT(refused, 0) << "no cancel() of an event that had run";
+      EXPECT_LT(static_cast<std::size_t>(refused), ref.cancels.size() / 2);
+      break;
+    }
+    case Mix::kFarFuture:
+      EXPECT_GT(wheel.max_overflow, 0u)
+          << "far-future events did not reach the overflow heap";
+      break;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mixes, SimFiringOrderTest,
+    ::testing::Values(
+        MixCase{Mix::kScheduleFire, "schedule_fire", 24, SimTime::micros(5)},
+        MixCase{Mix::kCancelHeavy, "cancel_heavy", 16, SimTime::micros(5)},
+        MixCase{Mix::kFarFuture, "far_future", 24, SimTime::millis(2)}),
+    [](const ::testing::TestParamInfo<MixCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace

@@ -9,7 +9,8 @@
 #      bench build of step 12
 #   3. the fault-labelled fault-injection/recovery tests on their own
 #   4. the sim-labelled engine determinism/stress tests (timing-wheel
-#      replay and stress, RunSet placement) on their own
+#      replay and stress, the firing-order test against a reference heap,
+#      RunSet placement) on their own
 #   5. the obs-labelled observability golden/property tests on their own
 #   6. the migrate-labelled control-plane robustness tests (snapshots,
 #      hot-upgrade, live migration, chaos soak) on their own, plus an
@@ -38,6 +39,9 @@
 #      allreduce_faults, vstellar_translation), whose final JSON lines must
 #      say "correct": true — the hybrid goldens hold within 1 %, the others
 #      exactly
+#   6e. the count ledger (tools/check_perf.py): a traced pass of each perf
+#      workload at seeds 1 and 2 must reproduce every count, ratio and byte
+#      metric committed in LEDGER.json
 #   7. a fig09 mini trace dump + trace_summarize smoke (the tracer's
 #      byte-determinism and the summarizer's parser, end to end)
 #   7b. the run-level sharding determinism gate: fig09-mini at
@@ -54,8 +58,8 @@
 #  11. clang-tidy over src/ (skipped gracefully when not installed)
 #  12. STELLAR_AUDIT=OFF + STELLAR_TRACE=OFF build of the bench binaries —
 #      proves both instrumentation layers compile out of hot paths
-#      entirely — plus a sim_core smoke run (wheel-vs-heap cross-check at
-#      reduced scale) and the allocation budget in that build
+#      entirely — plus the firing-order test (wheel vs reference heap) and
+#      the allocation budget in that build
 #
 #   tools/ci_checks.sh [--skip-san] [--lint-only]
 #
@@ -234,6 +238,9 @@ EOF
   rm -f "$perf_log"
 done
 
+step "count ledger (tools/check_perf.py: every perf count at seeds 1 and 2 vs LEDGER.json)"
+python3 tools/check_perf.py
+
 step "chaos-soak smoke (fixed seed 0xC0FFEE, >=100 events, audits ON)"
 build/tests/stellar_migrate_tests \
   --gtest_filter='ChaosSoakTest.SurvivesHundredEventPlanWithAuditsOn'
@@ -247,9 +254,6 @@ mig_smoke_dir="$(mktemp -d)"
   cmp run1/BENCH_migration.json run2/BENCH_migration.json &&
   head -n 3 run1/BENCH_migration.json)
 rm -rf "$mig_smoke_dir"
-
-step "sim_core engine smoke run, default build (cross-check only; audits on)"
-build/bench/sim_core 0.05
 
 step "fig09 mini trace + trace_summarize smoke"
 obs_smoke_dir="$(mktemp -d)"
@@ -337,8 +341,8 @@ step "bench build with audits + tracing compiled out (STELLAR_AUDIT=OFF, STELLAR
 cmake -B build-bench -S . -DSTELLAR_AUDIT=OFF -DSTELLAR_TRACE=OFF
 cmake --build build-bench -j"$jobs"
 
-step "sim_core engine smoke run (wheel vs heap cross-check)"
-build-bench/bench/sim_core 0.05
+step "engine firing order vs reference heap, bench build (SimFiringOrderTest)"
+ctest --test-dir build-bench --output-on-failure -R SimFiringOrderTest
 
 step "packet-path allocation budget, bench build (ctest -L alloc)"
 ctest --test-dir build-bench --output-on-failure -L alloc
