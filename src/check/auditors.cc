@@ -275,17 +275,15 @@ void TransportAuditor::audit(AuditReport& report) const {
                              : ": unacked packets but no RTO timer armed"));
     }
 
-    // Per-path accounting sums to the shared total (§9 ablation mode).
-    if (conn->config_.per_path_cc) {
-      std::uint64_t per_path_sum = 0;
-      for (std::uint64_t v : conn->per_path_inflight_) per_path_sum += v;
-      report.note_check();
-      if (per_path_sum != conn->inflight_bytes_) {
-        report.fail(name(), tag + ": per-path inflight sum " +
-                                std::to_string(per_path_sum) +
-                                " != inflight_bytes " +
-                                std::to_string(conn->inflight_bytes_));
-      }
+    // The CC contexts' inflight counts (one shared, or one per path) sum to
+    // the connection's total.
+    std::uint64_t ctx_sum = 0;
+    for (std::uint64_t v : conn->cc_inflight_) ctx_sum += v;
+    report.note_check();
+    if (ctx_sum != conn->inflight_bytes_) {
+      report.fail(name(), tag + ": CC-context inflight sum " +
+                              std::to_string(ctx_sum) + " != inflight_bytes " +
+                              std::to_string(conn->inflight_bytes_));
     }
   }
 

@@ -4,6 +4,8 @@
 // in-house "window-based CC that adjusts based on ECN and RTT" (§7.2):
 // DCTCP-style ECN-fraction estimation plus an RTT guard, with a single
 // congestion-control context shared by all paths of a connection (§9).
+// An RTO is a failure, not congestion: no algorithm cuts its window on one
+// (the transport retransmits on another path; ECN and RTT own congestion).
 //
 // SwiftCc is a delay-target alternative (in the spirit of Google's Swift)
 // kept for comparison: no ECN dependence, purely RTT-driven.
@@ -25,7 +27,6 @@ class CongestionControl {
   virtual ~CongestionControl() = default;
   virtual bool can_send(std::uint64_t inflight_bytes) const = 0;
   virtual void on_ack(std::uint32_t bytes, bool ecn_echo, SimTime rtt) = 0;
-  virtual void on_timeout() = 0;
   virtual std::uint64_t window() const = 0;
 
   /// Hybrid fidelity thaw: seed the window directly from the fluid rate
@@ -50,11 +51,6 @@ struct CcConfig {
   SimTime base_rtt = SimTime::micros(8);
   double rtt_high_factor = 3.0;             // RTT guard threshold
   double rtt_backoff = 0.85;                // multiplicative RTT response
-  /// Window response to an RTO. Stellar treats timeout loss as *failure*,
-  /// not congestion — congestion is owned by ECN/RTT, and a random-loss
-  /// link must not collapse the window (the Figure-11 resilience story).
-  /// 1.0 = no cut (production default); set 0.5 for TCP-like halving.
-  double timeout_backoff = 1.0;
 };
 
 class WindowCc final : public CongestionControl {
@@ -103,13 +99,6 @@ class WindowCc final : public CongestionControl {
       }
     }
     acked_since_rtt_cut_ += bytes;
-  }
-
-  void on_timeout() override {
-    window_ = std::max(
-        config_.min_window,
-        static_cast<std::uint64_t>(static_cast<double>(window_) *
-                                   config_.timeout_backoff));
   }
 
   void seed_window(std::uint64_t bytes) override {
@@ -185,13 +174,6 @@ class SwiftCc final : public CongestionControl {
         config_.min_window,
         static_cast<std::uint64_t>(static_cast<double>(window_) *
                                    (1.0 - 0.8 * overshoot)));
-  }
-
-  void on_timeout() override {
-    window_ = std::max(
-        config_.min_window,
-        static_cast<std::uint64_t>(static_cast<double>(window_) *
-                                   config_.timeout_backoff));
   }
 
   void seed_window(std::uint64_t bytes) override {

@@ -1,9 +1,9 @@
 #include "rnic/transport.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "check/check.h"
-#include "common/ordered.h"
 #include "obs/obs.h"
 
 namespace stellar {
@@ -38,46 +38,31 @@ HybridDriver* RdmaConnection::hybrid_driver() const {
 }
 
 void RdmaConnection::rebuild_from_config() {
-  cc_ = make_congestion_control(config_.cc_algo, config_.cc);
   selector_ = PathSelector::create(config_.algo, config_.num_paths,
                                    hash_combine(id_, 0xA11CE));
-  per_path_cc_.clear();
-  per_path_inflight_.clear();
+  // One context shared by every path, or — per-path CC — one per path,
+  // splitting the silicon budget: each gets a 1/paths share of the window
+  // resources (the §9 trade-off made concrete).
+  CcConfig cc = config_.cc;
+  std::size_t contexts = 1;
   if (config_.per_path_cc) {
-    // Split the silicon budget: each path context gets a 1/paths share of
-    // the window resources (the §9 trade-off made concrete).
-    CcConfig per_path = config_.cc;
-    per_path.init_window =
-        std::max<std::uint64_t>(per_path.mtu,
-                                per_path.init_window / config_.num_paths);
-    per_path.max_window =
-        std::max<std::uint64_t>(per_path.mtu,
-                                per_path.max_window / config_.num_paths);
-    per_path.min_window = std::min(per_path.min_window, per_path.init_window);
-    per_path_cc_.reserve(config_.num_paths);
-    for (std::uint16_t p = 0; p < config_.num_paths; ++p) {
-      per_path_cc_.push_back(
-          make_congestion_control(config_.cc_algo, per_path));
-    }
-    per_path_inflight_.assign(config_.num_paths, 0);
+    contexts = config_.num_paths;
+    cc.init_window =
+        std::max<std::uint64_t>(cc.mtu, cc.init_window / contexts);
+    cc.max_window = std::max<std::uint64_t>(cc.mtu, cc.max_window / contexts);
+    cc.min_window = std::min(cc.min_window, cc.init_window);
   }
+  cc_.clear();
+  for (std::size_t c = 0; c < contexts; ++c) {
+    cc_.push_back(make_congestion_control(config_.cc_algo, cc));
+  }
+  cc_inflight_.assign(contexts, 0);
 }
 
 std::uint64_t RdmaConnection::window() const {
-  if (!config_.per_path_cc) return cc_->window();
   std::uint64_t total = 0;
-  for (const auto& cc : per_path_cc_) total += cc->window();
+  for (const auto& cc : cc_) total += cc->window();
   return total;
-}
-
-bool RdmaConnection::admit(std::uint16_t path, std::uint32_t bytes) const {
-  (void)bytes;
-  if (!config_.per_path_cc) return cc_->can_send(inflight_bytes_);
-  return per_path_cc_[path]->can_send(per_path_inflight_[path]);
-}
-
-CongestionControl& RdmaConnection::cc_for(std::uint16_t path) {
-  return config_.per_path_cc ? *per_path_cc_[path] : *cc_;
 }
 
 std::uint64_t RdmaConnection::enqueue_message(std::uint64_t bytes,
@@ -142,21 +127,14 @@ std::uint64_t RdmaConnection::post_read(std::uint64_t bytes,
 
 std::uint16_t RdmaConnection::pick_path() {
   STELLAR_TRACE_ONLY(obs::count("multipath/picks");)
-  std::uint16_t path = selector_->pick_at(engine_.simulator().now());
-  if (config_.blacklist_threshold == 0 || blacklist_.empty()) return path;
   const SimTime now = engine_.simulator().now();
+  std::uint16_t path = selector_->pick_at(now);
+  if (blacklisted_paths_ == 0) return path;
+  // A blacklisted path stays out until a probe ACK (note_path_ack)
+  // reinstates it.
   for (int attempt = 0; attempt < 8; ++attempt) {
-    auto it = blacklist_.find(path);
-    if (it == blacklist_.end()) return path;
+    if (!path_timeout_streak_[path].blacklisted) return path;
     STELLAR_TRACE_ONLY(obs::count("multipath/blacklist_skips");)
-    // Blind hold-down expiry: once the hold elapses the path is simply
-    // tried again. In probe mode the path stays out until a probe ACK
-    // (note_path_ack) reinstates it.
-    if (!config_.blacklist_probe && it->second <= now) {
-      blacklist_.erase(it);
-      streak(path).count = 0;
-      return path;
-    }
     path = selector_->pick_at(now);
   }
   return path;  // everything looks dead: send anyway, RTO will sort it out
@@ -174,45 +152,46 @@ RdmaConnection::PathStreak& RdmaConnection::streak(std::uint16_t path) {
 
 void RdmaConnection::note_path_timeout(std::uint16_t path) {
   selector_->on_timeout(path);
-  if (config_.blacklist_threshold == 0) return;
-  if (++streak(path).count >= config_.blacklist_threshold) {
-    blacklist_[path] =
-        engine_.simulator().now() + config_.blacklist_hold;
+  PathStreak& s = streak(path);
+  if (++s.count >= kBlacklistThreshold) {
+    if (!s.blacklisted) {
+      s.blacklisted = true;
+      ++blacklisted_paths_;
+    }
     STELLAR_TRACE_ONLY(
         obs::count("multipath/paths_blacklisted");
         obs::instant(obs::TraceCat::kTransport, "path_blacklisted",
                      engine_.simulator().now(),
                      obs::TraceArgs{"conn", static_cast<std::int64_t>(id_),
                                     "path", path});)
-    if (config_.blacklist_probe) {
-      schedule_probe(path, config_.blacklist_hold);
-    }
+    schedule_probe(path, config_.blacklist_hold);
   }
 }
 
 void RdmaConnection::note_path_ack(std::uint16_t path) {
-  if (config_.blacklist_threshold == 0) return;
-  streak(path).count = 0;
-  if (blacklist_.erase(path) != 0) {
-    ++paths_reinstated_;
-    auto probe = probe_events_.find(path);
-    if (probe != probe_events_.end()) {
-      engine_.simulator().cancel(probe->second);
-      probe_events_.erase(probe);
-    }
+  PathStreak& s = streak(path);
+  s.count = 0;
+  if (!s.blacklisted) return;
+  s.blacklisted = false;
+  --blacklisted_paths_;
+  ++paths_reinstated_;
+  if (path < probe_events_.size()) {
+    engine_.simulator().cancel(std::exchange(probe_events_[path], {}));
   }
 }
 
 void RdmaConnection::schedule_probe(std::uint16_t path, SimTime delay) {
   if (error_) return;
-  if (probe_events_.count(path) != 0) return;  // one in flight per path
-  probe_events_[path] = engine_.simulator().schedule_after(
+  if (probe_events_.empty()) probe_events_.resize(config_.num_paths);
+  EventHandle& probe = probe_events_[path];
+  if (probe.valid()) return;  // one in flight per path
+  probe = engine_.simulator().schedule_after(
       delay, [this, path] { send_probe(path); });
 }
 
 void RdmaConnection::send_probe(std::uint16_t path) {
-  probe_events_.erase(path);
-  if (error_ || blacklist_.count(path) == 0) return;
+  probe_events_[path] = EventHandle{};
+  if (error_ || !path_timeout_streak_[path].blacklisted) return;
   // Dormant while idle: no work pending means nothing re-arms the probe, so
   // the simulator can drain. kick_probes() restarts it on the next post.
   if (idle()) return;
@@ -234,11 +213,11 @@ void RdmaConnection::send_probe(std::uint16_t path) {
 }
 
 void RdmaConnection::kick_probes() {
-  // blacklist_ is a hash map: iterating it directly would schedule probe
-  // events in implementation-defined order and perturb the event sequence
-  // numbers across platforms. Walk the paths sorted.
-  for (std::uint16_t path : sorted_keys(blacklist_)) {
-    schedule_probe(path, config_.probe_interval);
+  // Ascending path order: probe events take their sequence numbers here.
+  for (std::size_t path = 0; path < path_timeout_streak_.size(); ++path) {
+    if (path_timeout_streak_[path].blacklisted) {
+      schedule_probe(static_cast<std::uint16_t>(path), config_.probe_interval);
+    }
   }
 }
 
@@ -254,7 +233,7 @@ void RdmaConnection::send_more() {
                                  std::min<std::uint64_t>(config_.mtu,
                                                          remaining));
     const std::uint16_t path = pick_path();
-    if (!admit(path, chunk)) break;
+    if (!admit(path)) break;
 
     Outstanding meta;
     meta.bytes = chunk;
@@ -270,7 +249,7 @@ void RdmaConnection::send_more() {
     outstanding_.insert(psn, meta);
     note_send(psn, meta.sent_at);
     inflight_bytes_ += chunk;
-    if (config_.per_path_cc) per_path_inflight_[path] += chunk;
+    cc_inflight_[ctx(path)] += chunk;
     msg.sent = msg.kind == PacketKind::kReadRequest ? msg.total
                                                     : msg.sent + chunk;
     if (msg.sent >= msg.total) unsent_queue_.pop_front();
@@ -279,9 +258,7 @@ void RdmaConnection::send_more() {
   }
   arm_rto();
   // Work is pending again: wake the dormant blacklist probes.
-  if (config_.blacklist_probe && !blacklist_.empty() && !idle()) {
-    kick_probes();
-  }
+  if (blacklisted_paths_ != 0 && !idle()) kick_probes();
 }
 
 void RdmaConnection::transmit(std::uint64_t psn, const Outstanding& meta) {
@@ -337,11 +314,12 @@ void RdmaConnection::handle_ack(const NetPacket& ack) {
   const SimTime rtt = engine_.simulator().now() - meta.sent_at;
   STELLAR_TRACE_ONLY(obs::count("transport/acks");
                      obs::record_time("transport/rtt_ps", rtt);)
-  cc_for(meta.path).on_ack(meta.bytes, ack.ecn_echo, rtt);
+  const std::size_t c = ctx(meta.path);
+  cc_[c]->on_ack(meta.bytes, ack.ecn_echo, rtt);
   selector_->on_ack(meta.path, rtt, ack.ecn_echo);
   note_path_ack(meta.path);
   inflight_bytes_ -= meta.bytes;
-  if (config_.per_path_cc) per_path_inflight_[meta.path] -= meta.bytes;
+  cc_inflight_[c] -= meta.bytes;
 
   if (Message* msg = messages_.find(meta.msg_id)) {
     msg->acked += meta.kind == PacketKind::kReadRequest ? msg->total
@@ -442,14 +420,12 @@ void RdmaConnection::on_rto_fire() {
     }
     ++meta.retries;
     // Retransmit on a *different* path: the paper's instant-failover trick —
-    // a broken link only costs one RTO before traffic routes around it.
+    // a broken link only costs one RTO before traffic routes around it. The
+    // loss is a failure, not congestion: no window is cut.
     note_path_timeout(meta.path);
-    if (config_.per_path_cc) {
-      per_path_inflight_[meta.path] -= meta.bytes;
-      per_path_cc_[meta.path]->on_timeout();
-    }
+    cc_inflight_[ctx(meta.path)] -= meta.bytes;
     meta.path = pick_path();
-    if (config_.per_path_cc) per_path_inflight_[meta.path] += meta.bytes;
+    cc_inflight_[ctx(meta.path)] += meta.bytes;
     meta.sent_at = now;
     note_send(psn, now);
     ++retransmits_;
@@ -468,7 +444,6 @@ void RdmaConnection::on_rto_fire() {
         obs::count("transport/rto_fires");
         obs::instant(obs::TraceCat::kTransport, "rto_fire", now,
                      obs::TraceArgs{"conn", static_cast<std::int64_t>(id_)});)
-    if (!config_.per_path_cc) cc_->on_timeout();
   }
   arm_rto();
 }
@@ -488,9 +463,7 @@ void RdmaConnection::enter_error(Status reason) {
   outstanding_.clear();
   clear_send_fifo();
   inflight_bytes_ = 0;
-  if (config_.per_path_cc) {
-    per_path_inflight_.assign(config_.num_paths, 0);
-  }
+  std::fill(cc_inflight_.begin(), cc_inflight_.end(), 0);
   unsent_queue_.clear();
   messages_.clear();
   cancel_timers();
@@ -536,16 +509,17 @@ FluidFlowDesc RdmaConnection::fluid_freeze() {
   outstanding_.clear();
   clear_send_fifo();
   inflight_bytes_ = 0;
-  if (config_.per_path_cc) per_path_inflight_.assign(config_.num_paths, 0);
+  std::fill(cc_inflight_.begin(), cc_inflight_.end(), 0);
   unsent_queue_.clear();
   FluidFlowDesc desc;
+  // Every queued message is an unfinished WRITE (the driver freezes only
+  // eligible connections), a zero-length one in flight included.
   for (auto [msg_id, msg] : messages_) {  // ascending id
     msg.sent = msg.acked;
-    if (msg.sent < msg.total) {
-      unsent_queue_.push_back(msg_id);
-      desc.remaining += msg.total - msg.acked;
-    }
+    unsent_queue_.push_back(msg_id);
+    desc.remaining += msg.total - msg.acked;
   }
+  desc.messages = unsent_queue_.size();
   fluid_ = true;
 
   // Footprint on the link graph: the selector's long-run path weights
@@ -589,13 +563,7 @@ void RdmaConnection::fluid_thaw(double rate_bytes_per_sec) {
     // queue (not the window) pacing the first RTTs while CC re-converges.
     const auto seed = static_cast<std::uint64_t>(
         rate_bytes_per_sec * config_.cc.base_rtt.sec() * 2.0);
-    if (!config_.per_path_cc) {
-      cc_->seed_window(seed);
-    } else {
-      const std::uint64_t per_path =
-          std::max<std::uint64_t>(1, seed / config_.num_paths);
-      for (auto& cc : per_path_cc_) cc->seed_window(per_path);
-    }
+    for (auto& cc : cc_) cc->seed_window(seed / cc_.size());
   }
   send_more();
 }

@@ -1,12 +1,14 @@
 // Stellar's multipath RDMA transport (§7).
 //
 // Sender: packetizes posted verbs (WRITE / SEND / READ) into MTU-sized
-// packets, sprays each packet on a selector-chosen path, and paces with a
-// window-based congestion-control context — by default a single context
-// shared across all paths (§9); per-path windows are available for the
-// ablation of that design choice. Loss recovery is purely RTO-based
-// (250 us default): timed-out packets are retransmitted on a *different*
-// path, and repeatedly failing paths are blacklisted (failure mitigation).
+// packets, sprays each packet on a selector-chosen path, and paces with
+// window-based congestion-control contexts indexed by path: one context
+// shared by every path (§9), or one per path for the ablation of that
+// design choice — the same code with `num_paths` contexts. Loss recovery is
+// purely RTO-based (250 us default): timed-out packets are retransmitted on
+// a *different* path without a window cut, and a path that times out three
+// times in a row is blacklisted until a probe on it is acknowledged
+// (failure mitigation).
 //
 // Receiver: Direct Packet Placement — out-of-order packets are placed as
 // they arrive (no reorder buffer), deduplicated by PSN against a
@@ -36,6 +38,9 @@
 
 namespace stellar {
 
+/// Consecutive timeouts that blacklist a path.
+inline constexpr std::uint32_t kBlacklistThreshold = 3;
+
 struct TransportConfig {
   std::uint32_t mtu = 4096;
   std::uint16_t num_paths = 128;
@@ -55,23 +60,17 @@ struct TransportConfig {
   /// spinning the RTO forever.
   std::uint32_t max_retries = 64;
   /// Failure mitigation (§7.2's third parameter): a path that times out
-  /// this many times consecutively is blacklisted for `blacklist_hold`,
-  /// steering the spray around a dead link without waiting for BGP.
-  /// 0 disables blacklisting.
-  std::uint32_t blacklist_threshold = 3;
+  /// kBlacklistThreshold times in a row is blacklisted, steering the spray
+  /// around a dead link without waiting for BGP. It is re-admitted only
+  /// once a single-packet probe on it is acknowledged: the first probe goes
+  /// out `blacklist_hold` after blacklisting, then one every
+  /// `probe_interval` while the connection has work pending.
   SimTime blacklist_hold = SimTime::millis(10);
-  /// Probe-based reinstatement: a blacklisted path is re-admitted only once
-  /// a single-packet probe on it is acknowledged (first probe goes out
-  /// `blacklist_hold` after blacklisting, then every `probe_interval` while
-  /// the connection has work pending). With `blacklist_probe = false` the
-  /// blacklist falls back to blind hold-down expiry: after `blacklist_hold`
-  /// the path is simply tried again.
-  bool blacklist_probe = true;
   SimTime probe_interval = SimTime::millis(1);
   /// Per-path congestion control (§9's alternative design): each path gets
-  /// its own window of init_window/num_paths. The paper rejected this
-  /// because the silicon budget then caps the fan-out at ~4 paths; the
-  /// ablation bench exercises exactly that trade.
+  /// its own context with a window of init_window/num_paths. The paper
+  /// rejected this because the silicon budget then caps the fan-out at ~4
+  /// paths; the ablation bench exercises exactly that trade.
   bool per_path_cc = false;
   /// Owning tenant of every QP opened with this config — the attribution
   /// key for per-tenant goodput/SLO tracking (docs/TENANCY.md).
@@ -158,16 +157,19 @@ class RdmaConnection : public FluidClient {
       h(error_status_);
     }
   }
-  std::size_t blacklisted_paths() const { return blacklist_.size(); }
+  std::size_t blacklisted_paths() const { return blacklisted_paths_; }
   std::uint64_t probes_sent() const { return probes_sent_; }
   std::uint64_t probes_acked() const { return probes_acked_; }
   /// Paths taken off the blacklist by a successful probe or data ACK.
   std::uint64_t paths_reinstated() const { return paths_reinstated_; }
 
-  /// Window of the shared context, or the sum across per-path contexts.
+  /// Sum of the windows of the connection's CC contexts.
   std::uint64_t window() const;
 
-  const CongestionControl& cc() const { return *cc_; }
+  /// The CC context that admits packets on `path`.
+  const CongestionControl& cc(std::uint16_t path = 0) const {
+    return *cc_[ctx(path)];
+  }
   PathSelector& selector() { return *selector_; }
 
   // -- FluidClient (hybrid fidelity; called by HybridDriver) ----------------
@@ -262,7 +264,9 @@ class RdmaConnection : public FluidClient {
   /// starts with empty callbacks and the application re-registers.
   /// Driven by RdmaEngine::save_state / restore_state.
   void save_state(SnapshotWriter& w) const;
-  void restore_state(SnapshotReader& r);
+  /// Fails on a packet or blacklist entry naming a path outside the
+  /// connection's `num_paths`.
+  Status restore_state(SnapshotReader& r);
   /// Re-create CC contexts / path selector from config_ (shared with the
   /// ctor); restore_state then overlays the serialized CC state. The spray
   /// selector's learned weights are ephemeral hardware state and restart
@@ -280,9 +284,16 @@ class RdmaConnection : public FluidClient {
   void note_path_timeout(std::uint16_t path);
   void note_path_ack(std::uint16_t path);
 
-  /// Congestion admission / bookkeeping (shared or per-path).
-  bool admit(std::uint16_t path, std::uint32_t bytes) const;
-  CongestionControl& cc_for(std::uint16_t path);
+  /// Index of the CC context (and its inflight count) `path` belongs to:
+  /// 0 for the shared context, the path itself with per-path CC.
+  std::size_t ctx(std::uint16_t path) const {
+    return cc_.size() == 1 ? 0 : path;
+  }
+  /// Congestion admission of one more packet on `path`.
+  bool admit(std::uint16_t path) const {
+    const std::size_t c = ctx(path);
+    return cc_[c]->can_send(cc_inflight_[c]);
+  }
 
   RdmaEngine& engine_;
   TransportConfig config_;
@@ -290,9 +301,10 @@ class RdmaConnection : public FluidClient {
   EndpointId local_;
   EndpointId remote_;
 
-  std::unique_ptr<CongestionControl> cc_;  // shared context (default)
-  std::vector<std::unique_ptr<CongestionControl>> per_path_cc_;  // ablation
-  std::vector<std::uint64_t> per_path_inflight_;
+  // CC contexts, one shared or one per path, and the unacked payload
+  // bytes of each (they sum to inflight_bytes_).
+  std::vector<std::unique_ptr<CongestionControl>> cc_;
+  std::vector<std::uint64_t> cc_inflight_;
   std::unique_ptr<PathSelector> selector_;
 
   std::uint64_t next_psn_ = 0;
@@ -319,22 +331,24 @@ class RdmaConnection : public FluidClient {
   SimTime rto_deadline_;     // when rto_event_ fires, while it is armed
   SimTime stack_next_free_;  // pacing point of the (optional) encap engine
 
-  // Failure mitigation: consecutive timeouts per path and hold-down expiry.
+  // Failure mitigation: consecutive timeouts per path and the blacklist.
   // The streak is indexed by path id; `seen` marks the paths the streak
   // logic has touched (ACKed or timed out), which are the entries the
   // snapshot carries — a path ACKed but never timed out is saved as 0.
   struct PathStreak {
     std::uint32_t count = 0;
     bool seen = false;
+    bool blacklisted = false;
   };
   std::vector<PathStreak> path_timeout_streak_;
   /// The streak entry of `path`, marked seen (sized to the paths on first
   /// use).
   PathStreak& streak(std::uint16_t path);
-  std::unordered_map<std::uint16_t, SimTime> blacklist_;
-  // One pending probe event per blacklisted path (probe mode only). Probes
-  // go dormant while the connection is idle so the simulator can drain.
-  std::unordered_map<std::uint16_t, EventHandle> probe_events_;
+  std::size_t blacklisted_paths_ = 0;
+  // The pending probe of each blacklisted path, by path id (sized on the
+  // first probe). Probes go dormant while the connection is idle so the
+  // simulator can drain.
+  std::vector<EventHandle> probe_events_;
   std::uint64_t next_probe_seq_ = 0;
 
   EventHandle rto_event_;

@@ -43,7 +43,6 @@ void write_cc_config(SnapshotWriter& w, const CcConfig& cc) {
   w.time(cc.base_rtt);
   w.f64(cc.rtt_high_factor);
   w.f64(cc.rtt_backoff);
-  w.f64(cc.timeout_backoff);
 }
 
 CcConfig read_cc_config(SnapshotReader& r) {
@@ -56,7 +55,6 @@ CcConfig read_cc_config(SnapshotReader& r) {
   cc.base_rtt = r.time();
   cc.rtt_high_factor = r.f64();
   cc.rtt_backoff = r.f64();
-  cc.timeout_backoff = r.f64();
   return cc;
 }
 
@@ -71,9 +69,7 @@ void write_config(SnapshotWriter& w, const TransportConfig& c) {
   w.time(c.per_packet_overhead);
   w.i64(c.stack_rate_cap.bps());
   w.u32(c.max_retries);
-  w.u32(c.blacklist_threshold);
   w.time(c.blacklist_hold);
-  w.b(c.blacklist_probe);
   w.time(c.probe_interval);
   w.b(c.per_path_cc);
   w.u32(c.tenant);
@@ -91,9 +87,7 @@ TransportConfig read_config(SnapshotReader& r) {
   c.per_packet_overhead = r.time();
   c.stack_rate_cap = Bandwidth::bits_per_sec(r.i64());
   c.max_retries = r.u32();
-  c.blacklist_threshold = r.u32();
   c.blacklist_hold = r.time();
-  c.blacklist_probe = r.b();
   c.probe_interval = r.time();
   c.per_path_cc = r.b();
   c.tenant = r.u32();
@@ -175,25 +169,30 @@ void RdmaConnection::save_state(SnapshotWriter& w) const {
     w.u16(static_cast<std::uint16_t>(path));
     w.u32(path_timeout_streak_[path].count);
   }
-  w.u32(static_cast<std::uint32_t>(blacklist_.size()));
-  for (std::uint16_t path : sorted_keys(blacklist_)) {
-    w.u16(path);
-    w.time(blacklist_.at(path));
+  w.u32(static_cast<std::uint32_t>(blacklisted_paths_));
+  for (std::size_t path = 0; path < path_timeout_streak_.size(); ++path) {
+    if (path_timeout_streak_[path].blacklisted) {
+      w.u16(static_cast<std::uint16_t>(path));
+    }
   }
 
-  cc_->save(w);
-  if (config_.per_path_cc) {
-    for (const auto& cc : per_path_cc_) cc->save(w);
-    for (std::uint64_t inflight : per_path_inflight_) w.u64(inflight);
-  }
+  // The CC contexts; their inflight counts are rebuilt from the unacked
+  // packets on restore.
+  for (const auto& cc : cc_) cc->save(w);
 }
 
-void RdmaConnection::restore_state(SnapshotReader& r) {
+Status RdmaConnection::restore_state(SnapshotReader& r) {
   // Caller (the engine) already consumed the section tag, id, local, remote
   // and the config, and guaranteed this object matches them. A snapshot is
   // never taken under fluid service (save_state traps); a flow's fluid
   // demand lives in the hybrid driver, which takes it from the next freeze.
   STELLAR_DCHECK(!fluid_, "restoring a connection under fluid service");
+  const auto bad_path = [this](std::uint16_t path) {
+    return invalid_argument("RdmaEngine::restore: connection " +
+                            std::to_string(id_) + " names path " +
+                            std::to_string(path) + " of " +
+                            std::to_string(config_.num_paths));
+  };
   next_psn_ = r.u64();
   next_msg_id_ = r.u64();
   inflight_bytes_ = r.u64();
@@ -248,6 +247,7 @@ void RdmaConnection::restore_state(SnapshotReader& r) {
     o.kind = static_cast<PacketKind>(r.u8());
     o.retries = r.u32();
     if (!r.ok()) break;  // truncated: restore_core reports it
+    if (o.path >= config_.num_paths) return bad_path(o.path);
     outstanding_.insert(psn, o);
   }
   // The snapshot holds PSN order; a retransmitted low PSN can be newer than
@@ -260,18 +260,23 @@ void RdmaConnection::restore_state(SnapshotReader& r) {
     const std::uint16_t path = r.u16();
     streak(path).count = r.u32();
   }
-  blacklist_.clear();
+  blacklisted_paths_ = 0;
   const std::uint32_t n_black = r.u32();
   for (std::uint32_t i = 0; i < n_black; ++i) {
     const std::uint16_t path = r.u16();
-    blacklist_[path] = r.time();
+    if (!r.ok()) break;  // truncated: restore_core reports it
+    if (path >= config_.num_paths) return bad_path(path);
+    PathStreak& s = streak(path);
+    if (!s.blacklisted) ++blacklisted_paths_;
+    s.blacklisted = true;
   }
 
-  cc_->restore(r);
-  if (config_.per_path_cc) {
-    for (auto& cc : per_path_cc_) cc->restore(r);
-    for (auto& inflight : per_path_inflight_) inflight = r.u64();
+  for (auto& cc : cc_) cc->restore(r);
+  std::fill(cc_inflight_.begin(), cc_inflight_.end(), 0);
+  for (const auto& [psn, o] : outstanding_) {
+    cc_inflight_[ctx(o.path)] += o.bytes;
   }
+  return Status::ok();
 }
 
 void RdmaConnection::cancel_timers() {
@@ -280,8 +285,7 @@ void RdmaConnection::cancel_timers() {
     sim.cancel(rto_event_);
     rto_event_ = EventHandle{};
   }
-  for (auto& [path, handle] : probe_events_) sim.cancel(handle);
-  probe_events_.clear();
+  for (EventHandle& probe : probe_events_) sim.cancel(std::exchange(probe, {}));
 }
 
 void RdmaConnection::resume_after_restore() {
@@ -292,9 +296,7 @@ void RdmaConnection::resume_after_restore() {
   if (stack_next_free_ < engine_.simulator().now()) {
     stack_next_free_ = engine_.simulator().now();
   }
-  if (config_.blacklist_probe && !blacklist_.empty() && !idle()) {
-    kick_probes();
-  }
+  if (blacklisted_paths_ != 0 && !idle()) kick_probes();
   send_more();
 }
 
@@ -496,7 +498,7 @@ Status RdmaEngine::restore_core(SnapshotReader& r) {
       connections_.push_back(std::move(created));
       by_id_.emplace(id, conn);
     }
-    conn->restore_state(r);
+    if (Status s = conn->restore_state(r); !s.is_ok()) return s;
   }
   if (!r.ok()) return out_of_range("RdmaEngine::restore: snapshot truncated");
   return Status::ok();

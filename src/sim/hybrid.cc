@@ -174,6 +174,7 @@ bool HybridDriver::freeze(Region& rg, ClientInfo* ci) {
   ci->demand = desc.remaining;
   ci->blocked = false;
   ci->next = ci->client->fluid_next_completion_bytes();
+  if (ci->next == 0 && desc.messages > 0) push_due_now(rg, ci);
   if (desc.remaining == 0) return false;
   add_flow(rg, ci);
   return true;
@@ -222,12 +223,18 @@ bool HybridDriver::serve(ClientInfo* ci, bool due) {
                    "fluid due event is more than a byte short");
     want = upcoming;
   }
-  if (want == 0) {
+  // Nothing accrued and a head that needs bytes: nothing to serve. A
+  // zero-length head (upcoming 0) is served anyway, and completes.
+  if (want == 0 && upcoming != 0) {
     ci->carry = earned;
     return false;
   }
   const auto [served, next] = ci->client->fluid_serve(want);
   ci->next = next;
+  // The head moved: an entry queued for the old one (say, a zero-length
+  // WRITE a completion callback posted and this serve then completed) is
+  // void. Callers re-queue the flow.
+  ++ci->version;
   STELLAR_DCHECK(served <= ci->demand,
                  "fluid serve of %llu bytes exceeds the flow's demand %llu",
                  static_cast<unsigned long long>(served),
@@ -253,6 +260,12 @@ void HybridDriver::push_due(Region& rg, ClientInfo* ci) {
   rg.due.push_back(DueEntry{ci->anchor + SimTime::picos(dt_ps), ci->seq, ci,
                             ci->version});
   std::push_heap(rg.due.begin(), rg.due.end(), due_later);
+}
+
+void HybridDriver::push_due_now(Region& rg, ClientInfo* ci) {
+  rg.due.push_back(DueEntry{sim_->now(), ci->seq, ci, ++ci->version});
+  std::push_heap(rg.due.begin(), rg.due.end(), due_later);
+  if (serving_ != ci->region) schedule_kick(ci->region);
 }
 
 void HybridDriver::serve_due(std::uint32_t region) {
@@ -497,7 +510,11 @@ void HybridDriver::on_fluid_post(FluidClient* client, std::uint64_t bytes) {
   // A flow with no cached head (drained, or never started) may have just
   // got one. Otherwise the post queues behind the head, or lands inside
   // the client's own serve, whose FluidServe::next then covers it.
-  if (ci->next == 0) ci->next = client->fluid_next_completion_bytes();
+  if (ci->next == 0) {
+    ci->next = client->fluid_next_completion_bytes();
+    // Still 0 with a WRITE queued: a zero-length WRITE heads the queue.
+    if (ci->next == 0) push_due_now(regions_[ci->region], ci);
+  }
   if (ci->flow < 0 && ci->demand > 0) {
     add_flow(regions_[ci->region], ci);
     // The region being served re-solves before its pass ends.

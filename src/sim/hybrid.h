@@ -45,7 +45,9 @@
 // client's record hangs off the client itself, a receiver is found by
 // endpoint index, and each flow's next completion size is cached — taken
 // at freeze, returned by every serve, and re-read from the client only
-// when a post lands on a flow with no cached head.
+// when a post lands on a flow with no cached head. A zero-length WRITE at
+// the head needs no bytes: it is due at once, whether or not its flow has
+// demand, so no flow ever waits behind one.
 //
 // Everything is deterministic: regions, links, and clients are iterated in
 // construction/registration order, flows due at the same picosecond are
@@ -76,12 +78,14 @@ enum class RegionMode : std::uint8_t { kPacket, kFluid };
 /// — first-encounter order over path ids, never pointer order.
 struct FluidFlowDesc {
   std::uint64_t remaining = 0;  // unacked bytes re-served as fluid demand
+  std::size_t messages = 0;     // WRITEs queued, zero-length ones included
   std::vector<std::pair<const NetLink*, double>> shares;
 };
 
 /// What FluidClient::fluid_serve() did: the bytes it consumed, and the
-/// bytes until the message then at the head completes (0 = none), i.e.
-/// fluid_next_completion_bytes() after the serve.
+/// bytes until the message then at the head completes (0 = none, or a
+/// zero-length WRITE at the head), i.e. fluid_next_completion_bytes()
+/// after the serve.
 struct FluidServe {
   std::uint64_t served = 0;
   std::uint64_t next = 0;
@@ -111,9 +115,10 @@ class FluidClient {
   /// non-WRITE, firing receiver-then-sender completions exactly as packet
   /// mode would. Returns the bytes consumed and the next completion size.
   virtual FluidServe fluid_serve(std::uint64_t bytes) = 0;
-  /// Bytes until the in-service message completes (0 = no demand). The
-  /// driver asks at freeze and when a post lands on a flow with no cached
-  /// head; otherwise it uses what fluid_serve() returned.
+  /// Bytes until the in-service message completes (0 = no demand, or a
+  /// zero-length WRITE at the head, which any serve completes). The driver
+  /// asks at freeze and when a post lands on a flow with no cached head;
+  /// otherwise it uses what fluid_serve() returned.
   virtual std::uint64_t fluid_next_completion_bytes() const = 0;
   /// Cumulative retransmit count — a promotion quietness signal.
   virtual std::uint64_t fluid_retransmit_count() const = 0;
@@ -309,6 +314,10 @@ class HybridDriver {
   bool serve(ClientInfo* ci, bool due);
   /// Project `ci`'s next completion from its anchor and queue it.
   void push_due(Region& rg, ClientInfo* ci);
+  /// `ci`'s head is a zero-length WRITE: it needs no bytes, so it is due
+  /// now, flow or not. Queue it (superseding any queued entry) and make
+  /// sure a service pass runs.
+  void push_due_now(Region& rg, ClientInfo* ci);
   /// Serve every flow whose due time has come, in (due, registration)
   /// order.
   void serve_due(std::uint32_t region);

@@ -55,23 +55,6 @@ TEST(WindowCcTest, WindowNeverBelowMin) {
   EXPECT_GE(cc.window(), 4096u);
 }
 
-TEST(WindowCcTest, TimeoutBackoffConfigurable) {
-  // Production default: RTO loss is failure, not congestion — no cut.
-  WindowCc stellar(small_config());
-  const std::uint64_t before = stellar.window();
-  stellar.on_timeout();
-  EXPECT_EQ(stellar.window(), before);
-
-  // TCP-like halving when configured.
-  CcConfig tcpish = small_config();
-  tcpish.timeout_backoff = 0.5;
-  WindowCc cc(tcpish);
-  cc.on_timeout();
-  EXPECT_EQ(cc.window(), before / 2);
-  for (int i = 0; i < 20; ++i) cc.on_timeout();
-  EXPECT_EQ(cc.window(), 4096u);  // clamped at min
-}
-
 TEST(WindowCcTest, HighRttTriggersBackoff) {
   CcConfig cfg = small_config();
   cfg.base_rtt = SimTime::micros(8);
@@ -131,13 +114,9 @@ TEST(SwiftCcTest, InvariantsUnderRandomEvents) {
   SwiftCc cc(small_config());
   Rng rng(777);
   for (int i = 0; i < 20'000; ++i) {
-    if (rng.chance(0.01)) {
-      cc.on_timeout();
-    } else {
-      cc.on_ack(static_cast<std::uint32_t>(rng.below(9000) + 1),
-                rng.chance(0.3),
-                SimTime::nanos(static_cast<std::int64_t>(rng.below(80'000))));
-    }
+    cc.on_ack(static_cast<std::uint32_t>(rng.below(9000) + 1),
+              rng.chance(0.3),
+              SimTime::nanos(static_cast<std::int64_t>(rng.below(80'000))));
     ASSERT_GE(cc.window(), 4096u);
     ASSERT_LE(cc.window(), 256u * 1024);
   }
@@ -149,14 +128,9 @@ TEST(WindowCcPropertyTest, InvariantsUnderRandomEvents) {
   WindowCc cc(small_config());
   Rng rng(31337);
   for (int i = 0; i < 50'000; ++i) {
-    const double r = rng.uniform();
-    if (r < 0.02) {
-      cc.on_timeout();
-    } else {
-      cc.on_ack(static_cast<std::uint32_t>(rng.below(9000) + 1),
-                rng.chance(0.2),
-                SimTime::nanos(static_cast<std::int64_t>(rng.below(100'000))));
-    }
+    cc.on_ack(static_cast<std::uint32_t>(rng.below(9000) + 1),
+              rng.chance(0.2),
+              SimTime::nanos(static_cast<std::int64_t>(rng.below(100'000))));
     ASSERT_GE(cc.window(), 4096u);
     ASSERT_LE(cc.window(), 256u * 1024);
     ASSERT_TRUE(cc.can_send(cc.window() - 1));

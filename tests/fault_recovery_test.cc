@@ -1,5 +1,5 @@
-// Recovery behaviors under hard failures: blind blacklist expiry vs
-// probe-based reinstatement, fail-fast error propagation through the
+// Recovery behaviors under hard failures: probe-based reinstatement of a
+// blacklisted path, fail-fast error propagation through the
 // collective and traffic layers, and the §7.2 headline — an aggregation
 // switch dying mid-AllReduce costs about one RTO, while a single-path
 // connection pinned to a dead path errors out instead of hanging.
@@ -31,51 +31,13 @@ TransportConfig single_path_config() {
   tc.algo = MultipathAlgo::kSinglePath;
   tc.num_paths = 1;
   tc.rto = SimTime::micros(50);
-  tc.blacklist_threshold = 2;
   tc.max_retries = 1000;
   return tc;
 }
 
 // ---------------------------------------------------------------------------
-// Blacklist: blind hold-down expiry vs probe-based reinstatement.
+// Blacklist: probe-based reinstatement.
 // ---------------------------------------------------------------------------
-
-TEST(BlacklistRecoveryTest, BlindExpiryRetriesPathAfterHold) {
-  Simulator sim;
-  ClosFabric fabric(sim, tiny_fabric());
-  EngineFleet fleet(sim, fabric);
-
-  TransportConfig tc = single_path_config();
-  tc.blacklist_probe = false;  // legacy blind hold-down expiry
-  tc.blacklist_hold = SimTime::micros(300);
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), tc);
-  ASSERT_TRUE(conn.is_ok());
-
-  // The host NIC egress carries every path of this connection: down at t=0,
-  // restored at t=1 ms.
-  NetLink& nic = fabric.host_uplink(0, 0, 0, 0);
-  nic.set_down(LinkDrainMode::kVoid);
-  sim.schedule_after(SimTime::millis(1), [&] { nic.set_up(); });
-
-  std::size_t blacklisted_mid = 0;
-  sim.schedule_after(SimTime::micros(250), [&] {
-    blacklisted_mid = conn.value()->blacklisted_paths();
-  });
-
-  bool done = false;
-  conn.value()->post_write(256_KiB, [&] { done = true; });
-  sim.run();
-
-  EXPECT_TRUE(done);
-  EXPECT_TRUE(conn.value()->status().is_ok());
-  // Two consecutive RTOs put the only path on the blacklist...
-  EXPECT_EQ(blacklisted_mid, 1u);
-  EXPECT_GT(conn.value()->timeouts(), 0u);
-  // ...and blind expiry simply tried it again: no probes were ever sent.
-  EXPECT_EQ(conn.value()->probes_sent(), 0u);
-  EXPECT_TRUE(conn.value()->idle());
-}
 
 TEST(BlacklistRecoveryTest, ProbeKeepsPathOutUntilAckReinstates) {
   Simulator sim;
@@ -83,7 +45,6 @@ TEST(BlacklistRecoveryTest, ProbeKeepsPathOutUntilAckReinstates) {
   EngineFleet fleet(sim, fabric);
 
   TransportConfig tc = single_path_config();
-  tc.blacklist_probe = true;
   tc.blacklist_hold = SimTime::micros(200);
   tc.probe_interval = SimTime::micros(20);
   tc.rto = SimTime::micros(500);  // probes, not data RTOs, find the revival
@@ -95,8 +56,8 @@ TEST(BlacklistRecoveryTest, ProbeKeepsPathOutUntilAckReinstates) {
   nic.set_down(LinkDrainMode::kVoid);
   sim.schedule_after(SimTime::millis(1), [&] { nic.set_up(); });
 
-  // Well past blacklist_hold with the link still dead: in probe mode the
-  // path must STAY blacklisted (blind expiry would have readmitted it).
+  // Well past blacklist_hold with the link still dead: the path must STAY
+  // blacklisted until a probe on it is acknowledged.
   std::size_t blacklisted_late = 0;
   std::uint64_t probes_while_dead = 0;
   sim.schedule_after(SimTime::micros(900), [&] {

@@ -16,7 +16,8 @@
 // whose ACKs were on the wire when the region froze (the sender re-serves
 // it in fluid, and the completion ledger swallows that second delivery).
 // Either way the message completes exactly once, with goodput equal to
-// its size.
+// its size. A zero-length WRITE whose packet is in flight at a freeze
+// completes under fluid service, exactly once.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -585,6 +586,63 @@ TEST(HybridReceiverTest, AbsorbedAcksDoNotDeliverTwice) {
                         << " times";
   }
   EXPECT_EQ(fleet.at(dst).rx_goodput_bytes(), kMessages * kBytes);
+  driver.set_span_hook({});  // the driver outlives the state it captures
+}
+
+TEST(HybridReceiverTest, ZeroLengthWriteInFlightAtFreezeCompletes) {
+  // A zero-length WRITE still carries a packet in packet mode. One whose
+  // packet is on the wire when the region freezes must be re-queued by the
+  // freeze and complete under fluid service, exactly once at each end, as
+  // must the zero-length WRITEs posted once the region is fluid.
+  Simulator sim;
+  ClosFabric fabric(sim, small_fabric());
+  HybridDriver driver(sim, fabric);
+  EngineFleet fleet(sim, fabric);
+  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
+  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  auto conn = fleet.connect(src, dst, {});
+  ASSERT_TRUE(conn.is_ok());
+  RdmaConnection& c = *conn.value();
+
+  // Packet mode first; quiet epochs then promote the region while a
+  // zero-length WRITE posted every microsecond is always on the wire. The
+  // promotion tick only polls while other events are pending, so a marker
+  // event keeps it alive.
+  const SimTime end = SimTime::millis(1);
+  sim.schedule_at(end, [] {});
+  driver.request_zoom_window(SimTime::zero(), SimTime::micros(5));
+  ASSERT_EQ(driver.region_mode(0), RegionMode::kPacket);
+  std::map<std::uint64_t, int> rx_count;
+  fleet.at(dst).set_message_handler(
+      [&](const RxMessage& m) { ++rx_count[m.msg_id]; });
+  int posted = 0;
+  int sender_done = 0;
+  for (int us = 0; us < 60; ++us) {
+    sim.schedule_at(SimTime::micros(us), [&] {
+      ++posted;
+      c.post_write(0, [&] { ++sender_done; });
+    });
+  }
+  int unfinished_at_freeze = -1;
+  driver.set_span_hook(
+      [&](std::uint32_t, RegionMode mode, SimTime, SimTime) {
+        if (mode == RegionMode::kPacket && unfinished_at_freeze < 0) {
+          unfinished_at_freeze = posted - sender_done;
+        }
+      });
+  sim.run_until(end);
+
+  ASSERT_GT(driver.transitions(), 1u) << "the region never froze";
+  EXPECT_EQ(driver.region_mode(0), RegionMode::kFluid);
+  ASSERT_GT(unfinished_at_freeze, 0)
+      << "no zero-length WRITE was in flight at the freeze";
+  EXPECT_EQ(sender_done, posted);
+  ASSERT_EQ(rx_count.size(), static_cast<std::size_t>(posted));
+  for (const auto& [id, count] : rx_count) {
+    EXPECT_EQ(count, 1) << "message " << id << " delivered " << count
+                        << " times";
+  }
+  EXPECT_TRUE(c.idle());
   driver.set_span_hook({});  // the driver outlives the state it captures
 }
 

@@ -243,6 +243,76 @@ TEST(TransportSnapshotTest, PathAckedButNeverTimedOutIsSavedWithZeroStreak) {
             tail.bytes());
 }
 
+TEST(TransportSnapshotTest, PerPathCcMidRecoveryRoundTripsAndPinsBytes) {
+  // A per-path-CC connection mid-recovery: paths through a dead
+  // aggregation uplink hold timeout streaks, at least one is blacklisted
+  // with its probe pending, and retransmits are in flight. hot_restart()
+  // must round-trip it byte for byte, and the bytes are pinned.
+  Simulator sim;
+  ClosFabric fabric(sim, tiny_fabric());
+  EngineFleet fleet(sim, fabric);
+  TransportConfig tc;
+  tc.num_paths = 4;
+  tc.per_path_cc = true;
+  tc.blacklist_hold = SimTime::micros(500);
+  tc.probe_interval = SimTime::micros(100);
+  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
+                            fabric.endpoint(1, 0, 0, 0), tc);
+  ASSERT_TRUE(conn.is_ok());
+  RdmaConnection& c = *conn.value();
+  NetLink& uplink = fabric.tor_uplink(0, 0, 0, 1);
+  uplink.set_drop_probability(1.0);
+
+  bool done = false;
+  c.post_write(4_MiB, [&] { done = true; });
+  while (c.blacklisted_paths() == 0) ASSERT_TRUE(sim.step());
+  ASSERT_FALSE(c.idle());
+  ASSERT_GT(c.retransmits(), 0u);
+  ASSERT_EQ(c.probes_sent(), 0u) << "the probe is not pending any more";
+
+  RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0, 0, 0));
+  std::vector<std::uint64_t> windows;
+  for (std::uint16_t path = 0; path < tc.num_paths; ++path) {
+    windows.push_back(c.cc(path).window());
+  }
+  const std::uint64_t inflight = c.inflight_bytes();
+  auto snap = engine.hot_restart();
+  ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();
+  EXPECT_EQ(snapshot_digest(snap.value()), "0a8d00b9049330d0");
+  EXPECT_EQ(c.inflight_bytes(), inflight);
+  SnapshotWriter contexts;
+  for (std::uint16_t path = 0; path < tc.num_paths; ++path) {
+    EXPECT_EQ(c.cc(path).window(), windows[path]) << "path " << path;
+    c.cc(path).save(contexts);
+  }
+  // The record ends with the blacklisted path ids, then the contexts. A
+  // blacklist entry naming a path the connection does not have is
+  // rejected on restore.
+  std::string bad = snap.value();
+  const std::size_t first_path = bad.size() - contexts.bytes().size() -
+                                 2 * c.blacklisted_paths();
+  bad[first_path] = bad[first_path + 1] = '\xff';
+
+  // The restored connection probes the dead paths while it drains the
+  // transfer around them, and reinstates them once the uplink heals and a
+  // later post puts traffic back on the connection.
+  bool later_done = false;
+  sim.schedule_after(SimTime::millis(1), [&] {
+    uplink.set_drop_probability(0);
+    c.post_write(1_MiB, [&] { later_done = true; });
+  });
+  sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(later_done);
+  EXPECT_TRUE(c.status().is_ok());
+  EXPECT_TRUE(c.idle());
+  EXPECT_GT(c.probes_sent(), 0u);
+  EXPECT_GT(c.paths_reinstated(), 0u);
+  EXPECT_EQ(c.blacklisted_paths(), 0u);
+
+  EXPECT_EQ(engine.restore_state(bad).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(TransportSnapshotTest, RestoreRejectsForeignEngine) {
   Simulator sim;
   ClosFabric fabric(sim, tiny_fabric());

@@ -512,12 +512,12 @@ TEST(TransportFluidTest, CachedNextCompletionMatchesClient) {
   expect_cache("refrozen");
   EXPECT_EQ(cached(c), 0u);
 
-  // Zero-length WRITE (the stall kept as it is, see ROADMAP): posted to the
-  // drained c it adds no demand and starts no flow; a WRITE posted behind
-  // it starts a flow whose next completion is the zero-length message, so
-  // no due event is ever queued for it. The cache must agree (0), and the
-  // stall holds until the region's next zoom.
+  // Zero-length WRITE: posted to the drained c it adds no demand and starts
+  // no flow, yet it heads c's queue, so it is due at once. A WRITE posted
+  // behind it starts a flow whose cached head is still the zero-length
+  // message (0). Both complete under fluid service, before any zoom.
   const int before = completions;
+  const std::size_t zooms_before = zooms.size();
   c.post_write(0, done);
   expect_cache("zero-length write");
   EXPECT_EQ(HybridDriverTestPeer::demand(driver, c), 0u);
@@ -526,14 +526,33 @@ TEST(TransportFluidTest, CachedNextCompletionMatchesClient) {
   expect_cache("write behind a zero-length write");
   EXPECT_EQ(cached(c), 0u);
   EXPECT_TRUE(HybridDriverTestPeer::has_flow(driver, c));
+  const SimTime posted = sim.now();
+  while (completions == before) ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), posted) << "the zero-length WRITE was not due at once";
+  expect_cache("zero-length write completed");
+  EXPECT_EQ(cached(c), 6000u);
   sim.schedule_at(SimTime::micros(250), [] {});
   sim.run_until(SimTime::micros(250));
-  expect_cache("stalled");
-  EXPECT_EQ(completions, before) << "the zero-length stall changed";
-  EXPECT_EQ(HybridDriverTestPeer::demand(driver, c), 6000u);
-  driver.force_packet(SimTime::zero(), "test");
-  sim.run();
+  expect_cache("write behind it completed");
   EXPECT_EQ(completions, before + 2);
+  EXPECT_EQ(zooms.size(), zooms_before) << "a zoom completed them";
+  EXPECT_EQ(HybridDriverTestPeer::demand(driver, c), 0u);
+
+  // Inside c's own serve: a zero-length WRITE's callback posts another
+  // zero-length WRITE and a WRITE behind it. The serve completes the
+  // second at once; the WRITE behind it still waits for its bytes.
+  SimTime zero_done;
+  SimTime tail_done;
+  const SimTime reposted_at = sim.now();
+  c.post_write(0, [&] {
+    c.post_write(0, [&] { zero_done = sim.now(); });
+    c.post_write(5000, [&] { tail_done = sim.now(); });
+  });
+  sim.run_until(SimTime::micros(300));
+  EXPECT_EQ(zero_done, reposted_at);
+  EXPECT_GT(tail_done, reposted_at) << "the WRITE completed with no bytes";
+  expect_cache("zero-length posts inside a serve");
+  EXPECT_EQ(zooms.size(), zooms_before);
   driver.set_span_hook({});  // the driver outlives `zooms`
 }
 

@@ -135,9 +135,7 @@ TEST_F(VerbsOpsTest, DeadPathGetsBlacklisted) {
   // Kill one of 8 uplinks; the spray keeps hitting it until the streak
   // threshold blacklists it.
   fabric_.tor_uplink(0, 0, 0, 2).set_drop_probability(1.0);
-  TransportConfig t;
-  t.blacklist_threshold = 2;
-  RdmaConnection* conn = connect(t);
+  RdmaConnection* conn = connect();
   bool done = false;
   conn->post_write(16_MiB, [&] { done = true; });
   sim_.run();
@@ -146,16 +144,28 @@ TEST_F(VerbsOpsTest, DeadPathGetsBlacklisted) {
   EXPECT_GT(conn->blacklisted_paths(), 0u);
 }
 
-TEST_F(VerbsOpsTest, BlacklistDisabledKeepsRetrying) {
-  fabric_.tor_uplink(0, 0, 0, 2).set_drop_probability(1.0);
-  TransportConfig t;
-  t.blacklist_threshold = 0;
-  RdmaConnection* conn = connect(t);
-  bool done = false;
-  conn->post_write(4_MiB, [&] { done = true; });
-  sim_.run();
-  EXPECT_TRUE(done);  // still completes (RTO re-picks paths randomly)
-  EXPECT_EQ(conn->blacklisted_paths(), 0u);
+TEST_F(VerbsOpsTest, RtoRetransmitLeavesWindowUnchanged) {
+  // An RTO is a failure, not congestion: the retransmit moves to another
+  // path and no CC context cuts its window. The host uplink drops every
+  // packet, so no ACK moves the window either, for both algorithms and for
+  // shared and per-path contexts.
+  fabric_.host_uplink(0, 0, 0, 0).set_drop_probability(1.0);
+  for (const CcAlgo algo : {CcAlgo::kWindowEcnRtt, CcAlgo::kSwiftDelay}) {
+    for (const bool per_path : {false, true}) {
+      TransportConfig t;
+      t.cc_algo = algo;
+      t.per_path_cc = per_path;
+      t.num_paths = 4;
+      RdmaConnection* conn = connect(t);
+      const std::uint64_t before = conn->window();
+      conn->post_write(1_MiB);
+      sim_.run_until(sim_.now() + t.rto * 3);
+      EXPECT_GT(conn->timeouts(), 0u) << cc_algo_name(algo);
+      EXPECT_GT(conn->retransmits(), 0u) << cc_algo_name(algo);
+      EXPECT_EQ(conn->window(), before)
+          << cc_algo_name(algo) << (per_path ? ", per-path" : ", shared");
+    }
+  }
 }
 
 TEST_F(VerbsOpsTest, PerPathCcSplitsTheWindow) {

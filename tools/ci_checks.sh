@@ -16,7 +16,7 @@
 #      hot-upgrade, live migration, chaos soak) on their own, plus an
 #      explicit chaos-soak smoke (fixed seed, audits ON) and a migration
 #      bench smoke run twice to prove BENCH_migration.json is
-#      byte-deterministic
+#      byte-deterministic and equal to its golden
 #   6b. the tenant-labelled multi-tenant isolation tests (vSwitch QoS,
 #      budget admission, kill_tenant reclaim) on their own, plus the
 #      adversarial-tenant bench run twice to prove BENCH_tenants.json is
@@ -34,6 +34,8 @@
 #      stdout (minus [engine] lines) must also equal the committed goldens
 #      in tests/golden/ byte for byte, as must the virt-layer tables
 #      (fig06_startup and aux_operations stdout, minus [engine] lines)
+#      and the transport recovery/CC tables (ablation_design stdout, minus
+#      [engine] lines, and fig11b's BENCH JSON)
 #   6d. the perf golden smoke: one pass of each repo benchmark workload
 #      (perf/run.py: permutation_packet, allreduce_hybrid at seeds 1 and 2,
 #      allreduce_faults, vstellar_translation), whose final JSON lines must
@@ -200,6 +202,19 @@ virt_dir="$(mktemp -d)"
   echo "fig06_startup and aux_operations byte-identical to their goldens")
 rm -rf "$virt_dir"
 
+step "transport recovery and CC tables (ablation_design stdout, fig11b BENCH JSON vs goldens)"
+# ablation_design pins the per-path-CC and Swift rows; fig11b pins the
+# hard-failure RTO, blacklist and probe rows.
+cc_dir="$(mktemp -d)"
+(cd "$cc_dir" &&
+  "$repo_root/build/bench/ablation_design" > ablation.log &&
+  "$repo_root/build/bench/fig11b_hard_failures" > fig11b.log &&
+  diff <(grep -v '^\[engine\]' ablation.log) \
+       "$repo_root/tests/golden/ablation_design.txt" &&
+  cmp BENCH_fig11b.json "$repo_root/tests/golden/fig11b.json" &&
+  echo "ablation_design and fig11b byte-identical to their goldens")
+rm -rf "$cc_dir"
+
 step "unknown --fidelity is rejected (fig12_pathcount --fidelity=fluid exits non-zero)"
 if build/bench/fig12_pathcount --fidelity=fluid > /dev/null 2>&1; then
   echo "ci_checks: FATAL: fig12_pathcount --fidelity=fluid exited 0;" >&2
@@ -245,13 +260,14 @@ step "chaos-soak smoke (fixed seed 0xC0FFEE, >=100 events, audits ON)"
 build/tests/stellar_migrate_tests \
   --gtest_filter='ChaosSoakTest.SurvivesHundredEventPlanWithAuditsOn'
 
-step "migration bench smoke (BENCH_migration.json byte-determinism)"
+step "migration bench smoke (BENCH_migration.json byte-determinism, golden)"
 mig_smoke_dir="$(mktemp -d)"
 (cd "$mig_smoke_dir" &&
   mkdir run1 run2 &&
   (cd run1 && "$repo_root/build/bench/fig_migration" > fig_migration.log) &&
   (cd run2 && "$repo_root/build/bench/fig_migration" > fig_migration.log) &&
   cmp run1/BENCH_migration.json run2/BENCH_migration.json &&
+  cmp run1/BENCH_migration.json "$repo_root/tests/golden/fig_migration.json" &&
   head -n 3 run1/BENCH_migration.json)
 rm -rf "$mig_smoke_dir"
 
