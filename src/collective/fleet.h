@@ -6,6 +6,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "common/ordered.h"
 #include "net/fabric.h"
 #include "rnic/transport.h"
 
@@ -38,11 +39,12 @@ class EngineFleet {
   Simulator& simulator() { return *sim_; }
   ClosFabric& fabric() { return *fabric_; }
 
-  /// Visit every instantiated engine — audit sweeps attach one transport
-  /// auditor per engine this way.
+  /// Visit every instantiated engine in ascending endpoint id — audit
+  /// sweeps attach one transport auditor per engine this way, and benches
+  /// hot-restart engines in this order, so it must not be hash order.
   template <typename Fn>
   void for_each_engine(Fn&& fn) const {
-    for (const auto& [id, engine] : engines_) fn(*engine);
+    for (EndpointId id : sorted_keys(engines_)) fn(*engines_.at(id));
   }
   std::size_t engine_count() const { return engines_.size(); }
 

@@ -9,6 +9,11 @@ namespace stellar {
 
 namespace {
 
+/// Longest hard outage (link/switch down, reset window). Kept well under
+/// the retry budget (max_retries * rto) so no QP is ever starved to death
+/// by the plan itself.
+constexpr SimTime kMaxOutage = SimTime::micros(120);
+
 SimTime random_in(Rng& rng, SimTime lo, SimTime hi) {
   if (hi <= lo) return lo;
   const std::uint64_t span =
@@ -86,7 +91,7 @@ FaultPlan make_chaos_plan(const FabricConfig& fabric, const ChaosConfig& cfg) {
     const std::uint64_t pick = rng.below(10);
     const SimTime at = random_in(rng, cfg.start, end);
     const SimTime outage =
-        random_in(rng, SimTime::micros(10), cfg.max_outage);
+        random_in(rng, SimTime::micros(10), kMaxOutage);
 
     if (pick <= 1) {
       // Paired hard link down/up, serialized with other hard outages.

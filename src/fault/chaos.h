@@ -1,8 +1,10 @@
-// Chaos-soak plan generation: seeded random FaultPlans composing every
-// fault kind the injector knows — data-plane faults (PR 2) plus the
-// control-plane kinds (backend restart, live migration) — against a live
-// workload. The same seed always produces the same plan, so a soak failure
-// replays byte-for-byte.
+// Chaos-soak plan generation: seeded random FaultPlans composing the ten
+// data-plane and control-plane fault kinds — link down/up/flap, switch
+// down/up, degradation, RNIC reset, pin pressure, backend restart and live
+// migration — against a live workload. The adversarial-tenant storms are
+// not drawn here; fig_tenants schedules them in its own soak phase. The
+// same seed always produces the same plan, so a soak failure replays
+// byte-for-byte.
 //
 // The generator is deliberately survivable-by-construction: hard outages
 // (link/switch down) are kept short and serialized in time, so the
@@ -32,10 +34,6 @@ struct ChaosConfig {
   std::size_t engines = 0;
   std::size_t pvdmas = 0;
   std::size_t controls = 0;
-  /// Longest hard outage (link/switch down, reset window). Kept well under
-  /// the retry budget (max_retries * rto) so no QP is ever starved to
-  /// death by the plan itself.
-  SimTime max_outage = SimTime::micros(120);
 };
 
 /// Build a random, seed-deterministic plan valid for `fabric`.

@@ -22,7 +22,6 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kMrChurn: return "mr_churn";
     case FaultKind::kIotlbThrash: return "iotlb_thrash";
     case FaultKind::kPinFlood: return "pin_flood";
-    case FaultKind::kColdStartStampede: return "cold_start_stampede";
     case FaultKind::kTenantKill: return "tenant_kill";
   }
   return "unknown";
@@ -127,8 +126,7 @@ Status FaultInjector::validate(const FaultEvent& e) const {
     case FaultKind::kQpChurn:
     case FaultKind::kMrChurn:
     case FaultKind::kIotlbThrash:
-    case FaultKind::kPinFlood:
-    case FaultKind::kColdStartStampede: {
+    case FaultKind::kPinFlood: {
       if (e.tenant >= tenants_.size()) {
         return invalid_argument(tag + "tenant target index out of range");
       }
@@ -140,8 +138,7 @@ Status FaultInjector::validate(const FaultEvent& e) const {
           (e.kind == FaultKind::kQpChurn && t.qp_churn) ||
           (e.kind == FaultKind::kMrChurn && t.mr_churn) ||
           (e.kind == FaultKind::kIotlbThrash && t.iotlb_thrash) ||
-          (e.kind == FaultKind::kPinFlood && t.pin_flood) ||
-          (e.kind == FaultKind::kColdStartStampede && t.cold_start);
+          (e.kind == FaultKind::kPinFlood && t.pin_flood);
       if (!hooked) {
         return invalid_argument(tag + "target has no hook for this storm");
       }
@@ -300,8 +297,7 @@ void FaultInjector::execute(const FaultEvent& e) {
     case FaultKind::kQpChurn:
     case FaultKind::kMrChurn:
     case FaultKind::kIotlbThrash:
-    case FaultKind::kPinFlood:
-    case FaultKind::kColdStartStampede: {
+    case FaultKind::kPinFlood: {
       const TenantTarget& t = tenants_[e.tenant];
       note_fault(e);
       Status burst = Status::ok();
@@ -311,8 +307,7 @@ void FaultInjector::execute(const FaultEvent& e) {
         case FaultKind::kIotlbThrash:
           burst = t.iotlb_thrash(e.intensity);
           break;
-        case FaultKind::kPinFlood: burst = t.pin_flood(e.intensity); break;
-        default: burst = t.cold_start(e.intensity); break;
+        default: burst = t.pin_flood(e.intensity); break;
       }
       STELLAR_CHECK_OK(burst, "tenant storm hook failed");
       note_cleared(e.label);

@@ -12,9 +12,9 @@
 //   * control-path resource pressure (PVDMA pins fail with
 //     kResourceExhausted for a window; the hypervisor retry path backs off);
 //   * adversarial-tenant storms (QP/MR churn, IOTLB-thrash scans, pin
-//     floods, cold-start stampedes) and a mid-attack tenant kill, executed
-//     through decoupled TenantTarget hooks so the isolation layer's
-//     throttle/shed defenses are what the storm actually hits.
+//     floods) and a mid-attack tenant kill, executed through decoupled
+//     TenantTarget hooks so the isolation layer's throttle/shed defenses
+//     are what the storm actually hits.
 //
 // Plans are plain data, so tests and benches script scenarios declaratively
 // and replay them byte-for-byte: the same plan and seed produce identical
@@ -55,7 +55,6 @@ enum class FaultKind : std::uint8_t {
   kMrChurn,           // register+deregister MR cycles (MTT/quota pressure)
   kIotlbThrash,       // wide scan of translations to thrash IOTLB/ATC shares
   kPinFlood,          // PVDMA pin pressure against the host pin capacity
-  kColdStartStampede, // burst of container cold starts (RunD-style)
   kTenantKill,        // kill the tenant mid-attack; all resources reclaimed
 };
 
@@ -107,8 +106,8 @@ struct FaultEvent {
   /// Adversarial-tenant kinds: index into registered tenant targets.
   std::uint32_t tenant = 0;
   /// Burst size for the storm kinds — churn rounds (kQpChurn/kMrChurn),
-  /// pages scanned (kIotlbThrash), bytes pinned (kPinFlood), or containers
-  /// booted (kColdStartStampede). Ignored by kTenantKill.
+  /// pages scanned (kIotlbThrash) or bytes pinned (kPinFlood). Ignored by
+  /// kTenantKill.
   std::uint64_t intensity = 1;
 };
 
@@ -169,7 +168,6 @@ class FaultInjector {
   ///  - qp_churn(rounds) / mr_churn(rounds): create+destroy cycles.
   ///  - iotlb_thrash(pages): touch `pages` distinct translations.
   ///  - pin_flood(bytes): demand-pin `bytes` of fresh guest memory.
-  ///  - cold_start(vms): boot `vms` extra containers back to back.
   ///  - kill(): tear the tenant down mid-attack; returns bytes reclaimed.
   struct TenantTarget {
     TenantId tenant = kHostTenant;  // telemetry attribution only
@@ -177,7 +175,6 @@ class FaultInjector {
     std::function<Status(std::uint64_t rounds)> mr_churn;
     std::function<Status(std::uint64_t pages)> iotlb_thrash;
     std::function<Status(std::uint64_t bytes)> pin_flood;
-    std::function<Status(std::uint64_t vms)> cold_start;
     std::function<StatusOr<std::uint64_t>()> kill;
   };
   void register_tenant_target(TenantTarget target) {

@@ -5,9 +5,10 @@
 // auditors must stay green across every freeze/thaw boundary.
 //
 // Covers the FaultInjector -> HybridDriver::force_packet hook for link
-// failures, whole-switch death, and RNIC resets, plus a mini chaos soak
-// (scripted data-plane plan against a continuously restarting AllReduce
-// under hybrid fidelity) — the transition-path arm of the chaos plan.
+// failures, whole-switch death, and RNIC resets. The soak that composes
+// these faults with control-plane actions at both fidelities lives in
+// chaos_soak_test.cc; its hybrid x scripted cell is
+// HybridFaultTest.MiniChaosSoakTransitionsStayConservative.
 //
 // HybridReceiverTest covers receiver reconciliation across a transition
 // in each direction: a message served partly in fluid and then thawed
@@ -20,7 +21,6 @@
 // completes under fluid service, exactly once.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -385,112 +385,6 @@ TEST(HybridFaultDeathTest, SaveStateOfFrozenConnectionDies) {
   sim.run_until(SimTime::micros(5));
   ASSERT_EQ(driver.region_mode(0), RegionMode::kFluid);
   EXPECT_DEATH(fleet.at(src).save_state(), "under fluid service");
-}
-
-// Mini chaos soak under hybrid fidelity: a scripted all-data-plane plan
-// (link flap, switch bounce, degradation window, receiver reset) against a
-// continuously restarting ring AllReduce. Every fault forces a transition;
-// between faults the quiet-epoch promoter climbs back to fluid — the soak
-// asserts survival, forward progress, and clean auditors across the whole
-// churn. This is the transition-path arm of the chaos plan (the full
-// random soak stays packet-only in chaos_soak_test.cc).
-TEST(HybridFaultTest, MiniChaosSoakTransitionsStayConservative) {
-  Simulator sim;
-  ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric);
-  EngineFleet fleet(sim, fabric);
-
-  std::vector<EndpointId> ranks;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
-  }
-  AllReduceConfig cfg;
-  cfg.data_bytes = 2_MiB;
-  cfg.transport.algo = MultipathAlgo::kObs;
-  cfg.transport.num_paths = 8;
-  cfg.transport.max_retries = 64;
-
-  std::vector<std::unique_ptr<RingAllReduce>> rings;
-  std::uint64_t completions = 0, aborts = 0;
-  const SimTime soak_end = SimTime::millis(8);
-  std::function<void()> launch = [&] {
-    if (sim.now() >= soak_end) return;
-    rings.push_back(std::make_unique<RingAllReduce>(fleet, ranks, cfg));
-    RingAllReduce* ar = rings.back().get();
-    ar->start([&, ar] {
-      if (ar->status().is_ok()) {
-        ++completions;
-      } else {
-        ++aborts;
-      }
-      sim.schedule_after(SimTime::micros(5), [&] { launch(); });
-    });
-  };
-  launch();
-
-  FaultInjector injector(sim, fabric);
-  for (EndpointId rank : ranks) injector.register_engine(&fleet.at(rank));
-
-  FaultPlan plan;
-  {
-    FaultEvent e;
-    e.at = SimTime::micros(300);
-    e.kind = FaultKind::kLinkFlap;
-    e.label = "flap";
-    e.link = {LinkLayer::kTorUp, 0, 0, 0, 1};
-    e.duration = SimTime::micros(40);
-    e.flap_period = SimTime::micros(200);
-    e.flaps = 3;
-    plan.events.push_back(e);
-  }
-  {
-    FaultEvent e;
-    e.at = SimTime::millis(1);
-    e.kind = FaultKind::kSwitchDown;
-    e.label = "agg_bounce";
-    e.sw.agg = 2;
-    plan.events.push_back(e);
-    e.at = SimTime::millis(2);
-    e.kind = FaultKind::kSwitchUp;
-    plan.events.push_back(e);
-  }
-  {
-    FaultEvent e;
-    e.at = SimTime::millis(3);
-    e.kind = FaultKind::kDegrade;
-    e.label = "lossy_window";
-    e.link = {LinkLayer::kTorUp, 1, 0, 0, 3};
-    e.duration = SimTime::micros(300);
-    e.degrade_loss = 0.05;
-    plan.events.push_back(e);
-  }
-  {
-    FaultEvent e;
-    e.at = SimTime::millis(5);
-    e.kind = FaultKind::kRnicReset;
-    e.label = "rx_reset";
-    e.engine = 2;
-    e.duration = SimTime::micros(80);
-    plan.events.push_back(e);
-  }
-  ASSERT_TRUE(injector.arm(plan).is_ok());
-
-  AuditRegistry audits;
-  add_audits(audits, sim, fabric, fleet);
-  audits.set_trap_on_finding(false);
-  audits.attach_periodic(sim, SimTime::micros(100));
-  sim.run_until(SimTime::millis(30));
-
-  EXPECT_EQ(injector.events_executed(), plan.events.size());
-  EXPECT_GT(completions, 0u) << "soak never completed a collective";
-  // Every fault dropped the fabric to packet mode at least once, and the
-  // quiet-epoch promoter got it back to fluid in between.
-  EXPECT_GE(driver.transitions(), 4u);
-  EXPECT_GT(driver.fluid_time().ps(), 0);
-
-  const AuditReport report = audits.run_all();
-  EXPECT_TRUE(report.clean()) << report.to_string();
-  EXPECT_EQ(audits.total_findings(), 0u);
 }
 
 TEST(HybridReceiverTest, StraddlingMessageCompletesOnceWithFullGoodput) {

@@ -47,6 +47,23 @@ TEST(EngineFleetTest, ConnectInstantiatesBothSides) {
   EXPECT_EQ(fabric.dropped_no_handler(), 0u);
 }
 
+TEST(EngineFleetTest, ForEachEngineVisitsAscendingEndpoints) {
+  Simulator sim;
+  FabricConfig fc;
+  fc.segments = 2;
+  fc.hosts_per_segment = 4;
+  fc.rails = 1;
+  fc.planes = 1;
+  fc.aggs_per_plane = 1;
+  ClosFabric fabric(sim, fc);
+  EngineFleet fleet(sim, fabric);
+  for (EndpointId id : {5u, 0u, 7u, 2u, 6u, 1u, 4u, 3u}) fleet.at(id);
+  std::vector<EndpointId> visited;
+  fleet.for_each_engine(
+      [&](RdmaEngine& engine) { visited.push_back(engine.self()); });
+  EXPECT_EQ(visited, (std::vector<EndpointId>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(SimulatorReentrancyTest, CancelFromInsideEvent) {
   Simulator sim;
   bool second_ran = false;

@@ -13,8 +13,10 @@
 #      RunSet placement) on their own
 #   5. the obs-labelled observability golden/property tests on their own
 #   6. the migrate-labelled control-plane robustness tests (snapshots,
-#      hot-upgrade, live migration, chaos soak) on their own, plus an
-#      explicit chaos-soak smoke (fixed seed, audits ON) and a migration
+#      hot-upgrade, live migration, composition soak) on their own, plus
+#      an explicit chaos-soak smoke (the soak's seeded chaos cells at packet
+#      and hybrid fidelity, audits trapping; the packet one keeps the name
+#      ChaosSoakTest.SurvivesHundredEventPlanWithAuditsOn) and a migration
 #      bench smoke run twice to prove BENCH_migration.json is
 #      byte-deterministic and equal to its golden
 #   6b. the tenant-labelled multi-tenant isolation tests (vSwitch QoS,
@@ -256,9 +258,9 @@ done
 step "count ledger (tools/check_perf.py: every perf count at seeds 1 and 2 vs LEDGER.json)"
 python3 tools/check_perf.py
 
-step "chaos-soak smoke (fixed seed 0xC0FFEE, >=100 events, audits ON)"
+step "chaos-soak smoke (fixed seed 0xC0FFEE, >=100 events, packet + hybrid, six auditors trapping)"
 build/tests/stellar_migrate_tests \
-  --gtest_filter='ChaosSoakTest.SurvivesHundredEventPlanWithAuditsOn'
+  --gtest_filter='ChaosSoakTest.SurvivesHundredEventPlanWithAuditsOn:FidelityByPlan/CompositionSoakTest.*/hybrid_chaos'
 
 step "migration bench smoke (BENCH_migration.json byte-determinism, golden)"
 mig_smoke_dir="$(mktemp -d)"
