@@ -527,19 +527,8 @@ FluidFlowDesc RdmaConnection::fluid_freeze() {
   // so the share vector is identical run to run (never pointer order).
   std::vector<double> weights;
   selector_->fluid_path_weights(weights);
-  std::unordered_map<const NetLink*, std::size_t> index;
-  for (std::size_t path = 0; path < weights.size(); ++path) {
-    if (weights[path] <= 0.0) continue;
-    for (const NetLink* link : engine_.fabric().path_links(
-             local_, remote_, id_, static_cast<std::uint16_t>(path))) {
-      auto [it, inserted] = index.emplace(link, desc.shares.size());
-      if (inserted) {
-        desc.shares.emplace_back(link, weights[path]);
-      } else {
-        desc.shares[it->second].second += weights[path];
-      }
-    }
-  }
+  engine_.fabric().fluid_footprint(local_, remote_, id_, weights,
+                                   desc.shares);
   return desc;
 }
 

@@ -15,7 +15,10 @@
 // adding them back and re-solving allocate nothing at all. So does a
 // fluid-served message end to end: the post, the sender's message table and
 // unsent queue, the driver's serve and due event, the receiver's
-// completed-message ledger and the completion callback.
+// completed-message ledger and the completion callback. Freezing a
+// connection into fluid — at its birth and at every promotion — allocates
+// only its path-weight vector and its reserved share vector, however many
+// paths it sprays over.
 //
 // This binary replaces the global operator new to count allocations, so it
 // is kept apart from the other test binaries.
@@ -223,6 +226,40 @@ TEST(AllocBudgetTest, FluidRingMessagesAllocateNothing) {
   ASSERT_GE(messages, 1000u);
   EXPECT_EQ(allocs, 0u) << allocs << " heap allocations for " << messages
                         << " fluid-served messages";
+}
+
+TEST(AllocBudgetTest, FluidFreezeAllocatesOnlyItsShares) {
+  // An OBS connection spraying 128 paths across segments: its footprint
+  // covers 128 routes of 4 links. The connection is born fluid, so its
+  // first freeze has run (and sized the fabric's footprint scratch) by the
+  // time connect() returns; a re-freeze then allocates the weight vector
+  // and the share vector, nothing per path or per link.
+  Simulator sim;
+  FabricConfig fc;
+  fc.segments = 2;
+  fc.hosts_per_segment = 4;
+  fc.rails = 1;
+  fc.planes = 1;
+  fc.aggs_per_plane = 16;
+  ClosFabric fabric(sim, fc);
+  HybridDriver driver(sim, fabric);
+  EngineFleet fleet(sim, fabric);
+  TransportConfig tc;
+  tc.algo = MultipathAlgo::kObs;
+  tc.num_paths = 128;
+  auto conn = fleet.connect(fabric.endpoint(0, 1, 0, 0),
+                            fabric.endpoint(1, 2, 0, 0), tc);
+  ASSERT_TRUE(conn.is_ok());
+
+  const std::uint64_t allocs_before = g_allocations.load();
+  const FluidFlowDesc desc = conn.value()->fluid_freeze();
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
+  std::printf("%llu heap allocations for a freeze onto %zu links\n",
+              static_cast<unsigned long long>(allocs), desc.shares.size());
+  // host_up, tor_down, and a tor_up/agg_down pair per switch crossed.
+  EXPECT_GT(desc.shares.size(), 4u);
+  EXPECT_LE(desc.shares.size(), 2u + 2u * fc.aggs_per_plane);
+  EXPECT_LE(allocs, 2u) << allocs << " heap allocations for one freeze";
 }
 
 }  // namespace
