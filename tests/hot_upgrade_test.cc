@@ -10,6 +10,7 @@
 
 #include "check/auditors.h"
 #include "collective/allreduce.h"
+#include "common/snapshot.h"
 #include "core/stellar.h"
 
 namespace stellar {
@@ -77,12 +78,14 @@ TEST(HotUpgradeTest, HotRestartMidAllReduceCompletesWithAuditsGreen) {
   ar.start([&] { completed = true; });
 
   std::uint64_t snapshot_bytes = 0;
+  std::vector<std::string> digests;
   sim.schedule_after(SimTime::micros(150), [&] {
     fleet.for_each_engine([&](RdmaEngine& engine) {
       engine.quiesce(SimTime::micros(20));
       auto snap = engine.hot_restart();
       ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();
       snapshot_bytes += snap.value().size();
+      digests.push_back(snapshot_digest(snap.value()));
     });
   });
 
@@ -91,6 +94,10 @@ TEST(HotUpgradeTest, HotRestartMidAllReduceCompletesWithAuditsGreen) {
   EXPECT_TRUE(completed);
   EXPECT_TRUE(ar.status().is_ok());
   EXPECT_GT(snapshot_bytes, 0u);
+  // The four mid-AllReduce snapshots, pinned byte for byte.
+  EXPECT_EQ(digests,
+            (std::vector<std::string>{"e29501c5038800e2", "427c369e5b8ff698",
+                                      "3a5ab66e0f0c02d7", "aa92c81e07b9dacc"}));
   fleet.for_each_engine(
       [&](RdmaEngine& engine) { EXPECT_EQ(engine.hot_restarts(), 1u); });
   // trap_on_finding defaults to true: a dirty report fails the test.
@@ -161,6 +168,10 @@ TEST(HotUpgradeTest, HypervisorUpgradeAdoptsPinsAndStaysCoherent) {
       host.hypervisor().pvdma(1).pinned_bytes() +
       host.hypervisor().pvdma(2).pinned_bytes();
   ASSERT_GT(pinned_before, 0u);
+  // A booted VM with pins in its Map Cache, pinned byte for byte.
+  auto vm1 = host.hypervisor().serialize_vm(1);
+  ASSERT_TRUE(vm1.is_ok());
+  EXPECT_EQ(snapshot_digest(vm1.value()), "525d2cef9bdba39c");
 
   auto report = host.hypervisor().hot_upgrade();
   ASSERT_TRUE(report.is_ok()) << report.status().to_string();
