@@ -24,6 +24,8 @@ class RingQueue {
                 "popped slots are overwritten, never destroyed");
 
  public:
+  using value_type = T;
+
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 

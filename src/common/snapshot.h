@@ -5,18 +5,35 @@
 // across runs and across a serialize -> restore -> serialize round trip.
 // The encoding is therefore deliberately primitive: fixed-width
 // little-endian integers, length-prefixed strings, and tagged sections —
-// no pointers, no varints, no platform-dependent layout. Components that
-// keep state in unordered containers must emit entries in sorted key order.
+// no pointers, no varints, no platform-dependent layout. The archives walk
+// unordered containers in sorted key order.
 //
 // Doubles are encoded by bit pattern (IEEE-754 via memcpy), so a restored
 // value is bit-exact and the round trip stays byte-identical.
+//
+// Each snapshotted struct names its fields once, in a field list that
+// serves both directions (the cereal / boost.serialization idiom):
+//
+//   template <class Ar, class Self>
+//   static void fields(Ar& ar, Self& self) {
+//     ar(self.next_psn_, as<std::uint8_t>(self.algo), self.blocks_);
+//   }
+//
+// `SnapshotWriter` and `SnapshotReader` are its two archives; `Self` is
+// const when saving. A field encoded narrower than its C++ type names its
+// wire type with as<>(). Containers travel as a u32 count plus their
+// elements. Validation and rebuilt state stay in hand-written hooks around
+// the list, or in an `if constexpr (Ar::kLoading)` block inside it.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
+#include "common/ordered.h"
 #include "common/status.h"
 #include "common/units.h"
 
@@ -32,116 +49,204 @@ constexpr std::uint32_t snapshot_tag(char a, char b, char c, char d) {
          static_cast<std::uint32_t>(static_cast<unsigned char>(d)) << 24;
 }
 
-class SnapshotWriter {
+/// A field whose wire type is narrower than its C++ type, e.g. an
+/// int-backed enum written as one byte. A Bandwidth travels as its i64
+/// bit rate.
+template <class Wire, class T>
+struct As {
+  using wire_type = Wire;
+  T& v;
+};
+template <class Wire, class T>
+As<Wire, T> as(T& v) {
+  return {v};
+}
+
+namespace snapshot_detail {
+template <class C>
+concept Keyed = requires { typename C::mapped_type; };
+/// What a container holds, as the reader builds it before inserting.
+template <class C>
+auto element() {
+  if constexpr (Keyed<C>) {
+    return std::pair<typename C::key_type, typename C::mapped_type>{};
+  } else {
+    return typename C::value_type{};
+  }
+}
+}  // namespace snapshot_detail
+
+/// The dispatch both archives share: a struct with a field list, a
+/// polymorphic object with save()/restore() (a CC context), a pair, a
+/// container (a u32 count, then its elements), or a scalar the archive
+/// encodes itself.
+template <class Ar>
+class Archive {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void b(bool v) { u8(v ? 1 : 0); }
-
-  void u16(std::uint16_t v) { raw(&v, sizeof(v)); }
-  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void i64(std::int64_t v) { raw(&v, sizeof(v)); }
-
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
+  /// Encodes (or decodes into) each value in turn.
+  template <class... Ts>
+  void operator()(Ts&&... vs) {
+    (field(vs), ...);
   }
 
-  void time(SimTime t) { i64(t.ps()); }
+ protected:
+  template <class T>
+  void field(T& v) {
+    using U = std::remove_const_t<T>;
+    Ar& ar = static_cast<Ar&>(*this);
+    if constexpr (requires { U::fields(ar, v); }) {
+      U::fields(ar, v);
+    } else if constexpr (requires { v.save(ar); }) {
+      v.save(ar);
+    } else if constexpr (requires { v.restore(ar); }) {
+      v.restore(ar);
+    } else if constexpr (requires { v.first; v.second; }) {
+      field(v.first);
+      field(v.second);
+    } else if constexpr (requires { v.size(); } &&
+                         !std::is_same_v<U, std::string>) {
+      ar.seq(v, [this](auto& item) { field(item); });
+    } else {
+      ar.scalar(v);
+    }
+  }
+};
 
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s);
+class SnapshotWriter : public Archive<SnapshotWriter> {
+ public:
+  static constexpr bool kLoading = false;
+
+  /// A u32 count, then `each(element)` per element; a hash container is
+  /// walked in ascending key order.
+  template <class C, class Each>
+  void seq(const C& items, Each&& each) {
+    scalar(static_cast<std::uint32_t>(items.size()));
+    if constexpr (requires { typename C::hasher; }) {
+      for (const auto& key : sorted_keys(items)) each(*items.find(key));
+    } else if constexpr (requires { items.begin(); }) {
+      for (const auto& item : items) each(item);
+    } else {
+      for (std::size_t i = 0; i < items.size(); ++i) each(items[i]);
+    }
   }
 
-  void section(std::uint32_t tag) { u32(tag); }
+  void section(std::uint32_t tag) { scalar(tag); }
+
+  void u8(std::uint8_t v) { scalar(v); }
+  void b(bool v) { scalar(v); }
+  void u16(std::uint16_t v) { scalar(v); }
+  void u32(std::uint32_t v) { scalar(v); }
+  void u64(std::uint64_t v) { scalar(v); }
+  void i64(std::int64_t v) { scalar(v); }
+  void f64(double v) { scalar(v); }
+  void time(SimTime t) { scalar(t); }
+  void str(const std::string& s) { scalar(s); }
 
   const std::string& bytes() const { return buf_; }
   std::string take() { return std::move(buf_); }
 
  private:
-  void raw(const void* p, std::size_t n) {
-    const char* c = static_cast<const char*>(p);
-    // Byte-order note: the simulation only targets little-endian hosts (the
-    // whole repo assumes it); memcpy of the native representation is the
-    // deterministic encoding on every supported platform.
-    buf_.append(c, n);
+  friend class Archive<SnapshotWriter>;
+
+  template <class T>
+  void scalar(const T& v) {
+    if constexpr (requires { v.v.bps(); }) {
+      scalar(static_cast<typename T::wire_type>(v.v.bps()));
+    } else if constexpr (requires { typename T::wire_type; }) {
+      scalar(static_cast<typename T::wire_type>(v.v));
+    } else if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      // Byte-order note: the simulation only targets little-endian hosts
+      // (the whole repo assumes it); the native representation is the
+      // deterministic encoding on every supported platform. A bool is one
+      // 0/1 byte, an enum its underlying integer.
+      buf_.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    } else if constexpr (std::is_same_v<T, SimTime>) {
+      scalar(v.ps());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      scalar(static_cast<std::uint32_t>(v.size()));
+      buf_.append(v);
+    } else {
+      scalar(v.value());  // a strong-typed address
+    }
   }
 
   std::string buf_;
 };
 
-class SnapshotReader {
+class SnapshotReader : public Archive<SnapshotReader> {
  public:
+  static constexpr bool kLoading = true;
+
   explicit SnapshotReader(std::string_view bytes) : bytes_(bytes) {}
 
-  std::uint8_t u8() {
-    std::uint8_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  bool b() { return u8() != 0; }
-  std::uint16_t u16() {
-    std::uint16_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::int64_t i64() {
-    std::int64_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  SimTime time() { return SimTime::picos(i64()); }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (pos_ + n > bytes_.size()) {
-      failed_ = true;
-      return {};
+  /// Reads a u32 count and refills `items` with that many elements, each
+  /// decoded by `each`. Every element takes at least one byte, so a count
+  /// above the bytes left fails the reader with kOutOfRange before the loop
+  /// starts. An element cut short by the end of the bytes is dropped.
+  template <class C, class Each>
+  void seq(C& items, Each&& each) {
+    const auto n = read<std::uint32_t>();
+    if (!ok()) return;
+    if (n > remaining()) {
+      return fail(out_of_range("snapshot: count " + std::to_string(n) +
+                               " exceeds the " + std::to_string(remaining()) +
+                               " bytes left"));
     }
-    std::string out(bytes_.substr(pos_, n));
-    pos_ += n;
-    return out;
+    items.clear();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      auto e = snapshot_detail::element<C>();
+      each(e);
+      if (!ok()) return;
+      if constexpr (!snapshot_detail::Keyed<C>) {
+        items.push_back(std::move(e));
+      } else if constexpr (requires { items.emplace(e.first, e.second); }) {
+        items.emplace(std::move(e.first), std::move(e.second));
+      } else {
+        items.insert(e.first, std::move(e.second));
+      }
+    }
   }
 
   /// Consume a section marker, failing loudly on a tag mismatch (the
   /// reader is desynchronized or the snapshot is from a different layout).
-  Status expect_section(std::uint32_t tag) {
-    const std::uint32_t got = u32();
-    if (failed_) return out_of_range("snapshot: truncated before section");
-    if (got != tag) {
-      return invalid_argument("snapshot: section tag mismatch (got " +
-                              std::to_string(got) + ", want " +
-                              std::to_string(tag) + ")");
+  void section(std::uint32_t tag) {
+    const auto got = read<std::uint32_t>();
+    if (ok() && got != tag) {
+      fail(invalid_argument("snapshot: section tag mismatch (got " +
+                            std::to_string(got) + ", want " +
+                            std::to_string(tag) + ")"));
     }
-    return Status::ok();
+  }
+  Status expect_section(std::uint32_t tag) {
+    section(tag);
+    return status_;
   }
 
-  /// False once any read ran past the end of the buffer.
-  bool ok() const { return !failed_; }
-  bool exhausted() const { return pos_ == bytes_.size(); }
+  std::uint8_t u8() { return read<std::uint8_t>(); }
+  bool b() { return read<bool>(); }
+  std::uint16_t u16() { return read<std::uint16_t>(); }
+  std::uint32_t u32() { return read<std::uint32_t>(); }
+  std::uint64_t u64() { return read<std::uint64_t>(); }
+  std::int64_t i64() { return read<std::int64_t>(); }
+  double f64() { return read<double>(); }
+  SimTime time() { return read<SimTime>(); }
+  std::string str() { return read<std::string>(); }
+
+  /// Fail the read with `s` (the first failure wins). Every later read
+  /// comes back zero.
+  void fail(Status s) {
+    if (ok()) status_ = std::move(s);
+    pos_ = bytes_.size();
+  }
+
+  /// False once any read ran past the end or a check failed.
+  bool ok() const { return status_.is_ok(); }
+  const Status& status() const { return status_; }
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
   Status finish() const {
-    if (failed_) return out_of_range("snapshot: truncated");
-    if (!exhausted()) {
+    if (!ok()) return status_;
+    if (remaining() != 0) {
       return invalid_argument("snapshot: trailing bytes (" +
                               std::to_string(remaining()) + ")");
     }
@@ -149,19 +254,46 @@ class SnapshotReader {
   }
 
  private:
-  void raw(void* p, std::size_t n) {
-    if (pos_ + n > bytes_.size()) {
-      failed_ = true;
-      std::memset(p, 0, n);
-      return;
+  friend class Archive<SnapshotReader>;
+
+  template <class T>
+  T read() {
+    T v{};
+    scalar(v);
+    return v;
+  }
+
+  template <class T>
+  void scalar(T& v) {
+    if constexpr (requires { v.v.bps(); }) {
+      v.v = Bandwidth::bits_per_sec(read<typename T::wire_type>());
+    } else if constexpr (requires { typename T::wire_type; }) {
+      v.v = static_cast<std::remove_reference_t<decltype(v.v)>>(
+          read<typename T::wire_type>());
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v = read<std::uint8_t>() != 0;
+    } else if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      if (sizeof(v) > remaining()) {
+        v = T{};  // an overrun reads as zero, never garbage
+        return fail(out_of_range("snapshot: truncated"));
+      }
+      std::memcpy(&v, bytes_.data() + pos_, sizeof(v));
+      pos_ += sizeof(v);
+    } else if constexpr (std::is_same_v<T, SimTime>) {
+      v = SimTime::picos(read<std::int64_t>());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      const auto n = read<std::uint32_t>();
+      if (n > remaining()) return fail(out_of_range("snapshot: truncated"));
+      v.assign(bytes_.substr(pos_, n));
+      pos_ += n;
+    } else {
+      v = T{read<std::uint64_t>()};  // a strong-typed address
     }
-    std::memcpy(p, bytes_.data() + pos_, n);
-    pos_ += n;
   }
 
   std::string_view bytes_;
   std::size_t pos_ = 0;
-  bool failed_ = false;
+  Status status_;
 };
 
 /// FNV-1a 64-bit digest, rendered as fixed-width hex: the byte-stability

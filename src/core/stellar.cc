@@ -1,7 +1,9 @@
 #include "core/stellar.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
+#include <vector>
 
 #include "core/tenant.h"
 
@@ -9,6 +11,19 @@ namespace stellar {
 
 namespace {
 constexpr std::uint32_t kDevicesTag = snapshot_tag('S', 'H', 'D', 'V');
+
+/// One virtual device as a snapshot carries it: the index of its RNIC, its
+/// MRs by key and its QPs by number.
+struct DeviceRecord {
+  std::uint32_t rnic_index = 0;
+  std::map<MrKey, VStellarDevice::MrRecord> mrs;
+  std::vector<QueuePair> qps;
+
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& d) {
+    ar(d.rnic_index, d.mrs, d.qps);
+  }
+};
 }  // namespace
 
 StellarHost::StellarHost(StellarHostConfig config)
@@ -164,81 +179,48 @@ StatusOr<StellarHost::TenantKillReport> StellarHost::kill_tenant(
 }
 
 StatusOr<std::string> StellarHost::serialize_vm_devices(VmId vm) const {
-  SnapshotWriter w;
-  w.section(kDevicesTag);
-  w.u32(vm);
-
-  std::vector<const VStellarDevice*> devs;
+  std::vector<DeviceRecord> devs;
   for (const auto& dev : devices_) {
-    if (dev->vm() == vm) devs.push_back(dev.get());
-  }
-  w.u32(static_cast<std::uint32_t>(devs.size()));
-
-  for (const VStellarDevice* dev : devs) {
-    std::size_t rnic_index = rnics_.size();
-    for (std::size_t i = 0; i < rnics_.size(); ++i) {
-      if (rnics_[i].get() == dev->rnic_) rnic_index = i;
-    }
-    if (rnic_index == rnics_.size()) {
+    if (dev->vm() != vm) continue;
+    const auto rnic =
+        std::find_if(rnics_.begin(), rnics_.end(),
+                     [&](const auto& r) { return r.get() == dev->rnic_; });
+    if (rnic == rnics_.end()) {
       return internal_error("serialize_vm_devices: device RNIC not owned");
     }
-    w.u32(static_cast<std::uint32_t>(rnic_index));
-
-    std::vector<MrKey> keys;
-    keys.reserve(dev->mr_records_.size());
-    for (const auto& [key, rec] : dev->mr_records_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    w.u32(static_cast<std::uint32_t>(keys.size()));
-    for (MrKey key : keys) {
-      const VStellarDevice::MrRecord& rec = dev->mr_records_.at(key);
-      w.u32(key);
-      w.u64(rec.va.value());
-      w.u64(rec.len);
-      w.u8(static_cast<std::uint8_t>(rec.owner));
-      w.u64(rec.guest_addr);
-      w.u32(rec.gpu_index);
-    }
-
-    const auto qps = dev->rnic_->verbs().qps_in_pd(dev->pd_);
-    w.u32(static_cast<std::uint32_t>(qps.size()));
-    for (const QueuePair& qp : qps) {
-      w.u32(qp.num);
-      w.u8(static_cast<std::uint8_t>(qp.state));
-      w.u32(qp.remote_qp);
-    }
+    devs.push_back({static_cast<std::uint32_t>(rnic - rnics_.begin()),
+                    {dev->mr_records_.begin(), dev->mr_records_.end()},
+                    dev->rnic_->verbs().qps_in_pd(dev->pd_)});
   }
+  SnapshotWriter w;
+  w.section(kDevicesTag);
+  w(vm, devs);
   return w.take();
 }
 
 StatusOr<StellarHost::DeviceRestoreReport> StellarHost::restore_vm_devices(
     RundContainer& container, const std::string& bytes) {
   SnapshotReader r(bytes);
-  if (Status s = r.expect_section(kDevicesTag); !s.is_ok()) return s;
-  if (r.u32() != container.id()) {
+  VmId vm = 0;
+  std::vector<DeviceRecord> devs;
+  r.section(kDevicesTag);
+  r(vm);
+  if (r.ok() && vm != container.id()) {
     return invalid_argument("restore_vm_devices: VM id mismatch");
   }
+  r(devs);
+  if (Status s = r.finish(); !s.is_ok()) return s;
 
   DeviceRestoreReport report;
   Hypervisor& hyp = *hypervisor_;
-  const std::uint32_t dev_count = r.u32();
-  for (std::uint32_t d = 0; d < dev_count; ++d) {
-    const std::uint32_t rnic_index = r.u32();
-    auto dev_or = create_vstellar_device(container, rnic_index);
+  for (const DeviceRecord& record : devs) {
+    auto dev_or = create_vstellar_device(container, record.rnic_index);
     if (!dev_or.is_ok()) return dev_or.status();
     VStellarDevice* dev = dev_or.value();
     ++report.devices;
     report.provision_time += dev->creation_time();
 
-    const std::uint32_t mr_count = r.u32();
-    for (std::uint32_t m = 0; m < mr_count; ++m) {
-      const MrKey key = r.u32();
-      VStellarDevice::MrRecord rec;
-      rec.va = Gva{r.u64()};
-      rec.len = r.u64();
-      rec.owner = static_cast<MemoryOwner>(r.u8());
-      rec.guest_addr = r.u64();
-      rec.gpu_index = r.u32();
-
+    for (const auto& [key, rec] : record.mrs) {
       report.control_time +=
           hyp.control_path(dev->vm_).execute(ControlCommand::kRegisterMr);
       std::uint64_t final_hpa = 0;
@@ -277,14 +259,8 @@ StatusOr<StellarHost::DeviceRestoreReport> StellarHost::restore_vm_devices(
       ++report.mrs;
     }
 
-    const std::uint32_t qp_count = r.u32();
-    for (std::uint32_t q = 0; q < qp_count; ++q) {
-      QueuePair qp;
-      qp.num = r.u32();
+    for (QueuePair qp : record.qps) {
       qp.pd = dev->pd_;
-      qp.state = static_cast<QpState>(r.u8());
-      qp.remote_qp = r.u32();
-
       auto& control = hyp.control_path(dev->vm_);
       report.control_time += control.execute(ControlCommand::kCreateQp);
       // Re-walk the verbs ladder for however far the QP had progressed.
@@ -299,7 +275,6 @@ StatusOr<StellarHost::DeviceRestoreReport> StellarHost::restore_vm_devices(
       ++report.qps;
     }
   }
-  if (Status s = r.finish(); !s.is_ok()) return s;
   return report;
 }
 

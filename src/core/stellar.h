@@ -208,6 +208,11 @@ class VStellarDevice {
     MemoryOwner owner = MemoryOwner::kHostDram;
     std::uint64_t guest_addr = 0;
     std::uint32_t gpu_index = 0;
+
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& mr) {
+      ar(mr.va, mr.len, mr.owner, mr.guest_addr, mr.gpu_index);
+    }
   };
   const std::unordered_map<MrKey, MrRecord>& memory_records() const {
     return mr_records_;

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "common/snapshot.h"
 #include "common/status.h"
 #include "memory/address.h"
 #include "memory/range_map.h"
@@ -103,40 +102,34 @@ class Ept {
   std::uint64_t mapped_bytes() const { return table_.mapped_bytes(); }
   std::size_t range_count() const { return table_.range_count(); }
 
-  /// Checkpoint the full GPA->HPA table plus the device-register subset.
-  void save_state(SnapshotWriter& w) const {
-    table_.save_state(w);
-    registers_.save_state(w);
+  /// Checkpoint/restore of the full GPA->HPA table plus the
+  /// device-register subset. For a backend hot-upgrade the guest keeps its
+  /// physical frames, so the restored table is exact.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& e) {
+    ar(e.table_, e.registers_);
   }
 
-  /// Restore a checkpoint. For a backend hot-upgrade the guest keeps its
-  /// physical frames: `delta = 0`, `include_registers = true` reproduces
-  /// the table exactly. For live migration the destination host backs the
-  /// guest with a different physical window: HPAs inside the old backing
-  /// window [old_base, old_base+old_len) are rebased by
-  /// `delta = new_base - old_base`, and device-register windows (host MMIO
-  /// of the *source* host's RNIC BARs) are dropped — the destination
-  /// re-maps them when it re-creates the virtual devices.
-  void restore_state(SnapshotReader& r, std::int64_t delta, Hpa old_base,
-                     std::uint64_t old_len, bool include_registers) {
-    RangeMap<Gpa, Hpa> table;
-    RangeMap<Gpa, Hpa> registers;
-    table.restore_state(r);
-    registers.restore_state(r);
+  /// Live migration, after a restore: the destination host backs the guest
+  /// with a different physical window. HPAs inside the old backing window
+  /// [old_base, old_base+old_len) are rebased by `delta = new_base -
+  /// old_base`, and device-register windows (host MMIO of the *source*
+  /// host's RNIC BARs) are dropped — the destination re-maps them when it
+  /// re-creates the virtual devices.
+  void rebase(std::int64_t delta, Hpa old_base, std::uint64_t old_len) {
+    const RangeMap<Gpa, Hpa> table = std::move(table_);
     table_.clear();
-    registers_.clear();
     for (const auto& [start, e] : table) {
-      const bool is_register = registers.contains(Gpa{start});
-      if (is_register && !include_registers) continue;
+      if (registers_.contains(Gpa{start})) continue;
       Hpa dst = e.dst;
-      if (!is_register && dst.value() >= old_base.value() &&
+      if (dst.value() >= old_base.value() &&
           dst.value() < old_base.value() + old_len) {
         dst = Hpa{static_cast<std::uint64_t>(
             static_cast<std::int64_t>(dst.value()) + delta)};
       }
       (void)table_.map(Gpa{start}, dst, e.len);
-      if (is_register) (void)registers_.map(Gpa{start}, dst, e.len);
     }
+    registers_.clear();
   }
 
  private:

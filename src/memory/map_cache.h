@@ -8,13 +8,10 @@
 // stale 4 KiB sub-mapping (the vDB) lingers inside it.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/ordered.h"
-#include "common/snapshot.h"
 #include "common/status.h"
 #include "memory/address.h"
 
@@ -84,41 +81,30 @@ class MapCache {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
-  /// Checkpoint/restore: resident blocks in sorted block-start order (the
-  /// container is unordered), plus hit/miss statistics.
-  void save_state(SnapshotWriter& w) const {
-    w.u64(block_size_);
-    w.u64(hits_);
-    w.u64(misses_);
-    std::vector<std::uint64_t> starts;
-    starts.reserve(blocks_.size());
-    for (const auto& [start, block] : blocks_) starts.push_back(start);
-    std::sort(starts.begin(), starts.end());
-    w.u32(static_cast<std::uint32_t>(starts.size()));
-    for (std::uint64_t start : starts) {
-      w.u64(start);
-      w.u32(blocks_.at(start).users);
+  /// Checkpoint/restore: the block size (a restore fails unless it
+  /// matches), hit/miss statistics, then the resident blocks in ascending
+  /// block-start order.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& c) {
+    std::uint64_t block_size = c.block_size_;
+    ar(block_size);
+    if constexpr (Ar::kLoading) {
+      if (block_size != c.block_size_) {
+        return ar.fail(
+            invalid_argument("MapCache::restore: block size mismatch"));
+      }
     }
-  }
-  Status restore_state(SnapshotReader& r) {
-    const std::uint64_t bs = r.u64();
-    if (bs != block_size_) {
-      return invalid_argument("MapCache::restore: block size mismatch");
-    }
-    hits_ = r.u64();
-    misses_ = r.u64();
-    blocks_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint64_t start = r.u64();
-      blocks_[start].users = r.u32();
-    }
-    return Status::ok();
+    ar(c.hits_, c.misses_, c.blocks_);
   }
 
  private:
   struct Block {
     std::uint32_t users = 0;
+
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& b) {
+      ar(b.users);
+    }
   };
 
   std::uint64_t block_size_;

@@ -10,7 +10,6 @@
 #include <map>
 #include <optional>
 
-#include "common/snapshot.h"
 #include "common/status.h"
 #include "memory/address.h"
 
@@ -22,6 +21,11 @@ class RangeMap {
   struct Entry {
     std::uint64_t len = 0;
     Dst dst;
+
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& e) {
+      ar(e.len, e.dst);
+    }
   };
 
   /// Map [src, src+len) -> [dst, dst+len). Fails on any overlap with an
@@ -150,24 +154,10 @@ class RangeMap {
   void clear() { ranges_.clear(); }
 
   /// Checkpoint/restore: ranges are already kept in address order, so the
-  /// bytes are deterministic. `restore_state` replaces the whole table.
-  void save_state(SnapshotWriter& w) const {
-    w.u32(static_cast<std::uint32_t>(ranges_.size()));
-    for (const auto& [start, e] : ranges_) {
-      w.u64(start);
-      w.u64(e.len);
-      w.u64(e.dst.value());
-    }
-  }
-  void restore_state(SnapshotReader& r) {
-    ranges_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint64_t start = r.u64();
-      const std::uint64_t len = r.u64();
-      const std::uint64_t dst = r.u64();
-      ranges_.emplace(start, Entry{len, Dst{dst}});
-    }
+  /// bytes are deterministic. A restore replaces the whole table.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& m) {
+    ar(m.ranges_);
   }
 
   /// Iterate (start, Entry) pairs in address order.

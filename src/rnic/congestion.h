@@ -51,6 +51,12 @@ struct CcConfig {
   SimTime base_rtt = SimTime::micros(8);
   double rtt_high_factor = 3.0;             // RTT guard threshold
   double rtt_backoff = 0.85;                // multiplicative RTT response
+
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& c) {
+    ar(c.mtu, c.init_window, c.min_window, c.max_window, c.ecn_gain,
+       c.base_rtt, c.rtt_high_factor, c.rtt_backoff);
+  }
 };
 
 class WindowCc final : public CongestionControl {
@@ -108,15 +114,11 @@ class WindowCc final : public CongestionControl {
     acked_since_rtt_cut_ = 0;
   }
 
-  void save(SnapshotWriter& w) const override {
-    w.u64(window_);
-    w.f64(alpha_);
-    w.u64(acked_since_rtt_cut_);
-  }
-  void restore(SnapshotReader& r) override {
-    window_ = r.u64();
-    alpha_ = r.f64();
-    acked_since_rtt_cut_ = r.u64();
+  void save(SnapshotWriter& w) const override { fields(w, *this); }
+  void restore(SnapshotReader& r) override { fields(r, *this); }
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& cc) {
+    ar(cc.window_, cc.alpha_, cc.acked_since_rtt_cut_);
   }
 
   double alpha() const { return alpha_; }
@@ -181,13 +183,11 @@ class SwiftCc final : public CongestionControl {
     acked_since_cut_ = 0;
   }
 
-  void save(SnapshotWriter& w) const override {
-    w.u64(window_);
-    w.u64(acked_since_cut_);
-  }
-  void restore(SnapshotReader& r) override {
-    window_ = r.u64();
-    acked_since_cut_ = r.u64();
+  void save(SnapshotWriter& w) const override { fields(w, *this); }
+  void restore(SnapshotReader& r) override { fields(r, *this); }
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& cc) {
+    ar(cc.window_, cc.acked_since_cut_);
   }
 
  private:

@@ -41,11 +41,15 @@ class SendWindow {
       std::numeric_limits<std::uint32_t>::max();
 
  public:
-  /// One live entry as iteration yields it: the PSN and its record.
+  using key_type = std::uint64_t;
+  using mapped_type = Rec;
+
+  /// One live entry as iteration yields it: the PSN and its record, named
+  /// as a map's entries are.
   template <typename R>
   struct Entry {
-    std::uint64_t psn;
-    R& rec;
+    std::uint64_t first;
+    R& second;
   };
 
   /// Visits the live PSNs in ascending order.

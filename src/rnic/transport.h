@@ -75,6 +75,14 @@ struct TransportConfig {
   /// Owning tenant of every QP opened with this config — the attribution
   /// key for per-tenant goodput/SLO tracking (docs/TENANCY.md).
   TenantId tenant = kHostTenant;
+
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& c) {
+    ar(c.mtu, c.num_paths, as<std::uint8_t>(c.algo), c.rto, c.cc, c.cc_algo,
+       c.extra_header_bytes, c.per_packet_overhead,
+       as<std::int64_t>(c.stack_rate_cap), c.max_retries, c.blacklist_hold,
+       c.probe_interval, c.per_path_cc, c.tenant);
+  }
 };
 
 class RdmaEngine;
@@ -203,6 +211,11 @@ class RdmaConnection : public FluidClient {
     PacketKind kind = PacketKind::kWrite;
     SimTime posted_at;  // post time, for the message-lifetime trace span
     Completion on_complete;
+
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& m) {
+      ar(m.id, m.total, m.sent, m.acked, m.tag, m.kind, m.posted_at);
+    }
   };
 
   struct Outstanding {
@@ -215,6 +228,12 @@ class RdmaConnection : public FluidClient {
     std::uint32_t msg_tag = 0;
     PacketKind kind = PacketKind::kWrite;
     std::uint32_t retries = 0;
+
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& o) {
+      ar(o.bytes, o.path, o.sent_at, o.msg_id, o.msg_offset, o.msg_total,
+         o.msg_tag, o.kind, o.retries);
+    }
   };
 
   void send_more();
@@ -257,22 +276,21 @@ class RdmaConnection : public FluidClient {
   /// The hybrid driver attached to the fabric, or nullptr (pure packet).
   HybridDriver* hybrid_driver() const;
 
-  /// Checkpoint/restore of the full sender-side QP context (config, PSN
-  /// space, unacked packets, queued messages, CC state, blacklists).
-  /// Message completion callbacks are NOT serialized — the engine harvests
-  /// and re-attaches them across a hot restart; a cold restore (migration)
-  /// starts with empty callbacks and the application re-registers.
-  /// Driven by RdmaEngine::save_state / restore_state.
-  void save_state(SnapshotWriter& w) const;
-  /// Fails on a packet or blacklist entry naming a path outside the
-  /// connection's `num_paths`.
-  Status restore_state(SnapshotReader& r);
+  /// Field list of the sender-side QP context after its identity and
+  /// config (PSN space, unacked packets, queued messages, CC state,
+  /// blacklists). Message completion callbacks are NOT serialized — the
+  /// engine harvests and re-attaches them across a hot restart; a cold
+  /// restore (migration) starts with empty callbacks and the application
+  /// re-registers. Driven by RdmaEngine::fields; a restore fails on a
+  /// packet or blacklist entry naming a path outside `num_paths`.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& c);
   /// Re-create CC contexts / path selector from config_ (shared with the
-  /// ctor); restore_state then overlays the serialized CC state. The spray
+  /// ctor); a restore then overlays the serialized CC state. The spray
   /// selector's learned weights are ephemeral hardware state and restart
   /// fresh — deterministically, from the connection-id seed.
   void rebuild_from_config();
-  /// Re-arm timers/probes and resume transmission after restore_state.
+  /// Re-arm timers/probes and resume transmission after a restore.
   void resume_after_restore();
   /// Cancel every pending timer/probe without touching logical state —
   /// the pre-restore half of a hot restart, and part of a QP error and of
@@ -377,6 +395,11 @@ struct RxMessage {
   std::uint32_t tag = 0;
   EndpointId src = kInvalidEndpoint;
   PacketKind kind = PacketKind::kWrite;
+
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& m) {
+    ar(m.conn_id, m.msg_id, m.bytes, m.tag, m.src, m.kind);
+  }
 };
 
 /// Per-endpoint transport engine: owns sender connections and all
@@ -530,6 +553,11 @@ class RdmaEngine : public FluidReceiver {
 
   struct RxMessageState {
     std::uint64_t received = 0;
+
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& m) {
+      ar(m.received);
+    }
   };
 
   // PSN tracking with a compacting floor: everything below the floor has
@@ -540,6 +568,10 @@ class RdmaEngine : public FluidReceiver {
     std::unordered_map<std::uint64_t, RxMessageState> messages;
     std::uint64_t highest_psn = 0;
     bool any = false;
+
+    /// Fails a restore on a stored PSN below the floor.
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& st);
   };
 
   struct RecvQueue {
@@ -553,9 +585,20 @@ class RdmaEngine : public FluidReceiver {
 
   void on_packet(NetPacket&& p);
   void handle_data(NetPacket&& p);
-  /// Deserialize engine + connection state (shared by restore_state and
-  /// hot_restart). Does not touch application callbacks.
-  Status restore_core(SnapshotReader& r);
+  /// Field list of the engine after its tag and endpoint id: counters, RX
+  /// state and every sender QP.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& e);
+  /// Deserialize engine + connection state from a whole snapshot (shared
+  /// by restore_state and hot_restart). Does not touch application
+  /// callbacks.
+  Status restore_core(const std::string& bytes);
+  /// The connection a snapshot's QP record restores into: the live one
+  /// with its id (hot restart, rebuilt in place) or a new one (migration).
+  /// Null, with `r` failed, if the record is not local to this endpoint.
+  RdmaConnection* adopt_connection(SnapshotReader& r, std::uint64_t id,
+                                   EndpointId local, EndpointId remote,
+                                   const TransportConfig& config);
   void send_ack(const NetPacket& data);
   void deliver_message(const RxMessage& rx);
   void serve_read_request(const NetPacket& p);

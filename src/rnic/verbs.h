@@ -39,6 +39,13 @@ struct QueuePair {
   PdId pd = 0;
   QpState state = QpState::kReset;
   std::uint32_t remote_qp = 0;
+
+  /// What a snapshot carries: the guest-visible identity and ladder state.
+  /// The PD is the restoring device's.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& qp) {
+    ar(qp.num, qp.state, qp.remote_qp);
+  }
 };
 
 /// Registry of verbs objects for one RNIC (or one virtual device).

@@ -166,23 +166,13 @@ std::vector<VmId> Hypervisor::booted_vms() const {
   return vms;
 }
 
-void Hypervisor::serialize_vm_state(const VmState& vm,
-                                    SnapshotWriter& w) const {
-  w.u64(vm.backing_base.value());
-  w.u64(vm.backing_len);
-  vm.ept.save_state(w);
-  vm.pvdma->save_state(w);
-  vm.shm.save_state(w);
-  vm.control.save_state(w);
-}
-
 StatusOr<std::string> Hypervisor::serialize_vm(VmId vm) const {
   auto it = state_.find(vm);
   if (it == state_.end()) return not_found("Hypervisor: container not booted");
+  const VmState& st = *it->second;
   SnapshotWriter w;
   w.section(kVmTag);
-  w.u32(vm);
-  serialize_vm_state(*it->second, w);
+  w(vm, st.backing_base, st.backing_len, st);
   return w.take();
 }
 
@@ -191,28 +181,24 @@ Status Hypervisor::restore_vm_hot(VmId vm, const std::string& bytes) {
   if (it == state_.end()) return not_found("Hypervisor: container not booted");
   VmState& st = *it->second;
   SnapshotReader r(bytes);
-  if (Status s = r.expect_section(kVmTag); !s.is_ok()) return s;
-  const VmId id = r.u32();
+  VmId id = 0;
+  Hpa old_base;
+  std::uint64_t old_len = 0;
+  r.section(kVmTag);
+  r(id, old_base, old_len);
+  if (!r.ok()) return r.status();
   if (id != vm) {
     return invalid_argument("Hypervisor::restore_vm_hot: snapshot is for VM " +
                             std::to_string(id));
   }
-  const Hpa old_base{r.u64()};
-  const std::uint64_t old_len = r.u64();
-  if (old_base.value() != st.backing_base.value() ||
-      old_len != st.backing_len) {
+  if (old_base != st.backing_base || old_len != st.backing_len) {
     return invalid_argument(
         "Hypervisor::restore_vm_hot: backing window changed — hot restore "
         "requires the guest to keep its physical frames");
   }
-  // Same host, same frames: delta 0, register windows kept, pins adopted.
-  st.ept.restore_state(r, /*delta=*/0, old_base, old_len,
-                       /*include_registers=*/true);
-  if (Status s = st.pvdma->restore_state(r, /*adopt_pins=*/true); !s.is_ok()) {
-    return s;
-  }
-  st.shm.restore_state(r);
-  st.control.restore_state(r);
+  // Same host, same frames: the EPT is exact, register windows are kept
+  // and pins adopted.
+  r(st);
   return r.finish();
 }
 
@@ -253,16 +239,18 @@ StatusOr<Hypervisor::BootReport> Hypervisor::restore_container(
     return already_exists("Hypervisor: container already booted");
   }
   SnapshotReader r(bytes);
-  if (Status s = r.expect_section(kVmTag); !s.is_ok()) return s;
-  const VmId id = r.u32();
+  VmId id = 0;
+  Hpa old_base;
+  std::uint64_t old_len = 0;
+  r.section(kVmTag);
+  r(id, old_base, old_len);
+  if (!r.ok()) return r.status();
   if (id != container.id()) {
     return invalid_argument(
         "Hypervisor::restore_container: snapshot is for VM " +
         std::to_string(id) + ", container is " +
         std::to_string(container.id()));
   }
-  const Hpa old_base{r.u64()};
-  const std::uint64_t old_len = r.u64();
   if (old_len != container.memory_bytes()) {
     return invalid_argument(
         "Hypervisor::restore_container: memory size mismatch");
@@ -274,29 +262,24 @@ StatusOr<Hypervisor::BootReport> Hypervisor::restore_container(
   auto vm = std::make_unique<VmState>();
   vm->backing_base = backing.value();
   vm->backing_len = old_len;
-  const std::int64_t delta =
-      static_cast<std::int64_t>(vm->backing_base.value()) -
-      static_cast<std::int64_t>(old_base.value());
-  // Rebase guest RAM onto this host's backing window; drop the source
-  // host's device-register windows (re-created with the devices).
-  vm->ept.restore_state(r, delta, old_base, old_len,
-                        /*include_registers=*/false);
   vm->pvdma = std::make_unique<Pvdma>(pcie_->iommu(), vm->ept, PvdmaConfig{},
                                       vm->backing_base.value());
   vm->pvdma->set_tenant(container.id());
-  Status restored = vm->pvdma->restore_state(r, /*adopt_pins=*/false);
-  if (restored.is_ok()) {
-    // Source shm doorbell windows point at the source host's MMIO: consume
-    // and drop; this host maps its own when devices are re-created.
-    ShmRegion discarded;
-    discarded.restore_state(r);
-    vm->control.restore_state(r);
-    restored = r.finish();
-  }
-  if (!restored.is_ok()) {
+  r(*vm);
+  if (Status s = r.finish(); !s.is_ok()) {
     (void)pcie_->main_memory().release(vm->backing_base);
-    return restored;
+    return s;
   }
+  // Rebase guest RAM onto this host's backing window and drop the source
+  // host's device-register windows (re-created with the devices), its pin
+  // table (nothing is pinned here yet) and its shm doorbell windows (they
+  // point at the source host's MMIO; this host maps its own when devices
+  // are re-created).
+  vm->ept.rebase(static_cast<std::int64_t>(vm->backing_base.value()) -
+                     static_cast<std::int64_t>(old_base.value()),
+                 old_base, old_len);
+  vm->pvdma->drop_pin_table();
+  vm->shm = ShmRegion{};
 
   BootReport report;
   const double gib =

@@ -162,6 +162,12 @@ class Hypervisor {
     VirtioControlPath control;
     Hpa backing_base;
     std::uint64_t backing_len = 0;
+
+    /// Everything after the snapshot header (tag, VM id, backing window).
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& vm) {
+      ar(vm.ept, *vm.pvdma, vm.shm, vm.control);
+    }
   };
 
   void retry_pin(Simulator& sim, VmId vm, Gpa gpa, std::uint64_t len,
@@ -169,7 +175,6 @@ class Hypervisor {
   /// Jittered retry delay within the deterministic exponential envelope.
   SimTime jittered_delay(VmId vm, Gpa gpa, std::uint32_t attempt,
                          SimTime backoff) const;
-  void serialize_vm_state(const VmState& vm, SnapshotWriter& w) const;
 
   HostPcie* pcie_;
   HypervisorConfig config_;

@@ -204,47 +204,6 @@ void Pvdma::unregister_block(Gpa block_start) {
   }
 }
 
-void Pvdma::save_state(SnapshotWriter& w) const {
-  cache_.save_state(w);
-  w.u64(pinned_bytes_);
-  w.u64(blocks_registered_);
-  w.u64(stale_accesses_);
-  w.u64(double_unpins_);
-  w.u64(pressured_rejections_);
-  w.b(pressured_);
-  w.u64(budget_rejections_);
-  w.u64(capacity_rejections_);
-  w.u64(pin_budget_bytes_);
-  w.u32(tenant_);
-}
-
-Status Pvdma::restore_state(SnapshotReader& r, bool adopt_pins) {
-  if (adopt_pins) {
-    // Hot upgrade: the IOMMU (hardware) kept every pin across the backend
-    // swap — adopt the serialized pin table as-is.
-    if (Status s = cache_.restore_state(r); !s.is_ok()) return s;
-    pinned_bytes_ = r.u64();
-  } else {
-    // Migration: consume the source's pin table but start empty — nothing
-    // is pinned on this host yet. First DMA touches re-pin on demand.
-    MapCache discarded(config_.block_size);
-    if (Status s = discarded.restore_state(r); !s.is_ok()) return s;
-    (void)r.u64();  // source pinned_bytes
-    cache_ = MapCache(config_.block_size);
-    pinned_bytes_ = 0;
-  }
-  blocks_registered_ = r.u64();
-  stale_accesses_ = r.u64();
-  double_unpins_ = r.u64();
-  pressured_rejections_ = r.u64();
-  pressured_ = r.b();
-  budget_rejections_ = r.u64();
-  capacity_rejections_ = r.u64();
-  pin_budget_bytes_ = r.u64();
-  tenant_ = r.u32();
-  return Status::ok();
-}
-
 Pvdma::DeviceAccess Pvdma::translate_for_device(Gpa gpa) {
   DeviceAccess out;
   auto tr = iommu_->translate(IoVa{iova_base_ + gpa.value()}, tenant_);

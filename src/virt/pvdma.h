@@ -118,18 +118,27 @@ class Pvdma {
   /// flags a nonzero count as a double-unpin bug.
   std::uint64_t double_unpins() const { return double_unpins_; }
 
-  /// Checkpoint the pin table (Map Cache residency + user counts) and the
-  /// accounting counters.
-  void save_state(SnapshotWriter& w) const;
+  /// Checkpoint/restore of the pin table (Map Cache residency + user
+  /// counts) and the accounting counters. A restore adopts the pins: the
+  /// backend hot-upgrade path, where the guest's pages stayed pinned in the
+  /// (untouched) IOMMU while the backend process was swapped, so the
+  /// pin-accounting auditor stays green.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& p) {
+    ar(p.cache_, p.pinned_bytes_, p.blocks_registered_, p.stale_accesses_,
+       p.double_unpins_, p.pressured_rejections_, p.pressured_,
+       p.budget_rejections_, p.capacity_rejections_, p.pin_budget_bytes_,
+       p.tenant_);
+  }
 
-  /// Restore a checkpoint. `adopt_pins = true` is the backend hot-upgrade
-  /// path: the guest's pages stayed pinned in the (untouched) IOMMU while
-  /// the backend process was swapped, so the restored Map Cache adopts them
-  /// and the pin-accounting auditor stays green. `adopt_pins = false` is
-  /// the migration path: nothing is pinned on the destination yet, so the
-  /// pin table starts empty (first DMA touches re-pin on demand — the Map
-  /// Cache cold path) while the cumulative statistics carry over.
-  Status restore_state(SnapshotReader& r, bool adopt_pins);
+  /// The migration path, after a restore: nothing is pinned on the
+  /// destination yet, so the pin table starts empty (first DMA touches
+  /// re-pin on demand — the Map Cache cold path) while the cumulative
+  /// statistics carry over.
+  void drop_pin_table() {
+    cache_ = MapCache(config_.block_size);
+    pinned_bytes_ = 0;
+  }
 
  private:
   /// Admit (tenant budget, host capacity), register and pin one block that

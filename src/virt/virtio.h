@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "common/snapshot.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "memory/address.h"
@@ -72,13 +71,9 @@ class VirtioControlPath {
 
   /// Checkpoint/restore of the virtqueue statistics (guest-visible via
   /// driver counters, so they must survive a backend swap).
-  void save_state(SnapshotWriter& w) const {
-    w.u64(commands_);
-    w.u64(stalled_commands_);
-  }
-  void restore_state(SnapshotReader& r) {
-    commands_ = r.u64();
-    stalled_commands_ = r.u64();
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& v) {
+    ar(v.commands_, v.stalled_commands_);
   }
 
  private:
@@ -125,15 +120,9 @@ class ShmRegion {
   /// Checkpoint/restore. Only meaningful for a same-host backend swap: the
   /// windows point at host MMIO, so a migrated guest gets a *fresh* shm
   /// region and the destination re-maps its own doorbells.
-  void save_state(SnapshotWriter& w) const {
-    w.u64(size_);
-    w.u64(next_);
-    table_.save_state(w);
-  }
-  void restore_state(SnapshotReader& r) {
-    size_ = r.u64();
-    next_ = r.u64();
-    table_.restore_state(r);
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& s) {
+    ar(s.size_, s.next_, s.table_);
   }
 
  private:

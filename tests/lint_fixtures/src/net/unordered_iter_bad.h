@@ -22,6 +22,14 @@ class Thing {
     return out;
   }
 
+  // Snapshot field list: the one list both archives walk.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self) {
+    for (const auto& [id, v] : self.table_) {  // expect: unordered-iter
+      ar(id, v);
+    }
+  }
+
   // Scheduling context: event order must not depend on hash layout.
   void restart_all() {
     for (const auto& [id, v] : table_) {  // expect: unordered-iter

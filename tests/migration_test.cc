@@ -204,10 +204,30 @@ TEST(MigrationTest, RestoreContainerRejectsBadSnapshots) {
       destination.hypervisor().restore_container(dst, truncated).is_ok());
   EXPECT_FALSE(dst.booted());
 
+  // A count no snapshot of this size can hold — the EPT range count after
+  // the header (tag, VM id, backing base and length) — is refused before
+  // its loop starts.
+  std::string huge = snap.value();
+  huge.replace(24, 4, "\xff\xff\xff\xff");
+  EXPECT_EQ(
+      destination.hypervisor().restore_container(dst, huge).status().code(),
+      StatusCode::kOutOfRange);
+  EXPECT_FALSE(dst.booted());
+
   // An intact snapshot still restores after the failed attempt.
   EXPECT_TRUE(
       destination.hypervisor().restore_container(dst, snap.value()).is_ok());
   EXPECT_TRUE(dst.booted());
+
+  // The same for the device snapshot's device count (after the tag and VM
+  // id): no device is created for it.
+  auto devices = source.serialize_vm_devices(4);
+  ASSERT_TRUE(devices.is_ok());
+  std::string bad_devices = devices.value();
+  bad_devices.replace(8, 4, "\xff\xff\xff\xff");
+  EXPECT_EQ(destination.restore_vm_devices(dst, bad_devices).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(destination.device_count(4), 0u);
 }
 
 }  // namespace

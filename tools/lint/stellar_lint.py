@@ -101,7 +101,7 @@ HOT_PATH_FILES_RE = re.compile(r"^src/net/(link|fabric)\.(h|cc)$")
 # Emitter context: function names whose output must be byte-deterministic.
 EMITTER_RE = re.compile(
     r"to_json|to_table|to_string|write_json|save_state|save\b|snapshot"
-    r"|digest|serialize|dump|summar|fingerprint|emit|audit"
+    r"|fields|digest|serialize|dump|summar|fingerprint|emit|audit"
 )
 
 SUPPRESS_RE = re.compile(r"//\s*stellar-lint:\s*allow\(([a-z0-9-]+)\)")
