@@ -22,7 +22,7 @@
 #   6b. the tenant-labelled multi-tenant isolation tests (vSwitch QoS,
 #      budget admission, kill_tenant reclaim) on their own, plus the
 #      adversarial-tenant bench run twice to prove BENCH_tenants.json is
-#      byte-deterministic
+#      byte-deterministic and equal to its golden
 #   6c. the hybrid-labelled fidelity tests (fluid-solver properties, the
 #      golden-equivalence harness, mode-transition fault regressions), plus
 #      the fig09-mini packet-vs-hybrid tolerance gate
@@ -35,7 +35,8 @@
 #      The fig09-mini BENCH JSON at both fidelities and that fig15_16
 #      stdout (minus [engine] lines) must also equal the committed goldens
 #      in tests/golden/ byte for byte, as must the virt-layer tables
-#      (fig06_startup and aux_operations stdout, minus [engine] lines)
+#      (fig06_startup and aux_operations stdout, minus [engine] lines,
+#      and fig08_atc_miss stdout, which pins both ATS cliffs)
 #      and the transport recovery/CC tables (ablation_design stdout, minus
 #      [engine] lines, and fig11b's BENCH JSON)
 #   6d. the perf golden smoke: one pass of each repo benchmark workload
@@ -138,6 +139,7 @@ ten_smoke_dir="$(mktemp -d)"
   (cd run1 && "$repo_root/build/bench/fig_tenants" > fig_tenants.log) &&
   (cd run2 && "$repo_root/build/bench/fig_tenants" > fig_tenants.log) &&
   cmp run1/BENCH_tenants.json run2/BENCH_tenants.json &&
+  cmp run1/BENCH_tenants.json "$repo_root/tests/golden/fig_tenants.json" &&
   head -n 3 run1/BENCH_tenants.json)
 rm -rf "$ten_smoke_dir"
 
@@ -192,16 +194,18 @@ f15_dir="$(mktemp -d)"
   echo "fig15_16 --endpoints=128 hybrid byte-identical across runs and to the golden")
 rm -rf "$f15_dir"
 
-step "virt-layer tables (fig06_startup, aux_operations stdout vs goldens)"
+step "virt-layer tables (fig06_startup, aux_operations, fig08_atc_miss stdout vs goldens)"
 virt_dir="$(mktemp -d)"
 (cd "$virt_dir" &&
   "$repo_root/build/bench/fig06_startup" > fig06.log &&
   "$repo_root/build/bench/aux_operations" > aux.log &&
+  "$repo_root/build/bench/fig08_atc_miss" > fig08.log &&
   diff <(grep -v '^\[engine\]' fig06.log) \
        "$repo_root/tests/golden/fig06_startup.txt" &&
   diff <(grep -v '^\[engine\]' aux.log) \
        "$repo_root/tests/golden/aux_operations.txt" &&
-  echo "fig06_startup and aux_operations byte-identical to their goldens")
+  cmp fig08.log "$repo_root/tests/golden/fig08_atc_miss.txt" &&
+  echo "fig06_startup, aux_operations and fig08_atc_miss byte-identical to their goldens")
 rm -rf "$virt_dir"
 
 step "transport recovery and CC tables (ablation_design stdout, fig11b BENCH JSON vs goldens)"
