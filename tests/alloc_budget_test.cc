@@ -20,6 +20,10 @@
 // only its path-weight vector and its reserved share vector, however many
 // paths it sprays over.
 //
+// The ATS translation path allocates nothing either: once a GDR engine's
+// sweep has filled the device ATC and the IOMMU's IOTLB, further sweeps
+// miss and evict in both caches without touching the heap.
+//
 // This binary replaces the global operator new to count allocations, so it
 // is kept apart from the other test binaries.
 #include <gtest/gtest.h>
@@ -34,6 +38,9 @@
 #include "collective/fleet.h"
 #include "collective/traffic.h"
 #include "fluid_churn.h"
+#include "pcie/atc.h"
+#include "pcie/host_pcie.h"
+#include "rnic/gdr.h"
 #include "sim/hybrid.h"
 
 namespace {
@@ -260,6 +267,49 @@ TEST(AllocBudgetTest, FluidFreezeAllocatesOnlyItsShares) {
   EXPECT_GT(desc.shares.size(), 4u);
   EXPECT_LE(desc.shares.size(), 2u + 2u * fc.aggs_per_plane);
   EXPECT_LE(allocs, 2u) << allocs << " heap allocations for one freeze";
+}
+
+TEST(AllocBudgetTest, AtsSweepAllocatesNothingOnceCachesFill) {
+  // A 4 MiB buffer (1,024 pages) swept through a 64-page ATC and a 256-page
+  // IOTLB: every page misses both caches and evicts from each, as past the
+  // second Figure-8 cliff. The warm-up transfer fills both caches.
+  constexpr std::uint64_t kBuffer = 4_MiB;
+  constexpr std::uint64_t kPages = kBuffer / kPage4K;
+  HostPcieConfig cfg;
+  cfg.main_memory_bytes = 1_GiB;
+  cfg.iommu.iotlb_capacity = 256;
+  HostPcie pcie(cfg);
+  const Bdf rnic{0x10, 0, 0};
+  ASSERT_TRUE(pcie.attach_device(rnic, pcie.add_switch("sw0"), 1_MiB).is_ok());
+  const IoVa buffer{1ull << 32};
+  ASSERT_TRUE(pcie.iommu().map(buffer, Hpa{256_MiB}, kBuffer).is_ok());
+  Atc atc(pcie, rnic, /*capacity_pages=*/64);
+  GdrEngineConfig gc;
+  gc.requester = rnic;
+  GdrEngine engine(pcie, gc, GdrMode::kAtsAtc, &atc);
+
+  const GdrTransfer warm = engine.transfer(buffer, kBuffer);
+  ASSERT_EQ(warm.atc_misses, kPages);
+  ASSERT_EQ(atc.size(), 64u);
+  ASSERT_EQ(pcie.iommu().iotlb_size(), 256u);
+
+  std::uint64_t atc_misses = 0;
+  std::uint64_t iotlb_misses = 0;
+  const std::uint64_t allocs_before = g_allocations.load();
+  for (int sweep = 0; sweep < 8; ++sweep) {
+    const GdrTransfer t = engine.transfer(buffer, kBuffer);
+    atc_misses += t.atc_misses;
+    iotlb_misses += t.iotlb_misses;
+  }
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
+  std::printf("%llu heap allocations for %llu ATC and %llu IOTLB misses\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(atc_misses),
+              static_cast<unsigned long long>(iotlb_misses));
+  EXPECT_EQ(atc_misses, 8 * kPages);
+  EXPECT_EQ(iotlb_misses, 8 * kPages);
+  EXPECT_EQ(allocs, 0u) << allocs << " heap allocations for " << atc_misses
+                        << " ATC misses";
 }
 
 }  // namespace
