@@ -17,7 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <utility>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -72,6 +74,12 @@ class Iommu {
     const std::size_t removed = table_.unmap_contained(iova, len);
     clear_iotlb();
     return removed;
+  }
+
+  /// Run `hook` after every IOTLB flush (each unmap and unmap_range).
+  /// HostPcie forwards it to the device ATCs as an ATS invalidation.
+  void set_flush_hook(std::function<void()> hook) {
+    flush_hook_ = std::move(hook);
   }
 
   bool is_mapped(IoVa iova) const { return table_.contains(iova); }
@@ -181,6 +189,7 @@ class Iommu {
   void clear_iotlb() {
     iotlb_.clear();
     iotlb_occupancy_.clear();
+    if (flush_hook_) flush_hook_();
   }
 
   void install_iotlb(std::uint64_t page, Hpa hpa, TenantId tenant) {
@@ -220,6 +229,7 @@ class Iommu {
   std::uint64_t page_walks_ = 0;
   std::uint64_t pinned_bytes_ = 0;
   std::map<TenantId, std::uint64_t> pinned_by_tenant_;
+  std::function<void()> flush_hook_;
 };
 
 }  // namespace stellar

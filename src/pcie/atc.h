@@ -23,8 +23,14 @@ namespace stellar {
 
 class Atc {
  public:
+  /// Registers with `fabric`, whose IOMMU flushes invalidate this ATC.
   Atc(HostPcie& fabric, Bdf owner, std::size_t capacity_pages)
-      : fabric_(&fabric), owner_(owner), cache_(capacity_pages) {}
+      : fabric_(&fabric), owner_(owner), cache_(capacity_pages) {
+    fabric_->add_atc(this);
+  }
+  ~Atc() { fabric_->remove_atc(this); }
+  Atc(const Atc&) = delete;
+  Atc& operator=(const Atc&) = delete;
 
   struct Lookup {
     Hpa hpa;
@@ -58,7 +64,8 @@ class Atc {
                   ats.value().latency, false, ats.value().iotlb_hit};
   }
 
-  /// ATS invalidation from the RC (e.g. after an IOMMU unmap).
+  /// ATS invalidation from the RC; HostPcie sends one on every IOMMU
+  /// flush (each unmap).
   void invalidate_all() {
     cache_.clear();
     occupancy_.clear();

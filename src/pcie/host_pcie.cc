@@ -1,5 +1,9 @@
 #include "pcie/host_pcie.h"
 
+#include <algorithm>
+
+#include "pcie/atc.h"
+
 namespace stellar {
 
 namespace {
@@ -14,7 +18,11 @@ HostPcie::HostPcie(HostPcieConfig config)
       bar_space_(Hpa{kBarWindowBase}, kBarWindowLen),
       iommu_(config.iommu),
       main_memory_base_(Hpa{0}),
-      main_memory_len_(config.main_memory_bytes) {}
+      main_memory_len_(config.main_memory_bytes) {
+  iommu_.set_flush_hook([this] {
+    for (Atc* atc : atcs_) atc->invalidate_all();
+  });
+}
 
 std::size_t HostPcie::add_switch(std::string name) {
   switches_.push_back(std::make_unique<PcieSwitch>(
@@ -170,6 +178,12 @@ StatusOr<HostPcie::AtsResult> HostPcie::ats_translate(Bdf requester,
   const SimTime rtt = lat.ats_request_overhead + lat.switch_hop * 2 +
                       lat.rc_forward + tr.value().latency;
   return AtsResult{tr.value().hpa, rtt, tr.value().iotlb_hit};
+}
+
+void HostPcie::add_atc(Atc* atc) { atcs_.push_back(atc); }
+
+void HostPcie::remove_atc(Atc* atc) {
+  atcs_.erase(std::remove(atcs_.begin(), atcs_.end(), atc), atcs_.end());
 }
 
 }  // namespace stellar

@@ -26,6 +26,8 @@
 
 namespace stellar {
 
+class Atc;
+
 struct PcieLatencies {
   SimTime switch_hop = SimTime::nanos(150);
   SimTime rc_forward = SimTime::nanos(250);   // RC internal forwarding
@@ -60,6 +62,9 @@ struct DmaOutcome {
 class HostPcie {
  public:
   explicit HostPcie(HostPcieConfig config = {});
+  // The IOMMU's flush hook points back here, so a HostPcie stays put.
+  HostPcie(const HostPcie&) = delete;
+  HostPcie& operator=(const HostPcie&) = delete;
 
   // -- Topology construction -------------------------------------------------
 
@@ -92,6 +97,13 @@ class HostPcie {
     bool iotlb_hit = false;
   };
   StatusOr<AtsResult> ats_translate(Bdf requester, IoVa iova);
+
+  /// Every live ATC built on this host is registered here (Atc's
+  /// constructor and destructor do it). Each IOMMU flush — every unmap —
+  /// invalidates all of them, as the RC's ATS Invalidate Requests do, so
+  /// no ATC serves a translation the IOMMU has dropped.
+  void add_atc(Atc* atc);
+  void remove_atc(Atc* atc);
 
   // -- Accessors ---------------------------------------------------------------
 
@@ -126,6 +138,7 @@ class HostPcie {
   Iommu iommu_;
   std::vector<std::unique_ptr<PcieSwitch>> switches_;
   std::unordered_map<Bdf, DeviceInfo> devices_;
+  std::vector<Atc*> atcs_;
   Hpa main_memory_base_;
   std::uint64_t main_memory_len_;
 

@@ -187,6 +187,39 @@ TEST_F(HostPcieTest, AtcCachesAtsTranslations) {
   EXPECT_FALSE(after.value().hit);
 }
 
+TEST_F(HostPcieTest, IommuUnmapInvalidatesAtc) {
+  ASSERT_TRUE(pcie_->attach_device(rnic_, sw0_, 4096).is_ok());
+  ASSERT_TRUE(pcie_->iommu().map(IoVa{0}, Hpa{0x40000000}, 1_MiB).is_ok());
+  ASSERT_TRUE(pcie_->iommu().map(IoVa{1_MiB}, Hpa{0x50000000}, 1_MiB).is_ok());
+  Atc atc(*pcie_, rnic_, 16);
+  Atc other(*pcie_, rnic_, 16);
+  const TenantId tenant{7};
+
+  ASSERT_TRUE(atc.translate(IoVa{0x3000}, tenant).is_ok());
+  ASSERT_TRUE(other.translate(IoVa{1_MiB}).is_ok());
+  ASSERT_TRUE(atc.translate(IoVa{0x3000}, tenant).value().hit);
+  EXPECT_EQ(atc.occupancy(tenant), 1u);
+
+  // The unmap drops the translation: no ATC built on this host may keep
+  // serving it, and both read empty.
+  ASSERT_TRUE(pcie_->iommu().unmap(IoVa{0}).is_ok());
+  EXPECT_EQ(atc.size(), 0u);
+  EXPECT_TRUE(atc.occupancy_by_tenant().empty());
+  EXPECT_EQ(other.size(), 0u);
+  auto stale = atc.translate(IoVa{0x3000}, tenant);
+  ASSERT_FALSE(stale.is_ok()) << "ATC hit on an unmapped page, hpa "
+                              << stale.value().hpa.value();
+  EXPECT_EQ(stale.status().code(), StatusCode::kNotFound);
+
+  // unmap_range (PVDMA block teardown) flushes them the same way.
+  ASSERT_FALSE(other.translate(IoVa{1_MiB}).value().hit);  // refill
+  ASSERT_TRUE(other.translate(IoVa{1_MiB}).value().hit);
+  EXPECT_EQ(pcie_->iommu().unmap_range(IoVa{1_MiB}, 1_MiB), 1u);
+  EXPECT_EQ(other.size(), 0u);
+  EXPECT_EQ(other.translate(IoVa{1_MiB}).status().code(),
+            StatusCode::kNotFound);
+}
+
 TEST_F(HostPcieTest, AtcCapacityEviction) {
   ASSERT_TRUE(pcie_->attach_device(rnic_, sw0_, 4096).is_ok());
   ASSERT_TRUE(pcie_->iommu().map(IoVa{0}, Hpa{0x400000}, 1_MiB).is_ok());
