@@ -159,10 +159,13 @@ void EmttCoherenceAuditor::audit(AuditReport& report) const {
     const MapCache& cache = hyp.pvdma(device->vm_).map_cache();
     const std::uint64_t block_size = cache.block_size();
 
-    // pinned_ranges_ is a hash map; findings must emit in a deterministic
-    // order, so walk the MR keys sorted.
-    for (const MrKey key : sorted_keys(device->pinned_ranges_)) {
-      const auto [gpa, len] = device->pinned_ranges_.at(key);
+    // mr_records_ is a hash map; findings must emit in a deterministic
+    // order, so walk the MR keys sorted. Only host-DRAM MRs are pinned.
+    for (const MrKey key : device->memory_keys()) {
+      const auto& rec = device->mr_records_.at(key);
+      if (rec.owner != MemoryOwner::kHostDram) continue;
+      const Gpa gpa{rec.guest_addr};
+      const std::uint64_t len = rec.len;
       auto mr = rnic.verbs().mr(key);
       report.note_check();
       if (!mr.is_ok()) {
@@ -367,15 +370,20 @@ void TenantIsolationAuditor::audit(AuditReport& report) const {
                             std::to_string(iommu.pinned_bytes()));
   }
 
-  std::size_t iotlb_sum = 0;
-  for (const auto& [tenant, n] : iommu.iotlb_occupancy_by_tenant()) {
-    iotlb_sum += n;
-  }
-  report.note_check();
-  if (iotlb_sum != iommu.iotlb_size()) {
-    report.fail(name(), "IOTLB occupancy: per-tenant sum " +
-                            std::to_string(iotlb_sum) + " != resident " +
-                            std::to_string(iommu.iotlb_size()));
+  const auto audit_cache = [&](const TranslationCache& cache,
+                               const std::string& what) {
+    std::size_t sum = 0;
+    for (const auto& [tenant, n] : cache.occupancy_by_tenant()) sum += n;
+    report.note_check();
+    if (sum != cache.size()) {
+      report.fail(name(), what + " occupancy: per-tenant sum " +
+                              std::to_string(sum) + " != resident " +
+                              std::to_string(cache.size()));
+    }
+  };
+  audit_cache(iommu.iotlb(), "IOTLB");
+  for (std::size_t i = 0; i < host_->atc_count(); ++i) {
+    audit_cache(host_->atc(i).cache(), "ATC " + std::to_string(i));
   }
 
   for (std::size_t i = 0; i < host_->rnic_count(); ++i) {
@@ -420,14 +428,6 @@ void TenantIsolationAuditor::audit(AuditReport& report) const {
     report.fail(name(), "vSwitch rules: per-tenant sum " +
                             std::to_string(rule_sum) + " != table size " +
                             std::to_string(vsw.rule_count()));
-  }
-  std::size_t depth_sum = 0;
-  for (const auto& [tenant, n] : vsw.queue_depth_by_tenant()) depth_sum += n;
-  report.note_check();
-  if (depth_sum != vsw.queued_packets()) {
-    report.fail(name(), "vSwitch backlog: per-tenant sum " +
-                            std::to_string(depth_sum) + " != queued " +
-                            std::to_string(vsw.queued_packets()));
   }
 
   // PVDMA cross-check: with on-demand pinning, each booted VM pins under

@@ -93,10 +93,10 @@ class TransportAuditor final : public InvariantAuditor {
 
 /// (f) Multi-tenant accounting closure (docs/TENANCY.md): every shared
 /// resource's per-tenant ledger must sum exactly to its global counter —
-/// IOMMU pinned bytes and IOTLB occupancy, per-RNIC MTT pages and verbs
-/// MR/QP counts, vSwitch rule slots and egress backlog — and, with PVDMA
-/// enabled, each booted VM's own pin counter must equal the IOMMU's
-/// attribution for that tenant. Any gap means usage leaked across tenant
+/// IOMMU pinned bytes, IOTLB and per-ATC occupancy, per-RNIC MTT pages and
+/// verbs MR/QP counts, vSwitch rule slots — and, with PVDMA enabled, each
+/// booted VM's own pin counter must equal the IOMMU's attribution for that
+/// tenant. Any gap means usage leaked across tenant
 /// boundaries (the precondition for unattributable noisy-neighbor damage).
 class TenantIsolationAuditor final : public InvariantAuditor {
  public:

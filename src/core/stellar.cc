@@ -250,11 +250,6 @@ StatusOr<StellarHost::DeviceRestoreReport> StellarHost::restore_vm_devices(
           !s.is_ok()) {
         return s;
       }
-      if (rec.owner == MemoryOwner::kHostDram) {
-        dev->pinned_ranges_.emplace(key,
-                                    std::make_pair(Gpa{rec.guest_addr},
-                                                   rec.len));
-      }
       dev->mr_records_.emplace(key, rec);
       ++report.mrs;
     }
@@ -352,9 +347,6 @@ StatusOr<VStellarDevice::RegisterResult> VStellarDevice::register_memory(
     return s;
   }
   out.key = mr.value();
-  if (owner == MemoryOwner::kHostDram) {
-    pinned_ranges_.emplace(out.key, std::make_pair(Gpa{guest_addr}, len));
-  }
   mr_records_.emplace(
       out.key,
       MrRecord{va, len, owner, guest_addr,
@@ -373,12 +365,13 @@ std::vector<MrKey> VStellarDevice::memory_keys() const {
 Status VStellarDevice::deregister_memory(MrKey key) {
   auto mr = rnic_->verbs().mr(key);
   if (!mr.is_ok()) return mr.status();
-  if (auto it = pinned_ranges_.find(key); it != pinned_ranges_.end()) {
-    host_->hypervisor().pvdma(vm_).release_dma(it->second.first,
-                                               it->second.second);
-    pinned_ranges_.erase(it);
+  if (auto it = mr_records_.find(key); it != mr_records_.end()) {
+    if (it->second.owner == MemoryOwner::kHostDram) {
+      host_->hypervisor().pvdma(vm_).release_dma(Gpa{it->second.guest_addr},
+                                                 it->second.len);
+    }
+    mr_records_.erase(it);
   }
-  mr_records_.erase(key);
   (void)rnic_->mtt().deregister(key);
   return rnic_->verbs().deregister_mr(key);
 }

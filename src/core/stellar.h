@@ -232,7 +232,7 @@ class VStellarDevice {
 
  private:
   friend class StellarHost;
-  friend class EmttCoherenceAuditor;  // reads pinned ranges for eMTT audits
+  friend class EmttCoherenceAuditor;  // reads MR records for eMTT audits
   VStellarDevice(StellarHost& host, RundContainer& container, Rnic& rnic,
                  Rnic::VirtualDevice hw, Hypervisor::VdbMapping vdb,
                  SimTime creation_time);
@@ -245,10 +245,9 @@ class VStellarDevice {
   SimTime creation_time_;
   VmId vm_;
   PdId pd_;
-  /// Host-DRAM MRs: the guest-physical range PVDMA pinned, needed again at
-  /// deregistration (the MR itself records only the GVA).
-  std::unordered_map<MrKey, std::pair<Gpa, std::uint64_t>> pinned_ranges_;
-  /// Full registration arguments per MR, for migration re-registration.
+  /// Full registration arguments per MR, for migration re-registration
+  /// and, for host-DRAM MRs, the guest-physical range PVDMA pinned (the
+  /// verbs MR records only the GVA).
   std::unordered_map<MrKey, MrRecord> mr_records_;
 };
 

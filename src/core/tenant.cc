@@ -64,8 +64,8 @@ void TenantManager::push(TenantId tenant, const TenantBudgets& b) {
   if (host_->hypervisor().booted(tenant)) {
     host_->hypervisor().pvdma(tenant).set_pin_budget(b.pin_budget_bytes);
   }
-  if (b.qos.rate.bps() > 0 || b.qos.weight != 1 || b.qos.max_rules != 0 ||
-      b.qos.max_queue_packets != 0 || b.qos.burst_bytes != 0) {
+  if (b.qos.rate.bps() > 0 || b.qos.max_rules != 0 ||
+      b.qos.burst_bytes != 0) {
     host_->vswitch().set_qos(tenant, b.qos);
   } else {
     host_->vswitch().clear_qos(tenant);
@@ -111,7 +111,7 @@ TenantManager::Usage TenantManager::usage(TenantId tenant) const {
   }
   const Iommu& iommu = host_->pcie().iommu();
   u.pinned_bytes = iommu.pinned_bytes(tenant);
-  u.iotlb_entries = iommu.iotlb_occupancy(tenant);
+  u.iotlb_entries = iommu.iotlb().occupancy(tenant);
   return u;
 }
 

@@ -4,7 +4,7 @@
 // A tenant is one RunD container / VM (TenantId == VmId numerically; the
 // alias lives in common/units.h at the bottom of the layering DAG). Every
 // shared host resource — verbs QP/MR tables, the per-RNIC MTT, the IOMMU
-// pin budget and IOTLB, the vSwitch rule table and egress port — already
+// pin budget and IOTLB, the device ATCs, the vSwitch rule table — already
 // attributes its usage per tenant; the TenantManager is the policy layer
 // on top:
 //
@@ -16,9 +16,9 @@
 //    global table into everyone's kResourceExhausted;
 //  * level() grades each tenant on the degradation ladder — kGreen (under
 //    80% of every cap), kThrottled (≥80% somewhere: the vSwitch token
-//    bucket and WDRR weights are doing the shaping), kShed (at a cap:
-//    new acquisitions are rejected) — recoverable in both directions as
-//    the tenant releases resources;
+//    bucket is doing the shaping), kShed (at a cap: new acquisitions are
+//    rejected) — recoverable in both directions as the tenant releases
+//    resources;
 //  * set_enforcement(false) lifts every cap in place (the bench's
 //    "unprotected baseline" mode) and set_enforcement(true) restores them.
 #pragma once
@@ -45,7 +45,7 @@ struct TenantBudgets {
   std::uint64_t mtt_page_cap = 0;      // resident MTT pages per RNIC
   std::size_t iotlb_share_entries = 0; // IOTLB residency cap
   std::size_t atc_share_entries = 0;   // ATC residency cap (GDR engines)
-  TenantQos qos;                       // vSwitch rate/weight/rule contract
+  TenantQos qos;                       // vSwitch rate/rule contract
 };
 
 /// Where a tenant sits on the graceful-degradation ladder.

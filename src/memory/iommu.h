@@ -7,10 +7,9 @@
 //
 // Multi-tenant isolation (docs/TENANCY.md): both shared resources the IOMMU
 // owns are attributable and budgetable per tenant —
-//   * the IOTLB: every entry carries the TenantId that installed it; a
-//     tenant with a configured share cap that is already at its cap evicts
-//     its *own* LRU entry instead of a neighbor's (so an IOTLB-thrash scan
-//     cannot flush other tenants' hot translations);
+//   * the IOTLB, a share-capped TranslationCache: a tenant at its share cap
+//     evicts its *own* LRU entry instead of a neighbor's (so an IOTLB-thrash
+//     scan cannot flush other tenants' hot translations);
 //   * pinned bytes: note_pinned()/note_unpinned() take the responsible
 //     tenant, and a host-wide pin_capacity_bytes models the finite pin
 //     budget that a pin-pressure flood exhausts.
@@ -24,8 +23,8 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "memory/address.h"
-#include "memory/lru.h"
 #include "memory/range_map.h"
+#include "memory/translation_cache.h"
 
 namespace stellar {
 
@@ -101,36 +100,23 @@ class Iommu {
   /// evicted to make room (never a neighbor's).
   StatusOr<Translation> translate(IoVa iova, TenantId tenant = kHostTenant) {
     const IoVa page = iova.align_down(kPage4K);
-    if (const IotlbEntry* hit = iotlb_.get(page.value())) {
-      return Translation{hit->hpa + iova.page_offset(kPage4K),
+    if (const Hpa* hit = iotlb_.lookup(page)) {
+      return Translation{*hit + iova.page_offset(kPage4K),
                          config_.iotlb_hit_latency, true};
     }
     auto hpa = table_.translate(iova);
     if (!hpa.is_ok()) return hpa.status();
     ++page_walks_;
-    install_iotlb(page.value(), hpa.value().align_down(kPage4K), tenant);
+    iotlb_.install(page, hpa.value().align_down(kPage4K), tenant);
     return Translation{hpa.value(), config_.page_walk_latency, false};
   }
 
   /// Cap one tenant's IOTLB residency at `max_entries` (0 = uncapped).
   void set_iotlb_share(TenantId tenant, std::size_t max_entries) {
-    if (max_entries == 0) {
-      iotlb_share_.erase(tenant);
-    } else {
-      iotlb_share_[tenant] = max_entries;
-    }
+    iotlb_.set_share(tenant, max_entries);
   }
-  /// Entries currently installed on behalf of `tenant`.
-  std::size_t iotlb_occupancy(TenantId tenant) const {
-    auto it = iotlb_occupancy_.find(tenant);
-    return it == iotlb_occupancy_.end() ? 0 : it->second;
-  }
-  const std::map<TenantId, std::size_t>& iotlb_occupancy_by_tenant() const {
-    return iotlb_occupancy_;
-  }
-  /// Evictions where an over-share tenant displaced its own entry.
-  std::uint64_t iotlb_self_evictions() const { return iotlb_self_evictions_; }
-  std::size_t iotlb_size() const { return iotlb_.size(); }
+  /// The IOTLB and its per-tenant occupancy ledger, read-only.
+  const TranslationCache& iotlb() const { return iotlb_; }
 
   // -- Pinning cost model ----------------------------------------------------
 
@@ -181,51 +167,16 @@ class Iommu {
   const RangeMap<IoVa, Hpa>& table() const { return table_; }
 
  private:
-  struct IotlbEntry {
-    Hpa hpa;
-    TenantId tenant = kHostTenant;
-  };
-
   void clear_iotlb() {
     iotlb_.clear();
-    iotlb_occupancy_.clear();
     if (flush_hook_) flush_hook_();
-  }
-
-  void install_iotlb(std::uint64_t page, Hpa hpa, TenantId tenant) {
-    auto share = iotlb_share_.find(tenant);
-    if (share != iotlb_share_.end() &&
-        iotlb_occupancy(tenant) >= share->second) {
-      // Over-share tenants recycle their own coldest slot: the thrash stays
-      // contained to the tenant generating it.
-      auto victim = iotlb_.evict_lru_matching(
-          [tenant](std::uint64_t, const IotlbEntry& e) {
-            return e.tenant == tenant;
-          });
-      if (victim) {
-        ++iotlb_self_evictions_;
-        debit_occupancy(victim->second.tenant);
-      }
-    }
-    auto evicted = iotlb_.put(page, IotlbEntry{hpa, tenant});
-    if (evicted) debit_occupancy(evicted->second.tenant);
-    ++iotlb_occupancy_[tenant];
-  }
-
-  void debit_occupancy(TenantId tenant) {
-    auto it = iotlb_occupancy_.find(tenant);
-    if (it == iotlb_occupancy_.end()) return;
-    if (--it->second == 0) iotlb_occupancy_.erase(it);
   }
 
   friend struct IommuTestPeer;  // corruption injection in audit tests
 
   IommuConfig config_;
   RangeMap<IoVa, Hpa> table_;
-  LruCache<std::uint64_t, IotlbEntry> iotlb_;
-  std::map<TenantId, std::size_t> iotlb_share_;
-  std::map<TenantId, std::size_t> iotlb_occupancy_;
-  std::uint64_t iotlb_self_evictions_ = 0;
+  TranslationCache iotlb_;
   std::uint64_t page_walks_ = 0;
   std::uint64_t pinned_bytes_ = 0;
   std::map<TenantId, std::uint64_t> pinned_by_tenant_;

@@ -1,6 +1,5 @@
-// Generic capacity-bounded LRU map, shared by the hardware translation
-// caches of the simulation: the IOMMU's IOTLB (memory/iommu.h) and the
-// device ATC (pcie/atc.h).
+// Generic capacity-bounded LRU map, the storage of TranslationCache
+// (memory/translation_cache.h): the IOMMU's IOTLB and the device ATCs.
 //
 // Flat layout, so a lookup, a miss and an eviction touch no heap once the
 // cache has reached its working size:
@@ -52,7 +51,8 @@ class LruCache {
 
   /// Insert or refresh. Evicts the LRU entry when at capacity; the victim
   /// (if any) is returned so owners that keep side accounting — e.g. the
-  /// IOMMU's per-tenant IOTLB occupancy ledger — can debit the right party.
+  /// per-tenant occupancy ledger of TranslationCache — can debit the right
+  /// party.
   std::optional<std::pair<Key, Value>> put(const Key& key, Value value) {
     const std::uint32_t n = find(key);
     if (n != kNil) {

@@ -452,11 +452,6 @@ class RdmaEngine : public FluidReceiver {
   std::size_t pending_recvs(std::uint64_t conn_id) const;
   std::uint64_t unexpected_sends() const { return unexpected_sends_; }
 
-  /// Transport config used for auto-created READ responder connections.
-  void set_default_config(const TransportConfig& config) {
-    default_config_ = config;
-  }
-
   EndpointId self() const { return self_; }
   Simulator& simulator() { return *sim_; }
   ClosFabric& fabric() { return *fabric_; }
@@ -609,6 +604,8 @@ class RdmaEngine : public FluidReceiver {
   ClosFabric* fabric_;
   EndpointId self_;
   std::uint64_t next_conn_seq_ = 1;
+  /// Config of auto-created READ responder connections. Always the default,
+  /// but the engine snapshot writes it, so it stays in the snapshot bytes.
   TransportConfig default_config_;
 
   std::vector<std::unique_ptr<RdmaConnection>> connections_;

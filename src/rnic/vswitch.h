@@ -7,16 +7,12 @@
 // model exists so tests and benches can demonstrate the interference — and,
 // for the multi-tenant work (docs/TENANCY.md), so per-tenant QoS can bound
 // it. Each tenant may carry a TenantQos: a rule-slot quota (stops table
-// churn from pushing neighbors' rules deep into the walk), a token-bucket
-// rate (over-rate senders are delayed, never their neighbors), and a WDRR
-// weight consumed by the explicit enqueue()/dequeue() egress scheduler.
+// churn from pushing neighbors' rules deep into the walk) and a token-bucket
+// rate (over-rate senders are delayed, never their neighbors).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -41,11 +37,9 @@ struct SteeringRule {
 /// Per-tenant QoS contract enforced by the vSwitch. Zero-valued fields mean
 /// "uncapped" so tenants without a contract behave exactly as before.
 struct TenantQos {
-  std::uint32_t weight = 1;          // WDRR share (relative)
-  Bandwidth rate{};                  // token-bucket rate; 0 = unlimited
-  std::uint64_t burst_bytes = 0;     // bucket depth; 0 with a rate = no burst
-  std::size_t max_rules = 0;         // rule-slot quota; 0 = uncapped
-  std::size_t max_queue_packets = 0; // egress backlog cap; 0 = uncapped
+  Bandwidth rate{};               // token-bucket rate; 0 = unlimited
+  std::uint64_t burst_bytes = 0;  // bucket depth; 0 with a rate = no burst
+  std::size_t max_rules = 0;      // rule-slot quota; 0 = uncapped
 };
 
 class VSwitch {
@@ -54,7 +48,6 @@ class VSwitch {
     std::size_t capacity = 4096;                 // hardware rule slots
     SimTime base_latency = SimTime::nanos(100);  // pipeline entry cost
     SimTime per_rule_latency = SimTime::nanos(4);  // per ordered entry walked
-    std::uint64_t wdrr_quantum_bytes = 4096;     // DRR quantum per weight unit
   };
 
   VSwitch() : config_(Config{}) {}
@@ -132,6 +125,9 @@ class VSwitch {
     auto it = rules_by_tenant_.find(tenant);
     return it == rules_by_tenant_.end() ? 0 : it->second;
   }
+  const std::map<TenantId, std::size_t>& rules_by_tenant() const {
+    return rules_by_tenant_;
+  }
   std::size_t capacity() const { return config_.capacity; }
 
   // -- Per-tenant QoS --------------------------------------------------------
@@ -164,141 +160,26 @@ class VSwitch {
       out.throttle_delay = bucket_consume(tenant, qos->second, bytes, now);
       if (out.throttle_delay > SimTime::zero()) {
         out.throttled = true;
-        ++throttle_events_;
         ++throttles_by_tenant_[tenant];
         out.latency += out.throttle_delay;
       }
     }
-    forwarded_bytes_by_tenant_[tenant] += bytes;
     return out;
-  }
-
-  // -- WDRR egress scheduler -------------------------------------------------
-
-  struct QueuedPacket {
-    TenantId tenant = kHostTenant;
-    std::uint64_t bytes = 0;
-    std::uint64_t cookie = 0;  // caller-defined identity
-  };
-
-  /// Queue one packet for weighted egress. A tenant over its backlog cap is
-  /// shed with kResourceExhausted — its flood fills its own queue only.
-  Status enqueue(TenantId tenant, std::uint64_t bytes, std::uint64_t cookie) {
-    auto qos = qos_.find(tenant);
-    auto& q = queues_[tenant];
-    if (qos != qos_.end() && qos->second.max_queue_packets != 0 &&
-        q.packets.size() >= qos->second.max_queue_packets) {
-      ++sheds_by_tenant_[tenant];
-      return resource_exhausted("VSwitch: tenant egress queue full");
-    }
-    q.packets.push_back(QueuedPacket{tenant, bytes, cookie});
-    ++queued_packets_;
-    return Status::ok();
-  }
-
-  /// Serve the next packet in weighted deficit round-robin order. Tenants
-  /// are visited in ascending TenantId order from the last served position;
-  /// each visit grants quantum*weight credit, and a visited tenant keeps
-  /// serving while its deficit covers its head-of-line packet (classic DRR).
-  /// Deterministic by construction.
-  std::optional<QueuedPacket> dequeue() {
-    if (queued_packets_ == 0) return std::nullopt;
-    while (true) {
-      if (visiting_) {
-        auto cur = queues_.find(cursor_);
-        if (cur != queues_.end() && !cur->second.packets.empty() &&
-            cur->second.deficit >= cur->second.packets.front().bytes) {
-          return serve(cur);
-        }
-        visiting_ = false;
-      }
-      auto it = queues_.upper_bound(cursor_);
-      if (it == queues_.end()) it = queues_.begin();
-      cursor_ = it->first;
-      if (it->second.packets.empty()) {
-        queues_.erase(it);
-        continue;
-      }
-      it->second.deficit += config_.wdrr_quantum_bytes * weight_of(it->first);
-      if (it->second.deficit >= it->second.packets.front().bytes) {
-        visiting_ = true;
-        return serve(it);
-      }
-      // Deficit carries to this tenant's next visit.
-    }
-  }
-
-  std::size_t queued_packets() const { return queued_packets_; }
-  std::size_t queue_depth(TenantId tenant) const {
-    auto it = queues_.find(tenant);
-    return it == queues_.end() ? 0 : it->second.packets.size();
-  }
-  std::map<TenantId, std::size_t> queue_depth_by_tenant() const {
-    std::map<TenantId, std::size_t> out;
-    for (const auto& [tenant, q] : queues_) {
-      if (!q.packets.empty()) out[tenant] = q.packets.size();
-    }
-    return out;
-  }
-  const std::map<TenantId, std::size_t>& rules_by_tenant() const {
-    return rules_by_tenant_;
   }
 
   // -- Introspection ---------------------------------------------------------
 
-  std::uint64_t throttle_events() const { return throttle_events_; }
   std::uint64_t throttles(TenantId tenant) const {
     auto it = throttles_by_tenant_.find(tenant);
     return it == throttles_by_tenant_.end() ? 0 : it->second;
   }
-  std::uint64_t sheds(TenantId tenant) const {
-    auto it = sheds_by_tenant_.find(tenant);
-    return it == sheds_by_tenant_.end() ? 0 : it->second;
-  }
-  std::uint64_t forwarded_bytes(TenantId tenant) const {
-    auto it = forwarded_bytes_by_tenant_.find(tenant);
-    return it == forwarded_bytes_by_tenant_.end() ? 0 : it->second;
-  }
-  std::uint64_t dequeues(TenantId tenant) const {
-    auto it = dequeues_by_tenant_.find(tenant);
-    return it == dequeues_by_tenant_.end() ? 0 : it->second;
-  }
-  const std::map<TenantId, std::uint64_t>& forwarded_by_tenant() const {
-    return forwarded_bytes_by_tenant_;
-  }
 
  private:
-  struct TenantQueue {
-    std::deque<QueuedPacket> packets;
-    std::uint64_t deficit = 0;
-  };
-
   struct Bucket {
     std::uint64_t tokens = 0;
     SimTime last_refill;
     bool primed = false;
   };
-
-  std::optional<QueuedPacket> serve(
-      std::map<TenantId, TenantQueue>::iterator it) {
-    QueuedPacket pkt = it->second.packets.front();
-    it->second.packets.pop_front();
-    it->second.deficit -= pkt.bytes;
-    if (it->second.packets.empty()) {
-      // Empty queue forfeits its residual credit (standard DRR) and its
-      // visit: the next dequeue() advances to the following tenant.
-      queues_.erase(it);
-      visiting_ = false;
-    }
-    --queued_packets_;
-    ++dequeues_by_tenant_[pkt.tenant];
-    return pkt;
-  }
-
-  std::uint32_t weight_of(TenantId tenant) const {
-    auto it = qos_.find(tenant);
-    return it == qos_.end() || it->second.weight == 0 ? 1 : it->second.weight;
-  }
 
   void debit_rule(TenantId tenant) {
     auto it = rules_by_tenant_.find(tenant);
@@ -346,15 +227,7 @@ class VSwitch {
   std::map<TenantId, std::size_t> rules_by_tenant_;
   std::map<TenantId, TenantQos> qos_;
   std::map<TenantId, Bucket> buckets_;
-  std::map<TenantId, TenantQueue> queues_;
-  TenantId cursor_ = 0;   // last visited tenant (WDRR position)
-  bool visiting_ = false;  // cursor_'s queue may keep serving on its deficit
-  std::size_t queued_packets_ = 0;
-  std::uint64_t throttle_events_ = 0;
   std::map<TenantId, std::uint64_t> throttles_by_tenant_;
-  std::map<TenantId, std::uint64_t> sheds_by_tenant_;
-  std::map<TenantId, std::uint64_t> forwarded_bytes_by_tenant_;
-  std::map<TenantId, std::uint64_t> dequeues_by_tenant_;
 };
 
 }  // namespace stellar

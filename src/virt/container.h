@@ -34,9 +34,6 @@ class RundContainer {
     return Gpa{aligned};
   }
 
-  /// Reset the allocator cursor (models the guest OS reusing freed memory).
-  void reuse_from(Gpa addr) { next_ = addr.value(); }
-
   /// Allocator cursor, exposed so live migration can carry the guest's
   /// memory layout onto the destination container.
   std::uint64_t alloc_cursor() const { return next_; }

@@ -290,8 +290,8 @@ TEST(AllocBudgetTest, AtsSweepAllocatesNothingOnceCachesFill) {
 
   const GdrTransfer warm = engine.transfer(buffer, kBuffer);
   ASSERT_EQ(warm.atc_misses, kPages);
-  ASSERT_EQ(atc.size(), 64u);
-  ASSERT_EQ(pcie.iommu().iotlb_size(), 256u);
+  ASSERT_EQ(atc.cache().size(), 64u);
+  ASSERT_EQ(pcie.iommu().iotlb().size(), 256u);
 
   std::uint64_t atc_misses = 0;
   std::uint64_t iotlb_misses = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "collective/allreduce.h"
 #include "core/cluster.h"
@@ -34,6 +35,17 @@ struct IommuTestPeer {
   static void skew_tenant_pins(Iommu& iommu, TenantId tenant,
                                std::uint64_t delta) {
     iommu.pinned_by_tenant_[tenant] += delta;  // global counter untouched
+  }
+};
+
+struct TranslationCacheTestPeer {
+  // Tests reach the caches through their owners' read-only accessors; the
+  // caches themselves are not const objects, so casting the qualifier away
+  // is well-defined.
+  static void skew_occupancy(const TranslationCache& cache, TenantId tenant,
+                             std::size_t delta) {
+    // The resident entries (size()) stay untouched.
+    const_cast<TranslationCache&>(cache).occupancy_[tenant] += delta;
   }
 };
 
@@ -337,6 +349,58 @@ TEST(TenantIsolationAuditorTest, CleanOnHealthyHostCorruptFlagged) {
   IommuTestPeer::skew_tenant_pins(host.pcie().iommu(), 7, 4096);
   AuditReport corrupt = registry.run_all();
   EXPECT_TRUE(has_finding_from(corrupt, "tenant-isolation"))
+      << corrupt.to_string();
+}
+
+TEST(TenantIsolationAuditorTest, IotlbLedgerSkewFlagged) {
+  StellarHost host;
+  Iommu& iommu = host.pcie().iommu();
+  ASSERT_TRUE(iommu.map(IoVa{1_GiB}, Hpa{1_GiB}, 8 * kPage4K).is_ok());
+  for (std::uint64_t p = 0; p < 8; ++p) {
+    ASSERT_TRUE(iommu.translate(IoVa{1_GiB + p * kPage4K}, 3).is_ok());
+  }
+  ASSERT_EQ(iommu.iotlb().occupancy(3), 8u);
+
+  AuditRegistry registry;
+  registry.add(std::make_unique<TenantIsolationAuditor>(host));
+  registry.set_trap_on_finding(false);
+  AuditReport healthy = registry.run_all();
+  EXPECT_TRUE(healthy.clean()) << healthy.to_string();
+
+  // An entry credited to a tenant that holds none: the per-tenant sum
+  // overshoots the resident count.
+  TranslationCacheTestPeer::skew_occupancy(iommu.iotlb(), 3, 1);
+  AuditReport corrupt = registry.run_all();
+  EXPECT_TRUE(has_finding_from(corrupt, "tenant-isolation"))
+      << corrupt.to_string();
+  EXPECT_NE(corrupt.to_string().find("IOTLB occupancy"), std::string::npos)
+      << corrupt.to_string();
+}
+
+TEST(TenantIsolationAuditorTest, AtcLedgerSkewFlagged) {
+  StellarHost host;
+  GdrEngine engine = host.make_gdr_engine(GdrMode::kAtsAtc, 0);
+  (void)engine;
+  ASSERT_EQ(host.atc_count(), 1u);
+  Atc& atc = host.atc(0);
+  ASSERT_TRUE(
+      host.pcie().iommu().map(IoVa{1_GiB}, Hpa{1_GiB}, 8 * kPage4K).is_ok());
+  for (std::uint64_t p = 0; p < 8; ++p) {
+    ASSERT_TRUE(atc.translate(IoVa{1_GiB + p * kPage4K}, 3).is_ok());
+  }
+  ASSERT_EQ(atc.cache().occupancy(3), 8u);
+
+  AuditRegistry registry;
+  registry.add(std::make_unique<TenantIsolationAuditor>(host));
+  registry.set_trap_on_finding(false);
+  AuditReport healthy = registry.run_all();
+  EXPECT_TRUE(healthy.clean()) << healthy.to_string();
+
+  TranslationCacheTestPeer::skew_occupancy(atc.cache(), 3, 1);
+  AuditReport corrupt = registry.run_all();
+  EXPECT_TRUE(has_finding_from(corrupt, "tenant-isolation"))
+      << corrupt.to_string();
+  EXPECT_NE(corrupt.to_string().find("ATC 0 occupancy"), std::string::npos)
       << corrupt.to_string();
 }
 

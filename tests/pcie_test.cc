@@ -198,14 +198,14 @@ TEST_F(HostPcieTest, IommuUnmapInvalidatesAtc) {
   ASSERT_TRUE(atc.translate(IoVa{0x3000}, tenant).is_ok());
   ASSERT_TRUE(other.translate(IoVa{1_MiB}).is_ok());
   ASSERT_TRUE(atc.translate(IoVa{0x3000}, tenant).value().hit);
-  EXPECT_EQ(atc.occupancy(tenant), 1u);
+  EXPECT_EQ(atc.cache().occupancy(tenant), 1u);
 
   // The unmap drops the translation: no ATC built on this host may keep
   // serving it, and both read empty.
   ASSERT_TRUE(pcie_->iommu().unmap(IoVa{0}).is_ok());
-  EXPECT_EQ(atc.size(), 0u);
-  EXPECT_TRUE(atc.occupancy_by_tenant().empty());
-  EXPECT_EQ(other.size(), 0u);
+  EXPECT_EQ(atc.cache().size(), 0u);
+  EXPECT_TRUE(atc.cache().occupancy_by_tenant().empty());
+  EXPECT_EQ(other.cache().size(), 0u);
   auto stale = atc.translate(IoVa{0x3000}, tenant);
   ASSERT_FALSE(stale.is_ok()) << "ATC hit on an unmapped page, hpa "
                               << stale.value().hpa.value();
@@ -215,7 +215,7 @@ TEST_F(HostPcieTest, IommuUnmapInvalidatesAtc) {
   ASSERT_FALSE(other.translate(IoVa{1_MiB}).value().hit);  // refill
   ASSERT_TRUE(other.translate(IoVa{1_MiB}).value().hit);
   EXPECT_EQ(pcie_->iommu().unmap_range(IoVa{1_MiB}, 1_MiB), 1u);
-  EXPECT_EQ(other.size(), 0u);
+  EXPECT_EQ(other.cache().size(), 0u);
   EXPECT_EQ(other.translate(IoVa{1_MiB}).status().code(),
             StatusCode::kNotFound);
 }

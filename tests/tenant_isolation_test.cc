@@ -149,8 +149,9 @@ TEST_F(TenantIsolationTest, IotlbShareEvictsOnlyTheOverSharedTenant) {
   for (std::uint64_t p = 0; p < 64; ++p) {
     ASSERT_TRUE(iommu.translate(IoVa{1_GiB + p * kPage4K}, 7).is_ok());
   }
-  EXPECT_EQ(iommu.iotlb_occupancy(7), 16u);
-  EXPECT_EQ(iommu.iotlb_occupancy(8), 32u);
+  EXPECT_EQ(iommu.iotlb().occupancy(7), 16u);
+  EXPECT_EQ(iommu.iotlb().occupancy(8), 32u);
+  EXPECT_EQ(iommu.iotlb().self_evictions(), 48u);  // every install past 16
   for (std::uint64_t p = 0; p < 32; ++p) {
     auto tr = iommu.translate(IoVa{2_GiB + p * kPage4K}, 8);
     ASSERT_TRUE(tr.is_ok());
@@ -175,7 +176,8 @@ TEST_F(TenantIsolationTest, AtcShareCapsResidencyOnGdrEngines) {
   for (std::uint64_t p = 0; p < 16; ++p) {
     ASSERT_TRUE(atc.translate(IoVa{1_GiB + p * kPage4K}, 5).is_ok());
   }
-  EXPECT_EQ(atc.occupancy(5), 4u);
+  EXPECT_EQ(atc.cache().occupancy(5), 4u);
+  EXPECT_EQ(atc.cache().self_evictions(), 12u);
 
   // Re-registration pushes the new share into the existing ATC.
   budgets.atc_share_entries = 8;
@@ -183,7 +185,7 @@ TEST_F(TenantIsolationTest, AtcShareCapsResidencyOnGdrEngines) {
   for (std::uint64_t p = 0; p < 16; ++p) {
     ASSERT_TRUE(atc.translate(IoVa{1_GiB + p * kPage4K}, 5).is_ok());
   }
-  EXPECT_EQ(atc.occupancy(5), 8u);
+  EXPECT_EQ(atc.cache().occupancy(5), 8u);
 }
 
 TEST_F(TenantIsolationTest, KillTenantReclaimsRawDemandPins) {

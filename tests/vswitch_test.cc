@@ -1,11 +1,9 @@
-// Direct unit tests for the vSwitch per-tenant QoS layer: rule-slot quotas,
-// the token-bucket rate limiter, the WDRR egress scheduler, and backlog
-// caps (docs/TENANCY.md). Labelled `tenant` — ctest -L tenant.
+// Direct unit tests for the vSwitch per-tenant QoS layer: rule-slot quotas
+// and the token-bucket rate limiter (docs/TENANCY.md). Labelled `tenant` —
+// ctest -L tenant.
 #include "rnic/vswitch.h"
 
 #include <gtest/gtest.h>
-
-#include <vector>
 
 namespace stellar {
 namespace {
@@ -109,52 +107,6 @@ TEST(VSwitchQos, TokenBucketRefillsAfterIdle) {
   auto f = vs.forward(TrafficClass::kRdma, 7, 4096, SimTime::micros(10));
   ASSERT_TRUE(f.is_ok());
   EXPECT_FALSE(f.value().throttled);
-}
-
-TEST(VSwitchQos, WdrrServesProportionallyToWeight) {
-  VSwitch::Config cfg;
-  cfg.wdrr_quantum_bytes = 4096;
-  VSwitch vs(cfg);
-  TenantQos heavy;
-  heavy.weight = 3;
-  vs.set_qos(2, heavy);  // tenant 1 keeps the default weight 1
-
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(vs.enqueue(1, 4096, i).is_ok());
-    ASSERT_TRUE(vs.enqueue(2, 4096, 100 + i).is_ok());
-  }
-  // One full round: tenant 1 earns one quantum (1 packet), tenant 2 three.
-  std::vector<TenantId> order;
-  for (int i = 0; i < 8; ++i) {
-    auto pkt = vs.dequeue();
-    ASSERT_TRUE(pkt.has_value());
-    order.push_back(pkt->tenant);
-  }
-  EXPECT_EQ(order, (std::vector<TenantId>{1, 2, 2, 2, 1, 2, 2, 2}));
-
-  // Everything drains eventually regardless of weight.
-  while (vs.dequeue().has_value()) {
-  }
-  EXPECT_EQ(vs.queued_packets(), 0u);
-  EXPECT_EQ(vs.dequeues(1), 8u);
-  EXPECT_EQ(vs.dequeues(2), 8u);
-}
-
-TEST(VSwitchQos, BacklogCapShedsTheFloodersQueueOnly) {
-  VSwitch vs;
-  TenantQos qos;
-  qos.max_queue_packets = 4;
-  vs.set_qos(7, qos);
-
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(vs.enqueue(7, 1024, i).is_ok());
-  }
-  EXPECT_EQ(vs.enqueue(7, 1024, 99).code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(vs.sheds(7), 1u);
-  // The neighbor still enqueues freely.
-  EXPECT_TRUE(vs.enqueue(8, 1024, 0).is_ok());
-  EXPECT_EQ(vs.queue_depth(7), 4u);
-  EXPECT_EQ(vs.queue_depth(8), 1u);
 }
 
 }  // namespace
