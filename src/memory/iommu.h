@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "common/status.h"
@@ -99,16 +100,24 @@ class Iommu {
   /// the tenant has an IOTLB share cap and is at it, its own LRU entry is
   /// evicted to make room (never a neighbor's).
   StatusOr<Translation> translate(IoVa iova, TenantId tenant = kHostTenant) {
+    if (const std::optional<Translation> t = resolve(iova, tenant)) return *t;
+    return not_found("Iommu::translate: unmapped");
+  }
+
+  /// translate()'s core, with no Status: the IOTLB lookup and, on a miss,
+  /// the page walk and the install for `tenant`. nullopt when `iova` is
+  /// unmapped. An ATC miss (pcie/atc.cc) calls it once per page.
+  std::optional<Translation> resolve(IoVa iova, TenantId tenant) {
     const IoVa page = iova.align_down(kPage4K);
     if (const Hpa* hit = iotlb_.lookup(page)) {
       return Translation{*hit + iova.page_offset(kPage4K),
                          config_.iotlb_hit_latency, true};
     }
-    auto hpa = table_.translate(iova);
-    if (!hpa.is_ok()) return hpa.status();
+    const std::optional<Hpa> hpa = table_.lookup(iova);
+    if (!hpa) return std::nullopt;
     ++page_walks_;
-    iotlb_.install(page, hpa.value().align_down(kPage4K), tenant);
-    return Translation{hpa.value(), config_.page_walk_latency, false};
+    iotlb_.install(page, hpa->align_down(kPage4K), tenant);
+    return Translation{*hpa, config_.page_walk_latency, false};
   }
 
   /// Cap one tenant's IOTLB residency at `max_entries` (0 = uncapped).

@@ -60,6 +60,14 @@ class LruCache {
       move_to_front(n);
       return std::nullopt;
     }
+    return insert_absent(key, std::move(value));
+  }
+
+  /// put() for a key the caller knows is absent, typically because get()
+  /// just missed it: skips put()'s index probe. Inserting a key that is
+  /// present corrupts the cache.
+  std::optional<std::pair<Key, Value>> insert_absent(const Key& key,
+                                                     Value value) {
     if (capacity_ == 0) return std::nullopt;
     std::optional<std::pair<Key, Value>> victim;
     if (size_ >= capacity_) {

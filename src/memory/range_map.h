@@ -91,8 +91,15 @@ class RangeMap {
 
   /// Translate a single address.
   StatusOr<Dst> translate(Src src) const {
+    if (const std::optional<Dst> dst = lookup(src)) return *dst;
+    return not_found("RangeMap::translate: unmapped");
+  }
+
+  /// translate() without a Status, for per-page loops: nullopt when `src`
+  /// is unmapped.
+  std::optional<Dst> lookup(Src src) const {
     auto it = find_containing(src.value());
-    if (it == ranges_.end()) return not_found("RangeMap::translate: unmapped");
+    if (it == ranges_.end()) return std::nullopt;
     return it->second.dst + (src.value() - it->first);
   }
 

@@ -31,7 +31,8 @@ class TranslationCache {
     return hit == nullptr ? nullptr : &hit->hpa;
   }
 
-  /// Install `page -> hpa` on behalf of `tenant` after a miss.
+  /// Install `page -> hpa` on behalf of `tenant` after lookup(page)
+  /// missed; `page` must still be absent.
   void install(IoVa page, Hpa hpa, TenantId tenant) {
     auto share = share_.find(tenant);
     if (share != share_.end() && occupancy(tenant) >= share->second) {
@@ -46,7 +47,7 @@ class TranslationCache {
         debit(victim->second.tenant);
       }
     }
-    auto evicted = cache_.put(page.value(), Entry{hpa, tenant});
+    auto evicted = cache_.insert_absent(page.value(), Entry{hpa, tenant});
     if (evicted) debit(evicted->second.tenant);
     ++occupancy_[tenant];
   }

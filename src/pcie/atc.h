@@ -16,7 +16,6 @@
 #include "common/units.h"
 #include "memory/address.h"
 #include "memory/translation_cache.h"
-#include "obs/obs.h"
 #include "pcie/host_pcie.h"
 
 namespace stellar {
@@ -40,28 +39,25 @@ class Atc {
   };
 
   /// Translate an IoVa using the cache, falling back to an ATS request.
-  /// The tenant tag attributes the installed entry for share enforcement.
-  StatusOr<Lookup> translate(IoVa iova, TenantId tenant = kHostTenant) {
-    const IoVa page = iova.align_down(kPage4K);
-    if (const Hpa* hit = cache_.lookup(page)) {
-      STELLAR_TRACE_ONLY(obs::count("atc/hits");)
-      return Lookup{*hit + iova.page_offset(kPage4K), SimTime::nanos(5),
-                    true, true};
-    }
-    auto ats = fabric_->ats_translate(owner_, page);
-    if (!ats.is_ok()) return ats.status();
-    STELLAR_TRACE_ONLY(const std::uint64_t ev_before = cache_.evictions();)
-    cache_.install(page, ats.value().hpa.align_down(kPage4K), tenant);
-    STELLAR_TRACE_ONLY(
-        obs::count("atc/misses");
-        obs::count("atc/evictions", cache_.evictions() - ev_before);
-        obs::record_time("atc/miss_latency_ps", ats.value().latency);
-        obs::complete_here(obs::TraceCat::kAtc, "ats_translate",
-                           ats.value().latency,
-                           obs::TraceArgs{"iotlb_hit",
-                                          ats.value().iotlb_hit ? 1 : 0});)
-    return Lookup{ats.value().hpa + iova.page_offset(kPage4K),
-                  ats.value().latency, false, ats.value().iotlb_hit};
+  /// The tenant tag attributes the entries installed in the ATC and the
+  /// IOTLB for share enforcement. The one-page case of translate_run().
+  StatusOr<Lookup> translate(IoVa iova, TenantId tenant = kHostTenant);
+
+  /// What translate_run() did with each page of a run.
+  struct RunCounts {
+    std::uint64_t atc_hits = 0;
+    std::uint64_t iotlb_hits = 0;  // ATS round trips the IOTLB served
+    std::uint64_t walks = 0;       // ATS round trips that walked the table
+    std::uint64_t failed = 0;      // unknown requester or unmapped page
+  };
+
+  /// Translate `pages` pages at `first`, `first + stride`, ... on behalf
+  /// of `tenant`, against the real ATC and IOTLB state. Per page this does
+  /// only the ATC lookup and, on a miss, the IOTLB lookup (or page walk)
+  /// and the two installs; the requester check is done once per run.
+  RunCounts translate_run(IoVa first, std::uint64_t stride,
+                          std::uint64_t pages, TenantId tenant = kHostTenant) {
+    return run(first, stride, pages, tenant, nullptr);
   }
 
   /// ATS invalidation from the RC; HostPcie sends one on every IOMMU
@@ -79,6 +75,11 @@ class Atc {
   std::uint64_t misses() const { return cache_.misses(); }
 
  private:
+  /// The core of translate() and translate_run(); stores the last page's
+  /// HPA in `*last_hpa` when that is not null.
+  RunCounts run(IoVa first, std::uint64_t stride, std::uint64_t pages,
+                TenantId tenant, Hpa* last_hpa);
+
   HostPcie* fabric_;
   Bdf owner_;
   TranslationCache cache_;

@@ -166,18 +166,12 @@ StatusOr<DmaOutcome> HostPcie::dma(const Tlp& tlp) {
   return out;
 }
 
-StatusOr<HostPcie::AtsResult> HostPcie::ats_translate(Bdf requester,
-                                                      IoVa iova) {
-  if (devices_.count(requester) == 0) {
-    return not_found("HostPcie::ats_translate: unknown BDF");
-  }
-  auto tr = iommu_.translate(iova);
-  if (!tr.is_ok()) return tr.status();
+HostPcie::AtsRoundTrip HostPcie::ats_round_trip() const {
   const PcieLatencies& lat = config_.latencies;
-  // Round trip: device -> switch -> RC (walk) -> switch -> device.
-  const SimTime rtt = lat.ats_request_overhead + lat.switch_hop * 2 +
-                      lat.rc_forward + tr.value().latency;
-  return AtsResult{tr.value().hpa, rtt, tr.value().iotlb_hit};
+  const SimTime fabric =
+      lat.ats_request_overhead + lat.switch_hop * 2 + lat.rc_forward;
+  return AtsRoundTrip{fabric + iommu_.config().iotlb_hit_latency,
+                      fabric + iommu_.config().page_walk_latency};
 }
 
 void HostPcie::add_atc(Atc* atc) { atcs_.push_back(atc); }

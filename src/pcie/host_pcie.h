@@ -90,13 +90,14 @@ class HostPcie {
   /// modelling lives in the RNIC pipelines, which use `route` + latency.
   StatusOr<DmaOutcome> dma(const Tlp& tlp);
 
-  /// ATS translation request from a device (used to fill its ATC).
-  struct AtsResult {
-    Hpa hpa;
-    SimTime latency;
-    bool iotlb_hit = false;
+  /// The ATS round trip that fills an ATC miss: device -> switch -> RC
+  /// (IOTLB hit or page walk) -> switch -> device. Both are constants of
+  /// the fabric and IOMMU latencies, so an ATC reads them once per run.
+  struct AtsRoundTrip {
+    SimTime iotlb_hit;
+    SimTime walk;
   };
-  StatusOr<AtsResult> ats_translate(Bdf requester, IoVa iova);
+  AtsRoundTrip ats_round_trip() const;
 
   /// Every live ATC built on this host is registered here (Atc's
   /// constructor and destructor do it). Each IOMMU flush — every unmap —
@@ -117,6 +118,7 @@ class HostPcie {
   std::size_t switch_count() const { return switches_.size(); }
   const HostPcieConfig& config() const { return config_; }
 
+  bool has_device(Bdf bdf) const { return devices_.count(bdf) != 0; }
   StatusOr<Bar> device_bar(Bdf bdf) const;
   StatusOr<std::size_t> switch_of(Bdf bdf) const;
 

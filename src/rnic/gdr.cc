@@ -40,26 +40,28 @@ GdrTransfer GdrEngine::transfer(IoVa iova, std::uint64_t len) {
 
   std::int64_t total_ps = 0;
   if (mode_ == GdrMode::kAtsAtc) {
-    // Every page goes through the real ATC (and, on a miss, the IOTLB), so
-    // this walk is page by page.
-    for (std::uint64_t i = 0; i < pages; ++i) {
-      std::int64_t stall_ps = 0;
-      auto lookup = atc_->translate(iova.align_down(page) + i * page);
-      if (lookup.is_ok() && !lookup.value().hit) {
-        ++out.atc_misses;
-        // ATS round trip amortized over the NIC's translation pipeline.
-        stall_ps = lookup.value().latency.ps() /
-                   static_cast<std::int64_t>(config_.ats_pipeline_depth);
-        if (!lookup.value().iotlb_hit) {
-          ++out.iotlb_misses;
-          // The IOMMU serializes page walks much harder than the NIC
-          // pipelines ATS requests — this is the second Figure-8 cliff.
-          stall_ps += fabric_->iommu().config().page_walk_latency.ps() /
-                      static_cast<std::int64_t>(config_.iommu_walk_depth);
-        }
-      }
-      total_ps += page_wire.ps() + stall_ps;
-    }
+    // Every page goes through the real ATC (and, on a miss, the IOTLB), in
+    // one run. A page's stall depends only on how its ATS round trip was
+    // served, so the duration is a closed form of the run's counts: the
+    // same integer sum as adding up the pages one by one.
+    const Atc::RunCounts run =
+        atc_->translate_run(iova.align_down(page), page, pages);
+    const HostPcie::AtsRoundTrip rtt = fabric_->ats_round_trip();
+    const auto ats_depth =
+        static_cast<std::int64_t>(config_.ats_pipeline_depth);
+    // ATS round trip amortized over the NIC's translation pipeline.
+    const std::int64_t iotlb_hit_stall_ps = rtt.iotlb_hit.ps() / ats_depth;
+    // The IOMMU serializes page walks much harder than the NIC pipelines
+    // ATS requests — this is the second Figure-8 cliff.
+    const std::int64_t walk_stall_ps =
+        rtt.walk.ps() / ats_depth +
+        fabric_->iommu().config().page_walk_latency.ps() /
+            static_cast<std::int64_t>(config_.iommu_walk_depth);
+    out.atc_misses = run.iotlb_hits + run.walks;
+    out.iotlb_misses = run.walks;
+    total_ps = page_wire.ps() * static_cast<std::int64_t>(pages) +
+               iotlb_hit_stall_ps * static_cast<std::int64_t>(run.iotlb_hits) +
+               walk_stall_ps * static_cast<std::int64_t>(run.walks);
   } else {
     // eMTT: the final HPA comes from the eMTT at line rate and the switch
     // routes P2P; an ACS/LUT-forced RC detour (and RC-routed mode always)

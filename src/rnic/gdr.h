@@ -9,11 +9,14 @@
 //   kRcRouted  - HyV/MasQ: untranslated TLPs detour through the Root
 //                Complex, whose P2P forwarding bandwidth caps throughput.
 //
-// Only kAtsAtc walks a message page by page, against the *real* ATC/IOTLB
-// LRU state, so its throughput cliffs emerge from cache capacities and the
-// access pattern, not from hard-coded breakpoints. kEmtt and kRcRouted
-// carry no per-page state: every page costs the same, so their duration is
-// pages × per-page time.
+// Only kAtsAtc has per-page state: one Atc::translate_run per message runs
+// its pages against the *real* ATC/IOTLB LRU state, so its throughput
+// cliffs emerge from cache capacities and the access pattern, not from
+// hard-coded breakpoints. Each page then costs its wire time plus a stall
+// fixed by how its translation was served (ATC hit, IOTLB hit or page
+// walk), so the duration is a closed form of the run's counts. kEmtt and
+// kRcRouted carry no per-page state: every page costs the same, so their
+// duration is pages × per-page time.
 #pragma once
 
 #include <cstdint>

@@ -180,10 +180,11 @@ TEST(LruCacheTest, CapacityStress) {
   EXPECT_EQ(cache.peek(0), nullptr);
 }
 
-// Seeded random get/peek/put/erase/clear/evict_lru_matching sequences over
-// page-aligned keys, run against LruCache and the reference side by side.
-// Every returned value and victim, size() and all three counters must agree
-// after every operation.
+// Seeded random get/peek/put/insert_absent/erase/clear/evict_lru_matching
+// sequences over page-aligned keys, run against LruCache and the reference
+// side by side (insert_absent only for keys the cache does not hold). Every
+// returned value and victim, size() and all three counters must agree after
+// every operation.
 TEST(LruCacheTest, MatchesReferenceLruUnderRandomOps) {
   using Key = std::uint64_t;
   using Value = std::uint64_t;
@@ -216,9 +217,12 @@ TEST(LruCacheTest, MatchesReferenceLruUnderRandomOps) {
         } else if (kind < 870) {
           const Key k = page();
           const Value v = rng();
-          const Result a = cache.put(k, v);
+          // Half the inserts of an absent key take the probe-free path.
+          const bool absent = cache.peek(k) == nullptr;
+          const Result a = absent && v % 2 == 0 ? cache.insert_absent(k, v)
+                                                : cache.put(k, v);
           const Result b = ref.put(k, v);
-          ASSERT_EQ(a, b) << "put victim";
+          ASSERT_EQ(a, b) << (absent ? "insert_absent victim" : "put victim");
         } else if (kind < 930) {
           const Key k = page();
           ASSERT_EQ(cache.erase(k), ref.erase(k)) << "erase";

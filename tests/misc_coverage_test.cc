@@ -8,6 +8,7 @@
 
 #include "collective/fleet.h"
 #include "collective/traffic.h"
+#include "pcie/atc.h"
 #include "rnic/device.h"
 
 namespace stellar {
@@ -112,8 +113,14 @@ TEST(RnicProvisioningTest, PfGdrIdempotent) {
 TEST(HostPcieErrorsTest, AtsForUnknownBdf) {
   HostPcie pcie;
   pcie.add_switch("sw0");
-  EXPECT_EQ(pcie.ats_translate(Bdf{0x66, 0, 0}, IoVa{0}).status().code(),
-            StatusCode::kNotFound);
+  ASSERT_TRUE(pcie.iommu().map(IoVa{0}, Hpa{0x400000}, 1_MiB).is_ok());
+  // The ATC of a device that never attached: its ATS requests fail even
+  // for a mapped page, and nothing is cached.
+  Atc atc(pcie, Bdf{0x66, 0, 0}, 16);
+  EXPECT_EQ(atc.translate(IoVa{0}).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(atc.translate_run(IoVa{0}, kPage4K, 4).failed, 4u);
+  EXPECT_EQ(atc.cache().size(), 0u);
+  EXPECT_EQ(pcie.iommu().iotlb().size(), 0u);
 }
 
 TEST(HostPcieErrorsTest, TranslatedTlpToUnclaimedAddressFails) {

@@ -4,9 +4,9 @@
 #      full tree; tools/lint/stellar_lint.py, dependency-free python)
 #   1. default build (STELLAR_AUDIT=ON) + the complete test suite
 #   2. the audit-labelled invariant tests on their own (fast signal)
-#   2b. the alloc-labelled allocation budget of the packet path (its own
-#      binary: it replaces the global operator new), here and again in the
-#      bench build of step 12
+#   2b. the alloc-labelled allocation budgets: the packet path, the fluid
+#      solver and the ATS/ATC sweep (their own binary: it replaces the
+#      global operator new), here and again in the bench build of step 12
 #   3. the fault-labelled fault-injection/recovery tests on their own
 #   4. the sim-labelled engine determinism/stress tests (timing-wheel
 #      replay and stress, the firing-order test against a reference heap,
@@ -64,7 +64,7 @@
 #  12. STELLAR_AUDIT=OFF + STELLAR_TRACE=OFF build of the bench binaries —
 #      proves both instrumentation layers compile out of hot paths
 #      entirely — plus the firing-order test (wheel vs reference heap) and
-#      the allocation budget in that build
+#      the allocation budgets in that build
 #
 #   tools/ci_checks.sh [--skip-san] [--lint-only]
 #
@@ -114,7 +114,7 @@ ctest --test-dir build --output-on-failure -j"$jobs"
 step "invariant audit suite (ctest -L audit)"
 ctest --test-dir build --output-on-failure -L audit
 
-step "packet-path allocation budget (ctest -L alloc)"
+step "allocation budgets (ctest -L alloc)"
 ctest --test-dir build --output-on-failure -L alloc
 
 step "fault injection suite (ctest -L fault)"
@@ -366,7 +366,7 @@ cmake --build build-bench -j"$jobs"
 step "engine firing order vs reference heap, bench build (SimFiringOrderTest)"
 ctest --test-dir build-bench --output-on-failure -R SimFiringOrderTest
 
-step "packet-path allocation budget, bench build (ctest -L alloc)"
+step "allocation budgets, bench build (ctest -L alloc)"
 ctest --test-dir build-bench --output-on-failure -L alloc
 
 echo
