@@ -128,8 +128,14 @@ class Bandwidth {
 
   /// Time to serialize `bytes` at this rate.
   constexpr SimTime transmit_time(std::uint64_t bytes) const {
-    // ps = bytes * 8 bits * 1e12 / bps. Split to avoid overflow for large
-    // byte counts: 8e12/bps is ps-per-byte (may not be integral; use i128).
+    // ps = bytes * 8 bits * 1e12 / bps, truncated. 8e12/bps is ps-per-byte
+    // and may not be integral, so the product is formed first: in 64 bits
+    // for packet-sized counts (no __divti3 call on the packet path), and in
+    // i128 above kMaxNarrowTransmitBytes. Both truncate alike.
+    if (bytes <= kMaxNarrowTransmitBytes) {
+      return SimTime::picos(static_cast<std::int64_t>(bytes) *
+                            8'000'000'000'000ll / bps_);
+    }
     const __int128 ps =
         static_cast<__int128>(bytes) * 8 * 1'000'000'000'000ll / bps_;
     return SimTime::picos(static_cast<std::int64_t>(ps));
@@ -138,6 +144,12 @@ class Bandwidth {
   constexpr auto operator<=>(const Bandwidth&) const = default;
 
  private:
+  /// Largest byte count whose bytes * 8e12 product fits in an int64
+  /// (1,152,921).
+  static constexpr std::uint64_t kMaxNarrowTransmitBytes =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max() /
+                                 8'000'000'000'000ll);
+
   constexpr explicit Bandwidth(std::int64_t bps) : bps_(bps) {}
   std::int64_t bps_ = 0;
 };

@@ -19,19 +19,10 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/trace_only.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
-
-#ifndef STELLAR_TRACE_ENABLED
-#define STELLAR_TRACE_ENABLED 0
-#endif
-
-#if STELLAR_TRACE_ENABLED
-#define STELLAR_TRACE_ONLY(...) __VA_ARGS__
-#else
-#define STELLAR_TRACE_ONLY(...)
-#endif
 
 namespace stellar::obs {
 

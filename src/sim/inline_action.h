@@ -55,16 +55,19 @@ class InlineFunction<R(Args...)> {
                 !std::is_same_v<std::decay_t<F>, InlineFunction> &&
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      invoke_ = &inline_invoke<Fn>;
-      if constexpr (!trivial<Fn>) manage_ = &inline_manager<Fn>;
-    } else {
-      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
-      invoke_ = &boxed_invoke<Fn>;
-      manage_ = &boxed_manager<Fn>;
-    }
+    construct(std::forward<F>(f));
+  }
+
+  /// Destroy the held callable, then build `f` directly in the buffer: the
+  /// in-place form of `*this = InlineFunction(f)`, with no 64-byte
+  /// relocation. If constructing `f` throws, *this is left empty.
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, InlineFunction> &&
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  void emplace(F&& f) {
+    reset();
+    construct(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& o) noexcept
@@ -124,6 +127,22 @@ class InlineFunction<R(Args...)> {
   template <typename Fn>
   static constexpr bool trivial =
       std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>;
+
+  /// Builds `f` in the empty buffer; sets the dispatch pointers only once
+  /// the construction has succeeded.
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (fits_inline<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      invoke_ = &inline_invoke<Fn>;
+      if constexpr (!trivial<Fn>) manage_ = &inline_manager<Fn>;
+    } else {
+      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
+      invoke_ = &boxed_invoke<Fn>;
+      manage_ = &boxed_manager<Fn>;
+    }
+  }
 
   template <typename Fn>
   static R inline_invoke(void* self, Args&&... args) {

@@ -53,6 +53,7 @@ void Simulator::free_record(std::uint32_t idx) {
 // ---------------------------------------------------------------------------
 
 void Simulator::overflow_push(Entry e) {
+  STELLAR_TRACE_ONLY(++work_.overflow_pushes;)
   overflow_.push_back(e);
   std::push_heap(overflow_.begin(), overflow_.end(),
                  [](const Entry& a, const Entry& b) {
@@ -74,17 +75,30 @@ Simulator::Entry Simulator::overflow_pop() {
 // Wheel placement
 // ---------------------------------------------------------------------------
 
+inline void Simulator::slot_push(WheelLevel& level, std::size_t s,
+                                 const Entry& e) {
+  std::vector<Entry>& slot = level.slots[s];
+  if (slot.capacity() == 0 && !spare_.empty()) {
+    slot.swap(spare_.back());
+    spare_.pop_back();
+  }
+  slot.push_back(e);
+  level.occupied[s >> 6] |= std::uint64_t{1} << (s & 63);
+  ++level.count;
+}
+
+void Simulator::stash(std::vector<Entry>& slot) {
+  slot.clear();
+  if (slot.capacity() != 0) spare_.push_back(std::move(slot));
+}
+
 void Simulator::place_entry(const Entry& e) {
   for (int l = 0; l < kLevels; ++l) {
     const std::int64_t tl = e.at_ps >> level_shift(l);
     const std::int64_t curl =
         cur_tick_ >> (static_cast<unsigned>(l) * kSlotBits);
     if (tl - curl < static_cast<std::int64_t>(kSlots)) {
-      WheelLevel& level = levels_[l];
-      const std::size_t s = static_cast<std::size_t>(tl) & kSlotMask;
-      level.slots[s].push_back(e);
-      level.occupied[s >> 6] |= std::uint64_t{1} << (s & 63);
-      ++level.count;
+      slot_push(levels_[l], static_cast<std::size_t>(tl) & kSlotMask, e);
       return;
     }
   }
@@ -95,6 +109,9 @@ void Simulator::bucket_insert(const Entry& e) {
   auto it = std::upper_bound(bucket_.begin() +
                                  static_cast<std::ptrdiff_t>(bucket_pos_),
                              bucket_.end(), e, EntryLess{});
+  STELLAR_TRACE_ONLY(++work_.bucket_inserts;
+                     work_.entries_shifted +=
+                         static_cast<std::uint64_t>(bucket_.end() - it);)
   bucket_.insert(it, e);
 }
 
@@ -114,7 +131,7 @@ void Simulator::rewind_to(std::int64_t new_tick) {
     for (std::size_t s = 0; s < kSlots; ++s) {
       if (level.slots[s].empty()) continue;
       all.insert(all.end(), level.slots[s].begin(), level.slots[s].end());
-      level.slots[s].clear();
+      stash(level.slots[s]);
     }
     std::fill(level.occupied.begin(), level.occupied.end(), 0);
     level.count = 0;
@@ -157,12 +174,33 @@ std::int64_t Simulator::next_occupied_tick(int level) const {
 void Simulator::cascade(int level, std::int64_t level_tick) {
   WheelLevel& l = levels_[level];
   const std::size_t s = static_cast<std::size_t>(level_tick) & kSlotMask;
-  std::vector<Entry> moved;
-  moved.swap(l.slots[s]);
+  // The bucket is empty here. The slot's buffer becomes the bucket and is
+  // filtered in place, and the bucket's old buffer joins the stash before
+  // any moved entry needs a slot of its own.
+  bucket_.swap(l.slots[s]);
   l.occupied[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
-  l.count -= moved.size();
+  l.count -= bucket_.size();
+  stash(l.slots[s]);
+  STELLAR_TRACE_ONLY(++work_.cascades;
+                     work_.entries_cascaded += bucket_.size();)
 
   cur_tick_ = level_tick << (static_cast<unsigned>(level) * kSlotBits);
+
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < bucket_.size(); ++i) {
+    const Entry e = bucket_[i];
+    if (tombstones_ != 0 && is_tombstone(e)) {
+      // Sweep tombstones on the way down instead of carrying them along.
+      --tombstones_;
+      continue;
+    }
+    if ((e.at_ps >> kGranularityShift) == cur_tick_) {
+      bucket_[kept++] = e;
+    } else {
+      place_entry(e);  // level 0: the window lies inside the cascaded slot
+    }
+  }
+  bucket_.resize(kept);
 
   // Entries already sitting in the level-0 slot of the new cursor tick share
   // that tick by construction; they belong to the bucket now.
@@ -172,20 +210,7 @@ void Simulator::cascade(int level, std::int64_t level_tick) {
     l0.count -= l0.slots[s0].size();
     l0.occupied[s0 >> 6] &= ~(std::uint64_t{1} << (s0 & 63));
     bucket_.insert(bucket_.end(), l0.slots[s0].begin(), l0.slots[s0].end());
-    l0.slots[s0].clear();
-  }
-
-  for (const Entry& e : moved) {
-    if (tombstones_ != 0 && is_tombstone(e)) {
-      // Sweep tombstones on the way down instead of carrying them along.
-      --tombstones_;
-      continue;
-    }
-    if ((e.at_ps >> kGranularityShift) == cur_tick_) {
-      bucket_.push_back(e);
-    } else {
-      place_entry(e);
-    }
+    stash(l0.slots[s0]);
   }
 }
 
@@ -200,6 +225,8 @@ bool Simulator::advance_to_next_bucket() {
              (overflow_.front().at_ps >> kGranularityShift) == cur_tick_) {
         bucket_.push_back(overflow_pop());
       }
+      STELLAR_TRACE_ONLY(++work_.buckets_loaded;
+                         work_.entries_sorted += bucket_.size();)
       std::sort(bucket_.begin(), bucket_.end(), EntryLess{});
       return true;
     }
@@ -223,6 +250,7 @@ bool Simulator::advance_to_next_bucket() {
       bucket_.swap(l0.slots[s]);
       l0.occupied[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
       l0.count -= bucket_.size();
+      stash(l0.slots[s]);  // the bucket's old buffer
       continue;
     }
     cur_tick_ = tov;
@@ -258,45 +286,43 @@ std::uint32_t Simulator::peek_live() {
 // Public API
 // ---------------------------------------------------------------------------
 
-EventHandle Simulator::schedule_at(SimTime at, Action action) {
-  return schedule_at_seq(at, next_seq_++, std::move(action));
-}
-
-EventHandle Simulator::schedule_at_seq(SimTime at, std::uint64_t reserved_seq,
-                                       Action action) {
-  owner_.assert_held();
-  STELLAR_DCHECK(reserved_seq < next_seq_,
-                 "seq %llu was never reserved (next is %llu)",
-                 static_cast<unsigned long long>(reserved_seq),
+std::uint32_t Simulator::enqueue(SimTime at, std::uint64_t seq) {
+  STELLAR_DCHECK(seq < next_seq_, "seq %llu was never reserved (next is %llu)",
+                 static_cast<unsigned long long>(seq),
                  static_cast<unsigned long long>(next_seq_));
-  STELLAR_CHECK(reserved_seq < (std::uint64_t{1} << kSeqBits),
+  STELLAR_CHECK(seq < (std::uint64_t{1} << kSeqBits),
                 "event seq space exhausted");
   if (at < now_) {
     throw std::invalid_argument("Simulator::schedule_at: time in the past");
   }
   const std::uint32_t idx = alloc_record();
   EventRecord& r = record(idx);
-  r.seq = reserved_seq;
+  r.seq = seq;
   r.state = RecState::kPending;
-  r.action = std::move(action);
-  const Entry e{at.ps(), reserved_seq << kIdxBits | idx};
+  const Entry e{at.ps(), seq << kIdxBits | idx};
   const std::int64_t t0 = at.ps() >> kGranularityShift;
   if (t0 < cur_tick_) rewind_to(t0);
   if (t0 == cur_tick_) {
     bucket_insert(e);
   } else if (static_cast<std::uint64_t>(t0 - cur_tick_) < kSlots) {
     // Hot path: almost every event lands in the level-0 window.
-    WheelLevel& l0 = levels_[0];
-    const std::size_t s = static_cast<std::size_t>(t0) & kSlotMask;
-    l0.slots[s].push_back(e);
-    l0.occupied[s >> 6] |= std::uint64_t{1} << (s & 63);
-    ++l0.count;
+    slot_push(levels_[0], static_cast<std::size_t>(t0) & kSlotMask, e);
   } else {
     place_entry(e);
   }
   ++live_events_;
   ++pending_count_;
-  return EventHandle{(static_cast<std::uint64_t>(idx) + 1) << 32 | r.gen};
+  return idx;
+}
+
+void Simulator::drop_pending(std::uint32_t idx) {
+  // The queued entry stays behind as a tombstone holding no record and is
+  // swept lazily, while the record can serve the very next schedule —
+  // typically the timer's re-arm.
+  free_record(idx);
+  --live_events_;
+  --pending_count_;
+  ++tombstones_;
 }
 
 bool Simulator::cancel(EventHandle handle) {
@@ -311,13 +337,7 @@ bool Simulator::cancel(EventHandle handle) {
       r.gen != static_cast<std::uint32_t>(id)) {
     return false;
   }
-  // Release the record (and its captures) now: the queued entry stays behind
-  // as a tombstone holding no record and is swept lazily, while the record
-  // can serve the very next schedule — typically the timer's re-arm.
-  free_record(idx);
-  --live_events_;
-  --pending_count_;
-  ++tombstones_;
+  drop_pending(idx);  // releases the record and its captures now
   return true;
 }
 
@@ -384,8 +404,14 @@ Simulator::HeapStats Simulator::heap_stats() const {
   owner_.assert_held();
   HeapStats st;
   for (const auto& level : levels_) {
-    for (const auto& slot : level.slots) st.wheel_entries += slot.size();
+    for (const auto& slot : level.slots) {
+      st.wheel_entries += slot.size();
+      st.occupied_slots += slot.empty() ? 0 : 1;
+      st.slot_buffers += slot.capacity() != 0 ? 1 : 0;
+    }
   }
+  st.slot_buffers += spare_.size();
+  STELLAR_TRACE_ONLY(st.work = work_;)
   st.overflow_entries = overflow_.size();
   st.bucket_entries = bucket_.size() - bucket_pos_;
   st.queued = st.wheel_entries + st.overflow_entries + st.bucket_entries;

@@ -7,15 +7,18 @@
 // Hot-path design (docs/PERF.md has the full write-up):
 //
 //  * Scheduling is a hierarchical timing wheel (calendar queue): two
-//    4096-slot wheels — 8.192 ns slots covering ~33.6 us, then ~33.6 us
-//    slots covering ~137 ms — with a binary min-heap for events beyond the
+//    4096-slot wheels — 2.048 ns slots covering ~8.39 us, then ~8.39 us
+//    slots covering ~34.4 ms — with a binary min-heap for events beyond the
 //    outer horizon. Schedule and pop are O(1) amortized; only far-future
-//    timers (fault plans, second-scale horizons) ever touch the heap.
+//    timers (fault plans, second-scale horizons) ever touch the heap. An
+//    idle slot holds no buffer: emptied slot vectors wait in a stash for
+//    the next slot that gets an entry.
 //  * Events live in a pooled slab of records addressed by index; an
 //    EventHandle encodes (index, generation), so cancel() is one array
 //    access plus a generation compare — no hash lookups anywhere.
 //  * Callables are stored as InlineAction (64-byte small-buffer storage),
-//    so scheduling a hot-path event never heap-allocates.
+//    built directly in their event record, so scheduling a hot-path event
+//    never heap-allocates and never relocates its closure.
 //
 // Determinism contract: events fire in strict (time, seq) order. Wheel
 // slots are coarser than a picosecond, so each slot is sorted by
@@ -25,14 +28,27 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "common/trace_only.h"
 #include "common/units.h"
 #include "sim/inline_action.h"
 
 namespace stellar {
+
+/// What Simulator::schedule_*() accept: any callable invocable as void(),
+/// built in place in the event record, or an InlineAction rvalue, moved
+/// in. An lvalue InlineAction is rejected: it is move-only, and silently
+/// emptying the caller's variable would hide a bug.
+template <typename F>
+concept EventCallable =
+    std::is_same_v<F, InlineAction> ||
+    (!std::is_same_v<std::remove_cvref_t<F>, InlineAction> &&
+     std::is_invocable_r_v<void, std::decay_t<F>&>);
 
 /// Handle returned by Simulator::schedule(); can cancel a pending event.
 class EventHandle {
@@ -48,8 +64,26 @@ class EventHandle {
 };
 
 class Simulator {
+  // Wheel geometry: two levels of 4096 slots.
+  static constexpr int kLevels = 2;
+  static constexpr unsigned kSlotBits = 12;  // 4096 slots per level
+  /// Level-0 slot width: 2^11 ps = 2.048 ns, below the 2.56 ns a 64 B ACK
+  /// takes to serialize at 200G. So an event scheduled by a running one
+  /// almost never lands in the slot being drained (a sorted insert into
+  /// the live bucket), and a loaded slot holds a few entries to sort.
+  /// Level l slot width is 2^(11 + 12*l) ps, so level 1 slots span
+  /// ~8.39 us and the wheels together cover ~34.4 ms (kWheelHorizon) ahead
+  /// of the cursor; only longer timers (fault plans, multi-second horizons)
+  /// reach the overflow heap. docs/PERF.md "Wheel granularity" has the
+  /// counts and timings this width was picked by.
+  static constexpr unsigned kGranularityShift = 11;
+
  public:
-  using Action = InlineAction;
+  /// How far ahead of the cursor the wheel reaches (2^35 ps, ~34.4 ms):
+  /// one revolution of its outer level. Later events wait in the overflow
+  /// heap.
+  static constexpr SimTime kWheelHorizon = SimTime::picos(
+      std::int64_t{1} << (kGranularityShift + kLevels * kSlotBits));
 
   Simulator();
   Simulator(const Simulator&) = delete;
@@ -57,12 +91,17 @@ class Simulator {
 
   SimTime now() const { return now_; }
 
-  /// Schedule `action` to run at absolute time `at` (must be >= now()).
-  EventHandle schedule_at(SimTime at, Action action);
+  /// Schedule `action` to run at absolute time `at` (must be >= now();
+  /// throws std::invalid_argument, with nothing scheduled, otherwise).
+  template <EventCallable F>
+  EventHandle schedule_at(SimTime at, F&& action) {
+    return schedule_at_seq(at, next_seq_++, std::forward<F>(action));
+  }
 
   /// Schedule `action` to run `delay` after the current time.
-  EventHandle schedule_after(SimTime delay, Action action) {
-    return schedule_at(now_ + delay, std::move(action));
+  template <EventCallable F>
+  EventHandle schedule_after(SimTime delay, F&& action) {
+    return schedule_at(now_ + delay, std::forward<F>(action));
   }
 
   /// Consume and return the next tie-break sequence number without
@@ -80,8 +119,24 @@ class Simulator {
   /// Schedule `action` at `at` using a previously reserve_seq()'d tie-break
   /// sequence number instead of consuming a fresh one. Each reserved seq
   /// must be used at most once.
+  template <EventCallable F>
   EventHandle schedule_at_seq(SimTime at, std::uint64_t reserved_seq,
-                              Action action);
+                              F&& action) {
+    owner_.assert_held();
+    const std::uint32_t idx = enqueue(at, reserved_seq);
+    EventRecord& r = record(idx);
+    try {
+      if constexpr (std::is_same_v<F, InlineAction>) {
+        r.action = std::move(action);
+      } else {
+        r.action.emplace(std::forward<F>(action));
+      }
+    } catch (...) {
+      drop_pending(idx);  // a throwing copy or box: leave a tombstone
+      throw;
+    }
+    return EventHandle{(std::uint64_t{idx} + 1) << 32 | r.gen};
+  }
 
   /// Cancel a pending event. Returns false if it already ran / was cancelled.
   bool cancel(EventHandle handle);
@@ -100,6 +155,18 @@ class Simulator {
   std::uint64_t pending_events() const { return live_events_; }
   std::uint64_t executed_events() const { return executed_; }
 
+  /// Scheduler work, counted only in traced builds (STELLAR_TRACE_ONLY)
+  /// and all zero otherwise: the units the wheel spends host time on.
+  struct WorkCounts {
+    std::uint64_t buckets_loaded = 0;    // slots made the active bucket
+    std::uint64_t entries_sorted = 0;    // entries in them at their sort
+    std::uint64_t bucket_inserts = 0;    // sorted inserts into the live bucket
+    std::uint64_t entries_shifted = 0;   // entries those inserts moved up
+    std::uint64_t cascades = 0;          // outer slots moved down a level
+    std::uint64_t entries_cascaded = 0;  // entries (tombstones too) moved
+    std::uint64_t overflow_pushes = 0;   // entries pushed on the overflow heap
+  };
+
   /// Internal bookkeeping snapshot for the scheduler-sanity invariant
   /// auditor. `queued` is ground truth (the wheels, overflow heap, and
   /// current bucket are walked); the other totals are double-entry
@@ -115,6 +182,12 @@ class Simulator {
     std::size_t bucket_entries = 0;    // current-slot bucket remainder
     std::size_t allocated_records = 0; // pool records in use
     std::size_t pool_capacity = 0;     // pool records ever created
+    // Slot buffers: only occupied slots hold one, so `slot_buffers` (slots
+    // holding capacity, plus the stash) never exceeds the peak number of
+    // occupied slots plus one.
+    std::size_t occupied_slots = 0;  // wheel slots holding entries
+    std::size_t slot_buffers = 0;    // slot vectors with capacity + stash
+    WorkCounts work;
   };
   HeapStats heap_stats() const;
 
@@ -193,17 +266,8 @@ class Simulator {
     }
   };
 
-  static constexpr int kLevels = 2;
-  static constexpr unsigned kSlotBits = 12;  // 4096 slots per level
   static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
   static constexpr std::size_t kSlotMask = kSlots - 1;
-  /// Level-0 slot width: 2^13 ps = 8.192 ns — fine enough that a loaded
-  /// fabric puts only a handful of events in each slot, keeping the
-  /// per-slot sort cheap. Level l slot width is 2^(13 + 12*l) ps, so level
-  /// 1 slots span ~33.6 us and the wheels together cover ~137 ms ahead of
-  /// the cursor; only longer timers (fault plans, multi-second horizons)
-  /// reach the overflow heap.
-  static constexpr unsigned kGranularityShift = 13;
 
   struct WheelLevel {
     std::vector<std::vector<Entry>> slots{kSlots};
@@ -227,6 +291,21 @@ class Simulator {
   std::uint32_t alloc_record() STELLAR_REQUIRES(owner_);
   void free_record(std::uint32_t idx) STELLAR_REQUIRES(owner_);
 
+  /// The non-template half of schedule_*(): checks `at` and `seq`, takes a
+  /// record and queues its entry. The caller builds the closure in the
+  /// record's (empty) action. Returns the record index.
+  std::uint32_t enqueue(SimTime at, std::uint64_t seq)
+      STELLAR_REQUIRES(owner_);
+  /// Retire the pending event in record `idx`: free the record and leave
+  /// its queued entry as a tombstone.
+  void drop_pending(std::uint32_t idx) STELLAR_REQUIRES(owner_);
+
+  /// Append `e` to slot `s` of `level`; a slot's first entry brings it a
+  /// buffer from the stash when there is one.
+  void slot_push(WheelLevel& level, std::size_t s, const Entry& e)
+      STELLAR_REQUIRES(owner_);
+  /// Return an emptied slot's buffer, if it has one, to the stash.
+  void stash(std::vector<Entry>& slot) STELLAR_REQUIRES(owner_);
   /// Place an entry whose level-0 tick differs from cur_tick_ into the
   /// right wheel level or the overflow heap.
   void place_entry(const Entry& e) STELLAR_REQUIRES(owner_);
@@ -272,6 +351,12 @@ class Simulator {
   std::size_t bucket_pos_ STELLAR_GUARDED_BY(owner_) = 0;
   // level-0 tick the bucket belongs to
   std::int64_t cur_tick_ STELLAR_GUARDED_BY(owner_) = 0;
+  // Emptied slot vectors, cleared but keeping their capacity. A slot gives
+  // its buffer back here when it empties, and takes one when it gets its
+  // first entry, so the wheel holds no more buffers than its peak number
+  // of occupied slots plus the bucket's.
+  std::vector<std::vector<Entry>> spare_ STELLAR_GUARDED_BY(owner_);
+  STELLAR_TRACE_ONLY(WorkCounts work_ STELLAR_GUARDED_BY(owner_);)
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;

@@ -3,12 +3,13 @@
 // window and every arrival records a PSN at the receiver; none of these
 // may touch the heap once the structures reached their working size. A
 // small packet-mode permutation warms up for one revolution of the timing
-// wheel, then must stay under one heap allocation per 100 delivered
-// packets. What remains is per message (the sender's and the receiver's
-// message tables, about 4 allocations per 1 MiB message of 256 packets)
-// and the outer wheel level, whose slot vectors are released at every
-// cascade and regrow (a few allocations per 33.6 us slot, however many
-// packets it carries).
+// wheel (Simulator::kWheelHorizon, ~34.4 ms), then must stay under one heap
+// allocation per 100 delivered packets. What remains is mostly per message
+// (the sender's and the receiver's message tables, about 4 allocations per
+// 1 MiB message of 256 packets). The wheel's slot vectors go back to a
+// stash when their slot empties and serve the next slot that fills, so the
+// wheel stops allocating once the stash holds as many buffers as slots are
+// ever occupied at once.
 //
 // The fluid solver has a stricter budget: once a region's flow table, share
 // table and crossing lists have reached their working size, removing flows,
@@ -86,12 +87,13 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace stellar {
 namespace {
 
-// One revolution of the timing wheel (sim/simulator.h): its outer level
-// has 4096 slots of 2^25 ps, ~137 ms in all. Each wheel slot keeps its own
-// entry vector, which grows the first few times the slot is used; after
-// one revolution every slot of both levels has been through that, so the
-// allocations measured afterwards are the packet path's own.
-constexpr SimTime kWheelRevolution = SimTime::picos(std::int64_t{4096} << 25);
+// One revolution of the timing wheel (sim/simulator.h): after it, the
+// slot-vector stash holds the buffers the run's peak occupancy needs and
+// the packet path's other containers have reached their working size, so
+// the allocations measured afterwards are the steady state's. One level-0
+// revolution (8.4 us) is too short a warm-up: those containers are still
+// growing then, and the measured window makes 618 allocations.
+constexpr SimTime kWheelRevolution = Simulator::kWheelHorizon;
 
 TEST(AllocBudgetTest, PacketPermutationUnderOneAllocationPer100Packets) {
   Simulator sim;

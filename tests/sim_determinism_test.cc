@@ -6,7 +6,7 @@
 // may consume sequence numbers but must not perturb workload ordering.
 // The stress half drives the scheduler through the regimes the fabric
 // benches rely on: equal-timestamp FIFO bursts, cancel-heavy churn, and
-// far-future timers that overflow the ~137 ms wheel horizon into the heap.
+// far-future timers that overflow the ~34.4 ms wheel horizon into the heap.
 // The firing-order half runs three self-rescheduling hold-model mixes on
 // the wheel and on a reference binary heap, and requires the same firing
 // log and the same cancel() results from both.
@@ -306,7 +306,7 @@ TEST(SimSchedulerStressTest, FarFutureEventsOverflowAndMergeInOrder) {
   Simulator sim;
   std::uint64_t rng = 7;
   // Mix near events (wheel) with far-future ones (200 ms – 3 s, beyond the
-  // ~137 ms wheel horizon, so they must land in the overflow heap) and a
+  // ~34.4 ms wheel horizon, so they must land in the overflow heap) and a
   // couple of cancels inside the overflow set.
   std::vector<EventHandle> far;
   std::int64_t last_ps = -1;
@@ -491,11 +491,11 @@ constexpr std::uint64_t lcg(std::uint64_t x) {
   return x * 6364136223846793005ull + 1442695040888963407ull;
 }
 
-/// Per-mix delta distribution. schedule_fire and cancel_heavy stay inside
-/// the level-0 wheel (1 ns .. 32 us, the link/transport event scale), on a
-/// 1 ns grid so equal timestamps are common; far_future sends ~15 % of
-/// deltas to the outer wheel and ~5 % beyond the ~137 ms horizon into the
-/// overflow heap.
+/// Per-mix delta distribution. schedule_fire and cancel_heavy stay at the
+/// link/transport event scale (1 ns .. 32 us, both wheel levels: level 0
+/// spans ~8.39 us), on a 1 ns grid so equal timestamps are common;
+/// far_future sends ~15 % of deltas to the outer wheel and ~5 % beyond the
+/// ~34.4 ms horizon into the overflow heap.
 SimTime delta_for(Mix mix, std::uint64_t r) {
   if (mix == Mix::kFarFuture) {
     const std::uint64_t pick = (r >> 32) % 100;
@@ -522,7 +522,7 @@ struct FiringTrace {
   // Simulator only: the regime each mix is named for, sampled per slice.
   std::size_t max_overflow = 0;
   std::size_t max_tombstones = 0;
-  // Reference only: probes that landed a whole level-0 slot (8.192 ns)
+  // Reference only: probes that landed a whole level-0 slot (2.048 ns)
   // before the next pending event, i.e. behind the cursor run_until()
   // parked on it, so scheduling them rewinds the wheel.
   std::uint32_t probes_behind_cursor = 0;
@@ -599,7 +599,7 @@ FiringTrace run_mix(const MixCase& c) {
     const SimTime probe = eng.now() + SimTime::picos(1);
     if constexpr (std::is_same_v<Engine, ReferenceHeap>) {
       const std::int64_t next = eng.next_ps();
-      if (next >= 0 && next - probe.ps() >= 8192) ++trace.probes_behind_cursor;
+      if (next >= 0 && next - probe.ps() >= 2048) ++trace.probes_behind_cursor;
     }
     FiringTrace* t = &trace;
     eng.schedule_at(probe, [t, probe, s] {

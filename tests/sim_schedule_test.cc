@@ -1,0 +1,388 @@
+// Scheduler paths of the timing wheel that the determinism tests do not
+// pin directly:
+//
+//  * closures built in their event record: InlineFunction::emplace for
+//    trivial, non-trivial and boxed callables, what schedule_*() accept,
+//    and what a throwing schedule leaves behind;
+//  * events between the wheel's ~34.4 ms horizon and 130 ms, which go to
+//    the overflow heap and must still fire in (time, seq) order;
+//  * the slot-vector stash: over three wheel revolutions of timer churn,
+//    idle slots hold no buffer, so slot buffers plus the stash never
+//    exceed the peak number of occupied slots plus one;
+//  * the scheduler's work counters (traced builds only) on a fixed 200G
+//    data-and-ACK pipeline, where no event lands in the slot being drained.
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/trace_only.h"
+#include "sim/simulator.h"
+
+using namespace stellar;
+
+namespace {
+
+/// Counts live copies of a capture, so a test can see every constructor
+/// matched by a destructor.
+struct Tally {
+  int constructed = 0;
+  int destroyed = 0;
+};
+
+struct Counted {
+  Tally* tally;
+  std::string text;
+  Counted(Tally* t, std::string s) : tally(t), text(std::move(s)) {
+    ++tally->constructed;
+  }
+  Counted(const Counted& o) : tally(o.tally), text(o.text) {
+    ++tally->constructed;
+  }
+  Counted(Counted&& o) noexcept : tally(o.tally), text(std::move(o.text)) {
+    ++tally->constructed;
+  }
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { ++tally->destroyed; }
+};
+
+std::uint64_t mix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// ---------------------------------------------------------------------------
+// Closures built in place.
+// ---------------------------------------------------------------------------
+
+TEST(InlineFunctionEmplaceTest, TriviallyCopyableLambdaIsStoredInline) {
+  int hits = 0;
+  int* p = &hits;
+  const auto f = [p] { ++*p; };
+  static_assert(InlineAction::fits_inline<decltype(f)>);
+  InlineAction a;
+  a.emplace(f);
+  ASSERT_TRUE(a);
+  a();
+  a();
+  EXPECT_EQ(hits, 2);
+  // Emplacing over a held callable replaces it.
+  a.emplace([p] { *p += 10; });
+  a();
+  EXPECT_EQ(hits, 12);
+}
+
+TEST(InlineFunctionEmplaceTest, NonTrivialCaptureIsBuiltOnceAndDestroyed) {
+  Tally tally;
+  std::string seen;
+  {
+    InlineAction a;
+    a.emplace([c = Counted(&tally, "payload"), &seen] { seen = c.text; });
+    a();
+    EXPECT_EQ(seen, "payload");
+    // Moving the action relocates the capture; re-emplacing destroys it.
+    InlineAction b(std::move(a));
+    EXPECT_FALSE(a);
+    b();
+    b.emplace([] {});
+  }
+  EXPECT_GT(tally.constructed, 0);
+  EXPECT_EQ(tally.constructed, tally.destroyed);
+}
+
+TEST(InlineFunctionEmplaceTest, OversizedCallableIsBoxed) {
+  Tally tally;
+  std::array<char, 100> big{};
+  big[99] = 'z';
+  char seen = 0;
+  {
+    const auto f = [big, c = Counted(&tally, "boxed"), &seen] {
+      seen = big[99];
+    };
+    static_assert(sizeof(f) > InlineAction::kInlineBytes);
+    static_assert(!InlineAction::fits_inline<decltype(f)>);
+    InlineAction a;
+    a.emplace(f);
+    InlineAction b(std::move(a));  // moves the box pointer, not the callable
+    b();
+  }
+  EXPECT_EQ(seen, 'z');
+  EXPECT_EQ(tally.constructed, tally.destroyed);
+}
+
+// schedule_*() take any void() callable and an InlineAction rvalue, but not
+// an lvalue InlineAction: that would silently empty the caller's variable.
+// `A` is the argument's value category: `T&` an lvalue, plain `T` an rvalue.
+template <typename A>
+concept SchedulableAt = requires(Simulator& s, A&& a) {
+  s.schedule_at(SimTime::zero(), std::forward<A>(a));
+};
+template <typename A>
+concept SchedulableAfter = requires(Simulator& s, A&& a) {
+  s.schedule_after(SimTime::zero(), std::forward<A>(a));
+};
+template <typename A>
+concept SchedulableAtSeq = requires(Simulator& s, A&& a) {
+  s.schedule_at_seq(SimTime::zero(), 1, std::forward<A>(a));
+};
+static_assert(SchedulableAt<std::function<void()>&>);
+static_assert(SchedulableAt<InlineAction>);
+static_assert(SchedulableAfter<InlineAction>);
+static_assert(SchedulableAtSeq<InlineAction>);
+static_assert(!SchedulableAt<InlineAction&>);
+static_assert(!SchedulableAfter<InlineAction&>);
+static_assert(!SchedulableAtSeq<const InlineAction&>);
+static_assert(!SchedulableAt<int (*)(int)>);
+
+TEST(SimScheduleTest, LvalueStdFunctionIsCopiedAndRvalueInlineActionMoved) {
+  Simulator sim;
+  std::vector<int> fired;
+  std::function<void()> fn = [&fired] { fired.push_back(1); };
+  sim.schedule_at(SimTime::nanos(5), fn);
+  ASSERT_TRUE(fn);  // copied, not moved from
+  InlineAction act = [&fired] { fired.push_back(2); };
+  sim.schedule_at(SimTime::nanos(5), std::move(act));
+  EXPECT_FALSE(act);
+  sim.schedule_after(SimTime::nanos(1), fn);
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 1, 2}));
+  EXPECT_EQ(sim.heap_stats().allocated_records, 0u);
+}
+
+TEST(SimScheduleTest, PastTimeThrowsWithoutRecordOrLeakedCapture) {
+  Tally tally;
+  Simulator sim;
+  sim.run_until(SimTime::micros(1));
+  const std::size_t records = sim.heap_stats().allocated_records;
+  {
+    auto f = [c = Counted(&tally, "late")] { (void)c; };
+    EXPECT_THROW(sim.schedule_at(SimTime::nanos(500), std::move(f)),
+                 std::invalid_argument);
+    EXPECT_THROW(sim.schedule_at(SimTime::nanos(500), f),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(sim.heap_stats().allocated_records, records);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(tally.constructed, tally.destroyed);
+}
+
+/// A callable whose copy throws: scheduling an lvalue of it fails after
+/// the entry was queued, which must leave a tombstone and nothing pending.
+struct ThrowsOnCopy {
+  ThrowsOnCopy() = default;
+  ThrowsOnCopy(const ThrowsOnCopy&) { throw std::runtime_error("copy"); }
+  ThrowsOnCopy(ThrowsOnCopy&&) noexcept = default;
+  void operator()() const {}
+};
+
+TEST(SimScheduleTest, ThrowingClosureCopyLeavesNothingPending) {
+  Simulator sim;
+  int hits = 0;
+  sim.schedule_at(SimTime::nanos(10), [&hits] { ++hits; });
+  const ThrowsOnCopy bad;
+  EXPECT_THROW(sim.schedule_at(SimTime::nanos(10), bad), std::runtime_error);
+  Simulator::HeapStats st = sim.heap_stats();
+  EXPECT_EQ(st.allocated_records, 1u);
+  EXPECT_EQ(st.pending_ids, 1u);
+  EXPECT_EQ(st.tombstones, 1u);
+  EXPECT_EQ(st.queued, st.pending_ids + st.tombstones);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(hits, 1);
+  st = sim.heap_stats();
+  EXPECT_EQ(st.queued, 0u);
+  EXPECT_EQ(st.tombstones, 0u);
+  EXPECT_EQ(st.allocated_records, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Past the wheel horizon.
+// ---------------------------------------------------------------------------
+
+TEST(SimScheduleTest, EventsPastWheelHorizonFireInTimeSeqOrder) {
+  static_assert(Simulator::kWheelHorizon < SimTime::millis(40));
+  Simulator sim;
+  std::uint64_t rng = 11;
+  // Near events (1 ns – 1 ms) and far ones (40–130 ms, past the horizon),
+  // on a 1 us grid so equal timestamps are common; a fifth of the far ones
+  // are cancelled. Schedule order is seq order, so the expected firing
+  // order is a stable sort of the survivors by time.
+  struct Planned {
+    std::int64_t at_ps;
+    int id;
+  };
+  std::vector<Planned> planned;
+  std::vector<int> fired;
+  std::vector<EventHandle> far;
+  for (int i = 0; i < 1000; ++i) {
+    const bool is_far = i % 2 == 1;
+    const SimTime at =
+        is_far ? SimTime::millis(40) + SimTime::micros(mix64(rng) % 90'000)
+               : SimTime::micros(mix64(rng) % 1000) + SimTime::nanos(1);
+    const EventHandle h =
+        sim.schedule_at(at, [&fired, i] { fired.push_back(i); });
+    planned.push_back({at.ps(), i});
+    if (is_far) far.push_back(h);
+  }
+  EXPECT_GT(sim.heap_stats().overflow_entries, 0u)
+      << "events past the wheel horizon did not reach the overflow heap";
+  std::vector<int> cancelled;
+  for (std::size_t k = 0; k < far.size(); k += 5) {
+    ASSERT_TRUE(sim.cancel(far[k]));
+    cancelled.push_back(static_cast<int>(2 * k + 1));
+  }
+  std::vector<Planned> expected;
+  for (const Planned& p : planned) {
+    if (!std::binary_search(cancelled.begin(), cancelled.end(), p.id)) {
+      expected.push_back(p);
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Planned& a, const Planned& b) {
+                     return a.at_ps < b.at_ps;
+                   });
+  // Drain in run_until slices, which park the cursor between far events.
+  for (int s = 1; s <= 20; ++s) {
+    sim.run_until(SimTime::millis(7 * s));
+  }
+  sim.run();
+  std::vector<int> expected_ids;
+  for (const Planned& p : expected) expected_ids.push_back(p.id);
+  EXPECT_EQ(fired, expected_ids);
+  const Simulator::HeapStats st = sim.heap_stats();
+  EXPECT_EQ(st.queued, 0u);
+  EXPECT_EQ(st.allocated_records, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Slot-vector stash.
+// ---------------------------------------------------------------------------
+
+TEST(SimScheduleTest, TimerChurnHoldsNoMoreBuffersThanPeakOccupiedSlots) {
+  Simulator sim;
+  std::uint64_t rng = 3;
+  std::size_t peak_occupied = 0;
+  std::size_t max_buffers = 0;
+  bool bounded = true;
+  const auto sample = [&] {
+    const Simulator::HeapStats st = sim.heap_stats();
+    peak_occupied = std::max(peak_occupied, st.occupied_slots);
+    max_buffers = std::max(max_buffers, st.slot_buffers);
+    if (st.slot_buffers > peak_occupied + 1) {
+      ADD_FAILURE() << st.slot_buffers << " slot buffers at "
+                    << sim.now().ps() << " ps, peak occupied "
+                    << peak_occupied;
+      bounded = false;
+    }
+  };
+  // 64 timers, each re-arming itself 1 us – 5 ms ahead (level 0 and level
+  // 1) and re-arming a companion deadline 2–20 ms ahead, cancelling the
+  // previous one: the transport's RTO pattern, whose tombstones cascade.
+  constexpr int kTimers = 64;
+  struct Timer {
+    EventHandle deadline;
+  };
+  std::vector<Timer> timers(kTimers);
+  std::uint64_t deadlines_fired = 0;
+  const SimTime end = SimTime::picos(3 * Simulator::kWheelHorizon.ps());
+  std::function<void(int)> fire = [&](int t) {
+    if (sim.now() >= end) return;
+    sim.cancel(timers[t].deadline);
+    timers[t].deadline = sim.schedule_after(
+        SimTime::micros(2000 + mix64(rng) % 18'000),
+        [&deadlines_fired] { ++deadlines_fired; });
+    sim.schedule_after(SimTime::nanos(1000 + mix64(rng) % 4'999'000),
+                       [&fire, t] { fire(t); });
+    sample();
+  };
+  for (int t = 0; t < kTimers; ++t) {
+    sim.schedule_after(SimTime::nanos(1 + mix64(rng) % 100'000),
+                       [&fire, t] { fire(t); });
+  }
+  sample();
+  sim.run();
+  EXPECT_TRUE(bounded);
+  EXPECT_GE(sim.now(), end);
+  EXPECT_GT(deadlines_fired, 0u);
+  EXPECT_GT(peak_occupied, 0u);
+  // Drained: every buffer is in the stash, and there are no more of them
+  // than slots were ever occupied at once (plus the bucket's).
+  const Simulator::HeapStats st = sim.heap_stats();
+  EXPECT_EQ(st.occupied_slots, 0u);
+  EXPECT_LE(st.slot_buffers, peak_occupied + 1);
+  EXPECT_LE(max_buffers, peak_occupied + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Work counters.
+// ---------------------------------------------------------------------------
+
+/// A 200G link pair carrying `packets` back-to-back 4,096 B payloads: each
+/// data packet's serialization end (166.4 ns) starts the next and, after
+/// 1 us of propagation, the receiver's 64 B ACK (2.56 ns to serialize).
+/// Each ACK's arrival re-arms the sender's 10 ms retransmission timer.
+Simulator::WorkCounts run_data_and_ack_pipeline(Simulator& sim,
+                                                int packets) {
+  const Bandwidth rate = Bandwidth::gbps(200);
+  const SimTime data_tx = rate.transmit_time(4096 + 64);
+  const SimTime ack_tx = rate.transmit_time(64);
+  const SimTime propagation = SimTime::micros(1);
+  EXPECT_EQ(ack_tx, SimTime::picos(2560));
+  EventHandle rto;
+  int sent = 0;
+  int acked = 0;
+  int timeouts = 0;
+  std::function<void()> serialized = [&] {
+    ++sent;
+    sim.schedule_after(propagation, [&] {
+      sim.schedule_after(ack_tx, [&] {
+        sim.schedule_after(propagation, [&] {
+          ++acked;
+          sim.cancel(rto);
+          rto = sim.schedule_after(SimTime::millis(10),
+                                   [&timeouts] { ++timeouts; });
+        });
+      });
+    });
+    if (sent < packets) sim.schedule_after(data_tx, serialized);
+  };
+  sim.schedule_after(data_tx, serialized);
+  sim.run();
+  EXPECT_EQ(sent, packets);
+  EXPECT_EQ(acked, packets);
+  EXPECT_EQ(timeouts, 1);
+  return sim.heap_stats().work;
+}
+
+TEST(SimWorkCountersTest, DataAndAckPipelineAt200GNeverInsertsIntoLiveBucket) {
+  if (!STELLAR_TRACE_ENABLED) {
+    GTEST_SKIP() << "work counters are compiled out (STELLAR_TRACE=OFF)";
+  }
+  Simulator sim;
+  const Simulator::WorkCounts w = run_data_and_ack_pipeline(sim, 500);
+  EXPECT_EQ(sim.executed_events(), 4u * 500 + 1);
+  // No event schedules another less than one 2.048 ns slot ahead, so none
+  // lands in the slot being drained.
+  EXPECT_EQ(w.bucket_inserts, 0u);
+  EXPECT_EQ(w.entries_shifted, 0u);
+  EXPECT_EQ(w.overflow_pushes, 0u);
+  // Pinned at this wheel geometry. Every event that runs is sorted once,
+  // in 1,754 slots: a packet's arrival lands 1.6 ns after a later packet's
+  // serialization end, and such pairs often share a slot.
+  // Each of the 500 timer arms lands on the outer level (10 ms is past
+  // level 0's ~8.39 us) and moves down in one of 11 cascades, which sweep
+  // the 499 cancelled ones.
+  EXPECT_EQ(w.entries_sorted, 4u * 500 + 1);
+  EXPECT_EQ(w.buckets_loaded, 1754u);
+  EXPECT_EQ(w.cascades, 11u);
+  EXPECT_EQ(w.entries_cascaded, 500u);
+}
+
+}  // namespace

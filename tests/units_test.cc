@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace stellar {
 namespace {
 
@@ -59,6 +62,37 @@ TEST(BandwidthTest, TransmitTimeExact) {
   EXPECT_EQ(bw.transmit_time(4096), SimTime::picos(81'920));
   // 200 Gbps: 1 byte = 40 ps.
   EXPECT_EQ(Bandwidth::gbps(200).transmit_time(1), SimTime::picos(40));
+}
+
+TEST(BandwidthTest, TransmitTimeMatchesWideFormulaAroundNarrowLimit) {
+  // transmit_time divides in 64 bits up to 1,152,921 bytes (the largest
+  // count whose bytes * 8e12 fits in an int64) and in i128 above it. Both
+  // must truncate exactly like the one-formula i128 reference.
+  const auto wide = [](Bandwidth bw, std::uint64_t bytes) {
+    return SimTime::picos(static_cast<std::int64_t>(
+        static_cast<__int128>(bytes) * 8 * 1'000'000'000'000ll / bw.bps()));
+  };
+  const Bandwidth rates[] = {
+      Bandwidth::gbps(25), Bandwidth::gbps(100), Bandwidth::gbps(200),
+      Bandwidth::gbps(400),
+      Bandwidth::bits_per_sec(98'765'432'101)};  // ps per byte not integral
+  // The limit and one past it; a 64 B ACK and a 4,096 B payload plus its
+  // 64 B header (link serialization and the stack rate cap); a 4 KiB GDR
+  // page plus its 66 B TLP overhead; and a large cold-path copy.
+  const std::uint64_t counts[] = {0,    1,    64,        4160,      4162,
+                                  1'152'920, 1'152'921, 1'152'922,
+                                  1_GiB};
+  for (const Bandwidth bw : rates) {
+    for (const std::uint64_t bytes : counts) {
+      EXPECT_EQ(bw.transmit_time(bytes), wide(bw, bytes))
+          << bytes << " bytes at " << bw.bps() << " b/s";
+    }
+  }
+  // Positive products of 1,152,921 bytes fit; 1,152,922 would not.
+  EXPECT_LE(__int128{1'152'921} * 8'000'000'000'000ll,
+            __int128{std::numeric_limits<std::int64_t>::max()});
+  EXPECT_GT(__int128{1'152'922} * 8'000'000'000'000ll,
+            __int128{std::numeric_limits<std::int64_t>::max()});
 }
 
 TEST(BandwidthTest, Conversions) {

@@ -363,8 +363,8 @@ step "bench build with audits + tracing compiled out (STELLAR_AUDIT=OFF, STELLAR
 cmake -B build-bench -S . -DSTELLAR_AUDIT=OFF -DSTELLAR_TRACE=OFF
 cmake --build build-bench -j"$jobs"
 
-step "engine firing order vs reference heap, bench build (SimFiringOrderTest)"
-ctest --test-dir build-bench --output-on-failure -R SimFiringOrderTest
+step "engine tests, bench build (ctest -L sim; work-counter checks skip)"
+ctest --test-dir build-bench --output-on-failure -L sim
 
 step "allocation budgets, bench build (ctest -L alloc)"
 ctest --test-dir build-bench --output-on-failure -L alloc
