@@ -15,6 +15,7 @@
 //     budget that a pin-pressure flood exhausts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -98,26 +99,80 @@ class Iommu {
   /// Translate on behalf of `tenant`. The tenant tag only affects IOTLB
   /// bookkeeping: the installed entry is attributed to the tenant, and if
   /// the tenant has an IOTLB share cap and is at it, its own LRU entry is
-  /// evicted to make room (never a neighbor's).
+  /// evicted to make room (never a neighbor's). The one-page resolve_run().
   StatusOr<Translation> translate(IoVa iova, TenantId tenant = kHostTenant) {
-    if (const std::optional<Translation> t = resolve(iova, tenant)) return *t;
+    std::optional<Translation> out;
+    resolve_run(iova, 1, tenant,
+                [&](IoVa, Hpa hpa, std::uint64_t, bool iotlb_hit) {
+                  out = Translation{hpa,
+                                    iotlb_hit ? config_.iotlb_hit_latency
+                                              : config_.page_walk_latency,
+                                    iotlb_hit};
+                });
+    if (out) return *out;
     return not_found("Iommu::translate: unmapped");
   }
 
-  /// translate()'s core, with no Status: the IOTLB lookup and, on a miss,
-  /// the page walk and the install for `tenant`. nullopt when `iova` is
-  /// unmapped. An ATC miss (pcie/atc.cc) calls it once per page.
-  std::optional<Translation> resolve(IoVa iova, TenantId tenant) {
-    const IoVa page = iova.align_down(kPage4K);
-    if (const Hpa* hit = iotlb_.lookup(page)) {
-      return Translation{*hit + iova.page_offset(kPage4K),
-                         config_.iotlb_hit_latency, true};
-    }
-    const std::optional<Hpa> hpa = table_.lookup(iova);
-    if (!hpa) return std::nullopt;
-    ++page_walks_;
-    iotlb_.install(page, hpa->align_down(kPage4K), tenant);
-    return Translation{*hpa, config_.page_walk_latency, false};
+  /// What resolve_run() did with the pages of a run.
+  struct RunCounts {
+    std::uint64_t iotlb_hits = 0;
+    std::uint64_t walks = 0;   // IOTLB misses that walked the table
+    std::uint64_t failed = 0;  // IOTLB misses on unmapped pages
+  };
+
+  /// Translate the `pages` 4 KiB pages from `first` for `tenant`, exactly
+  /// as translating each page in turn would: the IOTLB serves its hit
+  /// chunks, and each miss chunk walks the table one mapped range at a
+  /// time, counting a page walk per page and installing the range's pages
+  /// in the IOTLB as one chunk; unmapped pages fail. `sink(page, hpa, n,
+  /// iotlb_hit)` gets each translated chunk in address order: its first
+  /// page, the HPA of that page's address (`first` itself for the run's
+  /// first page; the chunk's later pages follow 4 KiB apart) and its
+  /// length. `first` may sit inside its page only when `pages` is 1. An ATC
+  /// miss chunk (pcie/atc.cc) is one call.
+  template <typename Sink>
+  RunCounts resolve_run(IoVa first, std::uint64_t pages, TenantId tenant,
+                        Sink&& sink) {
+    RunCounts n;
+    const IoVa first_page = first.align_down(kPage4K);
+    // The address a chunk starting at `page` translates.
+    const auto address = [&](IoVa page) {
+      return page == first_page ? first : page;
+    };
+    iotlb_.walk(
+        first_page, pages,
+        [&](IoVa page, Hpa hpa, std::uint64_t k) {
+          n.iotlb_hits += k;
+          sink(page, hpa + address(page).page_offset(kPage4K), k, true);
+        },
+        [&](IoVa page, std::uint64_t k) {
+          while (k != 0) {
+            const IoVa at = address(page);
+            const std::optional<RangeMap<IoVa, Hpa>::Range> range =
+                table_.range_at_or_after(at);
+            const bool mapped = range && range->start <= at;
+            // Pages up to the end of the mapped range, or to the start of
+            // the next one.
+            const std::uint64_t limit =
+                !range ? page.value() + k * kPage4K
+                       : (mapped ? range->start + range->len : range->start)
+                             .value();
+            const std::uint64_t m = std::min(
+                k, (limit - page.value() + kPage4K - 1) / kPage4K);
+            if (mapped) {
+              const Hpa hpa = range->dst + (at - range->start);
+              page_walks_ += m;
+              n.walks += m;
+              iotlb_.install(page, hpa.align_down(kPage4K), m, tenant);
+              sink(page, hpa, m, false);
+            } else {
+              n.failed += m;
+            }
+            page = page + m * kPage4K;
+            k -= m;
+          }
+        });
+    return n;
   }
 
   /// Cap one tenant's IOTLB residency at `max_entries` (0 = uncapped).

@@ -1,7 +1,5 @@
 #include "pcie/atc.h"
 
-#include <optional>
-
 #include "obs/obs.h"
 
 namespace stellar {
@@ -28,28 +26,45 @@ Atc::RunCounts Atc::run(IoVa first, std::uint64_t stride,
                          fabric_->ats_round_trip();
                      const std::uint64_t evictions_before =
                          cache_.evictions();)
-  for (std::uint64_t i = 0; i < pages; ++i) {
-    const IoVa page = (first + i * stride).align_down(kPage4K);
-    if (const Hpa* hit = cache_.lookup(page)) {
-      ++n.atc_hits;
-      if (last_hpa != nullptr) *last_hpa = *hit;
-      continue;
+  const auto on_hit = [&](IoVa, Hpa hpa, std::uint64_t k) {
+    n.atc_hits += k;
+    if (last_hpa != nullptr) *last_hpa = hpa + (k - 1) * kPage4K;
+  };
+  // An ATC miss chunk goes to the IOMMU as one run of ATS requests; each
+  // chunk it translates is installed here as one extent.
+  const auto on_miss = [&](IoVa page, std::uint64_t k) {
+    if (!requester_known) {
+      n.failed += k;
+      return;
     }
-    const std::optional<Iommu::Translation> ats =
-        requester_known ? iommu.resolve(page, tenant) : std::nullopt;
-    if (!ats) {
-      ++n.failed;
-      continue;
+    const Iommu::RunCounts ats = iommu.resolve_run(
+        page, k, tenant,
+        [&](IoVa at, Hpa hpa, std::uint64_t m,
+            [[maybe_unused]] bool iotlb_hit) {
+          cache_.install(at, hpa.align_down(kPage4K), m, tenant);
+          if (last_hpa != nullptr) *last_hpa = hpa + (m - 1) * kPage4K;
+          STELLAR_TRACE_ONLY(
+              const SimTime latency = iotlb_hit ? rtt.iotlb_hit : rtt.walk;
+              for (std::uint64_t i = 0; i < m; ++i) {
+                obs::record_time("atc/miss_latency_ps", latency);
+                obs::complete_here(obs::TraceCat::kAtc, "ats_translate",
+                                   latency,
+                                   obs::TraceArgs{"iotlb_hit",
+                                                  iotlb_hit ? 1 : 0});
+              })
+        });
+    n.iotlb_hits += ats.iotlb_hits;
+    n.walks += ats.walks;
+    n.failed += ats.failed;
+  };
+  if (stride == kPage4K) {
+    cache_.walk(first.align_down(kPage4K), pages, on_hit, on_miss);
+  } else {
+    // Pages that are not 4 KiB apart are runs of one page each.
+    for (std::uint64_t i = 0; i < pages; ++i) {
+      cache_.walk((first + i * stride).align_down(kPage4K), 1, on_hit,
+                  on_miss);
     }
-    cache_.install(page, ats->hpa.align_down(kPage4K), tenant);
-    if (last_hpa != nullptr) *last_hpa = ats->hpa;
-    ++(ats->iotlb_hit ? n.iotlb_hits : n.walks);
-    STELLAR_TRACE_ONLY(
-        const SimTime latency = ats->iotlb_hit ? rtt.iotlb_hit : rtt.walk;
-        obs::record_time("atc/miss_latency_ps", latency);
-        obs::complete_here(obs::TraceCat::kAtc, "ats_translate", latency,
-                           obs::TraceArgs{"iotlb_hit",
-                                          ats->iotlb_hit ? 1 : 0});)
   }
   // One by-name count per run. A name is created only once its event has
   // happened: a run with no miss adds no `atc/misses` to the snapshot.

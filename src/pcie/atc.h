@@ -52,9 +52,12 @@ class Atc {
   };
 
   /// Translate `pages` pages at `first`, `first + stride`, ... on behalf
-  /// of `tenant`, against the real ATC and IOTLB state. Per page this does
-  /// only the ATC lookup and, on a miss, the IOTLB lookup (or page walk)
-  /// and the two installs; the requester check is done once per run.
+  /// of `tenant`, against the real ATC and IOTLB state, exactly as one
+  /// translate() per page would. With a 4 KiB stride the run is walked a
+  /// chunk at a time: an ATC hit chunk is one cache operation, and an ATC
+  /// miss chunk one Iommu::resolve_run plus one ATC install per chunk it
+  /// translates. Other strides are runs of one page. The requester check
+  /// is done once per run.
   RunCounts translate_run(IoVa first, std::uint64_t stride,
                           std::uint64_t pages, TenantId tenant = kHostTenant) {
     return run(first, stride, pages, tenant, nullptr);

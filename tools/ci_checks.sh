@@ -63,8 +63,9 @@
 #  11. clang-tidy over src/ (skipped gracefully when not installed)
 #  12. STELLAR_AUDIT=OFF + STELLAR_TRACE=OFF build of the bench binaries —
 #      proves both instrumentation layers compile out of hot paths
-#      entirely — plus the firing-order test (wheel vs reference heap) and
-#      the allocation budgets in that build
+#      entirely — plus the firing-order test (wheel vs reference heap), the
+#      allocation budgets and the tenant-labelled tests (the extent
+#      translation cache against its per-page reference) in that build
 #
 #   tools/ci_checks.sh [--skip-san] [--lint-only]
 #
@@ -368,6 +369,9 @@ ctest --test-dir build-bench --output-on-failure -L sim
 
 step "allocation budgets, bench build (ctest -L alloc)"
 ctest --test-dir build-bench --output-on-failure -L alloc
+
+step "tenant and translation-cache tests, bench build (ctest -L tenant; work-counter checks skip)"
+ctest --test-dir build-bench --output-on-failure -L tenant
 
 echo
 echo "ci_checks: all gates passed"
