@@ -271,9 +271,9 @@ void TransportAuditor::audit(AuditReport& report) const {
     }
     report.note_check();
     if (!conn->error_ &&
-        conn->rto_event_.valid() != !conn->outstanding_.empty()) {
+        conn->rto_timer_.armed() != !conn->outstanding_.empty()) {
       report.fail(name(),
-                  tag + (conn->rto_event_.valid()
+                  tag + (conn->rto_timer_.armed()
                              ? ": RTO timer armed with nothing outstanding"
                              : ": unacked packets but no RTO timer armed"));
     }
@@ -340,14 +340,17 @@ void SimulatorAuditor::audit(AuditReport& report) const {
                             std::to_string(stats.pending_ids +
                                            stats.tombstones));
   }
-  // Every pool record in use backs exactly one pending event; cancel() frees
-  // the record, so tombstones hold none — a leak or double-free in the
-  // record pool breaks this.
+  // Every pending entry is a pool record in use or an armed timer, and
+  // each backs exactly one; cancel() frees the record and disarm() clears
+  // the timer, so tombstones hold neither — a leak or double-free in the
+  // record pool, or a drifting armed-timer count, breaks this.
   report.note_check();
-  if (stats.allocated_records != stats.pending_ids) {
+  if (stats.allocated_records + stats.armed_timers != stats.pending_ids) {
     report.fail(name(), "record pool has " +
                             std::to_string(stats.allocated_records) +
-                            " records in use but pending = " +
+                            " records in use + " +
+                            std::to_string(stats.armed_timers) +
+                            " armed timers but pending = " +
                             std::to_string(stats.pending_ids));
   }
 }

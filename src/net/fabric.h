@@ -12,14 +12,16 @@
 //
 // Switches are decomposed into their egress ports: every port is a NetLink,
 // so per-port queue depth / load statistics (Figures 9 and 12) fall out of
-// link counters directly. A route is a precomputed vector of links; the
-// multipath path_id selects the aggregation switch for cross-segment hops.
+// link counters directly. A route is not stored anywhere: the multipath
+// path_id selects the aggregation switch of a cross-segment route once, at
+// send(), and the packet carries it. Each hop's link then follows from the
+// packet's (src, dst, agg, hop) through per-endpoint tables built by the
+// constructor, with no lookup and no division per packet.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -79,13 +81,12 @@ class ClosFabric {
   std::uint32_t physical_paths(EndpointId src, EndpointId dst) const;
 
   /// The exact link sequence packets of (conn_id, path_id) traverse between
-  /// src and dst — the same cached route send() uses. The packet-route
-  /// oracle fluid_footprint() is tested against.
-  const std::vector<NetLink*>& path_links(EndpointId src, EndpointId dst,
-                                          std::uint64_t conn_id,
-                                          std::uint16_t path_id) {
-    return *route_for(src, dst, conn_id, path_id);
-  }
+  /// src and dst, built on demand through the same hop function send() and
+  /// the per-hop forwarding use. The packet-route oracle fluid_footprint()
+  /// is tested against.
+  std::vector<NetLink*> path_links(EndpointId src, EndpointId dst,
+                                   std::uint64_t conn_id,
+                                   std::uint16_t path_id) const;
 
   /// Hybrid fidelity: the links a connection's packet-mode spray crosses,
   /// each with the summed weight of the paths through it. `weights[path]`
@@ -182,14 +183,46 @@ class ClosFabric {
   std::size_t agg_down_idx(std::uint32_t a, std::uint32_t s, std::uint32_t r,
                            std::uint32_t p) const;
 
-  /// The aggregation switch path `path_id` of connection `conn_id` crosses
-  /// on a cross-segment route — the one hash route_for and
-  /// fluid_footprint share.
-  std::uint32_t agg_of(std::uint64_t conn_id, std::uint16_t path_id) const;
+  /// What routing needs of one endpoint, built once by the constructor.
+  struct Port {
+    NetLink* up;            // host_up: endpoint -> its ToR
+    NetLink* down;          // tor_down: its ToR -> endpoint
+    std::uint32_t tor;      // tor_up_idx(segment, rail, plane, 0): its ToR's
+                            // uplinks, and the agg downlinks into that ToR
+    std::uint32_t segment;
+    std::uint32_t group;    // rail * planes + plane
+  };
 
-  const std::vector<NetLink*>* route_for(EndpointId src, EndpointId dst,
-                                         std::uint64_t conn_id,
-                                         std::uint16_t path_id);
+  /// The aggregation switch path `path_id` of connection `conn_id` crosses
+  /// on a cross-segment route — the one hash send(), path_links() and
+  /// fluid_footprint() share.
+  std::uint32_t agg_of(std::uint64_t conn_id, std::uint16_t path_id) const;
+  /// The switch a packet of (conn_id, path_id) from `a` to `b` carries:
+  /// agg_of() across segments, 0 within one.
+  std::uint16_t route_agg(const Port& a, const Port& b, std::uint64_t conn_id,
+                          std::uint16_t path_id) const {
+    return static_cast<std::uint16_t>(
+        a.segment == b.segment ? 0 : agg_of(conn_id, path_id));
+  }
+
+  /// The link a packet from `src` to `dst` through switch `agg` crosses at
+  /// hop `hop`, or nullptr once it has crossed the last: host_up, then
+  /// tor_up and agg_down when the segments differ, then tor_down.
+  NetLink* hop_link(EndpointId src, EndpointId dst, std::uint16_t agg,
+                    std::uint16_t hop) const {
+    const Port& a = ports_[src];
+    const Port& b = ports_[dst];
+    if (a.segment == b.segment) {
+      return hop == 0 ? a.up : hop == 1 ? b.down : nullptr;
+    }
+    switch (hop) {
+      case 0: return a.up;
+      case 1: return tor_up_[a.tor + agg].get();
+      case 2: return agg_down_[b.tor + agg].get();
+      case 3: return b.down;
+      default: return nullptr;
+    }
+  }
 
   void advance(NetPacket&& p);
 
@@ -201,10 +234,10 @@ class ClosFabric {
   std::vector<std::unique_ptr<NetLink>> tor_up_;    // ToR -> Agg
   std::vector<std::unique_ptr<NetLink>> agg_down_;  // Agg -> ToR
 
+  std::vector<Port> ports_;  // by endpoint id
   std::vector<Handler> handlers_;
   TraceHook trace_;
   HybridDriver* hybrid_driver_ = nullptr;
-  std::unordered_map<std::uint64_t, std::vector<NetLink*>> route_cache_;
   // fluid_footprint scratch: per aggregation switch, the index of its
   // tor_up share in the footprint being built (kNoSlot = not yet crossed).
   std::vector<std::uint32_t> agg_slot_;

@@ -66,18 +66,13 @@ void NetLink::start_transmission() {
   const RingQueue<NetPacket>& q =
       tx_from_control_ ? control_queue_ : queue_;
   tx_wire_bytes_ = q.front().wire_bytes();
-  const SimTime tx = config_.bandwidth.transmit_time(tx_wire_bytes_);
-  auto fire = [this] { complete_transmission(); };
-  static_assert(InlineAction::fits_inline<decltype(fire)>,
-                "hot-path tx closure must not heap-allocate");
-  tx_event_ = sim_->schedule_after(tx, std::move(fire));
+  tx_timer_.arm(sim_->now() + config_.bandwidth.transmit_time(tx_wire_bytes_));
 }
 
 void NetLink::complete_transmission() {
-  tx_event_ = EventHandle{};
   // Recompute the source queue from the committed class rather than a
-  // pointer captured at schedule time; a drain/set_down in between would
-  // have cancelled this event, and if anything else ever empties the queue
+  // pointer captured at arm time; a drain/set_down in between would have
+  // disarmed this timer, and if anything else ever empties the queue
   // the checks below trip instead of popping the wrong packet.
   RingQueue<NetPacket>& q = tx_from_control_ ? control_queue_ : queue_;
   STELLAR_CHECK(!q.empty(),
@@ -117,22 +112,17 @@ void NetLink::complete_transmission() {
 void NetLink::schedule_delivery() {
   if (inflight_.empty()) return;
   const InFlight& front = inflight_.front();
-  if (delivery_event_.valid()) {
+  if (delivery_timer_.armed()) {
     if (delivery_at_ <= front.arrival) return;  // already armed early enough
-    sim_->cancel(delivery_event_);  // a nearer arrival slid in front
+    delivery_timer_.disarm();  // a nearer arrival slid in front
   }
   delivery_at_ = front.arrival;
-  auto fire = [this] { deliver_due(); };
-  static_assert(InlineAction::fits_inline<decltype(fire)>,
-                "hot-path delivery closure must not heap-allocate");
-  // Arm with the front packet's reserved seq: the event fires with the same
+  // Arm with the front packet's reserved seq: the timer fires with the same
   // (time, seq) its dedicated propagation event would have carried.
-  delivery_event_ = sim_->schedule_at_seq(front.arrival, front.seq,
-                                          std::move(fire));
+  delivery_timer_.arm(front.arrival, front.seq);
 }
 
 void NetLink::deliver_due() {
-  delivery_event_ = EventHandle{};
   STELLAR_CHECK(!inflight_.empty() &&
                     inflight_.front().arrival == sim_->now(),
                 "link %s delivery fired with no due packet", name_.c_str());
@@ -147,11 +137,8 @@ void NetLink::set_down(LinkDrainMode mode) {
   // A kVoid on an already-down (draining) link still empties the queue.
   up_ = false;
   if (mode != LinkDrainMode::kVoid) return;
-  if (tx_event_.valid()) {
-    // Abort the packet mid-serialization; it never left the device.
-    sim_->cancel(tx_event_);
-    tx_event_ = EventHandle{};
-  }
+  // Abort the packet mid-serialization; it never left the device.
+  tx_timer_.disarm();
   busy_ = false;
   const std::uint64_t n = queue_.size() + control_queue_.size();
   voided_packets_ += n;
@@ -162,15 +149,9 @@ void NetLink::set_down(LinkDrainMode mode) {
 }
 
 std::uint64_t NetLink::absorb() {
-  if (tx_event_.valid()) {
-    sim_->cancel(tx_event_);
-    tx_event_ = EventHandle{};
-  }
+  tx_timer_.disarm();
   busy_ = false;
-  if (delivery_event_.valid()) {
-    sim_->cancel(delivery_event_);
-    delivery_event_ = EventHandle{};
-  }
+  delivery_timer_.disarm();
   const std::uint64_t n =
       queue_.size() + control_queue_.size() + inflight_.size();
   queue_.clear();

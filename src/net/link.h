@@ -3,7 +3,9 @@
 //
 // Event-driven: a packet at the queue head occupies the wire for its
 // serialization time, then arrives at the far side after the propagation
-// delay. ECN is marked at enqueue when the backlog exceeds the threshold
+// delay. Both are Simulator::Timers embedded in the link, re-armed in place
+// for each packet, so a hop takes no event record and builds no closure.
+// ECN is marked at enqueue when the backlog exceeds the threshold
 // (DCTCP-style). Optional random drop models the lossy link of Figure 11.
 //
 // Two traffic classes, as in production RoCE deployments: ACK/CNP control
@@ -50,7 +52,12 @@ class NetLink {
 
   NetLink(Simulator& sim, std::string name, LinkConfig config,
           std::uint64_t drop_seed = 1)
-      : sim_(&sim), name_(std::move(name)), config_(config), rng_(drop_seed) {}
+      : sim_(&sim),
+        name_(std::move(name)),
+        config_(config),
+        rng_(drop_seed),
+        tx_timer_(sim, [this] { complete_transmission(); }),
+        delivery_timer_(sim, [this] { deliver_due(); }) {}
 
   NetLink(const NetLink&) = delete;
   NetLink& operator=(const NetLink&) = delete;
@@ -89,8 +96,8 @@ class NetLink {
   /// mid-serialization, or propagating — to the fluid model. The bytes
   /// live on as fluid flow state (the transport rewinds them into unsent
   /// demand), so unlike a drop they are not lost; the conservation auditor
-  /// closes the ledger through the absorbed counter. Cancels the pending
-  /// transmission and delivery events and empties all queues. Returns the
+  /// closes the ledger through the absorbed counter. Disarms the pending
+  /// transmission and delivery timers and empties all queues. Returns the
   /// number of packets absorbed.
   std::uint64_t absorb();
 
@@ -166,20 +173,22 @@ class NetLink {
   RingQueue<NetPacket> control_queue_;  // strict-priority (ACK/CNP) class
   bool busy_ = false;
   bool up_ = true;
-  EventHandle tx_event_;  // pending serialization-complete, for kVoid abort
+  // Serialization-complete of the head packet, armed while busy_ (kVoid
+  // and absorb() disarm it).
+  Simulator::Timer tx_timer_;
   // The transmission committed to the wire: which class it came from and
   // its wire size. Recomputed pointers at fire time + these checks replace
-  // the old captured-queue-pointer closure, so a drain between schedule
-  // and fire can never act on a stale choice of queue.
+  // the old captured-queue-pointer closure, so a drain between arm and
+  // fire can never act on a stale choice of queue.
   bool tx_from_control_ = false;
   std::uint32_t tx_wire_bytes_ = 0;
 
   // Pipelined propagation: packets past serialization sit in an in-flight
-  // FIFO ordered by arrival time, drained by one self-rescheduling
-  // delivery event per link — no per-packet closure, no allocation. Each
-  // packet reserves its tie-break seq the moment serialization completes
-  // (where a per-packet event would have been scheduled), so the delivery
-  // event fires with exactly the (time, seq) the classic two-events-per-hop
+  // FIFO ordered by arrival time, drained by one self-re-arming delivery
+  // timer per link — no per-packet closure, no allocation. Each packet
+  // reserves its tie-break seq the moment serialization completes (where a
+  // per-packet event would have been scheduled), so the delivery timer
+  // fires with exactly the (time, seq) the classic two-events-per-hop
   // engine produced — byte-identical simulation results.
   struct InFlight {
     NetPacket pkt;
@@ -187,8 +196,8 @@ class NetLink {
     std::uint64_t seq;  // reserved at serialization end
   };
   RingQueue<InFlight> inflight_;
-  EventHandle delivery_event_;
-  SimTime delivery_at_ = SimTime::zero();  // fire time of delivery_event_
+  Simulator::Timer delivery_timer_;
+  SimTime delivery_at_ = SimTime::zero();  // fire time of delivery_timer_
 
   std::uint64_t queue_bytes_ = 0;
   std::uint64_t max_queue_bytes_ = 0;

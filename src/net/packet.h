@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/units.h"
 
@@ -15,8 +14,6 @@ namespace stellar {
 
 using EndpointId = std::uint32_t;
 inline constexpr EndpointId kInvalidEndpoint = 0xFFFFFFFFu;
-
-class NetLink;  // defined in net/link.h
 
 /// Verbs operation the packet belongs to. READ responses travel as kWrite
 /// data on the reverse-direction connection.
@@ -53,14 +50,18 @@ struct NetPacket {
   EndpointId src = kInvalidEndpoint;
   EndpointId dst = kInvalidEndpoint;
   std::uint16_t path_id = 0;
-
-  const std::vector<NetLink*>* route = nullptr;  // owned by the fabric
-  std::uint16_t hop = 0;
+  /// Aggregation switch of a cross-segment route (0 within a segment), set
+  /// by ClosFabric::send(). With src, dst and hop it names the next link.
+  std::uint16_t agg = 0;
+  std::uint16_t hop = 0;  // links crossed so far
 
   // -- Telemetry ---------------------------------------------------------------
   SimTime sent_at;
 
   std::uint32_t wire_bytes() const { return payload + header; }
 };
+
+// Every link queue and in-flight FIFO holds packets by value.
+static_assert(sizeof(NetPacket) <= 104, "NetPacket grew past 104 bytes");
 
 }  // namespace stellar

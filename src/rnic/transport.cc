@@ -19,7 +19,8 @@ RdmaConnection::RdmaConnection(RdmaEngine& engine, std::uint64_t id,
       config_(config),
       id_(id),
       local_(local),
-      remote_(remote) {
+      remote_(remote),
+      rto_timer_(engine.simulator(), [this] { on_rto_fire(); }) {
   rebuild_from_config();
   // Hybrid fidelity: connections created while a driver is attached are
   // fluid clients from birth — if the region is already in fluid mode the
@@ -371,10 +372,7 @@ void RdmaConnection::rebuild_send_fifo() {
 
 void RdmaConnection::arm_rto() {
   Simulator& sim = engine_.simulator();
-  if (rto_event_.valid()) {
-    sim.cancel(rto_event_);
-    rto_event_ = EventHandle{};
-  }
+  rto_timer_.disarm();
   if (outstanding_.empty()) {
     clear_send_fifo();  // every pair is stale
     return;
@@ -399,10 +397,7 @@ void RdmaConnection::arm_rto() {
   }
   if (deadline < sim.now()) deadline = sim.now();
   rto_deadline_ = deadline;
-  rto_event_ = sim.schedule_at(deadline, [this] {
-    rto_event_ = EventHandle{};
-    on_rto_fire();
-  });
+  rto_timer_.arm(deadline);
 }
 
 void RdmaConnection::on_rto_fire() {

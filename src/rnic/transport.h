@@ -240,7 +240,7 @@ class RdmaConnection : public FluidClient {
   void transmit(std::uint64_t psn, const Outstanding& meta);
   void handle_ack(const NetPacket& ack);
   /// (Re-)arm the RTO at the oldest unacked send + rto, read off the
-  /// send FIFO without walking the window; cancels it when nothing is
+  /// send FIFO without walking the window; disarms it when nothing is
   /// unacked.
   void arm_rto();
   void on_rto_fire();
@@ -346,7 +346,7 @@ class RdmaConnection : public FluidClient {
   };
   std::vector<SendStamp> send_fifo_;
   std::size_t send_fifo_head_ = 0;
-  SimTime rto_deadline_;     // when rto_event_ fires, while it is armed
+  SimTime rto_deadline_;     // when rto_timer_ fires, while it is armed
   SimTime stack_next_free_;  // pacing point of the (optional) encap engine
 
   // Failure mitigation: consecutive timeouts per path and the blacklist.
@@ -369,7 +369,9 @@ class RdmaConnection : public FluidClient {
   std::vector<EventHandle> probe_events_;
   std::uint64_t next_probe_seq_ = 0;
 
-  EventHandle rto_event_;
+  // Armed exactly while unacked packets exist (TransportAuditor), and
+  // re-armed in place by arm_rto() after every send burst.
+  Simulator::Timer rto_timer_;
 
   std::uint64_t completed_messages_ = 0;
   std::uint64_t completed_bytes_ = 0;

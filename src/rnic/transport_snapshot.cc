@@ -108,10 +108,7 @@ void RdmaConnection::fields(Ar& ar, Self& c) {
 
 void RdmaConnection::cancel_timers() {
   Simulator& sim = engine_.simulator();
-  if (rto_event_.valid()) {
-    sim.cancel(rto_event_);
-    rto_event_ = EventHandle{};
-  }
+  rto_timer_.disarm();
   for (EventHandle& probe : probe_events_) sim.cancel(std::exchange(probe, {}));
 }
 

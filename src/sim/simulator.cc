@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/check.h"
@@ -11,15 +12,21 @@ namespace stellar {
 
 Simulator::Simulator() = default;
 
+Simulator::~Simulator() {
+  for (TimerSlot& t : timers_) {
+    if (t.timer != nullptr) t.timer->sim_ = nullptr;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Event record pool
 // ---------------------------------------------------------------------------
 
 std::uint32_t Simulator::alloc_record() {
   if (free_head_ == kNone) {
-    STELLAR_CHECK(pool_capacity_ + kChunkSize <= (std::size_t{1} << kIdxBits),
+    STELLAR_CHECK(pool_capacity_ + kChunkSize <= kTimerTag,
                   "event-record pool exceeded %llu records",
-                  static_cast<unsigned long long>(std::size_t{1} << kIdxBits));
+                  static_cast<unsigned long long>(kTimerTag));
     auto chunk = std::make_unique<EventRecord[]>(kChunkSize);
     const auto base = static_cast<std::uint32_t>(pool_capacity_);
     for (std::size_t i = kChunkSize; i > 0; --i) {
@@ -267,9 +274,9 @@ std::uint32_t Simulator::peek_live() {
       const Entry& e = bucket_[bucket_pos_];
       const std::uint32_t idx = entry_idx(e);
       if (bucket_pos_ + 1 < bucket_.size()) {
-        // The next record is touched either way (tombstone sweep or the
-        // next peek); overlap its load with this event's work.
-        __builtin_prefetch(&record(entry_idx(bucket_[bucket_pos_ + 1])));
+        // The next record or timer slot is touched either way (tombstone
+        // sweep or the next peek); overlap its load with this event's work.
+        __builtin_prefetch(entry_target(entry_idx(bucket_[bucket_pos_ + 1])));
       }
       if (tombstones_ != 0 && is_tombstone(e)) {
         --tombstones_;
@@ -286,19 +293,34 @@ std::uint32_t Simulator::peek_live() {
 // Public API
 // ---------------------------------------------------------------------------
 
-std::uint32_t Simulator::enqueue(SimTime at, std::uint64_t seq) {
-  STELLAR_DCHECK(seq < next_seq_, "seq %llu was never reserved (next is %llu)",
-                 static_cast<unsigned long long>(seq),
-                 static_cast<unsigned long long>(next_seq_));
+// The failure halves of check_schedule and arm_timer, kept out of line so
+// the paths that schedule every packet hop stay small.
+[[gnu::cold, gnu::noinline]] void Simulator::fail_schedule(
+    SimTime at, std::uint64_t seq, const char* what) const {
   STELLAR_CHECK(seq < (std::uint64_t{1} << kSeqBits),
                 "event seq space exhausted");
   if (at < now_) {
-    throw std::invalid_argument("Simulator::schedule_at: time in the past");
+    throw std::invalid_argument(std::string(what) + ": time in the past");
   }
-  const std::uint32_t idx = alloc_record();
-  EventRecord& r = record(idx);
-  r.seq = seq;
-  r.state = RecState::kPending;
+}
+
+[[gnu::cold, gnu::noinline]] void Simulator::fail_armed(std::uint32_t id) {
+  STELLAR_CHECK(timers_[id].seq == 0, "timer %u armed while armed (seq %llu)",
+                id, static_cast<unsigned long long>(timers_[id].seq));
+}
+
+inline void Simulator::check_schedule(SimTime at, std::uint64_t seq,
+                                      const char* what) const {
+  STELLAR_DCHECK(seq < next_seq_, "seq %llu was never reserved (next is %llu)",
+                 static_cast<unsigned long long>(seq),
+                 static_cast<unsigned long long>(next_seq_));
+  if (seq >= (std::uint64_t{1} << kSeqBits) || at < now_) [[unlikely]] {
+    fail_schedule(at, seq, what);
+  }
+}
+
+inline void Simulator::place_pending(SimTime at, std::uint64_t seq,
+                                     std::uint32_t idx) {
   const Entry e{at.ps(), seq << kIdxBits | idx};
   const std::int64_t t0 = at.ps() >> kGranularityShift;
   if (t0 < cur_tick_) rewind_to(t0);
@@ -312,6 +334,15 @@ std::uint32_t Simulator::enqueue(SimTime at, std::uint64_t seq) {
   }
   ++live_events_;
   ++pending_count_;
+}
+
+std::uint32_t Simulator::enqueue(SimTime at, std::uint64_t seq) {
+  check_schedule(at, seq, "Simulator::schedule_at");
+  const std::uint32_t idx = alloc_record();
+  EventRecord& r = record(idx);
+  r.seq = seq;
+  r.state = RecState::kPending;
+  place_pending(at, seq, idx);
   return idx;
 }
 
@@ -349,6 +380,18 @@ void Simulator::consume_and_run(std::uint32_t idx) {
                 static_cast<long long>(now_.ps()));
   now_ = SimTime::picos(at_ps);
   ++bucket_pos_;
+  if ((idx & kTimerTag) != 0) {
+    // Disarm before the action runs, so it may re-arm its own timer (and a
+    // disarm from inside returns false), with the counters already down.
+    TimerSlot& t = timers_[idx & ~kTimerTag];
+    t.seq = 0;
+    --armed_timers_;
+    --live_events_;
+    --pending_count_;
+    ++executed_;
+    t.timer->fire();
+    return;
+  }
   EventRecord& r = record(idx);
   // Retire the record before invoking: the generation bump kills any
   // outstanding handle (a self-cancel from inside the action must fail,
@@ -368,6 +411,41 @@ void Simulator::consume_and_run(std::uint32_t idx) {
   r.action.reset();
   r.next_free = free_head_;
   free_head_ = idx;
+}
+
+// ---------------------------------------------------------------------------
+// Timers
+// ---------------------------------------------------------------------------
+
+std::uint32_t Simulator::register_timer(Timer* timer) {
+  std::uint32_t id;
+  if (!free_timers_.empty()) {
+    id = free_timers_.back();
+    free_timers_.pop_back();
+  } else {
+    STELLAR_CHECK(timers_.size() < kTimerTag, "more than %u timers",
+                  static_cast<unsigned>(kTimerTag));
+    id = static_cast<std::uint32_t>(timers_.size());
+    timers_.emplace_back();
+  }
+  timers_[id].timer = timer;
+  return id;
+}
+
+void Simulator::unregister_timer(std::uint32_t id) {
+  owner_.assert_held();
+  disarm_timer(id);  // an armed timer's entry becomes a tombstone
+  timers_[id].timer = nullptr;
+  free_timers_.push_back(id);
+}
+
+void Simulator::arm_timer(std::uint32_t id, SimTime at, std::uint64_t seq) {
+  TimerSlot& t = timers_[id];
+  if (t.seq != 0) [[unlikely]] fail_armed(id);
+  check_schedule(at, seq, "Simulator::Timer::arm");
+  t.seq = seq;
+  ++armed_timers_;
+  place_pending(at, seq, id | kTimerTag);
 }
 
 bool Simulator::step() {
@@ -420,6 +498,8 @@ Simulator::HeapStats Simulator::heap_stats() const {
   st.live_events = live_events_;
   st.allocated_records = allocated_records_;
   st.pool_capacity = pool_capacity_;
+  st.armed_timers = armed_timers_;
+  st.timers = timers_.size() - free_timers_.size();
   return st;
 }
 

@@ -13,21 +13,30 @@
 //    timers (fault plans, second-scale horizons) ever touch the heap. An
 //    idle slot holds no buffer: emptied slot vectors wait in a stash for
 //    the next slot that gets an entry.
-//  * Events live in a pooled slab of records addressed by index; an
-//    EventHandle encodes (index, generation), so cancel() is one array
-//    access plus a generation compare — no hash lookups anywhere.
-//  * Callables are stored as InlineAction (64-byte small-buffer storage),
-//    built directly in their event record, so scheduling a hot-path event
-//    never heap-allocates and never relocates its closure.
+//  * One-shot events live in a pooled slab of records addressed by index;
+//    an EventHandle encodes (index, generation), so cancel() is one array
+//    access plus a generation compare — no hash lookups anywhere. Their
+//    callables are stored as InlineAction (64-byte small-buffer storage),
+//    built directly in the record, so scheduling never heap-allocates and
+//    never relocates its closure.
+//  * Recurring events are Simulator::Timer objects embedded in their owner
+//    (a link's serialization-done and delivery events, a connection's RTO):
+//    registered once, then armed, disarmed and re-armed in place. A wheel
+//    entry names either a record or a timer (a tag bit), so an armed timer
+//    takes no record and builds no closure.
 //
 // Determinism contract: events fire in strict (time, seq) order. Wheel
 // slots are coarser than a picosecond, so each slot is sorted by
 // (time, seq) when it becomes current; cascades and overflow merges
-// preserve the same total order. See tests/sim_determinism_test.cc.
+// preserve the same total order. Timers draw their seq from the same
+// counter at the moment they are armed, exactly as schedule_at() would, so
+// records and timers share one (time, seq) order. See
+// tests/sim_determinism_test.cc.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -86,6 +95,10 @@ class Simulator {
       std::int64_t{1} << (kGranularityShift + kLevels * kSlotBits));
 
   Simulator();
+  /// Detaches every timer still registered: destroying one afterwards
+  /// touches nothing. Arming one afterwards is a use-after-free, as
+  /// scheduling on a destroyed Simulator is.
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -95,35 +108,8 @@ class Simulator {
   /// throws std::invalid_argument, with nothing scheduled, otherwise).
   template <EventCallable F>
   EventHandle schedule_at(SimTime at, F&& action) {
-    return schedule_at_seq(at, next_seq_++, std::forward<F>(action));
-  }
-
-  /// Schedule `action` to run `delay` after the current time.
-  template <EventCallable F>
-  EventHandle schedule_after(SimTime delay, F&& action) {
-    return schedule_at(now_ + delay, std::forward<F>(action));
-  }
-
-  /// Consume and return the next tie-break sequence number without
-  /// scheduling anything. A pipelined producer (e.g. a link draining many
-  /// in-flight packets through one shared event) reserves a seq at the
-  /// moment it would classically have scheduled a per-item event, then
-  /// arms the shared event with schedule_at_seq(): equal-timestamp FIFO
-  /// ordering against every other event stays exactly as if each item had
-  /// its own event.
-  std::uint64_t reserve_seq() {
     owner_.assert_held();
-    return next_seq_++;
-  }
-
-  /// Schedule `action` at `at` using a previously reserve_seq()'d tie-break
-  /// sequence number instead of consuming a fresh one. Each reserved seq
-  /// must be used at most once.
-  template <EventCallable F>
-  EventHandle schedule_at_seq(SimTime at, std::uint64_t reserved_seq,
-                              F&& action) {
-    owner_.assert_held();
-    const std::uint32_t idx = enqueue(at, reserved_seq);
+    const std::uint32_t idx = enqueue(at, next_seq_++);
     EventRecord& r = record(idx);
     try {
       if constexpr (std::is_same_v<F, InlineAction>) {
@@ -137,6 +123,26 @@ class Simulator {
     }
     return EventHandle{(std::uint64_t{idx} + 1) << 32 | r.gen};
   }
+
+  /// Schedule `action` to run `delay` after the current time.
+  template <EventCallable F>
+  EventHandle schedule_after(SimTime delay, F&& action) {
+    return schedule_at(now_ + delay, std::forward<F>(action));
+  }
+
+  /// Consume and return the next tie-break sequence number without
+  /// scheduling anything. A pipelined producer (e.g. a link draining many
+  /// in-flight packets through one shared timer) reserves a seq at the
+  /// moment it would classically have scheduled a per-item event, then
+  /// arms the shared timer with Timer::arm(at, seq): equal-timestamp FIFO
+  /// ordering against every other event stays exactly as if each item had
+  /// its own event.
+  std::uint64_t reserve_seq() {
+    owner_.assert_held();
+    return next_seq_++;
+  }
+
+  class Timer;
 
   /// Cancel a pending event. Returns false if it already ran / was cancelled.
   bool cancel(EventHandle handle);
@@ -182,6 +188,10 @@ class Simulator {
     std::size_t bucket_entries = 0;    // current-slot bucket remainder
     std::size_t allocated_records = 0; // pool records in use
     std::size_t pool_capacity = 0;     // pool records ever created
+    // Timers: every pending entry is a record or an armed timer, so
+    // allocated_records + armed_timers == pending_ids.
+    std::size_t armed_timers = 0;      // timers armed now [counter]
+    std::size_t timers = 0;            // timers registered now
     // Slot buffers: only occupied slots hold one, so `slot_buffers` (slots
     // holding capacity, plus the stash) never exceeds the peak number of
     // occupied slots plus one.
@@ -232,17 +242,35 @@ class Simulator {
   static constexpr unsigned kChunkBits = 9;  // 512 records per chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
 
+  // -- Timers -----------------------------------------------------------------
+  //
+  // One slot per registered Timer, addressed by the timer's id. `seq` is
+  // the seq of the timer's one live entry while it is armed and 0 while it
+  // is not (seqs start at 1), so an entry naming a timer is a tombstone
+  // unless the slot still carries the entry's seq. A destroyed timer's id
+  // goes to free_timers_ with seq 0 and is recycled by the next timer to
+  // register; the new owner's seqs are all fresh, so an old entry can
+  // never fire it.
+
+  struct TimerSlot {
+    std::uint64_t seq = 0;    // armed: seq of its live entry; 0: disarmed
+    Timer* timer = nullptr;   // registered owner; nullptr once destroyed
+  };
+
   // -- Timing wheel -----------------------------------------------------------
 
   /// A scheduled entry as stored in wheel slots / overflow / bucket.
-  /// 16 bytes: `key` packs (seq << kIdxBits) | record-index, so comparing
+  /// 16 bytes: `key` packs (seq << kIdxBits) | index, so comparing
   /// (at_ps, key) is the unique (time, seq) total execution order (seq is
-  /// unique, so the idx low bits never decide) and sort/cascade moves stay
-  /// cheap. kIdxBits caps the pool at 16M live records and seq at 2^40
-  /// events — both checked, neither reachable in practice.
+  /// unique among live entries, so the index bits never decide) and
+  /// sort/cascade moves stay cheap. The index is a record index, or a
+  /// timer id with kTimerTag set. kIdxBits caps the pool and the timers at
+  /// 8M each and seq at 2^40 events — all checked, none reachable in
+  /// practice.
   static constexpr unsigned kIdxBits = 24;
   static constexpr std::uint64_t kIdxMask = (std::uint64_t{1} << kIdxBits) - 1;
   static constexpr unsigned kSeqBits = 64 - kIdxBits;
+  static constexpr std::uint32_t kTimerTag = std::uint32_t{1} << (kIdxBits - 1);
 
   struct Entry {
     std::int64_t at_ps;
@@ -252,10 +280,15 @@ class Simulator {
     return static_cast<std::uint32_t>(e.key & kIdxMask);
   }
   /// A tombstone: the entry's event was cancelled, so its record is free
-  /// or already re-used by an event with a different seq.
+  /// or already re-used by an event with a different seq; or its timer was
+  /// disarmed (or destroyed), and is now unarmed or armed under another
+  /// seq.
   bool is_tombstone(const Entry& e) const STELLAR_REQUIRES(owner_) {
-    const EventRecord& r = record(entry_idx(e));
-    return r.state != RecState::kPending || r.seq != e.key >> kIdxBits;
+    const std::uint32_t idx = entry_idx(e);
+    const std::uint64_t seq = e.key >> kIdxBits;
+    if ((idx & kTimerTag) != 0) return timers_[idx & ~kTimerTag].seq != seq;
+    const EventRecord& r = record(idx);
+    return r.state != RecState::kPending || r.seq != seq;
   }
   /// Inline comparator (std::sort with a function pointer cannot inline the
   /// compare, which dominated bucket sorting before this).
@@ -296,9 +329,38 @@ class Simulator {
   /// record's (empty) action. Returns the record index.
   std::uint32_t enqueue(SimTime at, std::uint64_t seq)
       STELLAR_REQUIRES(owner_);
+  /// Checks shared by records and timers: `seq` was reserved and fits the
+  /// key, and `at` is not in the past (throws std::invalid_argument).
+  void check_schedule(SimTime at, std::uint64_t seq, const char* what) const;
+  /// The failure halves of check_schedule() and of arm_timer()'s "armed
+  /// while armed" check: cold and out of line.
+  void fail_schedule(SimTime at, std::uint64_t seq, const char* what) const;
+  void fail_armed(std::uint32_t id) STELLAR_REQUIRES(owner_);
+  /// Queue the entry `(at, seq, idx)` (a record index or a tagged timer id)
+  /// and count it pending.
+  void place_pending(SimTime at, std::uint64_t seq, std::uint32_t idx)
+      STELLAR_REQUIRES(owner_);
   /// Retire the pending event in record `idx`: free the record and leave
   /// its queued entry as a tombstone.
   void drop_pending(std::uint32_t idx) STELLAR_REQUIRES(owner_);
+
+  // Timer half of the API (Simulator::Timer forwards here).
+  std::uint32_t register_timer(Timer* timer) STELLAR_REQUIRES(owner_);
+  void unregister_timer(std::uint32_t id) STELLAR_REQUIRES(owner_);
+  void arm_timer(std::uint32_t id, SimTime at, std::uint64_t seq)
+      STELLAR_REQUIRES(owner_);
+  bool disarm_timer(std::uint32_t id) STELLAR_REQUIRES(owner_) {
+    TimerSlot& t = timers_[id];
+    if (t.seq == 0) return false;
+    // As with cancel(): the entry stays queued as a tombstone and is swept
+    // lazily, while the timer can be re-armed at once.
+    t.seq = 0;
+    --armed_timers_;
+    --live_events_;
+    --pending_count_;
+    ++tombstones_;
+    return true;
+  }
 
   /// Append `e` to slot `s` of `level`; a slot's first entry brings it a
   /// buffer from the stash when there is one.
@@ -327,6 +389,11 @@ class Simulator {
   std::uint32_t peek_live() STELLAR_REQUIRES(owner_);
   /// Pop the event found by peek_live() and run it.
   void consume_and_run(std::uint32_t idx) STELLAR_REQUIRES(owner_);
+  /// The record or timer slot an entry index names, for prefetching.
+  const void* entry_target(std::uint32_t idx) const STELLAR_REQUIRES(owner_) {
+    if ((idx & kTimerTag) != 0) return &timers_[idx & ~kTimerTag];
+    return &record(idx);
+  }
 
   void overflow_push(Entry e) STELLAR_REQUIRES(owner_);
   Entry overflow_pop() STELLAR_REQUIRES(owner_);
@@ -340,6 +407,11 @@ class Simulator {
   std::uint32_t free_head_ STELLAR_GUARDED_BY(owner_) = kNone;
   std::size_t pool_capacity_ STELLAR_GUARDED_BY(owner_) = 0;
   std::size_t allocated_records_ STELLAR_GUARDED_BY(owner_) = 0;
+
+  // Timers, by id; ids of destroyed timers wait in free_timers_.
+  std::vector<TimerSlot> timers_ STELLAR_GUARDED_BY(owner_);
+  std::vector<std::uint32_t> free_timers_ STELLAR_GUARDED_BY(owner_);
+  std::size_t armed_timers_ STELLAR_GUARDED_BY(owner_) = 0;
 
   // Scheduler structures.
   WheelLevel levels_[kLevels] STELLAR_GUARDED_BY(owner_);
@@ -365,6 +437,66 @@ class Simulator {
   // Double-entry bookkeeping mirrored by the auditor against `queued`.
   std::size_t pending_count_ STELLAR_GUARDED_BY(owner_) = 0;
   std::size_t tombstones_ STELLAR_GUARDED_BY(owner_) = 0;
+};
+
+/// A recurring event embedded in its owner: registered with its Simulator
+/// once, at construction, then armed, disarmed and re-armed in place. An
+/// armed timer is one wheel entry that names the timer; it takes no event
+/// record and builds no closure. Arming takes the next seq exactly as
+/// schedule_at() does (or a reserve_seq()'d one), so timers and one-shot
+/// events fire in one (time, seq) order. Disarming leaves a tombstone, as
+/// cancel() does.
+///
+/// The action is a small, trivially copyable callable, typically a lambda
+/// capturing only `this`. It runs with the timer already disarmed, so the
+/// action may re-arm it, and a disarm() from inside returns false.
+/// Destroying an armed timer disarms it.
+class Simulator::Timer {
+ public:
+  template <typename F>
+    requires(std::is_trivially_copyable_v<F> && sizeof(F) <= sizeof(void*) &&
+             alignof(F) <= alignof(void*) &&
+             std::is_invocable_r_v<void, F&>)
+  Timer(Simulator& sim, F action) : sim_(&sim) {
+    ::new (static_cast<void*>(storage_)) F(action);
+    fire_ = [](void* storage) { (*std::launder(static_cast<F*>(storage)))(); };
+    sim_->owner_.assert_held();
+    id_ = sim_->register_timer(this);
+  }
+  ~Timer() {
+    if (sim_ != nullptr) sim_->unregister_timer(id_);
+  }
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Fire at `at` (>= now(); throws std::invalid_argument, leaving the
+  /// timer disarmed, otherwise) under the next seq. The timer must be
+  /// disarmed (STELLAR_CHECK).
+  void arm(SimTime at) {
+    sim_->owner_.assert_held();
+    sim_->arm_timer(id_, at, sim_->next_seq_++);
+  }
+  /// Fire at `at` under a seq from reserve_seq(), used at most once.
+  void arm(SimTime at, std::uint64_t reserved_seq) {
+    sim_->owner_.assert_held();
+    sim_->arm_timer(id_, at, reserved_seq);
+  }
+  /// Disarm a pending timer. Returns false if it was not armed (already
+  /// fired, or disarmed).
+  bool disarm() {
+    sim_->owner_.assert_held();
+    return sim_->disarm_timer(id_);
+  }
+  bool armed() const { return sim_->timers_[id_].seq != 0; }
+
+ private:
+  friend class Simulator;
+  void fire() { fire_(storage_); }
+
+  Simulator* sim_;
+  void (*fire_)(void*);
+  alignas(void*) unsigned char storage_[sizeof(void*)];
+  std::uint32_t id_ = 0;
 };
 
 }  // namespace stellar

@@ -23,6 +23,9 @@ struct SimulatorTestPeer {
   static void set_allocated_records(Simulator& sim, std::size_t n) {
     sim.allocated_records_ = n;
   }
+  static void skew_armed_timers(Simulator& sim, std::size_t delta) {
+    sim.armed_timers_ += delta;
+  }
 };
 
 struct FabricTestPeer {
@@ -109,6 +112,40 @@ TEST(SimulatorAuditorTest, CleanOnHealthyHeapCorruptFlagged) {
       << corrupt.to_string();
   EXPECT_EQ(registry.total_findings(),
             leaked.findings().size() + corrupt.findings().size());
+}
+
+TEST(SimulatorAuditorTest, ArmedTimerCountSkewFlagged) {
+  Simulator sim;
+  int fired = 0;
+  Simulator::Timer armed(sim, [&fired] { ++fired; });
+  Simulator::Timer disarmed(sim, [&fired] { ++fired; });
+  armed.arm(SimTime::nanos(10));
+  disarmed.arm(SimTime::nanos(20));
+  disarmed.disarm();  // a tombstone, holding no record and no timer
+  sim.schedule_after(SimTime::nanos(30), [] {});
+  ASSERT_EQ(sim.heap_stats().armed_timers, 1u);
+  ASSERT_EQ(sim.heap_stats().allocated_records, 1u);
+  ASSERT_EQ(sim.heap_stats().tombstones, 1u);
+
+  AuditRegistry registry;
+  registry.add(std::make_unique<SimulatorAuditor>(sim));
+  registry.set_trap_on_finding(false);
+  AuditReport healthy = registry.run_all();
+  EXPECT_TRUE(healthy.clean()) << healthy.to_string();
+
+  // A timer counted armed that backs no pending entry breaks
+  // allocated_records + armed_timers == pending_ids, and only that.
+  SimulatorTestPeer::skew_armed_timers(sim, 1);
+  AuditReport skewed = registry.run_all();
+  ASSERT_EQ(skewed.findings().size(), 1u) << skewed.to_string();
+  EXPECT_EQ(skewed.findings()[0].auditor, "simulator-heap");
+  EXPECT_NE(skewed.findings()[0].detail.find("2 armed timers"),
+            std::string::npos)
+      << skewed.to_string();
+  SimulatorTestPeer::skew_armed_timers(sim, static_cast<std::size_t>(-1));
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(registry.run_all().clean());
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <queue>
 #include <string>
@@ -31,6 +32,15 @@
 using namespace stellar;
 
 namespace {
+
+/// A timer whose action appends `id` to `fired`.
+struct OrderTimer {
+  OrderTimer(Simulator& sim, std::vector<int>& log, int tag)
+      : fired(&log), id(tag), timer(sim, [this] { fired->push_back(id); }) {}
+  std::vector<int>* fired;
+  int id;
+  Simulator::Timer timer;
+};
 
 // ---------------------------------------------------------------------------
 // Deterministic replay of a mini permutation workload.
@@ -164,14 +174,16 @@ TEST(SimSchedulerStressTest, EqualTimestampBurstFiresInScheduleOrder) {
 TEST(SimSchedulerStressTest, ReservedSeqKeepsFifoWhenArmedOutOfOrder) {
   Simulator sim;
   const SimTime at = SimTime::micros(3);
-  // Reserve tie-break seqs in FIFO order, then arm the events backwards —
+  // Reserve tie-break seqs in FIFO order, then arm the timers backwards —
   // execution must follow the reserved order, not the arming order.
   std::uint64_t seqs[8];
   for (auto& s : seqs) s = sim.reserve_seq();
   std::vector<int> fired;
-  for (int i = 7; i >= 0; --i) {
-    sim.schedule_at_seq(at, seqs[i], [&fired, i] { fired.push_back(i); });
+  std::vector<std::unique_ptr<OrderTimer>> timers;
+  for (int i = 0; i < 8; ++i) {
+    timers.push_back(std::make_unique<OrderTimer>(sim, fired, i));
   }
+  for (int i = 7; i >= 0; --i) timers[i]->timer.arm(at, seqs[i]);
   sim.run();
   ASSERT_EQ(fired.size(), 8u);
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
@@ -372,13 +384,13 @@ TEST(SimSchedulerStressTest, RemoteHandoffBehindParkedCursorRewinds) {
   // ...then a handoff lands behind it. The first arming rewinds, the
   // second lands in the rewound bucket with a smaller seq and must fire
   // first...
-  sim.schedule_at_seq(SimTime::micros(600), second,
-                      [&] { fired.push_back(2); });
-  sim.schedule_at_seq(SimTime::micros(600), first,
-                      [&] { fired.push_back(1); });
+  OrderTimer one(sim, fired, 1);
+  OrderTimer two(sim, fired, 2);
+  OrderTimer three(sim, fired, 3);
+  two.timer.arm(SimTime::micros(600), second);
+  one.timer.arm(SimTime::micros(600), first);
   // ...and a later handoff sorts by time, whatever its seq.
-  sim.schedule_at_seq(SimTime::micros(700), later,
-                      [&] { fired.push_back(3); });
+  three.timer.arm(SimTime::micros(700), later);
   sim.run();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(sim.now(), SimTime::millis(1));

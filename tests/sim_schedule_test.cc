@@ -129,17 +129,11 @@ template <typename A>
 concept SchedulableAfter = requires(Simulator& s, A&& a) {
   s.schedule_after(SimTime::zero(), std::forward<A>(a));
 };
-template <typename A>
-concept SchedulableAtSeq = requires(Simulator& s, A&& a) {
-  s.schedule_at_seq(SimTime::zero(), 1, std::forward<A>(a));
-};
 static_assert(SchedulableAt<std::function<void()>&>);
 static_assert(SchedulableAt<InlineAction>);
 static_assert(SchedulableAfter<InlineAction>);
-static_assert(SchedulableAtSeq<InlineAction>);
 static_assert(!SchedulableAt<InlineAction&>);
 static_assert(!SchedulableAfter<InlineAction&>);
-static_assert(!SchedulableAtSeq<const InlineAction&>);
 static_assert(!SchedulableAt<int (*)(int)>);
 
 TEST(SimScheduleTest, LvalueStdFunctionIsCopiedAndRvalueInlineActionMoved) {

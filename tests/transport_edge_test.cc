@@ -63,7 +63,7 @@ struct TransportTestPeer {
   }
 
   static bool rto_armed(const RdmaConnection& conn) {
-    return conn.rto_event_.valid();
+    return conn.rto_timer_.armed();
   }
   static SimTime rto_deadline(const RdmaConnection& conn) {
     return conn.rto_deadline_;

@@ -608,7 +608,7 @@ def run_lint(root: str, paths: list[str], fixture_mode: bool = False) -> list[Fi
     linter = Linter(root=root)
     # Names unordered at their declaration but iterated from another module
     # (the cross-layer auditors befriend subsystem internals).
-    linter.unordered_global = {"rx_", "psns_above_floor"}
+    linter.unordered_global = {"rx_"}
     rels = gather_files(root, paths)
     files: list[SourceFile] = []
     for rel in rels:
