@@ -34,15 +34,13 @@ AblationResult allreduce_bw(std::uint16_t paths, SimTime rto, double loss,
   // benefit of high fan-out) decides attainable bandwidth.
   fc.aggs_per_plane = 8;
   fc.fabric_link.bandwidth = Bandwidth::gbps(200);
-  fc.rails = 1;
-  fc.planes = 1;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
-  if (loss > 0) fabric.tor_uplink(0, 0, 0, 2).set_drop_probability(loss);
+  if (loss > 0) fabric.tor_uplink(0, 2).set_drop_probability(loss);
 
   std::vector<EndpointId> ranks;
   for (std::uint32_t i = 0; i < 16; ++i) {
-    ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
+    ranks.push_back(fabric.endpoint(i % 2, i / 2));
   }
   AllReduceConfig cfg;
   cfg.data_bytes = 16_MiB;
@@ -67,7 +65,7 @@ AblationResult allreduce_bw(std::uint16_t paths, SimTime rto, double loss,
   AblationResult out;
   out.bw_gbps = measured ? total / measured : 0;
   double sum = 0, sum2 = 0;
-  const auto uplinks = fabric.tor_uplinks(0, 0, 0);
+  const auto uplinks = fabric.tor_uplinks(0);
   const double window_sec = (sim.now() - window_start).sec();
   for (NetLink* l : uplinks) {
     const double gbps =

@@ -87,20 +87,18 @@ void monitoring() {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 16;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
   TransportConfig t;
   t.algo = MultipathAlgo::kObs;
   t.num_paths = 128;
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), t);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), t);
   conn.value()->post_write(64_MiB);
   sim.run();
   engine_meter().add(sim);
-  const auto& hist = fleet.at(fabric.endpoint(1, 0, 0, 0)).rx_path_histogram();
+  const auto& hist = fleet.at(fabric.endpoint(1, 0)).rx_path_histogram();
   std::uint64_t total = 0, max_count = 0, min_count = ~0ull;
   for (const auto& [path, count] : hist) {
     total += count;

@@ -36,12 +36,10 @@ QueueStats run_permutation(MultipathAlgo algo, std::uint16_t paths,
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 16;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 16;
   // 1:1 ToR radix (16x200G host ports, 16x200G uplinks): an ECMP hash
   // collision of two elephant flows genuinely oversubscribes an uplink,
-  // as in the production dual-plane fabric.
+  // as in the production fabric.
   fc.fabric_link.bandwidth = Bandwidth::gbps(200);
   ClosFabric fabric(sim, fc);
   auto hybrid = make_fidelity_driver(sim, fabric, fidelity);
@@ -51,7 +49,7 @@ QueueStats run_permutation(MultipathAlgo algo, std::uint16_t paths,
   std::vector<EndpointId> eps;
   for (std::uint32_t s = 0; s < 2; ++s) {
     for (std::uint32_t h = 0; h < 16; ++h) {
-      eps.push_back(fabric.endpoint(s, h, 0, 0));
+      eps.push_back(fabric.endpoint(s, h));
     }
   }
 

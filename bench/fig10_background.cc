@@ -25,8 +25,6 @@ FabricConfig fabric_config() {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 12;
-  fc.rails = 1;
-  fc.planes = 1;
   // Mildly oversubscribed aggregation layer (8x200G uplinks vs 12x200G
   // host ports): with three jobs' cross-segment rings in flight, how well
   // an algorithm spreads load decides the attainable bandwidth — the
@@ -41,7 +39,7 @@ std::vector<EndpointId> cross_ring(ClosFabric& fabric, std::uint32_t n,
                                    std::uint32_t host_base) {
   std::vector<EndpointId> out;
   for (std::uint32_t i = 0; i < n; ++i) {
-    out.push_back(fabric.endpoint(i % 2, host_base + i / 2, 0, 0));
+    out.push_back(fabric.endpoint(i % 2, host_base + i / 2));
   }
   return out;
 }

@@ -25,18 +25,16 @@ double one_trial(MultipathAlgo algo, std::uint16_t paths,
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 8;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 32;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
 
   // Drop packets on one ToR uplink of segment 0.
-  fabric.tor_uplink(0, 0, 0, lossy_agg).set_drop_probability(loss_probability);
+  fabric.tor_uplink(0, lossy_agg).set_drop_probability(loss_probability);
 
   std::vector<EndpointId> ranks;
   for (std::uint32_t i = 0; i < 16; ++i) {
-    ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
+    ranks.push_back(fabric.endpoint(i % 2, i / 2));
   }
   AllReduceConfig cfg;
   cfg.data_bytes = 32_MiB;

@@ -31,8 +31,6 @@ Imbalance run(std::uint16_t paths, Fidelity fidelity) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 16;
   ClosFabric fabric(sim, fc);
   auto hybrid = make_fidelity_driver(sim, fabric, fidelity);
@@ -40,8 +38,8 @@ Imbalance run(std::uint16_t paths, Fidelity fidelity) {
   EngineFleet fleet(sim, fabric);
 
   // Two RNICs (one per segment host 0), 16 connections between them.
-  const EndpointId a = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric.endpoint(0, 0);
+  const EndpointId b = fabric.endpoint(1, 0);
   TransportConfig t;
   t.algo = MultipathAlgo::kObs;
   t.num_paths = paths;
@@ -70,7 +68,7 @@ Imbalance run(std::uint16_t paths, Fidelity fidelity) {
   engine_meter().add(sim);
 
   double max_load = 0, min_load = 1e18, sum = 0, sum2 = 0;
-  const auto uplinks = fabric.tor_uplinks(0, 0, 0);
+  const auto uplinks = fabric.tor_uplinks(0);
   for (NetLink* l : uplinks) {
     const double gbps =
         static_cast<double>(l->bytes_sent()) * 8.0 / window.sec() / 1e9;

@@ -58,14 +58,12 @@ Result run(Stack stack, std::uint64_t msg_bytes) {
   FabricConfig fc;
   fc.segments = 1;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 1;
   fc.host_link.bandwidth = Bandwidth::gbps(200);
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
-  const EndpointId a = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric.endpoint(0, 1, 0, 0);
+  const EndpointId a = fabric.endpoint(0, 0);
+  const EndpointId b = fabric.endpoint(0, 1);
   auto conn = fleet.connect(a, b, stack_transport(stack));
 
   Result out;

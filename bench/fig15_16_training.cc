@@ -41,8 +41,6 @@ double measure_allreduce_bw(Placement placement, MultipathAlgo algo,
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = hosts;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 16;
   // 1:1 ToR provisioning (200G uplinks matching 200G host ports): ECMP
   // hash collisions genuinely oversubscribe a link, which is what the
@@ -66,12 +64,11 @@ double measure_allreduce_bw(Placement placement, MultipathAlgo algo,
         // ranks per segment, so only 2 ring hops cross the aggregation
         // layer.
         out.push_back(fabric.endpoint(
-            i / (ring / 2), (base * (ring / 2) + i % (ring / 2)) % hosts, 0,
-            0));
+            i / (ring / 2), (base * (ring / 2) + i % (ring / 2)) % hosts));
       } else {
         // Random ranking: every hop crosses segments.
-        out.push_back(fabric.endpoint(
-            i % 2, (base * (ring / 4) + i / 2) % hosts, 0, 0));
+        out.push_back(
+            fabric.endpoint(i % 2, (base * (ring / 4) + i / 2) % hosts));
       }
     }
     return out;

@@ -504,8 +504,6 @@ bool run_soak(JsonResult& json) {
   FabricConfig fabric_cfg;  // minimal fabric: the injector requires one
   fabric_cfg.segments = 1;
   fabric_cfg.hosts_per_segment = 2;
-  fabric_cfg.rails = 1;
-  fabric_cfg.planes = 1;
   fabric_cfg.aggs_per_plane = 1;
   ClosFabric fabric(sim, fabric_cfg);
 

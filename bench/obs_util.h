@@ -25,21 +25,18 @@
 namespace stellar::bench {
 
 /// Emit every fluid/packet mode span of a HybridDriver into the tracer's
-/// kSim category, so traces show the fast-forwarded regions and
+/// kSim category, so traces show the fast-forwarded windows and
 /// tools/trace_summarize can report the % of sim time spent in fluid mode.
 /// The sim layer itself stays obs-free; this is the bench-side bridge.
 inline void attach_fluid_spans(HybridDriver& driver) {
-  driver.set_span_hook([](std::uint32_t region, RegionMode mode, SimTime begin,
-                          SimTime end) {
-    (void)region;
+  driver.set_span_hook([](RegionMode mode, SimTime begin, SimTime end) {
     (void)mode;
     (void)begin;
     (void)end;
     STELLAR_TRACE_ONLY(obs::complete(
         obs::TraceCat::kSim,
         mode == RegionMode::kFluid ? "fluid_epoch" : "packet_epoch", begin,
-        end - begin,
-        obs::TraceArgs{"region", static_cast<std::int64_t>(region)});)
+        end - begin);)
   });
 }
 

@@ -22,8 +22,6 @@ double run(PlacementPolicy policy, MultipathAlgo algo, std::uint16_t paths) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 8;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 16;
   fc.fabric_link.bandwidth = Bandwidth::gbps(200);  // 1:1 ToR radix
   ClosFabric fabric(sim, fc);

@@ -1,5 +1,5 @@
 // Multipath training workload: a 32-rank cross-segment ring AllReduce on
-// the dual-plane fabric, comparing classic single-path RDMA against
+// the rail-optimized fabric, comparing classic single-path RDMA against
 // Stellar's 128-path OBS spray — including a mid-run link failure.
 //
 // This is the §7 story end-to-end: spraying flattens ToR queues, and when
@@ -28,15 +28,13 @@ RunResult run(MultipathAlgo algo, std::uint16_t paths) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 16;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 16;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
 
   std::vector<EndpointId> ranks;
   for (std::uint32_t i = 0; i < 32; ++i) {
-    ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
+    ranks.push_back(fabric.endpoint(i % 2, i / 2));
   }
   AllReduceConfig cfg;
   cfg.data_bytes = 64_MiB;
@@ -50,7 +48,7 @@ RunResult run(MultipathAlgo algo, std::uint16_t paths) {
     if (iteration == 0) out.first_bw = ar.bus_bandwidth_gbps();
     if (iteration == 1) {
       // A fiber goes dark between iterations 1 and 2.
-      fabric.tor_uplink(0, 0, 0, /*agg=*/5).set_drop_probability(1.0);
+      fabric.tor_uplink(0, /*agg=*/5).set_drop_probability(1.0);
     }
     if (iteration == 2) out.failover_bw = ar.bus_bandwidth_gbps();
     if (++iteration < 3) ar.start(chain);

@@ -1,7 +1,7 @@
 // Parameter-server style inference serving over the full verbs surface:
 // workers fetch model shards with RDMA READ, stream requests with SEND /
 // posted receives, and push results with RDMA WRITE — all sprayed over 128
-// paths through the dual-plane fabric.
+// paths through the rail-optimized fabric.
 //
 // Demonstrates the two-sided and one-sided verbs the vStellar device
 // exposes to tenants beyond the WRITE-only collective path.

@@ -11,7 +11,6 @@ using AllReduceConfig = CollectiveConfig;
 
 class RingAllReduce : public RingCollective {
  public:
-  /// `ranks` must all live on the same rail+plane (rail-optimized rings).
   RingAllReduce(EngineFleet& fleet, std::vector<EndpointId> ranks,
                 AllReduceConfig config)
       : RingCollective(fleet, std::move(ranks), config, /*phases=*/2) {}

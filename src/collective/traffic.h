@@ -24,8 +24,8 @@ struct PermutationConfig {
 class PermutationTraffic {
  public:
   /// Builds a random derangement over `sources` -> `sinks` (both must have
-  /// the same size and live on one rail/plane). When `sinks` is empty, the
-  /// permutation is over `sources` themselves.
+  /// the same size). When `sinks` is empty, the permutation is over
+  /// `sources` themselves.
   PermutationTraffic(EngineFleet& fleet, std::vector<EndpointId> sources,
                      std::vector<EndpointId> sinks, PermutationConfig config);
 

@@ -32,9 +32,8 @@ class StellarCluster {
   EngineFleet& fleet() { return fleet_; }
   const ClusterConfig& config() const { return config_; }
 
-  EndpointId endpoint(std::uint32_t segment, std::uint32_t host,
-                      std::uint32_t rail = 0, std::uint32_t plane = 0) const {
-    return fabric_.endpoint(segment, host, rail, plane);
+  EndpointId endpoint(std::uint32_t segment, std::uint32_t host) const {
+    return fabric_.endpoint(segment, host);
   }
 
   /// Open a connection with the cluster's default transport settings.

@@ -21,6 +21,8 @@ SimTime random_in(Rng& rng, SimTime lo, SimTime hi) {
   return lo + SimTime::picos(static_cast<std::int64_t>(rng.below(span)));
 }
 
+// The rail and plane draws always yield 0 (the fabric is one island); they
+// stay so that every seeded plan keeps its draw sequence.
 LinkRef random_link(Rng& rng, const FabricConfig& c) {
   LinkRef l;
   switch (rng.below(4)) {

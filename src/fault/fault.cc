@@ -42,24 +42,24 @@ Status FaultInjector::arm(const FaultPlan& plan) {
 
 Status FaultInjector::validate(const FaultEvent& e) const {
   const FabricConfig& c = fabric_->config();
+  // A rail or plane coordinate must be 0: the fabric is one island.
   auto link_ok = [&](const LinkRef& l) {
     switch (l.layer) {
       case LinkLayer::kHostUp:
       case LinkLayer::kTorDown:
-        return l.a < c.segments && l.b < c.hosts_per_segment && l.c < c.rails &&
-               l.d < c.planes;
+        return l.a < c.segments && l.b < c.hosts_per_segment && l.c == 0 &&
+               l.d == 0;
       case LinkLayer::kTorUp:
-        return l.a < c.segments && l.b < c.rails && l.c < c.planes &&
+        return l.a < c.segments && l.b == 0 && l.c == 0 &&
                l.d < c.aggs_per_plane;
       case LinkLayer::kAggDown:
-        return l.a < c.aggs_per_plane && l.b < c.segments && l.c < c.rails &&
-               l.d < c.planes;
+        return l.a < c.aggs_per_plane && l.b < c.segments && l.c == 0 &&
+               l.d == 0;
     }
     return false;
   };
   auto switch_ok = [&](const SwitchRef& s) {
-    return s.is_tor ? (s.segment < c.segments && s.rail < c.rails &&
-                       s.plane < c.planes)
+    return s.is_tor ? (s.segment < c.segments && s.rail == 0 && s.plane == 0)
                     : s.agg < c.aggs_per_plane;
   };
   const std::string tag = "FaultPlan[" + e.label + "]: ";
@@ -159,21 +159,21 @@ Status FaultInjector::validate(const FaultEvent& e) const {
 NetLink& FaultInjector::resolve(const LinkRef& ref) const {
   switch (ref.layer) {
     case LinkLayer::kHostUp:
-      return fabric_->host_uplink(ref.a, ref.b, ref.c, ref.d);
+      return fabric_->host_uplink(ref.a, ref.b);
     case LinkLayer::kTorDown:
-      return fabric_->tor_downlink(ref.a, ref.b, ref.c, ref.d);
+      return fabric_->tor_downlink(ref.a, ref.b);
     case LinkLayer::kTorUp:
-      return fabric_->tor_uplink(ref.a, ref.b, ref.c, ref.d);
+      return fabric_->tor_uplink(ref.a, ref.d);
     case LinkLayer::kAggDown:
-      return fabric_->agg_downlink(ref.a, ref.b, ref.c, ref.d);
+      return fabric_->agg_downlink(ref.a, ref.b);
   }
   STELLAR_CHECK(false, "unreachable LinkLayer");
-  return fabric_->tor_uplink(0, 0, 0, 0);
+  return fabric_->tor_uplink(0, 0);
 }
 
 std::vector<NetLink*> FaultInjector::switch_ports(const SwitchRef& ref) const {
   return ref.is_tor
-             ? fabric_->tor_switch_ports(ref.segment, ref.rail, ref.plane)
+             ? fabric_->tor_switch_ports(ref.segment)
              : fabric_->agg_switch_ports(ref.agg);
 }
 

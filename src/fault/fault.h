@@ -67,17 +67,21 @@ enum class LinkLayer : std::uint8_t { kHostUp, kTorDown, kTorUp, kAggDown };
 ///   kHostUp / kTorDown: {segment, host, rail, plane}
 ///   kTorUp:             {segment, rail, plane, agg}
 ///   kAggDown:           {agg, segment, rail, plane}
+/// rail and plane must be 0 (the fabric is one island); they stay because
+/// perf/driver.cc spells the four fields (ROADMAP item 9).
 struct LinkRef {
   LinkLayer layer = LinkLayer::kTorUp;
   std::uint32_t a = 0, b = 0, c = 0, d = 0;
 };
 
-/// One whole switch: an aggregation switch (by index within the plane) or a
-/// ToR (by segment/rail/plane).
+/// One whole switch: an aggregation switch (by index) or a segment's ToR.
 struct SwitchRef {
   bool is_tor = false;
-  std::uint32_t agg = 0;                           // !is_tor
-  std::uint32_t segment = 0, rail = 0, plane = 0;  // is_tor
+  std::uint32_t agg = 0;      // !is_tor
+  std::uint32_t segment = 0;  // is_tor
+  // Must be 0, as in LinkRef; kept with it for perf/driver.cc (ROADMAP
+  // item 9).
+  std::uint32_t rail = 0, plane = 0;
 };
 
 struct FaultEvent {

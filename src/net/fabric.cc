@@ -14,15 +14,15 @@
 namespace stellar {
 
 namespace {
-// "kind[a.b.c.d]", built in a buffer and copied into the string once (a
-// chain of concatenations made a temporary per operand, a visible part of
+// "kind[a.b]", built in a buffer and copied into the string once (a chain
+// of concatenations made a temporary per operand, a visible part of
 // building a fabric's links).
-std::string link_name(std::string_view kind, std::uint32_t a, std::uint32_t b,
-                      std::uint32_t c, std::uint32_t d) {
-  char buf[64];  // the longest kind (8) and four 10-digit fields fit
+std::string link_name(std::string_view kind, std::uint32_t a,
+                      std::uint32_t b) {
+  char buf[64];  // the longest kind (8) and two 10-digit fields fit
   char* p = std::copy(kind.begin(), kind.end(), buf);
   char sep = '[';
-  for (const std::uint32_t v : {a, b, c, d}) {
+  for (const std::uint32_t v : {a, b}) {
     *p++ = sep;
     p = std::to_chars(p, std::end(buf), v).ptr;
     sep = '.';
@@ -35,19 +35,22 @@ std::string link_name(std::string_view kind, std::uint32_t a, std::uint32_t b,
 ClosFabric::ClosFabric(Simulator& sim, FabricConfig config)
     : sim_(&sim), config_(config) {
   const auto& c = config_;
-  if (c.segments == 0 || c.hosts_per_segment == 0 || c.rails == 0 ||
-      c.planes == 0 || c.aggs_per_plane == 0) {
+  if (c.segments == 0 || c.hosts_per_segment == 0 || c.aggs_per_plane == 0) {
     throw std::invalid_argument("ClosFabric: all dimensions must be nonzero");
+  }
+  if (c.rails != 1 || c.planes != 1) {
+    // A fabric is one (rail, plane) island; a multi-rail host is several.
+    throw std::invalid_argument("ClosFabric: rails and planes must be 1");
   }
   if (c.aggs_per_plane > std::uint32_t{1} << 16) {
     // A packet carries its switch index in 16 bits (NetPacket::agg).
     throw std::invalid_argument("ClosFabric: more than 65536 aggs per plane");
   }
 
-  const std::size_t n_host_links = static_cast<std::size_t>(c.segments) *
-                                   c.hosts_per_segment * c.rails * c.planes;
-  const std::size_t n_tor_links = static_cast<std::size_t>(c.segments) *
-                                  c.rails * c.planes * c.aggs_per_plane;
+  const std::size_t n_host_links =
+      static_cast<std::size_t>(c.segments) * c.hosts_per_segment;
+  const std::size_t n_tor_links =
+      static_cast<std::size_t>(c.segments) * c.aggs_per_plane;
 
   // Each link gets its own inline delivery closure (DeliverFn is move-only).
   auto deliver = [this] {
@@ -59,127 +62,86 @@ ClosFabric::ClosFabric(Simulator& sim, FabricConfig config)
   tor_down_.reserve(n_host_links);
   for (std::uint32_t s = 0; s < c.segments; ++s) {
     for (std::uint32_t h = 0; h < c.hosts_per_segment; ++h) {
-      for (std::uint32_t r = 0; r < c.rails; ++r) {
-        for (std::uint32_t p = 0; p < c.planes; ++p) {
-          host_up_.push_back(std::make_unique<NetLink>(
-              sim, link_name("host_up", s, h, r, p), c.host_link, ++seed));
-          host_up_.back()->set_deliver(deliver());
-          tor_down_.push_back(std::make_unique<NetLink>(
-              sim, link_name("tor_down", s, h, r, p), c.host_link, ++seed));
-          tor_down_.back()->set_deliver(deliver());
-        }
-      }
+      host_up_.push_back(std::make_unique<NetLink>(
+          sim, link_name("host_up", s, h), c.host_link, ++seed));
+      host_up_.back()->set_deliver(deliver());
+      tor_down_.push_back(std::make_unique<NetLink>(
+          sim, link_name("tor_down", s, h), c.host_link, ++seed));
+      tor_down_.back()->set_deliver(deliver());
     }
   }
 
   tor_up_.reserve(n_tor_links);
   agg_down_.reserve(n_tor_links);
   for (std::uint32_t s = 0; s < c.segments; ++s) {
-    for (std::uint32_t r = 0; r < c.rails; ++r) {
-      for (std::uint32_t p = 0; p < c.planes; ++p) {
-        for (std::uint32_t a = 0; a < c.aggs_per_plane; ++a) {
-          tor_up_.push_back(std::make_unique<NetLink>(
-              sim, link_name("tor_up", s, r, p, a), c.fabric_link, ++seed));
-          tor_up_.back()->set_deliver(deliver());
-          agg_down_.push_back(std::make_unique<NetLink>(
-              sim, link_name("agg_down", a, s, r, p), c.fabric_link, ++seed));
-          agg_down_.back()->set_deliver(deliver());
-        }
-      }
+    for (std::uint32_t a = 0; a < c.aggs_per_plane; ++a) {
+      tor_up_.push_back(std::make_unique<NetLink>(
+          sim, link_name("tor_up", s, a), c.fabric_link, ++seed));
+      tor_up_.back()->set_deliver(deliver());
+      agg_down_.push_back(std::make_unique<NetLink>(
+          sim, link_name("agg_down", a, s), c.fabric_link, ++seed));
+      agg_down_.back()->set_deliver(deliver());
     }
   }
 
   ports_.reserve(endpoint_count());
   for (EndpointId id = 0; id < endpoint_count(); ++id) {
-    const EndpointCoords e = coords(id);
-    ports_.push_back(Port{
-        host_up_[host_up_idx(e.segment, e.host, e.rail, e.plane)].get(),
-        tor_down_[tor_down_idx(e.segment, e.host, e.rail, e.plane)].get(),
-        static_cast<std::uint32_t>(tor_up_idx(e.segment, e.rail, e.plane, 0)),
-        e.segment, e.rail * c.planes + e.plane});
+    const std::uint32_t segment = coords(id).segment;
+    ports_.push_back(Port{host_up_[id].get(), tor_down_[id].get(),
+                          static_cast<std::uint32_t>(agg_idx(segment, 0)),
+                          segment});
   }
   handlers_.resize(endpoint_count());
+}
+
+EndpointId ClosFabric::endpoint(std::uint32_t segment,
+                                std::uint32_t host) const {
+  const auto& c = config_;
+  STELLAR_DCHECK(segment < c.segments && host < c.hosts_per_segment,
+                 "endpoint(%u, %u) outside fabric %ux%u", segment, host,
+                 c.segments, c.hosts_per_segment);
+  return segment * c.hosts_per_segment + host;
 }
 
 EndpointId ClosFabric::endpoint(std::uint32_t segment, std::uint32_t host,
                                 std::uint32_t rail,
                                 std::uint32_t plane) const {
-  const auto& c = config_;
-  STELLAR_DCHECK(segment < c.segments && host < c.hosts_per_segment &&
-                     rail < c.rails && plane < c.planes,
-                 "endpoint(%u, %u, %u, %u) outside fabric %ux%ux%ux%u",
-                 segment, host, rail, plane, c.segments, c.hosts_per_segment,
-                 c.rails, c.planes);
-  return ((segment * c.hosts_per_segment + host) * c.rails + rail) * c.planes +
-         plane;
+  STELLAR_CHECK(rail == 0 && plane == 0,
+                "endpoint rail %u, plane %u: a fabric is one island", rail,
+                plane);
+  return endpoint(segment, host);
 }
 
 std::uint32_t ClosFabric::endpoint_count() const {
-  return config_.segments * config_.hosts_per_segment * config_.rails *
-         config_.planes;
+  return config_.segments * config_.hosts_per_segment;
 }
 
 ClosFabric::EndpointCoords ClosFabric::coords(EndpointId id) const {
-  const auto& c = config_;
-  EndpointCoords out;
-  out.plane = id % c.planes;
-  id /= c.planes;
-  out.rail = id % c.rails;
-  id /= c.rails;
-  out.host = id % c.hosts_per_segment;
-  out.segment = id / c.hosts_per_segment;
-  return out;
+  return {id / config_.hosts_per_segment, id % config_.hosts_per_segment};
 }
 
 void ClosFabric::set_handler(EndpointId id, Handler handler) {
   handlers_.at(id) = std::move(handler);
 }
 
-std::size_t ClosFabric::host_up_idx(std::uint32_t s, std::uint32_t h,
-                                    std::uint32_t r, std::uint32_t p) const {
-  return endpoint(s, h, r, p);
+NetLink& ClosFabric::tor_uplink(std::uint32_t segment, std::uint32_t agg) {
+  return *tor_up_.at(agg_idx(segment, agg));
 }
-std::size_t ClosFabric::tor_down_idx(std::uint32_t s, std::uint32_t h,
-                                     std::uint32_t r, std::uint32_t p) const {
-  return endpoint(s, h, r, p);
+NetLink& ClosFabric::agg_downlink(std::uint32_t agg, std::uint32_t segment) {
+  return *agg_down_.at(agg_idx(segment, agg));
 }
-std::size_t ClosFabric::tor_up_idx(std::uint32_t s, std::uint32_t r,
-                                   std::uint32_t p, std::uint32_t a) const {
-  const auto& c = config_;
-  return ((static_cast<std::size_t>(s) * c.rails + r) * c.planes + p) *
-             c.aggs_per_plane +
-         a;
+NetLink& ClosFabric::host_uplink(std::uint32_t segment, std::uint32_t host) {
+  return *host_up_.at(endpoint(segment, host));
 }
-std::size_t ClosFabric::agg_down_idx(std::uint32_t a, std::uint32_t s,
-                                     std::uint32_t r, std::uint32_t p) const {
-  // Same shape as tor_up but keyed from the agg side; reuse the layout.
-  return tor_up_idx(s, r, p, a);
+NetLink& ClosFabric::tor_downlink(std::uint32_t segment, std::uint32_t host) {
+  return *tor_down_.at(endpoint(segment, host));
 }
 
-NetLink& ClosFabric::tor_uplink(std::uint32_t segment, std::uint32_t rail,
-                                std::uint32_t plane, std::uint32_t agg) {
-  return *tor_up_.at(tor_up_idx(segment, rail, plane, agg));
-}
-NetLink& ClosFabric::agg_downlink(std::uint32_t agg, std::uint32_t segment,
-                                  std::uint32_t rail, std::uint32_t plane) {
-  return *agg_down_.at(agg_down_idx(agg, segment, rail, plane));
-}
-NetLink& ClosFabric::host_uplink(std::uint32_t segment, std::uint32_t host,
-                                 std::uint32_t rail, std::uint32_t plane) {
-  return *host_up_.at(host_up_idx(segment, host, rail, plane));
-}
-NetLink& ClosFabric::tor_downlink(std::uint32_t segment, std::uint32_t host,
-                                  std::uint32_t rail, std::uint32_t plane) {
-  return *tor_down_.at(tor_down_idx(segment, host, rail, plane));
-}
-
-std::vector<NetLink*> ClosFabric::tor_uplinks(std::uint32_t segment,
-                                              std::uint32_t rail,
-                                              std::uint32_t plane) {
+std::vector<NetLink*> ClosFabric::tor_uplinks(std::uint32_t segment) {
   std::vector<NetLink*> out;
   out.reserve(config_.aggs_per_plane);
   for (std::uint32_t a = 0; a < config_.aggs_per_plane; ++a) {
-    out.push_back(&tor_uplink(segment, rail, plane, a));
+    out.push_back(&tor_uplink(segment, a));
   }
   return out;
 }
@@ -207,34 +169,27 @@ std::vector<NetLink*> ClosFabric::agg_switch_ports(std::uint32_t agg) {
   STELLAR_CHECK(agg < c.aggs_per_plane, "agg_switch_ports(%u): only %u aggs",
                 agg, c.aggs_per_plane);
   std::vector<NetLink*> out;
-  out.reserve(2ull * c.segments * c.rails * c.planes);
+  out.reserve(2ull * c.segments);
   for (std::uint32_t s = 0; s < c.segments; ++s) {
-    for (std::uint32_t r = 0; r < c.rails; ++r) {
-      for (std::uint32_t p = 0; p < c.planes; ++p) {
-        out.push_back(agg_down_[agg_down_idx(agg, s, r, p)].get());
-        out.push_back(tor_up_[tor_up_idx(s, r, p, agg)].get());
-      }
-    }
+    out.push_back(agg_down_[agg_idx(s, agg)].get());
+    out.push_back(tor_up_[agg_idx(s, agg)].get());
   }
   return out;
 }
 
-std::vector<NetLink*> ClosFabric::tor_switch_ports(std::uint32_t segment,
-                                                   std::uint32_t rail,
-                                                   std::uint32_t plane) {
+std::vector<NetLink*> ClosFabric::tor_switch_ports(std::uint32_t segment) {
   const auto& c = config_;
-  STELLAR_CHECK(segment < c.segments && rail < c.rails && plane < c.planes,
-                "tor_switch_ports(%u, %u, %u) outside fabric", segment, rail,
-                plane);
+  STELLAR_CHECK(segment < c.segments, "tor_switch_ports(%u): only %u segments",
+                segment, c.segments);
   std::vector<NetLink*> out;
   out.reserve(2ull * (c.hosts_per_segment + c.aggs_per_plane));
   for (std::uint32_t h = 0; h < c.hosts_per_segment; ++h) {
-    out.push_back(tor_down_[tor_down_idx(segment, h, rail, plane)].get());
-    out.push_back(host_up_[host_up_idx(segment, h, rail, plane)].get());
+    out.push_back(tor_down_[endpoint(segment, h)].get());
+    out.push_back(host_up_[endpoint(segment, h)].get());
   }
   for (std::uint32_t a = 0; a < c.aggs_per_plane; ++a) {
-    out.push_back(tor_up_[tor_up_idx(segment, rail, plane, a)].get());
-    out.push_back(agg_down_[agg_down_idx(a, segment, rail, plane)].get());
+    out.push_back(tor_up_[agg_idx(segment, a)].get());
+    out.push_back(agg_down_[agg_idx(segment, a)].get());
   }
   return out;
 }
@@ -257,10 +212,9 @@ void ClosFabric::reset_stats() {
 
 std::uint32_t ClosFabric::physical_paths(EndpointId src,
                                          EndpointId dst) const {
-  const Port& a = ports_.at(src);
-  const Port& b = ports_.at(dst);
-  if (a.group != b.group) return 0;
-  return a.segment == b.segment ? 1 : config_.aggs_per_plane;
+  return ports_.at(src).segment == ports_.at(dst).segment
+             ? 1
+             : config_.aggs_per_plane;
 }
 
 std::uint32_t ClosFabric::agg_of(std::uint64_t conn_id,
@@ -346,11 +300,6 @@ Status ClosFabric::send(NetPacket&& p) {
   }
   const Port& a = ports_[p.src];
   const Port& b = ports_[p.dst];
-  if (a.group != b.group) {
-    return invalid_argument(
-        "ClosFabric::send: endpoints must share rail and plane "
-        "(rail-optimized fabric)");
-  }
   if (p.src == p.dst) {
     return invalid_argument("ClosFabric::send: src == dst");
   }

@@ -23,10 +23,10 @@ RdmaConnection::RdmaConnection(RdmaEngine& engine, std::uint64_t id,
       rto_timer_(engine.simulator(), [this] { on_rto_fire(); }) {
   rebuild_from_config();
   // Hybrid fidelity: connections created while a driver is attached are
-  // fluid clients from birth — if the region is already in fluid mode the
+  // fluid clients from birth — if the fabric is already in fluid mode the
   // driver freezes them immediately (a trivial freeze: nothing in flight).
   if (HybridDriver* driver = hybrid_driver()) {
-    driver->register_client(this, local_);
+    driver->register_client(this);
   }
 }
 
@@ -87,7 +87,7 @@ std::uint64_t RdmaConnection::enqueue_message(std::uint64_t bytes,
   unsent_queue_.push_back(msg_id);
   if (fluid_) {
     // Under fluid service no packet is built. A WRITE joins the flow's
-    // analytic demand; anything else (SEND/READ) zooms the region back to
+    // analytic demand; anything else (SEND/READ) zooms the fabric back to
     // packet mode, which thaws this connection and re-runs send_more.
     if (kind == PacketKind::kWrite) {
       hybrid_driver()->on_fluid_post(this, bytes);
@@ -556,8 +556,8 @@ FluidServe RdmaConnection::fluid_serve(std::uint64_t bytes) {
   std::uint64_t served = 0;
   while (!unsent_queue_.empty()) {
     Message& msg = messages_.at(unsent_queue_.front());
-    // A non-WRITE at the head means a zoom is already pending for this
-    // region (on_ineligible_post); stop serving at the boundary.
+    // A non-WRITE at the head means a zoom is already pending for the
+    // fabric (on_ineligible_post); stop serving at the boundary.
     if (msg.kind != PacketKind::kWrite) break;
     const std::uint64_t take =
         std::min(msg.total - msg.acked, bytes - served);
@@ -623,9 +623,8 @@ StatusOr<RdmaConnection*> RdmaEngine::connect(EndpointId remote,
   if (remote == self_) {
     return invalid_argument("RdmaEngine::connect: self-connection");
   }
-  if (fabric_->physical_paths(self_, remote) == 0) {
-    return invalid_argument(
-        "RdmaEngine::connect: endpoints not reachable (rail/plane mismatch)");
+  if (remote >= fabric_->endpoint_count()) {
+    return invalid_argument("RdmaEngine::connect: no such endpoint");
   }
   const std::uint64_t id = (static_cast<std::uint64_t>(self_) << 24) |
                            next_conn_seq_++;

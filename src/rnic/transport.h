@@ -90,7 +90,7 @@ class RdmaEngine;
 /// Sender-side connection state. Created via RdmaEngine::connect().
 ///
 /// Implements FluidClient (sim/hybrid.h): when the connection's fabric
-/// region is in fluid mode, posted WRITEs are served analytically at the
+/// is in fluid mode, posted WRITEs are served analytically at the
 /// max-min rate instead of being packetized — freeze rewinds unacked wire
 /// bytes into unsent demand, thaw seeds the congestion window from the
 /// fluid rate and resumes packet transmission. The connection reports each
@@ -384,7 +384,7 @@ class RdmaConnection : public FluidClient {
   bool error_ = false;
   Status error_status_;
   ErrorHandler on_error_;
-  /// True while this connection's region is in fluid mode (set by
+  /// True while this connection's fabric is in fluid mode (set by
   /// fluid_freeze, cleared by fluid_thaw / enter_error).
   bool fluid_ = false;
 };
@@ -422,7 +422,7 @@ class RdmaEngine : public FluidReceiver {
   RdmaEngine(const RdmaEngine&) = delete;
   RdmaEngine& operator=(const RdmaEngine&) = delete;
 
-  /// Open a connection to `remote` (must share rail/plane with `self`).
+  /// Open a connection to `remote`, an endpoint of the same fabric.
   StatusOr<RdmaConnection*> connect(EndpointId remote,
                                     const TransportConfig& config);
 
@@ -501,7 +501,7 @@ class RdmaEngine : public FluidReceiver {
   /// WRs) are never serialized: across a hot restart they stay live in
   /// place, across a migration the application re-registers them.
   /// STELLAR_CHECK-fails if a connection is under fluid service (hybrid
-  /// fidelity): fluid progress is not in the snapshot, so the region must
+  /// fidelity): fluid progress is not in the snapshot, so the fabric must
   /// zoom to packet mode first.
   std::string save_state() const;
 

@@ -206,12 +206,12 @@ void RdmaEngine::fields(Ar& ar, Self& e) {
 std::string RdmaEngine::save_state() const {
   // The snapshot carries no fluid state: a connection under fluid service
   // keeps its progress in the hybrid driver (its messages' `acked` lags the
-  // served bytes by up to a message). Its region must zoom first, as
+  // served bytes by up to a message). The fabric must zoom first, as
   // hot_restart() and the fault injector's restart/migrate events do.
   for (const auto& conn : connections_) {
     STELLAR_CHECK(!conn->fluid_,
                   "RdmaEngine::save_state: connection %llu is under fluid "
-                  "service; zoom its region to packet mode first",
+                  "service; zoom the fabric to packet mode first",
                   static_cast<unsigned long long>(conn->id()));
   }
   SnapshotWriter w;

@@ -7,9 +7,9 @@ namespace stellar {
 
 namespace {
 
-/// Trigger-poll period while any region is in packet mode.
+/// Trigger-poll period while the fabric is in packet mode.
 constexpr SimTime kEpoch = SimTime::micros(5);
-/// Promotion requires every region link's queue at or below this.
+/// Promotion requires every link's queue at or below this.
 constexpr std::uint64_t kZoomQueueBytes = 256u << 10;
 /// Consecutive quiet epochs required before promotion.
 constexpr std::uint32_t kPromoteQuietEpochs = 3;
@@ -22,88 +22,77 @@ HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric)
                 "fabric already has a hybrid driver attached");
   fabric.set_hybrid_driver(this);
   const FabricConfig& fc = fabric.config();
-  regions_.resize(static_cast<std::size_t>(fc.rails) * fc.planes);
-  for (std::uint32_t r = 0; r < fc.rails; ++r) {
-    for (std::uint32_t p = 0; p < fc.planes; ++p) {
-      Region& rg = regions_[r * fc.planes + p];
-      // Deterministic link order: host/ToR edge links per (segment, host),
-      // then the aggregation layer per (segment, agg).
-      for (std::uint32_t s = 0; s < fc.segments; ++s) {
-        for (std::uint32_t h = 0; h < fc.hosts_per_segment; ++h) {
-          rg.links.push_back(&fabric.host_uplink(s, h, r, p));
-          rg.links.push_back(&fabric.tor_downlink(s, h, r, p));
-        }
-      }
-      for (std::uint32_t s = 0; s < fc.segments; ++s) {
-        for (std::uint32_t a = 0; a < fc.aggs_per_plane; ++a) {
-          rg.links.push_back(&fabric.tor_uplink(s, r, p, a));
-          rg.links.push_back(&fabric.agg_downlink(a, s, r, p));
-        }
-      }
-      for (NetLink* link : rg.links) {
-        rg.link_index.emplace(
-            link, rg.solver.add_link(
-                      static_cast<double>(link->config().bandwidth.bps()) /
-                      8.0));
-      }
-      rg.span_start = sim.now();
+  Region& rg = region_;
+  // Deterministic link order, which solver link ids follow: host/ToR edge
+  // links per (segment, host), then the aggregation layer per (segment,
+  // agg).
+  for (std::uint32_t s = 0; s < fc.segments; ++s) {
+    for (std::uint32_t h = 0; h < fc.hosts_per_segment; ++h) {
+      rg.links.push_back(&fabric.host_uplink(s, h));
+      rg.links.push_back(&fabric.tor_downlink(s, h));
     }
   }
+  for (std::uint32_t s = 0; s < fc.segments; ++s) {
+    for (std::uint32_t a = 0; a < fc.aggs_per_plane; ++a) {
+      rg.links.push_back(&fabric.tor_uplink(s, a));
+      rg.links.push_back(&fabric.agg_downlink(a, s));
+    }
+  }
+  for (NetLink* link : rg.links) {
+    rg.link_index.emplace(
+        link,
+        rg.solver.add_link(
+            static_cast<double>(link->config().bandwidth.bps()) / 8.0));
+  }
+  rg.span_start = sim.now();
 }
 
 HybridDriver::~HybridDriver() {
-  for (std::uint32_t r = 0; r < regions_.size(); ++r) {
-    Region& rg = regions_[r];
-    // Clients outliving the driver must not keep pointing at its records.
-    for (ClientInfo* ci : rg.clients) ci->client->fluid_info_ = nullptr;
-    sim_->cancel(rg.advance_event);
-    sim_->cancel(rg.kick_event);
-    emit_span(r, rg, rg.mode);
-  }
+  // Clients outliving the driver must not keep pointing at its records.
+  for (ClientInfo* ci : region_.clients) ci->client->fluid_info_ = nullptr;
+  sim_->cancel(region_.advance_event);
+  sim_->cancel(region_.kick_event);
+  emit_span(region_.mode);
   sim_->cancel(tick_event_);
   for (const EventHandle handle : zoom_window_events_) sim_->cancel(handle);
   fabric_->set_hybrid_driver(nullptr);
 }
 
-std::uint32_t HybridDriver::region_of(EndpointId endpoint) const {
-  const ClosFabric::EndpointCoords c = fabric_->coords(endpoint);
-  return c.rail * fabric_->config().planes + c.plane;
+RegionMode HybridDriver::region_mode(std::uint32_t region) const {
+  STELLAR_CHECK(region == 0, "region_mode(%u): the fabric is one region",
+                region);
+  return region_.mode;
 }
 
-void HybridDriver::emit_span(std::uint32_t region, Region& rg,
-                             RegionMode ended) {
+void HybridDriver::emit_span(RegionMode ended) {
+  Region& rg = region_;
   const SimTime now = sim_->now();
   if (now > rg.span_start) {
     if (ended == RegionMode::kFluid) rg.fluid_total += now - rg.span_start;
-    if (span_hook_) span_hook_(region, ended, rg.span_start, now);
+    if (span_hook_) span_hook_(ended, rg.span_start, now);
   }
   rg.span_start = now;
 }
 
 SimTime HybridDriver::fluid_time() const {
-  SimTime total = SimTime::zero();
-  for (const Region& rg : regions_) {
-    total = total + rg.fluid_total;
-    if (rg.mode == RegionMode::kFluid && sim_->now() > rg.span_start) {
-      total = total + (sim_->now() - rg.span_start);
-    }
+  const Region& rg = region_;
+  if (rg.mode == RegionMode::kFluid && sim_->now() > rg.span_start) {
+    return rg.fluid_total + (sim_->now() - rg.span_start);
   }
-  return total;
+  return rg.fluid_total;
 }
 
 std::uint64_t HybridDriver::fluid_bytes_served() const {
   std::uint64_t total = fluid_bytes_served_;
+  if (region_.mode != RegionMode::kFluid) return total;
   const SimTime now = sim_->now();
-  for (const Region& rg : regions_) {
-    if (rg.mode != RegionMode::kFluid) continue;
-    for (const ClientInfo* ci : rg.clients) {
-      if (!ci->in_fluid || ci->dead || ci->flow < 0) continue;
-      const double earned = ci->rate * (now - ci->anchor).sec() + ci->carry;
-      if (earned < 1.0) continue;
-      // A flow whose due event is still pending at now may have accrued a
-      // hair past its demand; serving would stop at the demand too.
-      total += std::min(static_cast<std::uint64_t>(earned), ci->demand);
-    }
+  for (const ClientInfo* ci : region_.clients) {
+    if (!ci->in_fluid || ci->dead || ci->flow < 0) continue;
+    const double earned = ci->rate * (now - ci->anchor).sec() + ci->carry;
+    if (earned < 1.0) continue;
+    // A flow whose due event is still pending at now may have accrued a
+    // hair past its demand; serving would stop at the demand too.
+    total += std::min(static_cast<std::uint64_t>(earned), ci->demand);
   }
   return total;
 }
@@ -112,20 +101,18 @@ std::uint64_t HybridDriver::fluid_bytes_served() const {
 // Registration
 // ---------------------------------------------------------------------------
 
-void HybridDriver::register_client(FluidClient* client, EndpointId endpoint) {
+void HybridDriver::register_client(FluidClient* client) {
   auto info = std::make_unique<ClientInfo>();
   ClientInfo* ci = info.get();
   ci->client = client;
   ci->seq = next_seq_++;
-  ci->region = region_of(endpoint);
-  Region& rg = regions_[ci->region];
-  rg.clients.push_back(ci);
+  region_.clients.push_back(ci);
   client->fluid_info_ = ci;
   info_.emplace(client, std::move(info));
-  if (rg.mode == RegionMode::kFluid) {
+  if (region_.mode == RegionMode::kFluid) {
     // Born in fluid: a fresh connection has no packet state, so its freeze
     // is trivial — it only resolves the link shares its spray would use.
-    if (freeze(rg, ci) && serving_ != ci->region) schedule_kick(ci->region);
+    if (freeze(ci) && !serving_) schedule_kick();
   } else {
     arm_tick();
   }
@@ -135,8 +122,8 @@ void HybridDriver::unregister_client(FluidClient* client) {
   ClientInfo* ci = info_of(client);
   if (ci == nullptr) return;
   client->fluid_info_ = nullptr;
-  Region& rg = regions_[ci->region];
-  if (ci->flow >= 0) remove_flow(rg, ci);
+  Region& rg = region_;
+  if (ci->flow >= 0) remove_flow(ci);
   rg.clients.erase(std::find(rg.clients.begin(), rg.clients.end(), ci));
   std::erase(rg.touched, ci);
   std::erase_if(rg.due, [ci](const DueEntry& e) { return e.client == ci; });
@@ -161,26 +148,27 @@ FluidReceiver* HybridDriver::receiver(EndpointId endpoint) const {
 // Fluid service
 // ---------------------------------------------------------------------------
 
-bool HybridDriver::freeze(Region& rg, ClientInfo* ci) {
+bool HybridDriver::freeze(ClientInfo* ci) {
   FluidFlowDesc desc = ci->client->fluid_freeze();
   ci->shares.clear();
   for (const auto& [link, weight] : desc.shares) {
-    auto it = rg.link_index.find(link);
-    STELLAR_CHECK(it != rg.link_index.end(),
-                  "fluid flow references a link outside its region");
+    auto it = region_.link_index.find(link);
+    STELLAR_CHECK(it != region_.link_index.end(),
+                  "fluid flow references a link outside the fabric");
     ci->shares.push_back(FluidSolver::LinkShare{it->second, weight});
   }
   ci->in_fluid = true;
   ci->demand = desc.remaining;
   ci->blocked = false;
   ci->next = ci->client->fluid_next_completion_bytes();
-  if (ci->next == 0 && desc.messages > 0) push_due_now(rg, ci);
+  if (ci->next == 0 && desc.messages > 0) push_due_now(ci);
   if (desc.remaining == 0) return false;
-  add_flow(rg, ci);
+  add_flow(ci);
   return true;
 }
 
-void HybridDriver::add_flow(Region& rg, ClientInfo* ci) {
+void HybridDriver::add_flow(ClientInfo* ci) {
+  Region& rg = region_;
   ci->flow = rg.solver.add_flow(ci->shares);
   const auto id = static_cast<std::size_t>(ci->flow);
   if (rg.flow_owner.size() <= id) rg.flow_owner.resize(id + 1, nullptr);
@@ -192,7 +180,8 @@ void HybridDriver::add_flow(Region& rg, ClientInfo* ci) {
   rg.solve_needed = true;
 }
 
-void HybridDriver::remove_flow(Region& rg, ClientInfo* ci) {
+void HybridDriver::remove_flow(ClientInfo* ci) {
+  Region& rg = region_;
   const auto id = static_cast<std::uint32_t>(ci->flow);
   rg.solver.remove_flow(id);
   rg.flow_owner[id] = nullptr;
@@ -245,7 +234,7 @@ bool HybridDriver::serve(ClientInfo* ci, bool due) {
   return upcoming > 0 && served >= upcoming;
 }
 
-void HybridDriver::push_due(Region& rg, ClientInfo* ci) {
+void HybridDriver::push_due(ClientInfo* ci) {
   ++ci->version;  // supersedes any entry already queued
   if (ci->rate <= 0.0) return;
   const std::uint64_t upcoming = ci->next;
@@ -257,21 +246,23 @@ void HybridDriver::push_due(Region& rg, ClientInfo* ci) {
   if (need < 0.0) need = 0.0;
   auto dt_ps = static_cast<std::uint64_t>(std::ceil(need * 1e12 / ci->rate));
   if (dt_ps == 0) dt_ps = 1;
-  rg.due.push_back(DueEntry{ci->anchor + SimTime::picos(dt_ps), ci->seq, ci,
-                            ci->version});
-  std::push_heap(rg.due.begin(), rg.due.end(), due_later);
+  std::vector<DueEntry>& due = region_.due;
+  due.push_back(DueEntry{ci->anchor + SimTime::picos(dt_ps), ci->seq, ci,
+                         ci->version});
+  std::push_heap(due.begin(), due.end(), due_later);
 }
 
-void HybridDriver::push_due_now(Region& rg, ClientInfo* ci) {
-  rg.due.push_back(DueEntry{sim_->now(), ci->seq, ci, ++ci->version});
-  std::push_heap(rg.due.begin(), rg.due.end(), due_later);
-  if (serving_ != ci->region) schedule_kick(ci->region);
+void HybridDriver::push_due_now(ClientInfo* ci) {
+  std::vector<DueEntry>& due = region_.due;
+  due.push_back(DueEntry{sim_->now(), ci->seq, ci, ++ci->version});
+  std::push_heap(due.begin(), due.end(), due_later);
+  if (!serving_) schedule_kick();
 }
 
-void HybridDriver::serve_due(std::uint32_t region) {
-  Region& rg = regions_[region];
+void HybridDriver::serve_due() {
+  Region& rg = region_;
   const SimTime now = sim_->now();
-  serving_ = region;
+  serving_ = true;
   while (!rg.due.empty() && rg.due.front().at <= now) {
     const DueEntry top = rg.due.front();
     std::pop_heap(rg.due.begin(), rg.due.end(), due_later);
@@ -280,36 +271,36 @@ void HybridDriver::serve_due(std::uint32_t region) {
     serve(top.client, /*due=*/true);
     rg.touched.push_back(top.client);
   }
-  serving_ = kNoRegion;
+  serving_ = false;
 }
 
-void HybridDriver::retire_touched(Region& rg) {
-  if (rg.touched.empty()) return;
-  // Registration order, as a sweep over the region's clients would visit
-  // them: retirement order decides which solver ids get recycled.
-  std::sort(rg.touched.begin(), rg.touched.end(),
+void HybridDriver::retire_touched() {
+  std::vector<ClientInfo*>& touched = region_.touched;
+  if (touched.empty()) return;
+  // Registration order, as a sweep over the clients would visit them:
+  // retirement order decides which solver ids get recycled.
+  std::sort(touched.begin(), touched.end(),
             [](const ClientInfo* a, const ClientInfo* b) {
               return a->seq < b->seq;
             });
-  rg.touched.erase(std::unique(rg.touched.begin(), rg.touched.end()),
-                   rg.touched.end());
-  for (ClientInfo* ci : rg.touched) {
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (ClientInfo* ci : touched) {
     if (ci->flow < 0) continue;
     if (ci->dead || ci->demand == 0) {
       if (!ci->dead) ++fluid_completions_;
-      remove_flow(rg, ci);
+      remove_flow(ci);
     } else {
-      push_due(rg, ci);
+      push_due(ci);
     }
   }
-  rg.touched.clear();
+  touched.clear();
 }
 
-void HybridDriver::solve_region(std::uint32_t region) {
-  Region& rg = regions_[region];
+void HybridDriver::solve() {
+  Region& rg = region_;
   rg.solver.solve();
   rg.solve_needed = false;
-  serving_ = region;
+  serving_ = true;
   for (const std::uint32_t id : rg.solver.last_solved_flows()) {
     ClientInfo* ci = rg.flow_owner[id];
     if (ci == nullptr) continue;  // unregistered by a completion callback
@@ -318,44 +309,44 @@ void HybridDriver::solve_region(std::uint32_t region) {
     // Bytes earned at the old rate through now; the new rate runs from here.
     if (serve(ci, /*due=*/false)) rg.touched.push_back(ci);
     ci->rate = rate;
-    push_due(rg, ci);
+    push_due(ci);
   }
-  serving_ = kNoRegion;
+  serving_ = false;
 }
 
-void HybridDriver::advance_to_now(std::uint32_t region) {
-  Region& rg = regions_[region];
-  serving_ = region;
+void HybridDriver::advance_to_now() {
+  const std::vector<ClientInfo*>& clients = region_.clients;
+  serving_ = true;
   // By index: a completion callback may register a client.
-  for (std::size_t i = 0; i < rg.clients.size(); ++i) {
-    ClientInfo* ci = rg.clients[i];
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    ClientInfo* ci = clients[i];
     if (!ci->in_fluid || ci->dead || ci->flow < 0) continue;
     serve(ci, /*due=*/false);
   }
-  serving_ = kNoRegion;
+  serving_ = false;
 }
 
-void HybridDriver::service_region(std::uint32_t region) {
-  Region& rg = regions_[region];
+void HybridDriver::service() {
+  Region& rg = region_;
   if (rg.mode != RegionMode::kFluid) return;
-  serve_due(region);
+  serve_due();
   // A re-solve can complete a message of a re-rated flow (when rounding
   // lands it exactly on the boundary), which needs its own retire pass.
   for (;;) {
     if (rg.pending_zoom) {
       rg.pending_zoom = false;
-      zoom_region(region, rg.pending_zoom_reason);
+      zoom(rg.pending_zoom_reason);
       return;
     }
-    retire_touched(rg);
+    retire_touched();
     if (!rg.solve_needed) break;
-    solve_region(region);
+    solve();
   }
-  schedule_next(region);
+  schedule_next();
 }
 
-void HybridDriver::schedule_next(std::uint32_t region) {
-  Region& rg = regions_[region];
+void HybridDriver::schedule_next() {
+  Region& rg = region_;
   if (rg.advance_event.valid()) {
     sim_->cancel(rg.advance_event);
     rg.advance_event = EventHandle{};
@@ -374,18 +365,17 @@ void HybridDriver::schedule_next(std::uint32_t region) {
     rg.due.pop_back();
   }
   if (rg.due.empty()) return;
-  rg.advance_event = sim_->schedule_at(rg.due.front().at, [this, region] {
-    regions_[region].advance_event = EventHandle{};
-    service_region(region);
+  rg.advance_event = sim_->schedule_at(rg.due.front().at, [this] {
+    region_.advance_event = EventHandle{};
+    service();
   });
 }
 
-void HybridDriver::schedule_kick(std::uint32_t region) {
-  Region& rg = regions_[region];
-  if (rg.kick_event.valid()) return;
-  rg.kick_event = sim_->schedule_at(sim_->now(), [this, region] {
-    regions_[region].kick_event = EventHandle{};
-    service_region(region);
+void HybridDriver::schedule_kick() {
+  if (region_.kick_event.valid()) return;
+  region_.kick_event = sim_->schedule_at(sim_->now(), [this] {
+    region_.kick_event = EventHandle{};
+    service();
   });
 }
 
@@ -393,8 +383,8 @@ void HybridDriver::schedule_kick(std::uint32_t region) {
 // Mode transitions
 // ---------------------------------------------------------------------------
 
-void HybridDriver::enter_fluid(std::uint32_t region) {
-  Region& rg = regions_[region];
+void HybridDriver::enter_fluid() {
+  Region& rg = region_;
   if (rg.mode == RegionMode::kFluid) return;
   const SimTime now = sim_->now();
   if (now < hold_until_) return;
@@ -409,50 +399,50 @@ void HybridDriver::enter_fluid(std::uint32_t region) {
     if (!link->is_up()) return;
   }
   // Refresh capacities: degrade faults may have changed link bandwidth
-  // since the region was last fluid.
+  // since the fabric was last fluid.
   for (std::uint32_t l = 0; l < rg.links.size(); ++l) {
     rg.solver.set_capacity(
         l, static_cast<double>(rg.links[l]->config().bandwidth.bps()) / 8.0);
   }
-  // Absorb every packet the region's links still own into fluid state.
+  // Absorb every packet the links still own into fluid state.
   for (NetLink* link : rg.links) absorbed_packets_ += link->absorb();
   for (ClientInfo* ci : rg.clients) {
     if (ci->dead || ci->client->fluid_errored()) {
       ci->dead = true;
       continue;
     }
-    freeze(rg, ci);
+    freeze(ci);
   }
-  emit_span(region, rg, RegionMode::kPacket);
+  emit_span(RegionMode::kPacket);
   rg.mode = RegionMode::kFluid;
   ++transitions_;
-  solve_region(region);
-  schedule_next(region);
+  solve();
+  schedule_next();
 }
 
-void HybridDriver::zoom_region(std::uint32_t region, const char* reason) {
-  Region& rg = regions_[region];
+void HybridDriver::zoom(const char* reason) {
+  Region& rg = region_;
   if (rg.mode != RegionMode::kFluid) return;
-  if (serving_ != kNoRegion) {
+  if (serving_) {
     // Mid-serve (a completion callback triggered the zoom): finish the
     // serve loop first, then zoom at the same timestamp via the kick.
     rg.pending_zoom = true;
     rg.pending_zoom_reason = reason;
-    schedule_kick(region);
+    schedule_kick();
     return;
   }
-  advance_to_now(region);
+  advance_to_now();
   if (rg.advance_event.valid()) {
     sim_->cancel(rg.advance_event);
     rg.advance_event = EventHandle{};
   }
   rg.pending_zoom = false;
-  emit_span(region, rg, RegionMode::kFluid);
+  emit_span(RegionMode::kFluid);
   rg.mode = RegionMode::kPacket;
   ++transitions_;
   for (ClientInfo* ci : rg.clients) {
     const double rate = ci->rate;
-    if (ci->flow >= 0) remove_flow(rg, ci);
+    if (ci->flow >= 0) remove_flow(ci);
     if (ci->in_fluid) {
       ci->in_fluid = false;
       // Thaw seeds the congestion window from the fluid rate and calls
@@ -481,7 +471,7 @@ void HybridDriver::zoom_region(std::uint32_t region, const char* reason) {
 void HybridDriver::force_packet(SimTime hold, const char* reason) {
   const SimTime until = sim_->now() + hold;
   if (until > hold_until_) hold_until_ = until;
-  for (std::uint32_t r = 0; r < regions_.size(); ++r) zoom_region(r, reason);
+  zoom(reason);
   arm_tick();
 }
 
@@ -513,12 +503,12 @@ void HybridDriver::on_fluid_post(FluidClient* client, std::uint64_t bytes) {
   if (ci->next == 0) {
     ci->next = client->fluid_next_completion_bytes();
     // Still 0 with a WRITE queued: a zero-length WRITE heads the queue.
-    if (ci->next == 0) push_due_now(regions_[ci->region], ci);
+    if (ci->next == 0) push_due_now(ci);
   }
   if (ci->flow < 0 && ci->demand > 0) {
-    add_flow(regions_[ci->region], ci);
-    // The region being served re-solves before its pass ends.
-    if (serving_ != ci->region) schedule_kick(ci->region);
+    add_flow(ci);
+    // A service pass in progress re-solves before it ends.
+    if (!serving_) schedule_kick();
   }
   // A post behind an already-active flow queues after the in-service
   // message: rates and the next completion event are unchanged.
@@ -530,7 +520,7 @@ void HybridDriver::on_ineligible_post(FluidClient* client) {
   // The cached head stays right: a non-WRITE queues behind it, or heads
   // an empty queue, where the next completion reads 0 either way.
   ci->blocked = true;
-  zoom_region(ci->region, "ineligible-post");
+  zoom("ineligible-post");
 }
 
 void HybridDriver::on_client_error(FluidClient* client) {
@@ -540,14 +530,13 @@ void HybridDriver::on_client_error(FluidClient* client) {
   ci->next = 0;  // the error dropped every queued message
   if (!ci->in_fluid) return;
   ci->in_fluid = false;
-  Region& rg = regions_[ci->region];
   if (ci->flow >= 0) {
-    // The flow itself is retired by the next service_region pass — it may
+    // The flow itself is retired by the next service() pass — it may
     // currently be mid-serve. Its queued due entry is void already.
     ++ci->version;
-    rg.touched.push_back(ci);
-    rg.solve_needed = true;
-    if (serving_ != ci->region) schedule_kick(ci->region);
+    region_.touched.push_back(ci);
+    region_.solve_needed = true;
+    if (!serving_) schedule_kick();
   }
 }
 
@@ -555,20 +544,14 @@ void HybridDriver::on_client_error(FluidClient* client) {
 // Promotion (packet -> fluid) trigger polling
 // ---------------------------------------------------------------------------
 
+bool HybridDriver::has_live_client() const {
+  return std::any_of(region_.clients.begin(), region_.clients.end(),
+                     [](const ClientInfo* ci) { return !ci->dead; });
+}
+
 void HybridDriver::arm_tick() {
   if (tick_event_.valid()) return;
-  bool needed = false;
-  for (const Region& rg : regions_) {
-    if (rg.mode != RegionMode::kPacket) continue;
-    for (const ClientInfo* ci : rg.clients) {
-      if (!ci->dead) {
-        needed = true;
-        break;
-      }
-    }
-    if (needed) break;
-  }
-  if (!needed) return;
+  if (region_.mode != RegionMode::kPacket || !has_live_client()) return;
   // Never keep an otherwise-drained simulator alive just to poll: when
   // traffic stops, the tick stops with it.
   if (sim_->pending_events() == 0) return;
@@ -577,18 +560,8 @@ void HybridDriver::arm_tick() {
 
 void HybridDriver::tick() {
   tick_event_ = EventHandle{};
-  const SimTime now = sim_->now();
-  for (std::uint32_t r = 0; r < regions_.size(); ++r) {
-    Region& rg = regions_[r];
-    if (rg.mode != RegionMode::kPacket) continue;
-    bool has_live = false;
-    for (const ClientInfo* ci : rg.clients) {
-      if (!ci->dead) {
-        has_live = true;
-        break;
-      }
-    }
-    if (!has_live) continue;
+  Region& rg = region_;
+  if (rg.mode == RegionMode::kPacket && has_live_client()) {
     std::uint64_t ecn = 0;
     for (const NetLink* link : rg.links) ecn += link->ecn_marks();
     std::uint64_t retx = 0;
@@ -605,13 +578,13 @@ void HybridDriver::tick() {
     if (ecn != rg.last_ecn || retx != rg.last_retx) quiet = false;
     rg.last_ecn = ecn;
     rg.last_retx = retx;
-    if (now < hold_until_) quiet = false;
+    if (sim_->now() < hold_until_) quiet = false;
     if (quiet) {
       ++rg.quiet_epochs;
     } else {
       rg.quiet_epochs = 0;
     }
-    if (rg.quiet_epochs >= kPromoteQuietEpochs) enter_fluid(r);
+    if (rg.quiet_epochs >= kPromoteQuietEpochs) enter_fluid();
   }
   arm_tick();
 }

@@ -1,8 +1,8 @@
 // Hybrid fidelity driver: flow-level fast-forward with packet-level zoom
 // (ROADMAP item 2; math and tolerance rationale in docs/HYBRID.md).
 //
-// Each fabric region — one (rail, plane), the unit connections never cross
-// on a rail-optimized fabric — is in one of two modes:
+// The fabric — one (rail, plane) island, which connections never leave —
+// is in one of two modes:
 //
 //   * kPacket: the existing per-packet engine; the driver only watches
 //     trigger counters (queue occupancy, ECN marks, retransmits).
@@ -13,11 +13,11 @@
 // Fluid service is lazy. A flow keeps the rate it is served at, an anchor
 // time and a fractional-byte carry; between anchors its bytes accrue
 // analytically and nobody serves them. Bytes are materialized only when
-// the flow reaches its projected message completion (a per-region due
-// heap), when a solve changes its rate, when its region zooms, or —
+// the flow reaches its projected message completion (a due heap), when a
+// solve changes its rate, when the fabric zooms, or —
 // without serving — when fluid_bytes_served() reads it. A fluid event
 // therefore touches only the flows it completes and the flows whose rates
-// its re-solve changes, never every connection of the region.
+// its re-solve changes, never every connection of the fabric.
 //
 // Transitions are loss-free and deterministic in both directions:
 //
@@ -33,13 +33,13 @@
 //     window is seeded from its fluid rate (rate * base RTT), and
 //     send_more() repopulates real queues.
 //
-// Every region starts in fluid mode. Drop-to-packet triggers: any
+// The fabric starts in fluid mode. Drop-to-packet triggers: any
 // FaultInjector event touching the fabric, a connection posting work the
 // fluid model cannot serve (SEND/READ, QP error), and an explicit zoom
 // window (benches use this to cover measurement or --trace windows).
-// While a region is in packet mode the driver polls its triggers every
+// While the fabric is in packet mode the driver polls its triggers every
 // 5 us; promotion back to fluid requires 3 consecutive quiet epochs (every
-// region link's queue at most 256 KiB, no new ECN marks or retransmits).
+// link's queue at most 256 KiB, no new ECN marks or retransmits).
 //
 // Per served message the driver does no lookup and no allocation: a
 // client's record hangs off the client itself, a receiver is found by
@@ -49,7 +49,7 @@
 // the head needs no bytes: it is due at once, whether or not its flow has
 // demand, so no flow ever waits behind one.
 //
-// Everything is deterministic: regions, links, and clients are iterated in
+// Everything is deterministic: links and clients are iterated in
 // construction/registration order, flows due at the same picosecond are
 // served in registration order, rates come from the deterministic solver,
 // and event times are integer picoseconds derived from the same arithmetic
@@ -71,6 +71,8 @@
 
 namespace stellar {
 
+/// The fabric's fidelity. The name predates the one-island fabric and is
+/// kept because perf/driver.cc spells it (ROADMAP item 9).
 enum class RegionMode : std::uint8_t { kPacket, kFluid };
 
 /// A connection's footprint on the link graph, produced by fluid_freeze().
@@ -100,10 +102,10 @@ class FluidClient {
  public:
   virtual ~FluidClient() = default;
   /// True if every queued message is fluid-servable (WRITE) and the QP is
-  /// healthy. A false answer keeps (or drops) the region in packet mode.
+  /// healthy. A false answer keeps (or drops) the fabric in packet mode.
   virtual bool fluid_eligible() const = 0;
   /// True once the QP entered its terminal error state. Errored clients
-  /// are skipped at freeze time rather than blocking the whole region.
+  /// are skipped at freeze time rather than blocking the whole fabric.
   virtual bool fluid_errored() const = 0;
   /// Convert packet state to fluid state (rewind unacked bytes, cancel
   /// timers). Called once per freeze; must be valid on a fresh connection.
@@ -154,7 +156,6 @@ class FluidReceiver {
 struct FluidClientInfo {
   FluidClient* client = nullptr;
   std::uint64_t seq = 0;  // registration order; breaks due-time ties
-  std::uint32_t region = 0;
   bool in_fluid = false;
   bool dead = false;  // QP error while frozen; never re-frozen
   // While in_fluid: unserved bytes of the queued WRITEs ahead of the
@@ -180,11 +181,11 @@ struct FluidClientInfo {
 
 class HybridDriver {
  public:
-  /// Mode-span observation hook, fired when a region leaves a mode (and at
-  /// driver destruction for the open span). Benches wire this into the
+  /// Mode-span observation hook, fired when the fabric leaves a mode (and
+  /// at driver destruction for the open span). Benches wire this into the
   /// tracer; the sim layer itself stays obs-free.
-  using SpanHook = InlineFunction<void(std::uint32_t region, RegionMode mode,
-                                       SimTime begin, SimTime end)>;
+  using SpanHook =
+      InlineFunction<void(RegionMode mode, SimTime begin, SimTime end)>;
 
   HybridDriver(Simulator& sim, ClosFabric& fabric);
   ~HybridDriver();
@@ -193,8 +194,7 @@ class HybridDriver {
 
   // -- Registration (called by RdmaEngine) ----------------------------------
 
-  /// `endpoint` is the client's local endpoint; it fixes the region.
-  void register_client(FluidClient* client, EndpointId endpoint);
+  void register_client(FluidClient* client);
   void unregister_client(FluidClient* client);
   void register_receiver(EndpointId endpoint, FluidReceiver* receiver);
   void unregister_receiver(EndpointId endpoint);
@@ -202,27 +202,27 @@ class HybridDriver {
 
   // -- Mode control ---------------------------------------------------------
 
-  std::uint32_t region_count() const {
-    return static_cast<std::uint32_t>(regions_.size());
-  }
-  RegionMode region_mode(std::uint32_t region) const {
-    return regions_[region].mode;
-  }
+  RegionMode mode() const { return region_.mode; }
+  /// 1, and mode() by another name: kept only for perf/driver.cc (ROADMAP
+  /// item 9). `region` must be 0.
+  std::uint32_t region_count() const { return 1; }
+  RegionMode region_mode(std::uint32_t region) const;
 
-  /// Drop every region to packet mode now and hold promotion off for at
+  /// Drop the fabric to packet mode now and hold promotion off for at
   /// least `hold`. The FaultInjector calls this for every fabric-touching
   /// event; safe to call redundantly.
   void force_packet(SimTime hold, const char* reason);
 
-  /// Explicit packet-fidelity window [start, end): regions zoom at `start`
-  /// and may promote only after `end` (measurement / --trace windows).
+  /// Explicit packet-fidelity window [start, end): the fabric zooms at
+  /// `start` and may promote only after `end` (measurement / --trace
+  /// windows).
   void request_zoom_window(SimTime start, SimTime end);
 
   // -- Client notifications (called by the transport) -----------------------
 
   /// A frozen connection queued a WRITE of `bytes`.
   void on_fluid_post(FluidClient* client, std::uint64_t bytes);
-  /// A frozen connection queued work fluid cannot serve — zoom its region.
+  /// A frozen connection queued work fluid cannot serve — zoom the fabric.
   /// Until the zoom the client's demand stops growing: WRITEs queued behind
   /// that work wait for packet mode.
   void on_ineligible_post(FluidClient* client);
@@ -241,8 +241,8 @@ class HybridDriver {
   std::uint64_t fluid_bytes_served() const;
   /// Flows retired because they drained (errored flows do not count).
   std::uint64_t fluid_completions() const { return fluid_completions_; }
-  /// Simulated time spent in fluid mode, summed over regions (open spans
-  /// included up to now()).
+  /// Simulated time spent in fluid mode (the open span included up to
+  /// now()).
   SimTime fluid_time() const;
 
  private:
@@ -269,8 +269,9 @@ class HybridDriver {
     return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
 
+  /// The fabric's fluid state.
   struct Region {
-    RegionMode mode = RegionMode::kFluid;  // every region starts fluid
+    RegionMode mode = RegionMode::kFluid;  // the fabric starts fluid
     FluidSolver solver;
     std::vector<NetLink*> links;  // deterministic fabric order
     std::unordered_map<const NetLink*, std::uint32_t> link_index;  // lookup
@@ -292,50 +293,50 @@ class HybridDriver {
     std::uint64_t last_retx = 0;
   };
 
-  static constexpr std::uint32_t kNoRegion = ~std::uint32_t{0};
-
-  std::uint32_t region_of(EndpointId endpoint) const;
-  void enter_fluid(std::uint32_t region);
-  void zoom_region(std::uint32_t region, const char* reason);
+  void enter_fluid();
+  void zoom(const char* reason);
   /// Serve the flows due now, retire drained ones, re-solve, schedule the
   /// next completion — the single path every fluid event funnels through.
-  void service_region(std::uint32_t region);
-  /// Materialize every active flow of the region (zoom only).
-  void advance_to_now(std::uint32_t region);
+  void service();
+  /// Materialize every active flow (zoom only).
+  void advance_to_now();
   /// Freeze `ci`'s connection, resolve its link shares to solver ids and
   /// mark it fluid. Returns true if it has demand (its flow was added).
-  bool freeze(Region& rg, ClientInfo* ci);
-  void add_flow(Region& rg, ClientInfo* ci);
-  void remove_flow(Region& rg, ClientInfo* ci);
+  bool freeze(ClientInfo* ci);
+  void add_flow(ClientInfo* ci);
+  void remove_flow(ClientInfo* ci);
   /// Serve the bytes `ci` accrued since its anchor and re-anchor it at
   /// now. At a due event (`due`) the in-service message completes even
   /// when rounding leaves it a byte short. Returns true if a message
   /// completed.
   bool serve(ClientInfo* ci, bool due);
   /// Project `ci`'s next completion from its anchor and queue it.
-  void push_due(Region& rg, ClientInfo* ci);
+  void push_due(ClientInfo* ci);
   /// `ci`'s head is a zero-length WRITE: it needs no bytes, so it is due
   /// now, flow or not. Queue it (superseding any queued entry) and make
   /// sure a service pass runs.
-  void push_due_now(Region& rg, ClientInfo* ci);
+  void push_due_now(ClientInfo* ci);
   /// Serve every flow whose due time has come, in (due, registration)
   /// order.
-  void serve_due(std::uint32_t region);
+  void serve_due();
   /// Retire drained or errored flows among the touched ones; re-queue the
   /// rest.
-  void retire_touched(Region& rg);
+  void retire_touched();
   /// Solve, then serve each flow whose rate changed up to now at its old
   /// rate and re-anchor it at the new one.
-  void solve_region(std::uint32_t region);
-  void schedule_next(std::uint32_t region);
-  void schedule_kick(std::uint32_t region);
-  void emit_span(std::uint32_t region, Region& rg, RegionMode ended);
+  void solve();
+  void schedule_next();
+  void schedule_kick();
+  void emit_span(RegionMode ended);
+  /// True if a registered client is not dead: the promotion tick polls
+  /// only while one is.
+  bool has_live_client() const;
   void arm_tick();
   void tick();
 
   Simulator* sim_;
   ClosFabric* fabric_;
-  std::vector<Region> regions_;
+  Region region_;
   // Owns the client records; consulted only to register and unregister
   // (notifications reach a record through FluidClient::fluid_info_).
   std::unordered_map<FluidClient*, std::unique_ptr<ClientInfo>> info_;
@@ -348,9 +349,9 @@ class HybridDriver {
   // cancelling one that already ran is a no-op.
   EventHandle tick_event_;
   std::vector<EventHandle> zoom_window_events_;  // one per future window
-  // Region whose flows are being served (completion callbacks are running),
-  // or kNoRegion. Zooms requested meanwhile are deferred to a kick.
-  std::uint32_t serving_ = kNoRegion;
+  // True while flows are being served (completion callbacks are running).
+  // Zooms requested meanwhile are deferred to a kick.
+  bool serving_ = false;
   std::uint64_t next_seq_ = 0;
   std::uint64_t transitions_ = 0;
   std::uint64_t absorbed_packets_ = 0;

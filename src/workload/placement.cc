@@ -37,7 +37,7 @@ std::vector<EndpointId> place_job(const ClosFabric& fabric,
       for (std::uint32_t r = 0; r < world; ++r) {
         const std::uint32_t seg = r / per_segment;
         const std::uint32_t host = (base + r % per_segment) % hosts;
-        out.push_back(fabric.endpoint(seg, host, 0, 0));
+        out.push_back(fabric.endpoint(seg, host));
       }
       break;
     case PlacementPolicy::kRandomRanking: {
@@ -53,7 +53,7 @@ std::vector<EndpointId> place_job(const ClosFabric& fabric,
       for (std::uint32_t r = 0; r < world; ++r) {
         const std::uint32_t seg = r % segments;
         const std::uint32_t host = host_order[(r / segments) % per_segment];
-        out.push_back(fabric.endpoint(seg, host, 0, 0));
+        out.push_back(fabric.endpoint(seg, host));
       }
       break;
     }

@@ -16,9 +16,9 @@ enum class PlacementPolicy : std::uint8_t { kReranked, kRandomRanking };
 
 const char* placement_policy_name(PlacementPolicy policy);
 
-/// Build a `world`-rank communication group over the fabric's (rail 0,
-/// plane 0) endpoints, `job_index` selecting a disjoint host set so that
-/// several jobs can coexist.
+/// Build a `world`-rank communication group over the fabric's endpoints,
+/// `job_index` selecting a disjoint host set so that several jobs can
+/// coexist.
 ///
 ///  * kReranked: consecutive ranks fill one segment before spilling into
 ///    the next — only the segment-boundary ring hops cross the aggregation

@@ -100,15 +100,13 @@ TEST(AllocBudgetTest, PacketPermutationUnderOneAllocationPer100Packets) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 4;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 4;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
   std::vector<EndpointId> hosts;
   for (std::uint32_t s = 0; s < 2; ++s) {
     for (std::uint32_t h = 0; h < 4; ++h) {
-      hosts.push_back(fabric.endpoint(s, h, 0, 0));
+      hosts.push_back(fabric.endpoint(s, h));
     }
   }
 
@@ -180,16 +178,14 @@ TEST(AllocBudgetTest, FluidRingMessagesAllocateNothing) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 4;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 4;
   ClosFabric fabric(sim, fc);
-  HybridDriver driver(sim, fabric);  // regions start fluid
+  HybridDriver driver(sim, fabric);  // the fabric starts fluid
   EngineFleet fleet(sim, fabric);
   std::vector<EndpointId> hosts;
   for (std::uint32_t s = 0; s < 2; ++s) {
     for (std::uint32_t h = 0; h < 4; ++h) {
-      hosts.push_back(fabric.endpoint(s, h, 0, 0));
+      hosts.push_back(fabric.endpoint(s, h));
     }
   }
   struct Link {
@@ -231,7 +227,7 @@ TEST(AllocBudgetTest, FluidRingMessagesAllocateNothing) {
               static_cast<unsigned long long>(allocs),
               static_cast<unsigned long long>(messages));
   EXPECT_EQ(driver.transitions(), 0u) << "the ring left fluid mode";
-  EXPECT_EQ(driver.region_mode(0), RegionMode::kFluid);
+  EXPECT_EQ(driver.mode(), RegionMode::kFluid);
   ASSERT_GE(messages, 1000u);
   EXPECT_EQ(allocs, 0u) << allocs << " heap allocations for " << messages
                         << " fluid-served messages";
@@ -247,8 +243,6 @@ TEST(AllocBudgetTest, FluidFreezeAllocatesOnlyItsShares) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 4;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 16;
   ClosFabric fabric(sim, fc);
   HybridDriver driver(sim, fabric);
@@ -256,8 +250,8 @@ TEST(AllocBudgetTest, FluidFreezeAllocatesOnlyItsShares) {
   TransportConfig tc;
   tc.algo = MultipathAlgo::kObs;
   tc.num_paths = 128;
-  auto conn = fleet.connect(fabric.endpoint(0, 1, 0, 0),
-                            fabric.endpoint(1, 2, 0, 0), tc);
+  auto conn = fleet.connect(fabric.endpoint(0, 1),
+                            fabric.endpoint(1, 2), tc);
   ASSERT_TRUE(conn.is_ok());
 
   const std::uint64_t allocs_before = g_allocations.load();

@@ -3,7 +3,7 @@
 // continuously restarting AllReduce and a PVDMA pin/unpin workload on one
 // clock, with the injector's control target doing backend restarts and
 // live migrations while RDMA is in flight (and, at hybrid fidelity, while
-// regions freeze and thaw). All six invariant auditors trap on findings.
+// the fabric freezes and thaws). All six invariant auditors trap on findings.
 // Fault-free cells hot-restart every engine mid-run and must deliver the
 // same bytes per connection and per engine at both fidelities; every cell
 // ends with a snapshot round-trip idempotence check.
@@ -30,8 +30,6 @@ FabricConfig soak_fabric() {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 4;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 4;
   return fc;
 }
@@ -97,7 +95,7 @@ TEST(ChaosSoakTest, PausedRankStallsRingUntilResumed) {
 
   std::vector<EndpointId> ranks;
   for (std::uint32_t i = 0; i < 4; ++i) {
-    ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
+    ranks.push_back(fabric.endpoint(i % 2, i / 2));
   }
   AllReduceConfig cfg;
   cfg.data_bytes = 2_MiB;
@@ -186,7 +184,7 @@ void run_soak(Fidelity fidelity, Plan plan, SoakResult* out) {
 
   std::vector<EndpointId> ranks;
   for (std::uint32_t i = 0; i < 8; ++i) {
-    ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
+    ranks.push_back(fabric.endpoint(i % 2, i / 2));
   }
   AllReduceConfig cfg;
   cfg.data_bytes = 4_MiB;

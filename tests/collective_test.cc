@@ -10,8 +10,6 @@ FabricConfig fabric_config() {
   FabricConfig cfg;
   cfg.segments = 2;
   cfg.hosts_per_segment = 8;
-  cfg.rails = 1;
-  cfg.planes = 1;
   cfg.aggs_per_plane = 8;
   return cfg;
 }
@@ -30,7 +28,7 @@ class CollectiveTest : public ::testing::Test {
   std::vector<EndpointId> ranks(std::uint32_t n) {
     std::vector<EndpointId> out;
     for (std::uint32_t i = 0; i < n; ++i) {
-      out.push_back(fabric_.endpoint(i % 2, i / 2, 0, 0));
+      out.push_back(fabric_.endpoint(i % 2, i / 2));
     }
     return out;
   }
@@ -134,7 +132,7 @@ TEST_F(CollectiveTest, LargerRingsSlower) {
 }
 
 TEST_F(CollectiveTest, AllReduceSurvivesLossyLink) {
-  fabric_.tor_uplink(0, 0, 0, 0).set_drop_probability(0.01);
+  fabric_.tor_uplink(0, 0).set_drop_probability(0.01);
   AllReduceConfig cfg;
   cfg.data_bytes = 4_MiB;
   cfg.transport = obs();
@@ -148,7 +146,7 @@ TEST_F(CollectiveTest, AllReduceSurvivesLossyLink) {
 TEST_F(CollectiveTest, PermutationDerangement) {
   std::vector<EndpointId> eps;
   for (std::uint32_t h = 0; h < 8; ++h) {
-    eps.push_back(fabric_.endpoint(h % 2, h / 2, 0, 0));
+    eps.push_back(fabric_.endpoint(h % 2, h / 2));
   }
   PermutationConfig cfg;
   cfg.transport = obs();
@@ -163,8 +161,8 @@ TEST_F(CollectiveTest, PermutationDerangement) {
 TEST_F(CollectiveTest, PermutationStreamsUntilStopped) {
   std::vector<EndpointId> src, dst;
   for (std::uint32_t h = 0; h < 4; ++h) {
-    src.push_back(fabric_.endpoint(0, h, 0, 0));
-    dst.push_back(fabric_.endpoint(1, h, 0, 0));
+    src.push_back(fabric_.endpoint(0, h));
+    dst.push_back(fabric_.endpoint(1, h));
   }
   PermutationConfig cfg;
   cfg.message_bytes = 256_KiB;

@@ -13,8 +13,6 @@ FabricConfig fabric_config() {
   FabricConfig cfg;
   cfg.segments = 2;
   cfg.hosts_per_segment = 8;
-  cfg.rails = 1;
-  cfg.planes = 1;
   cfg.aggs_per_plane = 8;
   return cfg;
 }
@@ -27,7 +25,7 @@ class CollectivesExtraTest : public ::testing::Test {
   std::vector<EndpointId> ranks(std::uint32_t n) {
     std::vector<EndpointId> out;
     for (std::uint32_t i = 0; i < n; ++i) {
-      out.push_back(fabric_.endpoint(i % 2, i / 2, 0, 0));
+      out.push_back(fabric_.endpoint(i % 2, i / 2));
     }
     return out;
   }

@@ -1,6 +1,6 @@
 // Property sweeps over fabric geometries: for every topology shape, every
 // legal (src, dst, path) triple must deliver to exactly the addressed
-// endpoint, and rail/plane isolation must hold.
+// endpoint.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -11,19 +11,16 @@
 namespace stellar {
 namespace {
 
-using Shape = std::tuple<int /*segments*/, int /*hosts*/, int /*rails*/,
-                         int /*planes*/, int /*aggs*/>;
+using Shape = std::tuple<int /*segments*/, int /*hosts*/, int /*aggs*/>;
 
 class FabricPropertyTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(FabricPropertyTest, EveryPacketReachesItsAddressee) {
-  const auto [segments, hosts, rails, planes, aggs] = GetParam();
+  const auto [segments, hosts, aggs] = GetParam();
   Simulator sim;
   FabricConfig cfg;
   cfg.segments = segments;
   cfg.hosts_per_segment = hosts;
-  cfg.rails = rails;
-  cfg.planes = planes;
   cfg.aggs_per_plane = aggs;
   ClosFabric fabric(sim, cfg);
 
@@ -49,9 +46,7 @@ TEST_P(FabricPropertyTest, EveryPacketReachesItsAddressee) {
     p.conn_id = i;
     p.path_id = static_cast<std::uint16_t>(rng.below(256));
     p.payload = 4096;
-    const auto a = fabric.coords(src);
-    const auto b = fabric.coords(dst);
-    const bool legal = src != dst && a.rail == b.rail && a.plane == b.plane;
+    const bool legal = src != dst;
     const Status s = fabric.send(std::move(p));
     ASSERT_EQ(s.is_ok(), legal)
         << "src=" << src << " dst=" << dst << ": " << s.to_string();
@@ -70,30 +65,26 @@ TEST_P(FabricPropertyTest, EveryPacketReachesItsAddressee) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, FabricPropertyTest,
-    ::testing::Values(Shape{1, 2, 1, 1, 1},    // minimal single-ToR
-                      Shape{2, 2, 1, 1, 1},    // single agg path
-                      Shape{2, 4, 1, 2, 4},    // dual plane
-                      Shape{2, 4, 2, 2, 4},    // dual rail, dual plane
-                      Shape{4, 3, 1, 1, 8},    // many segments
-                      Shape{2, 8, 1, 1, 60})); // production-like agg count
+    ::testing::Values(Shape{1, 2, 1},    // minimal single-ToR
+                      Shape{2, 2, 1},    // single agg path
+                      Shape{4, 3, 8},    // many segments
+                      Shape{2, 8, 60})); // production-like agg count
 
 TEST(FabricRouteTest, PathIdsCoverAllAggsEventually) {
   Simulator sim;
   FabricConfig cfg;
   cfg.segments = 2;
   cfg.hosts_per_segment = 1;
-  cfg.rails = 1;
-  cfg.planes = 1;
   cfg.aggs_per_plane = 60;  // production aggregation count
   ClosFabric fabric(sim, cfg);
-  fabric.set_handler(fabric.endpoint(1, 0, 0, 0), [](NetPacket&&) {});
+  fabric.set_handler(fabric.endpoint(1, 0), [](NetPacket&&) {});
 
   // 128 path ids hashed over 60 aggs must touch (nearly) all of them —
   // the §7.2 rationale for the 128-path choice.
   for (std::uint16_t path = 0; path < 128; ++path) {
     NetPacket p;
-    p.src = fabric.endpoint(0, 0, 0, 0);
-    p.dst = fabric.endpoint(1, 0, 0, 0);
+    p.src = fabric.endpoint(0, 0);
+    p.dst = fabric.endpoint(1, 0);
     p.conn_id = 7;
     p.path_id = path;
     p.payload = 64;
@@ -101,7 +92,7 @@ TEST(FabricRouteTest, PathIdsCoverAllAggsEventually) {
   }
   sim.run();
   int used = 0;
-  for (NetLink* l : fabric.tor_uplinks(0, 0, 0)) {
+  for (NetLink* l : fabric.tor_uplinks(0)) {
     if (l->packets_sent() > 0) ++used;
   }
   EXPECT_GT(used, 50);  // ~52 of 60 expected for 128 balls in 60 bins

@@ -11,8 +11,6 @@ FabricConfig small_config() {
   FabricConfig cfg;
   cfg.segments = 2;
   cfg.hosts_per_segment = 4;
-  cfg.rails = 2;
-  cfg.planes = 2;
   cfg.aggs_per_plane = 4;
   return cfg;
 }
@@ -28,24 +26,26 @@ TEST_F(FabricTest, EndpointRoundTrip) {
   const auto cfg = small_config();
   for (std::uint32_t s = 0; s < cfg.segments; ++s) {
     for (std::uint32_t h = 0; h < cfg.hosts_per_segment; ++h) {
-      for (std::uint32_t r = 0; r < cfg.rails; ++r) {
-        for (std::uint32_t p = 0; p < cfg.planes; ++p) {
-          const EndpointId id = fabric_.endpoint(s, h, r, p);
-          const auto c = fabric_.coords(id);
-          EXPECT_EQ(c.segment, s);
-          EXPECT_EQ(c.host, h);
-          EXPECT_EQ(c.rail, r);
-          EXPECT_EQ(c.plane, p);
-        }
-      }
+      const EndpointId id = fabric_.endpoint(s, h);
+      const auto c = fabric_.coords(id);
+      EXPECT_EQ(c.segment, s);
+      EXPECT_EQ(c.host, h);
     }
   }
-  EXPECT_EQ(fabric_.endpoint_count(), 2u * 4 * 2 * 2);
+  EXPECT_EQ(fabric_.endpoint_count(), 2u * 4);
+  EXPECT_EQ(fabric_.endpoint(1, 2, 0, 0), fabric_.endpoint(1, 2));
+}
+
+TEST(FabricDeathTest, EndpointOnAnotherRailOrPlaneDies) {
+  Simulator sim;
+  const ClosFabric fabric(sim, small_config());
+  EXPECT_DEATH(fabric.endpoint(0, 0, 1, 0), "one island");
+  EXPECT_DEATH(fabric.endpoint(0, 0, 0, 1), "one island");
 }
 
 TEST_F(FabricTest, DeliversWithinSegment) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(0, 1, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(0, 1);
   int received = 0;
   fabric_.set_handler(b, [&](NetPacket&& p) {
     ++received;
@@ -63,8 +63,8 @@ TEST_F(FabricTest, DeliversWithinSegment) {
 }
 
 TEST_F(FabricTest, CrossSegmentTraversesChosenAgg) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 0);
   fabric_.set_handler(b, [](NetPacket&&) {});
   // Send one packet per path id; each deterministic path lands on one agg.
   for (std::uint16_t path = 0; path < 64; ++path) {
@@ -79,15 +79,15 @@ TEST_F(FabricTest, CrossSegmentTraversesChosenAgg) {
   sim_.run();
   // With 64 path ids hashed over 4 aggs, every uplink should carry some.
   std::uint64_t used = 0;
-  for (NetLink* l : fabric_.tor_uplinks(0, 0, 0)) {
+  for (NetLink* l : fabric_.tor_uplinks(0)) {
     if (l->packets_sent() > 0) ++used;
   }
   EXPECT_EQ(used, 4u);
 }
 
 TEST_F(FabricTest, SamePathIdSameRoute) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 0);
   fabric_.set_handler(b, [](NetPacket&&) {});
   for (int i = 0; i < 10; ++i) {
     NetPacket p;
@@ -101,7 +101,7 @@ TEST_F(FabricTest, SamePathIdSameRoute) {
   sim_.run();
   // All ten packets share one uplink (single-path behaviour).
   int used = 0;
-  for (NetLink* l : fabric_.tor_uplinks(0, 0, 0)) {
+  for (NetLink* l : fabric_.tor_uplinks(0)) {
     if (l->packets_sent() > 0) {
       ++used;
       EXPECT_EQ(l->packets_sent(), 10u);
@@ -111,30 +111,29 @@ TEST_F(FabricTest, SamePathIdSameRoute) {
 }
 
 TEST_F(FabricTest, RailAndPlaneIsolationEnforced) {
-  NetPacket p;
-  p.src = fabric_.endpoint(0, 0, 0, 0);
-  p.dst = fabric_.endpoint(0, 1, 1, 0);  // different rail
-  EXPECT_EQ(fabric_.send(std::move(p)).code(), StatusCode::kInvalidArgument);
-  NetPacket q;
-  q.src = fabric_.endpoint(0, 0, 0, 0);
-  q.dst = fabric_.endpoint(0, 1, 0, 1);  // different plane
-  EXPECT_EQ(fabric_.send(std::move(q)).code(), StatusCode::kInvalidArgument);
+  // A fabric is one (rail, plane) island: a second rail or plane is
+  // rejected at construction, and a packet cannot loop back to its sender.
+  FabricConfig two_rails = small_config();
+  two_rails.rails = 2;
+  EXPECT_THROW(ClosFabric(sim_, two_rails), std::invalid_argument);
+  FabricConfig two_planes = small_config();
+  two_planes.planes = 2;
+  EXPECT_THROW(ClosFabric(sim_, two_planes), std::invalid_argument);
   NetPacket r;
-  r.src = fabric_.endpoint(0, 0, 0, 0);
+  r.src = fabric_.endpoint(0, 0);
   r.dst = r.src;  // self
   EXPECT_EQ(fabric_.send(std::move(r)).code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(FabricTest, PhysicalPathCounts) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  EXPECT_EQ(fabric_.physical_paths(a, fabric_.endpoint(0, 1, 0, 0)), 1u);
-  EXPECT_EQ(fabric_.physical_paths(a, fabric_.endpoint(1, 2, 0, 0)), 4u);
-  EXPECT_EQ(fabric_.physical_paths(a, fabric_.endpoint(0, 1, 1, 0)), 0u);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  EXPECT_EQ(fabric_.physical_paths(a, fabric_.endpoint(0, 1)), 1u);
+  EXPECT_EQ(fabric_.physical_paths(a, fabric_.endpoint(1, 2)), 4u);
 }
 
 TEST_F(FabricTest, ResetStatsClearsCounters) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 0);
   fabric_.set_handler(b, [](NetPacket&&) {});
   NetPacket p;
   p.src = a;
@@ -149,8 +148,8 @@ TEST_F(FabricTest, ResetStatsClearsCounters) {
 }
 
 TEST_F(FabricTest, TraceHookHopsEqualPathLinksForEveryRoute) {
-  // One packet per (src, dst, path) over every pair that shares a rail and
-  // plane, same-segment and cross-segment alike: the links the trace hook
+  // One packet per (src, dst, path) over every endpoint pair, same-segment
+  // and cross-segment alike: the links the trace hook
   // sees it forwarded on, in order, are path_links() of that route, and
   // the final hook call (nullptr) is its delivery.
   std::vector<const NetLink*> hops;
@@ -173,7 +172,7 @@ TEST_F(FabricTest, TraceHookHopsEqualPathLinksForEveryRoute) {
     for (EndpointId dst = 0; dst < n; ++dst) {
       const auto a = fabric_.coords(src);
       const auto b = fabric_.coords(dst);
-      if (src == dst || a.rail != b.rail || a.plane != b.plane) continue;
+      if (src == dst) continue;
       const std::uint64_t conn = 1000 + src * n + dst;
       for (std::uint16_t path = 0; path < 8; ++path) {
         hops.clear();
@@ -193,21 +192,17 @@ TEST_F(FabricTest, TraceHookHopsEqualPathLinksForEveryRoute) {
             << "src " << src << " dst " << dst << " path " << path;
         if (a.segment == b.segment) {
           ASSERT_EQ(want.size(), 2u);
-          EXPECT_EQ(want[0], &fabric_.host_uplink(a.segment, a.host, a.rail,
-                                                  a.plane));
-          EXPECT_EQ(want[1], &fabric_.tor_downlink(b.segment, b.host, b.rail,
-                                                   b.plane));
+          EXPECT_EQ(want[0], &fabric_.host_uplink(a.segment, a.host));
+          EXPECT_EQ(want[1], &fabric_.tor_downlink(b.segment, b.host));
           ++same_segment;
         } else {
           ASSERT_EQ(want.size(), 4u);
           // The switch in the middle is the same on both fabric hops.
           bool found = false;
           for (std::uint32_t agg = 0; agg < 4; ++agg) {
-            if (want[1] == &fabric_.tor_uplink(a.segment, a.rail, a.plane,
-                                               agg)) {
+            if (want[1] == &fabric_.tor_uplink(a.segment, agg)) {
               found = true;
-              EXPECT_EQ(want[2], &fabric_.agg_downlink(agg, b.segment,
-                                                       b.rail, b.plane));
+              EXPECT_EQ(want[2], &fabric_.agg_downlink(agg, b.segment));
             }
           }
           EXPECT_TRUE(found);
@@ -216,9 +211,9 @@ TEST_F(FabricTest, TraceHookHopsEqualPathLinksForEveryRoute) {
       }
     }
   }
-  // 4 (rail, plane) groups of 8 endpoints: 4 hosts in each of 2 segments.
-  EXPECT_EQ(same_segment, 4u * 2 * 4 * 3 * 8);
-  EXPECT_EQ(cross_segment, 4u * 2 * 4 * 4 * 8);
+  // 8 endpoints: 4 hosts in each of 2 segments.
+  EXPECT_EQ(same_segment, 2u * 4 * 3 * 8);
+  EXPECT_EQ(cross_segment, 2u * 4 * 4 * 8);
   EXPECT_EQ(fabric_.delivered_packets(), same_segment + cross_segment);
 }
 

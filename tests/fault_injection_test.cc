@@ -22,8 +22,6 @@ FabricConfig small_fabric() {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 4;
   return fc;
 }
@@ -42,6 +40,22 @@ TEST(FaultPlanTest, RejectsOutOfRangeTargets) {
   e.kind = FaultKind::kLinkDown;
   e.link = {LinkLayer::kTorUp, /*segment=*/0, /*rail=*/0, /*plane=*/0,
             /*agg=*/99};  // only 4 aggs exist
+  plan.events.push_back(e);
+  EXPECT_FALSE(injector.arm(plan).is_ok());
+
+  // The fabric is one (rail, plane) island: any other rail or plane is out
+  // of range too.
+  plan.events.clear();
+  e.link = {LinkLayer::kHostUp, /*segment=*/0, /*host=*/0, /*rail=*/1,
+            /*plane=*/0};
+  plan.events.push_back(e);
+  EXPECT_FALSE(injector.arm(plan).is_ok());
+
+  plan.events.clear();
+  e = FaultEvent{};
+  e.kind = FaultKind::kSwitchDown;
+  e.sw.is_tor = true;
+  e.sw.plane = 1;
   plan.events.push_back(e);
   EXPECT_FALSE(injector.arm(plan).is_ok());
 
@@ -171,8 +185,8 @@ TEST(FaultInjectorTest, LinkOutageMidTransferKeepsConservation) {
   TransportConfig tc;
   tc.num_paths = 16;
   tc.rto = SimTime::micros(100);
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), tc);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), tc);
   ASSERT_TRUE(conn.is_ok());
 
   FaultTelemetry telemetry;
@@ -215,7 +229,7 @@ TEST(FaultInjectorTest, LinkOutageMidTransferKeepsConservation) {
   EXPECT_TRUE(done);
   EXPECT_TRUE(conn.value()->status().is_ok());
   EXPECT_EQ(injector.events_executed(), 2u);
-  EXPECT_TRUE(fabric.tor_uplink(0, 0, 0, 0).is_up());
+  EXPECT_TRUE(fabric.tor_uplink(0, 0).is_up());
   EXPECT_GT(registry.runs(), 0u);
   EXPECT_EQ(registry.total_findings(), 0u);
 
@@ -248,7 +262,7 @@ TEST(FaultInjectorTest, FlapCyclesLinkAndEndsUp) {
   plan.events.push_back(e);
   ASSERT_TRUE(injector.arm(plan).is_ok());
 
-  NetLink& link = fabric.tor_uplink(0, 0, 0, 1);
+  NetLink& link = fabric.tor_uplink(0, 1);
   bool seen_down = false;
   // Sample inside the second cycle's down window: 10 + 20 + 2.5 us.
   sim.schedule_after(SimTime::picos(32'500'000),
@@ -268,7 +282,7 @@ TEST(FaultInjectorTest, DegradeWindowAppliesAndRestores) {
   ClosFabric fabric(sim, small_fabric());
   FaultInjector injector(sim, fabric);
 
-  NetLink& link = fabric.tor_uplink(0, 0, 0, 2);
+  NetLink& link = fabric.tor_uplink(0, 2);
   const double clean_loss = link.config().drop_probability;
   const SimTime clean_prop = link.config().propagation;
 
@@ -328,7 +342,7 @@ TEST(FaultInjectorTest, SwitchDownKillsAllPortsAndUpRestores) {
     mid_checked = true;
     for (const NetLink* port : ports) EXPECT_FALSE(port->is_up());
     // An uninvolved switch keeps its ports.
-    EXPECT_TRUE(fabric.tor_uplink(0, 0, 0, 0).is_up());
+    EXPECT_TRUE(fabric.tor_uplink(0, 0).is_up());
   });
   sim.run();
 
@@ -348,8 +362,8 @@ TEST(FaultInjectorTest, RnicResetErrorsLocalQpsAndDiscardsIngress) {
   TransportConfig tc;
   tc.rto = SimTime::micros(50);
   tc.max_retries = 100;
-  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId src = fabric.endpoint(0, 0);
+  const EndpointId dst = fabric.endpoint(1, 0);
   auto conn = fleet.connect(src, dst, tc);
   ASSERT_TRUE(conn.is_ok());
 
@@ -385,8 +399,8 @@ TEST(RnicResetTest, LocalQpsFailFastAndDeadPostsAreDiscarded) {
   ClosFabric fabric(sim, small_fabric());
   EngineFleet fleet(sim, fabric);
 
-  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
-  auto conn = fleet.connect(src, fabric.endpoint(1, 0, 0, 0), {});
+  const EndpointId src = fabric.endpoint(0, 0);
+  auto conn = fleet.connect(src, fabric.endpoint(1, 0), {});
   ASSERT_TRUE(conn.is_ok());
 
   Status seen = Status::ok();
@@ -507,7 +521,7 @@ std::string run_scenario_json() {
 
   std::vector<EndpointId> ranks;
   for (std::uint32_t i = 0; i < 8; ++i) {
-    ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
+    ranks.push_back(fabric.endpoint(i % 2, i / 2));
   }
   AllReduceConfig cfg;
   cfg.data_bytes = 2_MiB;

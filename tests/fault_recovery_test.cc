@@ -20,8 +20,6 @@ FabricConfig tiny_fabric() {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 1;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 4;
   return fc;
 }
@@ -48,11 +46,11 @@ TEST(BlacklistRecoveryTest, ProbeKeepsPathOutUntilAckReinstates) {
   tc.blacklist_hold = SimTime::micros(200);
   tc.probe_interval = SimTime::micros(20);
   tc.rto = SimTime::micros(500);  // probes, not data RTOs, find the revival
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), tc);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), tc);
   ASSERT_TRUE(conn.is_ok());
 
-  NetLink& nic = fabric.host_uplink(0, 0, 0, 0);
+  NetLink& nic = fabric.host_uplink(0, 0);
   nic.set_down(LinkDrainMode::kVoid);
   sim.schedule_after(SimTime::millis(1), [&] { nic.set_up(); });
 
@@ -86,11 +84,11 @@ TEST(BlacklistRecoveryTest, SinglePathOnDeadPathFailsFastNeverHangs) {
 
   TransportConfig tc = single_path_config();
   tc.max_retries = 5;  // finite budget => fail fast
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), tc);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), tc);
   ASSERT_TRUE(conn.is_ok());
 
-  fabric.host_uplink(0, 0, 0, 0).set_down(LinkDrainMode::kVoid);  // forever
+  fabric.host_uplink(0, 0).set_down(LinkDrainMode::kVoid);  // forever
 
   Status seen = Status::ok();
   conn.value()->set_on_error([&](const Status& reason) { seen = reason; });
@@ -118,8 +116,8 @@ TEST(FailFastTest, RingAllReduceAbortsWhenARankDies) {
   EngineFleet fleet(sim, fabric);
 
   std::vector<EndpointId> ranks = {
-      fabric.endpoint(0, 0, 0, 0), fabric.endpoint(0, 1, 0, 0),
-      fabric.endpoint(1, 0, 0, 0), fabric.endpoint(1, 1, 0, 0)};
+      fabric.endpoint(0, 0), fabric.endpoint(0, 1),
+      fabric.endpoint(1, 0), fabric.endpoint(1, 1)};
   AllReduceConfig cfg;
   cfg.data_bytes = 4_MiB;
   cfg.transport.rto = SimTime::micros(50);
@@ -155,7 +153,7 @@ TEST(FailFastTest, PermutationTrafficIsolatesDeadFlow) {
 
   std::vector<EndpointId> hosts;
   for (std::uint32_t h = 0; h < 4; ++h) {
-    hosts.push_back(fabric.endpoint(0, h, 0, 0));
+    hosts.push_back(fabric.endpoint(0, h));
   }
   PermutationConfig pc;
   pc.message_bytes = 256_KiB;
@@ -198,15 +196,13 @@ AllReduceRun run_allreduce(bool kill_switch) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 8;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 32;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
 
   std::vector<EndpointId> ranks;
   for (std::uint32_t i = 0; i < 16; ++i) {
-    ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
+    ranks.push_back(fabric.endpoint(i % 2, i / 2));
   }
   AllReduceConfig cfg;
   cfg.data_bytes = 16_MiB;

@@ -16,7 +16,7 @@
 // real fabric links: a fluid event touches only the flows it completes or
 // re-rates, completion times follow the piecewise rates to the picosecond,
 // every service event completes a message, and reading the byte count
-// serves nothing. HybridPromotionTest pins when a zoomed region promotes
+// serves nothing. HybridPromotionTest pins when a zoomed fabric promotes
 // back to fluid.
 // FluidFootprintTest pins ClosFabric::fluid_footprint, bit for bit, to a
 // walk of the packet routes it replaces.
@@ -680,13 +680,11 @@ void expect_footprint_matches_walk(ClosFabric& fabric, EndpointId src,
   }
 }
 
-/// Two segments of four hosts, two planes; `aggs` switches per plane.
+/// Two segments of four hosts and `aggs` aggregation switches.
 FabricConfig footprint_fabric(std::uint32_t aggs) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 4;
-  fc.rails = 1;
-  fc.planes = 2;
   fc.aggs_per_plane = aggs;
   return fc;
 }
@@ -695,11 +693,10 @@ TEST(FluidFootprintTest, MatchesPathWalkForEverySelector) {
   for (const std::uint32_t aggs : {4u, 16u}) {
     Simulator sim;
     ClosFabric fabric(sim, footprint_fabric(aggs));
-    // Same-segment, cross-segment, and a second plane.
+    // Same-segment and cross-segment.
     const std::pair<EndpointId, EndpointId> pairs[] = {
-        {fabric.endpoint(0, 0, 0, 0), fabric.endpoint(0, 3, 0, 0)},
-        {fabric.endpoint(0, 1, 0, 0), fabric.endpoint(1, 2, 0, 0)},
-        {fabric.endpoint(1, 3, 0, 1), fabric.endpoint(0, 0, 0, 1)},
+        {fabric.endpoint(0, 0), fabric.endpoint(0, 3)},
+        {fabric.endpoint(0, 1), fabric.endpoint(1, 2)},
     };
     for (const MultipathAlgo algo :
          {MultipathAlgo::kSinglePath, MultipathAlgo::kRoundRobin,
@@ -725,9 +722,9 @@ TEST(FluidFootprintTest, MatchesPathWalkWithZeroAndUnevenWeights) {
   for (const std::uint32_t aggs : {4u, 16u}) {
     Simulator sim;
     ClosFabric fabric(sim, footprint_fabric(aggs));
-    const EndpointId same_a = fabric.endpoint(0, 0, 0, 0);
-    const EndpointId same_b = fabric.endpoint(0, 2, 0, 0);
-    const EndpointId cross = fabric.endpoint(1, 1, 0, 0);
+    const EndpointId same_a = fabric.endpoint(0, 0);
+    const EndpointId same_b = fabric.endpoint(0, 2);
+    const EndpointId cross = fabric.endpoint(1, 1);
     std::vector<std::vector<double>> cases;
     for (const std::size_t paths : {1u, 4u, 16u, 128u}) {
       // One weighted path, at the front, in the middle and at the end.
@@ -771,13 +768,11 @@ TEST(FluidFootprintTest, MatchesPathWalkWithZeroAndUnevenWeights) {
 // Lazy fluid service (HybridDriver)
 // ---------------------------------------------------------------------------
 
-/// One rail, one plane: a single fluid region of 2 x 8 hosts.
+/// 2 x 8 hosts.
 FabricConfig service_fabric(double host_gbps) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 8;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 2;
   fc.host_link.bandwidth = Bandwidth::gbps(host_gbps);
   return fc;
@@ -792,7 +787,7 @@ class ScriptedFlow : public FluidClient {
   ScriptedFlow(Simulator& sim, ClosFabric& fabric, HybridDriver& driver,
                EndpointId src, EndpointId dst)
       : sim_(sim), fabric_(fabric), driver_(driver), src_(src), dst_(dst) {
-    driver_.register_client(this, src_);
+    driver_.register_client(this);
   }
   ~ScriptedFlow() override { driver_.unregister_client(this); }
   ScriptedFlow(const ScriptedFlow&) = delete;
@@ -815,10 +810,8 @@ class ScriptedFlow : public FluidClient {
     const ClosFabric::EndpointCoords d = fabric_.coords(dst_);
     FluidFlowDesc desc;
     desc.remaining = remaining_;
-    desc.shares.emplace_back(
-        &fabric_.host_uplink(s.segment, s.host, s.rail, s.plane), 1.0);
-    desc.shares.emplace_back(
-        &fabric_.tor_downlink(d.segment, d.host, d.rail, d.plane), 1.0);
+    desc.shares.emplace_back(&fabric_.host_uplink(s.segment, s.host), 1.0);
+    desc.shares.emplace_back(&fabric_.tor_downlink(d.segment, d.host), 1.0);
     return desc;
   }
   void fluid_thaw(double) override {}
@@ -873,7 +866,7 @@ TEST(HybridServiceTest, CompletionTouchesOnlyItsComponent) {
   ClosFabric fabric(sim, service_fabric(200));
   HybridDriver driver(sim, fabric);
   const auto ep = [&](std::uint32_t host) {
-    return fabric.endpoint(0, host, 0, 0);
+    return fabric.endpoint(0, host);
   };
   // Three link-disjoint groups: {0->1, 2->1} share host 1's downlink,
   // {3->4, 5->4} host 4's, and {6->7} stands alone.
@@ -906,7 +899,7 @@ TEST(HybridServiceTest, CompletionTimesFollowPiecewiseRates) {
   ClosFabric fabric(sim, service_fabric(300));
   HybridDriver driver(sim, fabric);
   const auto ep = [&](std::uint32_t host) {
-    return fabric.endpoint(0, host, 0, 0);
+    return fabric.endpoint(0, host);
   };
   ScriptedFlow lone(sim, fabric, driver, ep(0), ep(1));
   ScriptedFlow first(sim, fabric, driver, ep(2), ep(3));
@@ -944,8 +937,8 @@ TEST(HybridServiceTest, CompletionTimesFollowPiecewiseRates) {
   ClosFabric zfabric(zsim, service_fabric(300));
   HybridDriver zdriver(zsim, zfabric);
   EngineFleet fleet(zsim, zfabric);
-  const EndpointId src = zfabric.endpoint(0, 0, 0, 0);
-  const EndpointId dst = zfabric.endpoint(0, 1, 0, 0);
+  const EndpointId src = zfabric.endpoint(0, 0);
+  const EndpointId dst = zfabric.endpoint(0, 1);
   auto conn = fleet.connect(src, dst, {});
   ASSERT_TRUE(conn.is_ok());
   bool done = false;
@@ -960,7 +953,7 @@ TEST(HybridServiceTest, CompletionTimesFollowPiecewiseRates) {
     materialized = zdriver.fluid_bytes_served();
   });
   zsim.run_until(SimTime::micros(10));
-  EXPECT_EQ(zdriver.region_mode(0), RegionMode::kPacket);
+  EXPECT_EQ(zdriver.mode(), RegionMode::kPacket);
   EXPECT_NEAR(static_cast<double>(accrued), kRate * 10e-6, 1.0);
   EXPECT_EQ(materialized, accrued);
   EXPECT_EQ(synced, accrued);
@@ -979,8 +972,8 @@ TEST(HybridServiceTest, DueEventAlwaysCompletes) {
   std::vector<std::unique_ptr<ScriptedFlow>> flows;
   for (std::uint32_t h = 0; h < 6; ++h) {
     flows.push_back(std::make_unique<ScriptedFlow>(
-        sim, fabric, driver, fabric.endpoint(0, h, 0, 0),
-        fabric.endpoint(0, 6 + h % 2, 0, 0)));
+        sim, fabric, driver, fabric.endpoint(0, h),
+        fabric.endpoint(0, 6 + h % 2)));
   }
   Rng rng(7);
   std::uint64_t posted = 0;
@@ -1019,8 +1012,8 @@ TEST(HybridServiceTest, SameTimeCompletionsRunInRegistrationOrder) {
   std::vector<int> order;
   for (std::uint32_t h = 0; h < 8; ++h) {
     flows.push_back(std::make_unique<ScriptedFlow>(
-        sim, fabric, driver, fabric.endpoint(0, h, 0, 0),
-        fabric.endpoint(1, h, 0, 0)));
+        sim, fabric, driver, fabric.endpoint(0, h),
+        fabric.endpoint(1, h)));
     flows.back()->on_complete = [&order, h] {
       order.push_back(static_cast<int>(h));
     };
@@ -1040,8 +1033,8 @@ TEST(HybridServiceTest, BytesServedCountsAccrualWithoutServing) {
   Simulator sim;
   ClosFabric fabric(sim, service_fabric(300));
   HybridDriver driver(sim, fabric);
-  ScriptedFlow f(sim, fabric, driver, fabric.endpoint(0, 0, 0, 0),
-                 fabric.endpoint(0, 1, 0, 0));
+  ScriptedFlow f(sim, fabric, driver, fabric.endpoint(0, 0),
+                 fabric.endpoint(0, 1));
   f.post(1_MiB);
   sim.run_until(SimTime::micros(10));
   const std::uint64_t mid = driver.fluid_bytes_served();
@@ -1058,8 +1051,8 @@ TEST(HybridServiceTest, BytesServedCountsAccrualWithoutServing) {
   std::vector<std::unique_ptr<ScriptedFlow>> flows;
   for (std::uint32_t h = 2; h < 6; ++h) {
     flows.push_back(std::make_unique<ScriptedFlow>(
-        sim, fabric, driver, fabric.endpoint(0, h, 0, 0),
-        fabric.endpoint(0, 6 + h % 2, 0, 0)));
+        sim, fabric, driver, fabric.endpoint(0, h),
+        fabric.endpoint(0, 6 + h % 2)));
   }
   std::uint64_t posted = 0;
   for (std::size_t i = 0; i < flows.size(); ++i) {
@@ -1087,8 +1080,8 @@ TEST(HybridServiceTest, ZeroLengthWriteBehindAMessageCompletesWithIt) {
   ClosFabric fabric(sim, service_fabric(200));
   HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(0, 1, 0, 0), {});
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(0, 1), {});
   ASSERT_TRUE(conn.is_ok());
   int done = 0;
   const auto count = [&] { ++done; };
@@ -1097,12 +1090,12 @@ TEST(HybridServiceTest, ZeroLengthWriteBehindAMessageCompletesWithIt) {
   conn.value()->post_write(64_KiB, count);
   sim.run_until(SimTime::millis(1));
   EXPECT_EQ(done, 3);
-  EXPECT_EQ(driver.region_mode(0), RegionMode::kFluid);
+  EXPECT_EQ(driver.mode(), RegionMode::kFluid);
 }
 
 TEST(HybridPromotionTest, PromotesOnThirdQuietEpochAfterZoomWindow) {
   // Pins the promotion constants: triggers are polled every 5 us while a
-  // region is in packet mode, and 3 consecutive quiet epochs promote it.
+  // fabric is in packet mode, and 3 consecutive quiet epochs promote it.
   // A scripted flow sends no packets, so once the window's hold ends every
   // epoch is quiet. Window [10, 16) us: the zoom at 10 arms polls at 15
   // (held), 20, 25 and 30 us (quiet epochs 1, 2, 3). The window end sits
@@ -1111,8 +1104,8 @@ TEST(HybridPromotionTest, PromotesOnThirdQuietEpochAfterZoomWindow) {
   Simulator sim;
   ClosFabric fabric(sim, service_fabric(200));
   HybridDriver driver(sim, fabric);
-  ScriptedFlow flow(sim, fabric, driver, fabric.endpoint(0, 0, 0, 0),
-                    fabric.endpoint(1, 0, 0, 0));
+  ScriptedFlow flow(sim, fabric, driver, fabric.endpoint(0, 0),
+                    fabric.endpoint(1, 0));
   flow.post(64_MiB);  // outlasts the test: the flow is live throughout
   // Keep the simulator busy: the driver stops polling once nothing else is
   // pending.
@@ -1120,14 +1113,14 @@ TEST(HybridPromotionTest, PromotesOnThirdQuietEpochAfterZoomWindow) {
   driver.request_zoom_window(SimTime::micros(10), SimTime::micros(16));
 
   sim.run_until(SimTime::micros(10));
-  EXPECT_EQ(driver.region_mode(0), RegionMode::kPacket);
+  EXPECT_EQ(driver.mode(), RegionMode::kPacket);
   sim.run_until(SimTime::micros(25));
-  EXPECT_EQ(driver.region_mode(0), RegionMode::kPacket)
+  EXPECT_EQ(driver.mode(), RegionMode::kPacket)
       << "promoted before the third quiet epoch";
   sim.run_until(SimTime::micros(30) - SimTime::picos(1));
-  EXPECT_EQ(driver.region_mode(0), RegionMode::kPacket);
+  EXPECT_EQ(driver.mode(), RegionMode::kPacket);
   sim.run_until(SimTime::micros(30));
-  EXPECT_EQ(driver.region_mode(0), RegionMode::kFluid)
+  EXPECT_EQ(driver.mode(), RegionMode::kFluid)
       << "not promoted on the third quiet epoch";
   EXPECT_EQ(driver.transitions(), 2u);
 }

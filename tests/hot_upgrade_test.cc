@@ -20,8 +20,6 @@ FabricConfig tiny_fabric() {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 4;
   return fc;
 }
@@ -33,14 +31,14 @@ TEST(HotUpgradeTest, QuiesceDropsAndRtoRecovers) {
 
   TransportConfig tc;
   tc.num_paths = 4;
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), tc);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), tc);
   ASSERT_TRUE(conn.is_ok());
 
   bool done = false;
   conn.value()->post_write(2_MiB, [&] { done = true; });
 
-  RdmaEngine& rx = fleet.at(fabric.endpoint(1, 0, 0, 0));
+  RdmaEngine& rx = fleet.at(fabric.endpoint(1, 0));
   sim.schedule_after(SimTime::micros(20),
                      [&] { rx.quiesce(SimTime::micros(40)); });
   sim.run();
@@ -59,7 +57,7 @@ TEST(HotUpgradeTest, HotRestartMidAllReduceCompletesWithAuditsGreen) {
 
   std::vector<EndpointId> ranks;
   for (std::uint32_t i = 0; i < 4; ++i) {
-    ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
+    ranks.push_back(fabric.endpoint(i % 2, i / 2));
   }
   AllReduceConfig cfg;
   cfg.data_bytes = 4_MiB;
@@ -113,14 +111,14 @@ TEST(HotUpgradeTest, HotRestartPreservesCompletionsAndCounters) {
 
   TransportConfig tc;
   tc.num_paths = 4;
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 1, 0, 0), tc);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 1), tc);
   ASSERT_TRUE(conn.is_ok());
 
   bool done = false;
   conn.value()->post_write(1_MiB, [&] { done = true; });
 
-  RdmaEngine& tx = fleet.at(fabric.endpoint(0, 0, 0, 0));
+  RdmaEngine& tx = fleet.at(fabric.endpoint(0, 0));
   sim.schedule_after(SimTime::micros(10), [&] {
     auto snap = tx.hot_restart();
     ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();

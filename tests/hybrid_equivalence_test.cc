@@ -35,7 +35,7 @@ namespace stellar {
 namespace {
 
 // kFluid is unzoomed hybrid (all fluid): the default driver with no zoom
-// window, so every region stays fluid for the whole run.
+// window, so the fabric stays fluid for the whole run.
 enum class Fidelity { kPacket, kFluid, kHybrid };
 
 const char* fidelity_name(Fidelity f) {
@@ -82,8 +82,6 @@ RunResult run_fig09_mini(MultipathAlgo algo, std::uint16_t paths,
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 4;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 8;
   fc.fabric_link.bandwidth = Bandwidth::gbps(200);
   ClosFabric fabric(sim, fc);
@@ -98,14 +96,14 @@ RunResult run_fig09_mini(MultipathAlgo algo, std::uint16_t paths,
   std::vector<RdmaConnection*> conns;
   std::vector<EndpointId> dsts;
   for (std::uint32_t h = 0; h < 4; ++h) {
-    const EndpointId src = fabric.endpoint(0, h, 0, 0);
-    const EndpointId dst = fabric.endpoint(1, (h + 1) % 4, 0, 0);
+    const EndpointId src = fabric.endpoint(0, h);
+    const EndpointId dst = fabric.endpoint(1, (h + 1) % 4);
     conns.push_back(fleet.connect(src, dst, t).value());
     dsts.push_back(dst);
   }
   for (std::uint32_t h = 0; h < 4; ++h) {
-    const EndpointId src = fabric.endpoint(1, h, 0, 0);
-    const EndpointId dst = fabric.endpoint(0, (h + 2) % 4, 0, 0);
+    const EndpointId src = fabric.endpoint(1, h);
+    const EndpointId dst = fabric.endpoint(0, (h + 2) % 4);
     conns.push_back(fleet.connect(src, dst, t).value());
     dsts.push_back(dst);
   }
@@ -147,15 +145,13 @@ RunResult run_fig12_mini(std::uint16_t paths, Fidelity fidelity) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 8;
   ClosFabric fabric(sim, fc);
   auto hybrid = make_driver(sim, fabric, fidelity);
   EngineFleet fleet(sim, fabric);
 
-  const EndpointId a = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric.endpoint(0, 0);
+  const EndpointId b = fabric.endpoint(1, 0);
   TransportConfig t;
   t.algo = MultipathAlgo::kObs;
   t.num_paths = paths;

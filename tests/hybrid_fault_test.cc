@@ -1,5 +1,5 @@
 // Mode-transition fault regressions for the hybrid fidelity engine: a
-// fault landing mid-fluid-epoch must force the region down to packet mode
+// fault landing mid-fluid-epoch must force the fabric down to packet mode
 // (packet mode owns outages — retransmit/blacklist machinery routes around
 // them), the traffic must still complete exactly once, and the invariant
 // auditors must stay green across every freeze/thaw boundary.
@@ -14,7 +14,7 @@
 // in each direction: a message served partly in fluid and then thawed
 // (the thaw syncs the served prefix into reassembly, the packet tail
 // completes it), and a message completed at the receiver in packet mode
-// whose ACKs were on the wire when the region froze (the sender re-serves
+// whose ACKs were on the wire when the fabric froze (the sender re-serves
 // it in fluid, and the completion ledger swallows that second delivery).
 // Either way the message completes exactly once, with goodput equal to
 // its size. A zero-length WRITE whose packet is in flight at a freeze
@@ -39,8 +39,6 @@ FabricConfig small_fabric() {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 8;
   return fc;
 }
@@ -66,8 +64,8 @@ TEST(HybridFaultTest, LinkDownMidFluidEpochForcesPacketZoom) {
   TransportConfig t;
   t.algo = MultipathAlgo::kObs;
   t.num_paths = 8;
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), t);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), t);
   ASSERT_TRUE(conn.is_ok());
 
   FaultInjector injector(sim, fabric);
@@ -94,13 +92,13 @@ TEST(HybridFaultTest, LinkDownMidFluidEpochForcesPacketZoom) {
   RegionMode after_fault = RegionMode::kFluid;
   RegionMode during_outage = RegionMode::kFluid;
   sim.schedule_after(SimTime::micros(50),
-                     [&] { at_start = driver.region_mode(0); });
+                     [&] { at_start = driver.mode(); });
   sim.schedule_after(SimTime::micros(101),
-                     [&] { after_fault = driver.region_mode(0); });
+                     [&] { after_fault = driver.mode(); });
   // Long after the hold expired but while the link is still down: the
-  // region must NOT promote back to fluid over a dead link.
+  // fabric must NOT promote back to fluid over a dead link.
   sim.schedule_after(SimTime::micros(390),
-                     [&] { during_outage = driver.region_mode(0); });
+                     [&] { during_outage = driver.mode(); });
 
   AuditRegistry audits;
   add_audits(audits, sim, fabric, fleet);
@@ -110,11 +108,11 @@ TEST(HybridFaultTest, LinkDownMidFluidEpochForcesPacketZoom) {
   EXPECT_EQ(at_start, RegionMode::kFluid) << "run did not start fluid";
   EXPECT_EQ(after_fault, RegionMode::kPacket) << "fault did not force zoom";
   EXPECT_EQ(during_outage, RegionMode::kPacket)
-      << "region promoted to fluid over a down link";
+      << "fabric promoted to fluid over a down link";
   EXPECT_TRUE(done);
   EXPECT_TRUE(conn.value()->status().is_ok());
   EXPECT_GE(driver.transitions(), 2u);
-  EXPECT_EQ(fleet.at(fabric.endpoint(1, 0, 0, 0)).rx_goodput_bytes(),
+  EXPECT_EQ(fleet.at(fabric.endpoint(1, 0)).rx_goodput_bytes(),
             16_MiB);
 
   const AuditReport report = audits.run_all();
@@ -132,8 +130,8 @@ TEST(HybridFaultTest, SwitchDeathMidFluidEpochForcesPacketZoom) {
   TransportConfig t;
   t.algo = MultipathAlgo::kObs;
   t.num_paths = 8;
-  auto conn = fleet.connect(fabric.endpoint(0, 1, 0, 0),
-                            fabric.endpoint(1, 1, 0, 0), t);
+  auto conn = fleet.connect(fabric.endpoint(0, 1),
+                            fabric.endpoint(1, 1), t);
   ASSERT_TRUE(conn.is_ok());
 
   FaultInjector injector(sim, fabric);
@@ -156,7 +154,7 @@ TEST(HybridFaultTest, SwitchDeathMidFluidEpochForcesPacketZoom) {
 
   RegionMode after_fault = RegionMode::kFluid;
   sim.schedule_after(SimTime::micros(151),
-                     [&] { after_fault = driver.region_mode(0); });
+                     [&] { after_fault = driver.mode(); });
 
   AuditRegistry audits;
   add_audits(audits, sim, fabric, fleet);
@@ -184,8 +182,8 @@ TEST(HybridFaultTest, ReceiverRnicResetMidFluidRidesRetransmits) {
   t.num_paths = 8;
   t.rto = SimTime::micros(50);
   t.max_retries = 100;
-  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId src = fabric.endpoint(0, 0);
+  const EndpointId dst = fabric.endpoint(1, 0);
   auto conn = fleet.connect(src, dst, t);
   ASSERT_TRUE(conn.is_ok());
 
@@ -207,7 +205,7 @@ TEST(HybridFaultTest, ReceiverRnicResetMidFluidRidesRetransmits) {
 
   RegionMode after_fault = RegionMode::kFluid;
   sim.schedule_after(SimTime::micros(121),
-                     [&] { after_fault = driver.region_mode(0); });
+                     [&] { after_fault = driver.mode(); });
 
   AuditRegistry audits;
   add_audits(audits, sim, fabric, fleet);
@@ -236,16 +234,16 @@ TEST(HybridFaultTest, SenderResetErrorsFrozenClientWithoutWedgingRegion) {
   t.algo = MultipathAlgo::kObs;
   t.num_paths = 8;
   // Victim on host (0,0); bystander pair on different hosts of the same
-  // region keeps flowing after the victim's QPs fail fast.
-  auto victim = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                              fabric.endpoint(1, 0, 0, 0), t);
-  auto bystander = fleet.connect(fabric.endpoint(0, 1, 0, 0),
-                                 fabric.endpoint(1, 1, 0, 0), t);
+  // fabric keeps flowing after the victim's QPs fail fast.
+  auto victim = fleet.connect(fabric.endpoint(0, 0),
+                              fabric.endpoint(1, 0), t);
+  auto bystander = fleet.connect(fabric.endpoint(0, 1),
+                                 fabric.endpoint(1, 1), t);
   ASSERT_TRUE(victim.is_ok());
   ASSERT_TRUE(bystander.is_ok());
 
   FaultInjector injector(sim, fabric);
-  injector.register_engine(&fleet.at(fabric.endpoint(0, 0, 0, 0)));
+  injector.register_engine(&fleet.at(fabric.endpoint(0, 0)));
   FaultPlan plan;
   FaultEvent e;
   e.at = SimTime::micros(100);
@@ -278,38 +276,51 @@ TEST(HybridFaultTest, SenderResetErrorsFrozenClientWithoutWedgingRegion) {
   EXPECT_EQ(audits.total_findings(), 0u);
 }
 
-// Every event the driver schedules captures it. A driver destroyed while a
-// kick, a promotion tick and a zoom window are pending must cancel all
-// three, so a simulator that keeps running afterwards never calls into
-// freed memory (ASan reports the use-after-free if one survives).
+// Every event the driver schedules captures it, so a driver destroyed with
+// events pending must cancel exactly those, and a simulator that keeps
+// running afterwards never calls into freed memory (ASan reports the
+// use-after-free if one survives). This case leaves a kick and a zoom
+// window pending; the next one the promotion tick.
 TEST(HybridFaultTest, DestroyedDriverCancelsItsPendingEvents) {
   Simulator sim;
-  FabricConfig fc = small_fabric();
-  fc.planes = 2;  // region 0 stays fluid, region 1 zooms
-  ClosFabric fabric(sim, fc);
+  ClosFabric fabric(sim, small_fabric());
   auto driver = std::make_unique<HybridDriver>(sim, fabric);
   EngineFleet fleet(sim, fabric);
+  auto conn = fleet.connect(fabric.endpoint(0, 0), fabric.endpoint(1, 0), {});
+  ASSERT_TRUE(conn.is_ok());
 
-  auto fluid_conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                                  fabric.endpoint(1, 0, 0, 0), {});
-  auto packet_conn = fleet.connect(fabric.endpoint(0, 0, 0, 1),
-                                   fabric.endpoint(1, 0, 0, 1), {});
-  ASSERT_TRUE(fluid_conn.is_ok());
-  ASSERT_TRUE(packet_conn.is_ok());
-
+  const std::uint64_t before = sim.pending_events();
   driver->request_zoom_window(SimTime::micros(50), SimTime::micros(60));
   // A WRITE on a fluid connection activates its flow: a kick is pending.
-  fluid_conn.value()->post_write(1_MiB);
-  // A SEND zooms region 1; its live client arms the promotion tick.
+  conn.value()->post_write(1_MiB);
+  ASSERT_EQ(driver->mode(), RegionMode::kFluid);
+  ASSERT_EQ(sim.pending_events(), before + 2);
+
+  driver.reset();
+  EXPECT_EQ(sim.pending_events(), before)
+      << "the kick and the zoom window must both be cancelled";
+  sim.run();
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(HybridFaultTest, DestroyedDriverCancelsItsPromotionTick) {
+  Simulator sim;
+  ClosFabric fabric(sim, small_fabric());
+  auto driver = std::make_unique<HybridDriver>(sim, fabric);
+  EngineFleet fleet(sim, fabric);
+  auto conn = fleet.connect(fabric.endpoint(0, 0), fabric.endpoint(1, 0), {});
+  ASSERT_TRUE(conn.is_ok());
+
+  // A SEND zooms the fabric; its thawed packets and live client arm the
+  // promotion tick.
   bool sent = false;
-  packet_conn.value()->post_send(64_KiB, [&] { sent = true; });
-  ASSERT_EQ(driver->region_mode(0), RegionMode::kFluid);
-  ASSERT_EQ(driver->region_mode(1), RegionMode::kPacket);
+  conn.value()->post_send(64_KiB, [&] { sent = true; });
+  ASSERT_EQ(driver->mode(), RegionMode::kPacket);
 
   const std::uint64_t pending = sim.pending_events();
   driver.reset();
-  EXPECT_EQ(sim.pending_events(), pending - 3)
-      << "kick, tick and zoom window must all be cancelled";
+  EXPECT_EQ(sim.pending_events(), pending - 1)
+      << "the promotion tick must be cancelled";
   sim.run();
   EXPECT_TRUE(sim.empty());
   EXPECT_TRUE(sent) << "packet traffic must still drain without the driver";
@@ -335,7 +346,7 @@ TEST(HybridFaultTest, HotRestartMidFluidEpochZoomsFirst) {
     EngineFleet fleet(sim, fabric);
     std::vector<EndpointId> ranks;
     for (std::uint32_t i = 0; i < 4; ++i) {
-      ranks.push_back(fabric.endpoint(i % 2, i / 2, 0, 0));
+      ranks.push_back(fabric.endpoint(i % 2, i / 2));
     }
     AllReduceConfig cfg;
     cfg.data_bytes = 8_MiB;
@@ -345,9 +356,9 @@ TEST(HybridFaultTest, HotRestartMidFluidEpochZoomsFirst) {
     ring.start([&] { out.done = ring.status().is_ok(); });
     if (restart) {
       sim.schedule_at(SimTime::micros(200), [&] {
-        out.before = driver.region_mode(0);
+        out.before = driver.mode();
         out.restarted = fleet.at(ranks[1]).hot_restart().is_ok();
-        out.after = driver.region_mode(0);
+        out.after = driver.mode();
       });
     }
     AuditRegistry audits;
@@ -378,22 +389,22 @@ TEST(HybridFaultDeathTest, SaveStateOfFrozenConnectionDies) {
   ClosFabric fabric(sim, small_fabric());
   HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
-  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
-  auto conn = fleet.connect(src, fabric.endpoint(1, 0, 0, 0), {});
+  const EndpointId src = fabric.endpoint(0, 0);
+  auto conn = fleet.connect(src, fabric.endpoint(1, 0), {});
   ASSERT_TRUE(conn.is_ok());
   conn.value()->post_write(1_MiB);
   sim.run_until(SimTime::micros(5));
-  ASSERT_EQ(driver.region_mode(0), RegionMode::kFluid);
+  ASSERT_EQ(driver.mode(), RegionMode::kFluid);
   EXPECT_DEATH(fleet.at(src).save_state(), "under fluid service");
 }
 
 TEST(HybridReceiverTest, StraddlingMessageCompletesOnceWithFullGoodput) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric);  // regions start fluid
+  HybridDriver driver(sim, fabric);  // the fabric starts fluid
   EngineFleet fleet(sim, fabric);
-  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId src = fabric.endpoint(0, 0);
+  const EndpointId dst = fabric.endpoint(1, 0);
   auto conn = fleet.connect(src, dst, {});
   ASSERT_TRUE(conn.is_ok());
   std::vector<RxMessage> received;
@@ -410,7 +421,7 @@ TEST(HybridReceiverTest, StraddlingMessageCompletesOnceWithFullGoodput) {
   std::uint64_t synced = 0;
   RegionMode after_zoom = RegionMode::kFluid;
   sim.schedule_at(zoom_at, [&] {
-    after_zoom = driver.region_mode(0);
+    after_zoom = driver.mode();
     synced = fleet.at(dst).rx_goodput_bytes();
   });
   sim.run_until(SimTime::millis(5));
@@ -431,19 +442,19 @@ TEST(HybridReceiverTest, AbsorbedAcksDoNotDeliverTwice) {
   ClosFabric fabric(sim, small_fabric());
   HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
-  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId src = fabric.endpoint(0, 0);
+  const EndpointId dst = fabric.endpoint(1, 0);
   auto conn = fleet.connect(src, dst, {});
   ASSERT_TRUE(conn.is_ok());
 
-  // Packet mode from the start; quiet epochs promote the region back to
+  // Packet mode from the start; quiet epochs promote the fabric back to
   // fluid mid-stream, with the ACKs of messages the receiver already
   // completed still on the wire. The promotion tick only polls while other
   // events are pending, so a marker event keeps it alive.
   const SimTime end = SimTime::millis(5);
   sim.schedule_at(end, [] {});
   driver.request_zoom_window(SimTime::zero(), SimTime::micros(5));
-  ASSERT_EQ(driver.region_mode(0), RegionMode::kPacket);
+  ASSERT_EQ(driver.mode(), RegionMode::kPacket);
 
   constexpr int kMessages = 1000;
   constexpr std::uint64_t kBytes = 6000;  // two packets each
@@ -460,16 +471,15 @@ TEST(HybridReceiverTest, AbsorbedAcksDoNotDeliverTwice) {
   // At each freeze (a packet span ends): messages the receiver completed
   // whose sender has not seen the final ACK — their ACKs were absorbed.
   std::size_t absorbed_completions = 0;
-  driver.set_span_hook(
-      [&](std::uint32_t, RegionMode mode, SimTime, SimTime) {
-        if (mode != RegionMode::kPacket) return;
-        for (const auto& [id, count] : rx_count) {
-          if (!tx_done.contains(id)) ++absorbed_completions;
-        }
-      });
+  driver.set_span_hook([&](RegionMode mode, SimTime, SimTime) {
+    if (mode != RegionMode::kPacket) return;
+    for (const auto& [id, count] : rx_count) {
+      if (!tx_done.contains(id)) ++absorbed_completions;
+    }
+  });
   sim.run_until(end);
 
-  ASSERT_GT(driver.transitions(), 1u) << "the region never froze";
+  ASSERT_GT(driver.transitions(), 1u) << "the fabric never froze";
   ASSERT_GT(absorbed_completions, 0u)
       << "no freeze caught a receiver completion with its ACK in flight";
   EXPECT_GT(driver.absorbed_packets(), 0u);
@@ -485,27 +495,27 @@ TEST(HybridReceiverTest, AbsorbedAcksDoNotDeliverTwice) {
 
 TEST(HybridReceiverTest, ZeroLengthWriteInFlightAtFreezeCompletes) {
   // A zero-length WRITE still carries a packet in packet mode. One whose
-  // packet is on the wire when the region freezes must be re-queued by the
+  // packet is on the wire when the fabric freezes must be re-queued by the
   // freeze and complete under fluid service, exactly once at each end, as
-  // must the zero-length WRITEs posted once the region is fluid.
+  // must the zero-length WRITEs posted once the fabric is fluid.
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
   HybridDriver driver(sim, fabric);
   EngineFleet fleet(sim, fabric);
-  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId src = fabric.endpoint(0, 0);
+  const EndpointId dst = fabric.endpoint(1, 0);
   auto conn = fleet.connect(src, dst, {});
   ASSERT_TRUE(conn.is_ok());
   RdmaConnection& c = *conn.value();
 
-  // Packet mode first; quiet epochs then promote the region while a
+  // Packet mode first; quiet epochs then promote the fabric while a
   // zero-length WRITE posted every microsecond is always on the wire. The
   // promotion tick only polls while other events are pending, so a marker
   // event keeps it alive.
   const SimTime end = SimTime::millis(1);
   sim.schedule_at(end, [] {});
   driver.request_zoom_window(SimTime::zero(), SimTime::micros(5));
-  ASSERT_EQ(driver.region_mode(0), RegionMode::kPacket);
+  ASSERT_EQ(driver.mode(), RegionMode::kPacket);
   std::map<std::uint64_t, int> rx_count;
   fleet.at(dst).set_message_handler(
       [&](const RxMessage& m) { ++rx_count[m.msg_id]; });
@@ -518,16 +528,15 @@ TEST(HybridReceiverTest, ZeroLengthWriteInFlightAtFreezeCompletes) {
     });
   }
   int unfinished_at_freeze = -1;
-  driver.set_span_hook(
-      [&](std::uint32_t, RegionMode mode, SimTime, SimTime) {
-        if (mode == RegionMode::kPacket && unfinished_at_freeze < 0) {
-          unfinished_at_freeze = posted - sender_done;
-        }
-      });
+  driver.set_span_hook([&](RegionMode mode, SimTime, SimTime) {
+    if (mode == RegionMode::kPacket && unfinished_at_freeze < 0) {
+      unfinished_at_freeze = posted - sender_done;
+    }
+  });
   sim.run_until(end);
 
-  ASSERT_GT(driver.transitions(), 1u) << "the region never froze";
-  EXPECT_EQ(driver.region_mode(0), RegionMode::kFluid);
+  ASSERT_GT(driver.transitions(), 1u) << "the fabric never froze";
+  EXPECT_EQ(driver.mode(), RegionMode::kFluid);
   ASSERT_GT(unfinished_at_freeze, 0)
       << "no zero-length WRITE was in flight at the freeze";
   EXPECT_EQ(sender_done, posted);

@@ -19,8 +19,6 @@ TEST(EngineFleetTest, AtIsIdempotent) {
   FabricConfig fc;
   fc.segments = 1;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 1;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
@@ -34,13 +32,11 @@ TEST(EngineFleetTest, ConnectInstantiatesBothSides) {
   FabricConfig fc;
   fc.segments = 1;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 1;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(0, 1, 0, 0), {});
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(0, 1), {});
   ASSERT_TRUE(conn.is_ok());
   conn.value()->post_write(1_MiB);
   sim.run();
@@ -53,8 +49,6 @@ TEST(EngineFleetTest, ForEachEngineVisitsAscendingEndpoints) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 4;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 1;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);

@@ -19,8 +19,6 @@ FabricConfig tiny_fabric() {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 2;
   return fc;
 }

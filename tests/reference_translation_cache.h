@@ -4,10 +4,13 @@
 // shares no code with the extent cache, so the differential tests in
 // translation_cache_test.cc and ats_run_test.cc hold the production cache
 // to an independent model of the per-page LRU it must reproduce.
+//
+// Each tenant also keeps its own recency list of its pages, in the global
+// list's order, so a share-capped install finds the tenant's coldest page
+// at that list's tail instead of scanning the global list for it.
 #pragma once
 
 #include <cstdint>
-#include <iterator>
 #include <list>
 #include <map>
 #include <unordered_map>
@@ -31,8 +34,11 @@ class ReferenceTranslationCache {
       return nullptr;
     }
     ++hits_;
-    order_.splice(order_.begin(), order_, it->second);
-    return &it->second->hpa;
+    Slot& slot = it->second;
+    order_.splice(order_.begin(), order_, slot.order);
+    std::list<std::uint64_t>& mine = by_tenant_[slot.order->tenant];
+    mine.splice(mine.begin(), mine, slot.tenant_order);
+    return &slot.order->hpa;
   }
 
   /// Install `page -> hpa` for `tenant` after lookup(page) missed.
@@ -40,22 +46,21 @@ class ReferenceTranslationCache {
     if (capacity_ == 0) return;
     auto share = share_.find(tenant);
     if (share != share_.end() && occupancy(tenant) >= share->second) {
-      // The tenant's own coldest page, searched from the LRU end.
-      for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-        if (it->tenant != tenant) continue;
-        ++self_evictions_;
-        remove(std::next(it).base());
-        break;
-      }
+      // The tenant's own coldest page.
+      ++self_evictions_;
+      remove(by_tenant_[tenant].back());
     }
-    if (index_.size() >= capacity_) remove(std::prev(order_.end()));
+    if (index_.size() >= capacity_) remove(order_.back().page);
     order_.push_front(Entry{page.value(), hpa, tenant});
-    index_[page.value()] = order_.begin();
+    std::list<std::uint64_t>& mine = by_tenant_[tenant];
+    mine.push_front(page.value());
+    index_[page.value()] = Slot{order_.begin(), mine.begin()};
     ++occupancy_[tenant];
   }
 
   void clear() {
     order_.clear();
+    by_tenant_.clear();
     index_.clear();
     occupancy_.clear();
   }
@@ -88,17 +93,28 @@ class ReferenceTranslationCache {
     TenantId tenant;
   };
 
-  void remove(std::list<Entry>::iterator it) {
+  /// Where a cached page sits in the global list and in its tenant's.
+  struct Slot {
+    std::list<Entry>::iterator order;
+    std::list<std::uint64_t>::iterator tenant_order;
+  };
+
+  void remove(std::uint64_t page) {
     ++evictions_;
-    auto owner = occupancy_.find(it->tenant);
+    auto it = index_.find(page);
+    const TenantId tenant = it->second.order->tenant;
+    auto owner = occupancy_.find(tenant);
     if (--owner->second == 0) occupancy_.erase(owner);
-    index_.erase(it->page);
-    order_.erase(it);
+    by_tenant_[tenant].erase(it->second.tenant_order);
+    order_.erase(it->second.order);
+    index_.erase(it);
   }
 
   std::size_t capacity_;
   std::list<Entry> order_;  // MRU at the front
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  // Per tenant, its pages in order_'s order (MRU at the front).
+  std::map<TenantId, std::list<std::uint64_t>> by_tenant_;
+  std::unordered_map<std::uint64_t, Slot> index_;
   std::map<TenantId, std::size_t> share_;
   std::map<TenantId, std::size_t> occupancy_;
   std::uint64_t self_evictions_ = 0;

@@ -74,8 +74,6 @@ RunResult run_mini_permutation(bool with_audit) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 4;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 4;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
@@ -88,7 +86,7 @@ RunResult run_mini_permutation(bool with_audit) {
   std::vector<EndpointId> eps;
   for (std::uint32_t s = 0; s < 2; ++s) {
     for (std::uint32_t h = 0; h < 4; ++h) {
-      eps.push_back(fabric.endpoint(s, h, 0, 0));
+      eps.push_back(fabric.endpoint(s, h));
     }
   }
 

@@ -110,8 +110,6 @@ FabricConfig tiny_fabric() {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 2;
   return fc;
 }
@@ -123,8 +121,8 @@ TEST(TransportSnapshotTest, HotRestartProvesByteIdenticalRoundTripMidTraffic) {
 
   TransportConfig tc;
   tc.num_paths = 4;
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), tc);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), tc);
   ASSERT_TRUE(conn.is_ok());
 
   bool done = false;
@@ -135,7 +133,7 @@ TEST(TransportSnapshotTest, HotRestartProvesByteIdenticalRoundTripMidTraffic) {
   // hot_restart() serializes, rebuilds from the bytes, and *fails with
   // kInternal* unless re-serializing reproduces the exact snapshot — its
   // OK result is the byte-identity proof, taken mid-traffic.
-  RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0, 0, 0));
+  RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0));
   auto snap = engine.hot_restart();
   ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();
   EXPECT_GT(snap.value().size(), 0u);
@@ -156,8 +154,8 @@ TEST(TransportSnapshotTest, RestoreReachesByteStableFixedPointMidTraffic) {
 
   TransportConfig tc;
   tc.num_paths = 4;
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), tc);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), tc);
   ASSERT_TRUE(conn.is_ok());
   conn.value()->post_write(1_MiB, {});
   sim.run_until(SimTime::micros(15));
@@ -167,7 +165,7 @@ TEST(TransportSnapshotTest, RestoreReachesByteStableFixedPointMidTraffic) {
   // admits, so the *first* application may legitimately advance past the
   // paused snapshot. One application must reach a fixed point, though:
   // restoring the engine's own freshest snapshot is byte-stable.
-  RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0, 0, 0));
+  RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0));
   ASSERT_TRUE(engine.restore_state(engine.save_state()).is_ok());
   const std::string stable = engine.save_state();
   ASSERT_TRUE(engine.restore_state(stable).is_ok());
@@ -178,7 +176,7 @@ TEST(TransportSnapshotTest, RestoreReachesByteStableFixedPointMidTraffic) {
   sim.run();
   EXPECT_TRUE(conn.value()->idle());
   EXPECT_TRUE(conn.value()->status().is_ok());
-  EXPECT_EQ(fleet.at(fabric.endpoint(1, 0, 0, 0)).rx_goodput_bytes(), 1_MiB);
+  EXPECT_EQ(fleet.at(fabric.endpoint(1, 0)).rx_goodput_bytes(), 1_MiB);
 }
 
 TEST(TransportSnapshotTest, IdenticalRunsProduceIdenticalBytes) {
@@ -188,12 +186,12 @@ TEST(TransportSnapshotTest, IdenticalRunsProduceIdenticalBytes) {
     EngineFleet fleet(sim, fabric);
     TransportConfig tc;
     tc.num_paths = 8;
-    auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                              fabric.endpoint(1, 1, 0, 0), tc);
+    auto conn = fleet.connect(fabric.endpoint(0, 0),
+                              fabric.endpoint(1, 1), tc);
     EXPECT_TRUE(conn.is_ok());
     conn.value()->post_write(512_KiB, {});
     sim.run_until(SimTime::micros(40));
-    return fleet.at(fabric.endpoint(0, 0, 0, 0)).save_state();
+    return fleet.at(fabric.endpoint(0, 0)).save_state();
   };
   const std::string a = run_once();
   const std::string b = run_once();
@@ -212,8 +210,8 @@ TEST(TransportSnapshotTest, PathAckedButNeverTimedOutIsSavedWithZeroStreak) {
   TransportConfig tc;
   tc.num_paths = 4;
   tc.algo = MultipathAlgo::kRoundRobin;
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), tc);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), tc);
   ASSERT_TRUE(conn.is_ok());
   conn.value()->post_write(64_KiB, {});
   sim.run();
@@ -232,12 +230,12 @@ TEST(TransportSnapshotTest, PathAckedButNeverTimedOutIsSavedWithZeroStreak) {
   }
   tail.u32(0);  // blacklisted paths
   conn.value()->cc().save(tail);
-  const std::string snap = fleet.at(fabric.endpoint(0, 0, 0, 0)).save_state();
+  const std::string snap = fleet.at(fabric.endpoint(0, 0)).save_state();
   ASSERT_GE(snap.size(), tail.bytes().size());
   EXPECT_EQ(snap.substr(snap.size() - tail.bytes().size()), tail.bytes());
 
   // And the zero streaks survive a restore byte for byte.
-  RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0, 0, 0));
+  RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0));
   auto restarted = engine.hot_restart();
   ASSERT_TRUE(restarted.is_ok()) << restarted.status().to_string();
   EXPECT_EQ(engine.save_state().substr(snap.size() - tail.bytes().size()),
@@ -265,11 +263,11 @@ TEST(TransportSnapshotTest, PerPathCcMidRecoveryRoundTripsAndPinsBytes) {
     tc.cc_algo = algo;
     tc.blacklist_hold = SimTime::micros(500);
     tc.probe_interval = SimTime::micros(100);
-    auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                              fabric.endpoint(1, 0, 0, 0), tc);
+    auto conn = fleet.connect(fabric.endpoint(0, 0),
+                              fabric.endpoint(1, 0), tc);
     ASSERT_TRUE(conn.is_ok());
     RdmaConnection& c = *conn.value();
-    NetLink& uplink = fabric.tor_uplink(0, 0, 0, 1);
+    NetLink& uplink = fabric.tor_uplink(0, 1);
     uplink.set_drop_probability(1.0);
 
     bool done = false;
@@ -279,7 +277,7 @@ TEST(TransportSnapshotTest, PerPathCcMidRecoveryRoundTripsAndPinsBytes) {
     ASSERT_GT(c.retransmits(), 0u);
     ASSERT_EQ(c.probes_sent(), 0u) << "the probe is not pending any more";
 
-    RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0, 0, 0));
+    RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0));
     std::vector<std::uint64_t> windows;
     for (std::uint16_t path = 0; path < tc.num_paths; ++path) {
       windows.push_back(c.cc(path).window());
@@ -328,12 +326,12 @@ TEST(TransportSnapshotTest, RestoreRejectsForeignEngine) {
   ClosFabric fabric(sim, tiny_fabric());
   EngineFleet fleet(sim, fabric);
   TransportConfig tc;
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), tc);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), tc);
   ASSERT_TRUE(conn.is_ok());
 
-  const std::string snap = fleet.at(fabric.endpoint(0, 0, 0, 0)).save_state();
-  RdmaEngine& other = fleet.at(fabric.endpoint(1, 0, 0, 0));
+  const std::string snap = fleet.at(fabric.endpoint(0, 0)).save_state();
+  RdmaEngine& other = fleet.at(fabric.endpoint(1, 0));
   const Status s = other.restore_state(snap);
   EXPECT_FALSE(s.is_ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
@@ -343,7 +341,7 @@ TEST(TransportSnapshotTest, RestoreRejectsCorruptBytes) {
   Simulator sim;
   ClosFabric fabric(sim, tiny_fabric());
   EngineFleet fleet(sim, fabric);
-  RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0, 0, 0));
+  RdmaEngine& engine = fleet.at(fabric.endpoint(0, 0));
   std::string snap = engine.save_state();
 
   std::string truncated = snap.substr(0, snap.size() / 2);

@@ -1,7 +1,6 @@
 // Fabric trace hook: per-hop trajectories must match the topology and be
 // attributable to the sender-chosen path id (§7.1 observability) — for
-// data packets, for the ACKs flowing back, and per rail on multi-rail
-// fabrics.
+// data packets and for the ACKs flowing back.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -18,8 +17,6 @@ TEST(TraceTest, HopSequenceMatchesTopology) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 4;
   ClosFabric fabric(sim, fc);
 
@@ -31,11 +28,11 @@ TEST(TraceTest, HopSequenceMatchesTopology) {
   fabric.set_trace_hook([&](const NetPacket& p, const NetLink* link, SimTime) {
     if (!p.is_ack) hops.push_back({link ? link->name() : "", p.psn});
   });
-  fabric.set_handler(fabric.endpoint(1, 0, 0, 0), [](NetPacket&&) {});
+  fabric.set_handler(fabric.endpoint(1, 0), [](NetPacket&&) {});
 
   NetPacket p;
-  p.src = fabric.endpoint(0, 0, 0, 0);
-  p.dst = fabric.endpoint(1, 0, 0, 0);
+  p.src = fabric.endpoint(0, 0);
+  p.dst = fabric.endpoint(1, 0);
   p.conn_id = 5;
   p.path_id = 2;
   p.payload = 4096;
@@ -56,17 +53,15 @@ TEST(TraceTest, IntraSegmentSkipsAggregation) {
   FabricConfig fc;
   fc.segments = 1;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 2;
   ClosFabric fabric(sim, fc);
   int hop_count = 0;
   fabric.set_trace_hook(
       [&](const NetPacket&, const NetLink*, SimTime) { ++hop_count; });
-  fabric.set_handler(fabric.endpoint(0, 1, 0, 0), [](NetPacket&&) {});
+  fabric.set_handler(fabric.endpoint(0, 1), [](NetPacket&&) {});
   NetPacket p;
-  p.src = fabric.endpoint(0, 0, 0, 0);
-  p.dst = fabric.endpoint(0, 1, 0, 0);
+  p.src = fabric.endpoint(0, 0);
+  p.dst = fabric.endpoint(0, 1);
   p.payload = 64;
   ASSERT_TRUE(fabric.send(std::move(p)).is_ok());
   sim.run();
@@ -78,8 +73,6 @@ TEST(TraceTest, AckHopSequenceMirrorsDataPath) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 4;
   ClosFabric fabric(sim, fc);
 
@@ -88,8 +81,8 @@ TEST(TraceTest, AckHopSequenceMirrorsDataPath) {
     (p.is_ack ? ack_hops : data_hops).push_back(link ? link->name() : "");
   });
 
-  const EndpointId src = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId src = fabric.endpoint(0, 0);
+  const EndpointId dst = fabric.endpoint(1, 0);
   fabric.set_handler(src, [](NetPacket&&) {});
   // Receiver acknowledges each data packet on the path it arrived on.
   fabric.set_handler(dst, [&fabric, src, dst](NetPacket&& p) {
@@ -119,78 +112,12 @@ TEST(TraceTest, AckHopSequenceMirrorsDataPath) {
   // segment 0's ToR downlink last).
   ASSERT_EQ(data_hops.size(), 5u);
   ASSERT_EQ(ack_hops.size(), 5u);
-  EXPECT_EQ(data_hops[0], "host_up[0.0.0.0]");
-  EXPECT_EQ(ack_hops[0], "host_up[1.0.0.0]");
+  EXPECT_EQ(data_hops[0], "host_up[0.0]");
+  EXPECT_EQ(ack_hops[0], "host_up[1.0]");
   EXPECT_EQ(ack_hops[1].substr(0, 6), "tor_up");
   EXPECT_EQ(ack_hops[2].substr(0, 8), "agg_down");
-  EXPECT_EQ(ack_hops[3], "tor_down[0.0.0.0]");
+  EXPECT_EQ(ack_hops[3], "tor_down[0.0]");
   EXPECT_TRUE(ack_hops[4].empty());  // delivery back at the sender
-}
-
-/// Rail component of a fabric link name: host_up[s.h.r.p], tor_down[s.h.r.p]
-/// and agg_down[a.s.r.p] carry it third; tor_up[s.r.p.a] carries it second.
-int rail_component(const std::string& name) {
-  const std::size_t lb = name.find('[');
-  if (lb == std::string::npos) return -1;
-  std::vector<int> parts;
-  int cur = 0;
-  for (std::size_t i = lb + 1; i < name.size(); ++i) {
-    if (name[i] == '.' || name[i] == ']') {
-      parts.push_back(cur);
-      cur = 0;
-    } else {
-      cur = cur * 10 + (name[i] - '0');
-    }
-  }
-  if (parts.size() != 4) return -1;
-  const std::string kind = name.substr(0, lb);
-  if (kind == "tor_up") return parts[1];
-  if (kind == "host_up" || kind == "tor_down" || kind == "agg_down") {
-    return parts[2];
-  }
-  return -1;
-}
-
-TEST(TraceTest, MultiRailHopsAttributeToTheSendingRail) {
-  Simulator sim;
-  FabricConfig fc;
-  fc.segments = 2;
-  fc.hosts_per_segment = 2;
-  fc.rails = 2;
-  fc.planes = 1;
-  fc.aggs_per_plane = 4;
-  ClosFabric fabric(sim, fc);
-
-  // conn_id encodes the sending rail; collect each connection's link hops.
-  std::map<std::uint64_t, std::vector<std::string>> hops;
-  fabric.set_trace_hook([&](const NetPacket& p, const NetLink* link, SimTime) {
-    if (link != nullptr) hops[p.conn_id].push_back(link->name());
-  });
-
-  for (std::uint32_t rail = 0; rail < 2; ++rail) {
-    fabric.set_handler(fabric.endpoint(1, 0, rail, 0), [](NetPacket&&) {});
-    NetPacket p;
-    p.src = fabric.endpoint(0, 0, rail, 0);
-    p.dst = fabric.endpoint(1, 0, rail, 0);
-    p.conn_id = rail;
-    p.path_id = 1;
-    p.payload = 1024;
-    ASSERT_TRUE(fabric.send(std::move(p)).is_ok());
-  }
-  sim.run();
-
-  // Rail-optimized fabric: every hop of rail r's packet rides a rail-r
-  // link, and the two trajectories share no links at all.
-  ASSERT_EQ(hops.size(), 2u);
-  for (std::uint32_t rail = 0; rail < 2; ++rail) {
-    ASSERT_EQ(hops[rail].size(), 4u) << "rail " << rail;
-    for (const std::string& name : hops[rail]) {
-      EXPECT_EQ(rail_component(name), static_cast<int>(rail)) << name;
-    }
-  }
-  for (const std::string& a : hops[0]) {
-    for (const std::string& b : hops[1]) EXPECT_NE(a, b);
-  }
 }
 
 TEST(TraceTest, PathIdAttributionAcrossSpray) {
@@ -198,8 +125,6 @@ TEST(TraceTest, PathIdAttributionAcrossSpray) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 8;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
@@ -218,8 +143,8 @@ TEST(TraceTest, PathIdAttributionAcrossSpray) {
   TransportConfig t;
   t.algo = MultipathAlgo::kObs;
   t.num_paths = 32;
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                            fabric.endpoint(1, 0, 0, 0), t);
+  auto conn = fleet.connect(fabric.endpoint(0, 0),
+                            fabric.endpoint(1, 0), t);
   conn.value()->post_write(8_MiB);
   sim.run();
 

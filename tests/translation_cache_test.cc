@@ -306,8 +306,8 @@ TEST(LruCacheTest, MatchesReferenceLruUnderRandomOps) {
       const RangeMap<IoVa, Hpa> table = make_table(rng, window);
       Differential d(capacity, table);
       const auto draw = [&](std::uint64_t n) { return rng() % n; };
-      // The reference's self-evictions scan from its LRU end, so the large
-      // cache gets fewer operations.
+      // The large cache gets fewer operations: its long runs each walk
+      // thousands of pages.
       const int ops = capacity >= 1000 ? 300 : 40'000;
       for (int op = 0; op < ops; ++op) {
         SCOPED_TRACE(::testing::Message() << "op " << op);

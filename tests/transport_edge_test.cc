@@ -95,8 +95,6 @@ FabricConfig fabric_config() {
   FabricConfig cfg;
   cfg.segments = 2;
   cfg.hosts_per_segment = 2;
-  cfg.rails = 1;
-  cfg.planes = 1;
   cfg.aggs_per_plane = 8;
   return cfg;
 }
@@ -105,8 +103,8 @@ class TransportEdgeTest : public ::testing::Test {
  protected:
   TransportEdgeTest()
       : fabric_(sim_, fabric_config()), fleet_(sim_, fabric_) {
-    a_ = fabric_.endpoint(0, 0, 0, 0);
-    b_ = fabric_.endpoint(1, 0, 0, 0);
+    a_ = fabric_.endpoint(0, 0);
+    b_ = fabric_.endpoint(1, 0);
   }
   Simulator sim_;
   ClosFabric fabric_;
@@ -176,7 +174,7 @@ TEST_F(TransportEdgeTest, SwiftCcDeliversAtLineRate) {
 }
 
 TEST_F(TransportEdgeTest, SwiftCcSurvivesLoss) {
-  for (NetLink* l : fabric_.tor_uplinks(0, 0, 0)) {
+  for (NetLink* l : fabric_.tor_uplinks(0)) {
     l->set_drop_probability(0.02);
   }
   TransportConfig t;
@@ -276,13 +274,13 @@ TEST_F(TransportEdgeTest, ErrorHandlerBeforeErrorFiresExactlyOnce) {
 TEST(TransportFluidTest, RemainingCounterMatchesQueueWalk) {
   Simulator sim;
   ClosFabric fabric(sim, fabric_config());
-  HybridDriver driver(sim, fabric);  // regions start fluid
+  HybridDriver driver(sim, fabric);  // the fabric starts fluid
   EngineFleet fleet(sim, fabric);
-  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0), dst, {});
+  const EndpointId dst = fabric.endpoint(1, 0);
+  auto conn = fleet.connect(fabric.endpoint(0, 0), dst, {});
   // A second flow into the same host: each of its posts re-rates `c`,
   // which serves c's accrued bytes mid-message.
-  auto other = fleet.connect(fabric.endpoint(0, 1, 0, 0), dst, {});
+  auto other = fleet.connect(fabric.endpoint(0, 1), dst, {});
   ASSERT_TRUE(conn.is_ok());
   ASSERT_TRUE(other.is_ok());
   RdmaConnection& c = *conn.value();
@@ -291,14 +289,13 @@ TEST(TransportFluidTest, RemainingCounterMatchesQueueWalk) {
   // While fluid, nothing is in flight: between fluid events the driver's
   // counter and the queue walk must agree.
   const auto expect_walk = [&](const char* step) {
-    ASSERT_EQ(driver.region_mode(0), RegionMode::kFluid) << step;
+    ASSERT_EQ(driver.mode(), RegionMode::kFluid) << step;
     EXPECT_EQ(demand(), TransportTestPeer::queued_write_bytes(c)) << step;
   };
   std::vector<SimTime> zooms;  // ends of fluid spans
-  driver.set_span_hook(
-      [&](std::uint32_t, RegionMode mode, SimTime, SimTime end) {
-        if (mode == RegionMode::kFluid) zooms.push_back(end);
-      });
+  driver.set_span_hook([&](RegionMode mode, SimTime, SimTime end) {
+    if (mode == RegionMode::kFluid) zooms.push_back(end);
+  });
 
   // The promotion tick only polls while other events are pending.
   sim.schedule_at(SimTime::micros(200), [] {});
@@ -314,8 +311,8 @@ TEST(TransportFluidTest, RemainingCounterMatchesQueueWalk) {
   EXPECT_EQ(demand(), 15000u);
 
   // Deferred zoom: when `d` completes, its callback (run while the driver
-  // is serving the region) posts a SEND and then a WRITE on the drained
-  // `c`. The SEND zooms the region once the serve pass ends; the WRITE
+  // is serving the fabric) posts a SEND and then a WRITE on the drained
+  // `c`. The SEND zooms the fabric once the serve pass ends; the WRITE
   // queued behind it must not become demand, let alone a fluid flow.
   struct {
     SimTime at;
@@ -330,7 +327,7 @@ TEST(TransportFluidTest, RemainingCounterMatchesQueueWalk) {
       c.post_send(2000, [&] { sent = true; });
       c.post_write(7000, done);
       in_cb.at = sim.now();
-      in_cb.mode = driver.region_mode(0);
+      in_cb.mode = driver.mode();
       in_cb.demand = demand();
       in_cb.walk = TransportTestPeer::queued_write_bytes(c);
       in_cb.flow = HybridDriverTestPeer::has_flow(driver, c);
@@ -347,14 +344,14 @@ TEST(TransportFluidTest, RemainingCounterMatchesQueueWalk) {
   EXPECT_EQ(completions, 3);
 
   sim.run_until(SimTime::micros(20));
-  ASSERT_EQ(zooms.size(), 1u) << "the SEND did not zoom the region";
+  ASSERT_EQ(zooms.size(), 1u) << "the SEND did not zoom the fabric";
   EXPECT_EQ(zooms[0], in_cb.at) << "the zoom was not at the SEND's time";
   EXPECT_EQ(in_cb.mode, RegionMode::kFluid) << "zoom inside a serve pass";
   EXPECT_EQ(in_cb.walk, 0u);
   EXPECT_EQ(in_cb.demand, 0u) << "a WRITE behind a SEND accrued demand";
   EXPECT_FALSE(in_cb.flow) << "a WRITE behind a SEND became a fluid flow";
 
-  // Packet mode drains the queue; quiet epochs then promote the region
+  // Packet mode drains the queue; quiet epochs then promote the fabric
   // and freeze the connection again, which resets its demand. The
   // marker event above keeps the promotion tick polling.
   sim.run_until(SimTime::micros(200));
@@ -385,11 +382,11 @@ TEST(TransportFluidTest, CachedNextCompletionMatchesClient) {
   // equal fluid_next_completion_bytes() through every way the head moves.
   Simulator sim;
   ClosFabric fabric(sim, fabric_config());
-  HybridDriver driver(sim, fabric);  // regions start fluid
+  HybridDriver driver(sim, fabric);  // the fabric starts fluid
   EngineFleet fleet(sim, fabric);
-  const EndpointId dst = fabric.endpoint(1, 0, 0, 0);
-  auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0), dst, {});
-  auto other = fleet.connect(fabric.endpoint(0, 1, 0, 0), dst, {});
+  const EndpointId dst = fabric.endpoint(1, 0);
+  auto conn = fleet.connect(fabric.endpoint(0, 0), dst, {});
+  auto other = fleet.connect(fabric.endpoint(0, 1), dst, {});
   ASSERT_TRUE(conn.is_ok());
   ASSERT_TRUE(other.is_ok());
   RdmaConnection& c = *conn.value();
@@ -398,15 +395,14 @@ TEST(TransportFluidTest, CachedNextCompletionMatchesClient) {
     return HybridDriverTestPeer::cached_next(driver, x);
   };
   const auto expect_cache = [&](const char* step) {
-    ASSERT_EQ(driver.region_mode(0), RegionMode::kFluid) << step;
+    ASSERT_EQ(driver.mode(), RegionMode::kFluid) << step;
     EXPECT_EQ(cached(c), c.fluid_next_completion_bytes()) << step << " (c)";
     EXPECT_EQ(cached(d), d.fluid_next_completion_bytes()) << step << " (d)";
   };
   std::vector<SimTime> zooms;  // ends of fluid spans
-  driver.set_span_hook(
-      [&](std::uint32_t, RegionMode mode, SimTime, SimTime end) {
-        if (mode == RegionMode::kFluid) zooms.push_back(end);
-      });
+  driver.set_span_hook([&](RegionMode mode, SimTime, SimTime end) {
+    if (mode == RegionMode::kFluid) zooms.push_back(end);
+  });
   // The promotion tick only polls while other events are pending.
   sim.schedule_at(SimTime::micros(200), [] {});
 
@@ -483,7 +479,7 @@ TEST(TransportFluidTest, CachedNextCompletionMatchesClient) {
   expect_cache("post onto a drained flow in the same event");
 
   // A WRITE behind a SEND (deferred zoom): d's completion callback, run
-  // while the driver serves the region, posts a SEND and then a WRITE on
+  // while the driver serves the fabric, posts a SEND and then a WRITE on
   // the drained c. The SEND heads c's queue, so the next completion reads
   // 0, and the blocked WRITE behind it must not change that.
   std::uint64_t blocked_cache = 1;
@@ -494,18 +490,18 @@ TEST(TransportFluidTest, CachedNextCompletionMatchesClient) {
     d.post_write(64_KiB, [&] {
       c.post_send(2000, [&] { sent = true; });
       c.post_write(7000, done);
-      blocked_mode = driver.region_mode(0);
+      blocked_mode = driver.mode();
       blocked_cache = cached(c);
       blocked_next = c.fluid_next_completion_bytes();
     });
   });
   sim.run_until(SimTime::micros(60));
-  ASSERT_EQ(zooms.size(), 1u) << "the SEND did not zoom the region";
+  ASSERT_EQ(zooms.size(), 1u) << "the SEND did not zoom the fabric";
   EXPECT_EQ(blocked_mode, RegionMode::kFluid) << "zoom inside a serve pass";
   EXPECT_EQ(blocked_next, 0u);
   EXPECT_EQ(blocked_cache, 0u);
 
-  // Packet mode drains the queue; quiet epochs then promote the region,
+  // Packet mode drains the queue; quiet epochs then promote the fabric,
   // and the freeze re-reads the (empty) head.
   sim.run_until(SimTime::micros(200));
   EXPECT_TRUE(sent);
@@ -566,8 +562,8 @@ TEST(TransportFluidTest, ReadRequestsDoNotStallTheCompletedLedger) {
   HybridDriver driver(sim, fabric);
   driver.force_packet(SimTime::seconds(1), "test");  // packet mode only
   EngineFleet fleet(sim, fabric);
-  const EndpointId a = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric.endpoint(0, 0);
+  const EndpointId b = fabric.endpoint(1, 0);
   auto conn = fleet.connect(a, b, {});
   ASSERT_TRUE(conn.is_ok());
   RdmaConnection& c = *conn.value();
@@ -580,7 +576,7 @@ TEST(TransportFluidTest, ReadRequestsDoNotStallTheCompletedLedger) {
   sim.run();
   EXPECT_EQ(reads, 20);
   EXPECT_EQ(writes, 200);
-  EXPECT_EQ(driver.region_mode(0), RegionMode::kPacket);
+  EXPECT_EQ(driver.mode(), RegionMode::kPacket);
   EXPECT_EQ(TransportTestPeer::ledger_floor(fleet.at(b), c.id()), 220u);
   EXPECT_EQ(TransportTestPeer::ledger_above_floor(fleet.at(b), c.id()), 0u);
 }
@@ -663,8 +659,8 @@ TEST(TransportRtoTest, DeadlineMatchesFullScan) {
   Simulator sim;
   ClosFabric fabric(sim, fabric_config());
   EngineFleet fleet(sim, fabric);
-  const EndpointId a = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric.endpoint(0, 0);
+  const EndpointId b = fabric.endpoint(1, 0);
   for (NetLink* l : fabric.all_tor_uplinks()) l->set_drop_probability(0.05);
   TransportConfig t;
   t.num_paths = 16;
@@ -735,6 +731,18 @@ TEST_F(TransportEdgeTest, ErrorStateAfterPeerUnreachable) {
   EXPECT_FALSE(done);
   EXPECT_TRUE(conn.value()->in_error());
   EXPECT_TRUE(sim_.empty());  // no orphan RTO timers after the QP errors
+}
+
+TEST_F(TransportEdgeTest, ConnectToNonexistentEndpointIsRejected) {
+  RdmaEngine& engine = fleet_.at(a_);
+  const std::size_t before = engine.connections().size();
+  for (const EndpointId remote :
+       {fabric_.endpoint_count(), fabric_.endpoint_count() + 7}) {
+    const auto conn = engine.connect(remote, {});
+    ASSERT_FALSE(conn.is_ok());
+    EXPECT_EQ(conn.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engine.connections().size(), before);
 }
 
 }  // namespace

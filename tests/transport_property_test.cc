@@ -14,8 +14,6 @@ FabricConfig fabric_config() {
   FabricConfig cfg;
   cfg.segments = 2;
   cfg.hosts_per_segment = 2;
-  cfg.rails = 1;
-  cfg.planes = 1;
   cfg.aggs_per_plane = 8;
   return cfg;
 }
@@ -31,7 +29,7 @@ TEST_P(TransportPropertyTest, ExactlyOnceDeliveryAndQuiescence) {
   EngineFleet fleet(sim, fabric);
 
   if (loss_pct > 0) {
-    for (NetLink* l : fabric.tor_uplinks(0, 0, 0)) {
+    for (NetLink* l : fabric.tor_uplinks(0)) {
       l->set_drop_probability(loss_pct / 100.0);
     }
   }
@@ -39,8 +37,8 @@ TEST_P(TransportPropertyTest, ExactlyOnceDeliveryAndQuiescence) {
   TransportConfig t;
   t.algo = algo;
   t.num_paths = static_cast<std::uint16_t>(paths);
-  const EndpointId a = fabric.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric.endpoint(0, 0);
+  const EndpointId b = fabric.endpoint(1, 0);
   auto conn = fleet.connect(a, b, t);
   ASSERT_TRUE(conn.is_ok());
 

@@ -11,8 +11,6 @@ FabricConfig two_segment_config() {
   FabricConfig cfg;
   cfg.segments = 2;
   cfg.hosts_per_segment = 4;
-  cfg.rails = 1;
-  cfg.planes = 1;
   cfg.aggs_per_plane = 4;
   return cfg;
 }
@@ -35,8 +33,8 @@ class TransportTest : public ::testing::Test {
 };
 
 TEST_F(TransportTest, SingleMessageDelivered) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 0);
   auto conn = fleet_.connect(a, b, obs_transport());
   ASSERT_TRUE(conn.is_ok());
 
@@ -57,8 +55,8 @@ TEST_F(TransportTest, SingleMessageDelivered) {
 }
 
 TEST_F(TransportTest, ManyMessagesAllComplete) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 1, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 1);
   auto conn = fleet_.connect(a, b, obs_transport());
   ASSERT_TRUE(conn.is_ok());
   int completions = 0;
@@ -71,14 +69,14 @@ TEST_F(TransportTest, ManyMessagesAllComplete) {
 }
 
 TEST_F(TransportTest, SprayingProducesOutOfOrderArrivals) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 0);
   auto conn = fleet_.connect(a, b, obs_transport(128));
   ASSERT_TRUE(conn.is_ok());
   // Asymmetric paths: one aggregation uplink is degraded (flapping optic),
   // so packets sprayed through it lag their successors — on a perfectly
   // symmetric idle fabric, arrival order would match send order.
-  fabric_.tor_uplink(0, 0, 0, /*agg=*/1).set_bandwidth(Bandwidth::gbps(40));
+  fabric_.tor_uplink(0, /*agg=*/1).set_bandwidth(Bandwidth::gbps(40));
   conn.value()->post_write(8_MiB);
   sim_.run();
   // DPP must absorb reordering without loss of goodput.
@@ -88,8 +86,8 @@ TEST_F(TransportTest, SprayingProducesOutOfOrderArrivals) {
 }
 
 TEST_F(TransportTest, SinglePathStaysInOrder) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 0);
   TransportConfig t = obs_transport(128);
   t.algo = MultipathAlgo::kSinglePath;
   auto conn = fleet_.connect(a, b, t);
@@ -100,10 +98,10 @@ TEST_F(TransportTest, SinglePathStaysInOrder) {
 }
 
 TEST_F(TransportTest, LossRecoveredByRto) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 0);
   // 2% loss on every uplink of the source ToR.
-  for (NetLink* l : fabric_.tor_uplinks(0, 0, 0)) {
+  for (NetLink* l : fabric_.tor_uplinks(0)) {
     l->set_drop_probability(0.02);
   }
   auto conn = fleet_.connect(a, b, obs_transport());
@@ -117,10 +115,10 @@ TEST_F(TransportTest, LossRecoveredByRto) {
 }
 
 TEST_F(TransportTest, TotalLinkFailureRoutesAround) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 0);
   // Kill one of the four uplinks completely.
-  fabric_.tor_uplink(0, 0, 0, 0).set_drop_probability(1.0);
+  fabric_.tor_uplink(0, 0).set_drop_probability(1.0);
   auto conn = fleet_.connect(a, b, obs_transport(128));
   ASSERT_TRUE(conn.is_ok());
   bool done = false;
@@ -131,11 +129,11 @@ TEST_F(TransportTest, TotalLinkFailureRoutesAround) {
 }
 
 TEST_F(TransportTest, DuplicatesSuppressedAtReceiver) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 0);
   // Drop ACKs (reverse direction) aggressively: sender retransmits data the
   // receiver already placed -> duplicates must not inflate goodput.
-  for (NetLink* l : fabric_.tor_uplinks(1, 0, 0)) {
+  for (NetLink* l : fabric_.tor_uplinks(1)) {
     l->set_drop_probability(0.3);
   }
   auto conn = fleet_.connect(a, b, obs_transport());
@@ -149,8 +147,8 @@ TEST_F(TransportTest, DuplicatesSuppressedAtReceiver) {
 }
 
 TEST_F(TransportTest, ThroughputNearLineRate) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
-  const EndpointId b = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
+  const EndpointId b = fabric_.endpoint(1, 0);
   auto conn = fleet_.connect(a, b, obs_transport());
   ASSERT_TRUE(conn.is_ok());
   const std::uint64_t bytes = 64_MiB;
@@ -165,16 +163,16 @@ TEST_F(TransportTest, ThroughputNearLineRate) {
 }
 
 TEST_F(TransportTest, ConnectValidation) {
-  const EndpointId a = fabric_.endpoint(0, 0, 0, 0);
+  const EndpointId a = fabric_.endpoint(0, 0);
   EXPECT_FALSE(fleet_.at(a).connect(a, obs_transport()).is_ok());
 }
 
 TEST_F(TransportTest, ConcurrentConnectionsShareFairly) {
-  const EndpointId dst = fabric_.endpoint(1, 0, 0, 0);
+  const EndpointId dst = fabric_.endpoint(1, 0);
   std::vector<RdmaConnection*> conns;
   for (std::uint32_t h = 1; h <= 3; ++h) {
     auto conn =
-        fleet_.connect(fabric_.endpoint(0, h, 0, 0), dst, obs_transport());
+        fleet_.connect(fabric_.endpoint(0, h), dst, obs_transport());
     ASSERT_TRUE(conn.is_ok());
     conns.push_back(conn.value());
   }
@@ -191,8 +189,8 @@ TEST_F(TransportTest, DeterministicAcrossRuns) {
     Simulator sim;
     ClosFabric fabric(sim, two_segment_config());
     EngineFleet fleet(sim, fabric);
-    auto conn = fleet.connect(fabric.endpoint(0, 0, 0, 0),
-                              fabric.endpoint(1, 0, 0, 0), obs_transport());
+    auto conn = fleet.connect(fabric.endpoint(0, 0),
+                              fabric.endpoint(1, 0), obs_transport());
     conn.value()->post_write(4_MiB);
     sim.run();
     return sim.now();

@@ -42,8 +42,6 @@ MiniResult run_mini(MultipathAlgo algo) {
   FabricConfig fc;
   fc.segments = 2;
   fc.hosts_per_segment = 2;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = 2;
   ClosFabric fabric(sim, fc);
   EngineFleet fleet(sim, fabric);
@@ -51,7 +49,7 @@ MiniResult run_mini(MultipathAlgo algo) {
   std::vector<EndpointId> eps;
   for (std::uint32_t s = 0; s < 2; ++s) {
     for (std::uint32_t h = 0; h < 2; ++h) {
-      eps.push_back(fabric.endpoint(s, h, 0, 0));
+      eps.push_back(fabric.endpoint(s, h));
     }
   }
   PermutationConfig pc;

@@ -11,8 +11,6 @@ FabricConfig fabric_config() {
   FabricConfig cfg;
   cfg.segments = 2;
   cfg.hosts_per_segment = 4;
-  cfg.rails = 1;
-  cfg.planes = 1;
   cfg.aggs_per_plane = 8;
   return cfg;
 }
@@ -21,8 +19,8 @@ class VerbsOpsTest : public ::testing::Test {
  protected:
   VerbsOpsTest()
       : fabric_(sim_, fabric_config()), fleet_(sim_, fabric_) {
-    a_ = fabric_.endpoint(0, 0, 0, 0);
-    b_ = fabric_.endpoint(1, 0, 0, 0);
+    a_ = fabric_.endpoint(0, 0);
+    b_ = fabric_.endpoint(1, 0);
   }
 
   RdmaConnection* connect(TransportConfig t = {}) {
@@ -61,10 +59,10 @@ TEST_F(VerbsOpsTest, MultipleReadsResolveIndependently) {
 }
 
 TEST_F(VerbsOpsTest, ReadSurvivesLoss) {
-  for (NetLink* l : fabric_.tor_uplinks(0, 0, 0)) {
+  for (NetLink* l : fabric_.tor_uplinks(0)) {
     l->set_drop_probability(0.02);
   }
-  for (NetLink* l : fabric_.tor_uplinks(1, 0, 0)) {
+  for (NetLink* l : fabric_.tor_uplinks(1)) {
     l->set_drop_probability(0.02);
   }
   RdmaConnection* conn = connect();
@@ -134,7 +132,7 @@ TEST_F(VerbsOpsTest, WritesBypassRecvQueue) {
 TEST_F(VerbsOpsTest, DeadPathGetsBlacklisted) {
   // Kill one of 8 uplinks; the spray keeps hitting it until the streak
   // threshold blacklists it.
-  fabric_.tor_uplink(0, 0, 0, 2).set_drop_probability(1.0);
+  fabric_.tor_uplink(0, 2).set_drop_probability(1.0);
   RdmaConnection* conn = connect();
   bool done = false;
   conn->post_write(16_MiB, [&] { done = true; });
@@ -149,7 +147,7 @@ TEST_F(VerbsOpsTest, RtoRetransmitLeavesWindowUnchanged) {
   // path and no CC context cuts its window. The host uplink drops every
   // packet, so no ACK moves the window either, for both algorithms and for
   // shared and per-path contexts.
-  fabric_.host_uplink(0, 0, 0, 0).set_drop_probability(1.0);
+  fabric_.host_uplink(0, 0).set_drop_probability(1.0);
   for (const CcAlgo algo : {CcAlgo::kWindowEcnRtt, CcAlgo::kSwiftDelay}) {
     for (const bool per_path : {false, true}) {
       TransportConfig t;
@@ -184,7 +182,7 @@ TEST_F(VerbsOpsTest, PerPathCcSplitsTheWindow) {
 }
 
 TEST_F(VerbsOpsTest, PerPathCcSurvivesLossAndConverges) {
-  fabric_.tor_uplink(0, 0, 0, 1).set_drop_probability(0.05);
+  fabric_.tor_uplink(0, 1).set_drop_probability(0.05);
   TransportConfig t;
   t.per_path_cc = true;
   t.num_paths = 4;

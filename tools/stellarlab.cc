@@ -115,8 +115,6 @@ int main(int argc, char** argv) {
   FabricConfig fc;
   fc.segments = opt.segments;
   fc.hosts_per_segment = opt.hosts;
-  fc.rails = 1;
-  fc.planes = 1;
   fc.aggs_per_plane = opt.aggs;
   fc.host_link.bandwidth = Bandwidth::gbps(opt.host_gbps);
   fc.fabric_link.bandwidth = Bandwidth::gbps(opt.fabric_gbps);
@@ -124,7 +122,7 @@ int main(int argc, char** argv) {
   EngineFleet fleet(sim, fabric);
 
   if (opt.loss > 0 && opt.loss_agg >= 0) {
-    fabric.tor_uplink(0, 0, 0, static_cast<std::uint32_t>(opt.loss_agg))
+    fabric.tor_uplink(0, static_cast<std::uint32_t>(opt.loss_agg))
         .set_drop_probability(opt.loss);
   }
 

@@ -186,10 +186,11 @@ int main(int argc, char** argv) {
   }
 
   // Hybrid fidelity rollup: "fluid_epoch" / "packet_epoch" spans are the
-  // HybridDriver's mode windows, summed across fabric regions — so the
-  // totals are region-time, and the percentage is fluid's share of total
-  // region-time (each region contributes its whole lifetime to exactly
-  // one of the two buckets at any instant).
+  // HybridDriver's mode windows, summed over every driver the trace holds
+  // (one per fabric) — so the totals are fabric-time ("region-time" in the
+  // printed line), and the percentage is fluid's share of it (each fabric
+  // contributes its whole lifetime to exactly one of the two buckets at
+  // any instant).
   std::int64_t fluid_ps = 0;
   std::int64_t packet_ps = 0;
   std::uint64_t fluid_epochs = 0;
