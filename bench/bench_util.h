@@ -5,6 +5,7 @@
 #pragma once
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -64,6 +65,24 @@ inline std::unique_ptr<HybridDriver> make_fidelity_driver(Simulator& sim,
   return std::make_unique<HybridDriver>(sim, fabric);
 }
 
+/// The value of a `--flag=N` argument (`flag` includes the `=`), which
+/// must be a decimal integer from 1 to 2^32 - 1. Anything else is rejected
+/// as an unknown --fidelity is: the accepted values go to stderr and the
+/// bench exits with status 2.
+inline std::uint32_t positive_flag_value(const char* flag, const char* v) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE || n == 0 ||
+      n > UINT32_MAX) {
+    std::fprintf(stderr,
+                 "error: bad %s%s (accepted: an integer from 1 to %u)\n",
+                 flag, v, UINT32_MAX);
+    std::exit(2);
+  }
+  return static_cast<std::uint32_t>(n);
+}
+
 /// --threads=N flag shared by every simulator-driving bench: the worker
 /// count for run-level sharding (core/run_shard.h). 1 (the default) is the
 /// single-threaded reference path; any N must produce byte-identical BENCH
@@ -72,8 +91,7 @@ inline std::uint32_t threads_arg(int argc, char** argv,
                                  std::uint32_t def = 1) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const int v = std::atoi(argv[i] + 10);
-      if (v >= 1) return static_cast<std::uint32_t>(v);
+      return positive_flag_value("--threads=", argv[i] + 10);
     }
   }
   return def;

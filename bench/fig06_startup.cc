@@ -52,14 +52,14 @@ int main(int argc, char** argv) {
   print_row({"mode", "provision(s)", "per-device mem", "GDR LUT slot"});
   RnicConfig rnic;
   print_row({"SR-IOV VF",
-             fmt((rnic.vf_reset_time + rnic.vf_create_time).sec(), 1),
-             format_bytes(rnic.vf_memory_overhead), "1 per VF"});
-  print_row({"vStellar", fmt(rnic.sf_create_time.sec(), 1),
+             fmt((kVfResetTime + kVfCreateTime).sec(), 1),
+             format_bytes(kVfMemoryOverhead), "1 per VF"});
+  print_row({"vStellar", fmt(kSfCreateTime.sec(), 1),
              format_bytes(kPage4K) + " (doorbell)", "0 (shares PF)"});
   std::printf(
       "\nvStellar devices per RNIC: up to %u (doorbell-BAR bound), matching\n"
       "the paper's 64k virtual devices claim; device creation %0.1fs matches\n"
       "MasQ.\n",
-      rnic.max_virtual_devices, rnic.sf_create_time.sec());
+      rnic.max_virtual_devices, kSfCreateTime.sec());
   return 0;
 }

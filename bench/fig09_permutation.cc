@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   }
   std::vector<QueueStats> results(specs.size());
 
-  ShardedRunSet runs(threads, specs.size());
+  ShardedRunSet runs(threads);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const RunSpec spec = specs[i];
     QueueStats* slot = &results[i];

@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   const std::uint32_t threads = threads_arg(argc, argv);
   double static_bw[6][2];
   double bursty_bw[2][2];
-  ShardedRunSet runs(threads, 2 * 6 + 2 * 2);
+  ShardedRunSet runs(threads);
   for (std::size_t a = 0; a < 6; ++a) {
     for (std::size_t p = 0; p < 2; ++p) {
       const MultipathAlgo algo = algos[a];

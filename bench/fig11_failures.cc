@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<double> bw(specs.size());
-  ShardedRunSet runs(threads, specs.size());
+  ShardedRunSet runs(threads);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const RunSpec spec = specs[i];
     double* slot = &bw[i];

@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
   };
   const std::string scenarios[] = {"link_down", "switch_down"};
   std::vector<Cell> cells(2 * 4);
-  ShardedRunSet runs(threads, cells.size());
+  ShardedRunSet runs(threads);
   for (std::size_t s = 0; s < 2; ++s) {
     for (std::size_t k = 0; k < 4; ++k) {
       const std::string scenario = scenarios[s];

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   std::printf("fidelity: %s\n", fidelity_name(fidelity));
   const std::vector<std::uint16_t> sweep = {4, 8, 16, 32, 64, 128, 256};
   std::vector<Imbalance> results(sweep.size());
-  ShardedRunSet runs(threads, sweep.size());
+  ShardedRunSet runs(threads);
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const std::uint16_t paths = sweep[i];
     Imbalance* slot = &results[i];

@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
                           Stack::kVfVxlan};
   std::vector<Result> table(sizes.size() * 3);
   Result summary[4];  // bare@2B, vxlan@2B, bare@8MiB, vxlan@8MiB
-  ShardedRunSet runs(threads, table.size() + 4);
+  ShardedRunSet runs(threads);
   for (std::size_t m = 0; m < sizes.size(); ++m) {
     for (std::size_t s = 0; s < 3; ++s) {
       const Stack stack = stacks[s];

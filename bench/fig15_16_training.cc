@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   double stellar_reranked = 0, cx7_reranked = 0;
   double stellar_random = 0, cx7_random = 0;
   {
-    ShardedRunSet runs(threads, 4);
+    ShardedRunSet runs(threads);
     runs.add([&stellar_reranked, endpoints, fidelity] {
       stellar_reranked = measure_allreduce_bw(
           Placement::kReranked, MultipathAlgo::kObs, 128, endpoints, fidelity);

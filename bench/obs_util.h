@@ -6,7 +6,8 @@
 // its own positional arguments):
 //   --trace[=path]     dump Chrome trace-event JSON (default: trace.json)
 //                      plus BENCH_<name>_obs.json with the metrics snapshot
-//   --trace-sample=N   keep 1 of every N trace events per category
+//   --trace-sample=N   keep 1 of every N trace events per category (N >= 1;
+//                      anything else exits 2)
 //   --trace-cats=a,b   only trace the listed categories (see trace.h);
 //                      metrics are always collected in full
 //
@@ -19,6 +20,7 @@
 #include <cstring>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "obs/obs.h"
 #include "sim/hybrid.h"
 
@@ -63,7 +65,7 @@ class ObsScope {
         enabled_ = true;
         path_ = a + 8;
       } else if (std::strncmp(a, "--trace-sample=", 15) == 0) {
-        sample_ = static_cast<std::uint32_t>(std::atoi(a + 15));
+        sample_ = positive_flag_value("--trace-sample=", a + 15);
       } else if (std::strncmp(a, "--trace-cats=", 13) == 0) {
         cats_ = a + 13;
       }

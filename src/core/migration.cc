@@ -6,11 +6,24 @@
 
 namespace stellar {
 
+namespace {
+/// Pre-copy granularity; matches the PVDMA/EPT 2 MiB block size.
+constexpr std::uint64_t kChunkBytes = 2ull << 20;
+/// Migration-stream rate (one NIC's worth).
+constexpr Bandwidth kCopyRate =
+    Bandwidth::bits_per_sec(100ll * 1000 * 1000 * 1000);
+/// Fraction of the chunks copied in round N that the guest dirties
+/// before round N+1 finishes.
+constexpr double kDirtyFraction = 0.05;
+/// Stop-and-copy once the dirty set shrinks to this many chunks.
+constexpr std::uint64_t kMinDirtyChunks = 4;
+constexpr std::uint32_t kMaxPrecopyRounds = 16;
+}  // namespace
+
 StatusOr<MigrationReport> migrate_vm(StellarHost& source,
                                      StellarHost& destination,
                                      RundContainer& src_container,
-                                     RundContainer& dst_container,
-                                     const MigrationConfig& config) {
+                                     RundContainer& dst_container) {
   if (src_container.id() != dst_container.id()) {
     return invalid_argument("migrate_vm: containers disagree on VM id");
   }
@@ -23,9 +36,6 @@ StatusOr<MigrationReport> migrate_vm(StellarHost& source,
   if (dst_container.booted()) {
     return failed_precondition("migrate_vm: destination already booted");
   }
-  if (config.chunk_bytes == 0 || config.copy_rate.bps() <= 0) {
-    return invalid_argument("migrate_vm: bad chunk size or copy rate");
-  }
   const VmId vm = src_container.id();
   if (!source.hypervisor().booted(vm)) {
     return failed_precondition("migrate_vm: VM unknown to source hypervisor");
@@ -35,24 +45,22 @@ StatusOr<MigrationReport> migrate_vm(StellarHost& source,
 
   // -- 1. Pre-copy rounds (guest running) ----------------------------------
   report.chunks_total =
-      (src_container.memory_bytes() + config.chunk_bytes - 1) /
-      config.chunk_bytes;
+      (src_container.memory_bytes() + kChunkBytes - 1) / kChunkBytes;
   std::uint64_t dirty = report.chunks_total;
-  while (dirty > config.min_dirty_chunks &&
-         report.precopy_rounds < config.max_precopy_rounds) {
-    report.precopy_time +=
-        config.copy_rate.transmit_time(dirty * config.chunk_bytes);
+  while (dirty > kMinDirtyChunks &&
+         report.precopy_rounds < kMaxPrecopyRounds) {
+    report.precopy_time += kCopyRate.transmit_time(dirty * kChunkBytes);
     ++report.precopy_rounds;
     // The guest dirties a fixed fraction of what the round just shipped.
     dirty = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(
-               static_cast<double>(dirty) * config.dirty_fraction));
+               static_cast<double>(dirty) * kDirtyFraction));
   }
   report.chunks_final = dirty;
 
   // -- 2. Stop-and-copy: pause, ship the residue, serialize ---------------
   SimTime downtime =
-      config.copy_rate.transmit_time(report.chunks_final * config.chunk_bytes);
+      kCopyRate.transmit_time(report.chunks_final * kChunkBytes);
 
   auto vm_blob = source.hypervisor().serialize_vm(vm);
   if (!vm_blob.is_ok()) return vm_blob.status();
@@ -61,7 +69,7 @@ StatusOr<MigrationReport> migrate_vm(StellarHost& source,
   report.snapshot_bytes = vm_blob.value().size() + dev_blob.value().size();
   report.digest =
       snapshot_digest(vm_blob.value() + dev_blob.value());
-  downtime += config.copy_rate.transmit_time(report.snapshot_bytes);
+  downtime += kCopyRate.transmit_time(report.snapshot_bytes);
 
   // Carry the guest allocator cursor: the destination container must hand
   // out the same GPAs the guest already holds.

@@ -5,7 +5,7 @@
 //
 //  1. Pre-copy: guest RAM is shipped in 2 MiB chunks while the guest keeps
 //     running; each round re-copies the chunks dirtied during the previous
-//     round (a fixed, configured dirty fraction — deterministic by design).
+//     round (a fixed dirty fraction — deterministic by design).
 //  2. Stop-and-copy (downtime starts): the guest pauses, the final dirty
 //     chunks are copied, the hypervisor state (EPT, PVDMA, shm, virtio) and
 //     the vStellar device state (MR keys, QP numbers) are serialized.
@@ -29,19 +29,6 @@
 #include "core/stellar.h"
 
 namespace stellar {
-
-struct MigrationConfig {
-  /// Pre-copy granularity; matches the PVDMA/EPT 2 MiB block size.
-  std::uint64_t chunk_bytes = 2ull << 20;
-  /// Migration-stream rate (one NIC's worth by default).
-  Bandwidth copy_rate = Bandwidth::bits_per_sec(100ll * 1000 * 1000 * 1000);
-  /// Fraction of the chunks copied in round N that the guest dirties
-  /// before round N+1 finishes.
-  double dirty_fraction = 0.05;
-  /// Stop-and-copy once the dirty set shrinks to this many chunks.
-  std::uint64_t min_dirty_chunks = 4;
-  std::uint32_t max_precopy_rounds = 16;
-};
 
 struct MigrationReport {
   /// Guest-visible pause (stop-and-copy through destination resume).
@@ -72,7 +59,6 @@ struct MigrationReport {
 StatusOr<MigrationReport> migrate_vm(StellarHost& source,
                                      StellarHost& destination,
                                      RundContainer& src_container,
-                                     RundContainer& dst_container,
-                                     const MigrationConfig& config = {});
+                                     RundContainer& dst_container);
 
 }  // namespace stellar

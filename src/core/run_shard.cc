@@ -3,6 +3,8 @@
 #include <thread>
 #include <utility>
 
+#include "check/check.h"
+
 namespace stellar {
 
 namespace {

@@ -21,10 +21,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "check/check.h"
 #include "obs/obs.h"
 #include "obs/run_capture.h"
 #include "sim/inline_action.h"
@@ -64,42 +64,39 @@ class RunSet {
 class ShardedRunSet {
  public:
   /// Captures into the currently installed hub (if any); `threads` as in
-  /// RunSet::execute. `expected_runs` must be the exact number of add()
-  /// calls that will follow — per-run capture hubs are allocated up front.
-  ShardedRunSet(std::uint32_t threads, std::size_t expected_runs)
-      : threads_(threads == 0 ? 1 : threads),
-        capture_(obs::hub(), expected_runs) {
-    STELLAR_CHECK(expected_runs > 0,
-                  "ShardedRunSet needs the run count up front (per-run "
-                  "capture hubs are allocated before workers start)");
-  }
+  /// RunSet::execute.
+  explicit ShardedRunSet(std::uint32_t threads)
+      : threads_(threads == 0 ? 1 : threads), base_(obs::hub()) {}
 
-  /// Queue run-job `index` (indices must be 0..expected_runs-1, each used
-  /// once). The callable runs on a worker thread with the run's capture
-  /// hub installed; anything it touches must be private to the run or
+  /// Queue the next run-job (indices count up from 0 in add() order). The
+  /// callable runs on a worker thread with the run's capture hub
+  /// installed; anything it touches must be private to the run or
   /// internally synchronized (bench EngineMeter is).
   template <typename Fn>
   void add(Fn job) {
     const std::size_t index = next_index_++;
     runs_.add([this, index, job = std::move(job)]() mutable {
-      obs::RunCaptureSet::Scope scope(capture_, index);
+      obs::RunCaptureSet::Scope scope(*capture_, index);
       job();
     });
   }
 
-  /// Runs every job, then merges per-run observability into the base hub
-  /// in run-index order. Single-use.
+  /// Allocates one capture hub per queued run, runs every job, then merges
+  /// per-run observability into the base hub in run-index order.
+  /// Single-use.
   void execute() {
+    capture_.emplace(base_, runs_.size());
     runs_.execute(threads_);
-    capture_.merge_into_base();
+    capture_->merge_into_base();
   }
 
   std::uint32_t threads() const { return threads_; }
 
  private:
   std::uint32_t threads_;
+  obs::ObsHub* base_;
   std::size_t next_index_ = 0;
-  obs::RunCaptureSet capture_;
+  std::optional<obs::RunCaptureSet> capture_;
   RunSet runs_;
 };
 

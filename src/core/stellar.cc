@@ -97,7 +97,7 @@ StatusOr<VStellarDevice*> StellarHost::create_vstellar_device(
   }
 
   const SimTime create_time =
-      rnic.config().sf_create_time +
+      kSfCreateTime +
       hypervisor_->control_path(container.id()).execute(ControlCommand::kCreatePd);
 
   auto dev = std::unique_ptr<VStellarDevice>(new VStellarDevice(
@@ -276,7 +276,7 @@ StatusOr<StellarHost::DeviceRestoreReport> StellarHost::restore_vm_devices(
 GdrEngine StellarHost::make_gdr_engine(GdrMode mode, std::size_t rnic_index) {
   Rnic& rnic = *rnics_.at(rnic_index);
   GdrEngineConfig cfg;
-  cfg.nic_rate = rnic.config().line_rate;
+  cfg.nic_rate = kRnicLineRate;
   cfg.requester = rnic.pf_bdf();
   Atc* atc = nullptr;
   if (mode == GdrMode::kAtsAtc) {
@@ -406,7 +406,7 @@ StatusOr<GdrTransfer> VStellarDevice::gdr_write(MrKey mr, Gva va,
     return failed_precondition("gdr_write: MR lacks an eMTT translation");
   }
   GdrEngineConfig cfg;
-  cfg.nic_rate = rnic_->config().line_rate;
+  cfg.nic_rate = kRnicLineRate;
   cfg.requester = rnic_->pf_bdf();
   GdrEngine engine(host_->pcie(), cfg, GdrMode::kEmtt, nullptr);
   return engine.transfer(IoVa{entry.value().target}, len);

@@ -137,7 +137,7 @@ class StellarHost {
     std::size_t qps = 0;
     /// Host-DRAM bytes re-pinned through the PVDMA cold path.
     std::uint64_t repinned_bytes = 0;
-    /// vStellar device provisioning (sf_create_time + PD setup). Depends
+    /// vStellar device provisioning (kSfCreateTime + PD setup). Depends
     /// only on placement, not guest state — a migration orchestrator
     /// overlaps it with pre-copy, so it is reported separately from the
     /// downtime-critical control_time.

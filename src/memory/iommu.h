@@ -30,13 +30,15 @@
 
 namespace stellar {
 
+inline constexpr SimTime kIotlbHitLatency = SimTime::nanos(20);
+// IOTLB miss penalty.
+inline constexpr SimTime kPageWalkLatency = SimTime::nanos(250);
+// Pin model calibrated to the paper: 390 s / (1.6 TiB / 4 KiB pages).
+inline constexpr SimTime kPinPerPage = SimTime::nanos(900);
+inline constexpr SimTime kPinCallOverhead = SimTime::micros(10);
+
 struct IommuConfig {
   std::size_t iotlb_capacity = 8192;            // 4 KiB-page entries
-  SimTime iotlb_hit_latency = SimTime::nanos(20);
-  SimTime page_walk_latency = SimTime::nanos(250);  // IOTLB miss penalty
-  // Pin model calibrated to the paper: 390 s / (1.6 TiB / 4 KiB pages).
-  SimTime pin_per_page = SimTime::nanos(900);
-  SimTime pin_call_overhead = SimTime::micros(10);
   /// Host-wide ceiling on pinned bytes (0 = unlimited). Pinning beyond it
   /// is transient pressure: it lifts when another tenant unpins.
   std::uint64_t pin_capacity_bytes = 0;
@@ -104,10 +106,9 @@ class Iommu {
     std::optional<Translation> out;
     resolve_run(iova, 1, tenant,
                 [&](IoVa, Hpa hpa, std::uint64_t, bool iotlb_hit) {
-                  out = Translation{hpa,
-                                    iotlb_hit ? config_.iotlb_hit_latency
-                                              : config_.page_walk_latency,
-                                    iotlb_hit};
+                  out = Translation{
+                      hpa, iotlb_hit ? kIotlbHitLatency : kPageWalkLatency,
+                      iotlb_hit};
                 });
     if (out) return *out;
     return not_found("Iommu::translate: unmapped");
@@ -188,8 +189,7 @@ class Iommu {
   /// page IOMMU map + page-table walk on the host).
   SimTime pin_cost(std::uint64_t bytes) const {
     const std::uint64_t pages = (bytes + kPage4K - 1) / kPage4K;
-    return config_.pin_call_overhead +
-           config_.pin_per_page * static_cast<std::int64_t>(pages);
+    return kPinCallOverhead + kPinPerPage * static_cast<std::int64_t>(pages);
   }
 
   /// Would pinning `bytes` more stay within the host-wide pin capacity?
@@ -222,7 +222,6 @@ class Iommu {
 
   // -- Introspection ---------------------------------------------------------
 
-  const IommuConfig& config() const { return config_; }
   std::uint64_t iotlb_hits() const { return iotlb_.hits(); }
   std::uint64_t iotlb_misses() const { return iotlb_.misses(); }
   std::uint64_t page_walks() const { return page_walks_; }

@@ -10,6 +10,13 @@ namespace {
 // MMIO/BAR window placed well above any realistic DRAM size.
 constexpr std::uint64_t kBarWindowBase = 1ull << 46;
 constexpr std::uint64_t kBarWindowLen = 1ull << 40;
+
+// Per-TLP fabric latencies.
+constexpr SimTime kSwitchHop = SimTime::nanos(150);
+constexpr SimTime kRcForward = SimTime::nanos(250);  // RC internal forwarding
+constexpr SimTime kDeviceInternal = SimTime::nanos(50);
+// ATS msg processing.
+constexpr SimTime kAtsRequestOverhead = SimTime::nanos(300);
 }  // namespace
 
 HostPcie::HostPcie(HostPcieConfig config)
@@ -112,7 +119,6 @@ StatusOr<DmaOutcome> HostPcie::dma(const Tlp& tlp) {
     return not_found("HostPcie::dma: requester BDF not attached");
   }
   const std::size_t src_switch = req->second.switch_id;
-  const PcieLatencies& lat = config_.latencies;
 
   DmaOutcome out;
 
@@ -123,7 +129,7 @@ StatusOr<DmaOutcome> HostPcie::dma(const Tlp& tlp) {
       // Pre-translated write to DRAM still flows through the RC (but skips
       // the IOMMU because the address is final).
       out.route = DmaOutcome::Route::kMainMemory;
-      out.latency = lat.device_internal + lat.switch_hop + lat.rc_forward;
+      out.latency = kDeviceInternal + kSwitchHop + kRcForward;
       ++iommu_path_;  // counted as RC traffic, no walk
       return out;
     }
@@ -138,13 +144,12 @@ StatusOr<DmaOutcome> HostPcie::dma(const Tlp& tlp) {
       // The eMTT fast path of Figure 7: switch sees AT=0b10 and routes
       // straight to the peer's BAR.
       out.route = DmaOutcome::Route::kDirectP2P;
-      out.latency = lat.device_internal + lat.switch_hop;
+      out.latency = kDeviceInternal + kSwitchHop;
       ++direct_p2p_;
     } else {
       // ACS redirect / cross-switch: up to the RC and back down.
       out.route = DmaOutcome::Route::kP2PViaRc;
-      out.latency = lat.device_internal + lat.switch_hop + lat.rc_forward +
-                    lat.switch_hop;
+      out.latency = kDeviceInternal + kSwitchHop + kRcForward + kSwitchHop;
       ++rc_detour_;
     }
     return out;
@@ -156,22 +161,18 @@ StatusOr<DmaOutcome> HostPcie::dma(const Tlp& tlp) {
   out.route = DmaOutcome::Route::kIommuPath;
   out.resolved = tr.value().hpa;
   out.iotlb_hit = tr.value().iotlb_hit;
-  out.latency = lat.device_internal + lat.switch_hop + lat.rc_forward +
-                tr.value().latency;
+  out.latency = kDeviceInternal + kSwitchHop + kRcForward + tr.value().latency;
   if (!is_main_memory(tr.value().hpa)) {
     // Destination is a peer BAR: back down through (possibly another) switch.
-    out.latency += lat.switch_hop;
+    out.latency += kSwitchHop;
   }
   ++iommu_path_;
   return out;
 }
 
 HostPcie::AtsRoundTrip HostPcie::ats_round_trip() const {
-  const PcieLatencies& lat = config_.latencies;
-  const SimTime fabric =
-      lat.ats_request_overhead + lat.switch_hop * 2 + lat.rc_forward;
-  return AtsRoundTrip{fabric + iommu_.config().iotlb_hit_latency,
-                      fabric + iommu_.config().page_walk_latency};
+  const SimTime fabric = kAtsRequestOverhead + kSwitchHop * 2 + kRcForward;
+  return AtsRoundTrip{fabric + kIotlbHitLatency, fabric + kPageWalkLatency};
 }
 
 void HostPcie::add_atc(Atc* atc) { atcs_.push_back(atc); }

@@ -28,17 +28,9 @@ namespace stellar {
 
 class Atc;
 
-struct PcieLatencies {
-  SimTime switch_hop = SimTime::nanos(150);
-  SimTime rc_forward = SimTime::nanos(250);   // RC internal forwarding
-  SimTime device_internal = SimTime::nanos(50);
-  SimTime ats_request_overhead = SimTime::nanos(300);  // ATS msg processing
-};
-
 struct HostPcieConfig {
   std::uint64_t main_memory_bytes = 2ull << 40;  // 2 TiB
   std::size_t lut_capacity_per_switch = 32;
-  PcieLatencies latencies;
   IommuConfig iommu;
   /// Peak throughput of P2P traffic detouring through the Root Complex —
   /// the bottleneck that caps HyV/MasQ GDR at ~141 Gbps in Figure 14.

@@ -4,13 +4,17 @@
 
 namespace stellar {
 
+namespace {
+constexpr std::uint64_t kMttCapacityPages = 64ull << 20;  // 64M pages = 256 GiB
+}  // namespace
+
 Rnic::Rnic(HostPcie& pcie, Bdf pf_bdf, std::size_t switch_id,
            RnicConfig config)
     : pcie_(&pcie),
       pf_bdf_(pf_bdf),
       switch_id_(switch_id),
       config_(std::move(config)),
-      mtt_(config_.mtt_capacity_pages) {
+      mtt_(kMttCapacityPages) {
   auto bar = pcie_->attach_device(pf_bdf_, switch_id_, config_.doorbell_bar_bytes);
   if (!bar.is_ok()) {
     throw std::runtime_error("Rnic: cannot attach PF: " +
@@ -36,10 +40,10 @@ StatusOr<SimTime> Rnic::set_num_vfs(std::uint32_t count) {
       (void)pcie_->detach_device(vf.bdf);
     }
     vfs_.clear();
-    cost = config_.vf_reset_time;
+    cost = kVfResetTime;
     return cost;
   }
-  cost = config_.vf_reset_time;
+  cost = kVfResetTime;
   for (std::uint32_t i = 0; i < count; ++i) {
     // VFs take function numbers after the PF on the same bus/device.
     const Bdf bdf{pf_bdf_.bus(),
@@ -53,7 +57,7 @@ StatusOr<SimTime> Rnic::set_num_vfs(std::uint32_t count) {
       return bar.status();
     }
     vfs_.push_back(VfState{bdf});
-    cost += config_.vf_create_time;
+    cost += kVfCreateTime;
   }
   return cost;
 }

@@ -24,19 +24,22 @@
 
 namespace stellar {
 
+inline constexpr Bandwidth kRnicLineRate = Bandwidth::gbps(400);
+// ~2.4 GB per VF.
+inline constexpr std::uint64_t kVfMemoryOverhead = 2'400ull << 20;
+// Full function reset.
+inline constexpr SimTime kVfResetTime = SimTime::seconds(8.0);
+// Per VF after reset.
+inline constexpr SimTime kVfCreateTime = SimTime::seconds(1.0);
+// Matches MasQ/vStellar.
+inline constexpr SimTime kSfCreateTime = SimTime::seconds(1.5);
+
 struct RnicConfig {
   std::string name = "rnic0";
-  Bandwidth line_rate = Bandwidth::gbps(400);
-  std::uint32_t ports = 2;
-  std::uint64_t mtt_capacity_pages = 64ull << 20;  // 64M pages = 256 GiB
   std::size_t atc_capacity_pages = 8192;
   std::uint32_t max_vfs = 64;
-  std::uint64_t vf_memory_overhead = 2'400ull << 20;  // ~2.4 GB per VF
-  std::uint32_t max_virtual_devices = 64 * 1024;      // SF/vStellar bound
+  std::uint32_t max_virtual_devices = 64 * 1024;  // SF/vStellar bound
   std::uint64_t doorbell_bar_bytes = 64ull * 1024 * kPage4K;  // 64k pages
-  SimTime vf_reset_time = SimTime::seconds(8.0);   // full function reset
-  SimTime vf_create_time = SimTime::seconds(1.0);  // per VF after reset
-  SimTime sf_create_time = SimTime::seconds(1.5);  // matches MasQ/vStellar
 };
 
 class Rnic {
@@ -58,7 +61,7 @@ class Rnic {
 
   std::uint32_t num_vfs() const { return static_cast<std::uint32_t>(vfs_.size()); }
   std::uint64_t vf_memory_bytes() const {
-    return vfs_.size() * config_.vf_memory_overhead;
+    return vfs_.size() * kVfMemoryOverhead;
   }
 
   /// Register a VF for GDR: claims a slot in the PCIe switch LUT.

@@ -15,12 +15,12 @@ GdrTransfer GdrEngine::transfer(IoVa iova, std::uint64_t len) {
 
   // Per-page serialization time on the NIC port, including TLP overhead.
   const SimTime page_wire =
-      config_.nic_rate.transmit_time(page + config_.wire_overhead);
+      config_.nic_rate.transmit_time(page + kGdrWireOverhead);
 
   // RC-routed P2P (HyV/MasQ): the Root Complex forwarding rate is the
   // bottleneck; translation latency hides entirely behind it.
   const Bandwidth rc_cap = fabric_->config().rc_p2p_bandwidth;
-  const SimTime rc_page_wire = rc_cap.transmit_time(page + config_.wire_overhead);
+  const SimTime rc_page_wire = rc_cap.transmit_time(page + kGdrWireOverhead);
 
   // Classify the PCIe route once per transfer with a probe TLP — the
   // remaining TLPs of the message follow the identical path. eMTT emits
@@ -47,16 +47,14 @@ GdrTransfer GdrEngine::transfer(IoVa iova, std::uint64_t len) {
     const Atc::RunCounts run =
         atc_->translate_run(iova.align_down(page), page, pages);
     const HostPcie::AtsRoundTrip rtt = fabric_->ats_round_trip();
-    const auto ats_depth =
-        static_cast<std::int64_t>(config_.ats_pipeline_depth);
+    const auto ats_depth = static_cast<std::int64_t>(kAtsPipelineDepth);
     // ATS round trip amortized over the NIC's translation pipeline.
     const std::int64_t iotlb_hit_stall_ps = rtt.iotlb_hit.ps() / ats_depth;
     // The IOMMU serializes page walks much harder than the NIC pipelines
     // ATS requests — this is the second Figure-8 cliff.
     const std::int64_t walk_stall_ps =
         rtt.walk.ps() / ats_depth +
-        fabric_->iommu().config().page_walk_latency.ps() /
-            static_cast<std::int64_t>(config_.iommu_walk_depth);
+        kPageWalkLatency.ps() / static_cast<std::int64_t>(kIommuWalkDepth);
     out.atc_misses = run.iotlb_hits + run.walks;
     out.iotlb_misses = run.walks;
     total_ps = page_wire.ps() * static_cast<std::int64_t>(pages) +

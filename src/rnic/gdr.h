@@ -30,18 +30,20 @@ namespace stellar {
 
 enum class GdrMode { kEmtt, kAtsAtc, kRcRouted };
 
+/// Per-TLP header bytes on the NIC port.
+inline constexpr std::uint32_t kGdrWireOverhead = 66;
+/// Concurrent ATS requests the NIC sustains; an ATC-miss stall is the ATS
+/// round trip divided by this depth (pipelined translation).
+inline constexpr std::uint32_t kAtsPipelineDepth = 32;
+/// Concurrent page walks the IOMMU sustains during ATS service.
+inline constexpr std::uint32_t kIommuWalkDepth = 8;
+
 struct GdrEngineConfig {
   Bandwidth nic_rate = Bandwidth::gbps(400);
   /// The issuing NIC function; used to classify the PCIe route (direct P2P
   /// vs RC detour) with a probe TLP per transfer.
   Bdf requester;
   std::uint32_t page_size = 4096;   // paper tests 4 KiB GDR pages
-  std::uint32_t wire_overhead = 66; // per-TLP header bytes on the NIC port
-  /// Concurrent ATS requests the NIC sustains; an ATC-miss stall is the ATS
-  /// round trip divided by this depth (pipelined translation).
-  std::uint32_t ats_pipeline_depth = 32;
-  /// Concurrent page walks the IOMMU sustains during ATS service.
-  std::uint32_t iommu_walk_depth = 8;
 };
 
 /// Result of pushing one message through the engine.

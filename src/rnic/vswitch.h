@@ -42,16 +42,15 @@ struct TenantQos {
   std::size_t max_rules = 0;      // rule-slot quota; 0 = uncapped
 };
 
+// Pipeline entry cost.
+inline constexpr SimTime kVSwitchBaseLatency = SimTime::nanos(100);
+// Per ordered entry walked.
+inline constexpr SimTime kVSwitchPerRuleLatency = SimTime::nanos(4);
+
 class VSwitch {
  public:
-  struct Config {
-    std::size_t capacity = 4096;                 // hardware rule slots
-    SimTime base_latency = SimTime::nanos(100);  // pipeline entry cost
-    SimTime per_rule_latency = SimTime::nanos(4);  // per ordered entry walked
-  };
-
-  VSwitch() : config_(Config{}) {}
-  explicit VSwitch(Config config) : config_(config) {}
+  /// `capacity` is the number of hardware rule slots.
+  explicit VSwitch(std::size_t capacity = 4096) : capacity_(capacity) {}
 
   // -- Rule table ------------------------------------------------------------
 
@@ -66,7 +65,7 @@ class VSwitch {
         rule_count(rule.tenant) >= qos->second.max_rules) {
       return failed_precondition("VSwitch: tenant rule quota exceeded");
     }
-    if (rules_.size() >= config_.capacity) {
+    if (rules_.size() >= capacity_) {
       return resource_exhausted("VSwitch: rule table full");
     }
     rules_.push_back(rule);
@@ -112,8 +111,8 @@ class VSwitch {
       if (rules_[i].match == cls && rules_[i].tenant == tenant) {
         return LookupResult{
             &rules_[i],
-            config_.base_latency +
-                config_.per_rule_latency * static_cast<std::int64_t>(i + 1),
+            kVSwitchBaseLatency +
+                kVSwitchPerRuleLatency * static_cast<std::int64_t>(i + 1),
             i + 1};
       }
     }
@@ -128,7 +127,7 @@ class VSwitch {
   const std::map<TenantId, std::size_t>& rules_by_tenant() const {
     return rules_by_tenant_;
   }
-  std::size_t capacity() const { return config_.capacity; }
+  std::size_t capacity() const { return capacity_; }
 
   // -- Per-tenant QoS --------------------------------------------------------
 
@@ -222,7 +221,7 @@ class VSwitch {
     return wait;
   }
 
-  Config config_;
+  std::size_t capacity_;
   std::vector<SteeringRule> rules_;
   std::map<TenantId, std::size_t> rules_by_tenant_;
   std::map<TenantId, TenantQos> qos_;

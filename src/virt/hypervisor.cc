@@ -8,6 +8,23 @@ namespace stellar {
 
 namespace {
 constexpr std::uint32_t kVmTag = snapshot_tag('H', 'V', 'V', 'M');
+
+constexpr SimTime kMicrovmBaseBoot = SimTime::seconds(8.0);
+/// Per-GiB hypervisor overhead independent of pinning (page-table setup,
+/// balloon negotiation, ...): the +11 s between 160 GB and 1.6 TB pods.
+constexpr SimTime kPerGibOverhead = SimTime::millis(8);
+
+// PinRetryPolicy's backoff envelope and jitter seed.
+constexpr SimTime kPinRetryInitialBackoff = SimTime::micros(50);
+constexpr SimTime kPinRetryMaxBackoff = SimTime::millis(5);
+constexpr std::uint64_t kPinRetryJitterSeed = 0x57E11A5ull;
+
+// kPerGibOverhead for a guest of `bytes`.
+SimTime per_gib_time(std::uint64_t bytes) {
+  const double gib = static_cast<double>(bytes) / (1024.0 * 1024 * 1024);
+  return SimTime::picos(static_cast<std::int64_t>(
+      gib * static_cast<double>(kPerGibOverhead.ps())));
+}
 }  // namespace
 
 StatusOr<Hypervisor::BootReport> Hypervisor::boot_container(
@@ -34,12 +51,8 @@ StatusOr<Hypervisor::BootReport> Hypervisor::boot_container(
   vm->pvdma->set_tenant(container.id());
 
   BootReport report;
-  const double gib =
-      static_cast<double>(container.memory_bytes()) / (1024.0 * 1024 * 1024);
   report.hypervisor_time =
-      config_.microvm_base_boot +
-      SimTime::picos(static_cast<std::int64_t>(
-          gib * static_cast<double>(config_.per_gib_overhead.ps())));
+      kMicrovmBaseBoot + per_gib_time(container.memory_bytes());
 
   if (!config_.use_pvdma) {
     // VFIO-era behaviour: every guest page is IOMMU-mapped and pinned up
@@ -81,7 +94,7 @@ Status Hypervisor::shutdown_container(RundContainer& container) {
 void Hypervisor::prepare_dma_with_retry(Simulator& sim, VmId vm, Gpa gpa,
                                         std::uint64_t len, PinCallback done) {
   retry_pin(sim, vm, gpa, len, /*attempt=*/1,
-            config_.pin_retry.initial_backoff, std::move(done));
+            kPinRetryInitialBackoff, std::move(done));
 }
 
 void Hypervisor::retry_pin(Simulator& sim, VmId vm, Gpa gpa,
@@ -104,7 +117,7 @@ void Hypervisor::retry_pin(Simulator& sim, VmId vm, Gpa gpa,
   ++pin_retries_;
   ++pin_retries_by_vm_[vm];
   const SimTime next_backoff =
-      std::min(backoff + backoff, config_.pin_retry.max_backoff);
+      std::min(backoff + backoff, kPinRetryMaxBackoff);
   // Jitter the actual sleep so guests that hit the same pressure window
   // don't retry in lock-step and stampede the pin path when it lifts.
   const SimTime delay = jittered_delay(vm, gpa, attempt, backoff);
@@ -121,7 +134,7 @@ SimTime Hypervisor::jittered_delay(VmId vm, Gpa gpa, std::uint32_t attempt,
   // Stateless draw: a hash of (seed, vm, gpa, attempt) is deterministic
   // across runs yet decorrelated across guests and attempts.
   const std::uint64_t h = hash_combine(
-      hash_combine(config_.pin_retry.jitter_seed, vm),
+      hash_combine(kPinRetryJitterSeed, vm),
       hash_combine(gpa.value(), attempt));
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
   const double scale = 1.0 - jitter * u;  // (1 - jitter, 1]
@@ -282,12 +295,9 @@ StatusOr<Hypervisor::BootReport> Hypervisor::restore_container(
   vm->shm = ShmRegion{};
 
   BootReport report;
-  const double gib =
-      static_cast<double>(old_len) / (1024.0 * 1024 * 1024);
   // Resume on a pre-warmed microvm shell: the per-GiB table rebuild is
   // paid, the base boot is not (that is the point of migrating).
-  report.hypervisor_time = SimTime::picos(static_cast<std::int64_t>(
-      gib * static_cast<double>(config_.per_gib_overhead.ps())));
+  report.hypervisor_time = per_gib_time(old_len);
   if (!config_.use_pvdma) {
     report.pin_time = pcie_->iommu().pin_cost(old_len);
     Status pin = pcie_->iommu().map(IoVa{vm->backing_base.value()},

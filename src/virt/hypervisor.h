@@ -26,30 +26,24 @@
 namespace stellar {
 
 /// Backoff schedule for pin attempts hitting transient resource pressure
-/// (kResourceExhausted): retry after initial_backoff, doubling up to
-/// max_backoff, at most max_attempts tries total.
+/// (kResourceExhausted): retry after kPinRetryInitialBackoff, doubling up
+/// to kPinRetryMaxBackoff (both in hypervisor.cc), at most max_attempts
+/// tries total.
 ///
 /// Each scheduled delay is *jittered*: a deterministic hash of
-/// (jitter_seed, vm, gpa, attempt) scales the exponential envelope into
-/// ((1 - jitter) * backoff, backoff]. Without this, every guest that hit
-/// the same pressure window retries on the same synchronized schedule and
-/// stampedes the IOMMU pin path the instant pressure lifts. jitter = 0
+/// (kPinRetryJitterSeed, vm, gpa, attempt) scales the exponential envelope
+/// into ((1 - jitter) * backoff, backoff]. Without this, every guest that
+/// hit the same pressure window retries on the same synchronized schedule
+/// and stampedes the IOMMU pin path the instant pressure lifts. jitter = 0
 /// restores the old synchronized behaviour.
 struct PinRetryPolicy {
   std::uint32_t max_attempts = 8;
-  SimTime initial_backoff = SimTime::micros(50);
-  SimTime max_backoff = SimTime::millis(5);
   double jitter = 0.5;
-  std::uint64_t jitter_seed = 0x57E11A5ull;
 };
 
 struct HypervisorConfig {
   bool use_pvdma = true;
   bool vdb_in_shm = true;   // Figure-5 fix: doorbells live in shm I/O space
-  SimTime microvm_base_boot = SimTime::seconds(8.0);
-  /// Per-GiB hypervisor overhead independent of pinning (page-table setup,
-  /// balloon negotiation, ...): the +11 s between 160 GB and 1.6 TB pods.
-  SimTime per_gib_overhead = SimTime::millis(8);
   PinRetryPolicy pin_retry;
 };
 

@@ -10,6 +10,8 @@ namespace {
 // a device BAR, not DRAM. Used to classify stale-mapping destinations.
 constexpr std::uint64_t kBarWindowBase = 1ull << 46;
 
+constexpr SimTime kMapCacheLookup = SimTime::nanos(80);
+
 // Visit the IOMMU ranges a registration of [start, start+len) programs:
 // the EPT runs, each merged into the previous one when it continues it in
 // both GPA and HPA; a gap or an HPA break starts a new range. Unmapped
@@ -53,7 +55,7 @@ StatusOr<Pvdma::MapResult> Pvdma::prepare_dma(Gpa gpa, std::uint64_t len) {
   const Gpa first = gpa.align_down(bs);
   const Gpa last = (gpa + (len - 1)).align_down(bs);
   for (Gpa block = first; block <= last; block = block + bs) {
-    out.cost += config_.map_cache_lookup;
+    out.cost += kMapCacheLookup;
     if (cache_.lookup(block)) {
       cache_.add_user(block);
       STELLAR_TRACE_ONLY(obs::count("pvdma/map_cache_hits");)

@@ -29,7 +29,6 @@ namespace stellar {
 
 struct PvdmaConfig {
   std::uint64_t block_size = kPage2M;
-  SimTime map_cache_lookup = SimTime::nanos(80);
 };
 
 class Pvdma {

@@ -30,32 +30,28 @@ enum class ControlCommand : std::uint8_t {
   kCreatePd,
 };
 
+inline constexpr SimTime kVirtqueueRtt = SimTime::micros(8);  // kick + response
+// Policy + HW programming.
+inline constexpr SimTime kVirtioHostProcessing = SimTime::micros(22);
+/// Extra latency a command eats while the backend is quiesced for a
+/// hot-upgrade: the virtqueue kick is parked until the new backend
+/// process attaches and drains the queue.
+inline constexpr SimTime kVirtioQuiesceStall = SimTime::micros(40);
+
 class VirtioControlPath {
  public:
-  struct Config {
-    SimTime virtqueue_rtt = SimTime::micros(8);    // kick + response
-    SimTime host_processing = SimTime::micros(22); // policy + HW programming
-    /// Extra latency a command eats while the backend is quiesced for a
-    /// hot-upgrade: the virtqueue kick is parked until the new backend
-    /// process attaches and drains the queue.
-    SimTime quiesce_stall = SimTime::micros(40);
-  };
-
-  VirtioControlPath() : config_(Config{}) {}
-  explicit VirtioControlPath(Config config) : config_(config) {}
-
   /// Latency of one control command (data-path ops never pass through
   /// here — that is the hybrid-virtualization point of vStellar).
   SimTime execute(ControlCommand cmd) {
     ++commands_;
     (void)cmd;
-    SimTime latency = config_.virtqueue_rtt + config_.host_processing;
+    SimTime latency = kVirtqueueRtt + kVirtioHostProcessing;
     if (quiesced_) {
       // Backend mid-upgrade: the command sits in the virtqueue until the
       // new process takes over. The guest never sees a failure — only the
       // stall (the operational win over SR-IOV teardown).
       ++stalled_commands_;
-      latency = latency + config_.quiesce_stall;
+      latency = latency + kVirtioQuiesceStall;
     }
     return latency;
   }
@@ -77,7 +73,6 @@ class VirtioControlPath {
   }
 
  private:
-  Config config_;
   std::uint64_t commands_ = 0;
   std::uint64_t stalled_commands_ = 0;
   bool quiesced_ = false;

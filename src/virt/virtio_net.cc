@@ -2,6 +2,10 @@
 
 namespace stellar {
 
+namespace {
+constexpr Bandwidth kNicLineRate = Bandwidth::gbps(200);
+}  // namespace
+
 Status validate_platform(const HostPlatformConfig& config) {
   if (config.ats_requires_nopt && config.ats_enabled &&
       config.iommu_mode == IommuMode::kPassthrough) {
@@ -20,7 +24,7 @@ Bandwidth host_tcp_throughput(const HostPlatformConfig& config) {
     factor = 0.6;
   }
   return Bandwidth::bits_per_sec(static_cast<std::int64_t>(
-      static_cast<double>(config.nic_line_rate.bps()) * factor));
+      static_cast<double>(kNicLineRate.bps()) * factor));
 }
 
 bool baseline_gdr_possible(const HostPlatformConfig& config) {

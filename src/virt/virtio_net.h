@@ -19,7 +19,6 @@ struct HostPlatformConfig {
   bool ats_enabled = true;
   /// The affected server model of §3.1(4): ATS + iommu=pt is broken.
   bool ats_requires_nopt = true;
-  Bandwidth nic_line_rate = Bandwidth::gbps(200);
 };
 
 /// Validate a platform configuration against the §3.1(4) constraint.

@@ -20,6 +20,20 @@ const char* fleet_op_kind_name(FleetOpKind kind) {
 
 namespace {
 
+// Stampede shape: kBootSpacing apart within a wave, kWaveSpacing between
+// wave starts.
+constexpr SimTime kWaveSpacing = SimTime::micros(50);
+constexpr SimTime kBootSpacing = SimTime::nanos(500);
+
+// Steady state: demand-pin sizes, the share of demand-pins that revisit an
+// already-pinned block, and vSwitch send sizes and spacing.
+constexpr std::uint64_t kDmaBytesMin = 4 * 1024;
+constexpr std::uint64_t kDmaBytesMax = 64 * 1024;
+constexpr double kDmaRetouch = 0.5;
+constexpr std::uint64_t kSendBytesMin = 1024;
+constexpr std::uint64_t kSendBytesMax = 16 * 1024;
+constexpr SimTime kSendSpacing = SimTime::micros(1);
+
 // 4 KiB-aligned offset inside the tenant's working set. Alignment keeps
 // re-touches landing on the same PVDMA block as the first touch.
 std::uint64_t aligned_offset(Rng& rng, std::uint64_t span) {
@@ -36,7 +50,7 @@ std::uint64_t bytes_in(Rng& rng, std::uint64_t lo, std::uint64_t hi) {
 SimTime fleet_steady_start(const TenantFleetConfig& config) {
   const std::uint32_t width = std::max<std::uint32_t>(config.stampede_width, 1);
   const std::uint32_t waves = (config.tenants + width - 1) / width;
-  return config.wave_spacing * (waves > 0 ? waves : 1);
+  return kWaveSpacing * (waves > 0 ? waves : 1);
 }
 
 std::vector<FleetOp> generate_fleet_ops(const TenantFleetConfig& config) {
@@ -68,8 +82,8 @@ std::vector<FleetOp> generate_fleet_ops(const TenantFleetConfig& config) {
     };
 
     // Cold-start stampede: wave (i / width), slot (i % width) within it.
-    const SimTime boot_at = config.wave_spacing * (i / width) +
-                            config.boot_spacing * (i % width);
+    const SimTime boot_at =
+        kWaveSpacing * (i / width) + kBootSpacing * (i % width);
     push(boot_at, FleetOpKind::kBoot, 0, 0, 0);
     push(boot_at, FleetOpKind::kCreateDevice, 0, 0, 0);
     push(boot_at, FleetOpKind::kRegisterMr, 0, /*gva=*/0x1000,
@@ -82,10 +96,9 @@ std::vector<FleetOp> generate_fleet_ops(const TenantFleetConfig& config) {
     bool pinned_once = false;
     for (std::uint32_t d = 0; d < config.dma_ops_per_tenant; ++d) {
       const SimTime at = steady + config.dma_spacing * d;
-      const std::uint64_t bytes =
-          bytes_in(rng, config.dma_bytes_min, config.dma_bytes_max);
+      const std::uint64_t bytes = bytes_in(rng, kDmaBytesMin, kDmaBytesMax);
       std::uint64_t gpa;
-      if (pinned_once && rng.chance(config.dma_retouch)) {
+      if (pinned_once && rng.chance(kDmaRetouch)) {
         gpa = last_gpa;  // Map Cache hit path
       } else {
         gpa = aligned_offset(rng, span > bytes ? span - bytes : 1);
@@ -96,9 +109,9 @@ std::vector<FleetOp> generate_fleet_ops(const TenantFleetConfig& config) {
     }
 
     for (std::uint32_t sidx = 0; sidx < config.sends_per_tenant; ++sidx) {
-      const SimTime at = steady + config.send_spacing * sidx;
+      const SimTime at = steady + kSendSpacing * sidx;
       push(at, FleetOpKind::kSend, 0, 0,
-           bytes_in(rng, config.send_bytes_min, config.send_bytes_max));
+           bytes_in(rng, kSendBytesMin, kSendBytesMax));
     }
   }
 

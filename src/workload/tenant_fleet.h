@@ -50,33 +50,28 @@ struct TenantFleetConfig {
   std::uint64_t guest_mem_bytes = 2ull * 1024 * 1024 * 1024;
 
   // Cold-start stampede shape: containers boot in waves of stampede_width,
-  // boot_spacing apart within a wave, wave_spacing between wave starts.
-  // Each boot is followed by a device create and the tenant's first MR.
+  // kBootSpacing apart within a wave, kWaveSpacing between wave starts
+  // (tenant_fleet.cc). Each boot is followed by a device create and the
+  // tenant's first MR.
   std::uint32_t stampede_width = 8;
-  SimTime wave_spacing = SimTime::micros(50);
-  SimTime boot_spacing = SimTime::nanos(500);
 
   std::uint64_t mr_bytes = 4ull * 1024 * 1024;
 
   // Steady state (starts after the last wave): every tenant issues
   // dma_ops_per_tenant demand-pins walking a working_set_bytes window of
-  // its guest memory — `dma_retouch` of them revisit an already-pinned
-  // block (Map Cache hit path) — and sends_per_tenant vSwitch messages.
+  // its guest memory — a kDmaRetouch share of them revisit an
+  // already-pinned block (Map Cache hit path) — and sends_per_tenant
+  // vSwitch messages. Op sizes and send spacing are the k* constants of
+  // tenant_fleet.cc.
   std::uint32_t dma_ops_per_tenant = 8;
-  std::uint64_t dma_bytes_min = 4 * 1024;
-  std::uint64_t dma_bytes_max = 64 * 1024;
-  double dma_retouch = 0.5;
   std::uint64_t working_set_bytes = 256ull * 1024 * 1024;
   SimTime dma_spacing = SimTime::micros(2);
 
   std::uint32_t sends_per_tenant = 4;
-  std::uint64_t send_bytes_min = 1024;
-  std::uint64_t send_bytes_max = 16 * 1024;
-  SimTime send_spacing = SimTime::micros(1);
 };
 
 /// Time of the last boot wave's start (steady-state traffic begins one
-/// wave_spacing later) — lets replayers split cold-start from steady phase.
+/// kWaveSpacing later) — lets replayers split cold-start from steady phase.
 SimTime fleet_steady_start(const TenantFleetConfig& config);
 
 /// The whole fleet's op stream, sorted by (at, tenant, seq). Deterministic:

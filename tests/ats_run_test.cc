@@ -75,8 +75,7 @@ struct ReferenceAts {
       : table(rig.pcie.iommu().table()),
         requester_known(requester_known),
         rtt(rig.pcie.ats_round_trip()),
-        config(rig.config),
-        page_walk_latency(rig.pcie.iommu().config().page_walk_latency) {}
+        config(rig.config) {}
 
   StatusOr<Atc::Lookup> translate(IoVa iova, TenantId tenant = kHostTenant) {
     const IoVa page = iova.align_down(kPage4K);
@@ -111,7 +110,6 @@ struct ReferenceAts {
   bool requester_known;
   HostPcie::AtsRoundTrip rtt;
   GdrEngineConfig config;
-  SimTime page_walk_latency;
   ReferenceTranslationCache atc{kAtcPages};
   ReferenceTranslationCache iotlb{kIotlbPages};
   std::uint64_t page_walks = 0;
@@ -125,8 +123,7 @@ GdrTransfer reference_transfer(ReferenceAts& ref, IoVa iova,
   const GdrEngineConfig& cfg = ref.config;
   const std::uint32_t page = cfg.page_size;
   const std::uint64_t pages = pages_covering(iova, len, page);
-  const SimTime page_wire =
-      cfg.nic_rate.transmit_time(page + cfg.wire_overhead);
+  const SimTime page_wire = cfg.nic_rate.transmit_time(page + kGdrWireOverhead);
   std::int64_t total_ps = 0;
   for (std::uint64_t i = 0; i < pages; ++i) {
     std::int64_t stall_ps = 0;
@@ -134,11 +131,11 @@ GdrTransfer reference_transfer(ReferenceAts& ref, IoVa iova,
     if (lookup.is_ok() && !lookup.value().hit) {
       ++out.atc_misses;
       stall_ps = lookup.value().latency.ps() /
-                 static_cast<std::int64_t>(cfg.ats_pipeline_depth);
+                 static_cast<std::int64_t>(kAtsPipelineDepth);
       if (!lookup.value().iotlb_hit) {
         ++out.iotlb_misses;
-        stall_ps += ref.page_walk_latency.ps() /
-                    static_cast<std::int64_t>(cfg.iommu_walk_depth);
+        stall_ps += kPageWalkLatency.ps() /
+                    static_cast<std::int64_t>(kIommuWalkDepth);
       }
     }
     total_ps += page_wire.ps() + stall_ps;

@@ -104,7 +104,7 @@ TEST_F(GdrEngineTest, EmttAndRcDurationsEqualPerPageSum) {
   const std::uint64_t lengths[] = {1, 4095, 4096, 4097, 1_MiB + 3, 16_MiB - 1};
   for (const double gbps : {100.0, 400.0}) {
     const GdrEngineConfig cfg = engine_config(gbps);
-    const std::uint32_t tlp = cfg.page_size + cfg.wire_overhead;
+    const std::uint32_t tlp = cfg.page_size + kGdrWireOverhead;
     const std::int64_t wire_ps = cfg.nic_rate.transmit_time(tlp).ps();
     const std::int64_t rc_ps = std::max(
         wire_ps, pcie_.config().rc_p2p_bandwidth.transmit_time(tlp).ps());

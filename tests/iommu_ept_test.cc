@@ -23,12 +23,12 @@ TEST(IommuTest, FirstTranslationWalksThenCaches) {
   auto miss = iommu.translate(IoVa{0x2000});
   ASSERT_TRUE(miss.is_ok());
   EXPECT_FALSE(miss.value().iotlb_hit);
-  EXPECT_EQ(miss.value().latency, iommu.config().page_walk_latency);
+  EXPECT_EQ(miss.value().latency, kPageWalkLatency);
 
   auto hit = iommu.translate(IoVa{0x2800});  // same 4 KiB page
   ASSERT_TRUE(hit.is_ok());
   EXPECT_TRUE(hit.value().iotlb_hit);
-  EXPECT_EQ(hit.value().latency, iommu.config().iotlb_hit_latency);
+  EXPECT_EQ(hit.value().latency, kIotlbHitLatency);
   EXPECT_EQ(hit.value().hpa, Hpa{0x102800});
 }
 

@@ -41,7 +41,7 @@ TEST_F(RnicDeviceTest, VfProvisioningIsSlow) {
 TEST_F(RnicDeviceTest, VirtualDeviceCreationMatchesMasqAndBeatsVfReset) {
   Rnic rnic(*pcie_, Bdf{0x10, 0, 0}, sw_);
   // vStellar device provisioning matches MasQ (~1.5 s, §4)...
-  const SimTime vdev = rnic.config().sf_create_time;
+  const SimTime vdev = kSfCreateTime;
   EXPECT_NEAR(vdev.sec(), 1.5, 0.01);
   // ...and is far below even one VF's function reset plus creation.
   auto vf = rnic.set_num_vfs(1);
@@ -161,9 +161,7 @@ TEST(VSwitchTest, TenantInterference) {
 }
 
 TEST(VSwitchTest, CapacityAndRemoval) {
-  VSwitch::Config cfg;
-  cfg.capacity = 2;
-  VSwitch vsw(cfg);
+  VSwitch vsw(/*capacity=*/2);
   ASSERT_TRUE(vsw.add_rule({1, TrafficClass::kTcp, 0, false, 1, 1}).is_ok());
   ASSERT_TRUE(vsw.add_rule({2, TrafficClass::kTcp, 0, false, 1, 1}).is_ok());
   EXPECT_EQ(vsw.add_rule({3, TrafficClass::kTcp, 0, false, 1, 1}).code(),

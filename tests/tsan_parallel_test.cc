@@ -86,7 +86,7 @@ SweepResult sweep(std::uint32_t threads) {
   obs::ObsHub* prev = obs::install_hub(&hub);
   SweepResult out;
   out.runs.resize(4);
-  ShardedRunSet runs(threads, out.runs.size());
+  ShardedRunSet runs(threads);
   for (std::size_t i = 0; i < out.runs.size(); ++i) {
     MiniResult* slot = &out.runs[i];
     const MultipathAlgo algo = algos[i];

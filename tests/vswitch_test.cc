@@ -37,9 +37,7 @@ TEST(VSwitchQos, RuleQuotaShedsTenantWithoutCollateral) {
 }
 
 TEST(VSwitchQos, GlobalCapacityIsResourceExhausted) {
-  VSwitch::Config cfg;
-  cfg.capacity = 4;
-  VSwitch vs(cfg);
+  VSwitch vs(/*capacity=*/4);
   for (std::uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(vs.add_rule(rule(i, TrafficClass::kTcp, 1)).is_ok());
   }

@@ -31,7 +31,8 @@
 #      trace_summarize reports fluid fast-forward spans, and a run-twice
 #      byte comparison of fig15_16 --endpoints=128 --fidelity=hybrid
 #      stdout (the pure-fluid ring path), and a check that an unknown
-#      --fidelity value (the removed `fluid`) makes a bench exit non-zero.
+#      --fidelity value (the removed `fluid`) makes a bench exit non-zero
+#      and that a malformed --threads or --trace-sample makes it exit 2.
 #      The fig09-mini BENCH JSON at both fidelities and that fig15_16
 #      stdout (minus [engine] lines) must also equal the committed goldens
 #      in tests/golden/ byte for byte, as must the virt-layer tables
@@ -230,6 +231,18 @@ if build/bench/fig12_pathcount --fidelity=fluid > /dev/null 2>&1; then
 else
   echo "fig12_pathcount rejected --fidelity=fluid as required"
 fi
+
+step "malformed --threads and --trace-sample are rejected (fig12_pathcount exits 2)"
+for flag in --threads=0 --threads=four --trace-sample=-5; do
+  status=0
+  build/bench/fig12_pathcount "$flag" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "ci_checks: FATAL: fig12_pathcount $flag exited $status, not 2;" >&2
+    echo "a malformed flag must be rejected, not mapped to a default" >&2
+    exit 1
+  fi
+done
+echo "fig12_pathcount rejected --threads=0, --threads=four and --trace-sample=-5"
 
 step "perf golden smoke (one pass each: allreduce_hybrid within 1 % at seeds 1 and 2, the others exact)"
 # A fluid-solver change that drifts the hybrid benchmark goldens, a
