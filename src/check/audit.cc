@@ -11,8 +11,6 @@ std::string AuditReport::to_string() const {
   return out;
 }
 
-AuditRegistry::~AuditRegistry() { detach(); }
-
 AuditReport AuditRegistry::run_all() {
   owner_.assert_held();
   AuditReport report;
@@ -33,27 +31,22 @@ void AuditRegistry::attach_periodic(Simulator& sim, SimTime period) {
   detach();
   sim_ = &sim;
   period_ = period;
-  pending_ = sim_->schedule_after(period_, [this] { fire(); });
+  timer_.emplace(sim, [this] { fire(); });
+  timer_->arm(sim.now() + period_);
 }
 
 void AuditRegistry::detach() {
   owner_.assert_held();
-  if (sim_ != nullptr && pending_.valid()) {
-    sim_->cancel(pending_);
-  }
-  pending_ = EventHandle{};
+  timer_.reset();  // disarms a pending firing
   sim_ = nullptr;
 }
 
 void AuditRegistry::fire() {
   owner_.assert_held();
-  pending_ = EventHandle{};
   (void)run_all();
   // Re-arm only while other work is queued: the firing that observes an
   // empty queue was the drain-time audit, and the simulation may end.
-  if (sim_ != nullptr && !sim_->empty()) {
-    pending_ = sim_->schedule_after(period_, [this] { fire(); });
-  }
+  if (!sim_->empty()) timer_->arm(sim_->now() + period_);
 }
 
 }  // namespace stellar

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,7 +71,6 @@ class AuditRegistry {
   AuditRegistry() = default;
   AuditRegistry(const AuditRegistry&) = delete;
   AuditRegistry& operator=(const AuditRegistry&) = delete;
-  ~AuditRegistry();
 
   void add(std::unique_ptr<InvariantAuditor> auditor) {
     owner_.assert_held();
@@ -120,7 +120,8 @@ class AuditRegistry {
       STELLAR_GUARDED_BY(owner_);
   Simulator* sim_ STELLAR_GUARDED_BY(owner_) = nullptr;
   SimTime period_ STELLAR_GUARDED_BY(owner_) = SimTime::zero();
-  EventHandle pending_ STELLAR_GUARDED_BY(owner_);
+  // The periodic firing, held from attach to detach.
+  std::optional<Simulator::Timer> timer_ STELLAR_GUARDED_BY(owner_);
   bool trap_on_finding_ STELLAR_GUARDED_BY(owner_) = true;
   std::uint64_t runs_ STELLAR_GUARDED_BY(owner_) = 0;
   std::uint64_t total_findings_ STELLAR_GUARDED_BY(owner_) = 0;

@@ -341,9 +341,9 @@ void SimulatorAuditor::audit(AuditReport& report) const {
                                            stats.tombstones));
   }
   // Every pending entry is a pool record in use or an armed timer, and
-  // each backs exactly one; cancel() frees the record and disarm() clears
-  // the timer, so tombstones hold neither — a leak or double-free in the
-  // record pool, or a drifting armed-timer count, breaks this.
+  // each backs exactly one; a tombstone is a disarmed timer's entry and
+  // holds neither — a leak or double-free in the record pool, or a
+  // drifting armed-timer count, breaks this.
   report.note_check();
   if (stats.allocated_records + stats.armed_timers != stats.pending_ids) {
     report.fail(name(), "record pool has " +

@@ -32,21 +32,18 @@ void FaultTelemetry::attach(Simulator& sim, SimTime period) {
   period_ = period;
   // Take the t=attach baseline sample immediately, then sample every period.
   samples_.push_back(snapshot());
-  pending_ = sim_->schedule_after(period_, [this] { fire(); });
+  timer_.emplace(sim, [this] { fire(); });
+  timer_->arm(sim.now() + period_);
 }
 
 void FaultTelemetry::detach() {
   owner_.assert_held();
-  if (sim_ != nullptr && pending_.valid()) {
-    sim_->cancel(pending_);
-  }
-  pending_ = EventHandle{};
+  timer_.reset();  // disarms a pending firing
   sim_ = nullptr;
 }
 
 void FaultTelemetry::fire() {
   owner_.assert_held();
-  pending_ = EventHandle{};
   samples_.push_back(snapshot());
   // Mirror the sample onto the shared registry/trace so fault telemetry
   // shows up next to every other layer's series.
@@ -62,9 +59,7 @@ void FaultTelemetry::fire() {
                  static_cast<std::int64_t>(s.retransmits));)
   // Re-arm only while other work is queued: the firing that observes an
   // empty queue recorded the drained end state, and the simulation may end.
-  if (sim_ != nullptr && !sim_->empty()) {
-    pending_ = sim_->schedule_after(period_, [this] { fire(); });
-  }
+  if (!sim_->empty()) timer_->arm(sim_->now() + period_);
 }
 
 FaultTelemetry::Sample FaultTelemetry::snapshot() const {

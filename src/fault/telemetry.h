@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -123,7 +124,8 @@ class FaultTelemetry {
   SingleOwner owner_;
   Simulator* sim_ STELLAR_GUARDED_BY(owner_) = nullptr;
   SimTime period_ STELLAR_GUARDED_BY(owner_);
-  EventHandle pending_ STELLAR_GUARDED_BY(owner_);
+  // The periodic firing, held from attach to detach.
+  std::optional<Simulator::Timer> timer_ STELLAR_GUARDED_BY(owner_);
   std::uint64_t seed_ STELLAR_GUARDED_BY(owner_) = 0;
   std::vector<const RdmaEngine*> engines_ STELLAR_GUARDED_BY(owner_);
   std::vector<const Hypervisor*> hypervisors_ STELLAR_GUARDED_BY(owner_);

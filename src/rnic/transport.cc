@@ -176,22 +176,26 @@ void RdmaConnection::note_path_ack(std::uint16_t path) {
   s.blacklisted = false;
   --blacklisted_paths_;
   ++paths_reinstated_;
-  if (path < probe_events_.size()) {
-    engine_.simulator().cancel(std::exchange(probe_events_[path], {}));
+  if (path < probe_timers_.size() && probe_timers_[path] != nullptr) {
+    probe_timers_[path]->timer.disarm();
   }
 }
 
+RdmaConnection::ProbeTimer::ProbeTimer(RdmaConnection* c, std::uint16_t p)
+    : conn(c),
+      path(p),
+      timer(c->engine_.simulator(), [this] { conn->send_probe(path); }) {}
+
 void RdmaConnection::schedule_probe(std::uint16_t path, SimTime delay) {
   if (error_) return;
-  if (probe_events_.empty()) probe_events_.resize(config_.num_paths);
-  EventHandle& probe = probe_events_[path];
-  if (probe.valid()) return;  // one in flight per path
-  probe = engine_.simulator().schedule_after(
-      delay, [this, path] { send_probe(path); });
+  if (probe_timers_.empty()) probe_timers_.resize(config_.num_paths);
+  std::unique_ptr<ProbeTimer>& probe = probe_timers_[path];
+  if (probe == nullptr) probe = std::make_unique<ProbeTimer>(this, path);
+  if (probe->timer.armed()) return;  // one in flight per path
+  probe->timer.arm(engine_.simulator().now() + delay);
 }
 
 void RdmaConnection::send_probe(std::uint16_t path) {
-  probe_events_[path] = EventHandle{};
   if (error_ || !path_timeout_streak_[path].blacklisted) return;
   // Dormant while idle: no work pending means nothing re-arms the probe, so
   // the simulator can drain. kick_probes() restarts it on the next post.

@@ -363,10 +363,17 @@ class RdmaConnection : public FluidClient {
   /// use).
   PathStreak& streak(std::uint16_t path);
   std::size_t blacklisted_paths_ = 0;
-  // The pending probe of each blacklisted path, by path id (sized on the
-  // first probe). Probes go dormant while the connection is idle so the
-  // simulator can drain.
-  std::vector<EventHandle> probe_events_;
+  // A path's reinstatement probe: created the first time the path is
+  // probed, then re-armed in place, one in flight at a time. Probes go
+  // dormant while the connection is idle so the simulator can drain.
+  struct ProbeTimer {
+    ProbeTimer(RdmaConnection* c, std::uint16_t p);
+    RdmaConnection* conn;
+    std::uint16_t path;
+    Simulator::Timer timer;
+  };
+  // By path id (sized on the first probe); null for a path never probed.
+  std::vector<std::unique_ptr<ProbeTimer>> probe_timers_;
   std::uint64_t next_probe_seq_ = 0;
 
   // Armed exactly while unacked packets exist (TransportAuditor), and

@@ -107,9 +107,10 @@ void RdmaConnection::fields(Ar& ar, Self& c) {
 }
 
 void RdmaConnection::cancel_timers() {
-  Simulator& sim = engine_.simulator();
   rto_timer_.disarm();
-  for (EventHandle& probe : probe_events_) sim.cancel(std::exchange(probe, {}));
+  for (const std::unique_ptr<ProbeTimer>& probe : probe_timers_) {
+    if (probe != nullptr) probe->timer.disarm();
+  }
 }
 
 void RdmaConnection::resume_after_restore() {

@@ -17,76 +17,74 @@ constexpr std::uint32_t kPromoteQuietEpochs = 3;
 }  // namespace
 
 HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric)
-    : sim_(&sim), fabric_(&fabric), receivers_(fabric.endpoint_count()) {
+    : sim_(&sim),
+      fabric_(&fabric),
+      receivers_(fabric.endpoint_count()),
+      advance_timer_(sim, [this] { service(); }),
+      kick_timer_(sim, [this] { service(); }),
+      tick_timer_(sim, [this] { tick(); }) {
   STELLAR_CHECK(fabric.hybrid_driver() == nullptr,
                 "fabric already has a hybrid driver attached");
   fabric.set_hybrid_driver(this);
   const FabricConfig& fc = fabric.config();
-  Region& rg = region_;
   // Deterministic link order, which solver link ids follow: host/ToR edge
   // links per (segment, host), then the aggregation layer per (segment,
   // agg).
   for (std::uint32_t s = 0; s < fc.segments; ++s) {
     for (std::uint32_t h = 0; h < fc.hosts_per_segment; ++h) {
-      rg.links.push_back(&fabric.host_uplink(s, h));
-      rg.links.push_back(&fabric.tor_downlink(s, h));
+      links_.push_back(&fabric.host_uplink(s, h));
+      links_.push_back(&fabric.tor_downlink(s, h));
     }
   }
   for (std::uint32_t s = 0; s < fc.segments; ++s) {
     for (std::uint32_t a = 0; a < fc.aggs_per_plane; ++a) {
-      rg.links.push_back(&fabric.tor_uplink(s, a));
-      rg.links.push_back(&fabric.agg_downlink(a, s));
+      links_.push_back(&fabric.tor_uplink(s, a));
+      links_.push_back(&fabric.agg_downlink(a, s));
     }
   }
-  for (NetLink* link : rg.links) {
-    rg.link_index.emplace(
+  for (NetLink* link : links_) {
+    link_index_.emplace(
         link,
-        rg.solver.add_link(
+        solver_.add_link(
             static_cast<double>(link->config().bandwidth.bps()) / 8.0));
   }
-  rg.span_start = sim.now();
+  span_start_ = sim.now();
 }
 
 HybridDriver::~HybridDriver() {
   // Clients outliving the driver must not keep pointing at its records.
-  for (ClientInfo* ci : region_.clients) ci->client->fluid_info_ = nullptr;
-  sim_->cancel(region_.advance_event);
-  sim_->cancel(region_.kick_event);
-  emit_span(region_.mode);
-  sim_->cancel(tick_event_);
-  for (const EventHandle handle : zoom_window_events_) sim_->cancel(handle);
+  for (ClientInfo* ci : clients_) ci->client->fluid_info_ = nullptr;
+  emit_span(mode_);
   fabric_->set_hybrid_driver(nullptr);
 }
 
 RegionMode HybridDriver::region_mode(std::uint32_t region) const {
   STELLAR_CHECK(region == 0, "region_mode(%u): the fabric is one region",
                 region);
-  return region_.mode;
+  return mode_;
 }
 
 void HybridDriver::emit_span(RegionMode ended) {
-  Region& rg = region_;
   const SimTime now = sim_->now();
-  if (now > rg.span_start) {
-    if (ended == RegionMode::kFluid) rg.fluid_total += now - rg.span_start;
-    if (span_hook_) span_hook_(ended, rg.span_start, now);
+  if (now > span_start_) {
+    if (ended == RegionMode::kFluid) fluid_total_ += now - span_start_;
+    if (span_hook_) span_hook_(ended, span_start_, now);
   }
-  rg.span_start = now;
+  span_start_ = now;
 }
 
 SimTime HybridDriver::fluid_time() const {
-  const Region& rg = region_;
-  if (rg.mode == RegionMode::kFluid && sim_->now() > rg.span_start) {
-    return rg.fluid_total + (sim_->now() - rg.span_start);
+  if (mode_ == RegionMode::kFluid && sim_->now() > span_start_) {
+    return fluid_total_ + (sim_->now() - span_start_);
   }
-  return rg.fluid_total;
+  return fluid_total_;
 }
 
 std::uint64_t HybridDriver::fluid_bytes_served() const {
   std::uint64_t total = fluid_bytes_served_;
-  if (region_.mode != RegionMode::kFluid) return total;
+  if (mode_ != RegionMode::kFluid) return total;
   const SimTime now = sim_->now();
-  for (const ClientInfo* ci : region_.clients) {
+  for (const ClientInfo* ci : clients_) {
     if (!ci->in_fluid || ci->dead || ci->flow < 0) continue;
     const double earned = ci->rate * (now - ci->anchor).sec() + ci->carry;
     if (earned < 1.0) continue;
@@ -106,10 +104,10 @@ void HybridDriver::register_client(FluidClient* client) {
   ClientInfo* ci = info.get();
   ci->client = client;
   ci->seq = next_seq_++;
-  region_.clients.push_back(ci);
+  clients_.push_back(ci);
   client->fluid_info_ = ci;
   info_.emplace(client, std::move(info));
-  if (region_.mode == RegionMode::kFluid) {
+  if (mode_ == RegionMode::kFluid) {
     // Born in fluid: a fresh connection has no packet state, so its freeze
     // is trivial — it only resolves the link shares its spray would use.
     if (freeze(ci) && !serving_) schedule_kick();
@@ -122,12 +120,11 @@ void HybridDriver::unregister_client(FluidClient* client) {
   ClientInfo* ci = info_of(client);
   if (ci == nullptr) return;
   client->fluid_info_ = nullptr;
-  Region& rg = region_;
   if (ci->flow >= 0) remove_flow(ci);
-  rg.clients.erase(std::find(rg.clients.begin(), rg.clients.end(), ci));
-  std::erase(rg.touched, ci);
-  std::erase_if(rg.due, [ci](const DueEntry& e) { return e.client == ci; });
-  std::make_heap(rg.due.begin(), rg.due.end(), due_later);
+  clients_.erase(std::find(clients_.begin(), clients_.end(), ci));
+  std::erase(touched_, ci);
+  std::erase_if(due_, [ci](const DueEntry& e) { return e.client == ci; });
+  std::make_heap(due_.begin(), due_.end(), due_later);
   info_.erase(client);
 }
 
@@ -152,8 +149,8 @@ bool HybridDriver::freeze(ClientInfo* ci) {
   FluidFlowDesc desc = ci->client->fluid_freeze();
   ci->shares.clear();
   for (const auto& [link, weight] : desc.shares) {
-    auto it = region_.link_index.find(link);
-    STELLAR_CHECK(it != region_.link_index.end(),
+    auto it = link_index_.find(link);
+    STELLAR_CHECK(it != link_index_.end(),
                   "fluid flow references a link outside the fabric");
     ci->shares.push_back(FluidSolver::LinkShare{it->second, weight});
   }
@@ -168,28 +165,26 @@ bool HybridDriver::freeze(ClientInfo* ci) {
 }
 
 void HybridDriver::add_flow(ClientInfo* ci) {
-  Region& rg = region_;
-  ci->flow = rg.solver.add_flow(ci->shares);
+  ci->flow = solver_.add_flow(ci->shares);
   const auto id = static_cast<std::size_t>(ci->flow);
-  if (rg.flow_owner.size() <= id) rg.flow_owner.resize(id + 1, nullptr);
-  rg.flow_owner[id] = ci;
+  if (flow_owner_.size() <= id) flow_owner_.resize(id + 1, nullptr);
+  flow_owner_[id] = ci;
   // Rate 0 until the next solve anchors it at its max-min share.
   ci->rate = 0.0;
   ci->anchor = sim_->now();
   ci->carry = 0.0;
-  rg.solve_needed = true;
+  solve_needed_ = true;
 }
 
 void HybridDriver::remove_flow(ClientInfo* ci) {
-  Region& rg = region_;
   const auto id = static_cast<std::uint32_t>(ci->flow);
-  rg.solver.remove_flow(id);
-  rg.flow_owner[id] = nullptr;
+  solver_.remove_flow(id);
+  flow_owner_[id] = nullptr;
   ci->flow = -1;
   ci->rate = 0.0;
   ci->carry = 0.0;
   ++ci->version;
-  rg.solve_needed = true;
+  solve_needed_ = true;
 }
 
 bool HybridDriver::serve(ClientInfo* ci, bool due) {
@@ -246,45 +241,42 @@ void HybridDriver::push_due(ClientInfo* ci) {
   if (need < 0.0) need = 0.0;
   auto dt_ps = static_cast<std::uint64_t>(std::ceil(need * 1e12 / ci->rate));
   if (dt_ps == 0) dt_ps = 1;
-  std::vector<DueEntry>& due = region_.due;
-  due.push_back(DueEntry{ci->anchor + SimTime::picos(dt_ps), ci->seq, ci,
-                         ci->version});
-  std::push_heap(due.begin(), due.end(), due_later);
+  due_.push_back(DueEntry{ci->anchor + SimTime::picos(dt_ps), ci->seq, ci,
+                          ci->version});
+  std::push_heap(due_.begin(), due_.end(), due_later);
 }
 
 void HybridDriver::push_due_now(ClientInfo* ci) {
-  std::vector<DueEntry>& due = region_.due;
-  due.push_back(DueEntry{sim_->now(), ci->seq, ci, ++ci->version});
-  std::push_heap(due.begin(), due.end(), due_later);
+  due_.push_back(DueEntry{sim_->now(), ci->seq, ci, ++ci->version});
+  std::push_heap(due_.begin(), due_.end(), due_later);
   if (!serving_) schedule_kick();
 }
 
 void HybridDriver::serve_due() {
-  Region& rg = region_;
   const SimTime now = sim_->now();
   serving_ = true;
-  while (!rg.due.empty() && rg.due.front().at <= now) {
-    const DueEntry top = rg.due.front();
-    std::pop_heap(rg.due.begin(), rg.due.end(), due_later);
-    rg.due.pop_back();
+  while (!due_.empty() && due_.front().at <= now) {
+    const DueEntry top = due_.front();
+    std::pop_heap(due_.begin(), due_.end(), due_later);
+    due_.pop_back();
     if (top.version != top.client->version) continue;  // superseded
     serve(top.client, /*due=*/true);
-    rg.touched.push_back(top.client);
+    touched_.push_back(top.client);
   }
   serving_ = false;
 }
 
 void HybridDriver::retire_touched() {
-  std::vector<ClientInfo*>& touched = region_.touched;
-  if (touched.empty()) return;
+  if (touched_.empty()) return;
   // Registration order, as a sweep over the clients would visit them:
   // retirement order decides which solver ids get recycled.
-  std::sort(touched.begin(), touched.end(),
+  std::sort(touched_.begin(), touched_.end(),
             [](const ClientInfo* a, const ClientInfo* b) {
               return a->seq < b->seq;
             });
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (ClientInfo* ci : touched) {
+  touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                 touched_.end());
+  for (ClientInfo* ci : touched_) {
     if (ci->flow < 0) continue;
     if (ci->dead || ci->demand == 0) {
       if (!ci->dead) ++fluid_completions_;
@@ -293,21 +285,20 @@ void HybridDriver::retire_touched() {
       push_due(ci);
     }
   }
-  touched.clear();
+  touched_.clear();
 }
 
 void HybridDriver::solve() {
-  Region& rg = region_;
-  rg.solver.solve();
-  rg.solve_needed = false;
+  solver_.solve();
+  solve_needed_ = false;
   serving_ = true;
-  for (const std::uint32_t id : rg.solver.last_solved_flows()) {
-    ClientInfo* ci = rg.flow_owner[id];
+  for (const std::uint32_t id : solver_.last_solved_flows()) {
+    ClientInfo* ci = flow_owner_[id];
     if (ci == nullptr) continue;  // unregistered by a completion callback
-    const double rate = rg.solver.rate(id);
+    const double rate = solver_.rate(id);
     if (rate == ci->rate) continue;
     // Bytes earned at the old rate through now; the new rate runs from here.
-    if (serve(ci, /*due=*/false)) rg.touched.push_back(ci);
+    if (serve(ci, /*due=*/false)) touched_.push_back(ci);
     ci->rate = rate;
     push_due(ci);
   }
@@ -315,11 +306,10 @@ void HybridDriver::solve() {
 }
 
 void HybridDriver::advance_to_now() {
-  const std::vector<ClientInfo*>& clients = region_.clients;
   serving_ = true;
   // By index: a completion callback may register a client.
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    ClientInfo* ci = clients[i];
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    ClientInfo* ci = clients_[i];
     if (!ci->in_fluid || ci->dead || ci->flow < 0) continue;
     serve(ci, /*due=*/false);
   }
@@ -327,56 +317,43 @@ void HybridDriver::advance_to_now() {
 }
 
 void HybridDriver::service() {
-  Region& rg = region_;
-  if (rg.mode != RegionMode::kFluid) return;
+  if (mode_ != RegionMode::kFluid) return;
   serve_due();
   // A re-solve can complete a message of a re-rated flow (when rounding
   // lands it exactly on the boundary), which needs its own retire pass.
   for (;;) {
-    if (rg.pending_zoom) {
-      rg.pending_zoom = false;
-      zoom(rg.pending_zoom_reason);
+    if (pending_zoom_) {
+      pending_zoom_ = false;
+      zoom(pending_zoom_reason_);
       return;
     }
     retire_touched();
-    if (!rg.solve_needed) break;
+    if (!solve_needed_) break;
     solve();
   }
   schedule_next();
 }
 
 void HybridDriver::schedule_next() {
-  Region& rg = region_;
-  if (rg.advance_event.valid()) {
-    sim_->cancel(rg.advance_event);
-    rg.advance_event = EventHandle{};
-  }
+  advance_timer_.disarm();
   const auto stale = [](const DueEntry& e) {
     return e.version != e.client->version;
   };
   // Every re-rate leaves a superseded entry behind; compact once they
   // outnumber the live ones (at most one per active flow).
-  if (rg.due.size() > 2 * rg.solver.active_flows() + 64) {
-    std::erase_if(rg.due, stale);
-    std::make_heap(rg.due.begin(), rg.due.end(), due_later);
+  if (due_.size() > 2 * solver_.active_flows() + 64) {
+    std::erase_if(due_, stale);
+    std::make_heap(due_.begin(), due_.end(), due_later);
   }
-  while (!rg.due.empty() && stale(rg.due.front())) {
-    std::pop_heap(rg.due.begin(), rg.due.end(), due_later);
-    rg.due.pop_back();
+  while (!due_.empty() && stale(due_.front())) {
+    std::pop_heap(due_.begin(), due_.end(), due_later);
+    due_.pop_back();
   }
-  if (rg.due.empty()) return;
-  rg.advance_event = sim_->schedule_at(rg.due.front().at, [this] {
-    region_.advance_event = EventHandle{};
-    service();
-  });
+  if (!due_.empty()) advance_timer_.arm(due_.front().at);
 }
 
 void HybridDriver::schedule_kick() {
-  if (region_.kick_event.valid()) return;
-  region_.kick_event = sim_->schedule_at(sim_->now(), [this] {
-    region_.kick_event = EventHandle{};
-    service();
-  });
+  if (!kick_timer_.armed()) kick_timer_.arm(sim_->now());
 }
 
 // ---------------------------------------------------------------------------
@@ -384,29 +361,28 @@ void HybridDriver::schedule_kick() {
 // ---------------------------------------------------------------------------
 
 void HybridDriver::enter_fluid() {
-  Region& rg = region_;
-  if (rg.mode == RegionMode::kFluid) return;
+  if (mode_ == RegionMode::kFluid) return;
   const SimTime now = sim_->now();
   if (now < hold_until_) return;
-  for (ClientInfo* ci : rg.clients) {
+  for (ClientInfo* ci : clients_) {
     if (ci->dead || ci->client->fluid_errored()) continue;
     if (!ci->client->fluid_eligible()) return;  // stay packet this epoch
   }
   // A down link breaks the fluid model's capacity assumptions (flows
   // across it would stall at rate zero and never complete): packet mode
   // owns outages — its retransmit/blacklist machinery routes around them.
-  for (const NetLink* link : rg.links) {
+  for (const NetLink* link : links_) {
     if (!link->is_up()) return;
   }
   // Refresh capacities: degrade faults may have changed link bandwidth
   // since the fabric was last fluid.
-  for (std::uint32_t l = 0; l < rg.links.size(); ++l) {
-    rg.solver.set_capacity(
-        l, static_cast<double>(rg.links[l]->config().bandwidth.bps()) / 8.0);
+  for (std::uint32_t l = 0; l < links_.size(); ++l) {
+    solver_.set_capacity(
+        l, static_cast<double>(links_[l]->config().bandwidth.bps()) / 8.0);
   }
   // Absorb every packet the links still own into fluid state.
-  for (NetLink* link : rg.links) absorbed_packets_ += link->absorb();
-  for (ClientInfo* ci : rg.clients) {
+  for (NetLink* link : links_) absorbed_packets_ += link->absorb();
+  for (ClientInfo* ci : clients_) {
     if (ci->dead || ci->client->fluid_errored()) {
       ci->dead = true;
       continue;
@@ -414,33 +390,29 @@ void HybridDriver::enter_fluid() {
     freeze(ci);
   }
   emit_span(RegionMode::kPacket);
-  rg.mode = RegionMode::kFluid;
+  mode_ = RegionMode::kFluid;
   ++transitions_;
   solve();
   schedule_next();
 }
 
 void HybridDriver::zoom(const char* reason) {
-  Region& rg = region_;
-  if (rg.mode != RegionMode::kFluid) return;
+  if (mode_ != RegionMode::kFluid) return;
   if (serving_) {
     // Mid-serve (a completion callback triggered the zoom): finish the
     // serve loop first, then zoom at the same timestamp via the kick.
-    rg.pending_zoom = true;
-    rg.pending_zoom_reason = reason;
+    pending_zoom_ = true;
+    pending_zoom_reason_ = reason;
     schedule_kick();
     return;
   }
   advance_to_now();
-  if (rg.advance_event.valid()) {
-    sim_->cancel(rg.advance_event);
-    rg.advance_event = EventHandle{};
-  }
-  rg.pending_zoom = false;
+  advance_timer_.disarm();
+  pending_zoom_ = false;
   emit_span(RegionMode::kFluid);
-  rg.mode = RegionMode::kPacket;
+  mode_ = RegionMode::kPacket;
   ++transitions_;
-  for (ClientInfo* ci : rg.clients) {
+  for (ClientInfo* ci : clients_) {
     const double rate = ci->rate;
     if (ci->flow >= 0) remove_flow(ci);
     if (ci->in_fluid) {
@@ -450,20 +422,20 @@ void HybridDriver::zoom(const char* reason) {
       ci->client->fluid_thaw(rate);
     }
   }
-  rg.due.clear();
-  rg.touched.clear();
-  rg.solve_needed = false;
-  rg.quiet_epochs = 0;
+  due_.clear();
+  touched_.clear();
+  solve_needed_ = false;
+  quiet_epochs_ = 0;
   // Promotion baselines: only *new* ECN marks / retransmits after the zoom
   // count against quietness.
   std::uint64_t ecn = 0;
-  for (const NetLink* link : rg.links) ecn += link->ecn_marks();
+  for (const NetLink* link : links_) ecn += link->ecn_marks();
   std::uint64_t retx = 0;
-  for (ClientInfo* ci : rg.clients) {
+  for (ClientInfo* ci : clients_) {
     if (!ci->dead) retx += ci->client->fluid_retransmit_count();
   }
-  rg.last_ecn = ecn;
-  rg.last_retx = retx;
+  last_ecn_ = ecn;
+  last_retx_ = retx;
   (void)reason;
   arm_tick();
 }
@@ -477,14 +449,16 @@ void HybridDriver::force_packet(SimTime hold, const char* reason) {
 
 void HybridDriver::request_zoom_window(SimTime start, SimTime end) {
   if (start <= sim_->now()) {
-    if (end > hold_until_) hold_until_ = end;
-    force_packet(SimTime::zero(), "zoom-window");
+    open_zoom_window(end);
     return;
   }
-  zoom_window_events_.push_back(sim_->schedule_at(start, [this, end] {
-    if (end > hold_until_) hold_until_ = end;
-    force_packet(SimTime::zero(), "zoom-window");
-  }));
+  zoom_windows_.push_back(std::make_unique<ZoomWindow>(this, end));
+  zoom_windows_.back()->timer.arm(start);
+}
+
+void HybridDriver::open_zoom_window(SimTime end) {
+  if (end > hold_until_) hold_until_ = end;
+  force_packet(SimTime::zero(), "zoom-window");
 }
 
 // ---------------------------------------------------------------------------
@@ -534,8 +508,8 @@ void HybridDriver::on_client_error(FluidClient* client) {
     // The flow itself is retired by the next service() pass — it may
     // currently be mid-serve. Its queued due entry is void already.
     ++ci->version;
-    region_.touched.push_back(ci);
-    region_.solve_needed = true;
+    touched_.push_back(ci);
+    solve_needed_ = true;
     if (!serving_) schedule_kick();
   }
 }
@@ -545,46 +519,44 @@ void HybridDriver::on_client_error(FluidClient* client) {
 // ---------------------------------------------------------------------------
 
 bool HybridDriver::has_live_client() const {
-  return std::any_of(region_.clients.begin(), region_.clients.end(),
+  return std::any_of(clients_.begin(), clients_.end(),
                      [](const ClientInfo* ci) { return !ci->dead; });
 }
 
 void HybridDriver::arm_tick() {
-  if (tick_event_.valid()) return;
-  if (region_.mode != RegionMode::kPacket || !has_live_client()) return;
+  if (tick_timer_.armed()) return;
+  if (mode_ != RegionMode::kPacket || !has_live_client()) return;
   // Never keep an otherwise-drained simulator alive just to poll: when
   // traffic stops, the tick stops with it.
   if (sim_->pending_events() == 0) return;
-  tick_event_ = sim_->schedule_after(kEpoch, [this] { tick(); });
+  tick_timer_.arm(sim_->now() + kEpoch);
 }
 
 void HybridDriver::tick() {
-  tick_event_ = EventHandle{};
-  Region& rg = region_;
-  if (rg.mode == RegionMode::kPacket && has_live_client()) {
+  if (mode_ == RegionMode::kPacket && has_live_client()) {
     std::uint64_t ecn = 0;
-    for (const NetLink* link : rg.links) ecn += link->ecn_marks();
+    for (const NetLink* link : links_) ecn += link->ecn_marks();
     std::uint64_t retx = 0;
-    for (const ClientInfo* ci : rg.clients) {
+    for (const ClientInfo* ci : clients_) {
       if (!ci->dead) retx += ci->client->fluid_retransmit_count();
     }
     bool quiet = true;
-    for (const NetLink* link : rg.links) {
+    for (const NetLink* link : links_) {
       if (link->queue_bytes() > kZoomQueueBytes) {
         quiet = false;
         break;
       }
     }
-    if (ecn != rg.last_ecn || retx != rg.last_retx) quiet = false;
-    rg.last_ecn = ecn;
-    rg.last_retx = retx;
+    if (ecn != last_ecn_ || retx != last_retx_) quiet = false;
+    last_ecn_ = ecn;
+    last_retx_ = retx;
     if (sim_->now() < hold_until_) quiet = false;
     if (quiet) {
-      ++rg.quiet_epochs;
+      ++quiet_epochs_;
     } else {
-      rg.quiet_epochs = 0;
+      quiet_epochs_ = 0;
     }
-    if (rg.quiet_epochs >= kPromoteQuietEpochs) enter_fluid();
+    if (quiet_epochs_ >= kPromoteQuietEpochs) enter_fluid();
   }
   arm_tick();
 }

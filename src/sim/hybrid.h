@@ -1,5 +1,5 @@
 // Hybrid fidelity driver: flow-level fast-forward with packet-level zoom
-// (ROADMAP item 2; math and tolerance rationale in docs/HYBRID.md).
+// (math and tolerance rationale in docs/HYBRID.md).
 //
 // The fabric — one (rail, plane) island, which connections never leave —
 // is in one of two modes:
@@ -202,7 +202,7 @@ class HybridDriver {
 
   // -- Mode control ---------------------------------------------------------
 
-  RegionMode mode() const { return region_.mode; }
+  RegionMode mode() const { return mode_; }
   /// 1, and mode() by another name: kept only for perf/driver.cc (ROADMAP
   /// item 9). `region` must be 0.
   std::uint32_t region_count() const { return 1; }
@@ -269,28 +269,16 @@ class HybridDriver {
     return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
 
-  /// The fabric's fluid state.
-  struct Region {
-    RegionMode mode = RegionMode::kFluid;  // the fabric starts fluid
-    FluidSolver solver;
-    std::vector<NetLink*> links;  // deterministic fabric order
-    std::unordered_map<const NetLink*, std::uint32_t> link_index;  // lookup
-    std::vector<ClientInfo*> clients;  // registration order
-    std::vector<ClientInfo*> flow_owner;  // by solver flow id
-    std::vector<DueEntry> due;  // min-heap on (at, seq)
-    // Flows served at a due event or errored since the last retire pass:
-    // the only ones that can have drained.
-    std::vector<ClientInfo*> touched;
-    EventHandle advance_event;
-    EventHandle kick_event;
-    bool solve_needed = false;
-    bool pending_zoom = false;
-    const char* pending_zoom_reason = "";
-    std::uint32_t quiet_epochs = 0;
-    SimTime span_start = SimTime::zero();
-    SimTime fluid_total = SimTime::zero();
-    std::uint64_t last_ecn = 0;
-    std::uint64_t last_retx = 0;
+  /// A zoom window requested ahead of time: its timer fires at the
+  /// window's start.
+  struct ZoomWindow {
+    ZoomWindow(HybridDriver* d, SimTime window_end)
+        : driver(d),
+          end(window_end),
+          timer(*d->sim_, [this] { driver->open_zoom_window(end); }) {}
+    HybridDriver* driver;
+    SimTime end;
+    Simulator::Timer timer;
   };
 
   void enter_fluid();
@@ -327,6 +315,8 @@ class HybridDriver {
   void solve();
   void schedule_next();
   void schedule_kick();
+  /// Hold promotion off until at least `end` and drop to packet mode.
+  void open_zoom_window(SimTime end);
   void emit_span(RegionMode ended);
   /// True if a registered client is not dead: the promotion tick polls
   /// only while one is.
@@ -336,19 +326,39 @@ class HybridDriver {
 
   Simulator* sim_;
   ClosFabric* fabric_;
-  Region region_;
+  // The fabric's fluid state.
+  RegionMode mode_ = RegionMode::kFluid;  // the fabric starts fluid
+  FluidSolver solver_;
+  std::vector<NetLink*> links_;  // deterministic fabric order
+  std::unordered_map<const NetLink*, std::uint32_t> link_index_;  // lookup
+  std::vector<ClientInfo*> clients_;     // registration order
+  std::vector<ClientInfo*> flow_owner_;  // by solver flow id
+  std::vector<DueEntry> due_;            // min-heap on (at, seq)
+  // Flows served at a due event or errored since the last retire pass:
+  // the only ones that can have drained.
+  std::vector<ClientInfo*> touched_;
+  bool solve_needed_ = false;
+  bool pending_zoom_ = false;
+  const char* pending_zoom_reason_ = "";
+  std::uint32_t quiet_epochs_ = 0;
+  SimTime span_start_ = SimTime::zero();
+  SimTime fluid_total_ = SimTime::zero();
+  std::uint64_t last_ecn_ = 0;
+  std::uint64_t last_retx_ = 0;
   // Owns the client records; consulted only to register and unregister
   // (notifications reach a record through FluidClient::fluid_info_).
   std::unordered_map<FluidClient*, std::unique_ptr<ClientInfo>> info_;
   std::vector<FluidReceiver*> receivers_;  // by endpoint id; null = none
   SpanHook span_hook_;
   SimTime hold_until_ = SimTime::zero();
-  // Every event the driver schedules captures `this`; the destructor
-  // cancels whatever is still pending so a simulator that outlives the
-  // driver never calls into it. Handles are generation-tagged, so
-  // cancelling one that already ran is a no-op.
-  EventHandle tick_event_;
-  std::vector<EventHandle> zoom_window_events_;  // one per future window
+  // The driver's events, each a timer that captures `this`: the next due
+  // completion, a service pass at now, the promotion poll, and one per
+  // requested zoom window. A timer disarms itself when the driver dies, so
+  // a simulator that outlives the driver never calls into it.
+  Simulator::Timer advance_timer_;
+  Simulator::Timer kick_timer_;
+  Simulator::Timer tick_timer_;
+  std::vector<std::unique_ptr<ZoomWindow>> zoom_windows_;
   // True while flows are being served (completion callbacks are running).
   // Zooms requested meanwhile are deferred to a kick.
   bool serving_ = false;

@@ -45,11 +45,6 @@ std::uint32_t Simulator::alloc_record() {
 
 void Simulator::free_record(std::uint32_t idx) {
   EventRecord& r = record(idx);
-  r.state = RecState::kFree;
-  ++r.gen;  // invalidate any outstanding handle to this slot
-  // Destroying the captures may re-enter the scheduler: the slot is dead
-  // to handles already and joins the free list only afterwards.
-  r.action.reset();
   r.next_free = free_head_;
   free_head_ = idx;
   --allocated_records_;
@@ -319,8 +314,8 @@ inline void Simulator::check_schedule(SimTime at, std::uint64_t seq,
   }
 }
 
-inline void Simulator::place_pending(SimTime at, std::uint64_t seq,
-                                     std::uint32_t idx) {
+void Simulator::place_pending(SimTime at, std::uint64_t seq,
+                              std::uint32_t idx) {
   const Entry e{at.ps(), seq << kIdxBits | idx};
   const std::int64_t t0 = at.ps() >> kGranularityShift;
   if (t0 < cur_tick_) rewind_to(t0);
@@ -336,40 +331,9 @@ inline void Simulator::place_pending(SimTime at, std::uint64_t seq,
   ++pending_count_;
 }
 
-std::uint32_t Simulator::enqueue(SimTime at, std::uint64_t seq) {
+std::uint32_t Simulator::take_record(SimTime at, std::uint64_t seq) {
   check_schedule(at, seq, "Simulator::schedule_at");
-  const std::uint32_t idx = alloc_record();
-  EventRecord& r = record(idx);
-  r.seq = seq;
-  r.state = RecState::kPending;
-  place_pending(at, seq, idx);
-  return idx;
-}
-
-void Simulator::drop_pending(std::uint32_t idx) {
-  // The queued entry stays behind as a tombstone holding no record and is
-  // swept lazily, while the record can serve the very next schedule —
-  // typically the timer's re-arm.
-  free_record(idx);
-  --live_events_;
-  --pending_count_;
-  ++tombstones_;
-}
-
-bool Simulator::cancel(EventHandle handle) {
-  owner_.assert_held();
-  if (!handle.valid()) return false;
-  const std::uint64_t id = handle.id();
-  const std::uint64_t slot = id >> 32;
-  if (slot == 0 || slot > pool_capacity_) return false;
-  const auto idx = static_cast<std::uint32_t>(slot - 1);
-  EventRecord& r = record(idx);
-  if (r.state != RecState::kPending ||
-      r.gen != static_cast<std::uint32_t>(id)) {
-    return false;
-  }
-  drop_pending(idx);  // releases the record and its captures now
-  return true;
+  return alloc_record();
 }
 
 void Simulator::consume_and_run(std::uint32_t idx) {
@@ -393,16 +357,11 @@ void Simulator::consume_and_run(std::uint32_t idx) {
     return;
   }
   EventRecord& r = record(idx);
-  // Retire the record before invoking: the generation bump kills any
-  // outstanding handle (a self-cancel from inside the action must fail,
-  // as it did when events were popped off the old heap), but the record
-  // joins the free list only after the action returns, so the closure
-  // runs in place — no 64-byte relocation per event — and a reentrant
+  // The closure runs in place — no 64-byte relocation per event — and the
+  // record joins the free list only after it returns, so a reentrant
   // schedule can never be handed this slot while it executes. All the
   // counters (including the pool's) drop before the call, so an auditor
   // running *inside* the action sees consistent double-entry books.
-  r.state = RecState::kFree;
-  ++r.gen;
   --live_events_;
   --pending_count_;
   --allocated_records_;

@@ -13,17 +13,19 @@
 //    timers (fault plans, second-scale horizons) ever touch the heap. An
 //    idle slot holds no buffer: emptied slot vectors wait in a stash for
 //    the next slot that gets an entry.
-//  * One-shot events live in a pooled slab of records addressed by index;
-//    an EventHandle encodes (index, generation), so cancel() is one array
-//    access plus a generation compare — no hash lookups anywhere. Their
-//    callables are stored as InlineAction (64-byte small-buffer storage),
-//    built directly in the record, so scheduling never heap-allocates and
-//    never relocates its closure.
-//  * Recurring events are Simulator::Timer objects embedded in their owner
-//    (a link's serialization-done and delivery events, a connection's RTO):
-//    registered once, then armed, disarmed and re-armed in place. A wheel
-//    entry names either a record or a timer (a tag bit), so an armed timer
-//    takes no record and builds no closure.
+//  * One-shot events are fire-and-forget closures in a pooled slab of
+//    records addressed by index. Their callables are stored as InlineAction
+//    (64-byte small-buffer storage), built directly in the record before
+//    its entry is queued, so scheduling never heap-allocates and never
+//    relocates its closure. A one-shot event cannot be cancelled.
+//  * Cancellable and recurring events are Simulator::Timer objects
+//    embedded in their owner (a link's serialization-done and delivery
+//    events, a connection's RTO and probes, the hybrid driver's service
+//    events, the periodic samplers): registered once, then armed, disarmed
+//    and re-armed in place. A wheel entry names either a record or a timer
+//    (a tag bit), so an armed timer takes no record and builds no closure.
+//    Disarming leaves the entry behind as a tombstone, swept lazily; only
+//    timer entries are ever tombstones.
 //
 // Determinism contract: events fire in strict (time, seq) order. Wheel
 // slots are coarser than a picosecond, so each slot is sorted by
@@ -59,19 +61,6 @@ concept EventCallable =
     (!std::is_same_v<std::remove_cvref_t<F>, InlineAction> &&
      std::is_invocable_r_v<void, std::decay_t<F>&>);
 
-/// Handle returned by Simulator::schedule(); can cancel a pending event.
-class EventHandle {
- public:
-  EventHandle() = default;
-  bool valid() const { return id_ != 0; }
-  std::uint64_t id() const { return id_; }
-
- private:
-  friend class Simulator;
-  explicit EventHandle(std::uint64_t id) : id_(id) {}
-  std::uint64_t id_ = 0;
-};
-
 class Simulator {
   // Wheel geometry: two levels of 4096 slots.
   static constexpr int kLevels = 2;
@@ -105,11 +94,14 @@ class Simulator {
   SimTime now() const { return now_; }
 
   /// Schedule `action` to run at absolute time `at` (must be >= now();
-  /// throws std::invalid_argument, with nothing scheduled, otherwise).
+  /// throws std::invalid_argument, with nothing scheduled, otherwise). The
+  /// event cannot be cancelled: an event its owner may need to call off is
+  /// a Timer.
   template <EventCallable F>
-  EventHandle schedule_at(SimTime at, F&& action) {
+  void schedule_at(SimTime at, F&& action) {
     owner_.assert_held();
-    const std::uint32_t idx = enqueue(at, next_seq_++);
+    const std::uint64_t seq = next_seq_++;
+    const std::uint32_t idx = take_record(at, seq);
     EventRecord& r = record(idx);
     try {
       if constexpr (std::is_same_v<F, InlineAction>) {
@@ -118,16 +110,16 @@ class Simulator {
         r.action.emplace(std::forward<F>(action));
       }
     } catch (...) {
-      drop_pending(idx);  // a throwing copy or box: leave a tombstone
+      free_record(idx);  // a throwing copy or box: nothing was queued
       throw;
     }
-    return EventHandle{(std::uint64_t{idx} + 1) << 32 | r.gen};
+    place_pending(at, seq, idx);
   }
 
   /// Schedule `action` to run `delay` after the current time.
   template <EventCallable F>
-  EventHandle schedule_after(SimTime delay, F&& action) {
-    return schedule_at(now_ + delay, std::forward<F>(action));
+  void schedule_after(SimTime delay, F&& action) {
+    schedule_at(now_ + delay, std::forward<F>(action));
   }
 
   /// Consume and return the next tie-break sequence number without
@@ -143,9 +135,6 @@ class Simulator {
   }
 
   class Timer;
-
-  /// Cancel a pending event. Returns false if it already ran / was cancelled.
-  bool cancel(EventHandle handle);
 
   /// Run until the event queue drains. Returns number of events executed.
   std::uint64_t run();
@@ -179,7 +168,7 @@ class Simulator {
   /// counters that must agree with it and with each other.
   struct HeapStats {
     std::size_t queued = 0;       // entries walked across wheel+heap+bucket
-    std::size_t tombstones = 0;   // cancelled entries awaiting lazy sweep
+    std::size_t tombstones = 0;   // disarmed timer entries awaiting sweep
     std::size_t pending_ids = 0;  // live (schedulable) entries [counter]
     std::uint64_t live_events = 0;
     // Breakdown + pool accounting (bench/auditor detail).
@@ -218,25 +207,15 @@ class Simulator {
   // -- Event record pool ------------------------------------------------------
   //
   // Records live in fixed chunks (stable addresses) and are recycled
-  // through a free list. A handle id packs (index+1) << 32 | generation;
-  // generation bumps on every recycle, so stale handles can never cancel
-  // a reused slot. cancel() frees the record at once; its queued entry
-  // stays behind as a tombstone that no longer owns a record.
+  // through a free list. A record is taken when its event is scheduled and
+  // freed when it runs; nothing else can retire it, so its queued entry is
+  // never a tombstone.
 
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-  enum class RecState : std::uint8_t { kFree, kPending };
-
   struct EventRecord {
     InlineAction action;
-    // `seq` is only meaningful while pending and `next_free` only while
-    // free, so they share storage: the record stays ≤ 96 bytes.
-    union {
-      std::uint64_t seq;  // pending: the seq field of its one live entry
-      std::uint32_t next_free;
-    };
-    std::uint32_t gen = 0;
-    RecState state = RecState::kFree;
+    std::uint32_t next_free = kNone;  // while free: the next free record
   };
 
   static constexpr unsigned kChunkBits = 9;  // 512 records per chunk
@@ -279,16 +258,13 @@ class Simulator {
   static constexpr std::uint32_t entry_idx(const Entry& e) {
     return static_cast<std::uint32_t>(e.key & kIdxMask);
   }
-  /// A tombstone: the entry's event was cancelled, so its record is free
-  /// or already re-used by an event with a different seq; or its timer was
-  /// disarmed (or destroyed), and is now unarmed or armed under another
-  /// seq.
+  /// A tombstone: the entry names a timer that was disarmed (or
+  /// destroyed), and is now unarmed or armed under another seq. A record's
+  /// entry never is one.
   bool is_tombstone(const Entry& e) const STELLAR_REQUIRES(owner_) {
     const std::uint32_t idx = entry_idx(e);
-    const std::uint64_t seq = e.key >> kIdxBits;
-    if ((idx & kTimerTag) != 0) return timers_[idx & ~kTimerTag].seq != seq;
-    const EventRecord& r = record(idx);
-    return r.state != RecState::kPending || r.seq != seq;
+    return (idx & kTimerTag) != 0 &&
+           timers_[idx & ~kTimerTag].seq != e.key >> kIdxBits;
   }
   /// Inline comparator (std::sort with a function pointer cannot inline the
   /// compare, which dominated bucket sorting before this).
@@ -322,12 +298,13 @@ class Simulator {
   }
 
   std::uint32_t alloc_record() STELLAR_REQUIRES(owner_);
+  /// Return a record whose action is empty (it never got one) to the pool.
   void free_record(std::uint32_t idx) STELLAR_REQUIRES(owner_);
 
-  /// The non-template half of schedule_*(): checks `at` and `seq`, takes a
-  /// record and queues its entry. The caller builds the closure in the
-  /// record's (empty) action. Returns the record index.
-  std::uint32_t enqueue(SimTime at, std::uint64_t seq)
+  /// The non-template half of schedule_*(): checks `at` and `seq` and
+  /// takes a record, whose (empty) action the caller then builds. Returns
+  /// the record index.
+  std::uint32_t take_record(SimTime at, std::uint64_t seq)
       STELLAR_REQUIRES(owner_);
   /// Checks shared by records and timers: `seq` was reserved and fits the
   /// key, and `at` is not in the past (throws std::invalid_argument).
@@ -340,9 +317,6 @@ class Simulator {
   /// and count it pending.
   void place_pending(SimTime at, std::uint64_t seq, std::uint32_t idx)
       STELLAR_REQUIRES(owner_);
-  /// Retire the pending event in record `idx`: free the record and leave
-  /// its queued entry as a tombstone.
-  void drop_pending(std::uint32_t idx) STELLAR_REQUIRES(owner_);
 
   // Timer half of the API (Simulator::Timer forwards here).
   std::uint32_t register_timer(Timer* timer) STELLAR_REQUIRES(owner_);
@@ -352,8 +326,8 @@ class Simulator {
   bool disarm_timer(std::uint32_t id) STELLAR_REQUIRES(owner_) {
     TimerSlot& t = timers_[id];
     if (t.seq == 0) return false;
-    // As with cancel(): the entry stays queued as a tombstone and is swept
-    // lazily, while the timer can be re-armed at once.
+    // The entry stays queued as a tombstone and is swept lazily, while the
+    // timer can be re-armed at once.
     t.seq = 0;
     --armed_timers_;
     --live_events_;
@@ -444,8 +418,8 @@ class Simulator {
 /// armed timer is one wheel entry that names the timer; it takes no event
 /// record and builds no closure. Arming takes the next seq exactly as
 /// schedule_at() does (or a reserve_seq()'d one), so timers and one-shot
-/// events fire in one (time, seq) order. Disarming leaves a tombstone, as
-/// cancel() does.
+/// events fire in one (time, seq) order. Disarming leaves a tombstone, and
+/// a timer is the only event that can be called off.
 ///
 /// The action is a small, trivially copyable callable, typically a lambda
 /// capturing only `this`. It runs with the timer already disarmed, so the

@@ -1,0 +1,96 @@
+// An object that schedules events on a Simulator and the Simulator itself
+// may die in either order. Each case below destroys one of them while one
+// of its events is still pending, then runs or destroys the other; under
+// the ASan+UBSan preset any touch of freed memory fails the test.
+//
+//  * a FaultTelemetry destroyed while attached, before its next sample;
+//  * an AuditRegistry whose Simulator dies first with an audit pending;
+//  * an idle connection whose blacklisted path still has a reinstatement
+//    probe pending when its EngineFleet is destroyed.
+#include <gtest/gtest.h>
+
+#include <memory>
+
+#include "check/audit.h"
+#include "check/auditors.h"
+#include "collective/fleet.h"
+#include "fault/telemetry.h"
+
+namespace stellar {
+namespace {
+
+TEST(EventOwnerLifetimeTest, TelemetryDestroyedWhileAttachedNeverSamples) {
+  Simulator sim;
+  const SimTime period = SimTime::micros(10);
+  {
+    auto telemetry = std::make_unique<FaultTelemetry>();
+    telemetry->attach(sim, period);
+    ASSERT_EQ(telemetry->samples().size(), 1u);  // the t=attach baseline
+    ASSERT_EQ(sim.pending_events(), 1u);         // the next sample
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  bool ran = false;
+  sim.schedule_at(period * 3, [&ran] { ran = true; });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), period * 3);
+}
+
+TEST(EventOwnerLifetimeTest, AuditRegistryOutlivesItsSimulator) {
+  AuditRegistry registry;
+  auto sim = std::make_unique<Simulator>();
+  registry.add(std::make_unique<SimulatorAuditor>(*sim));
+  sim->schedule_after(SimTime::micros(50), [] {});
+  registry.attach_periodic(*sim, SimTime::micros(10));
+  EXPECT_EQ(sim->run_until(SimTime::micros(25)), 2u);  // two audits ran
+  EXPECT_EQ(registry.runs(), 2u);
+  ASSERT_EQ(sim->pending_events(), 2u);  // the next audit and the event
+  sim.reset();
+  // Detaching (and destroying the registry at scope exit) must not reach
+  // into the destroyed Simulator.
+  EXPECT_TRUE(registry.attached());
+  registry.detach();
+  EXPECT_FALSE(registry.attached());
+  EXPECT_EQ(registry.runs(), 2u);
+}
+
+TEST(EventOwnerLifetimeTest, FleetDestroyedWithProbePendingNeverProbes) {
+  Simulator sim;
+  FabricConfig fc;
+  fc.segments = 2;
+  fc.hosts_per_segment = 1;
+  fc.aggs_per_plane = 4;
+  ClosFabric fabric(sim, fc);
+  auto fleet = std::make_unique<EngineFleet>(sim, fabric);
+  TransportConfig tc;
+  tc.num_paths = 4;
+  tc.blacklist_hold = SimTime::millis(20);
+  tc.probe_interval = SimTime::micros(100);
+  auto conn = fleet->connect(fabric.endpoint(0, 0), fabric.endpoint(1, 0), tc);
+  ASSERT_TRUE(conn.is_ok());
+  RdmaConnection& c = *conn.value();
+  fabric.tor_uplink(0, 1).set_drop_probability(1.0);
+
+  // The spray blacklists the paths through the dead uplink and the
+  // transfer completes around them.
+  bool done = false;
+  c.post_write(4_MiB, [&done] { done = true; });
+  while (!done || !c.idle()) ASSERT_TRUE(sim.step());
+  ASSERT_GT(c.blacklisted_paths(), 0u);
+  ASSERT_EQ(c.probes_sent(), 0u);
+  const SimTime blacklisted_by = sim.now();
+  // Idle, with nothing in flight: what is left are the probes, one per
+  // blacklisted path, due blacklist_hold after each path went out.
+  sim.run_until(sim.now() + SimTime::micros(100));
+  ASSERT_TRUE(c.idle());
+  ASSERT_EQ(sim.pending_events(), c.blacklisted_paths());
+
+  fleet.reset();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  const std::uint64_t executed = sim.executed_events();
+  sim.run_until(blacklisted_by + tc.blacklist_hold * 2);
+  EXPECT_EQ(sim.executed_events(), executed);
+}
+
+}  // namespace
+}  // namespace stellar

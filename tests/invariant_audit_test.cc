@@ -81,8 +81,9 @@ bool has_finding_from(const AuditReport& report, const std::string& auditor) {
 TEST(SimulatorAuditorTest, CleanOnHealthyHeapCorruptFlagged) {
   Simulator sim;
   sim.schedule_after(SimTime::nanos(10), [] {});
-  EventHandle cancelled = sim.schedule_after(SimTime::nanos(20), [] {});
-  sim.cancel(cancelled);  // leaves a tombstone (holding no record) queued
+  Simulator::Timer cancelled(sim, [] {});
+  cancelled.arm(SimTime::nanos(20));
+  cancelled.disarm();  // leaves a tombstone (holding no record) queued
   ASSERT_EQ(sim.heap_stats().tombstones, 1u);
   ASSERT_EQ(sim.heap_stats().allocated_records, 1u);
 
@@ -94,9 +95,9 @@ TEST(SimulatorAuditorTest, CleanOnHealthyHeapCorruptFlagged) {
   EXPECT_TRUE(healthy.clean()) << healthy.to_string();
   EXPECT_GT(healthy.checks_performed(), 0u);
 
-  // A record still pinned by the tombstone (the pool accounting before
-  // cancel() freed records) breaks allocated_records == pending_ids, and
-  // only that identity.
+  // A record counted in use that backs no pending entry breaks
+  // allocated_records + armed_timers == pending_ids, and only that
+  // identity.
   SimulatorTestPeer::set_allocated_records(sim, 2);
   AuditReport leaked = registry.run_all();
   ASSERT_EQ(leaked.findings().size(), 1u) << leaked.to_string();

@@ -62,9 +62,9 @@ TEST(EngineFleetTest, ForEachEngineVisitsAscendingEndpoints) {
 TEST(SimulatorReentrancyTest, CancelFromInsideEvent) {
   Simulator sim;
   bool second_ran = false;
-  EventHandle h = sim.schedule_at(SimTime::nanos(20),
-                                  [&] { second_ran = true; });
-  sim.schedule_at(SimTime::nanos(10), [&] { EXPECT_TRUE(sim.cancel(h)); });
+  Simulator::Timer second(sim, [&second_ran] { second_ran = true; });
+  second.arm(SimTime::nanos(20));
+  sim.schedule_at(SimTime::nanos(10), [&] { EXPECT_TRUE(second.disarm()); });
   sim.run();
   EXPECT_FALSE(second_ran);
 }

@@ -5,11 +5,11 @@
 // run — including under periodic invariant auditing, whose extra events
 // may consume sequence numbers but must not perturb workload ordering.
 // The stress half drives the scheduler through the regimes the fabric
-// benches rely on: equal-timestamp FIFO bursts, cancel-heavy churn, and
-// far-future timers that overflow the ~34.4 ms wheel horizon into the heap.
-// The firing-order half runs three self-rescheduling hold-model mixes on
-// the wheel and on a reference binary heap, and requires the same firing
-// log and the same cancel() results from both.
+// benches rely on: equal-timestamp FIFO bursts, disarm-heavy timer churn,
+// and far-future timers that overflow the ~34.4 ms wheel horizon into the
+// heap. The firing-order half runs three self-rescheduling hold-model mixes
+// on the wheel and on a reference binary heap, and requires the same firing
+// log and the same disarm() results from both.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -153,14 +153,19 @@ TEST(SimSchedulerStressTest, EqualTimestampBurstFiresInScheduleOrder) {
   Simulator sim;
   const SimTime at = SimTime::micros(5);
   std::vector<int> fired;
-  std::vector<EventHandle> handles;
+  std::vector<std::unique_ptr<OrderTimer>> doomed;
   constexpr int kBurst = 2000;
   for (int i = 0; i < kBurst; ++i) {
-    handles.push_back(sim.schedule_at(at, [&fired, i] { fired.push_back(i); }));
+    if (i % 3 == 0) {
+      doomed.push_back(std::make_unique<OrderTimer>(sim, fired, i));
+      doomed.back()->timer.arm(at);
+    } else {
+      sim.schedule_at(at, [&fired, i] { fired.push_back(i); });
+    }
   }
-  // Cancel every third event after the fact; FIFO order of the survivors
-  // must be untouched.
-  for (int i = 0; i < kBurst; i += 3) EXPECT_TRUE(sim.cancel(handles[i]));
+  // Disarm every third event (the timers) after the fact; FIFO order of
+  // the survivors must be untouched.
+  for (const auto& t : doomed) EXPECT_TRUE(t->timer.disarm());
   sim.run();
 
   ASSERT_EQ(fired.size(), static_cast<std::size_t>(kBurst - (kBurst + 2) / 3));
@@ -191,20 +196,22 @@ TEST(SimSchedulerStressTest, CancelHeavyChurnDrainsClean) {
   Simulator sim;
   std::uint64_t rng = 42;
   constexpr int kEvents = 20000;
-  std::vector<EventHandle> handles;
+  std::vector<std::unique_ptr<Simulator::Timer>> timers;
   std::uint64_t fired = 0;
   for (int i = 0; i < kEvents; ++i) {
     const SimTime at = SimTime::nanos(1 + mix64(rng) % 2'000'000);  // ≤2 ms
-    handles.push_back(sim.schedule_at(at, [&fired] { ++fired; }));
+    timers.push_back(
+        std::make_unique<Simulator::Timer>(sim, [&fired] { ++fired; }));
+    timers.back()->arm(at);
   }
-  // Cancel well over half; double-cancel must report false. A cancel frees
-  // its record at once: only pending events hold records.
+  // Disarm well over half; a second disarm must report false. A disarmed
+  // timer's entry is a tombstone that counts as neither pending nor armed.
   std::uint64_t cancelled = 0;
   for (int i = 0; i < kEvents; ++i) {
     if (mix64(rng) % 100 < 60) {
-      EXPECT_TRUE(sim.cancel(handles[i]));
-      EXPECT_EQ(sim.heap_stats().allocated_records, sim.pending_events());
-      EXPECT_FALSE(sim.cancel(handles[i]));
+      EXPECT_TRUE(timers[i]->disarm());
+      EXPECT_EQ(sim.heap_stats().armed_timers, sim.pending_events());
+      EXPECT_FALSE(timers[i]->disarm());
       ++cancelled;
     }
   }
@@ -219,31 +226,32 @@ TEST(SimSchedulerStressTest, CancelHeavyChurnDrainsClean) {
   EXPECT_EQ(s.queued, 0u);
   EXPECT_EQ(s.tombstones, 0u);
   EXPECT_EQ(s.live_events, 0u);
+  EXPECT_EQ(s.armed_timers, 0u);
   EXPECT_EQ(s.allocated_records, 0u) << "record pool leak";
 }
 
 TEST(SimSchedulerStressTest, CancelRescheduleChurnReusesOneChunk) {
-  // The RTO pattern: every event re-arms a timer far ahead of it, cancelling
-  // the previous arm. Each cancel frees its record, so the re-arm reuses it
-  // and the pool stays at one chunk even though ~25k tombstones of cancelled
-  // arms sit in the wheel at once.
+  // The RTO pattern: every event re-arms a timer far ahead of it, disarming
+  // the previous arm. The timer takes no record and each tick frees its
+  // own before the next is scheduled, so the pool stays at one chunk even
+  // though ~25k tombstones of disarmed arms sit in the wheel at once.
   Simulator sim;
   constexpr std::uint64_t kPairs = 1'000'000;
   const SimTime step = SimTime::nanos(10);
   const SimTime timeout = SimTime::micros(250);
-  EventHandle timer;
   std::uint64_t pairs = 0;
   std::uint64_t timer_fired = 0;
   std::size_t max_tombstones = 0;
+  Simulator::Timer timer(sim, [&timer_fired] { ++timer_fired; });
   std::function<void()> tick = [&] {
-    EXPECT_TRUE(sim.cancel(timer));
-    timer = sim.schedule_after(timeout, [&] { ++timer_fired; });
+    EXPECT_TRUE(timer.disarm());
+    timer.arm(sim.now() + timeout);
     if (++pairs % 4096 == 0) {
       max_tombstones = std::max(max_tombstones, sim.heap_stats().tombstones);
     }
     if (pairs < kPairs) sim.schedule_after(step, [&] { tick(); });
   };
-  timer = sim.schedule_after(timeout, [&] { ++timer_fired; });
+  timer.arm(sim.now() + timeout);
   sim.schedule_after(step, [&] { tick(); });
   sim.run();
 
@@ -257,68 +265,13 @@ TEST(SimSchedulerStressTest, CancelRescheduleChurnReusesOneChunk) {
   EXPECT_EQ(s.allocated_records, 0u);
 }
 
-TEST(SimSchedulerStressTest, TombstoneOfReusedRecordNeverFires) {
-  // A cancelled event's record goes straight back to the pool, so the next
-  // schedule re-uses it while the cancelled entry is still queued. The
-  // entry must be recognised as a tombstone by its seq, in the re-used
-  // event's own slot and in any other, and the old handle must not reach
-  // the new event.
-  Simulator sim;
-  std::vector<std::pair<int, SimTime>> fired;
-  const auto fire = [&](int id) {
-    return [&fired, &sim, id] { fired.emplace_back(id, sim.now()); };
-  };
-  const auto record_index = [](EventHandle h) { return h.id() >> 32; };
-  const SimTime t1 = SimTime::micros(10);
-  const SimTime t2 = SimTime::micros(20);
-  const SimTime t3 = SimTime::micros(30);
-  const SimTime t4 = SimTime::micros(40);
-  const SimTime t5 = SimTime::micros(50);
-
-  // Same slot: the tombstone and the re-used record's live entry share t1.
-  const EventHandle a = sim.schedule_at(t1, fire(-1));
-  ASSERT_TRUE(sim.cancel(a));
-  EXPECT_EQ(sim.heap_stats().allocated_records, sim.pending_events());
-  const EventHandle b = sim.schedule_at(t1, fire(1));
-  ASSERT_EQ(record_index(b), record_index(a));
-  EXPECT_FALSE(sim.cancel(a)) << "pre-cancel handle cancelled the re-used record";
-
-  // Later slot: the tombstone at t2 is reached while its record is pending
-  // again for an event at t3 — it must not run that event early.
-  const EventHandle c = sim.schedule_at(t2, fire(-2));
-  ASSERT_TRUE(sim.cancel(c));
-  const EventHandle d = sim.schedule_at(t3, fire(2));
-  ASSERT_EQ(record_index(d), record_index(c));
-  EXPECT_FALSE(sim.cancel(c));
-
-  // Earlier slot: the re-used record has run and is free again by the time
-  // the tombstone at t5 is reached.
-  const EventHandle e = sim.schedule_at(t5, fire(-3));
-  ASSERT_TRUE(sim.cancel(e));
-  const EventHandle f = sim.schedule_at(t4, fire(3));
-  ASSERT_EQ(record_index(f), record_index(e));
-  EXPECT_FALSE(sim.cancel(e));
-
-  EXPECT_EQ(sim.heap_stats().tombstones, 3u);
-  EXPECT_EQ(sim.run(), 3u);
-  const std::vector<std::pair<int, SimTime>> expected = {
-      {1, t1}, {2, t3}, {3, t4}};
-  EXPECT_EQ(fired, expected);
-  EXPECT_EQ(sim.now(), t4);
-  const Simulator::HeapStats s = sim.heap_stats();
-  EXPECT_EQ(s.queued, 0u);
-  EXPECT_EQ(s.tombstones, 0u);
-  EXPECT_EQ(s.allocated_records, 0u);
-  EXPECT_FALSE(sim.cancel(b));  // ran: its handle is dead too
-}
-
 TEST(SimSchedulerStressTest, FarFutureEventsOverflowAndMergeInOrder) {
   Simulator sim;
   std::uint64_t rng = 7;
   // Mix near events (wheel) with far-future ones (200 ms – 3 s, beyond the
   // ~34.4 ms wheel horizon, so they must land in the overflow heap) and a
-  // couple of cancels inside the overflow set.
-  std::vector<EventHandle> far;
+  // couple of disarmed timers inside the overflow set.
+  std::vector<std::unique_ptr<Simulator::Timer>> doomed;
   std::int64_t last_ps = -1;
   bool monotonic = true;
   std::uint64_t fired = 0;
@@ -329,13 +282,19 @@ TEST(SimSchedulerStressTest, FarFutureEventsOverflowAndMergeInOrder) {
   };
   for (int i = 0; i < 500; ++i) {
     sim.schedule_at(SimTime::nanos(1 + mix64(rng) % 1'000'000), observe);
-    far.push_back(sim.schedule_at(
-        SimTime::millis(200) + SimTime::micros(mix64(rng) % 2'800'000),
-        observe));
+    const SimTime far =
+        SimTime::millis(200) + SimTime::micros(mix64(rng) % 2'800'000);
+    if (i % 5 == 0) {
+      doomed.push_back(
+          std::make_unique<Simulator::Timer>(sim, [&observe] { observe(); }));
+      doomed.back()->arm(far);
+    } else {
+      sim.schedule_at(far, observe);
+    }
   }
   EXPECT_GT(sim.heap_stats().overflow_entries, 0u)
       << "far-future events did not reach the overflow heap";
-  for (int i = 0; i < 500; i += 5) EXPECT_TRUE(sim.cancel(far[i]));
+  for (const auto& timer : doomed) EXPECT_TRUE(timer->disarm());
 
   const std::uint64_t executed = sim.run();
   EXPECT_EQ(executed, 1000u - 100u);
@@ -423,11 +382,27 @@ TEST(SimSchedulerStressTest, ReentrantSchedulingFromActionsKeepsOrder) {
 // ---------------------------------------------------------------------------
 
 /// The seed engine's ordering rule and nothing else: a binary heap keyed on
-/// (time, schedule order), and the set of ids still pending, so a cancel()
-/// of an event that ran or was cancelled already reports false.
+/// (time, schedule order), and the set of ids still pending, so disarming
+/// a timer whose event ran or was disarmed already reports false.
 class ReferenceHeap {
  public:
   using Handle = std::uint64_t;  // the event's schedule order
+
+  /// Simulator::Timer's interface: each arm schedules one event.
+  class Timer {
+   public:
+    template <typename F>
+    Timer(ReferenceHeap& eng, F action) : eng_(&eng), action_(action) {}
+    void arm(SimTime at) {
+      armed_ = eng_->schedule_at(at, [this] { action_(); });
+    }
+    bool disarm() { return eng_->pending_.erase(armed_) > 0; }
+
+   private:
+    ReferenceHeap* eng_;
+    std::function<void()> action_;
+    Handle armed_ = 0;  // seqs start at 1
+  };
 
   SimTime now() const { return now_; }
 
@@ -437,15 +412,14 @@ class ReferenceHeap {
     pending_.insert(id);
     return id;
   }
-  Handle schedule_after(SimTime delay, std::function<void()> action) {
-    return schedule_at(now_ + delay, std::move(action));
+  void schedule_after(SimTime delay, std::function<void()> action) {
+    schedule_at(now_ + delay, std::move(action));
   }
-  bool cancel(Handle id) { return pending_.erase(id) > 0; }
 
   /// Time of the next event that will run, or -1 when none is pending.
   std::int64_t next_ps() {
     while (!queue_.empty() && !pending_.contains(queue_.top().seq)) {
-      queue_.pop();  // cancelled
+      queue_.pop();  // disarmed
     }
     return queue_.empty() ? -1 : queue_.top().at_ps;
   }
@@ -528,7 +502,7 @@ struct Firing {
 
 struct FiringTrace {
   std::vector<Firing> firings;
-  std::vector<bool> cancels;  // every cancel() result, in call order
+  std::vector<bool> disarms;  // every disarm() result, in call order
   // Simulator only: the regime each mix is named for, sampled per slice.
   std::size_t max_overflow = 0;
   std::size_t max_tombstones = 0;
@@ -539,26 +513,46 @@ struct FiringTrace {
 };
 
 template <class Engine>
-using HandleOf =
-    decltype(std::declval<Engine&>().schedule_at(SimTime::zero(),
-                                                std::function<void()>{}));
+struct Actor;
+
+/// A victim timer of cancel_heavy: logs the round it was last armed in.
+template <class Engine>
+struct Victim {
+  explicit Victim(Actor<Engine>* a)
+      : actor(a), timer(*a->eng, [this] { actor->victim_fired(round); }) {}
+  Actor<Engine>* actor;
+  std::uint32_t round = 0;
+  typename Engine::Timer timer;
+};
 
 /// A self-rescheduling actor: fires `rounds` more times, each firing
 /// drawing its next delta from a private LCG stream. In cancel_heavy each
-/// firing also arms two victims: it cancels one at once (a tombstone) and
-/// keeps the other's handle until its next firing, by which time the
-/// victim may have run (cancel() false, and its record may serve another
-/// event by then) or not (true).
+/// firing also arms two victim timers: it disarms one at once (a
+/// tombstone) and leaves the other armed until its next firing, by which
+/// time the victim may have run (disarm() false) or not (true).
 template <class Engine>
 struct Actor {
-  Engine* eng = nullptr;
-  FiringTrace* trace = nullptr;
-  std::uint32_t id = 0;
-  std::uint64_t rng = 0;
-  std::uint32_t rounds_left = 0;
+  Actor(Engine* e, FiringTrace* t, std::uint32_t actor_id,
+        std::uint32_t rounds, Mix m)
+      : eng(e),
+        trace(t),
+        id(actor_id),
+        rng(lcg(actor_id + 1)),
+        rounds_left(rounds),
+        mix(m) {}
+  Engine* eng;
+  FiringTrace* trace;
+  std::uint32_t id;
+  std::uint64_t rng;
+  std::uint32_t rounds_left;
   std::uint32_t round = 0;
-  Mix mix = Mix::kScheduleFire;
-  HandleOf<Engine> held{};
+  Mix mix;
+  Victim<Engine> now_victim{this};
+  Victim<Engine> held{this};
+
+  void victim_fired(std::uint32_t r) {
+    trace->firings.push_back({eng->now().ps(), id, r, 1});
+  }
 
   void fire() {
     trace->firings.push_back({eng->now().ps(), id, round, 0});
@@ -566,18 +560,15 @@ struct Actor {
     --rounds_left;
     ++round;
     rng = lcg(rng);
-    Actor* self = this;
     if (mix == Mix::kCancelHeavy) {
-      const std::uint32_t r = round;
-      const auto victim = [self, r] {
-        self->trace->firings.push_back({self->eng->now().ps(), self->id, r, 1});
-      };
-      if (r > 1) trace->cancels.push_back(eng->cancel(held));
-      const auto now_victim =
-          eng->schedule_after(delta_for(mix, lcg(rng ^ 1)), victim);
-      held = eng->schedule_after(delta_for(mix, lcg(rng ^ 2)), victim);
-      trace->cancels.push_back(eng->cancel(now_victim));
+      if (round > 1) trace->disarms.push_back(held.timer.disarm());
+      now_victim.round = round;
+      now_victim.timer.arm(eng->now() + delta_for(mix, lcg(rng ^ 1)));
+      held.round = round;
+      held.timer.arm(eng->now() + delta_for(mix, lcg(rng ^ 2)));
+      trace->disarms.push_back(now_victim.timer.disarm());
     }
+    Actor* self = this;
     eng->schedule_after(delta_for(mix, rng), [self] { self->fire(); });
   }
 };
@@ -589,12 +580,12 @@ template <class Engine>
 FiringTrace run_mix(const MixCase& c) {
   Engine eng;
   FiringTrace trace;
-  std::vector<Actor<Engine>> pool(kActors);
+  std::vector<std::unique_ptr<Actor<Engine>>> pool;
   for (std::uint32_t i = 0; i < kActors; ++i) {
-    Actor<Engine>& a = pool[i];
-    a = {&eng, &trace, i, lcg(i + 1), c.rounds, 0, c.mix, {}};
-    Actor<Engine>* self = &a;
-    eng.schedule_after(delta_for(c.mix, a.rng), [self] { self->fire(); });
+    pool.push_back(
+        std::make_unique<Actor<Engine>>(&eng, &trace, i, c.rounds, c.mix));
+    Actor<Engine>* self = pool.back().get();
+    eng.schedule_after(delta_for(c.mix, self->rng), [self] { self->fire(); });
   }
   for (std::uint32_t s = 1; s <= kSlices; ++s) {
     eng.run_until(SimTime::picos(c.slice.ps() * s));
@@ -624,8 +615,8 @@ FiringTrace run_mix(const MixCase& c) {
     EXPECT_EQ(st.allocated_records, 0u) << "record pool leak";
   }
   EXPECT_EQ(std::count_if(pool.begin(), pool.end(),
-                          [](const Actor<Engine>& a) {
-                            return a.rounds_left != 0;
+                          [](const std::unique_ptr<Actor<Engine>>& a) {
+                            return a->rounds_left != 0;
                           }),
             0)
       << "actors that stopped before their last round";
@@ -655,7 +646,7 @@ TEST_P(SimFiringOrderTest, MatchesReferenceHeap) {
            << r.actor << ", round " << r.round << ", kind " << int{r.kind}
            << ")";
   }
-  EXPECT_EQ(wheel.cancels, ref.cancels);
+  EXPECT_EQ(wheel.disarms, ref.disarms);
   EXPECT_GT(ref.probes_behind_cursor, 0u)
       << "no probe was scheduled behind a parked wheel cursor";
 
@@ -666,10 +657,10 @@ TEST_P(SimFiringOrderTest, MatchesReferenceHeap) {
       break;
     case Mix::kCancelHeavy: {
       EXPECT_GT(wheel.max_tombstones, kActors / 4);
-      const auto refused = std::count(ref.cancels.begin(), ref.cancels.end(),
+      const auto refused = std::count(ref.disarms.begin(), ref.disarms.end(),
                                       false);
-      EXPECT_GT(refused, 0) << "no cancel() of an event that had run";
-      EXPECT_LT(static_cast<std::size_t>(refused), ref.cancels.size() / 2);
+      EXPECT_GT(refused, 0) << "no disarm() of a timer that had fired";
+      EXPECT_LT(static_cast<std::size_t>(refused), ref.disarms.size() / 2);
       break;
     }
     case Mix::kFarFuture:

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -168,8 +169,9 @@ TEST(SimScheduleTest, PastTimeThrowsWithoutRecordOrLeakedCapture) {
   EXPECT_EQ(tally.constructed, tally.destroyed);
 }
 
-/// A callable whose copy throws: scheduling an lvalue of it fails after
-/// the entry was queued, which must leave a tombstone and nothing pending.
+/// A callable whose copy throws: scheduling an lvalue of it fails while
+/// its closure is built, before its entry is queued, which must leave
+/// nothing queued and no record taken.
 struct ThrowsOnCopy {
   ThrowsOnCopy() = default;
   ThrowsOnCopy(const ThrowsOnCopy&) { throw std::runtime_error("copy"); }
@@ -186,8 +188,8 @@ TEST(SimScheduleTest, ThrowingClosureCopyLeavesNothingPending) {
   Simulator::HeapStats st = sim.heap_stats();
   EXPECT_EQ(st.allocated_records, 1u);
   EXPECT_EQ(st.pending_ids, 1u);
-  EXPECT_EQ(st.tombstones, 1u);
-  EXPECT_EQ(st.queued, st.pending_ids + st.tombstones);
+  EXPECT_EQ(st.tombstones, 0u);
+  EXPECT_EQ(st.queued, 1u);
   EXPECT_EQ(sim.run(), 1u);
   EXPECT_EQ(hits, 1);
   st = sim.heap_stats();
@@ -207,31 +209,34 @@ TEST(SimScheduleTest, EventsPastWheelHorizonFireInTimeSeqOrder) {
   // Near events (1 ns – 1 ms) and far ones (40–130 ms, past the horizon),
   // on a 1 us grid so equal timestamps are common; a fifth of the far ones
   // are cancelled. Schedule order is seq order, so the expected firing
-  // order is a stable sort of the survivors by time.
+  // order is a stable sort of the survivors by time. The far events to be
+  // cancelled are timers, armed in the same place in the seq stream.
   struct Planned {
     std::int64_t at_ps;
     int id;
   };
   std::vector<Planned> planned;
   std::vector<int> fired;
-  std::vector<EventHandle> far;
+  std::vector<std::unique_ptr<Simulator::Timer>> doomed;
+  std::vector<int> cancelled;
   for (int i = 0; i < 1000; ++i) {
     const bool is_far = i % 2 == 1;
     const SimTime at =
         is_far ? SimTime::millis(40) + SimTime::micros(mix64(rng) % 90'000)
                : SimTime::micros(mix64(rng) % 1000) + SimTime::nanos(1);
-    const EventHandle h =
-        sim.schedule_at(at, [&fired, i] { fired.push_back(i); });
+    if (is_far && i % 10 == 1) {
+      doomed.push_back(std::make_unique<Simulator::Timer>(
+          sim, [&fired] { fired.push_back(-1); }));
+      doomed.back()->arm(at);
+      cancelled.push_back(i);
+    } else {
+      sim.schedule_at(at, [&fired, i] { fired.push_back(i); });
+    }
     planned.push_back({at.ps(), i});
-    if (is_far) far.push_back(h);
   }
   EXPECT_GT(sim.heap_stats().overflow_entries, 0u)
       << "events past the wheel horizon did not reach the overflow heap";
-  std::vector<int> cancelled;
-  for (std::size_t k = 0; k < far.size(); k += 5) {
-    ASSERT_TRUE(sim.cancel(far[k]));
-    cancelled.push_back(static_cast<int>(2 * k + 1));
-  }
+  for (const auto& timer : doomed) ASSERT_TRUE(timer->disarm());
   std::vector<Planned> expected;
   for (const Planned& p : planned) {
     if (!std::binary_search(cancelled.begin(), cancelled.end(), p.id)) {
@@ -277,21 +282,21 @@ TEST(SimScheduleTest, TimerChurnHoldsNoMoreBuffersThanPeakOccupiedSlots) {
     }
   };
   // 64 timers, each re-arming itself 1 us – 5 ms ahead (level 0 and level
-  // 1) and re-arming a companion deadline 2–20 ms ahead, cancelling the
+  // 1) and re-arming a companion deadline 2–20 ms ahead, disarming the
   // previous one: the transport's RTO pattern, whose tombstones cascade.
   constexpr int kTimers = 64;
-  struct Timer {
-    EventHandle deadline;
-  };
-  std::vector<Timer> timers(kTimers);
   std::uint64_t deadlines_fired = 0;
+  std::vector<std::unique_ptr<Simulator::Timer>> deadlines;
+  for (int t = 0; t < kTimers; ++t) {
+    deadlines.push_back(std::make_unique<Simulator::Timer>(
+        sim, [&deadlines_fired] { ++deadlines_fired; }));
+  }
   const SimTime end = SimTime::picos(3 * Simulator::kWheelHorizon.ps());
   std::function<void(int)> fire = [&](int t) {
     if (sim.now() >= end) return;
-    sim.cancel(timers[t].deadline);
-    timers[t].deadline = sim.schedule_after(
-        SimTime::micros(2000 + mix64(rng) % 18'000),
-        [&deadlines_fired] { ++deadlines_fired; });
+    deadlines[t]->disarm();
+    deadlines[t]->arm(sim.now() +
+                      SimTime::micros(2000 + mix64(rng) % 18'000));
     sim.schedule_after(SimTime::nanos(1000 + mix64(rng) % 4'999'000),
                        [&fire, t] { fire(t); });
     sample();
@@ -329,19 +334,18 @@ Simulator::WorkCounts run_data_and_ack_pipeline(Simulator& sim,
   const SimTime ack_tx = rate.transmit_time(64);
   const SimTime propagation = SimTime::micros(1);
   EXPECT_EQ(ack_tx, SimTime::picos(2560));
-  EventHandle rto;
   int sent = 0;
   int acked = 0;
   int timeouts = 0;
+  Simulator::Timer rto(sim, [&timeouts] { ++timeouts; });
   std::function<void()> serialized = [&] {
     ++sent;
     sim.schedule_after(propagation, [&] {
       sim.schedule_after(ack_tx, [&] {
         sim.schedule_after(propagation, [&] {
           ++acked;
-          sim.cancel(rto);
-          rto = sim.schedule_after(SimTime::millis(10),
-                                   [&timeouts] { ++timeouts; });
+          rto.disarm();
+          rto.arm(sim.now() + SimTime::millis(10));
         });
       });
     });
@@ -372,7 +376,7 @@ TEST(SimWorkCountersTest, DataAndAckPipelineAt200GNeverInsertsIntoLiveBucket) {
   // serialization end, and such pairs often share a slot.
   // Each of the 500 timer arms lands on the outer level (10 ms is past
   // level 0's ~8.39 us) and moves down in one of 11 cascades, which sweep
-  // the 499 cancelled ones.
+  // the 499 disarmed ones.
   EXPECT_EQ(w.entries_sorted, 4u * 500 + 1);
   EXPECT_EQ(w.buckets_loaded, 1754u);
   EXPECT_EQ(w.cascades, 11u);

@@ -55,33 +55,21 @@ TEST(SimulatorTest, SchedulingInThePastThrows) {
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator sim;
   bool ran = false;
-  EventHandle h = sim.schedule_at(SimTime::nanos(10), [&] { ran = true; });
-  EXPECT_TRUE(sim.cancel(h));
+  Simulator::Timer timer(sim, [&ran] { ran = true; });
+  timer.arm(SimTime::nanos(10));
+  EXPECT_TRUE(timer.disarm());
   sim.run();
   EXPECT_FALSE(ran);
   EXPECT_EQ(sim.executed_events(), 0u);
 }
 
-TEST(SimulatorTest, CancelTwiceFails) {
-  Simulator sim;
-  EventHandle h = sim.schedule_at(SimTime::nanos(10), [] {});
-  EXPECT_TRUE(sim.cancel(h));
-  EXPECT_FALSE(sim.cancel(h));
-}
-
-TEST(SimulatorTest, CancelAfterExecutionFails) {
-  Simulator sim;
-  EventHandle h = sim.schedule_at(SimTime::nanos(10), [] {});
-  sim.run();
-  EXPECT_FALSE(sim.cancel(h));
-}
-
 TEST(SimulatorTest, CancelledEventDoesNotBlockOthers) {
   Simulator sim;
   std::vector<int> order;
-  EventHandle h = sim.schedule_at(SimTime::nanos(10), [&] { order.push_back(1); });
+  Simulator::Timer timer(sim, [&order] { order.push_back(1); });
+  timer.arm(SimTime::nanos(10));
   sim.schedule_at(SimTime::nanos(10), [&] { order.push_back(2); });
-  sim.cancel(h);
+  timer.disarm();
   sim.run();
   EXPECT_EQ(order, std::vector<int>{2});
 }
