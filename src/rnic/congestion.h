@@ -47,15 +47,14 @@ struct CcConfig {
   std::uint64_t init_window = 256 * 1024;   // ~2x BDP of the target fabric
   std::uint64_t min_window = 4096;
   std::uint64_t max_window = 1024 * 1024;
-  double ecn_gain = 0.0625;                 // DCTCP g
+  static constexpr double ecn_gain = 0.0625;      // DCTCP g
   SimTime base_rtt = SimTime::micros(8);
-  double rtt_high_factor = 3.0;             // RTT guard threshold
-  double rtt_backoff = 0.85;                // multiplicative RTT response
+  static constexpr double rtt_high_factor = 3.0;  // RTT guard threshold
+  static constexpr double rtt_backoff = 0.85;  // multiplicative RTT response
 
   template <class Ar, class Self>
   static void fields(Ar& ar, Self& c) {
-    ar(c.mtu, c.init_window, c.min_window, c.max_window, c.ecn_gain,
-       c.base_rtt, c.rtt_high_factor, c.rtt_backoff);
+    ar(c.mtu, c.init_window, c.min_window, c.max_window, c.base_rtt);
   }
 };
 

@@ -249,8 +249,8 @@ TEST(TransportSnapshotTest, PerPathCcMidRecoveryRoundTripsAndPinsBytes) {
   // must round-trip it byte for byte, and the bytes are pinned.
   // Both CC algorithms, each with its bytes pinned.
   const std::pair<CcAlgo, const char*> cases[] = {
-      {CcAlgo::kWindowEcnRtt, "0a8d00b9049330d0"},
-      {CcAlgo::kSwiftDelay, "7fec1989105e5cf5"},
+      {CcAlgo::kWindowEcnRtt, "470e7e2d3f239f46"},
+      {CcAlgo::kSwiftDelay, "9185fe469ca362af"},
   };
   for (const auto& [algo, digest] : cases) {
     SCOPED_TRACE(cc_algo_name(algo));
