@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/run_shard.h"
 #include "sim/hybrid.h"
 #include "sim/simulator.h"
 
@@ -124,72 +123,34 @@ inline std::string fmt(double v, int decimals = 2) {
 
 class EngineMeter {
  public:
-  /// Per-shard attribution slots: RunSet workers land on their worker id;
-  /// slot 0 doubles as "no shard" for plain single-threaded runs.
-  static constexpr std::size_t kMaxSlots = 64;
-
   EngineMeter() : start_(std::chrono::steady_clock::now()) {}
 
   /// Fold one finished Simulator's executed-event count into the total.
-  /// Thread-safe: RunSet worker jobs call this concurrently, and the
-  /// events are attributed to the calling worker's shard slot.
+  /// Thread-safe: ShardedRunSet worker jobs call this concurrently.
   void add(const Simulator& sim) {
-    const int w = RunSet::current_worker();
-    const std::size_t slot = w > 0 ? static_cast<std::size_t>(w) : 0;
-    const std::uint64_t events = sim.executed_events();
-    events_.fetch_add(events, std::memory_order_relaxed);
-    shard_events_[slot < kMaxSlots ? slot : kMaxSlots - 1].fetch_add(
-        events, std::memory_order_relaxed);
+    events_.fetch_add(sim.executed_events(), std::memory_order_relaxed);
     runs_.fetch_add(1, std::memory_order_relaxed);
-    if (w > 0) sharded_.store(true, std::memory_order_relaxed);
   }
 
-  std::uint64_t events() const {
-    return events_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t shard_events(std::uint32_t shard) const {
-    return shard < kMaxSlots
-               ? shard_events_[shard].load(std::memory_order_relaxed)
-               : 0;
-  }
-  double wall_seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-  double events_per_sec() const {
-    const double w = wall_seconds();
-    return w > 0.0 ? static_cast<double>(events()) / w : 0.0;
-  }
-
-  /// Aggregate "[engine]" line, plus per-shard events/s lines whenever
-  /// more than one shard/worker contributed.
+  /// The one aggregate "[engine]" line.
   void report() const {
-    const double wall = wall_seconds();
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start_)
+                            .count();
+    const std::uint64_t events = events_.load(std::memory_order_relaxed);
     std::printf(
         "\n[engine] %llu simulator runs, %llu events, %.2f s wall, "
         "%.2f M events/s aggregate\n",
         static_cast<unsigned long long>(
             runs_.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(events()), wall,
-        events_per_sec() / 1e6);
-    if (!sharded_.load(std::memory_order_relaxed)) return;
-    for (std::size_t s = 0; s < kMaxSlots; ++s) {
-      const std::uint64_t ev =
-          shard_events_[s].load(std::memory_order_relaxed);
-      if (ev == 0) continue;
-      std::printf("[engine]   shard %2zu: %llu events, %.2f M events/s\n", s,
-                  static_cast<unsigned long long>(ev),
-                  wall > 0.0 ? static_cast<double>(ev) / wall / 1e6 : 0.0);
-    }
+        static_cast<unsigned long long>(events), wall,
+        wall > 0.0 ? static_cast<double>(events) / wall / 1e6 : 0.0);
   }
 
  private:
   std::chrono::steady_clock::time_point start_;
   std::atomic<std::uint64_t> events_{0};
   std::atomic<std::uint64_t> runs_{0};
-  std::atomic<bool> sharded_{false};
-  std::atomic<std::uint64_t> shard_events_[kMaxSlots] = {};
 };
 
 /// Process-wide meter: benches call this once at the top of main() (to start

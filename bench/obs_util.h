@@ -7,9 +7,8 @@
 //   --trace[=path]     dump Chrome trace-event JSON (default: trace.json)
 //                      plus BENCH_<name>_obs.json with the metrics snapshot
 //   --trace-sample=N   keep 1 of every N trace events per category (N >= 1;
-//                      anything else exits 2)
-//   --trace-cats=a,b   only trace the listed categories (see trace.h);
-//                      metrics are always collected in full
+//                      anything else exits 2); metrics are always
+//                      collected in full
 //
 // With -DSTELLAR_TRACE=OFF the probes are compiled out of the libraries;
 // passing --trace then warns and produces empty output rather than lying.
@@ -66,8 +65,6 @@ class ObsScope {
         path_ = a + 8;
       } else if (std::strncmp(a, "--trace-sample=", 15) == 0) {
         sample_ = positive_flag_value("--trace-sample=", a + 15);
-      } else if (std::strncmp(a, "--trace-cats=", 13) == 0) {
-        cats_ = a + 13;
       }
     }
     if (!enabled_) return;
@@ -82,10 +79,6 @@ class ObsScope {
         hub_->tracer().set_sample_period(static_cast<obs::TraceCat>(c),
                                          sample_);
       }
-    }
-    if (!cats_.empty() && !hub_->tracer().set_category_filter(cats_)) {
-      std::fprintf(stderr, "warning: --trace-cats=%s has unknown categories\n",
-                   cats_.c_str());
     }
     prev_ = obs::install_hub(hub_);
   }
@@ -130,7 +123,6 @@ class ObsScope {
  private:
   std::string bench_;
   std::string path_ = "trace.json";
-  std::string cats_;
   std::uint32_t sample_ = 1;
   bool enabled_ = false;
   obs::ObsHub* hub_ = nullptr;

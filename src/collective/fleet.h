@@ -4,9 +4,8 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
-#include "common/ordered.h"
 #include "net/fabric.h"
 #include "rnic/transport.h"
 
@@ -15,23 +14,25 @@ namespace stellar {
 class EngineFleet {
  public:
   EngineFleet(Simulator& sim, ClosFabric& fabric)
-      : sim_(&sim), fabric_(&fabric) {}
+      : sim_(&sim), fabric_(&fabric), engines_(fabric.endpoint_count()) {}
 
   RdmaEngine& at(EndpointId id) {
-    auto it = engines_.find(id);
-    if (it == engines_.end()) {
-      it = engines_
-               .emplace(id, std::make_unique<RdmaEngine>(*sim_, *fabric_, id))
-               .first;
+    std::unique_ptr<RdmaEngine>& engine = engines_.at(id);
+    if (engine == nullptr) {
+      engine = std::make_unique<RdmaEngine>(*sim_, *fabric_, id);
     }
-    return *it->second;
+    return *engine;
   }
 
   /// Open a connection, instantiating BOTH endpoint engines. Prefer this
   /// over `at(from).connect(to)`: an endpoint without an engine has no
   /// packet handler, and traffic sent to it would silently black-hole.
+  /// An endpoint outside the fabric is rejected before any engine exists.
   StatusOr<RdmaConnection*> connect(EndpointId from, EndpointId to,
                                     const TransportConfig& config) {
+    if (from >= engines_.size() || to >= engines_.size()) {
+      return invalid_argument("EngineFleet::connect: no such endpoint");
+    }
     at(to);  // ensure the receiver side exists before traffic flows
     return at(from).connect(to, config);
   }
@@ -41,17 +42,19 @@ class EngineFleet {
 
   /// Visit every instantiated engine in ascending endpoint id — audit
   /// sweeps attach one transport auditor per engine this way, and benches
-  /// hot-restart engines in this order, so it must not be hash order.
+  /// hot-restart engines in this order.
   template <typename Fn>
   void for_each_engine(Fn&& fn) const {
-    for (EndpointId id : sorted_keys(engines_)) fn(*engines_.at(id));
+    for (const auto& engine : engines_) {
+      if (engine != nullptr) fn(*engine);
+    }
   }
-  std::size_t engine_count() const { return engines_.size(); }
 
  private:
   Simulator* sim_;
   ClosFabric* fabric_;
-  std::unordered_map<EndpointId, std::unique_ptr<RdmaEngine>> engines_;
+  // Indexed by endpoint id; null until that endpoint's engine is created.
+  std::vector<std::unique_ptr<RdmaEngine>> engines_;
 };
 
 }  // namespace stellar

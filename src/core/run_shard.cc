@@ -1,5 +1,7 @@
 #include "core/run_shard.h"
 
+#include <algorithm>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -7,49 +9,48 @@
 
 namespace stellar {
 
-namespace {
-// Worker slot for the innermost RunSet job on this thread. thread_local by
-// design: each worker sees only its own slot, so this is shard-private
-// state, not shared engine state.
-thread_local int tl_run_worker = -1;
-}  // namespace
-
-std::size_t RunSet::add(Job job) {
-  STELLAR_CHECK(!executed_, "RunSet is single-use; add before execute()");
+void ShardedRunSet::add(Job job) {
+  STELLAR_CHECK(!executed_,
+                "ShardedRunSet is single-use; add before execute()");
   jobs_.push_back(std::move(job));
-  return jobs_.size() - 1;
 }
 
-void RunSet::execute(std::uint32_t threads) {
-  STELLAR_CHECK(!executed_, "RunSet is single-use");
+void ShardedRunSet::execute() {
+  STELLAR_CHECK(!executed_, "ShardedRunSet is single-use");
   executed_ = true;
-  const auto n = jobs_.size();
-  if (threads <= 1 || n <= 1) {
-    const int prev = tl_run_worker;
-    tl_run_worker = 0;
-    for (auto& job : jobs_) job();
-    tl_run_worker = prev;
-    jobs_.clear();
-    return;
+  const std::size_t n = jobs_.size();
+  // No base hub (no --trace, none installed): nothing to capture, and the
+  // jobs run with no hub of their own.
+  std::vector<std::unique_ptr<obs::ObsHub>> hubs;
+  if (base_ != nullptr) {
+    hubs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      hubs.push_back(std::make_unique<obs::ObsHub>());
+      hubs.back()->tracer().copy_config(base_->tracer());
+    }
   }
-  const std::uint32_t workers =
-      threads < n ? threads : static_cast<std::uint32_t>(n);
-  auto drive_worker = [this, workers](std::uint32_t w) {
-    const int prev = tl_run_worker;
-    tl_run_worker = static_cast<int>(w);
-    for (std::size_t i = w; i < jobs_.size(); i += workers) jobs_[i]();
-    tl_run_worker = prev;
+  auto run = [this, &hubs](std::size_t i) {
+    obs::ObsHub* prev =
+        hubs.empty() ? nullptr : obs::install_thread_hub(hubs[i].get());
+    jobs_[i]();
+    if (!hubs.empty()) obs::install_thread_hub(prev);
+  };
+  const auto workers =
+      static_cast<std::uint32_t>(std::min<std::size_t>(threads_, n));
+  auto drive_worker = [&run, n, workers](std::uint32_t w) {
+    for (std::size_t i = w; i < n; i += workers) run(i);
   };
   std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
   for (std::uint32_t w = 1; w < workers; ++w) {
     pool.emplace_back(drive_worker, w);
   }
   drive_worker(0);
   for (auto& t : pool) t.join();
   jobs_.clear();
+  for (auto& hub : hubs) {
+    base_->tracer().append_from(hub->tracer());
+    base_->metrics().merge_from(hub->metrics());
+  }
 }
-
-int RunSet::current_worker() { return tl_run_worker; }
 
 }  // namespace stellar

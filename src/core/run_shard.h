@@ -3,14 +3,16 @@
 // The fig benches sweep many mutually independent runs (algorithm x
 // path-count points, tenant mixes, failure scenarios); each run builds its
 // own Simulator + ClosFabric + engines, so the natural parallel unit is
-// the *run*, not the packet. ShardedRunSet combines the two pieces built
-// for that:
+// the *run*, not the packet. ShardedRunSet runs such jobs:
 //
-//   * RunSet (below) — index-deterministic job placement across worker
-//     threads (job i on worker i % threads, each worker in index order);
-//   * obs/run_capture.h RunCaptureSet — a private ObsHub per run,
-//     installed thread-locally for the job's duration and merged into the
-//     base hub in run-index order at the end.
+//   * placement is index-deterministic: job i runs on worker i % threads,
+//     and each worker runs its jobs in ascending index order;
+//   * each run gets a private capture ObsHub (when a hub is installed),
+//     set as the worker's thread hub for the job's duration and merged
+//     into the base hub in run-index order at the end — traces append in
+//     run order, each run sampled with the base tracer's config from its
+//     own offered-count; counters and gauges add, histograms merge
+//     bucket-wise.
 //
 // Jobs must write their results into index-addressed slots and the caller
 // prints them after execute() returns, in index order — then stdout,
@@ -19,52 +21,20 @@
 // reference shares the exact emission semantics it is compared against.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
-#include "obs/run_capture.h"
 #include "sim/inline_action.h"
 
 namespace stellar {
 
-/// Deterministic executor for independent run-jobs (whole fig-bench
-/// runs). Job i is assigned to worker (i % threads) and every worker
-/// executes its jobs in ascending index order, so each job sees an
-/// identical schedule for any thread count. Jobs must be mutually
-/// independent and write results into index-addressed slots; callers emit
-/// output after execute() returns, in index order, making it
-/// byte-identical by construction.
-class RunSet {
+class ShardedRunSet {
  public:
   using Job = InlineFunction<void()>;
 
-  /// Returns the job's index.
-  std::size_t add(Job job);
-  std::size_t size() const { return jobs_.size(); }
-
-  /// Runs all jobs and returns when the last one finishes. threads <= 1
-  /// executes inline on the caller. A RunSet is single-use.
-  void execute(std::uint32_t threads);
-
-  /// Worker slot executing the innermost current job on this thread
-  /// (0..threads-1 during execute(), 0 for inline execution), or -1
-  /// outside any job. Lets shared sinks (bench EngineMeter) attribute
-  /// work to shards without threading a handle through every call site.
-  static int current_worker();
-
- private:
-  std::vector<Job> jobs_;
-  bool executed_ = false;
-};
-
-class ShardedRunSet {
- public:
-  /// Captures into the currently installed hub (if any); `threads` as in
-  /// RunSet::execute.
+  /// Captures into the currently installed hub (if any). threads <= 1
+  /// runs every job inline on the caller.
   explicit ShardedRunSet(std::uint32_t threads)
       : threads_(threads == 0 ? 1 : threads), base_(obs::hub()) {}
 
@@ -72,32 +42,18 @@ class ShardedRunSet {
   /// callable runs on a worker thread with the run's capture hub
   /// installed; anything it touches must be private to the run or
   /// internally synchronized (bench EngineMeter is).
-  template <typename Fn>
-  void add(Fn job) {
-    const std::size_t index = next_index_++;
-    runs_.add([this, index, job = std::move(job)]() mutable {
-      obs::RunCaptureSet::Scope scope(*capture_, index);
-      job();
-    });
-  }
+  void add(Job job);
 
-  /// Allocates one capture hub per queued run, runs every job, then merges
-  /// per-run observability into the base hub in run-index order.
-  /// Single-use.
-  void execute() {
-    capture_.emplace(base_, runs_.size());
-    runs_.execute(threads_);
-    capture_->merge_into_base();
-  }
-
-  std::uint32_t threads() const { return threads_; }
+  /// Builds one capture hub per queued run, runs every job and returns
+  /// when the last one finishes, then merges per-run observability into
+  /// the base hub in run-index order. Single-use.
+  void execute();
 
  private:
   std::uint32_t threads_;
   obs::ObsHub* base_;
-  std::size_t next_index_ = 0;
-  std::optional<obs::RunCaptureSet> capture_;
-  RunSet runs_;
+  std::vector<Job> jobs_;
+  bool executed_ = false;
 };
 
 }  // namespace stellar

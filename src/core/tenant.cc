@@ -55,9 +55,6 @@ void TenantManager::apply_to_atc(Atc& atc) const {
 void TenantManager::push(TenantId tenant, const TenantBudgets& b) {
   Iommu& iommu = host_->pcie().iommu();
   iommu.set_iotlb_share(tenant, b.iotlb_share_entries);
-  for (std::size_t i = 0; i < host_->rnic_count(); ++i) {
-    host_->rnic(i).mtt().set_tenant_page_cap(tenant, b.mtt_page_cap);
-  }
   for (std::size_t i = 0; i < host_->atc_count(); ++i) {
     host_->atc(i).set_share(tenant, b.atc_share_entries);
   }
@@ -107,7 +104,6 @@ TenantManager::Usage TenantManager::usage(TenantId tenant) const {
     const Rnic& rnic = host_->rnic(i);
     u.qps += rnic.verbs().qp_count(tenant);
     u.mrs += rnic.verbs().mr_count(tenant);
-    u.mtt_pages = std::max(u.mtt_pages, rnic.mtt().tenant_pages(tenant));
   }
   const Iommu& iommu = host_->pcie().iommu();
   u.pinned_bytes = iommu.pinned_bytes(tenant);
@@ -130,7 +126,6 @@ DegradeLevel TenantManager::level(TenantId tenant) const {
   worst = std::max(worst, util_pct(u.qps, b->max_qps));
   worst = std::max(worst, util_pct(u.mrs, b->max_mrs));
   worst = std::max(worst, util_pct(u.pinned_bytes, b->pin_budget_bytes));
-  worst = std::max(worst, util_pct(u.mtt_pages, b->mtt_page_cap));
   worst = std::max(worst, util_pct(u.iotlb_entries, b->iotlb_share_entries));
   if (worst >= 100) return DegradeLevel::kShed;
   if (worst >= 80) return DegradeLevel::kThrottled;

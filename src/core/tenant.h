@@ -42,7 +42,6 @@ struct TenantBudgets {
   std::uint64_t max_qps = 0;           // across all RNICs
   std::uint64_t max_mrs = 0;           // across all RNICs
   std::uint64_t pin_budget_bytes = 0;  // PVDMA-pinned host memory
-  std::uint64_t mtt_page_cap = 0;      // resident MTT pages per RNIC
   std::size_t iotlb_share_entries = 0; // IOTLB residency cap
   std::size_t atc_share_entries = 0;   // ATC residency cap (GDR engines)
   TenantQos qos;                       // vSwitch rate/rule contract
@@ -90,7 +89,6 @@ class TenantManager {
     std::uint64_t qps = 0;
     std::uint64_t mrs = 0;
     std::uint64_t pinned_bytes = 0;
-    std::uint64_t mtt_pages = 0;   // max over RNICs (the cap is per RNIC)
     std::uint64_t iotlb_entries = 0;
   };
   Usage usage(TenantId tenant) const;

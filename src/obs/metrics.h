@@ -141,7 +141,8 @@ class LogHistogram {
   /// Fold another histogram's samples into this one (bucket-wise add).
   /// Exact: the merged histogram equals the one that would have recorded
   /// both sample streams directly, so per-run histograms merged in run
-  /// order (obs/run_capture.h) dump byte-identically for any thread count.
+  /// order (ShardedRunSet, core/run_shard.h) dump byte-identically for any
+  /// thread count.
   void merge_from(const LogHistogram& other) {
     for (int i = 0; i < kBuckets; ++i) {
       counts_[static_cast<std::size_t>(i)] +=

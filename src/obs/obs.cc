@@ -5,13 +5,13 @@
 namespace stellar::obs {
 
 namespace {
-// Atomic so worker threads (TSan smoke; RunSet workers) can read the
+// Atomic so worker threads (TSan smoke; ShardedRunSet workers) can read the
 // installed hub while another thread installs/uninstalls one. Release on
 // install pairs with acquire on read, so a thread that sees the pointer
 // also sees the fully constructed hub behind it.
 std::atomic<ObsHub*> g_hub{nullptr};
 
-// Per-thread override for RunSet per-run capture. thread_local: each
+// Per-thread override for ShardedRunSet per-run capture. thread_local: each
 // worker sees only its own slot, so this is shard-private, not shared.
 thread_local ObsHub* tl_hub = nullptr;
 }  // namespace

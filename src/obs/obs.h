@@ -49,8 +49,8 @@ class ObsHub {
 };
 
 /// The hub probes resolve to: this thread's override when one is set
-/// (per-run capture on a RunSet worker), else the process-wide hub, else
-/// nullptr (all probes no-op).
+/// (per-run capture on a ShardedRunSet worker), else the process-wide hub,
+/// else nullptr (all probes no-op).
 ObsHub* hub();
 
 /// Install `h` (nullptr uninstalls); returns the previous hub. Tests and
@@ -58,10 +58,10 @@ ObsHub* hub();
 ObsHub* install_hub(ObsHub* h);
 
 /// Override the hub for the *calling thread only* (nullptr clears);
-/// returns the previous override. RunSet workers point this at a per-run
-/// capture hub (obs/run_capture.h) for the duration of a job, so
-/// concurrent runs record into disjoint hubs that merge deterministically
-/// afterwards. The process-wide hub is untouched.
+/// returns the previous override. ShardedRunSet (core/run_shard.h) points
+/// this at a per-run capture hub for the duration of a job, so concurrent
+/// runs record into disjoint hubs that merge deterministically afterwards.
+/// The process-wide hub is untouched.
 ObsHub* install_thread_hub(ObsHub* h);
 
 // ---------------------------------------------------------------------------

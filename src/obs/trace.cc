@@ -27,61 +27,21 @@ std::string_view trace_cat_name(TraceCat cat) {
   return kCatNames[static_cast<int>(cat)];
 }
 
-TraceCat trace_cat_from_name(std::string_view name) {
-  for (int i = 0; i < kTraceCats; ++i) {
-    if (kCatNames[i] == name) return static_cast<TraceCat>(i);
-  }
-  return TraceCat::kCount;
-}
-
 Tracer::Tracer() {
   for (int i = 0; i < kTraceCats; ++i) {
-    enabled_[i] = true;
     sample_period_[i] = 1;
     offered_[i] = 0;
   }
 }
 
-bool Tracer::set_category_filter(std::string_view csv) {
-  MutexLock lock(mu_);
-  if (csv.empty()) {
-    for (int i = 0; i < kTraceCats; ++i) enabled_[i] = true;
-    return true;
-  }
-  bool want[kTraceCats] = {};
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string_view tok =
-        csv.substr(pos, comma == std::string_view::npos ? csv.size() - pos
-                                                        : comma - pos);
-    if (!tok.empty()) {
-      const TraceCat cat = trace_cat_from_name(tok);
-      if (cat == TraceCat::kCount) return false;
-      want[static_cast<int>(cat)] = true;
-    }
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
-  }
-  for (int i = 0; i < kTraceCats; ++i) enabled_[i] = want[i];
-  return true;
-}
-
 void Tracer::copy_config(const Tracer& from) {
-  bool enabled[kTraceCats];
   std::uint32_t period[kTraceCats];
   {
     MutexLock lock(from.mu_);
-    for (int i = 0; i < kTraceCats; ++i) {
-      enabled[i] = from.enabled_[i];
-      period[i] = from.sample_period_[i];
-    }
+    for (int i = 0; i < kTraceCats; ++i) period[i] = from.sample_period_[i];
   }
   MutexLock lock(mu_);
-  for (int i = 0; i < kTraceCats; ++i) {
-    enabled_[i] = enabled[i];
-    sample_period_[i] = period[i];
-  }
+  for (int i = 0; i < kTraceCats; ++i) sample_period_[i] = period[i];
 }
 
 void Tracer::append_from(const Tracer& from) {
@@ -106,7 +66,6 @@ void Tracer::append_from(const Tracer& from) {
 
 bool Tracer::admit(TraceCat cat) {
   const int c = static_cast<int>(cat);
-  if (!enabled_[c]) return false;
   const std::uint64_t n = offered_[c]++;
   if (n % sample_period_[c] != 0) {
     ++dropped_;

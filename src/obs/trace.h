@@ -52,9 +52,6 @@ constexpr int kTraceCats = static_cast<int>(TraceCat::kCount);
 /// Stable track name for a category ("pvdma", "transport", ...).
 std::string_view trace_cat_name(TraceCat cat);
 
-/// Parse a category name; returns kCount on no match.
-TraceCat trace_cat_from_name(std::string_view name);
-
 /// Up to four integer key/value arguments attached to an event.
 struct TraceArgs {
   struct Arg {
@@ -97,16 +94,6 @@ class Tracer {
  public:
   Tracer();
 
-  /// Enable/disable a category track (all enabled by default).
-  void set_enabled(TraceCat cat, bool on) STELLAR_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    enabled_[static_cast<int>(cat)] = on;
-  }
-  bool enabled(TraceCat cat) const STELLAR_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return enabled_[static_cast<int>(cat)];
-  }
-
   /// Keep 1 of every `period` offered events in `cat` (1 = keep all).
   /// The filter is deterministic: it counts offered events per category.
   void set_sample_period(TraceCat cat, std::uint32_t period)
@@ -114,11 +101,6 @@ class Tracer {
     MutexLock lock(mu_);
     sample_period_[static_cast<int>(cat)] = period == 0 ? 1 : period;
   }
-
-  /// Apply `set_enabled` from a comma-separated category list
-  /// ("transport,net,link"); everything not listed is disabled.
-  /// An empty list enables everything. Returns false on an unknown name.
-  bool set_category_filter(std::string_view csv) STELLAR_EXCLUDES(mu_);
 
   /// A span with explicit start and duration.
   void complete(TraceCat cat, std::string_view name, SimTime ts, SimTime dur,
@@ -139,10 +121,9 @@ class Tracer {
     return dropped_;
   }
 
-  /// Mirror another tracer's admission configuration (enabled categories
-  /// and sample periods) without touching its events. Used by per-run
-  /// capture hubs (obs/run_capture.h) so every run samples exactly as the
-  /// base tracer would.
+  /// Mirror another tracer's sample periods without touching its events.
+  /// Used by per-run capture hubs (ShardedRunSet, core/run_shard.h) so
+  /// every run samples exactly as the base tracer would.
   void copy_config(const Tracer& from) STELLAR_EXCLUDES(mu_);
 
   /// Deterministic merge: append every event of `from` (in its recorded
@@ -172,7 +153,6 @@ class Tracer {
   };
 
   mutable Mutex mu_;
-  bool enabled_[kTraceCats] STELLAR_GUARDED_BY(mu_);
   std::uint32_t sample_period_[kTraceCats] STELLAR_GUARDED_BY(mu_);
   std::uint64_t offered_[kTraceCats] STELLAR_GUARDED_BY(mu_);
   std::uint64_t dropped_ STELLAR_GUARDED_BY(mu_) = 0;

@@ -9,10 +9,9 @@
 // Capacity is counted in 4 KiB pages; the paper notes MTT capacity is
 // orders of magnitude larger than the PCIe ATC, which is why caching final
 // translations there eliminates the Figure-8 droop. The table is still a
-// shared per-RNIC resource: registrations carry the owning TenantId, and a
-// per-tenant page cap (docs/TENANCY.md) turns an MR-churn storm into a
-// kFailedPrecondition on the storming tenant instead of kResourceExhausted
-// collateral on everyone else.
+// shared per-RNIC resource: registrations carry the owning TenantId, and
+// the per-tenant page counts let kill_tenant and the auditors see what each
+// tenant holds.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +42,6 @@ class Mtt {
                          std::uint64_t target, MemoryOwner owner,
                          bool translated, TenantId tenant = kHostTenant) {
     const std::uint64_t pages = pages_covering(base, len, kPage4K);
-    auto cap = tenant_page_cap_.find(tenant);
-    if (cap != tenant_page_cap_.end() &&
-        tenant_pages(tenant) + pages > cap->second) {
-      return failed_precondition("Mtt: tenant page quota exceeded");
-    }
     if (used_pages_ + pages > capacity_pages_) {
       return resource_exhausted("Mtt: table full");
     }
@@ -99,14 +93,6 @@ class Mtt {
                     it->second.translated};
   }
 
-  /// Cap one tenant's resident MTT pages (0 = uncapped).
-  void set_tenant_page_cap(TenantId tenant, std::uint64_t max_pages) {
-    if (max_pages == 0) {
-      tenant_page_cap_.erase(tenant);
-    } else {
-      tenant_page_cap_[tenant] = max_pages;
-    }
-  }
   std::uint64_t tenant_pages(TenantId tenant) const {
     auto it = tenant_pages_.find(tenant);
     return it == tenant_pages_.end() ? 0 : it->second;
@@ -133,7 +119,6 @@ class Mtt {
   std::uint64_t used_pages_ = 0;
   std::unordered_map<MrKey, Region> regions_;
   std::map<TenantId, std::uint64_t> tenant_pages_;
-  std::map<TenantId, std::uint64_t> tenant_page_cap_;
 };
 
 }  // namespace stellar

@@ -240,21 +240,4 @@ TEST(TracerPropertyTest, SamplingKeepsExactlyOneOfN) {
   EXPECT_EQ(t.event_count(), 101u);
 }
 
-TEST(TracerPropertyTest, CategoryFilterParsesAndRejects) {
-  obs::Tracer t;
-  ASSERT_TRUE(t.set_category_filter("transport,link"));
-  EXPECT_TRUE(t.enabled(obs::TraceCat::kTransport));
-  EXPECT_TRUE(t.enabled(obs::TraceCat::kLink));
-  EXPECT_FALSE(t.enabled(obs::TraceCat::kNet));
-  EXPECT_FALSE(t.enabled(obs::TraceCat::kPvdma));
-  t.instant(obs::TraceCat::kNet, "dropped", SimTime::zero());
-  t.instant(obs::TraceCat::kTransport, "kept", SimTime::zero());
-  EXPECT_EQ(t.event_count(), 1u);
-
-  EXPECT_FALSE(t.set_category_filter("transport,bogus"));
-  // Empty list re-enables everything.
-  ASSERT_TRUE(t.set_category_filter(""));
-  EXPECT_TRUE(t.enabled(obs::TraceCat::kNet));
-}
-
 }  // namespace

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "collective/fleet.h"
@@ -742,6 +743,24 @@ TEST_F(TransportEdgeTest, ConnectToNonexistentEndpointIsRejected) {
     ASSERT_FALSE(conn.is_ok());
     EXPECT_EQ(conn.status().code(), StatusCode::kInvalidArgument);
   }
+  EXPECT_EQ(engine.connections().size(), before);
+
+  // The fleet rejects a nonexistent endpoint on either side and creates no
+  // engine, not even for the side that exists.
+  const auto engines = [this] {
+    std::vector<EndpointId> ids;
+    fleet_.for_each_engine([&](RdmaEngine& e) { ids.push_back(e.self()); });
+    return ids;
+  };
+  const std::vector<EndpointId> engines_before = engines();
+  const EndpointId missing = fabric_.endpoint_count();
+  for (const auto& [from, to] :
+       {std::pair{b_, missing}, std::pair{missing, b_}}) {
+    const auto conn = fleet_.connect(from, to, {});
+    ASSERT_FALSE(conn.is_ok());
+    EXPECT_EQ(conn.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engines(), engines_before);
   EXPECT_EQ(engine.connections().size(), before);
 }
 

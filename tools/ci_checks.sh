@@ -9,8 +9,8 @@
 #      global operator new), here and again in the bench build of step 12
 #   3. the fault-labelled fault-injection/recovery tests on their own
 #   4. the sim-labelled engine determinism/stress tests (timing-wheel
-#      replay and stress, the firing-order test against a reference heap,
-#      RunSet placement) on their own
+#      replay and stress, the firing-order test against a reference heap)
+#      on their own
 #   5. the obs-labelled observability golden/property tests on their own
 #   6. the migrate-labelled control-plane robustness tests (snapshots,
 #      hot-upgrade, live migration, composition soak) on their own, plus
@@ -50,10 +50,11 @@
 #      metric committed in LEDGER.json
 #   7. a fig09 mini trace dump + trace_summarize smoke (the tracer's
 #      byte-determinism and the summarizer's parser, end to end)
-#   7b. the run-level sharding determinism gate: fig09-mini at
-#      --threads=1 vs --threads=4 — stdout (minus wall-clock [engine]
-#      lines), the BENCH JSON, the metrics snapshot and the trace must all
-#      be byte-identical between thread counts
+#   7b. the run-level sharding determinism gate: fig09-mini,
+#      fig12_pathcount and fig13_microbench at --threads=1 vs --threads=4 —
+#      stdout (minus wall-clock [engine] lines), the BENCH JSON, the
+#      metrics snapshot and the trace must all be byte-identical between
+#      thread counts
 #   8. ASan+UBSan build + the complete test suite + the fault, sim, obs,
 #      migrate and tenant suites
 #   9. TSan build (-DSTELLAR_SANITIZE=thread) + the threaded shard-safety
@@ -299,22 +300,26 @@ obs_smoke_dir="$(mktemp -d)"
   "$repo_root/build/tools/trace_summarize" mini_trace.json | head -n 5)
 rm -rf "$obs_smoke_dir"
 
-step "run-level sharding determinism (fig09 mini, --threads=1 vs --threads=4)"
+step "run-level sharding determinism (fig09 mini, fig12, fig13; --threads=1 vs --threads=4)"
 par_det_dir="$(mktemp -d)"
-(cd "$par_det_dir" &&
-  mkdir t1 t4 &&
-  (cd t1 && "$repo_root/build/bench/fig09_permutation" 0.02 --threads=1 \
-    --trace=mini_trace.json --trace-sample=256 > fig09.log) &&
-  (cd t4 && "$repo_root/build/bench/fig09_permutation" 0.02 --threads=4 \
-    --trace=mini_trace.json --trace-sample=256 > fig09.log) &&
-  # [engine] lines report wall-clock (and per-worker splits that exist
-  # only when threaded); everything else must match byte-for-byte.
-  diff <(grep -v '^\[engine\]' t1/fig09.log) \
-       <(grep -v '^\[engine\]' t4/fig09.log) &&
-  cmp t1/BENCH_fig09.json t4/BENCH_fig09.json &&
-  cmp t1/BENCH_fig09_obs.json t4/BENCH_fig09_obs.json &&
-  cmp t1/mini_trace.json t4/mini_trace.json &&
-  echo "fig09 mini byte-identical across thread counts")
+for spec in "fig09_permutation fig09 0.02" "fig12_pathcount fig12" \
+            "fig13_microbench fig13"; do
+  read -r bin name scale <<< "$spec"
+  (cd "$par_det_dir" &&
+    rm -rf t1 t4 && mkdir t1 t4 &&
+    (cd t1 && "$repo_root/build/bench/$bin" ${scale:+"$scale"} --threads=1 \
+      --trace=trace.json --trace-sample=256 > out.log) &&
+    (cd t4 && "$repo_root/build/bench/$bin" ${scale:+"$scale"} --threads=4 \
+      --trace=trace.json --trace-sample=256 > out.log) &&
+    test -s t1/trace.json && test -s "t1/BENCH_${name}_obs.json" &&
+    # [engine] lines report wall-clock; everything else must match
+    # byte-for-byte: stdout, every BENCH JSON (obs snapshot included) and
+    # the trace.
+    diff <(grep -v '^\[engine\]' t1/out.log) \
+         <(grep -v '^\[engine\]' t4/out.log) &&
+    diff -r -x out.log t1 t4 &&
+    echo "$bin byte-identical across thread counts")
+done
 rm -rf "$par_det_dir"
 
 if [ "$skip_san" -eq 0 ]; then
