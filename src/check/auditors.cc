@@ -252,13 +252,11 @@ void TransportAuditor::audit(AuditReport& report) const {
     // checks inflight < window before each packet, so the overshoot is at
     // most one MTU above the configured maximum).
     report.note_check();
-    if (conn->inflight_bytes_ >
-        conn->config_.cc.max_window + conn->config_.mtu) {
+    if (conn->inflight_bytes_ > kMaxWindow + kMtu) {
       report.fail(name(), tag + ": inflight_bytes=" +
                               std::to_string(conn->inflight_bytes_) +
                               " exceeds max_window+mtu=" +
-                              std::to_string(conn->config_.cc.max_window +
-                                             conn->config_.mtu));
+                              std::to_string(kMaxWindow + kMtu));
     }
 
     // An errored QP holds no in-flight state; a healthy QP arms the RTO

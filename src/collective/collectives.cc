@@ -21,16 +21,13 @@ RingCollective::RingCollective(EngineFleet& fleet,
       phases_(phases) {
   const std::size_t n = ranks_.size();
   if (n < 2) throw std::invalid_argument("RingCollective: need >= 2 ranks");
-  if (config_.slices == 0) {
-    throw std::invalid_argument("RingCollective: slices must be >= 1");
-  }
   chunk_bytes_ = (config_.data_bytes + n - 1) / n;
-  slice_bytes_ = (chunk_bytes_ + config_.slices - 1) / config_.slices;
+  slice_bytes_ = (chunk_bytes_ + kRingSlices - 1) / kRingSlices;
   units_per_lane_ = static_cast<std::uint32_t>(phases_ * (n - 1));
 
   to_next_.resize(n);
-  sent_.assign(n * config_.slices, 0);
-  recv_.assign(n * config_.slices, 0);
+  sent_.assign(n * kRingSlices, 0);
+  recv_.assign(n * kRingSlices, 0);
   rank_received_total_.assign(n, 0);
   paused_.assign(n, 0);
   deferred_.assign(n, {});
@@ -68,7 +65,7 @@ void RingCollective::start(std::function<void()> on_complete) {
   for (auto& lanes : deferred_) lanes.clear();
   started_at_ = fleet_->simulator().now();
   for (std::size_t i = 0; i < ranks_.size(); ++i) {
-    for (std::uint32_t lane = 0; lane < config_.slices; ++lane) {
+    for (std::uint32_t lane = 0; lane < kRingSlices; ++lane) {
       send_unit(i, lane);
     }
   }
@@ -106,7 +103,7 @@ void RingCollective::on_slice_received(std::size_t rank, std::uint32_t lane) {
       sent_at(rank, lane) <= recv_at(rank, lane)) {
     send_unit(rank, lane);
   }
-  if (rank_received_total_[rank] == units_per_lane_ * config_.slices) {
+  if (rank_received_total_[rank] == units_per_lane_ * kRingSlices) {
     if (++finished_ranks_ < ranks_.size()) return;
     running_ = false;
     last_duration_ = fleet_->simulator().now() - started_at_;

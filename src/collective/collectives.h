@@ -16,9 +16,11 @@
 
 namespace stellar {
 
+/// Pipelining slices per ring chunk (ring collectives only).
+inline constexpr std::uint32_t kRingSlices = 4;
+
 struct CollectiveConfig {
   std::uint64_t data_bytes = 64ull << 20;
-  std::uint32_t slices = 4;  // ring collectives only
   TransportConfig transport;
 };
 
@@ -83,10 +85,10 @@ class RingCollective {
   std::function<void()> on_complete_;
 
   std::uint32_t& sent_at(std::size_t rank, std::uint32_t lane) {
-    return sent_[rank * config_.slices + lane];
+    return sent_[rank * kRingSlices + lane];
   }
   std::uint32_t& recv_at(std::size_t rank, std::uint32_t lane) {
-    return recv_[rank * config_.slices + lane];
+    return recv_[rank * kRingSlices + lane];
   }
 };
 

@@ -31,18 +31,15 @@ StellarHost::StellarHost(StellarHostConfig config)
   pcie_ = std::make_unique<HostPcie>(config_.pcie);
   hypervisor_ = std::make_unique<Hypervisor>(*pcie_, config_.hypervisor);
 
-  for (std::uint32_t s = 0; s < config_.pcie_switches; ++s) {
+  for (std::uint32_t s = 0; s < kPcieSwitches; ++s) {
     pcie_->add_switch("pcie_sw" + std::to_string(s));
   }
 
-  // One RNIC per switch, GPUs striped across switches (the 4-switch,
-  // 4-RNIC, 8-GPU server of §3.1(3)).
-  for (std::uint32_t i = 0; i < config_.rnics; ++i) {
+  // One RNIC per switch, GPUs striped across switches.
+  for (std::uint32_t i = 0; i < kRnicsPerHost; ++i) {
     const auto bus = static_cast<std::uint8_t>(0x10 + i * 0x10);
-    RnicConfig rc = config_.rnic;
-    rc.name = "rnic" + std::to_string(i);
     rnics_.push_back(std::make_unique<Rnic>(*pcie_, Bdf{bus, 0, 0},
-                                            i % config_.pcie_switches, rc));
+                                            i % kPcieSwitches));
     Status s = rnics_.back()->enable_pf_gdr();
     if (!s.is_ok()) {
       throw std::runtime_error("StellarHost: PF GDR enable failed: " +
@@ -50,11 +47,11 @@ StellarHost::StellarHost(StellarHostConfig config)
     }
   }
 
-  for (std::uint32_t g = 0; g < config_.gpus; ++g) {
+  for (std::uint32_t g = 0; g < kGpusPerHost; ++g) {
     const auto bus = static_cast<std::uint8_t>(0x18 + g * 0x10);
     const Bdf bdf{bus, 1, 0};
-    const std::size_t sw = g % config_.pcie_switches;
-    auto bar = pcie_->attach_device(bdf, sw, config_.gpu_bar_bytes);
+    const std::size_t sw = g % kPcieSwitches;
+    auto bar = pcie_->attach_device(bdf, sw, kGpuBarBytes);
     if (!bar.is_ok()) {
       throw std::runtime_error("StellarHost: GPU attach failed: " +
                                bar.status().to_string());
@@ -280,10 +277,9 @@ GdrEngine StellarHost::make_gdr_engine(GdrMode mode, std::size_t rnic_index) {
   cfg.requester = rnic.pf_bdf();
   Atc* atc = nullptr;
   if (mode == GdrMode::kAtsAtc) {
-    atcs_.push_back(std::make_unique<Atc>(*pcie_, rnic.pf_bdf(),
-                                          rnic.config().atc_capacity_pages));
+    atcs_.push_back(
+        std::make_unique<Atc>(*pcie_, rnic.pf_bdf(), kAtcCapacityPages));
     atc = atcs_.back().get();
-    tenants_->apply_to_atc(*atc);
   }
   return GdrEngine(*pcie_, cfg, mode, atc);
 }

@@ -33,12 +33,13 @@
 
 namespace stellar {
 
+// The host shape: the 4-switch, 4-RNIC, 8-GPU server of §3.1(3).
+inline constexpr std::uint32_t kPcieSwitches = 4;
+inline constexpr std::uint32_t kRnicsPerHost = 4;  // one per switch
+inline constexpr std::uint32_t kGpusPerHost = 8;   // two per switch
+inline constexpr std::uint64_t kGpuBarBytes = 32ull << 30;
+
 struct StellarHostConfig {
-  std::uint32_t pcie_switches = 4;
-  std::uint32_t rnics = 4;           // one per switch
-  std::uint32_t gpus = 8;            // two per switch
-  std::uint64_t gpu_bar_bytes = 32ull << 30;
-  RnicConfig rnic;
   HostPcieConfig pcie;
   HypervisorConfig hypervisor;
 };
@@ -61,7 +62,7 @@ class StellarHost {
   Rnic& rnic(std::size_t i) { return *rnics_.at(i); }
   const Rnic& rnic(std::size_t i) const { return *rnics_.at(i); }
   std::size_t rnic_count() const { return rnics_.size(); }
-  /// ATCs created for kAtsAtc GDR engines (tenant shares apply to them).
+  /// ATCs created for kAtsAtc GDR engines.
   Atc& atc(std::size_t i) { return *atcs_.at(i); }
   std::size_t atc_count() const { return atcs_.size(); }
   /// Host-level flow-steering table shared by every tenant's kernel stack.

@@ -46,23 +46,13 @@ void TenantManager::apply(TenantId tenant) {
   push(tenant, enforce_ ? it->second : TenantBudgets{});
 }
 
-void TenantManager::apply_to_atc(Atc& atc) const {
-  for (const auto& [tenant, b] : budgets_) {
-    atc.set_share(tenant, enforce_ ? b.atc_share_entries : 0);
-  }
-}
-
 void TenantManager::push(TenantId tenant, const TenantBudgets& b) {
   Iommu& iommu = host_->pcie().iommu();
   iommu.set_iotlb_share(tenant, b.iotlb_share_entries);
-  for (std::size_t i = 0; i < host_->atc_count(); ++i) {
-    host_->atc(i).set_share(tenant, b.atc_share_entries);
-  }
   if (host_->hypervisor().booted(tenant)) {
     host_->hypervisor().pvdma(tenant).set_pin_budget(b.pin_budget_bytes);
   }
-  if (b.qos.rate.bps() > 0 || b.qos.max_rules != 0 ||
-      b.qos.burst_bytes != 0) {
+  if (b.qos.max_rules != 0) {
     host_->vswitch().set_qos(tenant, b.qos);
   } else {
     host_->vswitch().clear_qos(tenant);

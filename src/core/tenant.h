@@ -15,8 +15,8 @@
 //    (loud, attributable, non-retryable) instead of letting them exhaust a
 //    global table into everyone's kResourceExhausted;
 //  * level() grades each tenant on the degradation ladder — kGreen (under
-//    80% of every cap), kThrottled (≥80% somewhere: the vSwitch token
-//    bucket is doing the shaping), kShed (at a cap: new acquisitions are
+//    80% of every cap), kThrottled (≥80% somewhere: a warning grade that
+//    changes no behaviour), kShed (at a cap: new acquisitions are
 //    rejected) — recoverable in both directions as the tenant releases
 //    resources;
 //  * set_enforcement(false) lifts every cap in place (the bench's
@@ -33,7 +33,6 @@
 
 namespace stellar {
 
-class Atc;
 class StellarHost;
 
 /// Per-tenant resource contract. Zero means uncapped for that dimension.
@@ -43,8 +42,7 @@ struct TenantBudgets {
   std::uint64_t max_mrs = 0;           // across all RNICs
   std::uint64_t pin_budget_bytes = 0;  // PVDMA-pinned host memory
   std::size_t iotlb_share_entries = 0; // IOTLB residency cap
-  std::size_t atc_share_entries = 0;   // ATC residency cap (GDR engines)
-  TenantQos qos;                       // vSwitch rate/rule contract
+  TenantQos qos;                       // vSwitch rule-slot quota
 };
 
 /// Where a tenant sits on the graceful-degradation ladder.
@@ -71,10 +69,6 @@ class TenantManager {
   /// Re-push the tenant's caps into resources that (re)appeared since
   /// registration — notably the PVDMA instance created at container boot.
   void apply(TenantId tenant);
-
-  /// Seed a freshly created ATC with every registered tenant's share
-  /// (StellarHost::make_gdr_engine creates ATCs after registration).
-  void apply_to_atc(Atc& atc) const;
 
   // -- Admission gates (control path) ---------------------------------------
 

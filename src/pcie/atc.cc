@@ -6,7 +6,7 @@ namespace stellar {
 
 StatusOr<Atc::Lookup> Atc::translate(IoVa iova, TenantId tenant) {
   Hpa hpa;
-  const RunCounts n = run(iova, 0, 1, tenant, &hpa);
+  const RunCounts n = run(iova, 1, tenant, &hpa);
   hpa = hpa + iova.page_offset(kPage4K);
   if (n.atc_hits != 0) return Lookup{hpa, SimTime::nanos(5), true, true};
   const HostPcie::AtsRoundTrip rtt = fabric_->ats_round_trip();
@@ -17,8 +17,8 @@ StatusOr<Atc::Lookup> Atc::translate(IoVa iova, TenantId tenant) {
                        : "Atc::translate: unknown requester BDF");
 }
 
-Atc::RunCounts Atc::run(IoVa first, std::uint64_t stride,
-                        std::uint64_t pages, TenantId tenant, Hpa* last_hpa) {
+Atc::RunCounts Atc::run(IoVa first, std::uint64_t pages, TenantId tenant,
+                        Hpa* last_hpa) {
   RunCounts n;
   const bool requester_known = fabric_->has_device(owner_);
   Iommu& iommu = fabric_->iommu();
@@ -57,15 +57,7 @@ Atc::RunCounts Atc::run(IoVa first, std::uint64_t stride,
     n.walks += ats.walks;
     n.failed += ats.failed;
   };
-  if (stride == kPage4K) {
-    cache_.walk(first.align_down(kPage4K), pages, on_hit, on_miss);
-  } else {
-    // Pages that are not 4 KiB apart are runs of one page each.
-    for (std::uint64_t i = 0; i < pages; ++i) {
-      cache_.walk((first + i * stride).align_down(kPage4K), 1, on_hit,
-                  on_miss);
-    }
-  }
+  cache_.walk(first.align_down(kPage4K), pages, on_hit, on_miss);
   // One by-name count per run. A name is created only once its event has
   // happened: a run with no miss adds no `atc/misses` to the snapshot.
   STELLAR_TRACE_ONLY(

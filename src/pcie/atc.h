@@ -3,11 +3,9 @@
 // paper — which is what makes GDR throughput droop once the working set
 // outgrows it (Figure 8). Lives inside the requesting device (the RNIC).
 //
-// The ATC is shared by every tenant behind the RNIC, so a scan-patterned
-// tenant can thrash out neighbors' hot translations. It is the same
-// share-capped TranslationCache as the IOTLB: tenants with a configured
-// occupancy share that are at their cap recycle their own coldest entry
-// (docs/TENANCY.md).
+// The ATC is shared by every tenant behind the RNIC. It is the same
+// TranslationCache as the IOTLB and attributes each entry to the tenant
+// that installed it, but it sets no per-tenant share (docs/TENANCY.md).
 #pragma once
 
 #include <cstdint>
@@ -51,26 +49,21 @@ class Atc {
     std::uint64_t failed = 0;      // unknown requester or unmapped page
   };
 
-  /// Translate `pages` pages at `first`, `first + stride`, ... on behalf
-  /// of `tenant`, against the real ATC and IOTLB state, exactly as one
-  /// translate() per page would. With a 4 KiB stride the run is walked a
-  /// chunk at a time: an ATC hit chunk is one cache operation, and an ATC
-  /// miss chunk one Iommu::resolve_run plus one ATC install per chunk it
-  /// translates. Other strides are runs of one page. The requester check
-  /// is done once per run.
-  RunCounts translate_run(IoVa first, std::uint64_t stride,
-                          std::uint64_t pages, TenantId tenant = kHostTenant) {
-    return run(first, stride, pages, tenant, nullptr);
+  /// Translate the `pages` 4 KiB pages from `first` on behalf of `tenant`,
+  /// against the real ATC and IOTLB state, exactly as one translate() per
+  /// page would. The run is walked a chunk at a time: an ATC hit chunk is
+  /// one cache operation, and an ATC miss chunk one Iommu::resolve_run plus
+  /// one ATC install per chunk it translates. The requester check is done
+  /// once per run.
+  RunCounts translate_run(IoVa first, std::uint64_t pages,
+                          TenantId tenant = kHostTenant) {
+    return run(first, pages, tenant, nullptr);
   }
 
   /// ATS invalidation from the RC; HostPcie sends one on every IOMMU
   /// flush (each unmap).
   void invalidate_all() { cache_.clear(); }
 
-  /// Cap one tenant's ATC residency at `max_entries` (0 = uncapped).
-  void set_share(TenantId tenant, std::size_t max_entries) {
-    cache_.set_share(tenant, max_entries);
-  }
   /// The cache and its per-tenant occupancy ledger, read-only.
   const TranslationCache& cache() const { return cache_; }
 
@@ -80,8 +73,8 @@ class Atc {
  private:
   /// The core of translate() and translate_run(); stores the last page's
   /// HPA in `*last_hpa` when that is not null.
-  RunCounts run(IoVa first, std::uint64_t stride, std::uint64_t pages,
-                TenantId tenant, Hpa* last_hpa);
+  RunCounts run(IoVa first, std::uint64_t pages, TenantId tenant,
+                Hpa* last_hpa);
 
   HostPcie* fabric_;
   Bdf owner_;

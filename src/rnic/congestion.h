@@ -42,20 +42,27 @@ class CongestionControl {
   virtual void restore(SnapshotReader& r) = 0;
 };
 
+/// Transport MTU: the payload bytes of a full data packet, and the
+/// additive-increase step of both algorithms (~1 MTU per RTT).
+inline constexpr std::uint32_t kMtu = 4096;
+/// Window bounds of the one shared CC context (§7.2).
+inline constexpr std::uint64_t kInitWindow = 256 * 1024;  // ~2x BDP
+inline constexpr std::uint64_t kMinWindow = 4096;
+inline constexpr std::uint64_t kMaxWindow = 1024 * 1024;
+/// Base fabric RTT: the RTT guard and Swift's delay target are multiples
+/// of it, and a fluid thaw seeds the window at rate * 2 * kBaseRtt.
+inline constexpr SimTime kBaseRtt = SimTime::micros(8);
+
+/// Window bounds of one CC context: the kInitWindow/kMinWindow/kMaxWindow
+/// trio for the shared context, or the 1/paths share of it each per-path
+/// context gets (RdmaConnection::rebuild_from_config).
 struct CcConfig {
-  std::uint32_t mtu = 4096;
-  std::uint64_t init_window = 256 * 1024;   // ~2x BDP of the target fabric
-  std::uint64_t min_window = 4096;
-  std::uint64_t max_window = 1024 * 1024;
+  std::uint64_t init_window = kInitWindow;
+  std::uint64_t min_window = kMinWindow;
+  std::uint64_t max_window = kMaxWindow;
   static constexpr double ecn_gain = 0.0625;      // DCTCP g
-  SimTime base_rtt = SimTime::micros(8);
   static constexpr double rtt_high_factor = 3.0;  // RTT guard threshold
   static constexpr double rtt_backoff = 0.85;  // multiplicative RTT response
-
-  template <class Ar, class Self>
-  static void fields(Ar& ar, Self& c) {
-    ar(c.mtu, c.init_window, c.min_window, c.max_window, c.base_rtt);
-  }
 };
 
 class WindowCc final : public CongestionControl {
@@ -84,7 +91,7 @@ class WindowCc final : public CongestionControl {
       shrink(static_cast<std::uint64_t>(cut));
     } else {
       // Additive increase: ~1 MTU per RTT.
-      const double gain = static_cast<double>(config_.mtu) *
+      const double gain = static_cast<double>(kMtu) *
                           static_cast<double>(bytes) /
                           static_cast<double>(window_);
       grow(static_cast<std::uint64_t>(gain) + 1);
@@ -94,7 +101,7 @@ class WindowCc final : public CongestionControl {
     // path) still triggers a decrease, rate-limited to once per RTT.
     if (rtt > SimTime::picos(static_cast<std::int64_t>(
                   config_.rtt_high_factor *
-                  static_cast<double>(config_.base_rtt.ps())))) {
+                  static_cast<double>(kBaseRtt.ps())))) {
       if (acked_since_rtt_cut_ >= window_) {
         window_ = std::max(
             config_.min_window,
@@ -155,10 +162,10 @@ class SwiftCc final : public CongestionControl {
   void on_ack(std::uint32_t bytes, bool ecn_echo, SimTime rtt) override {
     (void)ecn_echo;
     // Target: base fabric RTT plus half a window's worth of queueing slack.
-    const double target_us = config_.base_rtt.us() * 1.5;
+    const double target_us = kBaseRtt.us() * 1.5;
     const double rtt_us = rtt.us();
     if (rtt_us <= target_us) {
-      const double gain = static_cast<double>(config_.mtu) *
+      const double gain = static_cast<double>(kMtu) *
                           static_cast<double>(bytes) /
                           static_cast<double>(window_);
       window_ = std::min(config_.max_window,

@@ -8,14 +8,12 @@ namespace {
 constexpr std::uint64_t kMttCapacityPages = 64ull << 20;  // 64M pages = 256 GiB
 }  // namespace
 
-Rnic::Rnic(HostPcie& pcie, Bdf pf_bdf, std::size_t switch_id,
-           RnicConfig config)
+Rnic::Rnic(HostPcie& pcie, Bdf pf_bdf, std::size_t switch_id)
     : pcie_(&pcie),
       pf_bdf_(pf_bdf),
       switch_id_(switch_id),
-      config_(std::move(config)),
       mtt_(kMttCapacityPages) {
-  auto bar = pcie_->attach_device(pf_bdf_, switch_id_, config_.doorbell_bar_bytes);
+  auto bar = pcie_->attach_device(pf_bdf_, switch_id_, kDoorbellBarBytes);
   if (!bar.is_ok()) {
     throw std::runtime_error("Rnic: cannot attach PF: " +
                              bar.status().to_string());
@@ -24,7 +22,7 @@ Rnic::Rnic(HostPcie& pcie, Bdf pf_bdf, std::size_t switch_id,
 }
 
 StatusOr<SimTime> Rnic::set_num_vfs(std::uint32_t count) {
-  if (count > config_.max_vfs) {
+  if (count > kMaxVfs) {
     return resource_exhausted("Rnic: VF count exceeds hardware maximum");
   }
   if (!vfs_.empty() && count != 0) {
@@ -68,15 +66,12 @@ Status Rnic::enable_vf_gdr(std::uint32_t index) {
 }
 
 StatusOr<Rnic::VirtualDevice> Rnic::create_virtual_device(VmId vm) {
-  if (vdevs_.size() >= config_.max_virtual_devices) {
-    return resource_exhausted("Rnic: virtual device limit reached");
-  }
   std::uint64_t offset = 0;
   if (!free_doorbells_.empty()) {
     offset = free_doorbells_.back();
     free_doorbells_.pop_back();
   } else {
-    if (next_doorbell_offset_ + kPage4K > config_.doorbell_bar_bytes) {
+    if (next_doorbell_offset_ + kPage4K > kDoorbellBarBytes) {
       return resource_exhausted("Rnic: doorbell BAR exhausted");
     }
     offset = next_doorbell_offset_;

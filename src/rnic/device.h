@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -34,21 +33,18 @@ inline constexpr SimTime kVfCreateTime = SimTime::seconds(1.0);
 // Matches MasQ/vStellar.
 inline constexpr SimTime kSfCreateTime = SimTime::seconds(1.5);
 
-struct RnicConfig {
-  std::string name = "rnic0";
-  std::size_t atc_capacity_pages = 8192;
-  std::uint32_t max_vfs = 64;
-  std::uint32_t max_virtual_devices = 64 * 1024;  // SF/vStellar bound
-  std::uint64_t doorbell_bar_bytes = 64ull * 1024 * kPage4K;  // 64k pages
-};
+// ATC of a kAtsAtc GDR engine ("tens of thousands of pages", Figure 8).
+inline constexpr std::size_t kAtcCapacityPages = 8192;
+// SR-IOV VFs the hardware can enable.
+inline constexpr std::uint32_t kMaxVfs = 64;
+// PF doorbell BAR: one 4 KiB page per SF/vStellar device, 64k pages (§4).
+inline constexpr std::uint64_t kDoorbellBarBytes = 64ull * 1024 * kPage4K;
 
 class Rnic {
  public:
   /// Attaches the RNIC's PF under `switch_id` of the host PCIe fabric.
-  Rnic(HostPcie& pcie, Bdf pf_bdf, std::size_t switch_id,
-       RnicConfig config = {});
+  Rnic(HostPcie& pcie, Bdf pf_bdf, std::size_t switch_id);
 
-  const RnicConfig& config() const { return config_; }
   Bdf pf_bdf() const { return pf_bdf_; }
   const Bar& bar() const { return bar_; }
   HostPcie& pcie() { return *pcie_; }
@@ -97,7 +93,6 @@ class Rnic {
   HostPcie* pcie_;
   Bdf pf_bdf_;
   std::size_t switch_id_;
-  RnicConfig config_;
   Bar bar_;
   VerbsResources verbs_;
   Mtt mtt_;

@@ -10,7 +10,7 @@ GdrTransfer GdrEngine::transfer(IoVa iova, std::uint64_t len) {
   GdrTransfer out;
   if (len == 0) return out;
 
-  const std::uint32_t page = config_.page_size;
+  constexpr std::uint64_t page = kPage4K;
   const std::uint64_t pages = pages_covering(iova, len, page);
 
   // Per-page serialization time on the NIC port, including TLP overhead.
@@ -45,7 +45,7 @@ GdrTransfer GdrEngine::transfer(IoVa iova, std::uint64_t len) {
     // served, so the duration is a closed form of the run's counts: the
     // same integer sum as adding up the pages one by one.
     const Atc::RunCounts run =
-        atc_->translate_run(iova.align_down(page), page, pages);
+        atc_->translate_run(iova.align_down(page), pages);
     const HostPcie::AtsRoundTrip rtt = fabric_->ats_round_trip();
     const auto ats_depth = static_cast<std::int64_t>(kAtsPipelineDepth);
     // ATS round trip amortized over the NIC's translation pipeline.

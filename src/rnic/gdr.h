@@ -9,9 +9,9 @@
 //   kRcRouted  - HyV/MasQ: untranslated TLPs detour through the Root
 //                Complex, whose P2P forwarding bandwidth caps throughput.
 //
-// Only kAtsAtc has per-page state: one Atc::translate_run per message runs
-// its pages against the *real* ATC/IOTLB LRU state, so its throughput
-// cliffs emerge from cache capacities and the access pattern, not from
+// Pages are 4 KiB, as in the paper's GDR tests. Only kAtsAtc has per-page
+// state: one Atc::translate_run per message runs its pages against the
+// *real* ATC/IOTLB LRU state, so its throughput cliffs emerge from cache capacities and the access pattern, not from
 // hard-coded breakpoints. Each page then costs its wire time plus a stall
 // fixed by how its translation was served (ATC hit, IOTLB hit or page
 // walk), so the duration is a closed form of the run's counts. kEmtt and
@@ -43,7 +43,6 @@ struct GdrEngineConfig {
   /// The issuing NIC function; used to classify the PCIe route (direct P2P
   /// vs RC detour) with a probe TLP per transfer.
   Bdf requester;
-  std::uint32_t page_size = 4096;   // paper tests 4 KiB GDR pages
 };
 
 /// Result of pushing one message through the engine.

@@ -44,14 +44,13 @@ void RdmaConnection::rebuild_from_config() {
   // One context shared by every path, or — per-path CC — one per path,
   // splitting the silicon budget: each gets a 1/paths share of the window
   // resources (the §9 trade-off made concrete).
-  CcConfig cc = config_.cc;
+  CcConfig cc;
   std::size_t contexts = 1;
   if (config_.per_path_cc) {
     contexts = config_.num_paths;
-    cc.init_window =
-        std::max<std::uint64_t>(cc.mtu, cc.init_window / contexts);
-    cc.max_window = std::max<std::uint64_t>(cc.mtu, cc.max_window / contexts);
-    cc.min_window = std::min(cc.min_window, cc.init_window);
+    cc.init_window = std::max<std::uint64_t>(kMtu, kInitWindow / contexts);
+    cc.max_window = std::max<std::uint64_t>(kMtu, kMaxWindow / contexts);
+    cc.min_window = std::min(kMinWindow, cc.init_window);
   }
   cc_.clear();
   for (std::size_t c = 0; c < contexts; ++c) {
@@ -235,8 +234,7 @@ void RdmaConnection::send_more() {
     const auto chunk = msg.kind == PacketKind::kReadRequest
                            ? 64u
                            : static_cast<std::uint32_t>(
-                                 std::min<std::uint64_t>(config_.mtu,
-                                                         remaining));
+                                 std::min<std::uint64_t>(kMtu, remaining));
     const std::uint16_t path = pick_path();
     if (!admit(path)) break;
 
@@ -550,7 +548,7 @@ void RdmaConnection::fluid_thaw(double rate_bytes_per_sec) {
     // BDP of the assigned max-min share; twice that leaves the bottleneck
     // queue (not the window) pacing the first RTTs while CC re-converges.
     const auto seed = static_cast<std::uint64_t>(
-        rate_bytes_per_sec * config_.cc.base_rtt.sec() * 2.0);
+        rate_bytes_per_sec * kBaseRtt.sec() * 2.0);
     for (auto& cc : cc_) cc->seed_window(seed / cc_.size());
   }
   send_more();

@@ -42,11 +42,9 @@ namespace stellar {
 inline constexpr std::uint32_t kBlacklistThreshold = 3;
 
 struct TransportConfig {
-  std::uint32_t mtu = 4096;
   std::uint16_t num_paths = 128;
   MultipathAlgo algo = MultipathAlgo::kObs;
   SimTime rto = SimTime::micros(250);
-  CcConfig cc;
   CcAlgo cc_algo = CcAlgo::kWindowEcnRtt;
   /// Stack-dependent overheads (Figure 13's VF+VxLAN baseline): extra
   /// encapsulation bytes on every packet, a fixed per-packet processing
@@ -78,7 +76,7 @@ struct TransportConfig {
 
   template <class Ar, class Self>
   static void fields(Ar& ar, Self& c) {
-    ar(c.mtu, c.num_paths, as<std::uint8_t>(c.algo), c.rto, c.cc, c.cc_algo,
+    ar(c.num_paths, as<std::uint8_t>(c.algo), c.rto, c.cc_algo,
        c.extra_header_bytes, c.per_packet_overhead,
        as<std::int64_t>(c.stack_rate_cap), c.max_retries, c.blacklist_hold,
        c.probe_interval, c.per_path_cc, c.tenant);

@@ -14,9 +14,10 @@ constexpr SimTime kMicrovmBaseBoot = SimTime::seconds(8.0);
 /// balloon negotiation, ...): the +11 s between 160 GB and 1.6 TB pods.
 constexpr SimTime kPerGibOverhead = SimTime::millis(8);
 
-// PinRetryPolicy's backoff envelope and jitter seed.
+// prepare_dma_with_retry's backoff envelope and jitter.
 constexpr SimTime kPinRetryInitialBackoff = SimTime::micros(50);
 constexpr SimTime kPinRetryMaxBackoff = SimTime::millis(5);
+constexpr double kPinRetryJitter = 0.5;
 constexpr std::uint64_t kPinRetryJitterSeed = 0x57E11A5ull;
 
 // kPerGibOverhead for a guest of `bytes`.
@@ -24,6 +25,22 @@ SimTime per_gib_time(std::uint64_t bytes) {
   const double gib = static_cast<double>(bytes) / (1024.0 * 1024 * 1024);
   return SimTime::picos(static_cast<std::int64_t>(
       gib * static_cast<double>(kPerGibOverhead.ps())));
+}
+
+// Jittered retry delay within the deterministic exponential envelope.
+SimTime jittered_delay(VmId vm, Gpa gpa, std::uint32_t attempt,
+                       SimTime backoff) {
+  // Stateless draw: a hash of (seed, vm, gpa, attempt) is deterministic
+  // across runs yet decorrelated across guests and attempts.
+  const std::uint64_t h = hash_combine(
+      hash_combine(kPinRetryJitterSeed, vm),
+      hash_combine(gpa.value(), attempt));
+  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
+  const double scale = 1.0 - kPinRetryJitter * u;  // (1 - jitter, 1]
+  SimTime delay = SimTime::picos(static_cast<std::int64_t>(
+      static_cast<double>(backoff.ps()) * scale));
+  if (delay < SimTime::picos(1)) delay = SimTime::picos(1);
+  return delay;
 }
 }  // namespace
 
@@ -110,7 +127,7 @@ void Hypervisor::retry_pin(Simulator& sim, VmId vm, Gpa gpa,
   // budget running out) is reported to the caller as-is.
   if (result.is_ok() ||
       result.status().code() != StatusCode::kResourceExhausted ||
-      attempt >= config_.pin_retry.max_attempts) {
+      attempt >= kPinRetryMaxAttempts) {
     if (done) done(std::move(result));
     return;
   }
@@ -121,27 +138,12 @@ void Hypervisor::retry_pin(Simulator& sim, VmId vm, Gpa gpa,
   // Jitter the actual sleep so guests that hit the same pressure window
   // don't retry in lock-step and stampede the pin path when it lifts.
   const SimTime delay = jittered_delay(vm, gpa, attempt, backoff);
-  sim.schedule_after(delay, [this, &sim, vm, gpa, len, attempt, next_backoff,
+  sim.schedule_after(delay, [this, alive = std::weak_ptr(alive_), &sim, vm,
+                             gpa, len, attempt, next_backoff,
                              done = std::move(done)]() mutable {
+    if (alive.expired()) return;
     retry_pin(sim, vm, gpa, len, attempt + 1, next_backoff, std::move(done));
   });
-}
-
-SimTime Hypervisor::jittered_delay(VmId vm, Gpa gpa, std::uint32_t attempt,
-                                   SimTime backoff) const {
-  const double jitter = config_.pin_retry.jitter;
-  if (jitter <= 0.0) return backoff;
-  // Stateless draw: a hash of (seed, vm, gpa, attempt) is deterministic
-  // across runs yet decorrelated across guests and attempts.
-  const std::uint64_t h = hash_combine(
-      hash_combine(kPinRetryJitterSeed, vm),
-      hash_combine(gpa.value(), attempt));
-  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-  const double scale = 1.0 - jitter * u;  // (1 - jitter, 1]
-  SimTime delay = SimTime::picos(static_cast<std::int64_t>(
-      static_cast<double>(backoff.ps()) * scale));
-  if (delay < SimTime::picos(1)) delay = SimTime::picos(1);
-  return delay;
 }
 
 StatusOr<Hypervisor::VdbMapping> Hypervisor::map_vdb(RundContainer& container,

@@ -25,26 +25,12 @@
 
 namespace stellar {
 
-/// Backoff schedule for pin attempts hitting transient resource pressure
-/// (kResourceExhausted): retry after kPinRetryInitialBackoff, doubling up
-/// to kPinRetryMaxBackoff (both in hypervisor.cc), at most max_attempts
-/// tries total.
-///
-/// Each scheduled delay is *jittered*: a deterministic hash of
-/// (kPinRetryJitterSeed, vm, gpa, attempt) scales the exponential envelope
-/// into ((1 - jitter) * backoff, backoff]. Without this, every guest that
-/// hit the same pressure window retries on the same synchronized schedule
-/// and stampedes the IOMMU pin path the instant pressure lifts. jitter = 0
-/// restores the old synchronized behaviour.
-struct PinRetryPolicy {
-  std::uint32_t max_attempts = 8;
-  double jitter = 0.5;
-};
+/// Pin attempts prepare_dma_with_retry makes before it reports pressure.
+inline constexpr std::uint32_t kPinRetryMaxAttempts = 8;
 
 struct HypervisorConfig {
   bool use_pvdma = true;
   bool vdb_in_shm = true;   // Figure-5 fix: doorbells live in shm I/O space
-  PinRetryPolicy pin_retry;
 };
 
 class Hypervisor {
@@ -82,11 +68,22 @@ class Hypervisor {
   Status unmap_vdb(RundContainer& container, const VdbMapping& mapping);
 
   /// prepare_dma with retry-on-pressure: attempts the pin immediately; on
-  /// kResourceExhausted schedules retries in simulated time per the
-  /// configured PinRetryPolicy (capped exponential backoff). `done` fires
-  /// exactly once — with the successful MapResult, the terminal
-  /// kResourceExhausted after the attempt budget, or any other error
-  /// immediately (only pressure is considered transient).
+  /// kResourceExhausted schedules retries in simulated time: after
+  /// kPinRetryInitialBackoff, doubling up to kPinRetryMaxBackoff (both in
+  /// hypervisor.cc), at most kPinRetryMaxAttempts tries total.
+  ///
+  /// Each scheduled delay is *jittered*: a deterministic hash of
+  /// (kPinRetryJitterSeed, vm, gpa, attempt) scales the exponential
+  /// envelope into ((1 - kPinRetryJitter) * backoff, backoff]. Without
+  /// this, every guest that hit the same pressure window retries on the
+  /// same synchronized schedule and stampedes the IOMMU pin path the
+  /// instant pressure lifts.
+  ///
+  /// `done` fires exactly once — with the successful MapResult, the
+  /// terminal kResourceExhausted after the attempt budget, or any other
+  /// error immediately (only pressure is considered transient) — unless
+  /// this Hypervisor is destroyed while a retry is pending: that retry is
+  /// dropped when it fires, and `done` is never called.
   using PinCallback = std::function<void(StatusOr<Pvdma::MapResult>)>;
   void prepare_dma_with_retry(Simulator& sim, VmId vm, Gpa gpa,
                               std::uint64_t len, PinCallback done);
@@ -166,15 +163,15 @@ class Hypervisor {
 
   void retry_pin(Simulator& sim, VmId vm, Gpa gpa, std::uint64_t len,
                  std::uint32_t attempt, SimTime backoff, PinCallback done);
-  /// Jittered retry delay within the deterministic exponential envelope.
-  SimTime jittered_delay(VmId vm, Gpa gpa, std::uint32_t attempt,
-                         SimTime backoff) const;
 
   HostPcie* pcie_;
   HypervisorConfig config_;
   std::unordered_map<VmId, std::unique_ptr<VmState>> state_;
   std::uint64_t pin_retries_ = 0;
   std::map<VmId, std::uint64_t> pin_retries_by_vm_;
+  /// Liveness token: a pending retry holds it weakly and is dropped once
+  /// this Hypervisor is gone.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace stellar

@@ -7,8 +7,7 @@ constexpr Bandwidth kNicLineRate = Bandwidth::gbps(200);
 }  // namespace
 
 Status validate_platform(const HostPlatformConfig& config) {
-  if (config.ats_requires_nopt && config.ats_enabled &&
-      config.iommu_mode == IommuMode::kPassthrough) {
+  if (config.ats_enabled && config.iommu_mode == IommuMode::kPassthrough) {
     return failed_precondition(
         "platform: ATS cannot be enabled with iommu=pt on this server "
         "model (3.1(4)); use iommu=nopt or disable ATS");

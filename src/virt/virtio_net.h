@@ -17,11 +17,10 @@ enum class IommuMode : std::uint8_t { kPassthrough, kNoPassthrough };
 struct HostPlatformConfig {
   IommuMode iommu_mode = IommuMode::kNoPassthrough;
   bool ats_enabled = true;
-  /// The affected server model of §3.1(4): ATS + iommu=pt is broken.
-  bool ats_requires_nopt = true;
 };
 
-/// Validate a platform configuration against the §3.1(4) constraint.
+/// Validate a platform configuration against the §3.1(4) constraint of the
+/// affected server model: ATS + iommu=pt is broken.
 Status validate_platform(const HostPlatformConfig& config);
 
 /// Host-kernel TCP throughput under the platform settings: iommu=nopt

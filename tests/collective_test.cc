@@ -59,28 +59,8 @@ TEST_F(CollectiveTest, ChunkMathCoversData) {
   cfg.transport = obs();
   RingAllReduce ar(fleet_, ranks(3), cfg);
   EXPECT_EQ(ar.chunk_bytes(), 334u);
-  EXPECT_EQ(ar.slice_bytes(), 84u);  // ceil(334 / 4 slices)
+  EXPECT_EQ(ar.slice_bytes(), 84u);  // ceil(334 / kRingSlices)
   EXPECT_EQ(ar.world_size(), 3u);
-}
-
-TEST_F(CollectiveTest, SingleSliceDegeneratesToClassicRing) {
-  AllReduceConfig cfg;
-  cfg.data_bytes = 2_MiB;
-  cfg.slices = 1;
-  cfg.transport = obs();
-  RingAllReduce ar(fleet_, ranks(4), cfg);
-  bool done = false;
-  ar.start([&] { done = true; });
-  sim_.run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(ar.slice_bytes(), ar.chunk_bytes());
-}
-
-TEST_F(CollectiveTest, ZeroSlicesRejected) {
-  AllReduceConfig cfg;
-  cfg.slices = 0;
-  cfg.transport = obs();
-  EXPECT_THROW(RingAllReduce(fleet_, ranks(4), cfg), std::invalid_argument);
 }
 
 TEST_F(CollectiveTest, TwoRankRing) {

@@ -9,7 +9,6 @@ namespace {
 
 CcConfig small_config() {
   CcConfig cfg;
-  cfg.mtu = 4096;
   cfg.init_window = 64 * 1024;
   cfg.min_window = 4096;
   cfg.max_window = 256 * 1024;
@@ -56,10 +55,9 @@ TEST(WindowCcTest, WindowNeverBelowMin) {
 }
 
 TEST(WindowCcTest, HighRttTriggersBackoff) {
-  CcConfig cfg = small_config();
-  cfg.base_rtt = SimTime::micros(8);
-  WindowCc cc(cfg);
-  // Clean ACKs but with persistently huge RTT (queueing the ECN missed).
+  WindowCc cc(small_config());
+  // Clean ACKs but with persistently huge RTT (queueing the ECN missed):
+  // far past rtt_high_factor * kBaseRtt.
   std::uint64_t prev = cc.window();
   bool decreased = false;
   for (int i = 0; i < 1000; ++i) {
@@ -79,9 +77,8 @@ TEST(WindowCcTest, AlphaDecaysWithoutMarks) {
 }
 
 TEST(SwiftCcTest, GrowsUnderTargetShrinksOverTarget) {
-  CcConfig cfg = small_config();
-  cfg.base_rtt = SimTime::micros(8);  // target = 12 us
-  SwiftCc cc(cfg);
+  const CcConfig cfg = small_config();
+  SwiftCc cc(cfg);  // target = 1.5 * kBaseRtt = 12 us
   const std::uint64_t start = cc.window();
   for (int i = 0; i < 32; ++i) cc.on_ack(4096, false, SimTime::micros(6));
   EXPECT_GT(cc.window(), start);

@@ -6,7 +6,8 @@
 //  * a FaultTelemetry destroyed while attached, before its next sample;
 //  * an AuditRegistry whose Simulator dies first with an audit pending;
 //  * an idle connection whose blacklisted path still has a reinstatement
-//    probe pending when its EngineFleet is destroyed.
+//    probe pending when its EngineFleet is destroyed;
+//  * a Hypervisor destroyed with a pin retry pending.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,6 +16,7 @@
 #include "check/auditors.h"
 #include "collective/fleet.h"
 #include "fault/telemetry.h"
+#include "virt/hypervisor.h"
 
 namespace stellar {
 namespace {
@@ -90,6 +92,29 @@ TEST(EventOwnerLifetimeTest, FleetDestroyedWithProbePendingNeverProbes) {
   const std::uint64_t executed = sim.executed_events();
   sim.run_until(blacklisted_by + tc.blacklist_hold * 2);
   EXPECT_EQ(sim.executed_events(), executed);
+}
+
+TEST(EventOwnerLifetimeTest, HypervisorDestroyedWithPinRetryPendingNeverRetries) {
+  Simulator sim;
+  HostPcieConfig pcfg;
+  pcfg.main_memory_bytes = 8_GiB;
+  HostPcie pcie(pcfg);
+  RundContainer container(1, "tenant", 2_GiB);
+  bool done = false;
+  {
+    auto hyp = std::make_unique<Hypervisor>(pcie);
+    ASSERT_TRUE(hyp->boot_container(container).is_ok());
+    hyp->pvdma(1).set_resource_pressure(true);
+    hyp->prepare_dma_with_retry(
+        sim, 1, Gpa{0}, kPage2M,
+        [&done](StatusOr<Pvdma::MapResult>) { done = true; });
+    ASSERT_EQ(hyp->pin_retries(), 1u);
+    ASSERT_EQ(sim.pending_events(), 1u);  // the second attempt
+  }
+  // The retry still fires, but finds its Hypervisor gone: it is dropped
+  // without touching it, and `done` is never called.
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_FALSE(done);
 }
 
 }  // namespace

@@ -484,9 +484,7 @@ TEST(PinPressureTest, PersistentPressureExhaustsAttemptBudget) {
   HostPcieConfig pcfg;
   pcfg.main_memory_bytes = 8_GiB;
   HostPcie pcie(pcfg);
-  HypervisorConfig hcfg;
-  hcfg.pin_retry.max_attempts = 4;
-  Hypervisor hyp(pcie, hcfg);
+  Hypervisor hyp(pcie);
   RundContainer container(1, "tenant", 2_GiB);
   ASSERT_TRUE(hyp.boot_container(container).is_ok());
 
@@ -503,8 +501,9 @@ TEST(PinPressureTest, PersistentPressureExhaustsAttemptBudget) {
 
   EXPECT_TRUE(done);
   EXPECT_EQ(final.code(), StatusCode::kResourceExhausted);
-  // max_attempts tries total; every attempt but the last re-scheduled.
-  EXPECT_EQ(hyp.pin_retries(), 3u);
+  // kPinRetryMaxAttempts tries total; every attempt but the last
+  // re-scheduled.
+  EXPECT_EQ(hyp.pin_retries(), kPinRetryMaxAttempts - 1);
   EXPECT_EQ(hyp.pvdma(1).pinned_bytes(), 0u);
 }
 

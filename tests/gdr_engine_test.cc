@@ -104,7 +104,7 @@ TEST_F(GdrEngineTest, EmttAndRcDurationsEqualPerPageSum) {
   const std::uint64_t lengths[] = {1, 4095, 4096, 4097, 1_MiB + 3, 16_MiB - 1};
   for (const double gbps : {100.0, 400.0}) {
     const GdrEngineConfig cfg = engine_config(gbps);
-    const std::uint32_t tlp = cfg.page_size + kGdrWireOverhead;
+    const std::uint64_t tlp = kPage4K + kGdrWireOverhead;
     const std::int64_t wire_ps = cfg.nic_rate.transmit_time(tlp).ps();
     const std::int64_t rc_ps = std::max(
         wire_ps, pcie_.config().rc_p2p_bandwidth.transmit_time(tlp).ps());
@@ -126,12 +126,12 @@ TEST_F(GdrEngineTest, EmttAndRcDurationsEqualPerPageSum) {
           const IoVa bar{gpu_bar_.base.value() + off};
           const std::uint64_t p2p_before = pcie_.direct_p2p_tlps();
           EXPECT_EQ(emtt.transfer(bar, len).duration.ps(),
-                    per_page_sum(bar, len, cfg.page_size,
+                    per_page_sum(bar, len, kPage4K,
                                  direct ? wire_ps : rc_ps));
           EXPECT_EQ(pcie_.direct_p2p_tlps() > p2p_before, direct);
           const IoVa untranslated{window_.value() + off};
           EXPECT_EQ(rc.transfer(untranslated, len).duration.ps(),
-                    per_page_sum(untranslated, len, cfg.page_size, rc_ps));
+                    per_page_sum(untranslated, len, kPage4K, rc_ps));
         }
       }
     }

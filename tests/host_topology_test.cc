@@ -1,5 +1,5 @@
 // StellarHost topology behaviours: cross-switch GDR falls back to the RC
-// path, per-RNIC resource independence, and config-driven shapes.
+// path, and per-RNIC resource independence.
 #include <gtest/gtest.h>
 
 #include "core/stellar.h"
@@ -10,7 +10,6 @@ namespace {
 StellarHostConfig small_host() {
   StellarHostConfig cfg;
   cfg.pcie.main_memory_bytes = 64_GiB;
-  cfg.gpu_bar_bytes = 4_GiB;
   return cfg;
 }
 
@@ -74,16 +73,6 @@ TEST(HostTopologyTest, DevicesOnDifferentRnicsAreIndependent) {
   ASSERT_TRUE(mr.is_ok());
   EXPECT_EQ(host.rnic(3).mtt().used_pages(), before);
   EXPECT_GT(host.rnic(0).mtt().used_pages(), 0u);
-}
-
-TEST(HostTopologyTest, ConfigurableShape) {
-  StellarHostConfig cfg = small_host();
-  cfg.pcie_switches = 2;
-  cfg.rnics = 2;
-  cfg.gpus = 4;
-  StellarHost host(cfg);
-  EXPECT_EQ(host.rnic_count(), 2u);
-  EXPECT_EQ(host.gpu_count(), 4u);
 }
 
 TEST(HostTopologyTest, RnicIndexValidated) {

@@ -94,8 +94,8 @@ TEST(HotUpgradeTest, HotRestartMidAllReduceCompletesWithAuditsGreen) {
   EXPECT_GT(snapshot_bytes, 0u);
   // The four mid-AllReduce snapshots, pinned byte for byte.
   EXPECT_EQ(digests,
-            (std::vector<std::string>{"67727bbb7f63886a", "a893fcffb5daf9b0",
-                                      "a65f6a60af989bab", "72395681a6a26688"}));
+            (std::vector<std::string>{"387f1dfbba83aa2e", "ca1728d073ac3dec",
+                                      "4d74c73abb91f8ef", "525a3b00bf1e0534"}));
   fleet.for_each_engine(
       [&](RdmaEngine& engine) { EXPECT_EQ(engine.hot_restarts(), 1u); });
   // trap_on_finding defaults to true: a dirty report fails the test.

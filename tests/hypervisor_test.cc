@@ -118,8 +118,8 @@ SimTime retry_completion_time(Hypervisor& hyp, Simulator& sim, VmId vm,
 
 TEST(HypervisorTest, JitterDesynchronizesRetryingGuests) {
   // Two guests with identical layouts hit the same pressure window. With
-  // jitter on (default), their retry schedules decorrelate: the pins clear
-  // at different instants instead of stampeding together.
+  // jitter, their retry schedules decorrelate: the pins clear at different
+  // instants instead of stampeding together.
   Simulator sim;
   HostPcie pcie1(big_host()), pcie2(big_host());
   Hypervisor h1(pcie1), h2(pcie2);
@@ -132,22 +132,6 @@ TEST(HypervisorTest, JitterDesynchronizesRetryingGuests) {
   EXPECT_GT(t2, pressure);
   EXPECT_NE(t1, t2) << "jittered guests retried in lock-step";
   EXPECT_GT(h1.pin_retries(), 0u);
-}
-
-TEST(HypervisorTest, ZeroJitterRestoresSynchronizedBackoff) {
-  // jitter = 0 is the documented escape hatch back to the old synchronized
-  // exponential schedule: identical guests complete at the identical tick.
-  HypervisorConfig hcfg;
-  hcfg.pin_retry.jitter = 0.0;
-  Simulator sim;
-  HostPcie pcie1(big_host()), pcie2(big_host());
-  Hypervisor h1(pcie1, hcfg), h2(pcie2, hcfg);
-  RundContainer c1(1, "g1", 4ull << 30), c2(2, "g2", 4ull << 30);
-  const SimTime pressure = SimTime::micros(300);
-  const SimTime t1 = retry_completion_time(h1, sim, 1, c1, pressure);
-  Simulator sim2;
-  const SimTime t2 = retry_completion_time(h2, sim2, 2, c2, pressure);
-  EXPECT_EQ(t1, t2);
 }
 
 TEST(HypervisorTest, JitteredScheduleIsDeterministicAcrossRuns) {

@@ -112,7 +112,7 @@ TEST(HostPcieErrorsTest, AtsForUnknownBdf) {
   // for a mapped page, and nothing is cached.
   Atc atc(pcie, Bdf{0x66, 0, 0}, 16);
   EXPECT_EQ(atc.translate(IoVa{0}).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(atc.translate_run(IoVa{0}, kPage4K, 4).failed, 4u);
+  EXPECT_EQ(atc.translate_run(IoVa{0}, 4).failed, 4u);
   EXPECT_EQ(atc.cache().size(), 0u);
   EXPECT_EQ(pcie.iommu().iotlb().size(), 0u);
 }

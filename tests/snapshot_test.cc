@@ -249,8 +249,8 @@ TEST(TransportSnapshotTest, PerPathCcMidRecoveryRoundTripsAndPinsBytes) {
   // must round-trip it byte for byte, and the bytes are pinned.
   // Both CC algorithms, each with its bytes pinned.
   const std::pair<CcAlgo, const char*> cases[] = {
-      {CcAlgo::kWindowEcnRtt, "470e7e2d3f239f46"},
-      {CcAlgo::kSwiftDelay, "9185fe469ca362af"},
+      {CcAlgo::kWindowEcnRtt, "1402a0f55d4dc65e"},
+      {CcAlgo::kSwiftDelay, "51880455eb524157"},
   };
   for (const auto& [algo, digest] : cases) {
     SCOPED_TRACE(cc_algo_name(algo));

@@ -9,7 +9,6 @@ StellarHostConfig small_host() {
   StellarHostConfig cfg;
   cfg.pcie.main_memory_bytes = 64_GiB;
   cfg.pcie.lut_capacity_per_switch = 32;
-  cfg.gpu_bar_bytes = 4_GiB;
   return cfg;
 }
 
@@ -111,8 +110,9 @@ TEST_F(StellarHostTest, GpuRegistrationBoundsChecked) {
   auto dev = host_.create_vstellar_device(*container_, 0);
   ASSERT_TRUE(dev.is_ok());
   EXPECT_FALSE(dev.value()
-                   ->register_memory(Gva{0}, 8_GiB, MemoryOwner::kGpuHbm, 0, 0)
-                   .is_ok());  // beyond the 4 GiB BAR
+                   ->register_memory(Gva{0}, 2 * kPage4K, MemoryOwner::kGpuHbm,
+                                     kGpuBarBytes - kPage4K, 0)
+                   .is_ok());  // runs past the end of the BAR
   EXPECT_FALSE(dev.value()
                    ->register_memory(Gva{0}, 4096, MemoryOwner::kGpuHbm, 0, 99)
                    .is_ok());  // no such GPU

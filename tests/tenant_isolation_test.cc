@@ -159,35 +159,6 @@ TEST_F(TenantIsolationTest, IotlbShareEvictsOnlyTheOverSharedTenant) {
   }
 }
 
-TEST_F(TenantIsolationTest, AtcShareCapsResidencyOnGdrEngines) {
-  TenantBudgets budgets;
-  budgets.atc_share_entries = 4;
-  ASSERT_TRUE(host_.tenants().register_tenant(5, budgets).is_ok());
-
-  // The ATC is created lazily with the engine; the registered share must
-  // land on it anyway.
-  GdrEngine engine = host_.make_gdr_engine(GdrMode::kAtsAtc, 0);
-  (void)engine;
-  ASSERT_EQ(host_.atc_count(), 1u);
-  Atc& atc = host_.atc(0);
-
-  ASSERT_TRUE(
-      host_.pcie().iommu().map(IoVa{1_GiB}, Hpa{1_GiB}, 16 * kPage4K).is_ok());
-  for (std::uint64_t p = 0; p < 16; ++p) {
-    ASSERT_TRUE(atc.translate(IoVa{1_GiB + p * kPage4K}, 5).is_ok());
-  }
-  EXPECT_EQ(atc.cache().occupancy(5), 4u);
-  EXPECT_EQ(atc.cache().self_evictions(), 12u);
-
-  // Re-registration pushes the new share into the existing ATC.
-  budgets.atc_share_entries = 8;
-  ASSERT_TRUE(host_.tenants().register_tenant(5, budgets).is_ok());
-  for (std::uint64_t p = 0; p < 16; ++p) {
-    ASSERT_TRUE(atc.translate(IoVa{1_GiB + p * kPage4K}, 5).is_ok());
-  }
-  EXPECT_EQ(atc.cache().occupancy(5), 8u);
-}
-
 TEST_F(TenantIsolationTest, KillTenantReclaimsRawDemandPins) {
   RundContainer& attacker = boot(5, 256_MiB);
   RundContainer& victim = boot(6);

@@ -356,16 +356,24 @@ TEST(TranslationCacheTest, MissChunkEvictsTheCachedPageAhead) {
 constexpr IoVa kBufferA{1ull << 32};
 constexpr IoVa kBufferB{2ull << 32};
 
+/// An ATS/ATC GDR engine on RNIC 0 of `host`, as make_gdr_engine builds
+/// one, but translating through `atc` (of any capacity).
+GdrEngine ats_engine(StellarHost& host, Atc& atc) {
+  GdrEngineConfig cfg;
+  cfg.nic_rate = kRnicLineRate;
+  cfg.requester = host.rnic(0).pf_bdf();
+  return GdrEngine(host.pcie(), cfg, GdrMode::kAtsAtc, &atc);
+}
+
 TEST(TranslationCacheTest, ZeroCapacityAtcAndIotlbKeepTheLedgerBalanced) {
   StellarHostConfig cfg;
-  cfg.rnic.atc_capacity_pages = 0;
   cfg.pcie.iommu.iotlb_capacity = 0;
   StellarHost host(cfg);
-  GdrEngine engine = host.make_gdr_engine(GdrMode::kAtsAtc, 0);
+  Atc atc(host.pcie(), host.rnic(0).pf_bdf(), /*capacity_pages=*/0);
+  GdrEngine engine = ats_engine(host, atc);
   Iommu& iommu = host.pcie().iommu();
   ASSERT_TRUE(iommu.map(kBufferA, Hpa{1_GiB}, 1_MiB).is_ok());
   iommu.set_iotlb_share(3, 1);
-  host.atc(0).set_share(kHostTenant, 1);
 
   const GdrTransfer t = engine.transfer(kBufferA, 64_KiB);
   EXPECT_EQ(t.atc_misses, 16u);
@@ -373,17 +381,19 @@ TEST(TranslationCacheTest, ZeroCapacityAtcAndIotlbKeepTheLedgerBalanced) {
   for (std::uint64_t p = 0; p < 3; ++p) {
     ASSERT_TRUE(iommu.translate(kBufferA + p * kPage4K, 3).is_ok());
   }
-  EXPECT_EQ(host.atc(0).cache().size(), 0u);
-  EXPECT_TRUE(host.atc(0).cache().occupancy_by_tenant().empty());
+  EXPECT_EQ(atc.cache().size(), 0u);
+  EXPECT_TRUE(atc.cache().occupancy_by_tenant().empty());
   EXPECT_EQ(iommu.iotlb().size(), 0u);
   EXPECT_TRUE(iommu.iotlb().occupancy_by_tenant().empty());
   // Nothing is cached, so every lookup still counts as a miss.
-  EXPECT_EQ(host.atc(0).misses(), 16u);
-  EXPECT_EQ(host.atc(0).hits(), 0u);
+  EXPECT_EQ(atc.misses(), 16u);
+  EXPECT_EQ(atc.hits(), 0u);
   EXPECT_EQ(iommu.iotlb_misses(), 19u);
   EXPECT_EQ(iommu.page_walks(), 19u);
 
-  // Trapping: a ledger that drifted from size() would abort here.
+  // Trapping: an IOTLB ledger that drifted from size() would abort here.
+  // (The auditor walks the host's own ATCs; `atc`'s ledger is the one
+  // checked empty above.)
   AuditRegistry registry;
   registry.add(std::make_unique<TenantIsolationAuditor>(host));
   EXPECT_TRUE(registry.run_all().clean());
@@ -392,9 +402,9 @@ TEST(TranslationCacheTest, ZeroCapacityAtcAndIotlbKeepTheLedgerBalanced) {
 /// Two 1 MiB buffers (256 pages each) through a 128-page ATC and a
 /// 384-page IOTLB, transferred in turn at 64 KiB, 512 KiB and 1 MiB.
 struct TwoBufferSweep {
-  TwoBufferSweep() : host(config()) {
-    engine = std::make_unique<GdrEngine>(
-        host.make_gdr_engine(GdrMode::kAtsAtc, 0));
+  TwoBufferSweep()
+      : host(config()), atc(host.pcie(), host.rnic(0).pf_bdf(), 128) {
+    engine = std::make_unique<GdrEngine>(ats_engine(host, atc));
     Iommu& iommu = host.pcie().iommu();
     EXPECT_TRUE(iommu.map(kBufferA, Hpa{1_GiB}, 1_MiB).is_ok());
     EXPECT_TRUE(iommu.map(kBufferB, Hpa{2_GiB}, 1_MiB).is_ok());
@@ -406,17 +416,17 @@ struct TwoBufferSweep {
   }
   static StellarHostConfig config() {
     StellarHostConfig cfg;
-    cfg.rnic.atc_capacity_pages = 128;
     cfg.pcie.iommu.iotlb_capacity = 384;
     return cfg;
   }
   StellarHost host;
+  Atc atc;
   std::unique_ptr<GdrEngine> engine;
 };
 
 TEST(TranslationCacheTest, TwoBufferSweepOutcomes) {
   TwoBufferSweep s;
-  const TranslationCache& atc = s.host.atc(0).cache();
+  const TranslationCache& atc = s.atc.cache();
   const TranslationCache& iotlb = s.host.pcie().iommu().iotlb();
   // ATC: 64 KiB, both buffers miss their 16 pages. 512 KiB: A hits its 16
   // and misses 112 (evicting B's 16), B misses all 128 (evicting A's).
@@ -440,7 +450,7 @@ TEST(TranslationCacheTest, TwoBufferSweepWorkCounters) {
     GTEST_SKIP() << "work counters are compiled out (STELLAR_TRACE=OFF)";
   }
   TwoBufferSweep s;
-  const TranslationCache::WorkCounts atc = s.host.atc(0).cache().work();
+  const TranslationCache::WorkCounts atc = s.atc.cache().work();
   const TranslationCache::WorkCounts iotlb =
       s.host.pcie().iommu().iotlb().work();
   // ATC: one run per transfer, each a single miss chunk except A at

@@ -3,7 +3,8 @@
 // hybrid driver's fluid-demand counter against the queue walk, its cached
 // next-completion size against the connection's answer, the receiver's
 // completed-message ledger under READs, out-of-order completion in the
-// id-indexed message table, and the send FIFO behind the RTO deadline.
+// id-indexed message table, the send FIFO behind the RTO deadline, and the
+// window a fluid thaw seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,15 +136,48 @@ TEST_F(TransportEdgeTest, NonMtuMultipleMessage) {
 }
 
 TEST_F(TransportEdgeTest, MessageLargerThanWindow) {
-  TransportConfig t;
-  t.cc.init_window = 16 * 1024;
-  t.cc.max_window = 16 * 1024;  // window of just 4 packets
-  auto conn = fleet_.connect(a_, b_, t);
+  static_assert(8_MiB > 4 * kMaxWindow);  // the window caps at 256 packets
+  auto conn = fleet_.connect(a_, b_, {});
   bool done = false;
   conn.value()->post_write(8_MiB, [&] { done = true; });
   sim_.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(fleet_.at(b_).rx_goodput_bytes(), 8_MiB);
+}
+
+TEST_F(TransportEdgeTest, FluidThawSeedsWindowAtTwiceRateTimesBaseRtt) {
+  // A thaw at rate r seeds each of the connection's CC contexts with
+  // 2 * r * kBaseRtt / contexts, clamped to that context's window bounds.
+  // The three rates land below the minimum, inside, and above the maximum.
+  for (const CcAlgo algo : {CcAlgo::kWindowEcnRtt, CcAlgo::kSwiftDelay}) {
+    for (const bool per_path : {false, true}) {
+      SCOPED_TRACE(std::string(cc_algo_name(algo)) +
+                   (per_path ? ", per-path" : ", shared"));
+      TransportConfig t;
+      t.cc_algo = algo;
+      t.per_path_cc = per_path;
+      t.num_paths = 4;
+      auto conn = fleet_.connect(a_, b_, t);
+      ASSERT_TRUE(conn.is_ok());
+      RdmaConnection& c = *conn.value();
+      const std::uint64_t contexts = per_path ? 4 : 1;
+      const std::uint64_t lo = kMinWindow;
+      const std::uint64_t hi = kMaxWindow / contexts;
+      for (const double rate : {1e8, 12.5e9, 1e11}) {
+        SCOPED_TRACE(rate);
+        (void)c.fluid_freeze();
+        c.fluid_thaw(rate);
+        const auto seed =
+            static_cast<std::uint64_t>(2.0 * rate * kBaseRtt.sec());
+        EXPECT_EQ(c.window(),
+                  std::clamp(seed / contexts, lo, hi) * contexts);
+      }
+      // The middle rate's seed is unclamped: 200,000 bytes in total.
+      (void)c.fluid_freeze();
+      c.fluid_thaw(12.5e9);
+      EXPECT_EQ(c.window(), 200'000u);
+    }
+  }
 }
 
 TEST_F(TransportEdgeTest, TagsPropagateToReceiver) {

@@ -172,8 +172,8 @@ TEST_F(VerbsOpsTest, PerPathCcSplitsTheWindow) {
   t.num_paths = 4;
   RdmaConnection* conn = connect(t);
   // Sum of per-path windows equals the (split) silicon budget.
-  EXPECT_LE(conn->window(), t.cc.init_window);
-  EXPECT_GE(conn->window(), t.cc.init_window / 2);  // rounding slack
+  EXPECT_LE(conn->window(), kInitWindow);
+  EXPECT_GE(conn->window(), kInitWindow / 2);  // rounding slack
   bool done = false;
   conn->post_write(8_MiB, [&] { done = true; });
   sim_.run();

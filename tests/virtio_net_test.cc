@@ -9,13 +9,8 @@ TEST(PlatformTest, AtsWithPassthroughRejectedOnAffectedModel) {
   HostPlatformConfig cfg;
   cfg.iommu_mode = IommuMode::kPassthrough;
   cfg.ats_enabled = true;
-  cfg.ats_requires_nopt = true;
   EXPECT_EQ(validate_platform(cfg).code(), StatusCode::kFailedPrecondition);
-  // Unaffected models accept the combination.
-  cfg.ats_requires_nopt = false;
-  EXPECT_TRUE(validate_platform(cfg).is_ok());
-  // Disabling ATS also resolves it (but kills baseline GDR).
-  cfg.ats_requires_nopt = true;
+  // Disabling ATS resolves it (but kills baseline GDR).
   cfg.ats_enabled = false;
   EXPECT_TRUE(validate_platform(cfg).is_ok());
   EXPECT_FALSE(baseline_gdr_possible(cfg));

@@ -1,6 +1,6 @@
 // Direct unit tests for the vSwitch per-tenant QoS layer: rule-slot quotas
-// and the token-bucket rate limiter (docs/TENANCY.md). Labelled `tenant` —
-// ctest -L tenant.
+// and the positional lookup cost they protect (docs/TENANCY.md). Labelled
+// `tenant` — ctest -L tenant.
 #include "rnic/vswitch.h"
 
 #include <gtest/gtest.h>
@@ -60,51 +60,6 @@ TEST(VSwitchQos, LookupLatencyIsPositional) {
   hit = vs.lookup(TrafficClass::kRdma, 2);
   ASSERT_TRUE(hit.is_ok());
   EXPECT_EQ(hit.value().rules_walked, 1u);
-}
-
-TEST(VSwitchQos, TokenBucketDelaysOnlyTheOverRateSender) {
-  VSwitch vs;
-  ASSERT_TRUE(vs.add_rule(rule(1, TrafficClass::kRdma, 7)).is_ok());
-  ASSERT_TRUE(vs.add_rule(rule(2, TrafficClass::kRdma, 8)).is_ok());
-  TenantQos qos;
-  qos.rate = Bandwidth::gbps(8);  // 1 GiB/s-ish: 1 KiB refills in ~1 us
-  qos.burst_bytes = 4096;
-  vs.set_qos(7, qos);
-
-  const SimTime t0 = SimTime::zero();
-  // The burst passes untouched.
-  auto f = vs.forward(TrafficClass::kRdma, 7, 4096, t0);
-  ASSERT_TRUE(f.is_ok());
-  EXPECT_FALSE(f.value().throttled);
-
-  // The very next packet finds an empty bucket and is delayed, not failed.
-  f = vs.forward(TrafficClass::kRdma, 7, 4096, t0);
-  ASSERT_TRUE(f.is_ok());
-  EXPECT_TRUE(f.value().throttled);
-  EXPECT_GT(f.value().throttle_delay, SimTime::zero());
-  EXPECT_EQ(vs.throttles(7), 1u);
-
-  // The neighbor at the same instant is never throttled.
-  f = vs.forward(TrafficClass::kRdma, 8, 4096, t0);
-  ASSERT_TRUE(f.is_ok());
-  EXPECT_FALSE(f.value().throttled);
-  EXPECT_EQ(vs.throttles(8), 0u);
-}
-
-TEST(VSwitchQos, TokenBucketRefillsAfterIdle) {
-  VSwitch vs;
-  ASSERT_TRUE(vs.add_rule(rule(1, TrafficClass::kRdma, 7)).is_ok());
-  TenantQos qos;
-  qos.rate = Bandwidth::gbps(8);
-  qos.burst_bytes = 4096;
-  vs.set_qos(7, qos);
-
-  ASSERT_TRUE(vs.forward(TrafficClass::kRdma, 7, 4096, SimTime::zero())
-                  .is_ok());  // drains the burst
-  // 8 Gbps refills 4096 bytes in ~4.1 us; after 10 us the bucket is full.
-  auto f = vs.forward(TrafficClass::kRdma, 7, 4096, SimTime::micros(10));
-  ASSERT_TRUE(f.is_ok());
-  EXPECT_FALSE(f.value().throttled);
 }
 
 }  // namespace

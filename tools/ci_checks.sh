@@ -39,7 +39,9 @@
 #      (fig06_startup and aux_operations stdout, minus [engine] lines,
 #      and fig08_atc_miss stdout, which pins both ATS cliffs)
 #      and the transport recovery/CC tables (ablation_design stdout, minus
-#      [engine] lines, and fig11b's BENCH JSON)
+#      [engine] lines, and fig11b's BENCH JSON), and the stdout of the five
+#      fast examples (quickstart, parameter_server, pvdma_conflict,
+#      moe_expert_parallel, serverless_inference)
 #   6d. the perf golden smoke: one pass of each repo benchmark workload
 #      (perf/run.py: permutation_packet, allreduce_hybrid at seeds 1 and 2,
 #      allreduce_faults, vstellar_translation), whose final JSON lines must
@@ -223,6 +225,20 @@ cc_dir="$(mktemp -d)"
   cmp BENCH_fig11b.json "$repo_root/tests/golden/fig11b.json" &&
   echo "ablation_design and fig11b byte-identical to their goldens")
 rm -rf "$cc_dir"
+
+step "example outputs (quickstart, parameter_server, pvdma_conflict, moe_expert_parallel, serverless_inference stdout vs goldens)"
+# pvdma_conflict pins HypervisorConfig::vdb_in_shm (Figure 5's pre-fix
+# collision) and serverless_inference HostPcieConfig::lut_capacity_per_switch.
+# multipath_training (~17 s) stays a manual check.
+ex_dir="$(mktemp -d)"
+(cd "$ex_dir" &&
+  for ex in quickstart parameter_server pvdma_conflict moe_expert_parallel \
+            serverless_inference; do
+    "$repo_root/build/examples/$ex" > "$ex.log" &&
+      diff "$ex.log" "$repo_root/tests/golden/example_$ex.txt" || exit 1
+  done &&
+  echo "five example outputs byte-identical to their goldens")
+rm -rf "$ex_dir"
 
 step "unknown --fidelity is rejected (fig12_pathcount --fidelity=fluid exits non-zero)"
 if build/bench/fig12_pathcount --fidelity=fluid > /dev/null 2>&1; then

@@ -24,8 +24,9 @@
 # vCPU count, the pinned CPU, each pair's run_s, setup_s and peak_rss_mib
 # per side and which side ran first, the failed ops per side, whether
 # counts and outputs matched, and each count whose first NEW run differs
-# from the first BASE run, as [base, new]. What the script prints is the
-# same with or without it.
+# from the first BASE run, as [base, new], over the keys either run has
+# (null on the side that lacks one). What the script prints is the same
+# with or without it.
 #
 # Defaults: --workload allreduce_hybrid --seed 1 --pairs 10 --cpu 2
 #           --out ${TMPDIR:-/tmp}/perf_ab. Not a CI step.
@@ -157,6 +158,7 @@ if json_path:
         return v[0] if isinstance(v, list) else v
 
     keys = ("run_s", "setup_s", "peak_rss_mib")
+    base_counts, new_counts = ref["counts"], runs["new"][0]["counts"]
     record = {
         "workload": workload,
         "seed": int(seed),
@@ -175,9 +177,10 @@ if json_path:
         "counts_match": all(r["counts"] == ref["counts"]
                             for side in runs.values()
                             for r in side.values()),
-        "counts_moved": {k: [v, runs["new"][0]["counts"].get(k)]
-                         for k, v in ref["counts"].items()
-                         if runs["new"][0]["counts"].get(k) != v},
+        # Every key either side reports; the side without it reads null.
+        "counts_moved": {k: [base_counts.get(k), new_counts.get(k)]
+                         for k in {**base_counts, **new_counts}
+                         if base_counts.get(k) != new_counts.get(k)},
         "outputs_match": all(r["outputs"] == ref["outputs"]
                              for side in runs.values()
                              for r in side.values()),
