@@ -312,14 +312,15 @@ StatusOr<VStellarDevice::RegisterResult> VStellarDevice::register_memory(
   std::uint64_t final_hpa = 0;
   if (owner == MemoryOwner::kHostDram) {
     const Gpa gpa{guest_addr};
+    // Translate before pinning, so a GPA outside the guest pins nothing.
+    auto hpa = hyp.ept(vm_).translate(gpa);
+    if (!hpa.is_ok()) return hpa.status();
+    final_hpa = hpa.value().value();
     // PVDMA: pin the covering blocks on demand (Figure 4 stages 1-2).
     auto pin = hyp.pvdma(vm_).prepare_dma(gpa, len);
     if (!pin.is_ok()) return pin.status();
     out.latency += pin.value().cost;
     out.pinned_now = !pin.value().cache_hit;
-    auto hpa = hyp.ept(vm_).translate(gpa);
-    if (!hpa.is_ok()) return hpa.status();
-    final_hpa = hpa.value().value();
   } else {
     if (gpu_index >= host_->gpu_count()) {
       return out_of_range("register_memory: gpu index");
@@ -331,8 +332,18 @@ StatusOr<VStellarDevice::RegisterResult> VStellarDevice::register_memory(
     final_hpa = bar.base.value() + guest_addr;
   }
 
+  // A failure from here on records no MR, so nothing would ever release
+  // the pins taken above: give them back before returning.
+  const auto unpin = [&] {
+    if (owner == MemoryOwner::kHostDram) {
+      hyp.pvdma(vm_).release_dma(Gpa{guest_addr}, len);
+    }
+  };
   auto mr = rnic_->verbs().register_mr(pd_, va, len, owner);
-  if (!mr.is_ok()) return mr.status();
+  if (!mr.is_ok()) {
+    unpin();
+    return mr.status();
+  }
 
   // The Stellar twist: the MTT entry stores the *final* HPA and the memory
   // owner — an eMTT entry (§6).
@@ -340,6 +351,7 @@ StatusOr<VStellarDevice::RegisterResult> VStellarDevice::register_memory(
                                           owner, /*translated=*/true, vm_);
   if (!s.is_ok()) {
     (void)rnic_->verbs().deregister_mr(mr.value());
+    unpin();
     return s;
   }
   out.key = mr.value();

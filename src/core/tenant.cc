@@ -75,26 +75,42 @@ Status TenantManager::admit_device(TenantId tenant) {
               "device");
 }
 
+// The QP and MR gates count only when a cap is enforced: counting scans
+// every QP or MR on every RNIC, and registration churn calls admit_mr once
+// per MR.
 Status TenantManager::admit_qp(TenantId tenant) {
-  const Usage u = usage(tenant);
   const TenantBudgets* b = budgets(tenant);
-  return gate(tenant, u.qps, b ? b->max_qps : 0, "QP");
+  if (!enforce_ || b == nullptr || b->max_qps == 0) return Status::ok();
+  return gate(tenant, qp_count(tenant), b->max_qps, "QP");
 }
 
 Status TenantManager::admit_mr(TenantId tenant) {
-  const Usage u = usage(tenant);
   const TenantBudgets* b = budgets(tenant);
-  return gate(tenant, u.mrs, b ? b->max_mrs : 0, "MR");
+  if (!enforce_ || b == nullptr || b->max_mrs == 0) return Status::ok();
+  return gate(tenant, mr_count(tenant), b->max_mrs, "MR");
+}
+
+std::uint64_t TenantManager::qp_count(TenantId tenant) const {
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < host_->rnic_count(); ++i) {
+    n += host_->rnic(i).verbs().qp_count(tenant);
+  }
+  return n;
+}
+
+std::uint64_t TenantManager::mr_count(TenantId tenant) const {
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < host_->rnic_count(); ++i) {
+    n += host_->rnic(i).verbs().mr_count(tenant);
+  }
+  return n;
 }
 
 TenantManager::Usage TenantManager::usage(TenantId tenant) const {
   Usage u;
   u.devices = host_->device_count(tenant);
-  for (std::size_t i = 0; i < host_->rnic_count(); ++i) {
-    const Rnic& rnic = host_->rnic(i);
-    u.qps += rnic.verbs().qp_count(tenant);
-    u.mrs += rnic.verbs().mr_count(tenant);
-  }
+  u.qps = qp_count(tenant);
+  u.mrs = mr_count(tenant);
   const Iommu& iommu = host_->pcie().iommu();
   u.pinned_bytes = iommu.pinned_bytes(tenant);
   u.iotlb_entries = iommu.iotlb().occupancy(tenant);

@@ -92,6 +92,9 @@ class TenantManager {
  private:
   /// Push `budgets` (or lifted caps when !enforce_) into the resources.
   void push(TenantId tenant, const TenantBudgets& budgets);
+  /// The tenant's QPs / MRs summed over every RNIC (a scan of each).
+  std::uint64_t qp_count(TenantId tenant) const;
+  std::uint64_t mr_count(TenantId tenant) const;
   Status gate(TenantId tenant, std::uint64_t used, std::uint64_t cap,
               const char* what) const;
 

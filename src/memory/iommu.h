@@ -18,11 +18,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <utility>
 
 #include "common/status.h"
+#include "common/tenant_ledger.h"
 #include "common/units.h"
 #include "memory/address.h"
 #include "memory/range_map.h"
@@ -201,24 +201,18 @@ class Iommu {
 
   void note_pinned(std::uint64_t bytes, TenantId tenant = kHostTenant) {
     pinned_bytes_ += bytes;
-    pinned_by_tenant_[tenant] += bytes;
+    pinned_by_tenant_.add(tenant, bytes);
   }
   void note_unpinned(std::uint64_t bytes, TenantId tenant = kHostTenant) {
     pinned_bytes_ -= bytes < pinned_bytes_ ? bytes : pinned_bytes_;
-    auto it = pinned_by_tenant_.find(tenant);
-    if (it != pinned_by_tenant_.end()) {
-      it->second -= bytes < it->second ? bytes : it->second;
-      if (it->second == 0) pinned_by_tenant_.erase(it);
-    }
+    pinned_by_tenant_.sub(tenant, bytes);
   }
   std::uint64_t pinned_bytes() const { return pinned_bytes_; }
   std::uint64_t pinned_bytes(TenantId tenant) const {
-    auto it = pinned_by_tenant_.find(tenant);
-    return it == pinned_by_tenant_.end() ? 0 : it->second;
+    return pinned_by_tenant_.get(tenant);
   }
-  const std::map<TenantId, std::uint64_t>& pinned_by_tenant() const {
-    return pinned_by_tenant_;
-  }
+  /// (tenant, pinned bytes) pairs in ascending tenant order.
+  const TenantLedger& pinned_by_tenant() const { return pinned_by_tenant_; }
 
   // -- Introspection ---------------------------------------------------------
 
@@ -242,7 +236,7 @@ class Iommu {
   TranslationCache iotlb_;
   std::uint64_t page_walks_ = 0;
   std::uint64_t pinned_bytes_ = 0;
-  std::map<TenantId, std::uint64_t> pinned_by_tenant_;
+  TenantLedger pinned_by_tenant_;
   std::function<void()> flush_hook_;
 };
 

@@ -32,10 +32,13 @@ class RangeMap {
   /// existing range (page tables never silently re-map).
   Status map(Src src, Dst dst, std::uint64_t len) {
     if (len == 0) return invalid_argument("RangeMap::map: zero length");
-    if (overlaps(src, len)) {
+    // One descent: the range after `src` both bounds the overlap check and
+    // is the insert position.
+    auto next = ranges_.upper_bound(src.value());
+    if (overlaps_at(next, src.value(), len)) {
       return already_exists("RangeMap::map: overlapping mapping");
     }
-    ranges_.emplace(src.value(), Entry{len, dst});
+    ranges_.emplace_hint(next, src.value(), Entry{len, dst});
     return Status::ok();
   }
 
@@ -142,12 +145,7 @@ class RangeMap {
 
   bool overlaps(Src src, std::uint64_t len) const {
     if (len == 0) return false;
-    auto it = ranges_.upper_bound(src.value());
-    if (it != ranges_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->first + prev->second.len > src.value()) return true;
-    }
-    return it != ranges_.end() && it->first < src.value() + len;
+    return overlaps_at(ranges_.upper_bound(src.value()), src.value(), len);
   }
 
   std::size_t range_count() const { return ranges_.size(); }
@@ -180,6 +178,16 @@ class RangeMap {
     --it;
     if (it->first + it->second.len <= v) return ranges_.end();
     return it;
+  }
+
+  /// Does [v, v+len) overlap a range? `next` is ranges_.upper_bound(v).
+  bool overlaps_at(typename Map::const_iterator next, std::uint64_t v,
+                   std::uint64_t len) const {
+    if (next != ranges_.begin()) {
+      auto prev = std::prev(next);
+      if (prev->first + prev->second.len > v) return true;
+    }
+    return next != ranges_.end() && next->first < v + len;
   }
 
   Map ranges_;

@@ -15,13 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 
 #include "common/status.h"
+#include "common/tenant_ledger.h"
 #include "common/units.h"
 #include "memory/address.h"
-#include "memory/range_map.h"
 #include "obs/obs.h"
 #include "rnic/verbs.h"
 
@@ -45,19 +44,14 @@ class Mtt {
     if (used_pages_ + pages > capacity_pages_) {
       return resource_exhausted("Mtt: table full");
     }
-    auto [it, inserted] = regions_.try_emplace(key);
-    if (!inserted) return already_exists("Mtt: MR already registered");
-    Status s = it->second.map.map(base, Gva{target}, len);
-    if (!s.is_ok()) {
-      regions_.erase(it);
-      return s;
+    if (regions_.count(key) != 0) {
+      return already_exists("Mtt: MR already registered");
     }
-    it->second.owner = owner;
-    it->second.translated = translated;
-    it->second.pages = pages;
-    it->second.tenant = tenant;
+    if (len == 0) return invalid_argument("Mtt: zero-length region");
+    regions_.emplace(
+        key, Region{base, len, target, owner, translated, pages, tenant});
     used_pages_ += pages;
-    tenant_pages_[tenant] += pages;
+    tenant_pages_.add(tenant, pages);
     return Status::ok();
   }
 
@@ -65,11 +59,7 @@ class Mtt {
     auto it = regions_.find(key);
     if (it == regions_.end()) return not_found("Mtt: unknown MR");
     used_pages_ -= it->second.pages;
-    auto tp = tenant_pages_.find(it->second.tenant);
-    if (tp != tenant_pages_.end()) {
-      tp->second -= it->second.pages;
-      if (tp->second == 0) tenant_pages_.erase(tp);
-    }
+    tenant_pages_.sub(it->second.tenant, it->second.pages);
     regions_.erase(it);
     return Status::ok();
   }
@@ -82,33 +72,32 @@ class Mtt {
       STELLAR_TRACE_ONLY(obs::count("mtt/misses");)
       return not_found("Mtt: unknown MR");
     }
-    auto target = it->second.map.translate(va);
-    if (!target.is_ok()) {
+    const Region& r = it->second;
+    if (va < r.base || va - r.base >= r.len) {
       STELLAR_TRACE_ONLY(obs::count("mtt/misses");)
       return out_of_range("Mtt: address outside MR");
     }
-    STELLAR_TRACE_ONLY(
-        if (it->second.translated) obs::count("mtt/translated_hits");)
-    return MttEntry{target.value().value(), it->second.owner,
-                    it->second.translated};
+    STELLAR_TRACE_ONLY(if (r.translated) obs::count("mtt/translated_hits");)
+    return MttEntry{r.target + (va - r.base), r.owner, r.translated};
   }
 
   std::uint64_t tenant_pages(TenantId tenant) const {
-    auto it = tenant_pages_.find(tenant);
-    return it == tenant_pages_.end() ? 0 : it->second;
+    return tenant_pages_.get(tenant);
   }
-  const std::map<TenantId, std::uint64_t>& pages_by_tenant() const {
-    return tenant_pages_;
-  }
+  /// (tenant, pages) pairs in ascending tenant order.
+  const TenantLedger& pages_by_tenant() const { return tenant_pages_; }
 
   std::uint64_t used_pages() const { return used_pages_; }
   std::uint64_t capacity_pages() const { return capacity_pages_; }
   std::size_t region_count() const { return regions_.size(); }
 
  private:
+  /// One MR maps one range: [base, base+len) -> [target, target+len).
+  /// The `translated` flag says whether `target` is an IoVa or an HPA.
   struct Region {
-    RangeMap<Gva, Gva> map;  // Gva -> target (reuses Gva arithmetic; the
-                             // `translated` flag says how to interpret it)
+    Gva base;
+    std::uint64_t len = 0;
+    std::uint64_t target = 0;
     MemoryOwner owner = MemoryOwner::kHostDram;
     bool translated = false;
     std::uint64_t pages = 0;
@@ -118,7 +107,7 @@ class Mtt {
   std::uint64_t capacity_pages_;
   std::uint64_t used_pages_ = 0;
   std::unordered_map<MrKey, Region> regions_;
-  std::map<TenantId, std::uint64_t> tenant_pages_;
+  TenantLedger tenant_pages_;
 };
 
 }  // namespace stellar

@@ -37,7 +37,7 @@ struct FabricTestPeer {
 struct IommuTestPeer {
   static void skew_tenant_pins(Iommu& iommu, TenantId tenant,
                                std::uint64_t delta) {
-    iommu.pinned_by_tenant_[tenant] += delta;  // global counter untouched
+    iommu.pinned_by_tenant_.add(tenant, delta);  // global counter untouched
   }
 };
 

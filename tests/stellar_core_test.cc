@@ -89,6 +89,34 @@ TEST_F(StellarHostTest, RegisterHostMemoryPinsOnDemand) {
   EXPECT_EQ(host_.hypervisor().pvdma(1).pinned_bytes(), 0u);
 }
 
+TEST_F(StellarHostTest, FailedHostRegistrationLeavesNoPins) {
+  auto dev = host_.create_vstellar_device(*container_, 0);
+  ASSERT_TRUE(dev.is_ok());
+  Pvdma& pvdma = host_.hypervisor().pvdma(1);
+  auto buf = container_->alloc(4_MiB, kPage2M);
+  ASSERT_TRUE(buf.is_ok());
+  auto held = dev.value()->register_memory(Gva{0x7f0000000000}, 4_MiB,
+                                           MemoryOwner::kHostDram,
+                                           buf.value().value());
+  ASSERT_TRUE(held.is_ok());
+  const std::uint64_t pinned = pvdma.pinned_bytes();
+  const std::size_t blocks = pvdma.map_cache().block_count();
+
+  // 16 GiB lies past the end of the 8 GiB guest: the EPT has no mapping.
+  auto bad = dev.value()->register_memory(Gva{0x7f1000000000}, 4_MiB,
+                                          MemoryOwner::kHostDram, 16_GiB);
+  EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(pvdma.pinned_bytes(), pinned);
+  EXPECT_EQ(pvdma.map_cache().block_count(), blocks);
+  EXPECT_EQ(host_.pcie().iommu().pinned_bytes(1), pinned);
+
+  // Nothing half-registered is left for a teardown to trip over.
+  ASSERT_TRUE(dev.value()->deregister_memory(held.value().key).is_ok());
+  EXPECT_EQ(pvdma.pinned_bytes(), 0u);
+  EXPECT_EQ(pvdma.release_all(), 0u);
+  EXPECT_EQ(pvdma.double_unpins(), 0u);
+}
+
 TEST_F(StellarHostTest, RegisterGpuMemoryAndGdrWrite) {
   auto dev = host_.create_vstellar_device(*container_, 0);
   ASSERT_TRUE(dev.is_ok());

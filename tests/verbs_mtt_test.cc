@@ -152,5 +152,70 @@ TEST(MttTest, DuplicateKeyRejected) {
             StatusCode::kAlreadyExists);
 }
 
+TEST(MttTest, SingleRangeLookupBoundaries) {
+  Mtt mtt(1024);
+  const Gva base{0x7f0000003000};
+  const std::uint64_t len = 5 * kPage4K + 123;
+  ASSERT_TRUE(mtt.register_region(3, base, len, 0xA0000000,
+                                  MemoryOwner::kHostDram, true)
+                  .is_ok());
+  EXPECT_EQ(mtt.lookup(3, base).value().target, 0xA0000000u);
+  EXPECT_EQ(mtt.lookup(3, base + (len - 1)).value().target,
+            0xA0000000u + len - 1);
+  EXPECT_EQ(mtt.lookup(3, base + len).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(mtt.lookup(3, base - 1).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(mtt.lookup(3, Gva{0}).status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(MttTest, ZeroLengthRegionRegistersNothing) {
+  Mtt mtt(1024);
+  EXPECT_EQ(mtt.register_region(1, Gva{0x1000}, 0, 0x5000,
+                                MemoryOwner::kHostDram, true, /*tenant=*/7)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(mtt.region_count(), 0u);
+  EXPECT_EQ(mtt.used_pages(), 0u);
+  EXPECT_EQ(mtt.tenant_pages(7), 0u);
+  EXPECT_EQ(mtt.lookup(1, Gva{0x1000}).status().code(), StatusCode::kNotFound);
+  // The key stays free for a real registration.
+  EXPECT_TRUE(mtt.register_region(1, Gva{0x1000}, 0x1000, 0x5000,
+                                  MemoryOwner::kHostDram, true, 7)
+                  .is_ok());
+  // A zero-length call on a taken key reports the duplicate, as before.
+  EXPECT_EQ(mtt.register_region(1, Gva{0x9000}, 0, 0,
+                                MemoryOwner::kHostDram, true, 7)
+                .code(),
+            StatusCode::kAlreadyExists);
+}
+
+TEST(MttTest, RejectedRegistrationLeavesPageCountsUnchanged) {
+  Mtt mtt(8);
+  ASSERT_TRUE(mtt.register_region(1, Gva{0}, 6 * kPage4K, 0,
+                                  MemoryOwner::kHostDram, true, /*tenant=*/4)
+                  .is_ok());
+  const auto unchanged = [&] {
+    EXPECT_EQ(mtt.used_pages(), 6u);
+    EXPECT_EQ(mtt.tenant_pages(4), 6u);
+    EXPECT_EQ(mtt.tenant_pages(5), 0u);
+    EXPECT_EQ(mtt.region_count(), 1u);
+  };
+  EXPECT_EQ(mtt.register_region(2, Gva{1_MiB}, 3 * kPage4K, 0,
+                                MemoryOwner::kHostDram, true, 5)
+                .code(),
+            StatusCode::kResourceExhausted);
+  unchanged();
+  EXPECT_EQ(mtt.register_region(1, Gva{1_MiB}, kPage4K, 0,
+                                MemoryOwner::kHostDram, true, 5)
+                .code(),
+            StatusCode::kAlreadyExists);
+  unchanged();
+  EXPECT_EQ(mtt.register_region(3, Gva{1_MiB}, 0, 0, MemoryOwner::kHostDram,
+                                true, 5)
+                .code(),
+            StatusCode::kInvalidArgument);
+  unchanged();
+}
+
 }  // namespace
 }  // namespace stellar

@@ -50,6 +50,9 @@
 #   6e. the count ledger (tools/check_perf.py): a traced pass of each perf
 #      workload at seeds 1 and 2 must reproduce every count, ratio and byte
 #      metric committed in LEDGER.json
+#   6f. the PC-sampler smoke: tools/pcsample profiles 1 s of the untraced
+#      vstellar_translation workload, and at least 100 samples must
+#      resolve to named functions
 #   7. a fig09 mini trace dump + trace_summarize smoke (the tracer's
 #      byte-determinism and the summarizer's parser, end to end)
 #   7b. the run-level sharding determinism gate: fig09-mini,
@@ -292,6 +295,21 @@ done
 
 step "count ledger (tools/check_perf.py: every perf count at seeds 1 and 2 vs LEDGER.json)"
 python3 tools/check_perf.py
+
+step "PC-sampler smoke (tools/pcsample on 1 s of vstellar_translation, >= 100 samples named)"
+# The LD_PRELOAD SIGPROF sampler and its addr2line resolver, end to end on
+# the untraced perf_driver the perf golden smoke built. The kernel rounds
+# the sampling period up to its tick, so 1 s of CPU time gives a few
+# hundred samples at HZ=250.
+pcsample_dir="$(mktemp -d)"
+cc -O2 -shared -fPIC -o "$pcsample_dir/libpcsample.so" tools/pcsample/pcsample.c
+PCSAMPLE_OUT="$pcsample_dir/prof.txt" \
+  LD_PRELOAD="$pcsample_dir/libpcsample.so" \
+  build-perf/perf_driver --workload vstellar_translation --seed 1 \
+  --seconds 1 > /dev/null
+python3 tools/pcsample/resolve.py "$pcsample_dir/prof.txt" --top 10 \
+  --min-named 100
+rm -rf "$pcsample_dir"
 
 step "chaos-soak smoke (fixed seed 0xC0FFEE, >=100 events, packet + hybrid, six auditors trapping)"
 build/tests/stellar_migrate_tests \
