@@ -338,16 +338,12 @@ void SimulatorAuditor::audit(AuditReport& report) const {
                             std::to_string(stats.pending_ids +
                                            stats.tombstones));
   }
-  // Every pending entry is a pool record in use or an armed timer, and
-  // each backs exactly one; a tombstone is a disarmed timer's entry and
-  // holds neither — a leak or double-free in the record pool, or a
-  // drifting armed-timer count, breaks this.
+  // Every pending entry is an armed timer's, and each armed timer has
+  // exactly one; a tombstone is a disarmed timer's entry — a drifting
+  // armed-timer count breaks this.
   report.note_check();
-  if (stats.allocated_records + stats.armed_timers != stats.pending_ids) {
-    report.fail(name(), "record pool has " +
-                            std::to_string(stats.allocated_records) +
-                            " records in use + " +
-                            std::to_string(stats.armed_timers) +
+  if (stats.armed_timers != stats.pending_ids) {
+    report.fail(name(), std::to_string(stats.armed_timers) +
                             " armed timers but pending = " +
                             std::to_string(stats.pending_ids));
   }

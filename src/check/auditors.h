@@ -111,9 +111,8 @@ class TenantIsolationAuditor final : public InvariantAuditor {
 /// (e) Simulator scheduler sanity: the live-event counter matches the
 /// pending-entry counter, the walked timing-wheel structures (wheel slots +
 /// overflow heap + active bucket) hold exactly pending + tombstoned
-/// entries, and the event-record pool's in-use count plus the armed timers
-/// equals the pending count — tombstones are disarmed timer entries and
-/// hold no record (no leaked or double-freed records).
+/// entries, and the armed-timer count equals the pending count — every
+/// pending entry is an armed timer's, and a tombstone is a disarmed one's.
 class SimulatorAuditor final : public InvariantAuditor {
  public:
   explicit SimulatorAuditor(const Simulator& sim) : sim_(&sim) {}

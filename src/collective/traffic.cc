@@ -121,7 +121,7 @@ void BurstyDriver::burst_loop() {
       const SimTime elapsed = sim_->now() - burst_started_;
       const SimTime idle = elapsed < on_ + off_ ? on_ + off_ - elapsed
                                                 : SimTime::zero();
-      sim_->schedule_after(idle, [this] { burst_loop(); });
+      off_window_.arm(sim_->now() + idle);
     }
   };
   start_(restart_);

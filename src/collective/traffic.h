@@ -82,6 +82,8 @@ class BurstyDriver {
   bool task_active_ = false;
   SimTime burst_started_;
   std::uint64_t bursts_ = 0;
+  // Ends the off-window: the next burst.
+  Simulator::Timer off_window_{*sim_, [this] { burst_loop(); }};
 };
 
 }  // namespace stellar

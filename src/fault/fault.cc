@@ -35,7 +35,7 @@ Status FaultInjector::arm(const FaultPlan& plan) {
   }
   if (telemetry_ != nullptr) telemetry_->set_seed(plan.seed);
   for (const FaultEvent& e : plan.events) {
-    sim_->schedule_at(e.at, [this, e] { execute(e); });
+    events_.schedule_at(e.at, [this, e] { execute(e); });
   }
   return Status::ok();
 }
@@ -247,7 +247,7 @@ void FaultInjector::execute(const FaultEvent& e) {
       link.set_drop_probability(e.degrade_loss);
       link.set_propagation(orig_prop + e.degrade_latency);
       note_fault(e);
-      sim_->schedule_after(
+      events_.schedule_after(
           e.duration, [this, &link, orig_loss, orig_prop, label = e.label] {
             link.set_drop_probability(orig_loss);
             link.set_propagation(orig_prop);
@@ -259,26 +259,26 @@ void FaultInjector::execute(const FaultEvent& e) {
     case FaultKind::kRnicReset:
       engines_[e.engine]->reset_device(e.duration);
       note_fault(e);
-      sim_->schedule_after(e.duration,
-                           [this, label = e.label] { note_cleared(label); });
+      events_.schedule_after(e.duration,
+                             [this, label = e.label] { note_cleared(label); });
       break;
 
     case FaultKind::kPinPressure:
       pvdmas_[e.pvdma]->set_resource_pressure(true);
       note_fault(e);
-      sim_->schedule_after(e.duration,
-                           [this, pvdma = e.pvdma, label = e.label] {
-                             pvdmas_[pvdma]->set_resource_pressure(false);
-                             note_cleared(label);
-                           });
+      events_.schedule_after(e.duration,
+                             [this, pvdma = e.pvdma, label = e.label] {
+                               pvdmas_[pvdma]->set_resource_pressure(false);
+                               note_cleared(label);
+                             });
       break;
 
     case FaultKind::kBackendRestart: {
       note_fault(e);
       STELLAR_CHECK_OK(controls_[e.control].backend_restart(e.duration),
                        "backend restart hook failed");
-      sim_->schedule_after(e.duration,
-                           [this, label = e.label] { note_cleared(label); });
+      events_.schedule_after(e.duration,
+                             [this, label = e.label] { note_cleared(label); });
       break;
     }
 
@@ -286,8 +286,8 @@ void FaultInjector::execute(const FaultEvent& e) {
       note_fault(e);
       auto downtime = controls_[e.control].live_migrate(e.duration);
       STELLAR_CHECK_OK(downtime.status(), "live migrate hook failed");
-      sim_->schedule_after(downtime.value(),
-                           [this, label = e.label] { note_cleared(label); });
+      events_.schedule_after(downtime.value(),
+                             [this, label = e.label] { note_cleared(label); });
       break;
     }
 
@@ -328,7 +328,7 @@ void FaultInjector::flap_cycle(FaultEvent e, std::uint32_t remaining) {
   owner_.assert_held();
   NetLink& link = resolve(e.link);
   link.set_down(e.drain);
-  sim_->schedule_after(e.duration, [this, e, remaining, &link] {
+  events_.schedule_after(e.duration, [this, e, remaining, &link] {
     link.set_up();
     if (remaining <= 1) {
       note_cleared(e.label);
@@ -336,7 +336,7 @@ void FaultInjector::flap_cycle(FaultEvent e, std::uint32_t remaining) {
     }
     const SimTime period = std::max(e.flap_period, e.duration);
     const SimTime next_down = period - e.duration;  // time to stay up
-    sim_->schedule_after(next_down, [this, e, remaining] {
+    events_.schedule_after(next_down, [this, e, remaining] {
       flap_cycle(e, remaining - 1);
     });
   });

@@ -129,7 +129,7 @@ class FaultInjector {
  public:
   FaultInjector(Simulator& sim, ClosFabric& fabric,
                 FaultTelemetry* telemetry = nullptr)
-      : sim_(&sim), fabric_(&fabric), telemetry_(telemetry) {}
+      : sim_(&sim), fabric_(&fabric), telemetry_(telemetry), events_(sim) {}
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -188,6 +188,8 @@ class FaultInjector {
 
   /// Validate every event and schedule the whole plan. Events at equal
   /// timestamps execute in plan order (the simulator's FIFO tie-break).
+  /// The plan and its follow-ups (window clears, flap cycles) are this
+  /// injector's own events: destroying it drops whatever is still pending.
   Status arm(const FaultPlan& plan);
 
   std::uint64_t events_executed() const {
@@ -217,6 +219,7 @@ class FaultInjector {
   std::vector<ControlTarget> controls_ STELLAR_GUARDED_BY(owner_);
   std::vector<TenantTarget> tenants_ STELLAR_GUARDED_BY(owner_);
   std::uint64_t executed_ STELLAR_GUARDED_BY(owner_) = 0;
+  OwnedEvents events_;  // the armed plan and its follow-ups
 };
 
 }  // namespace stellar

@@ -4,7 +4,7 @@
 // Event-driven: a packet at the queue head occupies the wire for its
 // serialization time, then arrives at the far side after the propagation
 // delay. Both are Simulator::Timers embedded in the link, re-armed in place
-// for each packet, so a hop takes no event record and builds no closure.
+// for each packet, so a hop builds no closure.
 // ECN is marked at enqueue when the backlog exceeds the threshold
 // (DCTCP-style). Optional random drop models the lossy link of Figure 11.
 //

@@ -20,6 +20,7 @@ RdmaConnection::RdmaConnection(RdmaEngine& engine, std::uint64_t id,
       id_(id),
       local_(local),
       remote_(remote),
+      paced_(engine.simulator()),
       rto_timer_(engine.simulator(), [this] { on_rto_fire(); }) {
   rebuild_from_config();
   // Hybrid fidelity: connections created while a driver is attached are
@@ -290,11 +291,10 @@ void RdmaConnection::transmit(std::uint64_t psn, const Outstanding& meta) {
         depart + config_.stack_rate_cap.transmit_time(p.wire_bytes());
   }
   if (depart > engine_.simulator().now()) {
-    engine_.simulator().schedule_at(
-        depart, [this, p = std::move(p)]() mutable {
-          STELLAR_CHECK_OK(engine_.fabric().send(std::move(p)),
-                           "delayed data transmit rejected by fabric");
-        });
+    paced_.schedule_at(depart, [this, p = std::move(p)]() mutable {
+      STELLAR_CHECK_OK(engine_.fabric().send(std::move(p)),
+                       "delayed data transmit rejected by fabric");
+    });
     return;
   }
   STELLAR_CHECK_OK(engine_.fabric().send(std::move(p)),

@@ -290,9 +290,9 @@ class RdmaConnection : public FluidClient {
   void rebuild_from_config();
   /// Re-arm timers/probes and resume transmission after a restore.
   void resume_after_restore();
-  /// Cancel every pending timer/probe without touching logical state —
-  /// the pre-restore half of a hot restart, and part of a QP error and of
-  /// a fluid freeze.
+  /// Cancel every pending timer/probe and drop the paced packets not yet
+  /// on the wire, without touching logical state — the pre-restore half of
+  /// a hot restart, and part of a QP error and of a fluid freeze.
   void cancel_timers();
 
   /// Path choice honoring the blacklist.
@@ -346,6 +346,9 @@ class RdmaConnection : public FluidClient {
   std::size_t send_fifo_head_ = 0;
   SimTime rto_deadline_;     // when rto_timer_ fires, while it is armed
   SimTime stack_next_free_;  // pacing point of the (optional) encap engine
+  // Packets the stack has accepted but not yet put on the wire (per-packet
+  // overhead and stack_rate_cap pacing); cancel_timers() drops them.
+  OwnedEvents paced_;
 
   // Failure mitigation: consecutive timeouts per path and the blacklist.
   // The streak is indexed by path id; `seen` marks the paths the streak

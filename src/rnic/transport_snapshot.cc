@@ -107,6 +107,7 @@ void RdmaConnection::fields(Ar& ar, Self& c) {
 }
 
 void RdmaConnection::cancel_timers() {
+  paced_.clear();
   rto_timer_.disarm();
   for (const std::unique_ptr<ProbeTimer>& probe : probe_timers_) {
     if (probe != nullptr) probe->timer.disarm();

@@ -19,38 +19,6 @@ Simulator::~Simulator() {
 }
 
 // ---------------------------------------------------------------------------
-// Event record pool
-// ---------------------------------------------------------------------------
-
-std::uint32_t Simulator::alloc_record() {
-  if (free_head_ == kNone) {
-    STELLAR_CHECK(pool_capacity_ + kChunkSize <= kTimerTag,
-                  "event-record pool exceeded %llu records",
-                  static_cast<unsigned long long>(kTimerTag));
-    auto chunk = std::make_unique<EventRecord[]>(kChunkSize);
-    const auto base = static_cast<std::uint32_t>(pool_capacity_);
-    for (std::size_t i = kChunkSize; i > 0; --i) {
-      chunk[i - 1].next_free = free_head_;
-      free_head_ = base + static_cast<std::uint32_t>(i) - 1;
-    }
-    chunks_.push_back(std::move(chunk));
-    pool_capacity_ += kChunkSize;
-  }
-  const std::uint32_t idx = free_head_;
-  EventRecord& r = record(idx);
-  free_head_ = r.next_free;
-  ++allocated_records_;
-  return idx;
-}
-
-void Simulator::free_record(std::uint32_t idx) {
-  EventRecord& r = record(idx);
-  r.next_free = free_head_;
-  free_head_ = idx;
-  --allocated_records_;
-}
-
-// ---------------------------------------------------------------------------
 // Overflow heap (far-future events, min-heap by (at, seq))
 // ---------------------------------------------------------------------------
 
@@ -267,18 +235,18 @@ std::uint32_t Simulator::peek_live() {
   for (;;) {
     while (bucket_pos_ < bucket_.size()) {
       const Entry& e = bucket_[bucket_pos_];
-      const std::uint32_t idx = entry_idx(e);
+      const std::uint32_t id = entry_idx(e);
       if (bucket_pos_ + 1 < bucket_.size()) {
-        // The next record or timer slot is touched either way (tombstone
-        // sweep or the next peek); overlap its load with this event's work.
-        __builtin_prefetch(entry_target(entry_idx(bucket_[bucket_pos_ + 1])));
+        // The next timer slot is touched either way (tombstone sweep or the
+        // next peek); overlap its load with this event's work.
+        __builtin_prefetch(&timers_[entry_idx(bucket_[bucket_pos_ + 1])]);
       }
       if (tombstones_ != 0 && is_tombstone(e)) {
         --tombstones_;
         ++bucket_pos_;
         continue;
       }
-      return idx;
+      return id;
     }
     if (!advance_to_next_bucket()) return kNone;
   }
@@ -314,29 +282,7 @@ inline void Simulator::check_schedule(SimTime at, std::uint64_t seq,
   }
 }
 
-void Simulator::place_pending(SimTime at, std::uint64_t seq,
-                              std::uint32_t idx) {
-  const Entry e{at.ps(), seq << kIdxBits | idx};
-  const std::int64_t t0 = at.ps() >> kGranularityShift;
-  if (t0 < cur_tick_) rewind_to(t0);
-  if (t0 == cur_tick_) {
-    bucket_insert(e);
-  } else if (static_cast<std::uint64_t>(t0 - cur_tick_) < kSlots) {
-    // Hot path: almost every event lands in the level-0 window.
-    slot_push(levels_[0], static_cast<std::size_t>(t0) & kSlotMask, e);
-  } else {
-    place_entry(e);
-  }
-  ++live_events_;
-  ++pending_count_;
-}
-
-std::uint32_t Simulator::take_record(SimTime at, std::uint64_t seq) {
-  check_schedule(at, seq, "Simulator::schedule_at");
-  return alloc_record();
-}
-
-void Simulator::consume_and_run(std::uint32_t idx) {
+void Simulator::consume_and_run(std::uint32_t id) {
   const std::int64_t at_ps = bucket_[bucket_pos_].at_ps;
   STELLAR_CHECK(at_ps >= now_.ps(),
                 "event scheduled at %lld ps would run before now=%lld ps",
@@ -344,32 +290,16 @@ void Simulator::consume_and_run(std::uint32_t idx) {
                 static_cast<long long>(now_.ps()));
   now_ = SimTime::picos(at_ps);
   ++bucket_pos_;
-  if ((idx & kTimerTag) != 0) {
-    // Disarm before the action runs, so it may re-arm its own timer (and a
-    // disarm from inside returns false), with the counters already down.
-    TimerSlot& t = timers_[idx & ~kTimerTag];
-    t.seq = 0;
-    --armed_timers_;
-    --live_events_;
-    --pending_count_;
-    ++executed_;
-    t.timer->fire();
-    return;
-  }
-  EventRecord& r = record(idx);
-  // The closure runs in place — no 64-byte relocation per event — and the
-  // record joins the free list only after it returns, so a reentrant
-  // schedule can never be handed this slot while it executes. All the
-  // counters (including the pool's) drop before the call, so an auditor
-  // running *inside* the action sees consistent double-entry books.
+  // Disarm before the action runs, so it may re-arm its own timer (and a
+  // disarm from inside returns false), with the counters already down: an
+  // auditor running inside the action sees consistent double-entry books.
+  TimerSlot& t = timers_[id];
+  t.seq = 0;
+  --armed_timers_;
   --live_events_;
   --pending_count_;
-  --allocated_records_;
   ++executed_;
-  r.action();
-  r.action.reset();
-  r.next_free = free_head_;
-  free_head_ = idx;
+  t.timer->fire();
 }
 
 // ---------------------------------------------------------------------------
@@ -382,8 +312,8 @@ std::uint32_t Simulator::register_timer(Timer* timer) {
     id = free_timers_.back();
     free_timers_.pop_back();
   } else {
-    STELLAR_CHECK(timers_.size() < kTimerTag, "more than %u timers",
-                  static_cast<unsigned>(kTimerTag));
+    STELLAR_CHECK(timers_.size() <= kIdxMask, "more than %llu timers",
+                  static_cast<unsigned long long>(kIdxMask));
     id = static_cast<std::uint32_t>(timers_.size());
     timers_.emplace_back();
   }
@@ -403,15 +333,27 @@ void Simulator::arm_timer(std::uint32_t id, SimTime at, std::uint64_t seq) {
   if (t.seq != 0) [[unlikely]] fail_armed(id);
   check_schedule(at, seq, "Simulator::Timer::arm");
   t.seq = seq;
+  const Entry e{at.ps(), seq << kIdxBits | id};
+  const std::int64_t t0 = at.ps() >> kGranularityShift;
+  if (t0 < cur_tick_) rewind_to(t0);
+  if (t0 == cur_tick_) {
+    bucket_insert(e);
+  } else if (static_cast<std::uint64_t>(t0 - cur_tick_) < kSlots) {
+    // Hot path: almost every event lands in the level-0 window.
+    slot_push(levels_[0], static_cast<std::size_t>(t0) & kSlotMask, e);
+  } else {
+    place_entry(e);
+  }
   ++armed_timers_;
-  place_pending(at, seq, id | kTimerTag);
+  ++live_events_;
+  ++pending_count_;
 }
 
 bool Simulator::step() {
   owner_.assert_held();
-  const std::uint32_t idx = peek_live();
-  if (idx == kNone) return false;
-  consume_and_run(idx);
+  const std::uint32_t id = peek_live();
+  if (id == kNone) return false;
+  consume_and_run(id);
   return true;
 }
 
@@ -425,12 +367,12 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
   owner_.assert_held();
   std::uint64_t n = 0;
   for (;;) {
-    const std::uint32_t idx = peek_live();
-    if (idx == kNone) break;
+    const std::uint32_t id = peek_live();
+    if (id == kNone) break;
     // Live event beyond the horizon: leave it queued — peeking never pops,
     // so there is nothing to re-push.
     if (bucket_[bucket_pos_].at_ps > deadline.ps()) break;
-    consume_and_run(idx);
+    consume_and_run(id);
     ++n;
   }
   if (now_ < deadline) now_ = deadline;
@@ -455,11 +397,51 @@ Simulator::HeapStats Simulator::heap_stats() const {
   st.tombstones = tombstones_;
   st.pending_ids = pending_count_;
   st.live_events = live_events_;
-  st.allocated_records = allocated_records_;
-  st.pool_capacity = pool_capacity_;
+  st.pool_capacity = one_shots_ != nullptr ? one_shots_->capacity() : 0;
   st.armed_timers = armed_timers_;
   st.timers = timers_.size() - free_timers_.size();
   return st;
+}
+
+// ---------------------------------------------------------------------------
+// OwnedEvents
+// ---------------------------------------------------------------------------
+
+// Heap order of an OwnedEvents queue: the earliest (time, seq) at the front.
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return a.at_ps != b.at_ps ? a.at_ps > b.at_ps : a.seq > b.seq;
+};
+
+std::uint64_t OwnedEvents::take_seq(SimTime at) {
+  sim_->owner_.assert_held();
+  const std::uint64_t seq = sim_->next_seq_++;
+  sim_->check_schedule(at, seq, "OwnedEvents::schedule_at");
+  return seq;
+}
+
+void OwnedEvents::push(SimTime at, std::uint64_t seq, InlineAction action) {
+  heap_.push_back(Pending{at.ps(), seq, std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), kLater);
+  if (heap_.front().seq != seq) return;
+  // The new entry is the head: move the timer to it.
+  timer_.disarm();
+  timer_.arm(at, seq);
+}
+
+void OwnedEvents::fire_head() {
+  std::pop_heap(heap_.begin(), heap_.end(), kLater);
+  InlineAction action = std::move(heap_.back().action);
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    timer_.arm(SimTime::picos(heap_.front().at_ps), heap_.front().seq);
+  }
+  // Last: the action may destroy this queue.
+  action();
+}
+
+void OwnedEvents::clear() {
+  timer_.disarm();
+  heap_.clear();
 }
 
 }  // namespace stellar

@@ -13,26 +13,27 @@
 //    timers (fault plans, second-scale horizons) ever touch the heap. An
 //    idle slot holds no buffer: emptied slot vectors wait in a stash for
 //    the next slot that gets an entry.
-//  * One-shot events are fire-and-forget closures in a pooled slab of
-//    records addressed by index. Their callables are stored as InlineAction
-//    (64-byte small-buffer storage), built directly in the record before
-//    its entry is queued, so scheduling never heap-allocates and never
-//    relocates its closure. A one-shot event cannot be cancelled.
-//  * Cancellable and recurring events are Simulator::Timer objects
-//    embedded in their owner (a link's serialization-done and delivery
-//    events, a connection's RTO and probes, the hybrid driver's service
-//    events, the periodic samplers): registered once, then armed, disarmed
-//    and re-armed in place. A wheel entry names either a record or a timer
-//    (a tag bit), so an armed timer takes no record and builds no closure.
-//    Disarming leaves the entry behind as a tombstone, swept lazily; only
-//    timer entries are ever tombstones.
+//  * Every wheel entry names a Simulator::Timer embedded in its owner (a
+//    link's serialization-done and delivery events, a connection's RTO and
+//    probes, the hybrid driver's service events, the periodic samplers):
+//    registered once, then armed, disarmed and re-armed in place. An armed
+//    timer builds no closure. Disarming leaves the entry behind as a
+//    tombstone, swept lazily.
+//  * One-shot closures belong to an owner: an OwnedEvents queue (a
+//    (time, seq) min-heap of InlineActions behind one member Timer armed at
+//    its head). Destroying the queue, or clear(), drops what is pending, so
+//    no one-shot outlives the object that scheduled it.
+//    Simulator::schedule_at/after put the closure in the Simulator's own
+//    queue, for harness code whose closures live as long as the run: each
+//    pays one heap push and one heap pop.
 //
 // Determinism contract: events fire in strict (time, seq) order. Wheel
 // slots are coarser than a picosecond, so each slot is sorted by
 // (time, seq) when it becomes current; cascades and overflow merges
-// preserve the same total order. Timers draw their seq from the same
-// counter at the moment they are armed, exactly as schedule_at() would, so
-// records and timers share one (time, seq) order. See
+// preserve the same total order. A timer draws its seq from the shared
+// counter at the moment it is armed, and a one-shot at the moment it is
+// scheduled (its queue arms its timer under that seq once it is the head),
+// so timers and one-shots share one (time, seq) order. See
 // tests/sim_determinism_test.cc.
 #pragma once
 
@@ -51,15 +52,17 @@
 
 namespace stellar {
 
-/// What Simulator::schedule_*() accept: any callable invocable as void(),
-/// built in place in the event record, or an InlineAction rvalue, moved
-/// in. An lvalue InlineAction is rejected: it is move-only, and silently
-/// emptying the caller's variable would hide a bug.
+/// What the schedule_*() calls accept: any callable invocable as void(),
+/// built into an InlineAction, or an InlineAction rvalue, moved in. An
+/// lvalue InlineAction is rejected: it is move-only, and silently emptying
+/// the caller's variable would hide a bug.
 template <typename F>
 concept EventCallable =
     std::is_same_v<F, InlineAction> ||
     (!std::is_same_v<std::remove_cvref_t<F>, InlineAction> &&
      std::is_invocable_r_v<void, std::decay_t<F>&>);
+
+class OwnedEvents;
 
 class Simulator {
   // Wheel geometry: two levels of 4096 slots.
@@ -94,27 +97,12 @@ class Simulator {
   SimTime now() const { return now_; }
 
   /// Schedule `action` to run at absolute time `at` (must be >= now();
-  /// throws std::invalid_argument, with nothing scheduled, otherwise). The
-  /// event cannot be cancelled: an event its owner may need to call off is
-  /// a Timer.
+  /// throws std::invalid_argument, with nothing scheduled, otherwise) in
+  /// the Simulator's own one-shot queue. The event cannot be cancelled and
+  /// lives as long as the Simulator: an object that schedules work for
+  /// itself holds an OwnedEvents (or a Timer) that dies with it.
   template <EventCallable F>
-  void schedule_at(SimTime at, F&& action) {
-    owner_.assert_held();
-    const std::uint64_t seq = next_seq_++;
-    const std::uint32_t idx = take_record(at, seq);
-    EventRecord& r = record(idx);
-    try {
-      if constexpr (std::is_same_v<F, InlineAction>) {
-        r.action = std::move(action);
-      } else {
-        r.action.emplace(std::forward<F>(action));
-      }
-    } catch (...) {
-      free_record(idx);  // a throwing copy or box: nothing was queued
-      throw;
-    }
-    place_pending(at, seq, idx);
-  }
+  void schedule_at(SimTime at, F&& action);
 
   /// Schedule `action` to run `delay` after the current time.
   template <EventCallable F>
@@ -147,7 +135,9 @@ class Simulator {
   bool step();
 
   bool empty() const { return live_events_ == 0; }
-  std::uint64_t pending_events() const { return live_events_; }
+  /// Armed timers, counting each one-shot in the Simulator's own queue
+  /// (an owner's OwnedEvents counts once, as its timer).
+  std::uint64_t pending_events() const;
   std::uint64_t executed_events() const { return executed_; }
 
   /// Scheduler work, counted only in traced builds (STELLAR_TRACE_ONLY)
@@ -171,14 +161,13 @@ class Simulator {
     std::size_t tombstones = 0;   // disarmed timer entries awaiting sweep
     std::size_t pending_ids = 0;  // live (schedulable) entries [counter]
     std::uint64_t live_events = 0;
-    // Breakdown + pool accounting (bench/auditor detail).
+    // Breakdown (bench/auditor detail).
     std::size_t wheel_entries = 0;     // across all wheel levels
     std::size_t overflow_entries = 0;  // far-future min-heap
     std::size_t bucket_entries = 0;    // current-slot bucket remainder
-    std::size_t allocated_records = 0; // pool records in use
-    std::size_t pool_capacity = 0;     // pool records ever created
-    // Timers: every pending entry is a record or an armed timer, so
-    // allocated_records + armed_timers == pending_ids.
+    std::size_t pool_capacity = 0;     // capacity of the own one-shot queue
+    // Timers: every pending entry is an armed timer, so
+    // armed_timers == pending_ids.
     std::size_t armed_timers = 0;      // timers armed now [counter]
     std::size_t timers = 0;            // timers registered now
     // Slot buffers: only occupied slots hold one, so `slot_buffers` (slots
@@ -192,6 +181,7 @@ class Simulator {
 
  private:
   friend struct SimulatorTestPeer;  // corruption injection in audit tests
+  friend class OwnedEvents;
 
   // Thread-safety contract: the whole scheduler is single-owner state — the
   // one thread that drives the simulation runs it without locks, and a
@@ -204,22 +194,7 @@ class Simulator {
   // (now_, live_events_, executed_, next_seq_) stay unannotated: they are
   // written only under the same ownership and read by cold accessors.
 
-  // -- Event record pool ------------------------------------------------------
-  //
-  // Records live in fixed chunks (stable addresses) and are recycled
-  // through a free list. A record is taken when its event is scheduled and
-  // freed when it runs; nothing else can retire it, so its queued entry is
-  // never a tombstone.
-
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-
-  struct EventRecord {
-    InlineAction action;
-    std::uint32_t next_free = kNone;  // while free: the next free record
-  };
-
-  static constexpr unsigned kChunkBits = 9;  // 512 records per chunk
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
 
   // -- Timers -----------------------------------------------------------------
   //
@@ -239,17 +214,17 @@ class Simulator {
   // -- Timing wheel -----------------------------------------------------------
 
   /// A scheduled entry as stored in wheel slots / overflow / bucket.
-  /// 16 bytes: `key` packs (seq << kIdxBits) | index, so comparing
-  /// (at_ps, key) is the unique (time, seq) total execution order (seq is
-  /// unique among live entries, so the index bits never decide) and
-  /// sort/cascade moves stay cheap. The index is a record index, or a
-  /// timer id with kTimerTag set. kIdxBits caps the pool and the timers at
-  /// 8M each and seq at 2^40 events — all checked, none reachable in
-  /// practice.
+  /// 16 bytes: `key` packs (seq << kIdxBits) | timer id, so comparing
+  /// (at_ps, key) is the unique (time, seq) total execution order and
+  /// sort/cascade moves stay cheap. Seq is unique among live entries; an
+  /// OwnedEvents queue re-arms its timer under a head's seq after an
+  /// earlier entry displaced it, and then the displaced entry is an exact
+  /// copy of the live one that is swept as a tombstone once the live one
+  /// fires. So the id bits never decide. kIdxBits caps the timers at 16M
+  /// and seq at 2^40 events — both checked, neither reachable in practice.
   static constexpr unsigned kIdxBits = 24;
   static constexpr std::uint64_t kIdxMask = (std::uint64_t{1} << kIdxBits) - 1;
   static constexpr unsigned kSeqBits = 64 - kIdxBits;
-  static constexpr std::uint32_t kTimerTag = std::uint32_t{1} << (kIdxBits - 1);
 
   struct Entry {
     std::int64_t at_ps;
@@ -259,12 +234,9 @@ class Simulator {
     return static_cast<std::uint32_t>(e.key & kIdxMask);
   }
   /// A tombstone: the entry names a timer that was disarmed (or
-  /// destroyed), and is now unarmed or armed under another seq. A record's
-  /// entry never is one.
+  /// destroyed), and is now unarmed or armed under another seq.
   bool is_tombstone(const Entry& e) const STELLAR_REQUIRES(owner_) {
-    const std::uint32_t idx = entry_idx(e);
-    return (idx & kTimerTag) != 0 &&
-           timers_[idx & ~kTimerTag].seq != e.key >> kIdxBits;
+    return timers_[entry_idx(e)].seq != e.key >> kIdxBits;
   }
   /// Inline comparator (std::sort with a function pointer cannot inline the
   /// compare, which dominated bucket sorting before this).
@@ -289,34 +261,13 @@ class Simulator {
     return kGranularityShift + static_cast<unsigned>(level) * kSlotBits;
   }
 
-  EventRecord& record(std::uint32_t idx) STELLAR_REQUIRES(owner_) {
-    return chunks_[idx >> kChunkBits][idx & (kChunkSize - 1)];
-  }
-  const EventRecord& record(std::uint32_t idx) const
-      STELLAR_REQUIRES(owner_) {
-    return chunks_[idx >> kChunkBits][idx & (kChunkSize - 1)];
-  }
-
-  std::uint32_t alloc_record() STELLAR_REQUIRES(owner_);
-  /// Return a record whose action is empty (it never got one) to the pool.
-  void free_record(std::uint32_t idx) STELLAR_REQUIRES(owner_);
-
-  /// The non-template half of schedule_*(): checks `at` and `seq` and
-  /// takes a record, whose (empty) action the caller then builds. Returns
-  /// the record index.
-  std::uint32_t take_record(SimTime at, std::uint64_t seq)
-      STELLAR_REQUIRES(owner_);
-  /// Checks shared by records and timers: `seq` was reserved and fits the
-  /// key, and `at` is not in the past (throws std::invalid_argument).
+  /// Checks shared by timers and one-shots: `seq` was reserved and fits
+  /// the key, and `at` is not in the past (throws std::invalid_argument).
   void check_schedule(SimTime at, std::uint64_t seq, const char* what) const;
   /// The failure halves of check_schedule() and of arm_timer()'s "armed
   /// while armed" check: cold and out of line.
   void fail_schedule(SimTime at, std::uint64_t seq, const char* what) const;
   void fail_armed(std::uint32_t id) STELLAR_REQUIRES(owner_);
-  /// Queue the entry `(at, seq, idx)` (a record index or a tagged timer id)
-  /// and count it pending.
-  void place_pending(SimTime at, std::uint64_t seq, std::uint32_t idx)
-      STELLAR_REQUIRES(owner_);
 
   // Timer half of the API (Simulator::Timer forwards here).
   std::uint32_t register_timer(Timer* timer) STELLAR_REQUIRES(owner_);
@@ -358,29 +309,19 @@ class Simulator {
   void cascade(int level, std::int64_t level_tick) STELLAR_REQUIRES(owner_);
   /// Load the next non-empty slot into bucket_ (sorted). False if drained.
   bool advance_to_next_bucket() STELLAR_REQUIRES(owner_);
-  /// Index of the next live event without consuming it, or kNone.
+  /// Timer id of the next live event without consuming it, or kNone.
   /// Sweeps tombstones and advances the wheel cursor as needed.
   std::uint32_t peek_live() STELLAR_REQUIRES(owner_);
-  /// Pop the event found by peek_live() and run it.
-  void consume_and_run(std::uint32_t idx) STELLAR_REQUIRES(owner_);
-  /// The record or timer slot an entry index names, for prefetching.
-  const void* entry_target(std::uint32_t idx) const STELLAR_REQUIRES(owner_) {
-    if ((idx & kTimerTag) != 0) return &timers_[idx & ~kTimerTag];
-    return &record(idx);
-  }
+  /// Pop the event found by peek_live() and fire its timer.
+  void consume_and_run(std::uint32_t id) STELLAR_REQUIRES(owner_);
+  /// The one-shot queue behind schedule_at(), created on first use.
+  OwnedEvents& one_shots();
 
   void overflow_push(Entry e) STELLAR_REQUIRES(owner_);
   Entry overflow_pop() STELLAR_REQUIRES(owner_);
 
   // Single-owner capability for the whole scheduler (see contract above).
   SingleOwner owner_;
-
-  // Pool.
-  std::vector<std::unique_ptr<EventRecord[]>> chunks_
-      STELLAR_GUARDED_BY(owner_);
-  std::uint32_t free_head_ STELLAR_GUARDED_BY(owner_) = kNone;
-  std::size_t pool_capacity_ STELLAR_GUARDED_BY(owner_) = 0;
-  std::size_t allocated_records_ STELLAR_GUARDED_BY(owner_) = 0;
 
   // Timers, by id; ids of destroyed timers wait in free_timers_.
   std::vector<TimerSlot> timers_ STELLAR_GUARDED_BY(owner_);
@@ -411,15 +352,16 @@ class Simulator {
   // Double-entry bookkeeping mirrored by the auditor against `queued`.
   std::size_t pending_count_ STELLAR_GUARDED_BY(owner_) = 0;
   std::size_t tombstones_ STELLAR_GUARDED_BY(owner_) = 0;
+  // The one-shots scheduled on the Simulator itself (schedule_at()).
+  std::unique_ptr<OwnedEvents> one_shots_;
 };
 
 /// A recurring event embedded in its owner: registered with its Simulator
 /// once, at construction, then armed, disarmed and re-armed in place. An
-/// armed timer is one wheel entry that names the timer; it takes no event
-/// record and builds no closure. Arming takes the next seq exactly as
-/// schedule_at() does (or a reserve_seq()'d one), so timers and one-shot
-/// events fire in one (time, seq) order. Disarming leaves a tombstone, and
-/// a timer is the only event that can be called off.
+/// armed timer is one wheel entry that names the timer; it builds no
+/// closure. Arming takes the next seq exactly as schedule_at() does (or a
+/// reserve_seq()'d one), so timers and one-shot events fire in one
+/// (time, seq) order. Disarming leaves a tombstone.
 ///
 /// The action is a small, trivially copyable callable, typically a lambda
 /// capturing only `this`. It runs with the timer already disarmed, so the
@@ -450,7 +392,9 @@ class Simulator::Timer {
     sim_->owner_.assert_held();
     sim_->arm_timer(id_, at, sim_->next_seq_++);
   }
-  /// Fire at `at` under a seq from reserve_seq(), used at most once.
+  /// Fire at `at` under a seq from reserve_seq(), used for one event. (An
+  /// OwnedEvents queue may arm its timer under the same seq and time again
+  /// after a disarm; that re-arm stands for the same event.)
   void arm(SimTime at, std::uint64_t reserved_seq) {
     sim_->owner_.assert_held();
     sim_->arm_timer(id_, at, reserved_seq);
@@ -472,5 +416,80 @@ class Simulator::Timer {
   alignas(void*) unsigned char storage_[sizeof(void*)];
   std::uint32_t id_ = 0;
 };
+
+/// One-shot events held by the object they act on: a (time, seq) min-heap
+/// of closures behind one member Timer, armed at the head. Each entry
+/// draws its seq when it is scheduled, as Simulator::schedule_at() does,
+/// so entries fire in the shared (time, seq) order whichever queue holds
+/// them. Destroying the queue, or clear(), drops the pending entries
+/// without running them: an owner that dies, errors or restarts takes its
+/// pending work with it. Each entry pays one heap push and one heap pop.
+class OwnedEvents {
+ public:
+  explicit OwnedEvents(Simulator& sim)
+      : sim_(&sim), timer_(sim, [this] { fire_head(); }) {}
+  OwnedEvents(const OwnedEvents&) = delete;
+  OwnedEvents& operator=(const OwnedEvents&) = delete;
+
+  Simulator& simulator() const { return *sim_; }
+
+  /// Run `action` at `at` (>= now(); throws std::invalid_argument, with
+  /// nothing queued but the seq consumed, otherwise).
+  template <EventCallable F>
+  void schedule_at(SimTime at, F&& action) {
+    const std::uint64_t seq = take_seq(at);
+    if constexpr (std::is_same_v<F, InlineAction>) {
+      push(at, seq, std::move(action));
+    } else {
+      push(at, seq, InlineAction(std::forward<F>(action)));
+    }
+  }
+  template <EventCallable F>
+  void schedule_after(SimTime delay, F&& action) {
+    schedule_at(sim_->now() + delay, std::forward<F>(action));
+  }
+
+  /// Drop every pending entry without running it.
+  void clear();
+  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t capacity() const { return heap_.capacity(); }
+
+ private:
+  struct Pending {
+    std::int64_t at_ps;
+    std::uint64_t seq;
+    InlineAction action;
+  };
+
+  /// Draw the next seq and check `at` against it (throws on a past time).
+  std::uint64_t take_seq(SimTime at);
+  /// Queue an entry; a new head re-arms the timer under its seq.
+  void push(SimTime at, std::uint64_t seq, InlineAction action);
+  /// The timer's action: pop the head, arm for the next one, run it.
+  void fire_head();
+
+  Simulator* sim_;
+  std::vector<Pending> heap_;
+  Simulator::Timer timer_;  // armed at the head's (time, seq) while queued
+};
+
+template <EventCallable F>
+void Simulator::schedule_at(SimTime at, F&& action) {
+  one_shots().schedule_at(at, std::forward<F>(action));
+}
+
+inline OwnedEvents& Simulator::one_shots() {
+  if (one_shots_ == nullptr) [[unlikely]] {
+    one_shots_ = std::make_unique<OwnedEvents>(*this);
+  }
+  return *one_shots_;
+}
+
+inline std::uint64_t Simulator::pending_events() const {
+  // The queue's armed timer already counts its head.
+  const std::size_t queued = one_shots_ != nullptr ? one_shots_->size() : 0;
+  return live_events_ + (queued > 0 ? queued - 1 : 0);
+}
 
 }  // namespace stellar

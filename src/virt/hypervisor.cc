@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "check/check.h"
 #include "common/rng.h"
 
 namespace stellar {
@@ -110,6 +111,9 @@ Status Hypervisor::shutdown_container(RundContainer& container) {
 
 void Hypervisor::prepare_dma_with_retry(Simulator& sim, VmId vm, Gpa gpa,
                                         std::uint64_t len, PinCallback done) {
+  if (!retries_) retries_.emplace(sim);
+  STELLAR_CHECK(&retries_->simulator() == &sim,
+                "Hypervisor: pin retries on a second Simulator");
   retry_pin(sim, vm, gpa, len, /*attempt=*/1,
             kPinRetryInitialBackoff, std::move(done));
 }
@@ -138,10 +142,9 @@ void Hypervisor::retry_pin(Simulator& sim, VmId vm, Gpa gpa,
   // Jitter the actual sleep so guests that hit the same pressure window
   // don't retry in lock-step and stampede the pin path when it lifts.
   const SimTime delay = jittered_delay(vm, gpa, attempt, backoff);
-  sim.schedule_after(delay, [this, alive = std::weak_ptr(alive_), &sim, vm,
-                             gpa, len, attempt, next_backoff,
-                             done = std::move(done)]() mutable {
-    if (alive.expired()) return;
+  retries_->schedule_after(delay, [this, &sim, vm, gpa, len, attempt,
+                                   next_backoff,
+                                   done = std::move(done)]() mutable {
     retry_pin(sim, vm, gpa, len, attempt + 1, next_backoff, std::move(done));
   });
 }

@@ -83,7 +83,8 @@ class Hypervisor {
   /// terminal kResourceExhausted after the attempt budget, or any other
   /// error immediately (only pressure is considered transient) — unless
   /// this Hypervisor is destroyed while a retry is pending: that retry is
-  /// dropped when it fires, and `done` is never called.
+  /// dropped with it, and `done` is never called. Every call must pass the
+  /// same Simulator (STELLAR_CHECK).
   using PinCallback = std::function<void(StatusOr<Pvdma::MapResult>)>;
   void prepare_dma_with_retry(Simulator& sim, VmId vm, Gpa gpa,
                               std::uint64_t len, PinCallback done);
@@ -169,9 +170,9 @@ class Hypervisor {
   std::unordered_map<VmId, std::unique_ptr<VmState>> state_;
   std::uint64_t pin_retries_ = 0;
   std::map<VmId, std::uint64_t> pin_retries_by_vm_;
-  /// Liveness token: a pending retry holds it weakly and is dropped once
-  /// this Hypervisor is gone.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// Pending retries, bound to the Simulator of the first retry; they
+  /// die with this Hypervisor.
+  std::optional<OwnedEvents> retries_;
 };
 
 }  // namespace stellar

@@ -20,9 +20,6 @@ struct SimulatorTestPeer {
   static void skew_live_events(Simulator& sim, std::uint64_t delta) {
     sim.live_events_ += delta;
   }
-  static void set_allocated_records(Simulator& sim, std::size_t n) {
-    sim.allocated_records_ = n;
-  }
   static void skew_armed_timers(Simulator& sim, std::size_t delta) {
     sim.armed_timers_ += delta;
   }
@@ -83,9 +80,9 @@ TEST(SimulatorAuditorTest, CleanOnHealthyHeapCorruptFlagged) {
   sim.schedule_after(SimTime::nanos(10), [] {});
   Simulator::Timer cancelled(sim, [] {});
   cancelled.arm(SimTime::nanos(20));
-  cancelled.disarm();  // leaves a tombstone (holding no record) queued
+  cancelled.disarm();  // leaves a tombstone queued
   ASSERT_EQ(sim.heap_stats().tombstones, 1u);
-  ASSERT_EQ(sim.heap_stats().allocated_records, 1u);
+  ASSERT_EQ(sim.pending_events(), 1u);
 
   AuditRegistry registry;
   registry.add(std::make_unique<SimulatorAuditor>(sim));
@@ -95,24 +92,11 @@ TEST(SimulatorAuditorTest, CleanOnHealthyHeapCorruptFlagged) {
   EXPECT_TRUE(healthy.clean()) << healthy.to_string();
   EXPECT_GT(healthy.checks_performed(), 0u);
 
-  // A record counted in use that backs no pending entry breaks
-  // allocated_records + armed_timers == pending_ids, and only that
-  // identity.
-  SimulatorTestPeer::set_allocated_records(sim, 2);
-  AuditReport leaked = registry.run_all();
-  ASSERT_EQ(leaked.findings().size(), 1u) << leaked.to_string();
-  EXPECT_EQ(leaked.findings()[0].auditor, "simulator-heap");
-  EXPECT_NE(leaked.findings()[0].detail.find("record pool"),
-            std::string::npos)
-      << leaked.to_string();
-  SimulatorTestPeer::set_allocated_records(sim, 1);
-
   SimulatorTestPeer::skew_live_events(sim, 3);
   AuditReport corrupt = registry.run_all();
   EXPECT_TRUE(has_finding_from(corrupt, "simulator-heap"))
       << corrupt.to_string();
-  EXPECT_EQ(registry.total_findings(),
-            leaked.findings().size() + corrupt.findings().size());
+  EXPECT_EQ(registry.total_findings(), corrupt.findings().size());
 }
 
 TEST(SimulatorAuditorTest, ArmedTimerCountSkewFlagged) {
@@ -122,10 +106,11 @@ TEST(SimulatorAuditorTest, ArmedTimerCountSkewFlagged) {
   Simulator::Timer disarmed(sim, [&fired] { ++fired; });
   armed.arm(SimTime::nanos(10));
   disarmed.arm(SimTime::nanos(20));
-  disarmed.disarm();  // a tombstone, holding no record and no timer
+  disarmed.disarm();  // a tombstone, backing no armed timer
   sim.schedule_after(SimTime::nanos(30), [] {});
-  ASSERT_EQ(sim.heap_stats().armed_timers, 1u);
-  ASSERT_EQ(sim.heap_stats().allocated_records, 1u);
+  // `armed` and the timer of the Simulator's one-shot queue.
+  ASSERT_EQ(sim.heap_stats().armed_timers, 2u);
+  ASSERT_EQ(sim.pending_events(), 2u);
   ASSERT_EQ(sim.heap_stats().tombstones, 1u);
 
   AuditRegistry registry;
@@ -135,12 +120,12 @@ TEST(SimulatorAuditorTest, ArmedTimerCountSkewFlagged) {
   EXPECT_TRUE(healthy.clean()) << healthy.to_string();
 
   // A timer counted armed that backs no pending entry breaks
-  // allocated_records + armed_timers == pending_ids, and only that.
+  // armed_timers == pending_ids, and only that.
   SimulatorTestPeer::skew_armed_timers(sim, 1);
   AuditReport skewed = registry.run_all();
   ASSERT_EQ(skewed.findings().size(), 1u) << skewed.to_string();
   EXPECT_EQ(skewed.findings()[0].auditor, "simulator-heap");
-  EXPECT_NE(skewed.findings()[0].detail.find("2 armed timers"),
+  EXPECT_NE(skewed.findings()[0].detail.find("3 armed timers"),
             std::string::npos)
       << skewed.to_string();
   SimulatorTestPeer::skew_armed_timers(sim, static_cast<std::size_t>(-1));

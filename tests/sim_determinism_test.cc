@@ -227,13 +227,13 @@ TEST(SimSchedulerStressTest, CancelHeavyChurnDrainsClean) {
   EXPECT_EQ(s.tombstones, 0u);
   EXPECT_EQ(s.live_events, 0u);
   EXPECT_EQ(s.armed_timers, 0u);
-  EXPECT_EQ(s.allocated_records, 0u) << "record pool leak";
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(SimSchedulerStressTest, CancelRescheduleChurnReusesOneChunk) {
   // The RTO pattern: every event re-arms a timer far ahead of it, disarming
-  // the previous arm. The timer takes no record and each tick frees its
-  // own before the next is scheduled, so the pool stays at one chunk even
+  // the previous arm. Each tick leaves the one-shot queue before the next
+  // is scheduled, so the queue never holds more than one entry even
   // though ~25k tombstones of disarmed arms sit in the wheel at once.
   Simulator sim;
   constexpr std::uint64_t kPairs = 1'000'000;
@@ -259,10 +259,10 @@ TEST(SimSchedulerStressTest, CancelRescheduleChurnReusesOneChunk) {
   EXPECT_EQ(timer_fired, 1u);  // only the last arm survives
   EXPECT_GT(max_tombstones, 20'000u);
   const Simulator::HeapStats s = sim.heap_stats();
-  EXPECT_EQ(s.pool_capacity, 512u);
+  EXPECT_EQ(s.pool_capacity, 1u);
   EXPECT_EQ(s.queued, 0u);
   EXPECT_EQ(s.tombstones, 0u);
-  EXPECT_EQ(s.allocated_records, 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(SimSchedulerStressTest, FarFutureEventsOverflowAndMergeInOrder) {
@@ -356,9 +356,8 @@ TEST(SimSchedulerStressTest, RemoteHandoffBehindParkedCursorRewinds) {
 TEST(SimSchedulerStressTest, ReentrantSchedulingFromActionsKeepsOrder) {
   Simulator sim;
   std::vector<int> fired;
-  // Each firing schedules two children at the same future instant; the
-  // engine frees a consumed record only after its action returns, so the
-  // reentrant allocations must not corrupt the pool.
+  // Each firing schedules two children at the same future instant, into
+  // the one-shot queue it was just popped from.
   std::function<void(int)> spawn = [&](int depth) {
     fired.push_back(depth);
     if (depth < 6) {
@@ -374,7 +373,7 @@ TEST(SimSchedulerStressTest, ReentrantSchedulingFromActionsKeepsOrder) {
   const std::uint64_t executed = sim.run();
   EXPECT_EQ(executed, (1u << 7) - 1);  // full binary tree of depth 6
   EXPECT_EQ(fired.size(), executed);
-  EXPECT_EQ(sim.heap_stats().allocated_records, 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -526,7 +525,9 @@ struct Victim {
 };
 
 /// A self-rescheduling actor: fires `rounds` more times, each firing
-/// drawing its next delta from a private LCG stream. In cancel_heavy each
+/// drawing its next delta from a private LCG stream and re-arming its own
+/// timer, so each firing is a wheel entry of its own (one-shots would wait
+/// in the Simulator's queue behind a single entry). In cancel_heavy each
 /// firing also arms two victim timers: it disarms one at once (a
 /// tombstone) and leaves the other armed until its next firing, by which
 /// time the victim may have run (disarm() false) or not (true).
@@ -547,6 +548,7 @@ struct Actor {
   std::uint32_t rounds_left;
   std::uint32_t round = 0;
   Mix mix;
+  typename Engine::Timer own{*eng, [this] { fire(); }};
   Victim<Engine> now_victim{this};
   Victim<Engine> held{this};
 
@@ -568,8 +570,7 @@ struct Actor {
       held.timer.arm(eng->now() + delta_for(mix, lcg(rng ^ 2)));
       trace->disarms.push_back(now_victim.timer.disarm());
     }
-    Actor* self = this;
-    eng->schedule_after(delta_for(mix, rng), [self] { self->fire(); });
+    own.arm(eng->now() + delta_for(mix, rng));
   }
 };
 
@@ -585,7 +586,7 @@ FiringTrace run_mix(const MixCase& c) {
     pool.push_back(
         std::make_unique<Actor<Engine>>(&eng, &trace, i, c.rounds, c.mix));
     Actor<Engine>* self = pool.back().get();
-    eng.schedule_after(delta_for(c.mix, self->rng), [self] { self->fire(); });
+    self->own.arm(eng.now() + delta_for(c.mix, self->rng));
   }
   for (std::uint32_t s = 1; s <= kSlices; ++s) {
     eng.run_until(SimTime::picos(c.slice.ps() * s));
@@ -612,7 +613,7 @@ FiringTrace run_mix(const MixCase& c) {
     const Simulator::HeapStats st = eng.heap_stats();
     EXPECT_EQ(st.queued, 0u);
     EXPECT_EQ(st.tombstones, 0u);
-    EXPECT_EQ(st.allocated_records, 0u) << "record pool leak";
+    EXPECT_EQ(eng.pending_events(), 0u);
   }
   EXPECT_EQ(std::count_if(pool.begin(), pool.end(),
                           [](const std::unique_ptr<Actor<Engine>>& a) {

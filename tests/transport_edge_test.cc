@@ -3,8 +3,8 @@
 // hybrid driver's fluid-demand counter against the queue walk, its cached
 // next-completion size against the connection's answer, the receiver's
 // completed-message ledger under READs, out-of-order completion in the
-// id-indexed message table, the send FIFO behind the RTO deadline, and the
-// window a fluid thaw seeds.
+// id-indexed message table, the send FIFO behind the RTO deadline, the
+// window a fluid thaw seeds, and the paced packets a device reset drops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -796,6 +796,40 @@ TEST_F(TransportEdgeTest, ConnectToNonexistentEndpointIsRejected) {
   }
   EXPECT_EQ(engines(), engines_before);
   EXPECT_EQ(engine.connections().size(), before);
+}
+
+TEST(TransportPacingTest, ResetDeviceDropsPacedPacketsOfTheErroredQp) {
+  // Figure 13's VF+VxLAN stack: every data packet waits out a per-packet
+  // stack delay and the encap engine's rate cap before it enters the
+  // fabric, so a 1 MiB WRITE keeps dozens of packets in the pacer. A
+  // device reset errors the QP, and the packets still in its pacer die
+  // with it: none of them reaches the fabric afterwards.
+  Simulator sim;
+  ClosFabric fabric(sim, fabric_config());
+  EngineFleet fleet(sim, fabric);
+  TransportConfig t;
+  t.num_paths = 8;
+  t.extra_header_bytes = 50;
+  t.per_packet_overhead = SimTime::nanos(85);
+  t.stack_rate_cap = Bandwidth::gbps(182);
+  const EndpointId a = fabric.endpoint(0, 0);
+  auto conn = fleet.connect(a, fabric.endpoint(1, 0), t);
+  ASSERT_TRUE(conn.is_ok());
+  RdmaConnection& c = *conn.value();
+  std::uint64_t injected = 0;
+  fabric.set_trace_hook([&](const NetPacket& p, const NetLink*, SimTime) {
+    if (p.hop == 0 && !p.is_ack && p.conn_id == c.id()) ++injected;
+  });
+  c.post_write(1_MiB);
+  sim.run_until(SimTime::micros(2));
+  ASSERT_GT(c.packets_sent(), injected) << "nothing waits in the pacer";
+  ASSERT_GT(injected, 0u);
+
+  fleet.at(a).reset_device(SimTime::micros(10));
+  ASSERT_TRUE(c.in_error());
+  const std::uint64_t at_reset = injected;
+  sim.run();
+  EXPECT_EQ(injected, at_reset);
 }
 
 }  // namespace

@@ -38,8 +38,9 @@
 #      in tests/golden/ byte for byte, as must the virt-layer tables
 #      (fig06_startup and aux_operations stdout, minus [engine] lines,
 #      and fig08_atc_miss stdout, which pins both ATS cliffs)
-#      and the transport recovery/CC tables (ablation_design stdout, minus
-#      [engine] lines, and fig11b's BENCH JSON), and the stdout of the five
+#      and the transport recovery/CC tables (ablation_design and
+#      fig13_microbench stdout, minus [engine] lines, and fig11b's BENCH
+#      JSON), and the stdout of the five
 #      fast examples (quickstart, parameter_server, pvdma_conflict,
 #      moe_expert_parallel, serverless_inference)
 #   6d. the perf golden smoke: one pass of each repo benchmark workload
@@ -216,17 +217,21 @@ virt_dir="$(mktemp -d)"
   echo "fig06_startup, aux_operations and fig08_atc_miss byte-identical to their goldens")
 rm -rf "$virt_dir"
 
-step "transport recovery and CC tables (ablation_design stdout, fig11b BENCH JSON vs goldens)"
+step "transport recovery and CC tables (ablation_design and fig13 stdout, fig11b BENCH JSON vs goldens)"
 # ablation_design pins the per-path-CC and Swift rows; fig11b pins the
-# hard-failure RTO, blacklist and probe rows.
+# hard-failure RTO, blacklist and probe rows; fig13 pins the stack pacer
+# (per-packet overhead and stack_rate_cap), the only paced-send path.
 cc_dir="$(mktemp -d)"
 (cd "$cc_dir" &&
   "$repo_root/build/bench/ablation_design" > ablation.log &&
   "$repo_root/build/bench/fig11b_hard_failures" > fig11b.log &&
+  "$repo_root/build/bench/fig13_microbench" > fig13.log &&
   diff <(grep -v '^\[engine\]' ablation.log) \
        "$repo_root/tests/golden/ablation_design.txt" &&
   cmp BENCH_fig11b.json "$repo_root/tests/golden/fig11b.json" &&
-  echo "ablation_design and fig11b byte-identical to their goldens")
+  diff <(grep -v '^\[engine\]' fig13.log) \
+       "$repo_root/tests/golden/fig13_microbench.txt" &&
+  echo "ablation_design, fig11b and fig13 byte-identical to their goldens")
 rm -rf "$cc_dir"
 
 step "example outputs (quickstart, parameter_server, pvdma_conflict, moe_expert_parallel, serverless_inference stdout vs goldens)"

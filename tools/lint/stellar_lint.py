@@ -38,6 +38,11 @@ on the offending line or the line above):
                         construction) are exempt.
   layering              #includes must follow the declared module DAG below
                         (e.g. src/sim must not include src/net).
+  owned-events          No Simulator::schedule_at/after call in src/ (a
+                        receiver named sim, sim_ or ...simulator()): a
+                        one-shot there outlives the object that scheduled
+                        it. Hold an OwnedEvents or a Simulator::Timer that
+                        dies with its owner.
 
 Usage:
   tools/lint/stellar_lint.py [--root DIR] [paths...]   # lint tree (default)
@@ -151,6 +156,12 @@ NS_VAR_DEF_RE = re.compile(
     r"[A-Za-z_][\w:]*\s*(?:=|\{|\[|;)")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+# A one-shot scheduled on a Simulator itself: `sim.`, `sim_->`,
+# `engine_.simulator().` ... followed by schedule_at / schedule_after.
+SIM_SCHEDULE_RE = re.compile(
+    r"(?:\bsim_?|\bsimulator\(\s*\))\s*(?:\.|->)\s*"
+    r"schedule_(?:at|after)\s*\(")
 
 
 def strip_template_args(s: str) -> str:
@@ -405,6 +416,7 @@ class Linter:
         self.rule_unordered_iter(sf)
         self.rule_shard_shared(sf)
         self.rule_layering(sf)
+        self.rule_owned_events(sf)
 
     def rule_wall_clock(self, sf: SourceFile) -> None:
         if sf.path in WALL_CLOCK_WHITELIST:
@@ -563,6 +575,18 @@ class Linter:
                     sf, i, "layering",
                     f"src/{module} must not include src/{top} "
                     f"(declared DAG in tools/lint/stellar_lint.py)")
+
+
+    def rule_owned_events(self, sf: SourceFile) -> None:
+        if not sf.path.startswith("src/"):
+            return
+        for i, line in enumerate(sf.code, start=1):
+            if SIM_SCHEDULE_RE.search(line):
+                self.report(
+                    sf, i, "owned-events",
+                    "one-shot scheduled on the Simulator outlives its "
+                    "owner; schedule it on an OwnedEvents (or arm a "
+                    "Simulator::Timer) the owner holds")
 
 
 def pending_name(tracker: FunctionTracker) -> str:
