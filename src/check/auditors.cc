@@ -227,9 +227,11 @@ void TransportAuditor::audit(AuditReport& report) const {
     // In-flight byte accounting matches the outstanding table exactly.
     std::uint64_t outstanding_bytes = 0;
     std::uint64_t max_psn = 0;
+    SimTime oldest_send = SimTime::max();
     for (const auto& [psn, meta] : conn->outstanding_) {
       outstanding_bytes += meta.bytes;
       max_psn = std::max(max_psn, psn);
+      oldest_send = std::min(oldest_send, meta.sent_at);
     }
     report.note_check();
     if (conn->inflight_bytes_ != outstanding_bytes) {
@@ -274,6 +276,19 @@ void TransportAuditor::audit(AuditReport& report) const {
                   tag + (conn->rto_timer_.armed()
                              ? ": RTO timer armed with nothing outstanding"
                              : ": unacked packets but no RTO timer armed"));
+    }
+    // The lazy RTO may fire early (and move itself), never late: an armed
+    // timer is due no later than the oldest unacked send + rto, or now.
+    report.note_check();
+    if (conn->rto_timer_.armed() && !conn->outstanding_.empty()) {
+      const SimTime due =
+          std::max(oldest_send + conn->config_.rto, engine_->sim_->now());
+      if (conn->rto_deadline_ > due) {
+        report.fail(name(), tag + ": RTO timer armed at " +
+                                std::to_string(conn->rto_deadline_.ps()) +
+                                " ps, after its deadline " +
+                                std::to_string(due.ps()) + " ps");
+      }
     }
 
     // The CC contexts' inflight counts (one shared, or one per path) sum to

@@ -132,16 +132,6 @@ class SnapshotWriter : public Archive<SnapshotWriter> {
 
   void section(std::uint32_t tag) { scalar(tag); }
 
-  void u8(std::uint8_t v) { scalar(v); }
-  void b(bool v) { scalar(v); }
-  void u16(std::uint16_t v) { scalar(v); }
-  void u32(std::uint32_t v) { scalar(v); }
-  void u64(std::uint64_t v) { scalar(v); }
-  void i64(std::int64_t v) { scalar(v); }
-  void f64(double v) { scalar(v); }
-  void time(SimTime t) { scalar(t); }
-  void str(const std::string& s) { scalar(s); }
-
   const std::string& bytes() const { return buf_; }
   std::string take() { return std::move(buf_); }
 
@@ -217,20 +207,6 @@ class SnapshotReader : public Archive<SnapshotReader> {
                             std::to_string(tag) + ")"));
     }
   }
-  Status expect_section(std::uint32_t tag) {
-    section(tag);
-    return status_;
-  }
-
-  std::uint8_t u8() { return read<std::uint8_t>(); }
-  bool b() { return read<bool>(); }
-  std::uint16_t u16() { return read<std::uint16_t>(); }
-  std::uint32_t u32() { return read<std::uint32_t>(); }
-  std::uint64_t u64() { return read<std::uint64_t>(); }
-  std::int64_t i64() { return read<std::int64_t>(); }
-  double f64() { return read<double>(); }
-  SimTime time() { return read<SimTime>(); }
-  std::string str() { return read<std::string>(); }
 
   /// Fail the read with `s` (the first failure wins). Every later read
   /// comes back zero.

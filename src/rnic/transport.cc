@@ -251,7 +251,6 @@ void RdmaConnection::send_more() {
 
     const std::uint64_t psn = next_psn_++;
     outstanding_.insert(psn, meta);
-    note_send(psn, meta.sent_at);
     inflight_bytes_ += chunk;
     cc_inflight_[ctx(path)] += chunk;
     msg.sent = msg.kind == PacketKind::kReadRequest ? msg.total
@@ -351,60 +350,38 @@ void RdmaConnection::complete_message(Message& msg) {
   if (cb) cb();
 }
 
-void RdmaConnection::note_send(std::uint64_t psn, SimTime at) {
-  // Sends are stamped with the simulator's clock, and restored stamps were
-  // taken on it before the snapshot, so appending keeps the FIFO in order.
-  STELLAR_DCHECK(send_fifo_.empty() || send_fifo_.back().sent_at <= at,
-                 "send at %lld ps behind the send FIFO's back",
-                 static_cast<long long>(at.ps()));
-  send_fifo_.push_back(SendStamp{at, psn});
-}
-
-void RdmaConnection::rebuild_send_fifo() {
-  clear_send_fifo();
-  send_fifo_.reserve(outstanding_.size());
-  for (const auto& [psn, meta] : outstanding_) {
-    send_fifo_.push_back(SendStamp{meta.sent_at, psn});
-  }
-  std::stable_sort(send_fifo_.begin(), send_fifo_.end(),
-                   [](const SendStamp& a, const SendStamp& b) {
-                     return a.sent_at < b.sent_at;
-                   });
-}
-
 void RdmaConnection::arm_rto() {
-  Simulator& sim = engine_.simulator();
-  rto_timer_.disarm();
   if (outstanding_.empty()) {
-    clear_send_fifo();  // every pair is stale
+    rto_timer_.disarm();
     return;
   }
-  // Pop pairs whose PSN was acked or re-sent since. Every unacked PSN has a
-  // live pair at or behind the head, so the loop stops inside the FIFO.
-  for (;; ++send_fifo_head_) {
-    STELLAR_DCHECK(send_fifo_head_ < send_fifo_.size(),
-                   "send FIFO lost an unacked PSN");
-    const SendStamp& s = send_fifo_[send_fifo_head_];
-    const Outstanding* live = outstanding_.find(s.psn);
-    if (live != nullptr && live->sent_at == s.sent_at) break;
+  // A seq per call keeps the RTO where a re-arm on every call would put it
+  // in the (time, seq) order. An armed timer is never late (the oldest
+  // unacked send only gets younger), so it is left where it is.
+  Simulator& sim = engine_.simulator();
+  rto_seq_ = sim.reserve_seq();
+  rto_floor_ = sim.now();
+  if (!rto_timer_.armed()) arm_rto_timer();
+}
+
+void RdmaConnection::arm_rto_timer() {
+  SimTime oldest = SimTime::max();
+  for (const auto& [psn, meta] : outstanding_) {
+    oldest = std::min(oldest, meta.sent_at);
   }
-  SimTime deadline = send_fifo_[send_fifo_head_].sent_at + config_.rto;
-  // Drop the popped prefix once it is at least as long as the rest, so
-  // each pair is moved O(1) times on average.
-  if (2 * send_fifo_head_ >= send_fifo_.size()) {
-    send_fifo_.erase(send_fifo_.begin(),
-                     send_fifo_.begin() +
-                         static_cast<std::ptrdiff_t>(send_fifo_head_));
-    send_fifo_head_ = 0;
-  }
-  if (deadline < sim.now()) deadline = sim.now();
-  rto_deadline_ = deadline;
-  rto_timer_.arm(deadline);
+  rto_deadline_ = std::max(oldest + config_.rto, rto_floor_);
+  rto_armed_seq_ = rto_seq_;
+  rto_timer_.arm(rto_deadline_, rto_seq_);
 }
 
 void RdmaConnection::on_rto_fire() {
-  Simulator& sim = engine_.simulator();
-  const SimTime now = sim.now();
+  // Fired early: arm_rto() ran since the timer was armed, so the RTO is due
+  // at the current deadline under rto_seq_.
+  if (rto_armed_seq_ != rto_seq_) {
+    arm_rto_timer();
+    return;
+  }
+  const SimTime now = engine_.simulator().now();
   bool fired = false;
   bool exhausted = false;
   for (auto [psn, meta] : outstanding_) {  // meta refers into the window
@@ -424,7 +401,6 @@ void RdmaConnection::on_rto_fire() {
     meta.path = pick_path();
     cc_inflight_[ctx(meta.path)] += meta.bytes;
     meta.sent_at = now;
-    note_send(psn, now);
     ++retransmits_;
     STELLAR_TRACE_ONLY(obs::count("transport/retransmits");)
     fired = true;
@@ -458,7 +434,6 @@ void RdmaConnection::enter_error(Status reason) {
   // Flush all state; pending messages never complete (QP error) — the
   // on_error callback is the failure signal that replaces them.
   outstanding_.clear();
-  clear_send_fifo();
   inflight_bytes_ = 0;
   std::fill(cc_inflight_.begin(), cc_inflight_.end(), 0);
   unsent_queue_.clear();
@@ -504,7 +479,6 @@ FluidFlowDesc RdmaConnection::fluid_freeze() {
   // loss-free and the conservation ledger closes (absorbed is a terminal
   // packet outcome, the payload lives on in the flow).
   outstanding_.clear();
-  clear_send_fifo();
   inflight_bytes_ = 0;
   std::fill(cc_inflight_.begin(), cc_inflight_.end(), 0);
   unsent_queue_.clear();

@@ -237,20 +237,14 @@ class RdmaConnection : public FluidClient {
   void send_more();
   void transmit(std::uint64_t psn, const Outstanding& meta);
   void handle_ack(const NetPacket& ack);
-  /// (Re-)arm the RTO at the oldest unacked send + rto, read off the
-  /// send FIFO without walking the window; disarms it when nothing is
-  /// unacked.
+  /// Move the RTO to the oldest unacked send + rto (not before now), under
+  /// a fresh seq; disarms it when nothing is unacked. Lazy: an armed timer
+  /// stays where it is, since the deadline never moves earlier, and
+  /// on_rto_fire() moves it when it fires under an older seq.
   void arm_rto();
+  /// Arm the disarmed RTO timer at the current deadline under rto_seq_.
+  void arm_rto_timer();
   void on_rto_fire();
-  /// Record a send or retransmit of `psn` at `at` in the send FIFO.
-  void note_send(std::uint64_t psn, SimTime at);
-  /// Rebuild the send FIFO from outstanding_ (after restore_state): sorted
-  /// by sent_at, ties in PSN order.
-  void rebuild_send_fifo();
-  void clear_send_fifo() {
-    send_fifo_.clear();
-    send_fifo_head_ = 0;
-  }
 
   /// Terminal transition to the error state: flush all in-flight state,
   /// fail (drop) pending messages, cancel timers/probes, fire on_error.
@@ -332,18 +326,13 @@ class RdmaConnection : public FluidClient {
   // psn -> in-flight meta: a PSN-indexed ring of indices into a slab of
   // live records (rnic/psn_window.h), iterated in PSN order.
   SendWindow<Outstanding> outstanding_;
-  // Send FIFO behind arm_rto(): one (sent_at, psn) pair per send and per
-  // retransmit, in send order, so sent_at never decreases from the head to
-  // the back. A pair is stale once its PSN is acked or re-sent later;
-  // arm_rto() pops stale pairs at the head, so the first live pair is the
-  // oldest unacked send. A vector with a head index rather than a deque:
-  // an empty vector allocates nothing per connection.
-  struct SendStamp {
-    SimTime sent_at;
-    std::uint64_t psn = 0;
-  };
-  std::vector<SendStamp> send_fifo_;
-  std::size_t send_fifo_head_ = 0;
+  // The seq and the time of the last arm_rto() with packets unacked. A real
+  // RTO fires under rto_seq_ at the oldest unacked send + rto, but not
+  // before rto_floor_; a timer armed under an older seq fires early and
+  // moves there.
+  std::uint64_t rto_seq_ = 0;
+  SimTime rto_floor_;
+  std::uint64_t rto_armed_seq_ = 0;  // the seq rto_timer_ is armed under
   SimTime rto_deadline_;     // when rto_timer_ fires, while it is armed
   SimTime stack_next_free_;  // pacing point of the (optional) encap engine
   // Packets the stack has accepted but not yet put on the wire (per-packet
@@ -377,8 +366,8 @@ class RdmaConnection : public FluidClient {
   std::vector<std::unique_ptr<ProbeTimer>> probe_timers_;
   std::uint64_t next_probe_seq_ = 0;
 
-  // Armed exactly while unacked packets exist (TransportAuditor), and
-  // re-armed in place by arm_rto() after every send burst.
+  // Armed exactly while unacked packets exist, and never later than the
+  // true deadline (TransportAuditor).
   Simulator::Timer rto_timer_;
 
   std::uint64_t completed_messages_ = 0;
@@ -470,11 +459,6 @@ class RdmaEngine : public FluidReceiver {
   std::uint64_t rx_goodput_bytes() const { return rx_goodput_bytes_; }
   std::uint64_t rx_duplicate_packets() const { return rx_duplicates_; }
   std::uint64_t rx_out_of_order_packets() const { return rx_out_of_order_; }
-  void reset_rx_stats() {
-    rx_goodput_bytes_ = 0;
-    rx_duplicates_ = 0;
-    rx_out_of_order_ = 0;
-  }
 
   /// Per-path packet counts observed at this receiver — the path-level
   /// observability that RNIC-side spraying preserves and switch-side
@@ -489,17 +473,6 @@ class RdmaEngine : public FluidReceiver {
   RdmaConnection* connection(std::uint64_t conn_id) const {
     auto it = by_id_.find(conn_id);
     return it == by_id_.end() ? nullptr : it->second;
-  }
-
-  /// Sender-side completed payload bytes summed per owning tenant — derived
-  /// on demand from the connections, so there is no extra counter to keep
-  /// coherent across snapshots. Ordered map: safe to feed emitters.
-  std::map<TenantId, std::uint64_t> completed_bytes_by_tenant() const {
-    std::map<TenantId, std::uint64_t> out;
-    for (const auto& conn : connections_) {
-      out[conn->tenant()] += conn->completed_bytes();
-    }
-    return out;
   }
 
   /// Checkpoint the engine's full guest-visible transport state (sender QPs

@@ -96,9 +96,6 @@ void RdmaConnection::fields(Ar& ar, Self& c) {
       if (!s.blacklisted) ++c.blacklisted_paths_;
       s.blacklisted = true;
     }
-    // The snapshot holds PSN order; a retransmitted low PSN can be newer
-    // than higher ones, so the send FIFO is re-sorted by send time.
-    c.rebuild_send_fifo();
     std::fill(c.cc_inflight_.begin(), c.cc_inflight_.end(), 0);
     for (const auto& [psn, o] : c.outstanding_) {
       c.cc_inflight_[c.ctx(o.path)] += o.bytes;

@@ -3,13 +3,15 @@
 // window and every arrival records a PSN at the receiver; none of these
 // may touch the heap once the structures reached their working size. A
 // small packet-mode permutation warms up for one revolution of the timing
-// wheel (Simulator::kWheelHorizon, ~34.4 ms), then must stay under one heap
-// allocation per 100 delivered packets. What remains is mostly per message
-// (the sender's and the receiver's message tables, about 4 allocations per
-// 1 MiB message of 256 packets). The wheel's slot vectors go back to a
-// stash when their slot empties and serve the next slot that fills, so the
-// wheel stops allocating once the stash holds as many buffers as slots are
-// ever occupied at once.
+// wheel's level 0 (~8.4 us), then must stay under one heap allocation per
+// 100 delivered packets. What remains is mostly per message (the sender's
+// and the receiver's message tables, about 4 allocations per 1 MiB message
+// of 256 packets). The wheel's slot vectors go back to a stash when their
+// slot empties and serve the next slot that fills, so the wheel stops
+// allocating once the stash holds as many buffers as slots are ever
+// occupied at once. A connection's RTO timer is armed once per busy
+// period, not moved one RTO ahead on every ACK, so it keeps few level-1
+// slots occupied.
 //
 // The fluid solver has a stricter budget: once a region's flow table, share
 // table and crossing lists have reached their working size, removing flows,
@@ -87,13 +89,13 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace stellar {
 namespace {
 
-// One revolution of the timing wheel (sim/simulator.h): after it, the
-// slot-vector stash holds the buffers the run's peak occupancy needs and
-// the packet path's other containers have reached their working size, so
-// the allocations measured afterwards are the steady state's. One level-0
-// revolution (8.4 us) is too short a warm-up: those containers are still
-// growing then, and the measured window makes 618 allocations.
-constexpr SimTime kWheelRevolution = Simulator::kWheelHorizon;
+// One revolution of the timing wheel's level 0 (sim/simulator.h): 4,096
+// slots of 2^11 ps, 2^23 ps (~8.4 us) in all. By then the packet path's
+// containers have reached their working size. That relies on the lazy
+// RTO: a connection's RTO timer stays armed through a busy period, where
+// moving it one RTO ahead on every ACK kept filling fresh level-1 slots
+// (618 allocations in the measured window, against 253).
+constexpr SimTime kWheelRevolution = SimTime::picos(std::int64_t{1} << 23);
 
 TEST(AllocBudgetTest, PacketPermutationUnderOneAllocationPer100Packets) {
   Simulator sim;

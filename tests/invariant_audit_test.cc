@@ -53,6 +53,9 @@ struct TransportTestPeer {
   static void skew_inflight(RdmaConnection& conn, std::uint64_t delta) {
     conn.inflight_bytes_ += delta;
   }
+  static void delay_rto(RdmaConnection& conn, SimTime by) {
+    conn.rto_deadline_ += by;  // the timer itself stays put
+  }
   static void corrupt_rx_floor(RdmaEngine& engine, std::uint64_t conn_id) {
     auto& rx = engine.rx_[conn_id];
     rx.psns.reset(5);
@@ -217,6 +220,35 @@ TEST(TransportAuditorTest, LegalityHoldsAfterTrafficAndCatchesCorruption) {
   EXPECT_NE(rx_corrupt.findings()[0].detail.find("at or below floor 5"),
             std::string::npos)
       << rx_corrupt.to_string();
+}
+
+TEST(TransportAuditorTest, RtoArmedPastItsDeadlineFlagged) {
+  // Mid-transfer the RTO is armed, and no later than the oldest unacked
+  // send + rto. Recording it one RTO later is the one finding.
+  ClusterConfig cfg;
+  cfg.fabric.segments = 1;
+  cfg.fabric.hosts_per_segment = 2;
+  cfg.fabric.aggs_per_plane = 2;
+  StellarCluster cluster(cfg);
+  const EndpointId src = cluster.endpoint(0, 0);
+  auto conn = cluster.connect(src, cluster.endpoint(0, 1));
+  ASSERT_TRUE(conn.is_ok());
+  conn.value()->post_write(2_MiB);
+  cluster.run_for(SimTime::micros(20));
+  ASSERT_FALSE(conn.value()->idle());
+
+  AuditRegistry registry;
+  registry.add(std::make_unique<TransportAuditor>(cluster.fleet().at(src)));
+  registry.set_trap_on_finding(false);
+  AuditReport healthy = registry.run_all();
+  EXPECT_TRUE(healthy.clean()) << healthy.to_string();
+
+  TransportTestPeer::delay_rto(*conn.value(), cfg.transport.rto);
+  AuditReport late = registry.run_all();
+  ASSERT_EQ(late.findings().size(), 1u) << late.to_string();
+  EXPECT_NE(late.findings()[0].detail.find("after its deadline"),
+            std::string::npos)
+      << late.to_string();
 }
 
 // ---------------------------------------------------------------------------

@@ -48,14 +48,9 @@ std::string bytes_of(const MapCache& cache) {
 /// count and ascending (u64 block start, u32 users) pairs.
 std::string reference_bytes(std::uint64_t block_size, const Reference& ref) {
   SnapshotWriter w;
-  w.u64(block_size);
-  w.u64(ref.hits);
-  w.u64(ref.misses);
-  w.u32(static_cast<std::uint32_t>(ref.blocks.size()));
-  for (const auto& [block, users] : ref.blocks) {
-    w.u64(block);
-    w.u32(users);
-  }
+  w(block_size, ref.hits, ref.misses,
+    static_cast<std::uint32_t>(ref.blocks.size()));
+  for (const auto& [block, users] : ref.blocks) w(block, users);
   return w.take();
 }
 

@@ -23,42 +23,55 @@ constexpr std::uint32_t kTag = snapshot_tag('T', 'E', 'S', 'T');
 TEST(SnapshotTest, PrimitiveRoundTrip) {
   SnapshotWriter w;
   w.section(kTag);
-  w.u8(0xAB);
-  w.b(true);
-  w.b(false);
-  w.u16(0xBEEF);
-  w.u32(0xDEADBEEF);
-  w.u64(0x0123456789ABCDEFull);
-  w.i64(-42);
-  w.f64(0.1 + 0.2);  // not representable exactly: bit pattern must survive
-  w.time(SimTime::micros(250));
-  w.str("hello snapshot");
-  w.str("");
+  w(std::uint8_t{0xAB}, true, false, std::uint16_t{0xBEEF},
+    std::uint32_t{0xDEADBEEF}, std::uint64_t{0x0123456789ABCDEFull},
+    std::int64_t{-42},
+    0.1 + 0.2,  // not representable exactly: bit pattern must survive
+    SimTime::micros(250), std::string("hello snapshot"), std::string());
+  // Each value at its own width: tag, u8, two bools, u16, u32, u64, i64,
+  // f64, SimTime, then two u32-length-prefixed strings.
+  EXPECT_EQ(w.bytes().size(), 4u + 1 + 1 + 1 + 2 + 4 + 8 + 8 + 8 + 8 +
+                                  (4 + 14) + 4);
 
   SnapshotReader r(w.bytes());
-  EXPECT_TRUE(r.expect_section(kTag).is_ok());
-  EXPECT_EQ(r.u8(), 0xAB);
-  EXPECT_TRUE(r.b());
-  EXPECT_FALSE(r.b());
-  EXPECT_EQ(r.u16(), 0xBEEF);
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(r.i64(), -42);
-  EXPECT_EQ(r.f64(), 0.1 + 0.2);
-  EXPECT_EQ(r.time(), SimTime::micros(250));
-  EXPECT_EQ(r.str(), "hello snapshot");
-  EXPECT_EQ(r.str(), "");
+  std::uint8_t u8 = 0;
+  bool yes = false;
+  bool no = true;
+  std::uint16_t u16 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::int64_t i64 = 0;
+  double f64 = 0;
+  SimTime time;
+  std::string str;
+  std::string empty = "x";
+  r.section(kTag);
+  EXPECT_TRUE(r.status().is_ok());
+  r(u8, yes, no, u16, u32, u64, i64, f64, time, str, empty);
+  EXPECT_EQ(u8, 0xAB);
+  EXPECT_TRUE(yes);
+  EXPECT_FALSE(no);
+  EXPECT_EQ(u16, 0xBEEF);
+  EXPECT_EQ(u32, 0xDEADBEEFu);
+  EXPECT_EQ(u64, 0x0123456789ABCDEFull);
+  EXPECT_EQ(i64, -42);
+  EXPECT_EQ(f64, 0.1 + 0.2);
+  EXPECT_EQ(time, SimTime::micros(250));
+  EXPECT_EQ(str, "hello snapshot");
+  EXPECT_EQ(empty, "");
   EXPECT_TRUE(r.finish().is_ok());
 }
 
 TEST(SnapshotTest, TruncationIsLoud) {
   SnapshotWriter w;
-  w.u64(7);
+  w(std::uint64_t{7});
   std::string bytes = w.take();
   bytes.resize(3);  // cut mid-integer
 
   SnapshotReader r(bytes);
-  EXPECT_EQ(r.u64(), 0u);  // overruns read as zero, never garbage
+  std::uint64_t v = 1;
+  r(v);
+  EXPECT_EQ(v, 0u);  // overruns read as zero, never garbage
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.finish().is_ok());
   EXPECT_EQ(r.finish().code(), StatusCode::kOutOfRange);
@@ -66,10 +79,11 @@ TEST(SnapshotTest, TruncationIsLoud) {
 
 TEST(SnapshotTest, TrailingBytesAreLoud) {
   SnapshotWriter w;
-  w.u32(1);
-  w.u32(2);
+  w(std::uint32_t{1}, std::uint32_t{2});
   SnapshotReader r(w.bytes());
-  EXPECT_EQ(r.u32(), 1u);
+  std::uint32_t v = 0;
+  r(v);
+  EXPECT_EQ(v, 1u);
   const Status s = r.finish();
   EXPECT_FALSE(s.is_ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
@@ -79,18 +93,21 @@ TEST(SnapshotTest, SectionMismatchIsLoud) {
   SnapshotWriter w;
   w.section(kTag);
   SnapshotReader r(w.bytes());
-  const Status s = r.expect_section(snapshot_tag('O', 'T', 'H', 'R'));
+  r.section(snapshot_tag('O', 'T', 'H', 'R'));
+  const Status s = r.status();
   EXPECT_FALSE(s.is_ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotTest, TruncatedStringFails) {
   SnapshotWriter w;
-  w.str("payload");
+  w(std::string("payload"));
   std::string bytes = w.take();
   bytes.resize(bytes.size() - 2);
   SnapshotReader r(bytes);
-  EXPECT_EQ(r.str(), "");
+  std::string v;
+  r(v);
+  EXPECT_EQ(v, "");
   EXPECT_FALSE(r.ok());
 }
 
@@ -222,13 +239,12 @@ TEST(TransportSnapshotTest, PathAckedButNeverTimedOutIsSavedWithZeroStreak) {
   // outstanding table, the streak table, the empty blacklist and the CC
   // context.
   SnapshotWriter tail;
-  tail.u32(0);  // outstanding packets
-  tail.u32(4);  // streak entries: every path, ascending
+  tail(std::uint32_t{0});  // outstanding packets
+  tail(std::uint32_t{4});  // streak entries: every path, ascending
   for (std::uint16_t path = 0; path < 4; ++path) {
-    tail.u16(path);
-    tail.u32(0);
+    tail(path, std::uint32_t{0});
   }
-  tail.u32(0);  // blacklisted paths
+  tail(std::uint32_t{0});  // blacklisted paths
   conn.value()->cc().save(tail);
   const std::string snap = fleet.at(fabric.endpoint(0, 0)).save_state();
   ASSERT_GE(snap.size(), tail.bytes().size());
