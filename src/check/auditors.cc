@@ -340,9 +340,9 @@ void SimulatorAuditor::audit(AuditReport& report) const {
                             " != pending entry count " +
                             std::to_string(stats.pending_ids));
   }
-  // `queued` is ground truth: the wheel slots, overflow heap, and active
-  // bucket are walked, so a counter that drifts from the structures (or an
-  // entry lost between them) shows up here.
+  // `queued` is ground truth: the wheel's slots, the overflow heap and the
+  // active bucket are walked, so a counter that drifts from the structures
+  // (or an entry lost between them) shows up here.
   report.note_check();
   if (stats.queued != stats.pending_ids + stats.tombstones) {
     report.fail(name(), "scheduler holds " + std::to_string(stats.queued) +

@@ -5,7 +5,7 @@
 //   PinAccountingAuditor       IOMMU pins vs PVDMA Map Cache residency (§5)
 //   EmttCoherenceAuditor       eMTT entries vs EPT truth / pinned blocks (§6)
 //   TransportAuditor           QP/PSN/window/RTO legality (§7)
-//   SimulatorAuditor           timing-wheel scheduler bookkeeping sanity
+//   SimulatorAuditor           wheel + overflow heap bookkeeping sanity
 //
 // Auditors hold non-owning pointers: the audited objects must outlive the
 // registry (or the registry must be destroyed/detached first, as the
@@ -109,8 +109,8 @@ class TenantIsolationAuditor final : public InvariantAuditor {
 };
 
 /// (e) Simulator scheduler sanity: the live-event counter matches the
-/// pending-entry counter, the walked timing-wheel structures (wheel slots +
-/// overflow heap + active bucket) hold exactly pending + tombstoned
+/// pending-entry counter, the walked scheduler structures (the one wheel's
+/// slots + overflow heap + active bucket) hold exactly pending + tombstoned
 /// entries, and the armed-timer count equals the pending count — every
 /// pending entry is an armed timer's, and a tombstone is a disarmed one's.
 class SimulatorAuditor final : public InvariantAuditor {

@@ -19,7 +19,7 @@ Simulator::~Simulator() {
 }
 
 // ---------------------------------------------------------------------------
-// Overflow heap (far-future events, min-heap by (at, seq))
+// Overflow heap (events a revolution or more ahead, min-heap by (at, seq))
 // ---------------------------------------------------------------------------
 
 void Simulator::overflow_push(Entry e) {
@@ -45,34 +45,20 @@ Simulator::Entry Simulator::overflow_pop() {
 // Wheel placement
 // ---------------------------------------------------------------------------
 
-inline void Simulator::slot_push(WheelLevel& level, std::size_t s,
-                                 const Entry& e) {
-  std::vector<Entry>& slot = level.slots[s];
+inline void Simulator::slot_push(std::size_t s, const Entry& e) {
+  std::vector<Entry>& slot = wheel_.slots[s];
   if (slot.capacity() == 0 && !spare_.empty()) {
     slot.swap(spare_.back());
     spare_.pop_back();
   }
   slot.push_back(e);
-  level.occupied[s >> 6] |= std::uint64_t{1} << (s & 63);
-  ++level.count;
+  wheel_.occupied[s >> 6] |= std::uint64_t{1} << (s & 63);
+  ++wheel_.count;
 }
 
 void Simulator::stash(std::vector<Entry>& slot) {
   slot.clear();
   if (slot.capacity() != 0) spare_.push_back(std::move(slot));
-}
-
-void Simulator::place_entry(const Entry& e) {
-  for (int l = 0; l < kLevels; ++l) {
-    const std::int64_t tl = e.at_ps >> level_shift(l);
-    const std::int64_t curl =
-        cur_tick_ >> (static_cast<unsigned>(l) * kSlotBits);
-    if (tl - curl < static_cast<std::int64_t>(kSlots)) {
-      slot_push(levels_[l], static_cast<std::size_t>(tl) & kSlotMask, e);
-      return;
-    }
-  }
-  overflow_push(e);
 }
 
 void Simulator::bucket_insert(const Entry& e) {
@@ -85,153 +71,63 @@ void Simulator::bucket_insert(const Entry& e) {
   bucket_.insert(it, e);
 }
 
-void Simulator::rewind_to(std::int64_t new_tick) {
-  // The cursor parked on a far-future tick (run_until() peeked past its
-  // deadline) and a nearer event is now being scheduled. Slot residency is
-  // cursor-relative, so pull every wheel entry out and re-place it against
-  // the new, earlier cursor. Rare: only outside-run scheduling after such a
-  // park can trigger it, never event-driven scheduling (which is >= now).
-  std::vector<Entry> all(bucket_.begin() +
-                             static_cast<std::ptrdiff_t>(bucket_pos_),
-                         bucket_.end());
-  bucket_.clear();
-  bucket_pos_ = 0;
-  for (auto& level : levels_) {
-    if (level.count == 0) continue;
-    for (std::size_t s = 0; s < kSlots; ++s) {
-      if (level.slots[s].empty()) continue;
-      all.insert(all.end(), level.slots[s].begin(), level.slots[s].end());
-      stash(level.slots[s]);
-    }
-    std::fill(level.occupied.begin(), level.occupied.end(), 0);
-    level.count = 0;
-  }
-  cur_tick_ = new_tick;
-  for (const Entry& e : all) {
-    if ((e.at_ps >> kGranularityShift) == cur_tick_) {
-      bucket_.push_back(e);
-    } else {
-      place_entry(e);  // overflow entries stay put; they merge on advance
-    }
-  }
-  std::sort(bucket_.begin(), bucket_.end(), EntryLess{});
-}
-
-std::int64_t Simulator::next_occupied_tick(int level) const {
-  const WheelLevel& l = levels_[level];
-  if (l.count == 0) return -1;
-  const std::int64_t curl =
-      cur_tick_ >> (static_cast<unsigned>(level) * kSlotBits);
+std::int64_t Simulator::next_occupied_tick() const {
+  if (wheel_.count == 0) return -1;
   // Ring-scan the occupancy bitmap starting just after the cursor slot;
   // ring distance order is tick order because a slot holds one tick at a
   // time and all pending ticks are within one wheel revolution.
-  const std::size_t start = static_cast<std::size_t>(curl + 1) & kSlotMask;
+  const std::size_t start =
+      static_cast<std::size_t>(cur_tick_ + 1) & kSlotMask;
   std::size_t word = start >> 6;
-  std::uint64_t bits = l.occupied[word] & (~std::uint64_t{0} << (start & 63));
+  std::uint64_t bits =
+      wheel_.occupied[word] & (~std::uint64_t{0} << (start & 63));
   for (std::size_t scanned = 0; scanned <= kSlots / 64; ++scanned) {
     if (bits != 0) {
       const std::size_t s =
           (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-      return l.slots[s].front().at_ps >> level_shift(level);
+      return wheel_.slots[s].front().at_ps >> kGranularityShift;
     }
     ++word;
     if (word == kSlots / 64) word = 0;
-    bits = l.occupied[word];
+    bits = wheel_.occupied[word];
   }
   return -1;  // unreachable while count > 0
 }
 
-void Simulator::cascade(int level, std::int64_t level_tick) {
-  WheelLevel& l = levels_[level];
-  const std::size_t s = static_cast<std::size_t>(level_tick) & kSlotMask;
-  // The bucket is empty here. The slot's buffer becomes the bucket and is
-  // filtered in place, and the bucket's old buffer joins the stash before
-  // any moved entry needs a slot of its own.
-  bucket_.swap(l.slots[s]);
-  l.occupied[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
-  l.count -= bucket_.size();
-  stash(l.slots[s]);
-  STELLAR_TRACE_ONLY(++work_.cascades;
-                     work_.entries_cascaded += bucket_.size();)
-
-  cur_tick_ = level_tick << (static_cast<unsigned>(level) * kSlotBits);
-
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < bucket_.size(); ++i) {
-    const Entry e = bucket_[i];
-    if (tombstones_ != 0 && is_tombstone(e)) {
-      // Sweep tombstones on the way down instead of carrying them along.
-      --tombstones_;
-      continue;
-    }
-    if ((e.at_ps >> kGranularityShift) == cur_tick_) {
-      bucket_[kept++] = e;
-    } else {
-      place_entry(e);  // level 0: the window lies inside the cascaded slot
-    }
-  }
-  bucket_.resize(kept);
-
-  // Entries already sitting in the level-0 slot of the new cursor tick share
-  // that tick by construction; they belong to the bucket now.
-  WheelLevel& l0 = levels_[0];
-  const std::size_t s0 = static_cast<std::size_t>(cur_tick_) & kSlotMask;
-  if (!l0.slots[s0].empty()) {
-    l0.count -= l0.slots[s0].size();
-    l0.occupied[s0 >> 6] &= ~(std::uint64_t{1} << (s0 & 63));
-    bucket_.insert(bucket_.end(), l0.slots[s0].begin(), l0.slots[s0].end());
-    stash(l0.slots[s0]);
-  }
-}
-
-bool Simulator::advance_to_next_bucket() {
+bool Simulator::advance_to_next_bucket(std::int64_t limit) {
   bucket_.clear();
   bucket_pos_ = 0;
-  for (;;) {
-    if (!bucket_.empty()) {
-      // A cascade (or slot/overflow move) established the active tick; fold
-      // in any overflow entries that share it and expose the sorted bucket.
-      while (!overflow_.empty() &&
-             (overflow_.front().at_ps >> kGranularityShift) == cur_tick_) {
-        bucket_.push_back(overflow_pop());
-      }
-      STELLAR_TRACE_ONLY(++work_.buckets_loaded;
-                         work_.entries_sorted += bucket_.size();)
-      std::sort(bucket_.begin(), bucket_.end(), EntryLess{});
-      return true;
-    }
-    const std::int64_t t0 = next_occupied_tick(0);
-    const std::int64_t t1 = next_occupied_tick(1);
-    const std::int64_t t1win = t1 >= 0 ? t1 << kSlotBits : -1;
-    const std::int64_t tov =
-        overflow_.empty() ? -1 : overflow_.front().at_ps >> kGranularityShift;
-    if (t0 < 0 && t1win < 0 && tov < 0) return false;
-    // Cascade the outer wheel when its window opens first. Ties go to the
-    // cascade: its window may share the tick with level-0/overflow entries,
-    // and the bucket merge above reunites them.
-    if (t1win >= 0 && (t0 < 0 || t1win <= t0) && (tov < 0 || t1win <= tov)) {
-      cascade(1, t1);
-      continue;
-    }
-    if (t0 >= 0 && (tov < 0 || t0 <= tov)) {
-      cur_tick_ = t0;
-      WheelLevel& l0 = levels_[0];
-      const std::size_t s = static_cast<std::size_t>(t0) & kSlotMask;
-      bucket_.swap(l0.slots[s]);
-      l0.occupied[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
-      l0.count -= bucket_.size();
-      stash(l0.slots[s]);  // the bucket's old buffer
-      continue;
-    }
-    cur_tick_ = tov;
-    while (!overflow_.empty() &&
-           (overflow_.front().at_ps >> kGranularityShift) == cur_tick_) {
-      bucket_.push_back(overflow_pop());
-    }
+  const std::int64_t t0 = next_occupied_tick();
+  const std::int64_t tov =
+      overflow_.empty() ? -1 : overflow_.front().at_ps >> kGranularityShift;
+  if (t0 < 0 && tov < 0) {
+    // A tombstone sweep may have carried the cursor past the clock; bring
+    // it back so the next arm does not land behind it.
+    cur_tick_ = now_.ps() >> kGranularityShift;
+    return false;
   }
+  // Ties go to the wheel slot; the heap's entries of that tick join it.
+  const std::int64_t next = t0 >= 0 && (tov < 0 || t0 <= tov) ? t0 : tov;
+  if (next > limit) return false;
+  cur_tick_ = next;
+  if (next == t0) {
+    const std::size_t s = static_cast<std::size_t>(t0) & kSlotMask;
+    bucket_.swap(wheel_.slots[s]);
+    wheel_.occupied[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+    wheel_.count -= bucket_.size();
+    stash(wheel_.slots[s]);  // the bucket's old buffer
+  }
+  while (!overflow_.empty() &&
+         (overflow_.front().at_ps >> kGranularityShift) == cur_tick_) {
+    bucket_.push_back(overflow_pop());
+  }
+  STELLAR_TRACE_ONLY(++work_.buckets_loaded;
+                     work_.entries_sorted += bucket_.size();)
+  std::sort(bucket_.begin(), bucket_.end(), EntryLess{});
+  return true;
 }
 
-std::uint32_t Simulator::peek_live() {
+std::uint32_t Simulator::peek_live(std::int64_t limit) {
   for (;;) {
     while (bucket_pos_ < bucket_.size()) {
       const Entry& e = bucket_[bucket_pos_];
@@ -248,7 +144,7 @@ std::uint32_t Simulator::peek_live() {
       }
       return id;
     }
-    if (!advance_to_next_bucket()) return kNone;
+    if (!advance_to_next_bucket(limit)) return kNone;
   }
 }
 
@@ -335,14 +231,16 @@ void Simulator::arm_timer(std::uint32_t id, SimTime at, std::uint64_t seq) {
   t.seq = seq;
   const Entry e{at.ps(), seq << kIdxBits | id};
   const std::int64_t t0 = at.ps() >> kGranularityShift;
-  if (t0 < cur_tick_) rewind_to(t0);
+  STELLAR_DCHECK(t0 >= cur_tick_, "timer armed at tick %lld behind cursor %lld",
+                 static_cast<long long>(t0),
+                 static_cast<long long>(cur_tick_));
   if (t0 == cur_tick_) {
     bucket_insert(e);
   } else if (static_cast<std::uint64_t>(t0 - cur_tick_) < kSlots) {
-    // Hot path: almost every event lands in the level-0 window.
-    slot_push(levels_[0], static_cast<std::size_t>(t0) & kSlotMask, e);
+    // Hot path: almost every event lands within one revolution.
+    slot_push(static_cast<std::size_t>(t0) & kSlotMask, e);
   } else {
-    place_entry(e);
+    overflow_push(e);
   }
   ++armed_timers_;
   ++live_events_;
@@ -351,7 +249,7 @@ void Simulator::arm_timer(std::uint32_t id, SimTime at, std::uint64_t seq) {
 
 bool Simulator::step() {
   owner_.assert_held();
-  const std::uint32_t id = peek_live();
+  const std::uint32_t id = peek_live(kNoLimit);
   if (id == kNone) return false;
   consume_and_run(id);
   return true;
@@ -367,7 +265,7 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
   owner_.assert_held();
   std::uint64_t n = 0;
   for (;;) {
-    const std::uint32_t id = peek_live();
+    const std::uint32_t id = peek_live(deadline.ps() >> kGranularityShift);
     if (id == kNone) break;
     // Live event beyond the horizon: leave it queued — peeking never pops,
     // so there is nothing to re-push.
@@ -382,12 +280,10 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
 Simulator::HeapStats Simulator::heap_stats() const {
   owner_.assert_held();
   HeapStats st;
-  for (const auto& level : levels_) {
-    for (const auto& slot : level.slots) {
-      st.wheel_entries += slot.size();
-      st.occupied_slots += slot.empty() ? 0 : 1;
-      st.slot_buffers += slot.capacity() != 0 ? 1 : 0;
-    }
+  for (const auto& slot : wheel_.slots) {
+    st.wheel_entries += slot.size();
+    st.occupied_slots += slot.empty() ? 0 : 1;
+    st.slot_buffers += slot.capacity() != 0 ? 1 : 0;
   }
   st.slot_buffers += spare_.size();
   STELLAR_TRACE_ONLY(st.work = work_;)
